@@ -75,6 +75,7 @@ from .spheroidal import (
     check_spherical_limit,
     eigen_sym_tridiagonal,
     separation_constants,
+    spectra,
     sweep_branches,
     t_by_continuant,
 )

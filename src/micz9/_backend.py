@@ -1,529 +1,321 @@
-"""Numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Numerical kernels in vectorized numpy.
 
-The env var MICZ9_BACKEND selects the implementation:
+Symmetric tridiagonal eigenproblems are solved for a whole stack of
+matrices at once: diagonals of shape (P, N) and couplings of shape
+(P, N-1), with every (matrix, eigenvalue) pair carried along one array
+axis, so a branch sweep or a list of focal distances costs one call.
+Eigenvalues come from bisection on Sturm sign counts (Barth, Martin and
+Wilkinson 1967; LAPACK ``dstebz``), eigenvectors from inverse iteration
+with a partially pivoted tridiagonal factorization made once per shift
+(LAPACK ``dstein``).  Exactly zero couplings split a matrix into
+irreducible blocks; each eigenpair is computed on its own block, so
+degenerate spectra across blocks stay exactly orthogonal.  Large stacks
+are solved in chunks of at most ``_CHUNK_ELEMENTS`` matrix entries, which
+bounds the working memory.
 
-* ``auto`` (default): numba when importable, else numpy;
-* ``numba``: require numba, fail loudly if missing;
-* ``numpy``: force the vectorized numpy path (useful for debugging and
-  as the baseline in benchmarks/bench_backends.py).
-
-Kernels: symmetric tridiagonal eigenvalues by bisection on Sturm
-sign-count sequences, eigenvectors by inverse iteration with a partially
-pivoted tridiagonal solve, and generalized Laguerre / Jacobi polynomial
-evaluation by their three-term recurrences.  Both paths implement the
-same arithmetic; tests cross-check them against each other and against
-dense numpy eigendecompositions.
+The generalized Laguerre and Jacobi polynomials are evaluated by their
+three-term recurrences.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from .errors import ConvergenceFailure
 
+BACKEND = "numpy"
+
 _EPS = float(np.finfo(np.float64).eps)
 _PIVMIN_FLOOR = 1e-290
-
-_env = os.environ.get("MICZ9_BACKEND", "auto").strip().lower()
-if _env not in ("auto", "numba", "numpy"):
-    raise ImportError(f"MICZ9_BACKEND must be auto|numba|numpy, got {_env!r}")
-
-_HAVE_NUMBA = False
-if _env != "numpy":
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
-
-if not _HAVE_NUMBA:
-
-    def njit(*args, **kwargs):  # no-op decorator for the fallback path
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
+# P * N * N entries per chunk: under 1 MB of working arrays at N = 15.
+_CHUNK_ELEMENTS = 1 << 13
 
 
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+def _sturm_counts(d, e2, x, pivmin, first, last):
+    """Eigenvalues not above x among rows first..last-1 of each matrix.
 
-
-# ----------------------------------------------------------------------
-# scalar-loop kernels (compiled under numba; also usable uncompiled)
-# ----------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _sturm_count(d, e2, x, pivmin):
-    """Eigenvalues not above x (LDL^T sign count; zero pivots count negative)."""
-    n = d.shape[0]
-    cnt = 0
-    q = d[0] - x
-    if abs(q) < pivmin:
-        q = -pivmin
-    if q < 0.0:
-        cnt += 1
-    for i in range(1, n):
-        q = d[i] - x - e2[i - 1] / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        if q < 0.0:
-            cnt += 1
-    return cnt
-
-
-@njit(cache=True)
-def _eigvals_bisect(d, e, rtol):
-    n = d.shape[0]
-    w = np.empty(n, dtype=np.float64)
-    if n == 1:
-        w[0] = d[0]
-        return w
-    e2 = e * e
-    pivmin = _PIVMIN_FLOOR
-    for i in range(n - 1):
-        if e2[i] * _PIVMIN_FLOOR > pivmin:
-            pivmin = e2[i] * _PIVMIN_FLOOR
-    lo = d[0] - abs(e[0])
-    hi = d[0] + abs(e[0])
-    for i in range(1, n):
-        r = abs(e[i - 1])
-        if i < n - 1:
-            r += abs(e[i])
-        if d[i] - r < lo:
-            lo = d[i] - r
-        if d[i] + r > hi:
-            hi = d[i] + r
-    scale = max(abs(lo), abs(hi), 1e-300)
-    lo -= 2.0 * _EPS * scale + pivmin
-    hi += 2.0 * _EPS * scale + pivmin
-    for k in range(n):
-        a = lo
-        b = hi
-        for _ in range(250):
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if (b - a) <= rtol * max(abs(a), abs(b)):
-                break
-            if _sturm_count(d, e2, mid, pivmin) <= k:
-                a = mid
-            else:
-                b = mid
-        w[k] = 0.5 * (a + b)
-    return w
-
-
-@njit(cache=True)
-def _solve_shifted(d, e, lam, b, x, dd, du, du2):
-    """Solve (T - lam I) x = b with partial pivoting; work arrays supplied."""
-    n = d.shape[0]
-    pivmin = _PIVMIN_FLOOR
-    for i in range(n):
-        dd[i] = d[i] - lam
-        x[i] = b[i]
-    for i in range(n - 1):
-        du[i] = e[i]
-    for i in range(n - 2):
-        du2[i] = 0.0
-    for i in range(n - 1):
-        sub = e[i]
-        if abs(sub) > abs(dd[i]):
-            # swap rows i and i+1
-            t0 = dd[i]
-            t1 = du[i]
-            t2 = du2[i] if i < n - 2 else 0.0
-            dd[i] = sub
-            du[i] = dd[i + 1]
-            if i < n - 2:
-                du2[i] = du[i + 1]
-            r0 = t0
-            r1 = t1
-            r2 = t2
-            tb = x[i]
-            x[i] = x[i + 1]
-            x[i + 1] = tb
-        else:
-            r0 = sub
-            r1 = dd[i + 1]
-            r2 = du[i + 1] if i < n - 2 else 0.0
-        piv = dd[i]
-        if abs(piv) < pivmin:
-            piv = pivmin if piv >= 0.0 else -pivmin
-            dd[i] = piv
-        mult = r0 / piv
-        dd[i + 1] = r1 - mult * du[i]
-        if i < n - 2:
-            du[i + 1] = r2 - mult * du2[i]
-        x[i + 1] = x[i + 1] - mult * x[i]
-    if abs(dd[n - 1]) < pivmin:
-        dd[n - 1] = pivmin if dd[n - 1] >= 0.0 else -pivmin
-    x[n - 1] = x[n - 1] / dd[n - 1]
-    if n >= 2:
-        x[n - 2] = (x[n - 2] - du[n - 2] * x[n - 1]) / dd[n - 2]
-    for i in range(n - 3, -1, -1):
-        x[i] = (x[i] - du[i] * x[i + 1] - du2[i] * x[i + 2]) / dd[i]
-
-
-@njit(cache=True)
-def _residual_inf(d, e, lam, v):
-    n = d.shape[0]
-    worst = 0.0
-    for i in range(n):
-        r = (d[i] - lam) * v[i]
-        if i > 0:
-            r += e[i - 1] * v[i - 1]
-        if i < n - 1:
-            r += e[i] * v[i + 1]
-        if abs(r) > worst:
-            worst = abs(r)
-    return worst
-
-
-@njit(cache=True)
-def _eigvecs_inverse_iteration(d, e, w, maxit, restol):
-    """One inverse-iteration eigenvector per eigenvalue; returns (V, iters).
-
-    iters[k] = -1 flags failure to reach restol within maxit.
+    LDL^T sign counts, with a pivot below pivmin in magnitude replaced by
+    -pivmin (so it counts as negative).  d (N, ...) and e2 (N-1, ...) hold
+    the diagonals and squared couplings row-major and broadcast against x,
+    as pivmin does.  first and last delimit an irreducible block per
+    element of x, or are None for the whole matrix: the recurrence restarts
+    at every zero coupling, so the count of a block is a difference of
+    running counts.
     """
-    n = d.shape[0]
-    nv = w.shape[0]
-    V = np.empty((n, nv), dtype=np.float64)
-    iters = np.empty(nv, dtype=np.int64)
-    x = np.empty(n, dtype=np.float64)
-    b = np.empty(n, dtype=np.float64)
-    dd = np.empty(n, dtype=np.float64)
-    du = np.empty(max(n - 1, 1), dtype=np.float64)
-    du2 = np.empty(max(n - 2, 1), dtype=np.float64)
-    for k in range(nv):
-        for i in range(n):
-            b[i] = 1.0 + 1e-3 * i  # deterministic start, no zero components
-        nb = 0.0
-        for i in range(n):
-            nb += b[i] * b[i]
-        nb = np.sqrt(nb)
-        for i in range(n):
-            b[i] /= nb
-        iters[k] = -1
-        for it in range(maxit):
-            _solve_shifted(d, e, w[k], b, x, dd, du, du2)
-            amax = 0.0  # scale by the largest entry first: near-singular
-            for i in range(n):  # shifts produce ~1/pivmin entries whose
-                if abs(x[i]) > amax:  # squared norm would overflow
-                    amax = abs(x[i])
-            if amax == 0.0 or not np.isfinite(amax):
-                continue
-            nx = 0.0
-            for i in range(n):
-                x[i] /= amax
-                nx += x[i] * x[i]
-            nx = np.sqrt(nx)
-            for i in range(n):
-                x[i] /= nx
-            if _residual_inf(d, e, w[k], x) <= restol:
-                iters[k] = it + 1
-                break
-            for i in range(n):
-                b[i] = x[i]
-        for i in range(n):
-            V[i, k] = x[i]
-    return V, iters
+    dx = d - x
+    neg = np.empty(dx.shape, dtype=bool)
+    q = dx[0]
+    t = np.empty_like(q)
+    for i in range(dx.shape[0]):
+        if i:
+            np.divide(e2[i - 1], q, out=t)
+            np.subtract(dx[i], t, out=q)
+        np.less(q, pivmin, out=neg[i])
+        np.minimum(q, -pivmin, out=q, where=neg[i])
+    if first is None:
+        return np.add.reduce(neg, axis=0, dtype=np.int64)
+    cum = np.zeros((neg.shape[0] + 1,) + neg.shape[1:], dtype=np.int64)
+    np.cumsum(neg, axis=0, out=cum[1:])
+    shape = (1,) + neg.shape[1:]
+    last = np.broadcast_to(last, shape)
+    first = np.broadcast_to(first, shape)
+    return (np.take_along_axis(cum, last, 0) - np.take_along_axis(cum, first, 0))[0]
 
 
-@njit(cache=True)
-def _laguerre_rec(k, s, x, out):
-    """Generalized Laguerre L_k^{(s)} on a flat array (k >= 0)."""
-    n = x.shape[0]
-    if k == 0:
-        for i in range(n):
-            out[i] = 1.0
-        return
-    for i in range(n):
-        pm = 1.0
-        pc = 1.0 + s - x[i]
-        for j in range(1, k):
-            pn = ((2.0 * j + s + 1.0 - x[i]) * pc - (j + s) * pm) / (j + 1.0)
-            pm = pc
-            pc = pn
-        out[i] = pc
+def _bisect(d, e, rtol, first, last):
+    """Eigenvalues by bisection, ascending per slot.
 
-
-@njit(cache=True)
-def _jacobi_rec(k, p, q, x, out):
-    """Jacobi P_k^{(p,q)} on a flat array (k >= 0; p, q > -1)."""
-    n = x.shape[0]
-    if k == 0:
-        for i in range(n):
-            out[i] = 1.0
-        return
-    for i in range(n):
-        pm = 1.0
-        pc = (p + 1.0) + (p + q + 2.0) * (x[i] - 1.0) / 2.0
-        for j in range(1, k):
-            c = 2.0 * j + p + q
-            den = 2.0 * (j + 1.0) * (j + 1.0 + p + q) * c
-            a1 = (c + 1.0) * (p * p - q * q)
-            a2 = c * (c + 1.0) * (c + 2.0)
-            a3 = 2.0 * (j + p) * (j + q) * (c + 2.0)
-            pn = ((a1 + a2 * x[i]) * pc - a3 * pm) / den
-            pm = pc
-            pc = pn
-        out[i] = pc
-
-
-# ----------------------------------------------------------------------
-# pure-numpy fallback implementations (vector arithmetic, no Python loops
-# over nodes or eigenvalues in the hot dimension)
-# ----------------------------------------------------------------------
-
-
-def _np_sturm_counts(d, e2, xs, pivmin):
-    q = d[0] - xs
-    q = np.where(np.abs(q) < pivmin, -pivmin, q)
-    cnt = (q < 0.0).astype(np.int64)
-    for i in range(1, d.shape[0]):
-        q = d[i] - xs - e2[i - 1] / q
-        q = np.where(np.abs(q) < pivmin, -pivmin, q)
-        cnt += q < 0.0
-    return cnt
-
-
-def _np_eigvals_bisect(d, e, rtol):
-    n = d.shape[0]
-    if n == 1:
-        return d.copy()
+    Slot k of matrix p gets eigenvalue k - first[p, k] of its block, or
+    eigenvalue k of the whole matrix if first is None.  A slot stops when
+    its interval is rtol-narrow relative to its endpoints or cannot be
+    halved in floating point, and after 250 halvings at most.  Each pass
+    counts at the midpoint and both quarter points and so makes two
+    halvings: the same points and results as plain bisection, with half
+    the passes over the rows.
+    """
+    P, n = d.shape
     e2 = e * e
-    pivmin = max(_PIVMIN_FLOOR, float(e2.max()) * _PIVMIN_FLOOR)
-    radius = np.zeros(n)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lo = float(np.min(d - radius))
-    hi = float(np.max(d + radius))
-    scale = max(abs(lo), abs(hi), 1e-300)
-    lo -= 2.0 * _EPS * scale + pivmin
-    hi += 2.0 * _EPS * scale + pivmin
-    a = np.full(n, lo)
-    b = np.full(n, hi)
-    ks = np.arange(n)
-    for _ in range(250):
-        mid = 0.5 * (a + b)
-        stuck = (mid <= a) | (mid >= b)
-        tight = (b - a) <= rtol * np.maximum(np.abs(a), np.abs(b))
-        active = ~(stuck | tight)
-        if not active.any():
+    pivmin = np.maximum(_PIVMIN_FLOOR, e2.max(axis=1) * _PIVMIN_FLOOR)[:, None]
+    radius = np.zeros((P, n))
+    radius[:, :-1] += np.abs(e)
+    radius[:, 1:] += np.abs(e)
+    lo = (d - radius).min(axis=1, keepdims=True)
+    hi = (d + radius).max(axis=1, keepdims=True)
+    pad = 2.0 * _EPS * np.maximum(np.maximum(np.abs(lo), np.abs(hi)), 1e-300) + pivmin
+    a = np.repeat(lo - pad, n, axis=1)
+    b = np.repeat(hi + pad, n, axis=1)
+    k = np.arange(n) if first is None else np.arange(n) - first
+    dT = d.T[:, None, :, None]
+    e2T = e2.T[:, None, :, None]
+
+    def halvable(a, b, mid):
+        return (mid > a) & (mid < b) & ((b - a) > rtol * np.maximum(-a, b))  # max |a|, |b|
+
+    x = np.empty((3, P, n))
+    mid, q_lo, q_hi = x
+    for _ in range(125):
+        np.add(a, b, out=mid)
+        mid *= 0.5
+        active = halvable(a, b, mid)
+        if not np.count_nonzero(active):
             break
-        counts = _np_sturm_counts(d, e2, mid, pivmin)
-        go_up = (counts <= ks) & active
-        go_dn = (counts > ks) & active
-        a = np.where(go_up, mid, a)
-        b = np.where(go_dn, mid, b)
+        np.add(a, mid, out=q_lo)
+        q_lo *= 0.5
+        np.add(mid, b, out=q_hi)
+        q_hi *= 0.5
+        c_mid, c_lo, c_hi = _sturm_counts(dT, e2T, x, pivmin, first, last)
+        up = (c_mid <= k) & active
+        a = np.where(up, mid, a)
+        b = np.where(active > up, mid, b)  # active and not up
+        # the second halving's midpoint is the quarter point inside [a, b]
+        mid2 = np.where(up, q_hi, q_lo)
+        active &= halvable(a, b, mid2)
+        up = (np.where(up, c_hi, c_lo) <= k) & active
+        a = np.where(up, mid2, a)
+        b = np.where(active > up, mid2, b)
     return 0.5 * (a + b)
 
 
-def _np_solve_shifted_batch(d, e, lams, B):
-    """Solve (T - lam_j I) x_j = B[j] for all j at once, partial pivoting."""
-    m, n = B.shape
+def _factor_shifted(sd, se):
+    """LU with partial pivoting of the tridiagonals (diag sd, coupling se), one per column.
+
+    sd is (N, m), se is (N-1, m).  Returns (swap, mult, u0, u1, u2): the row
+    exchange and multiplier of each elimination step and the three
+    diagonals of U, zero pivots replaced by +-pivmin.
+    """
+    n, m = sd.shape
     pivmin = _PIVMIN_FLOOR
-    dd = np.repeat(d[None, :], m, axis=0) - lams[:, None]
-    du = np.repeat(e[None, :], m, axis=0) if n > 1 else np.zeros((m, 0))
-    du2 = np.zeros((m, n - 2)) if n > 2 else np.zeros((m, 0))
-    x = B.copy()
+    u0 = sd.copy()
+    u1 = se.copy()
+    u2 = np.zeros((max(n - 2, 0), m))
+    swap = np.empty((n - 1, m), dtype=bool)
+    mult = np.empty((n - 1, m))
+    zero = np.zeros(m)
     for i in range(n - 1):
-        sub = e[i]
-        swap = np.abs(sub) > np.abs(dd[:, i])
-        t0 = dd[:, i].copy()
-        t1 = du[:, i].copy()
-        t2 = du2[:, i].copy() if i < n - 2 else np.zeros(m)
-        nxt_du = du[:, i + 1].copy() if i < n - 2 else np.zeros(m)
-        dd[:, i] = np.where(swap, sub, t0)
-        du[:, i] = np.where(swap, dd[:, i + 1], t1)
+        sub = se[i]
+        sw = np.abs(sub) > np.abs(u0[i])
+        t0 = u0[i].copy()
+        t1 = u1[i].copy()
+        nxt = u1[i + 1] if i < n - 2 else zero
+        u0[i] = np.where(sw, sub, t0)
+        u1[i] = np.where(sw, u0[i + 1], t1)
         if i < n - 2:
-            du2[:, i] = np.where(swap, nxt_du, t2)
-        r0 = np.where(swap, t0, sub)
-        r1 = np.where(swap, t1, dd[:, i + 1])
-        r2 = np.where(swap, t2, nxt_du)
-        xi = x[:, i].copy()
-        x[:, i] = np.where(swap, x[:, i + 1], xi)
-        x[:, i + 1] = np.where(swap, xi, x[:, i + 1])
-        piv = dd[:, i]
+            u2[i] = np.where(sw, nxt, 0.0)
+        r0 = np.where(sw, t0, sub)
+        r1 = np.where(sw, t1, u0[i + 1])
+        piv = u0[i]
         piv = np.where(np.abs(piv) < pivmin, np.where(piv >= 0.0, pivmin, -pivmin), piv)
-        dd[:, i] = piv
-        mult = r0 / piv
-        dd[:, i + 1] = r1 - mult * du[:, i]
+        u0[i] = piv
+        mu = r0 / piv
+        u0[i + 1] = r1 - mu * u1[i]
         if i < n - 2:
-            du[:, i + 1] = r2 - mult * du2[:, i]
-        x[:, i + 1] = x[:, i + 1] - mult * x[:, i]
-    last = dd[:, n - 1]
-    dd[:, n - 1] = np.where(np.abs(last) < pivmin, np.where(last >= 0.0, pivmin, -pivmin), last)
-    x[:, n - 1] = x[:, n - 1] / dd[:, n - 1]
+            u1[i + 1] = np.where(sw, 0.0, nxt) - mu * u2[i]
+        swap[i] = sw
+        mult[i] = mu
+    last = u0[n - 1]
+    u0[n - 1] = np.where(np.abs(last) < pivmin, np.where(last >= 0.0, pivmin, -pivmin), last)
+    return swap, mult, u0, u1, u2
+
+
+def _solve_factored(factors, b):
+    """Solve with the factors of _factor_shifted for right-hand sides b (N, m)."""
+    swap, mult, u0, u1, u2 = factors
+    n = b.shape[0]
+    x = b.copy()
+    for i in range(n - 1):
+        xi = np.where(swap[i], x[i + 1], x[i])
+        x[i + 1] = np.where(swap[i], x[i], x[i + 1]) - mult[i] * xi
+        x[i] = xi
+    x[n - 1] /= u0[n - 1]
     if n >= 2:
-        x[:, n - 2] = (x[:, n - 2] - du[:, n - 2] * x[:, n - 1]) / dd[:, n - 2]
+        x[n - 2] = (x[n - 2] - u1[n - 2] * x[n - 1]) / u0[n - 2]
     for i in range(n - 3, -1, -1):
-        x[:, i] = (x[:, i] - du[:, i] * x[:, i + 1] - du2[:, i] * x[:, i + 2]) / dd[:, i]
+        x[i] = (x[i] - u1[i] * x[i + 1] - u2[i] * x[i + 2]) / u0[i]
     return x
 
 
-def _np_residuals_inf(d, e, lams, X):
-    R = (d[None, :] - lams[:, None]) * X
-    if d.shape[0] > 1:
-        R[:, 1:] += e[None, :] * X[:, :-1]
-        R[:, :-1] += e[None, :] * X[:, 1:]
-    return np.abs(R).max(axis=1)
+def _inverse_iteration(sd, se, support, maxit, restol):
+    """Unit eigenvectors of the shifted tridiagonals (sd, se), one per column.
 
-
-def _np_eigvecs_inverse_iteration(d, e, w, maxit, restol):
-    n = d.shape[0]
-    nv = w.shape[0]
-    b = 1.0 + 1e-3 * np.arange(n)
-    B = np.repeat((b / np.linalg.norm(b))[None, :], nv, axis=0)
-    iters = np.full(nv, -1, dtype=np.int64)
-    X = B.copy()
-    done = np.zeros(nv, dtype=bool)
+    support (N, m) is 1 on the rows of each column's block and 0 elsewhere,
+    or (N, 1) ones when no column's matrix splits; the start vector lives
+    there, and the solves keep it there because the block's boundary
+    couplings are exactly zero.  Returns (X, iters), with
+    iters -1 where the residual never reached restol within maxit solves.
+    """
+    n, m = sd.shape
+    factors = _factor_shifted(sd, se)
+    ramp = np.cumsum(support, axis=0) - 1.0  # row index within the block
+    B = (1.0 + 1e-3 * ramp) * support  # deterministic start, no zero components
+    B /= np.sqrt((B * B).sum(axis=0))
+    X = B = np.broadcast_to(B, (n, m))
+    iters = np.full(m, -1, dtype=np.int64)
+    done = np.zeros(m, dtype=bool)
     for it in range(maxit):
-        Y = _np_solve_shifted_batch(d, e, w, B)
-        amax = np.abs(Y).max(axis=1)  # pre-scale: squared norms of
+        Y = _solve_factored(factors, B)
+        amax = np.abs(Y).max(axis=0)  # pre-scale: squared norms of
         good = (amax > 0.0) & np.isfinite(amax)  # near-singular solves overflow
-        Y[good] /= amax[good][:, None]
-        norms = np.linalg.norm(Y, axis=1)
-        Y[good] /= norms[good][:, None]
-        X = np.where((good & ~done)[:, None], Y, X)
-        res = _np_residuals_inf(d, e, w, X)
-        newly = (res <= restol) & ~done & good
+        with np.errstate(invalid="ignore", over="ignore"):
+            Y /= np.where(good, amax, 1.0)
+            Y /= np.where(good, np.sqrt((Y * Y).sum(axis=0)), 1.0)
+        fresh = good & ~done
+        X = np.where(fresh, Y, X)
+        R = sd * X
+        R[1:] += se * X[:-1]
+        R[:-1] += se * X[1:]
+        newly = fresh & (np.abs(R).max(axis=0) <= restol)
         iters[newly] = it + 1
         done |= newly
         if done.all():
             break
-        B = np.where(done[:, None], B, X)
-    return X.T.copy(), iters
+        B = np.where(done, B, X)
+    return X, iters
 
 
-# ----------------------------------------------------------------------
-# shared wrappers
-# ----------------------------------------------------------------------
+def _orthogonalize_clusters(w, V, cluster_tol):
+    """Gram-Schmidt inside runs of eigenvalues closer than cluster_tol (in place).
 
-if _HAVE_NUMBA:
+    w (P, N) ascending, V (P, N, N) with eigenvector columns.
+    """
+    P, n = w.shape
+    idx = np.arange(n)
+    opens = np.ones((P, n), dtype=bool)
+    opens[:, 1:] = np.diff(w, axis=1) > cluster_tol
+    start = np.maximum.accumulate(np.where(opens, idx, 0), axis=1)
+    for j in np.flatnonzero((start < idx).any(axis=0)):
+        sj = start[:, j]
+        for i in range(int(sj.min()), j):
+            dot = np.where(sj <= i, np.einsum("pr,pr->p", V[:, :, i], V[:, :, j]), 0.0)
+            V[:, :, j] -= dot[:, None] * V[:, :, i]
+        nrm = np.sqrt(np.einsum("pr,pr->p", V[:, :, j], V[:, :, j]))
+        renorm = (sj < j) & (nrm > 0.0)
+        V[:, :, j] /= np.where(renorm, nrm, 1.0)[:, None]
 
-    def _eigvals_impl(d, e, rtol):
-        return _eigvals_bisect(d, e, rtol)
 
-    def _eigvecs_impl(d, e, w, maxit, restol):
-        return _eigvecs_inverse_iteration(d, e, w, maxit, restol)
+def _eigh_chunk(d, e, rtol, maxit):
+    P, n = d.shape
+    scale = np.maximum(np.abs(d).max(axis=1) + np.abs(e).max(axis=1), 1e-300)
+    # block of each row: [first, last) between exactly zero couplings
+    if (e == 0.0).any():
+        cut = np.zeros((P, n + 1), dtype=bool)
+        cut[:, 0] = cut[:, n] = True
+        cut[:, 1:n] = e == 0.0
+        idx = np.arange(n + 1)
+        first = np.maximum.accumulate(np.where(cut, idx, 0), axis=1)[:, :n]
+        last = np.minimum.accumulate(np.where(cut, idx, n)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+        rows = idx[:n, None, None]
+        support = ((rows >= first) & (rows < last)).reshape(n, -1).astype(np.float64)
+    else:
+        first = last = None
+        support = np.ones((n, 1))
+    w = _bisect(d, e, rtol, first, last)
 
-else:
-    _eigvals_impl = _np_eigvals_bisect
-    _eigvecs_impl = _np_eigvecs_inverse_iteration
-
-
-def tridiag_eigenvalues(d, e, rtol: float = 1e-14) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric tridiagonal (diag d, offdiag e)."""
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    e = np.ascontiguousarray(e, dtype=np.float64)
-    if d.ndim != 1 or e.shape != (max(d.shape[0] - 1, 0),):
-        raise ValueError("need diag of length n and offdiag of length n-1")
-    if d.shape[0] == 0:
-        return np.empty(0)
-    return _eigvals_impl(d, e, float(rtol))
+    # one shifted system per (matrix, eigenvalue): column p * n + k
+    sd = (d.T[:, :, None] - w[None]).reshape(n, P * n)
+    se = np.repeat(e.T, n, axis=1)
+    restol = np.repeat(200.0 * _EPS * scale, n)
+    X, iters = _inverse_iteration(sd, se, support, int(maxit), restol)
+    if (iters < 0).any():
+        p, k = divmod(int(np.argmax(iters < 0)), n)
+        raise ConvergenceFailure(
+            f"inverse iteration did not reach {restol[p * n]:.3e} within {maxit} steps "
+            f"for eigenvalue index {k} of matrix {p}"
+        )
+    V = X.reshape(n, P, n).transpose(1, 0, 2).copy()  # (P, row, eigenvalue)
+    order = np.argsort(w, axis=1, kind="stable")
+    w = np.take_along_axis(w, order, axis=1)
+    V = np.take_along_axis(V, order[:, None, :], axis=2)
+    _orthogonalize_clusters(w, V, 1e-6 * scale[:, None])
+    # Rayleigh polish: exact eigenvectors make this a <= 1 ulp correction
+    TV = d[:, :, None] * V
+    TV[:, 1:, :] += e[:, :, None] * V[:, :-1, :]
+    TV[:, :-1, :] += e[:, :, None] * V[:, 1:, :]
+    w = np.einsum("prk,prk->pk", V, TV)
+    order = np.argsort(w, axis=1, kind="stable")
+    return np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
 
 
 def tridiag_eigh(d, e, rtol: float = 1e-14, maxit: int = 100):
-    """Full eigendecomposition: ascending eigenvalues and orthonormal columns.
+    """Ascending eigenvalues and orthonormal eigenvector columns.
 
-    Exactly zero couplings split the matrix into irreducible blocks that
-    are solved independently (so degenerate spectra across blocks stay
-    exactly orthogonal); within a block: bisection eigenvalues,
-    inverse-iteration vectors (cap `maxit` per pair, else
-    ConvergenceFailure), Gram-Schmidt inside near-degenerate clusters,
-    then a Rayleigh-quotient polish of the eigenvalues.
+    d holds the diagonals, shape (P, N), and e the couplings, shape
+    (P, N-1); the result is w (P, N) and V (P, N, N) with V[p][:, k] the
+    eigenvector of w[p, k].  A single matrix may be passed as 1-d arrays
+    and then comes back unbatched: w (N,) and V (N, N).
+
+    Per matrix: bisection eigenvalues to relative width rtol on each
+    irreducible block, inverse-iteration vectors (at most maxit solves per
+    pair, else ConvergenceFailure), Gram-Schmidt inside near-degenerate
+    clusters, then a Rayleigh-quotient polish of the eigenvalues.
     """
-    d = np.ascontiguousarray(d, dtype=np.float64)
-    e = np.ascontiguousarray(e, dtype=np.float64)
-    n = d.shape[0]
+    d = np.asarray(d, dtype=np.float64)
+    e = np.asarray(e, dtype=np.float64)
+    single = d.ndim == 1
+    if single:
+        d, e = d[None], e[None]
+    if d.ndim != 2 or d.shape[1] == 0 or e.shape != (d.shape[0], d.shape[1] - 1):
+        raise ValueError("need diagonals of shape (P, N) and couplings of shape (P, N-1)")
+    P, n = d.shape
     if n == 1:
-        return d.copy(), np.ones((1, 1))
-    splits = np.where(e == 0.0)[0]
-    if splits.size:
-        w_all = np.empty(n)
-        V_all = np.zeros((n, n))
-        start = 0
-        for z in list(splits) + [n - 1]:
-            end = z + 1
-            wb, Vb = tridiag_eigh(d[start:end], e[start : end - 1], rtol, maxit)
-            w_all[start:end] = wb
-            V_all[start:end, start:end] = Vb
-            start = end
-        order = np.argsort(w_all, kind="stable")
-        return w_all[order], V_all[:, order]
-    w = tridiag_eigenvalues(d, e, rtol)
-    scale = max(float(np.max(np.abs(d)) + (np.max(np.abs(e)) if n > 1 else 0.0)), 1e-300)
-    restol = 200.0 * _EPS * scale
-    V, iters = _eigvecs_impl(d, e, w, int(maxit), restol)
-    if (iters < 0).any():
-        bad = int(np.argmax(iters < 0))
-        raise ConvergenceFailure(
-            f"inverse iteration did not reach {restol:.3e} within {maxit} steps "
-            f"for eigenvalue index {bad}"
-        )
-    # re-orthogonalize clusters of nearly equal eigenvalues
-    cluster_tol = 1e-6 * scale
-    start = 0
-    for k in range(1, n + 1):
-        if k == n or w[k] - w[k - 1] > cluster_tol:
-            if k - start > 1:
-                block = V[:, start:k]
-                for j in range(1, block.shape[1]):
-                    for i in range(j):
-                        block[:, j] -= (block[:, i] @ block[:, j]) * block[:, i]
-                    nrm = np.linalg.norm(block[:, j])
-                    if nrm > 0:
-                        block[:, j] /= nrm
-                V[:, start:k] = block
-            start = k
-    # Rayleigh polish: exact eigenvectors make this a <= 1 ulp correction
-    Tv = d[None, :].T * V
-    Tv[1:, :] += e[:, None] * V[:-1, :]
-    Tv[:-1, :] += e[:, None] * V[1:, :]
-    w = np.einsum("ij,ij->j", V, Tv)
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
-
-
-def laguerre(k: int, s: float, x):
-    """Generalized Laguerre L_k^{(s)}; k < 0 gives 0 (derivative ladders)."""
-    xa = np.asarray(x, dtype=np.float64)
-    if k < 0:
-        return np.zeros_like(xa) if xa.shape else 0.0
-    flat = np.ascontiguousarray(xa.ravel())
-    if _HAVE_NUMBA:
-        out = np.empty_like(flat)
-        _laguerre_rec(k, float(s), flat, out)
+        w, V = d.copy(), np.ones((P, 1, 1))
     else:
-        out = _np_laguerre(k, float(s), flat)
-    out = out.reshape(xa.shape)
-    return out if xa.shape else float(out)
+        step = max(1, _CHUNK_ELEMENTS // (n * n))
+        if P <= step:
+            w, V = _eigh_chunk(d, e, rtol, maxit)
+        else:
+            w = np.empty((P, n))
+            V = np.empty((P, n, n))
+            for lo in range(0, P, step):
+                w[lo : lo + step], V[lo : lo + step] = _eigh_chunk(
+                    d[lo : lo + step], e[lo : lo + step], rtol, maxit
+                )
+    return (w[0], V[0]) if single else (w, V)
 
 
-def jacobi(k: int, p: float, q: float, x):
-    """Jacobi P_k^{(p,q)}; k < 0 gives 0 (derivative ladders)."""
-    xa = np.asarray(x, dtype=np.float64)
-    if k < 0:
-        return np.zeros_like(xa) if xa.shape else 0.0
-    flat = np.ascontiguousarray(xa.ravel())
-    if _HAVE_NUMBA:
-        out = np.empty_like(flat)
-        _jacobi_rec(k, float(p), float(q), flat, out)
-    else:
-        out = _np_jacobi(k, float(p), float(q), flat)
-    out = out.reshape(xa.shape)
-    return out if xa.shape else float(out)
-
-
-def _np_laguerre(k, s, x):
-    if k == 0:
-        return np.ones_like(x)
+def _laguerre_rec(k, s, x):
     pm = np.ones_like(x)
+    if k == 0:
+        return pm
     pc = 1.0 + s - x
     for j in range(1, k):
         pn = ((2.0 * j + s + 1.0 - x) * pc - (j + s) * pm) / (j + 1.0)
@@ -531,10 +323,10 @@ def _np_laguerre(k, s, x):
     return pc
 
 
-def _np_jacobi(k, p, q, x):
-    if k == 0:
-        return np.ones_like(x)
+def _jacobi_rec(k, p, q, x):
     pm = np.ones_like(x)
+    if k == 0:
+        return pm
     pc = (p + 1.0) + (p + q + 2.0) * (x - 1.0) / 2.0
     for j in range(1, k):
         c = 2.0 * j + p + q
@@ -547,20 +339,19 @@ def _np_jacobi(k, p, q, x):
     return pc
 
 
-# direct handles for cross-backend comparison tests and benchmarks
-numpy_impl = {
-    "eigvals": _np_eigvals_bisect,
-    "eigvecs": _np_eigvecs_inverse_iteration,
-    "laguerre": _np_laguerre,
-    "jacobi": _np_jacobi,
-}
+def laguerre(k: int, s: float, x):
+    """Generalized Laguerre L_k^{(s)}; k < 0 gives 0 (derivative ladders)."""
+    xa = np.asarray(x, dtype=np.float64)
+    if k < 0:
+        return np.zeros_like(xa) if xa.shape else 0.0
+    out = _laguerre_rec(k, float(s), xa)
+    return out if xa.shape else float(out)
 
-if _HAVE_NUMBA:
-    numba_impl = {
-        "eigvals": _eigvals_bisect,
-        "eigvecs": _eigvecs_inverse_iteration,
-        "laguerre": _laguerre_rec,
-        "jacobi": _jacobi_rec,
-    }
-else:
-    numba_impl = None
+
+def jacobi(k: int, p: float, q: float, x):
+    """Jacobi P_k^{(p,q)}; k < 0 gives 0 (derivative ladders)."""
+    xa = np.asarray(x, dtype=np.float64)
+    if k < 0:
+        return np.zeros_like(xa) if xa.shape else 0.0
+    out = _jacobi_rec(k, float(p), float(q), xa)
+    return out if xa.shape else float(out)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -61,6 +62,13 @@ def _require_float_mode(args) -> None:
 def _require_record_format(args) -> None:
     if args.format == "csv":
         raise ValidationError(f"{args.command} emits a record, not CSV (only sweep does)")
+
+
+def _require_finite(**flags) -> None:
+    """Reject infinite or NaN focal-distance flags (names given with _ for -)."""
+    for name, value in flags.items():
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"--{name.replace('_', '-')} = {value} must be finite")
 
 
 def _parse_sector(args) -> sector.Sector:
@@ -158,6 +166,7 @@ def cmd_kspectrum(args) -> None:
     _require_float_mode(args)
     _require_record_format(args)
     s = _parse_sector(args)
+    _require_finite(a=args.a)
     if args.a is None or not args.a > 0:
         raise ValidationError("kspectrum needs --a > 0")
     payload, _ = _spectrum_payload(s, args.a)
@@ -168,6 +177,7 @@ def cmd_tcoeffs(args) -> None:
     _require_float_mode(args)
     _require_record_format(args)
     s = _parse_sector(args)
+    _require_finite(a=args.a)
     if args.a is None or not args.a > 0:
         raise ValidationError("tcoeffs needs --a > 0")
     spectrum = spheroidal.separation_constants(s, args.a)
@@ -190,6 +200,7 @@ def cmd_sweep(args) -> None:
     s = _parse_sector(args)
     if args.a_min is None or args.a_max is None:
         raise ValidationError("sweep needs --a-min and --a-max")
+    _require_finite(a_min=args.a_min, a_max=args.a_max)
     if not (0 < args.a_min < args.a_max):
         raise ValidationError("sweep needs 0 < --a-min < --a-max")
     if args.points < 2:
@@ -235,6 +246,7 @@ def cmd_limits(args) -> None:
     _require_float_mode(args)
     _require_record_format(args)
     s = _parse_sector(args)
+    _require_finite(a_small=args.a_small, a_large=args.a_large)
     sph = spheroidal.check_spherical_limit(s, a_small=args.a_small)
     par = spheroidal.check_parabolic_limit(s, a_large=args.a_large)
     payload = {
@@ -297,9 +309,8 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
 
     worst_resid = 0.0
     worst_ortho = 0.0
-    for a in (0.1, 1.0, 10.0, 100.0):
-        mat = spheroidal.build_k_matrix(s, a)
-        spectrum = spheroidal.separation_constants(s, a)
+    for spectrum in spheroidal.spectra(s, (0.1, 1.0, 10.0, 100.0)):
+        mat = spheroidal.build_k_matrix(s, spectrum.a)
         scale = max(mat.norm(), 1e-300)
         for k in range(n):
             r = float(np.abs(mat.matvec(spectrum.T[:, k]) - spectrum.K[k] * spectrum.T[:, k]).max())
@@ -313,10 +324,9 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     )
 
     cont_worst = 0.0
-    for a in np.logspace(-2, 3, 6):
-        spectrum = spheroidal.separation_constants(s, float(a))
+    for spectrum in spheroidal.spectra(s, np.logspace(-2, 3, 6)):
         for k in range(n):
-            col = spheroidal.t_by_continuant(s, float(a), s.Z, float(spectrum.K[k]), k)
+            col = spheroidal.t_by_continuant(s, spectrum.a, s.Z, float(spectrum.K[k]), k)
             cont_worst = max(cont_worst, float(np.abs(col - spectrum.T[:, k]).max()))
     yield "continuant_agreement", cont_worst <= 1e-8, f"max column diff {_fmt(cont_worst)}"
 

@@ -16,6 +16,7 @@ analysis and cross-squaring.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -28,6 +29,24 @@ SQUAREFREE_BOUND_DEFAULT = 10**6
 _PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
 
+def _extend_primes(limit: int) -> int:
+    """Append every prime in (last cached prime, limit] by a segmented sieve.
+
+    Needs limit <= (last cached prime)^2, so the cached primes cover every
+    factor to strike out.  Returns how many primes were added.
+    """
+    lo = _PRIMES[-1] + 1
+    flags = bytearray([1]) * (limit - lo + 1)
+    for p in _PRIMES:
+        if p * p > limit:
+            break
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = bytes(len(range(start, limit + 1, p)))
+    count = len(_PRIMES)
+    _PRIMES.extend(itertools.compress(range(lo, limit + 1), flags))
+    return len(_PRIMES) - count
+
+
 def _is_prime_against_cache(cand: int) -> bool:
     for p in _PRIMES:
         if p * p > cand:
@@ -38,9 +57,19 @@ def _is_prime_against_cache(cand: int) -> bool:
 
 
 def _prime(i: int) -> int:
-    """i-th prime, extending the cached list by trial division as needed."""
+    """i-th prime (from 0), growing the cached list as needed.
+
+    Up to SQUAREFREE_BOUND_DEFAULT the list grows by sieving up to twice
+    its last prime, so a caller that needs few primes builds few, and the
+    whole bound costs about twenty sieve passes; beyond the bound primes
+    are found one at a time by trial division against the list.
+    """
     while i >= len(_PRIMES):
-        cand = _PRIMES[-1] + 2
+        last = _PRIMES[-1]
+        limit = min(2 * last, SQUAREFREE_BOUND_DEFAULT)
+        if limit > last and _extend_primes(limit):
+            continue
+        cand = last + 2
         while not _is_prime_against_cache(cand):
             cand += 2
         _PRIMES.append(cand)

@@ -1,13 +1,17 @@
 """Prolate-spheroidal separation constants and their basis transformation.
 
-The separation constants K at focal distance a are the eigenvalues of a
-symmetric tridiagonal N x N matrix whose diagonal and (negative)
-off-diagonal entries come from the coeffs module; the corresponding
-eigenvector columns are the expansion coefficients of each spheroidal
-state over the spherical basis.  Columns follow the sign convention
-"first nonzero entry positive" (numerically: first entry exceeding
-1e-12 of the column's max magnitude, which keeps the convention
-deterministic when leading entries underflow near the a -> 0 limit).
+The separation constants K at focal distance a are the eigenvalues of the
+symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
+Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix of the
+coeffs module; its float pencil is built once per sector, so K(a) costs
+one multiply-add per entry and a whole grid of a is solved in one batch.
+The exact entries (for the continuant route) come from the same closed
+forms in rational arithmetic.  The eigenvector columns are the expansion
+coefficients of each spheroidal state over the spherical basis.  Columns
+follow the sign convention "first nonzero entry positive" (numerically:
+first entry exceeding 1e-12 of the column's max magnitude, which keeps
+the convention deterministic when leading entries underflow near the
+a -> 0 limit).
 
 Two independent routes compute the eigenvectors: inverse iteration on
 the tridiagonal matrix, and the continuant (leading-principal-minor)
@@ -26,13 +30,15 @@ convention).
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import coeffs, interbasis
-from ._backend import tridiag_eigenvalues, tridiag_eigh
+from ._backend import tridiag_eigh
 from .errors import (
     BranchMatchAmbiguous,
     DegenerateShift,
@@ -91,23 +97,64 @@ def build_k_matrix_exact(s: Sector, aZ) -> tuple[list[Fraction], list[RadicalSca
     return diag, off
 
 
-def build_k_matrix(s: Sector, a, Z=None) -> SymTridiagonal:
-    """Separation-constant matrix at focal distance a (float entries).
+@functools.lru_cache(maxsize=64)
+def _k_pencil(s: Sector, Z: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
 
-    diag[i] carries the lambda_i diagonal, offdiag[i] the negative
-    coupling at lambda_{i+1}, lambda ascending.  Z defaults to the
-    sector's charge.
+    Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
+    lambda ascending, from the exact Lambda and M9 with alpha/2 =
+    2Z/(2n+Q+8).  Read-only: the cache hands the same arrays to every call.
     """
-    if a < 0:
-        raise ValidationError(f"focal distance a = {a} must be non-negative")
+    half_alpha = Fraction(2 * Z, 2 * s.n + s.Q + 8)
+    m9 = coeffs.m9_spherical_matrix(s)
+    n = s.size
+    lams = [lam.fraction for lam in lambda_range(s)]
+    pencil = (
+        np.array([float(-lam * (lam + 7)) for lam in lams]),
+        np.array([float(-half_alpha * m9[i][i].as_rational()) for i in range(n)]),
+        np.array([(m9[i][i + 1] * -half_alpha).to_float() for i in range(n - 1)]),
+    )
+    for part in pencil:
+        part.setflags(write=False)
+    return pencil
+
+
+_COUPLING_LIMIT = math.sqrt(np.finfo(np.float64).max)  # squared couplings must stay finite
+
+
+def _k_entries(s: Sector, a_values, Z) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals (P, N) and couplings (P, N-1) of K(a) at each a >= 0."""
+    a = np.asarray(a_values, dtype=np.float64)
+    for bad, need in ((~np.isfinite(a), "finite"), (a < 0, "non-negative")):
+        if bad.any():
+            raise ValidationError(f"focal distance a = {a[bad][0]} must be {need}")
     Zf = Fraction(s.Z if Z is None else Z)
     if Zf <= 0:
         raise ValidationError(f"Z = {Z} must be positive")
-    diag, off = build_k_matrix_exact(s, Fraction(a) * Zf)
-    return SymTridiagonal(
-        np.array([float(x) for x in diag], dtype=np.float64),
-        np.array([x.to_float() for x in off], dtype=np.float64),
-    )
+    lam_term, diag_slope, off_slope = _k_pencil(s, Zf)
+    with np.errstate(over="ignore"):  # checked just below
+        diag = lam_term + a[:, None] * diag_slope
+        off = a[:, None] * off_slope
+    bad = ~np.isfinite(diag).all(axis=1) | (np.abs(off) > _COUPLING_LIMIT).any(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"K(a) at a = {a[bad][0]} leaves the float range: entries must be finite and "
+            f"couplings at most sqrt(float max) = {_COUPLING_LIMIT:.4g} in magnitude"
+        )
+    return diag, off
+
+
+def build_k_matrix(s: Sector, a, Z=None) -> SymTridiagonal:
+    """Separation-constant matrix at focal distance a (float entries).
+
+    K(a) = -Lambda - a (alpha/2) M9 from the sector's float pencil:
+    diag[i] carries the lambda_i diagonal, offdiag[i] the negative
+    coupling at lambda_{i+1}, lambda ascending.  Z defaults to the
+    sector's charge.  A non-finite a, or one whose couplings would
+    overflow when squared, raises ValidationError.
+    """
+    diag, off = _k_entries(s, [a], Z)
+    return SymTridiagonal(diag[0], off[0])
 
 
 def eigen_sym_tridiagonal(m: SymTridiagonal, rtol: float = 1e-14, maxit: int = 100):
@@ -121,17 +168,14 @@ def eigen_sym_tridiagonal(m: SymTridiagonal, rtol: float = 1e-14, maxit: int = 1
 
 
 def sign_fix_columns(V: np.ndarray, tol: float = _SIGN_TOL) -> np.ndarray:
-    """Flip columns so the first above-threshold entry is positive (in place)."""
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        ref = np.abs(col).max()
-        if ref == 0.0:
-            continue
-        for i in range(col.shape[0]):
-            if abs(col[i]) > tol * ref:
-                if col[i] < 0.0:
-                    V[:, j] = -col
-                break
+    """Flip columns so the first above-threshold entry is positive (in place).
+
+    V is (..., N, M): every column of every matrix in the stack.
+    """
+    mag = np.abs(V)
+    above = mag > tol * mag.max(axis=-2, keepdims=True)
+    lead = np.take_along_axis(V, np.argmax(above, axis=-2)[..., None, :], axis=-2)
+    V *= np.where(lead < 0.0, -1.0, 1.0)
     return V
 
 
@@ -150,15 +194,27 @@ class SpheroidalSpectrum:
         return self.K.shape[0]
 
 
+def _solve(s: Sector, a_values, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a (P,), K (P, N), T (P, N, N)) at every positive a, in one batched solve."""
+    a = np.asarray(a_values, dtype=np.float64)
+    if a.ndim != 1 or a.size == 0:
+        raise ValidationError("focal distances must form a non-empty 1-d list")
+    if not (a > 0).all():
+        raise ValidationError(f"focal distance a = {a[~(a > 0)][0]} must be positive")
+    K, T = tridiag_eigh(*_k_entries(s, a, Z))
+    return a, K, sign_fix_columns(T)
+
+
+def spectra(s: Sector, a_values, Z=None) -> list[SpheroidalSpectrum]:
+    """Spectra at each focal distance in a_values, solved as one batch."""
+    a, K, T = _solve(s, a_values, Z)
+    Zf = float(s.Z if Z is None else Z)
+    return [SpheroidalSpectrum(s, float(a[i]), Zf, K[i], T[i]) for i in range(a.size)]
+
+
 def separation_constants(s: Sector, a, Z=None) -> SpheroidalSpectrum:
     """Full spectrum of the separation-constant matrix at focal distance a."""
-    if not a > 0:
-        raise ValidationError(f"focal distance a = {a} must be positive")
-    mat = build_k_matrix(s, a, Z)
-    w, V = eigen_sym_tridiagonal(mat)
-    sign_fix_columns(V)
-    Zf = float(s.Z if Z is None else Z)
-    return SpheroidalSpectrum(s, float(a), Zf, w, V)
+    return spectra(s, [a], Z)[0]
 
 
 _NEWTON_BITS = 300  # working precision of the refined shift
@@ -252,31 +308,24 @@ def sweep_branches(s: Sector, Z, a_grid) -> BranchSweep:
 
     Ascending-order labeling is continuity-consistent (simple spectra);
     the adjacent-point eigenvector overlap per branch certifies it and
-    raises BranchMatchAmbiguous below 0.9 (grid too coarse).
+    raises BranchMatchAmbiguous at or below 0.9 (grid too coarse), naming
+    the first failing pair of points.
     """
     a_grid = np.asarray(a_grid, dtype=np.float64)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise ValidationError("a_grid must be a 1-d array of at least one point")
     if not (np.diff(a_grid) > 0).all() or not (a_grid > 0).all():
         raise ValidationError("a_grid must be ascending and positive")
-    n = s.size
-    P = a_grid.size
-    K = np.empty((P, n))
-    V_prev = None
-    min_overlap = 1.0
-    for ip, a in enumerate(a_grid):
-        spectrum = separation_constants(s, float(a), Z)
-        K[ip] = spectrum.K
-        if V_prev is not None:
-            overlaps = np.abs(np.einsum("ij,ij->j", V_prev, spectrum.T))
-            worst = float(overlaps.min())
-            min_overlap = min(min_overlap, worst)
-            if worst <= 0.9:
-                raise BranchMatchAmbiguous(
-                    f"branch overlap {worst:.3f} <= 0.9 between a = {a_grid[ip - 1]} "
-                    f"and a = {a} in sector {s}"
-                )
-        V_prev = spectrum.T
+    _, K, T = _solve(s, a_grid, Z)
+    worst = np.abs(np.einsum("pij,pij->pj", T[:-1], T[1:])).min(axis=1, initial=1.0)
+    bad = np.flatnonzero(worst <= 0.9)
+    if bad.size:
+        ip = int(bad[0])
+        raise BranchMatchAmbiguous(
+            f"branch overlap {worst[ip]:.3f} <= 0.9 between a = {a_grid[ip]} "
+            f"and a = {a_grid[ip + 1]} in sector {s}"
+        )
+    min_overlap = float(worst.min(initial=1.0))
     return BranchSweep(s, float(Fraction(s.Z if Z is None else Z)), a_grid, K, K / a_grid[:, None], min_overlap)
 
 

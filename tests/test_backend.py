@@ -1,9 +1,6 @@
-"""Kernel backends: eigensolver and polynomial recurrences, both paths."""
+"""Numerical kernels: batched tridiagonal eigensolver and polynomial recurrences."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -65,13 +62,47 @@ def test_eigh_vs_numpy_random(d, seed):
     assert np.abs(V.T @ V - np.eye(n)).max() <= 1e-10
 
 
+@st.composite
+def tridiagonal_stacks(draw):
+    """(d, e) of shape (P, N) and (P, N-1): random slices, some with a zero
+    coupling and some with a repeated diagonal."""
+    P = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    d = rng.uniform(-50, 50, (P, n))
+    e = rng.uniform(-10, 10, (P, n - 1))
+    for p in range(P):
+        kind = draw(st.sampled_from(("random", "zero_coupling", "repeated_diagonal", "both")))
+        if kind in ("zero_coupling", "both") and n > 1:
+            e[p, draw(st.integers(0, n - 2))] = 0.0
+        if kind in ("repeated_diagonal", "both"):
+            d[p] = d[p, 0]
+    return d, e
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=tridiagonal_stacks())
+def test_eigh_batched_stack_vs_numpy(stack):
+    d, e = stack
+    P, n = d.shape
+    w, V = bk.tridiag_eigh(d, e)
+    assert w.shape == (P, n) and V.shape == (P, n, n)
+    for p in range(P):
+        T = dense(d[p], e[p])
+        scale = max(np.abs(d[p]).max() + (np.abs(e[p]).max() if n > 1 else 0.0), 1.0)
+        assert np.abs(w[p] - np.linalg.eigvalsh(T)).max() <= 1e-12 * scale
+        assert np.abs(T @ V[p] - V[p] * w[p]).max() <= 1e-11 * scale
+        assert np.abs(V[p].T @ V[p] - np.eye(n)).max() <= 1e-10
+
+
 def test_sturm_count_matches_numpy():
     rng = np.random.default_rng(7)
     d = rng.uniform(-5, 5, 9)
     e = rng.uniform(-3, 3, 8)
     ref = np.linalg.eigvalsh(dense(d, e))
-    for x in (-7.0, -1.0, 0.0, 0.5, 4.0, 9.0):
-        assert bk._sturm_count(d, e * e, x, 1e-290) == int((ref < x).sum())
+    xs = np.array([-7.0, -1.0, 0.0, 0.5, 4.0, 9.0])
+    counts = bk._sturm_counts(d[:, None], (e * e)[:, None], xs, 1e-290, None, None)
+    assert counts.tolist() == [int((ref < x).sum()) for x in xs]
 
 
 def test_laguerre_explicit():
@@ -93,38 +124,3 @@ def test_jacobi_explicit():
     # endpoint value binom(k+p, k)
     assert bk.jacobi(2, 3.0, 5.0, 1.0) == pytest.approx(math.comb(5, 2))
     assert bk.jacobi(-1, 1.0, 1.0, 0.3) == 0.0
-
-
-def test_numpy_and_selected_backend_agree():
-    rng = np.random.default_rng(3)
-    d = rng.uniform(-5, 5, 14)
-    e = rng.uniform(-3, 3, 13)
-    w_sel = bk.tridiag_eigenvalues(d, e)
-    w_np = bk._np_eigvals_bisect(d, e, 1e-14)
-    scale = np.abs(d).max() + np.abs(e).max()
-    assert np.abs(w_sel - w_np).max() <= 1e-13 * scale
-
-    x = np.linspace(0, 20, 57)
-    sel = bk.laguerre(7, 8.0, x)
-    ref = bk._np_laguerre(7, 8.0, x)
-    np.testing.assert_allclose(sel, ref, rtol=1e-13)
-    sel = bk.jacobi(6, 3.0, 7.0, np.linspace(-1, 1, 57))
-    ref = bk._np_jacobi(6, 3.0, 7.0, np.linspace(-1, 1, 57))
-    np.testing.assert_allclose(sel, ref, rtol=1e-12, atol=1e-13)
-
-
-def test_env_flag_selects_numpy():
-    env = dict(os.environ, MICZ9_BACKEND="numpy")
-    code = "import micz9; print(micz9.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_env_flag_rejects_garbage():
-    env = dict(os.environ, MICZ9_BACKEND="cuda")
-    out = subprocess.run(
-        [sys.executable, "-c", "import micz9"], env=env, capture_output=True, text=True
-    )
-    assert out.returncode != 0

@@ -77,6 +77,23 @@ def test_kspectrum():
     assert out.returncode == 2
 
 
+def test_non_finite_or_overflowing_focal_distance_exit_2():
+    for argv in (
+        ("kspectrum", "--a", "inf"),
+        ("kspectrum", "--a", "1e300"),
+        ("tcoeffs", "--a", "nan"),
+        ("sweep", "--a-min", "1", "--a-max", "inf", "--points", "3"),
+        ("sweep", "--a-min", "1", "--a-max", "1e300", "--points", "3", "--log"),
+        ("limits", "--a-small", "nan"),
+        ("limits", "--a-large", "inf"),
+    ):
+        out = run_cli(*argv[:1], *SECTOR, "--mode", "float", *argv[1:])
+        assert out.returncode == 2, argv
+        assert "ValidationError" in out.stderr and "Traceback" not in out.stderr, argv
+    out = run_cli("kspectrum", *SECTOR, "--mode", "float", "--a", "1e300")
+    assert "sqrt(float max)" in out.stderr
+
+
 def test_tcoeffs():
     rec = run_json("tcoeffs", *SECTOR, "--mode", "float", "--a", "5")
     branches = rec["payload"]["branches"]

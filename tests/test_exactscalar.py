@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from micz9.errors import RadicandMismatch
 from micz9.exactscalar import (
     RadicalScalar,
+    _prime,
     exact_factorial,
     format_rational,
     parse_rational,
@@ -91,6 +92,18 @@ def test_squarefree_split():
     # but mixed with a small squarefree part it survives unreduced
     s, f = squarefree_split(3 * p * p, bound=10)
     assert s * s * f == 3 * p * p
+
+
+def test_prime_list_from_sieve():
+    assert _prime(78497) == 999983  # the largest prime below 10**6
+    assert _prime(78498) == 1000003  # first prime past the sieve
+    trial = []
+    cand = 2
+    while len(trial) < 2000:
+        if all(cand % p for p in trial if p * p <= cand):
+            trial.append(cand)
+        cand += 1
+    assert [_prime(i) for i in range(2000)] == trial
 
 
 def test_exact_factorial_guard():

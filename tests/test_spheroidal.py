@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from micz9 import _backend
 from micz9.errors import (
     BranchMatchAmbiguous,
     DegenerateShift,
@@ -144,8 +145,26 @@ def test_sweep_branches_never_cross():
         assert (gaps > 0).all(), s
 
 
+def test_sweep_matches_pointwise_spectra():
+    s = validate_sector(11, 0, 0, 0, Fraction(3, 2))  # N = 12
+    grid = np.logspace(-3, 6, 150)
+    assert grid.size * s.size**2 > _backend._CHUNK_ELEMENTS  # more than one solver chunk
+    sw = sweep_branches(s, s.Z, grid)
+    for ip, a in enumerate(grid):
+        K = separation_constants(s, float(a)).K
+        assert np.abs(sw.K[ip] - K).max() <= 1e-13 * build_k_matrix(s, float(a)).norm(), a
+
+
+def test_k_matrix_rejects_non_finite_and_overflow():
+    for a in (math.inf, math.nan, 1e300):
+        with pytest.raises(ValidationError):
+            build_k_matrix(S1, a)
+    with pytest.raises(ValidationError):
+        sweep_branches(S1, 1, np.array([1.0, 1e300]))
+
+
 def test_sweep_coarse_grid_rejected():
-    with pytest.raises(BranchMatchAmbiguous):
+    with pytest.raises(BranchMatchAmbiguous, match="a = 0.001 and a = 1000000.0"):
         sweep_branches(S1, 1, np.array([1e-3, 1e6]))
     with pytest.raises(ValidationError):
         sweep_branches(S1, 1, np.array([2.0, 1.0]))
