@@ -28,18 +28,10 @@ from .errors import (
     RadicandMismatch,
     ValidationError,
 )
-from .exactscalar import (
-    RadicalScalar,
-    Rational,
-    radical_add,
-    radical_cmp,
-    radical_mul,
-    to_float,
-)
+from .exactscalar import RadicalScalar, Rational
 from .sector import (
     HalfInt,
     Sector,
-    StateLabel,
     alpha_scale,
     energy,
     enumerate_sectors,
@@ -49,7 +41,6 @@ from .sector import (
     validate_sector,
 )
 from .coeffs import (
-    CoeffContext,
     k_diag,
     k_offdiag,
     m9_diag,
@@ -73,7 +64,6 @@ from .spheroidal import (
     build_k_matrix,
     check_parabolic_limit,
     check_spherical_limit,
-    eigen_sym_tridiagonal,
     separation_constants,
     spectra,
     sweep_branches,
@@ -81,7 +71,6 @@ from .spheroidal import (
 )
 from .wavefield import (
     QuadratureRule,
-    RadialAngularPoint,
     basis_overlap,
     gauss_rule,
     jacobi_gen,

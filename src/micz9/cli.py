@@ -76,7 +76,13 @@ def _parse_sector(args) -> sector.Sector:
         z = Fraction(args.Z)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse Z = {args.Z!r} as a rational") from exc
-    return sector.validate_sector(args.n, args.Q, args.L, args.J, z)
+    s = sector.validate_sector(args.n, args.Q, args.L, args.J, z)
+    try:  # float payloads print both, and the float K(a) scales with Z
+        float(s.Z)
+        float(sector.energy(s))
+    except OverflowError as exc:
+        raise ValidationError(f"Z = {args.Z} is too large: Z or the energy overflows a float") from exc
+    return s
 
 
 def cmd_states(args) -> None:
@@ -183,7 +189,7 @@ def cmd_tcoeffs(args) -> None:
     spectrum = spheroidal.separation_constants(s, args.a)
     branches = []
     for n_k in range(s.size):
-        col = spheroidal.t_by_continuant(s, args.a, s.Z, float(spectrum.K[n_k]), n_k)
+        col = spheroidal.t_by_continuant(s, args.a, s.Z, float(spectrum.K[n_k]))
         branches.append(
             {
                 "n_k": n_k,
@@ -326,7 +332,7 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     cont_worst = 0.0
     for spectrum in spheroidal.spectra(s, np.logspace(-2, 3, 6)):
         for k in range(n):
-            col = spheroidal.t_by_continuant(s, spectrum.a, s.Z, float(spectrum.K[k]), k)
+            col = spheroidal.t_by_continuant(s, spectrum.a, s.Z, float(spectrum.K[k]))
             cont_worst = max(cont_worst, float(np.abs(col - spectrum.T[:, k]).max()))
     yield "continuant_agreement", cont_worst <= 1e-8, f"max column diff {_fmt(cont_worst)}"
 
@@ -356,6 +362,8 @@ def cmd_verify(args) -> None:
     _require_record_format(args)
     s = _parse_sector(args)
     tol_quad = args.tol if args.tol is not None else 1e-8
+    if not (math.isfinite(tol_quad) and tol_quad > 0):
+        raise ValidationError(f"--tol = {tol_quad} must be finite and positive")
     checks = []
     all_ok = True
     for name, ok, detail in _verify_checks(s, args.nodes, tol_quad):

@@ -1,48 +1,36 @@
-"""Closed-form coefficient kernels.
+"""Closed-form coefficient kernels and the exact K(a) pencil.
 
-The off-diagonal coupling between adjacent angular blocks, the diagonal of
-the ninth Runge-Lenz component in the spherical basis, and the entries of
-the spheroidal separation-constant matrix all come from one family of
-closed forms in (n, Q, L, J, lambda).  Matrices here are indexed by
-lambda ascending (rows and columns), which is also recorded in the CLI
-output metadata.
-
-a and Z only ever enter through the product a*Z, so the exact path takes
-one fused rational parameter aZ and never needs a real-valued focal
-distance.
+The coupling between adjacent angular blocks and the diagonal of the
+ninth Runge-Lenz component M9 in the spherical basis come from closed
+forms in (n, Q, L, J, lambda).  The spheroidal separation-constant matrix
+K(a) = -Lambda - a (alpha/2) M9, with Lambda = diag(lambda(lambda+7)) and
+alpha/2 = 2Z/(2n+Q+8), is a linear pencil in which a and Z only ever
+enter through the product aZ: k_pencil holds its exact pieces once per
+sector, and both the float route and the exact continuant route build
+K(a) from them with one multiply-add per entry.  Matrices here are
+indexed by lambda ascending (rows and columns), which is also recorded in
+the CLI output metadata.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import LambdaOutOfRange, ValidationError
+from .errors import ValidationError
 from .exactscalar import RadicalScalar
-from .sector import HalfInt, Sector, as_fraction, lambda_range, m9_parabolic_eigenvalue
+from .sector import HalfInt, Sector, lambda_index, lambda_range, m9_parabolic_eigenvalue
 
 
-def _lam_checked(s: Sector, lam) -> Fraction:
-    l = as_fraction(lam)
-    lo, hi = s.lam_min.fraction, s.m.fraction
-    if l < lo or l > hi or (l - lo).denominator != 1:
-        raise LambdaOutOfRange(f"lambda = {l} outside {lo}..{hi} for sector {s}")
-    return l
-
-
-def m9_offdiag(s: Sector, lam) -> RadicalScalar:
-    """Coupling B_lambda between blocks lambda-1 and lambda; B at (L+J)/2 is 0.
-
-    Non-negative, and strictly positive on the interior of the ladder,
-    which makes the tridiagonal matrices built from it irreducible.
-    """
-    l = _lam_checked(s, lam)
+def _m9_offdiag_sq(s: Sector, lam) -> Fraction:
+    """B_lambda squared, a rational closed form."""
+    l, _ = lambda_index(s, lam)
     m = s.m.fraction
     h = s.lam_min.fraction
     d = Fraction(s.J - s.L, 2)
-    rad = (
+    return (
         (m - l + 1)
         * (m + l + 7)
         * (l - h)
@@ -51,51 +39,63 @@ def m9_offdiag(s: Sector, lam) -> RadicalScalar:
         * (l + 3 + d)
         / ((l + 3) ** 2 * (2 * l + 7) * (2 * l + 5))
     )
-    return RadicalScalar.sqrt(rad)
+
+
+def m9_offdiag(s: Sector, lam) -> RadicalScalar:
+    """Coupling B_lambda between blocks lambda-1 and lambda; B at (L+J)/2 is 0.
+
+    Non-negative, and strictly positive on the interior of the ladder,
+    which makes the tridiagonal matrices built from it irreducible.
+    """
+    return RadicalScalar.sqrt(_m9_offdiag_sq(s, lam))
 
 
 def m9_diag(s: Sector, lam) -> Fraction:
     """Diagonal element -(J-L)(L+J+6)(2n+Q+8) / (8 (lambda+3)(lambda+4))."""
-    l = _lam_checked(s, lam)
+    l, _ = lambda_index(s, lam)
     num = -(s.J - s.L) * (s.L + s.J + 6) * (2 * s.n + s.Q + 8)
     return Fraction(num) / (8 * (l + 3) * (l + 4))
 
 
-def k_diag(s: Sector, lam, aZ) -> Fraction:
-    """Diagonal aZ(J-L)(L+J+6)/(4(lambda+3)(lambda+4)) - lambda(lambda+7)."""
-    l = _lam_checked(s, lam)
+@functools.lru_cache(maxsize=64)
+def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Exact pencil of K(a): (constant term, diagonal slope, squared coupling).
+
+    With g = 2/(2n+Q+8), K(a) has the diagonal -lambda(lambda+7) - aZ g
+    M9[lambda, lambda] and, between positions i and i+1, the coupling
+    -aZ g B at the larger lambda.  The three tuples hold -lambda(lambda+7),
+    the slope -g M9[lambda, lambda] per unit aZ, and g^2 B^2 per unit
+    (aZ)^2, lambda ascending.  The charge of s is not used.
+    """
+    g = Fraction(2, 2 * s.n + s.Q + 8)
+    lams = [lam.fraction for lam in lambda_range(s)]
+    return (
+        tuple(-l * (l + 7) for l in lams),
+        tuple(-g * m9_diag(s, l) for l in lams),
+        tuple(g * g * _m9_offdiag_sq(s, l) for l in lams[1:]),
+    )
+
+
+# k_diag and k_offdiag are single K(a) entries; perfbench/tracer.py wraps them by name.
+
+
+def _focal(s: Sector, aZ) -> Fraction:
+    """a (alpha/2) = aZ g for aZ >= 0."""
     aZ = Fraction(aZ)
     if aZ < 0:
         raise ValidationError(f"aZ = {aZ} must be non-negative")
-    return aZ * (s.J - s.L) * (s.L + s.J + 6) / (4 * (l + 3) * (l + 4)) - l * (l + 7)
+    return aZ * Fraction(2, 2 * s.n + s.Q + 8)
+
+
+def k_diag(s: Sector, lam, aZ) -> Fraction:
+    """Diagonal -lambda(lambda+7) - a (alpha/2) M9[lambda, lambda]."""
+    l, _ = lambda_index(s, lam)
+    return -l * (l + 7) - _focal(s, aZ) * m9_diag(s, l)
 
 
 def k_offdiag(s: Sector, lam, aZ) -> RadicalScalar:
-    """Magnitude (2aZ/(2n+Q+8)) B_lambda; the matrix itself carries the negative."""
-    aZ = Fraction(aZ)
-    if aZ < 0:
-        raise ValidationError(f"aZ = {aZ} must be non-negative")
-    return Fraction(2 * aZ, 2 * s.n + s.Q + 8) * m9_offdiag(s, lam)
-
-
-@dataclass(frozen=True)
-class CoeffContext:
-    """Sector plus the fused focal parameter aZ >= 0 (0 = spherical limit)."""
-
-    sector: Sector
-    aZ: Fraction
-
-    def __post_init__(self):
-        aZ = Fraction(self.aZ)
-        if aZ < 0:
-            raise ValidationError(f"aZ = {aZ} must be non-negative")
-        object.__setattr__(self, "aZ", aZ)
-
-    def diag(self, lam) -> Fraction:
-        return k_diag(self.sector, lam, self.aZ)
-
-    def offdiag(self, lam) -> RadicalScalar:
-        return k_offdiag(self.sector, lam, self.aZ)
+    """Magnitude a (alpha/2) B_lambda; the matrix itself carries the negative."""
+    return _focal(s, aZ) * m9_offdiag(s, lam)
 
 
 def m9_spherical_matrix(s: Sector) -> list[list[RadicalScalar]]:

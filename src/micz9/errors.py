@@ -44,12 +44,12 @@ class NonpositiveCharge(ValidationError):
     pass
 
 
-class LambdaOutOfRange(ValidationError):
-    pass
-
-
 class IndexOutOfRange(ValidationError):
     pass
+
+
+class LambdaOutOfRange(IndexOutOfRange):
+    """An angular label lambda off the sector's ladder (L+J)/2 .. n+Q/2."""
 
 
 class DomainError(ValidationError):

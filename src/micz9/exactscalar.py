@@ -8,9 +8,9 @@ each radical squares away in the sums that matter.  Keeping the radicand
 explicit therefore permits bit-exact orthogonality and recurrence checks
 with no floating-point tolerance at all.
 
-Radicands are reduced squarefree by trial division up to a configurable
-prime bound (default 10**6).  Square factors of larger primes are left in
-place; comparisons stay exact anyway because they go through sign
+Radicands are reduced squarefree by trial division by the primes up to
+SQUAREFREE_BOUND_DEFAULT = 10**6.  Square factors of larger primes are
+left in place; comparisons stay exact anyway because they go through sign
 analysis and cross-squaring.
 """
 
@@ -76,8 +76,8 @@ def _prime(i: int) -> int:
     return _PRIMES[i]
 
 
-def squarefree_split(n: int, bound: int = SQUAREFREE_BOUND_DEFAULT) -> tuple[int, int]:
-    """Split n >= 1 as s*s*f with f free of squared primes <= bound."""
+def squarefree_split(n: int) -> tuple[int, int]:
+    """Split n >= 1 as s*s*f with f free of squared primes <= SQUAREFREE_BOUND_DEFAULT."""
     if n <= 0:
         raise ValueError("squarefree_split needs a positive integer")
     s = 1
@@ -87,7 +87,7 @@ def squarefree_split(n: int, bound: int = SQUAREFREE_BOUND_DEFAULT) -> tuple[int
     i = 0
     while True:
         p = _prime(i)
-        if p > bound or p * p > n:
+        if p > SQUAREFREE_BOUND_DEFAULT or p * p > n:
             break
         p2 = p * p
         while n % p2 == 0:
@@ -118,10 +118,6 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
-
-
 class RadicalScalar:
     """Exact value coeff*sqrt(radicand); canonical radicand is a squarefree integer.
 
@@ -130,7 +126,7 @@ class RadicalScalar:
 
     __slots__ = ("coeff", "radicand")
 
-    def __init__(self, coeff, radicand=1, *, bound: int = SQUAREFREE_BOUND_DEFAULT):
+    def __init__(self, coeff, radicand=1):
         coeff = Fraction(coeff)
         radicand = Fraction(radicand)
         if radicand < 0:
@@ -141,7 +137,7 @@ class RadicalScalar:
             return
         # sqrt(p/q) = sqrt(p*q)/q, then pull squares out of p*q
         p, q = radicand.numerator, radicand.denominator
-        s, f = squarefree_split(p * q, bound)
+        s, f = squarefree_split(p * q)
         object.__setattr__(self, "coeff", coeff * Fraction(s, q))
         object.__setattr__(self, "radicand", Fraction(f))
 
@@ -214,6 +210,11 @@ class RadicalScalar:
         return RadicalScalar._raw(-self.coeff, self.radicand)
 
     def __add__(self, other):
+        """Sum of radicals sharing a reduced radicand (or with either zero).
+
+        Raises RadicandMismatch for incommensurable radicands: the sum would
+        leave the c*sqrt(d) class, and the caller must fall back to floats.
+        """
         if isinstance(other, (int, Fraction)):
             other = RadicalScalar.from_rational(other)
         if not isinstance(other, RadicalScalar):
@@ -309,7 +310,7 @@ class RadicalScalar:
 
     @classmethod
     def from_record(cls, rec: dict) -> "RadicalScalar":
-        return cls(parse_rational(rec["coeff"]), parse_rational(rec["radicand"]))
+        return cls(Fraction(rec["coeff"]), Fraction(rec["radicand"]))
 
     def __str__(self):
         if self.is_rational:
@@ -318,24 +319,3 @@ class RadicalScalar:
 
     def __repr__(self):
         return f"RadicalScalar({format_rational(self.coeff)}, {format_rational(self.radicand)})"
-
-
-def radical_mul(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
-    return x * y
-
-
-def radical_add(x: RadicalScalar, y: RadicalScalar) -> RadicalScalar:
-    """Sum of two radicals sharing a reduced radicand (or with either zero).
-
-    Raises RadicandMismatch for incommensurable radicands: the sum would
-    leave the c*sqrt(d) class, and the caller must fall back to floats.
-    """
-    return x + y
-
-
-def radical_cmp(x: RadicalScalar, y: RadicalScalar) -> int:
-    return x.compare(y)
-
-
-def to_float(x: RadicalScalar, precision: int = 53):
-    return x.to_float(precision)

@@ -26,7 +26,14 @@ import numpy as np
 from . import coeffs
 from .errors import IndexOutOfRange, OrthogonalityViolation
 from .exactscalar import RadicalScalar, exact_factorial
-from .sector import HalfInt, Sector, as_fraction, lambda_range, m9_parabolic_eigenvalue
+from .sector import (
+    HalfInt,
+    Sector,
+    as_fraction,
+    lambda_index,
+    lambda_range,
+    m9_parabolic_eigenvalue,
+)
 
 
 def _f32_unit_terminating(a1: int, a2: int, a3: int, b1: int, b2: int, kmax: int) -> Fraction:
@@ -53,15 +60,11 @@ def _as_index(x) -> int:
 
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact."""
-    l = as_fraction(lam)
-    lo, hi = s.lam_min.fraction, s.m.fraction
-    if l < lo or l > hi or (l - lo).denominator != 1:
-        raise IndexOutOfRange(f"lambda = {l} outside {lo}..{hi} for sector {s}")
+    l, k_lam = lambda_index(s, lam)  # k_lam: ladder position of lambda
     if not 0 <= n_p < s.size:
         raise IndexOutOfRange(f"n_p = {n_p} outside 0..{s.size - 1}")
 
     m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
-    k_lam = _as_index(l - h)  # ladder position of lambda
     n_top = s.size - 1  # n + Q/2 - (L+J)/2
     n_v = n_top - n_p
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 from .errors import (
     EmptySector,
@@ -147,6 +147,15 @@ def lambda_range(s: Sector) -> list[HalfInt]:
     return [HalfInt(s.lam_min.twice + 2 * i) for i in range(s.size)]
 
 
+def lambda_index(s: Sector, lam) -> Tuple[Fraction, int]:
+    """(lambda, its ladder position from 0); LambdaOutOfRange off the ladder."""
+    l = as_fraction(lam)
+    lo, hi = s.lam_min.fraction, s.m.fraction
+    if l < lo or l > hi or (l - lo).denominator != 1:
+        raise LambdaOutOfRange(f"lambda = {l} outside {lo}..{hi} for sector {s}")
+    return l, int(l - lo)
+
+
 def np_range(s: Sector) -> list[int]:
     """Parabolic labels 0 .. N-1."""
     return list(range(s.size))
@@ -184,46 +193,3 @@ def enumerate_sectors(m_max=4, q_max: int = 4, lj_max: int = 4, Z=1) -> Iterator
                 while Fraction(2 * n + Q, 2) <= m_max:
                     yield validate_sector(n, Q, L, J, Z)
                     n += 1
-
-
-_BASES = ("spherical", "parabolic", "spheroidal")
-
-
-@dataclass(frozen=True)
-class StateLabel:
-    """One basis state of a sector.
-
-    The passive labels (j5, j4, j3, j2, j1, m_j) are carried for
-    serialization fidelity only; nothing here computes with them.
-    """
-
-    sector: Sector
-    basis: str
-    lam: Optional[HalfInt] = None  # spherical
-    n_p: Optional[int] = None  # parabolic
-    n_k: Optional[int] = None  # spheroidal
-    a: Optional[float] = None  # spheroidal focal distance
-    passive: Optional[Tuple[int, int, int, int, int, int]] = None
-
-    def __post_init__(self):
-        s = self.sector
-        if self.basis not in _BASES:
-            raise ValidationError(f"unknown basis {self.basis!r}")
-        if self.basis == "spherical":
-            bad = (
-                self.lam is None
-                or not s.lam_min <= self.lam <= s.m
-                or (self.lam.twice - s.lam_min.twice) % 2 != 0
-            )
-            if bad:
-                raise LambdaOutOfRange(f"lambda = {self.lam} outside {s.lam_min}..{s.m} for {s}")
-        elif self.basis == "parabolic":
-            if self.n_p is None or not 0 <= self.n_p < s.size:
-                raise IndexOutOfRange(f"n_p = {self.n_p} outside 0..{s.size - 1}")
-        else:
-            if self.n_k is None or not 0 <= self.n_k < s.size:
-                raise IndexOutOfRange(f"n_k = {self.n_k} outside 0..{s.size - 1}")
-            if self.a is None or not self.a > 0:
-                raise ValidationError(f"spheroidal state needs a > 0, got {self.a}")
-        if self.passive is not None and len(self.passive) != 6:
-            raise ValidationError("passive labels are (j5, j4, j3, j2, j1, m_j)")

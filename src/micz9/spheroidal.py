@@ -2,11 +2,12 @@
 
 The separation constants K at focal distance a are the eigenvalues of the
 symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
-Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix of the
-coeffs module; its float pencil is built once per sector, so K(a) costs
-one multiply-add per entry and a whole grid of a is solved in one batch.
-The exact entries (for the continuant route) come from the same closed
-forms in rational arithmetic.  The eigenvector columns are the expansion
+Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  Both
+routes to K(a) read the exact pencil coeffs.k_pencil: the float route
+rounds it once per (sector, Z), so K(a) costs one multiply-add per entry
+and a whole grid of a is solved in one batch, and the continuant route
+takes its exact diagonal and squared couplings from it with one
+multiply-add per entry.  The eigenvector columns are the expansion
 coefficients of each spheroidal state over the spherical basis.  Columns
 follow the sign convention "first nonzero entry positive" (numerically:
 first entry exceeding 1e-12 of the column's max magnitude, which keeps
@@ -45,7 +46,6 @@ from .errors import (
     LimitMismatch,
     ValidationError,
 )
-from .exactscalar import RadicalScalar
 from .sector import Sector, alpha_scale, lambda_range, m9_parabolic_eigenvalue
 
 _SIGN_TOL = 1e-12
@@ -61,13 +61,6 @@ class SymTridiagonal:
     @property
     def size(self) -> int:
         return self.diag.shape[0]
-
-    def to_dense(self) -> np.ndarray:
-        n = self.size
-        full = np.diag(self.diag)
-        for i in range(n - 1):
-            full[i, i + 1] = full[i + 1, i] = self.offdiag[i]
-        return full
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -87,33 +80,24 @@ class SymTridiagonal:
         return float(r.max())
 
 
-def build_k_matrix_exact(s: Sector, aZ) -> tuple[list[Fraction], list[RadicalScalar]]:
-    """Exact matrix entries (diag rationals, offdiag radicals, already negated)."""
-    aZ = Fraction(aZ)
-    ctx = coeffs.CoeffContext(s, aZ)
-    lams = lambda_range(s)
-    diag = [ctx.diag(lam) for lam in lams]
-    off = [-ctx.offdiag(lam) for lam in lams[1:]]
-    return diag, off
-
-
 @functools.lru_cache(maxsize=64)
 def _k_pencil(s: Sector, Z: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
-    lambda ascending, from the exact Lambda and M9 with alpha/2 =
-    2Z/(2n+Q+8).  Read-only: the cache hands the same arrays to every call.
+    lambda ascending, from the exact coeffs.k_pencil at charge Z; a Z whose
+    entries overflow a float raises ValidationError.  Read-only: the cache
+    hands the same arrays to every call.
     """
-    half_alpha = Fraction(2 * Z, 2 * s.n + s.Q + 8)
-    m9 = coeffs.m9_spherical_matrix(s)
-    n = s.size
-    lams = [lam.fraction for lam in lambda_range(s)]
-    pencil = (
-        np.array([float(-lam * (lam + 7)) for lam in lams]),
-        np.array([float(-half_alpha * m9[i][i].as_rational()) for i in range(n)]),
-        np.array([(m9[i][i + 1] * -half_alpha).to_float() for i in range(n - 1)]),
-    )
+    lam_term, slope, coupling_sq = coeffs.k_pencil(s)
+    try:
+        pencil = (
+            np.array([float(x) for x in lam_term]),
+            np.array([float(Z * x) for x in slope]),
+            -np.sqrt(np.array([float(Z * Z * x) for x in coupling_sq])),
+        )
+    except OverflowError as exc:
+        raise ValidationError(f"K(a) at Z = {Z} leaves the float range") from exc
     for part in pencil:
         part.setflags(write=False)
     return pencil
@@ -155,16 +139,6 @@ def build_k_matrix(s: Sector, a, Z=None) -> SymTridiagonal:
     """
     diag, off = _k_entries(s, [a], Z)
     return SymTridiagonal(diag[0], off[0])
-
-
-def eigen_sym_tridiagonal(m: SymTridiagonal, rtol: float = 1e-14, maxit: int = 100):
-    """Ascending eigenvalues and orthonormal eigenvectors of m.
-
-    Bisection on Sturm sign counts for the values, inverse iteration with
-    the shifted tridiagonal for the vectors (ConvergenceFailure past the
-    iteration cap).
-    """
-    return tridiag_eigh(m.diag, m.offdiag, rtol=rtol, maxit=maxit)
 
 
 def sign_fix_columns(V: np.ndarray, tol: float = _SIGN_TOL) -> np.ndarray:
@@ -240,7 +214,7 @@ def _round_to_bits(x: Fraction, bits: int) -> Fraction:
     return Fraction(round(scaled), 1 << bits)
 
 
-def t_by_continuant(s: Sector, a, Z, K: float, n_k: int | None = None) -> np.ndarray:
+def t_by_continuant(s: Sector, a, Z, K: float) -> np.ndarray:
     """Coefficient column at eigenvalue K from the principal-minor recurrence.
 
     Components are the leading principal minors of (matrix - K) divided by
@@ -251,19 +225,26 @@ def t_by_continuant(s: Sector, a, Z, K: float, n_k: int | None = None) -> np.nda
     shift on strongly graded matrices that a double-precision K alone
     cannot reproduce the eigenvector's small trailing components.  K only
     seeds the refinement, so the route stays independent of inverse
-    iteration.  A zero interior coupling (a = 0) or a float-range overflow
-    raises DegenerateShift and the caller falls back to inverse iteration.
+    iteration.  The exact entries come from coeffs.k_pencil.  An a or Z
+    that build_k_matrix rejects raises ValidationError; a zero interior
+    coupling (a = 0) or a float-range overflow raises DegenerateShift and
+    the caller falls back to inverse iteration.
     """
+    _k_entries(s, [a], Z)  # the float route's checks on a and Z
     n = s.size
     if n == 1:
         return np.ones(1)
-    Zf = Fraction(s.Z if Z is None else Z)
-    aZ = Fraction(a) * Zf
-    diag, off = build_k_matrix_exact(s, aZ)
-    off_f = [x.to_float() for x in off]
+    aZ = Fraction(a) * Fraction(s.Z if Z is None else Z)
+    lam_term, slope, coupling_sq = coeffs.k_pencil(s)
+    diag = [c + aZ * x for c, x in zip(lam_term, slope)]
+    aZ2 = aZ * aZ
+    off2 = [aZ2 * x for x in coupling_sq]
+    try:
+        off_f = [-math.sqrt(float(x)) for x in off2]  # the couplings, each rounded once
+    except OverflowError as exc:
+        raise DegenerateShift(f"coupling overflow in sector {s} at a = {a}") from exc
     if any(x == 0.0 for x in off_f):
         raise DegenerateShift(f"zero coupling in sector {s} at a = {a}")
-    off2 = [x.square() for x in off]
 
     shift = _round_to_bits(Fraction(K), _NEWTON_BITS)
     for _ in range(4):
@@ -388,10 +369,10 @@ def check_spherical_limit(
 class ParabolicLimitReport:
     sector: Sector
     a_large: float
-    set_errors: np.ndarray  # sorted K/a vs sorted parabolic constants
+    set_errors: np.ndarray  # sorted K/a vs sorted first-order targets
     branch_np: np.ndarray  # eigenvalue-matched parabolic label per branch
-    value_errors: np.ndarray  # per-branch |K/a - matched constant|
-    column_errors: np.ndarray  # max-norm distance of T columns to W columns
+    value_errors: np.ndarray  # per-branch |K/a - matched target|
+    column_errors: np.ndarray  # max-norm distance of T columns to first-order W columns
 
     @property
     def max_set_error(self) -> float:
@@ -407,10 +388,14 @@ def check_parabolic_limit(
 ) -> ParabolicLimitReport:
     """Verify the large-a degeneration against the parabolic constants.
 
-    The set {K/a} must approach {2Z(n+Q/2-L-2n_k)/(2n+Q+8)} and each
-    branch's column must approach the W column matched through
-    K/a = -sqrt(-2E) (n+Q/2-J-2n_p), i.e. per eigenvalue rather than per
-    descending label.  Raises LimitMismatch on failure.
+    In the parabolic basis (the columns of W) K(a) = -Lambda - a (alpha/2)
+    M9 is -G - a (alpha/2) diag(mu), with G = W^T Lambda W and mu_p =
+    n+Q/2-J-2n_p, so to first order in 1/a the set {K/a} must approach
+    {-(alpha/2) mu_p - G_pp/a} and each branch's column the renormalized
+    W[:,p] + sum_{q != p} W[:,q] G_qp / (a (alpha/2) (mu_p - mu_q)), with p
+    matched per eigenvalue rather than per descending label.  Subtracting
+    the first-order term keeps the check valid as G grows with N.
+    Raises LimitMismatch on failure.
     """
     if not a_large >= 1e4:
         raise ValidationError(f"a_large = {a_large} must be at least 1e4")
@@ -419,13 +404,20 @@ def check_parabolic_limit(
     spectrum = separation_constants(sZ, a_large)
     n = s.size
     half_alpha = alpha_scale(sZ) / 2  # sqrt(-2E)
-    targets = np.array(
+    lead = np.array(
         [-float(half_alpha * m9_parabolic_eigenvalue(sZ, n_p).fraction) for n_p in range(n)]
     )
+    W = interbasis.w_matrix(sZ).to_float()
+    lam = -_k_pencil(sZ, Zf)[0]  # Lambda = diag(lambda(lambda+7))
+    G = W.T @ (lam[:, None] * W)
+    targets = lead - np.diag(G) / a_large
+    gaps = a_large * (lead[:, None] - lead[None, :])  # [q, p] = a (alpha/2) (mu_p - mu_q)
+    np.fill_diagonal(gaps, np.inf)
+    columns = W + W @ (G / gaps)
+    columns /= np.linalg.norm(columns, axis=0)
     ratios = spectrum.K / a_large
     set_errors = np.abs(np.sort(ratios) - np.sort(targets))
 
-    W = interbasis.w_matrix(sZ).to_float()
     branch_np = np.empty(n, dtype=np.int64)
     value_errors = np.empty(n)
     column_errors = np.empty(n)
@@ -433,7 +425,7 @@ def check_parabolic_limit(
         j = int(np.argmin(np.abs(targets - ratios[i])))
         branch_np[i] = j
         value_errors[i] = abs(ratios[i] - targets[j])
-        column_errors[i] = np.abs(spectrum.T[:, i] - W[:, j]).max()
+        column_errors[i] = np.abs(spectrum.T[:, i] - columns[:, j]).max()
     report = ParabolicLimitReport(
         sZ, float(a_large), set_errors, branch_np, value_errors, column_errors
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -30,12 +30,12 @@ from .exactscalar import RadicalScalar, exact_factorial
 from .sector import (
     Sector,
     alpha_scale,
-    as_fraction,
     energy,
+    lambda_index,
     lambda_range,
     m9_parabolic_eigenvalue,
 )
-from .spheroidal import SpheroidalSpectrum, SymTridiagonal, eigen_sym_tridiagonal, separation_constants
+from .spheroidal import SpheroidalSpectrum, separation_constants
 
 
 # ----------------------------------------------------------------------
@@ -155,7 +155,7 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
     if n_q == 1:
         nodes = np.array([diag[0]])
     else:
-        nodes, _ = eigen_sym_tridiagonal(SymTridiagonal(diag, off))
+        nodes, _ = _backend.tridiag_eigh(diag, off)
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             for _ in range(2):
                 q, dq = _orthonormal_last_pair(diag, off, nodes)
@@ -171,14 +171,6 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
 # ----------------------------------------------------------------------
 
 
-def _lam_index(s: Sector, lam) -> Tuple[Fraction, int]:
-    l = as_fraction(lam)
-    lo, hi = s.lam_min.fraction, s.m.fraction
-    if l < lo or l > hi or (l - lo).denominator != 1:
-        raise IndexOutOfRange(f"lambda = {l} outside {lo}..{hi} for sector {s}")
-    return l, int(l - lo)
-
-
 def _np_checked(s: Sector, n_p: int) -> int:
     if not 0 <= n_p < s.size:
         raise IndexOutOfRange(f"n_p = {n_p} outside 0..{s.size - 1}")
@@ -187,7 +179,7 @@ def _np_checked(s: Sector, n_p: int) -> int:
 
 def norm_spherical(s: Sector, lam) -> float:
     """Normalization of the radial-angular factor under r^8 (1-c^2)^3 dr dc."""
-    l, _ = _lam_index(s, lam)
+    l, _ = lambda_index(s, lam)
     m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
     f = exact_factorial
     rad = Fraction(
@@ -212,7 +204,7 @@ def norm_parabolic(s: Sector, n_p: int) -> float:
 def psi_spherical(s: Sector, lam, r, c):
     """Radial-angular factor at (r, cos(theta)); normalized, sign of the
     closed form (positive leading Jacobi/Laguerre coefficients)."""
-    l, k = _lam_index(s, lam)
+    l, k = lambda_index(s, lam)
     r = np.asarray(r, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     if np.any(r <= 0):
@@ -282,7 +274,7 @@ def psi_spheroidal(
 
 def _bare_spherical(s: Sector, lam, X, C):
     """psi_spherical with alpha^{9/2} e^{-x/2} stripped, on the (x, c) grid."""
-    l, k = _lam_index(s, lam)
+    l, k = lambda_index(s, lam)
     lamf = float(l)
     n_r = int(s.m.fraction - l)
     return (
@@ -377,9 +369,8 @@ def w_overlap_stable(
 
 def _exp_poly_derivs(nu: float, k: int, order: float, x):
     """g = x^nu e^{-x/2} L_k^{(order)}(x) and its first two derivatives."""
-    P = _backend.laguerre(k, order, x)
-    P1 = -_backend.laguerre(k - 1, order + 1, x)
-    P2 = _backend.laguerre(k - 2, order + 2, x)
+    P, P1 = laguerre_gen_pair(k, order, x)
+    P2 = -laguerre_gen_pair(k - 1, order + 1, x)[1]
     ex = np.exp(-x / 2)
     xn = x**nu
     xnm1 = x ** (nu - 1) if nu != 0 else np.zeros_like(x)
@@ -414,7 +405,7 @@ def ode_residuals(s: Sector, which: str, index, points) -> float:
     alpha = float(alpha_scale(s))
 
     if which == "radial":
-        l, _ = _lam_index(s, index)
+        l, _ = lambda_index(s, index)
         if np.any(pts <= 0):
             raise DomainError("radial points must satisfy r > 0")
         lamf = float(l)
@@ -430,7 +421,7 @@ def ode_residuals(s: Sector, which: str, index, points) -> float:
         return float(_scaled_residual(terms).max())
 
     if which == "angular":
-        l, k = _lam_index(s, index)
+        l, k = lambda_index(s, index)
         if np.any(np.abs(pts) >= 1):
             raise DomainError("angular points must satisfy |cos(theta)| < 1")
         lamf = float(l)
@@ -438,9 +429,8 @@ def ode_residuals(s: Sector, which: str, index, points) -> float:
         st2 = 1 - c * c
         st = np.sqrt(st2)
         p, q = s.L + 3, s.J + 3
-        P = _backend.jacobi(k, p, q, c)
-        P1 = 0.5 * (k + p + q + 1) * _backend.jacobi(k - 1, p + 1, q + 1, c)
-        P2 = 0.25 * (k + p + q + 1) * (k + p + q + 2) * _backend.jacobi(k - 2, p + 2, q + 2, c)
+        P, P1 = jacobi_gen_pair(k, p, q, c)
+        P2 = 0.5 * (k + p + q + 1) * jacobi_gen_pair(k - 1, p + 1, q + 1, c)[1]
         phi = (1 - c) ** (s.L / 2) * (1 + c) ** (s.J / 2)
         psi1 = -(s.L / 2) / (1 - c) + (s.J / 2) / (1 + c)
         psi2 = -(s.L / 2) / (1 - c) ** 2 - (s.J / 2) / (1 + c) ** 2
@@ -483,43 +473,3 @@ def ode_residuals(s: Sector, which: str, index, points) -> float:
         return float(_scaled_residual(terms).max())
 
     raise ValidationError(f"unknown equation selector {which!r}")
-
-
-# ----------------------------------------------------------------------
-# coordinate bookkeeping
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RadialAngularPoint:
-    """A point (r, cos(theta)) with its parabolic and spheroidal images.
-
-    u = r(1+c) and v = r(1-c); with a focal distance a the spheroidal
-    pair (xi, eta) uses the two-center distances, so xi >= 1 and
-    |eta| <= 1 hold by the triangle inequality.
-    """
-
-    r: float
-    c: float
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise DomainError(f"r = {self.r} must be positive")
-        if not -1 <= self.c <= 1:
-            raise DomainError(f"cos(theta) = {self.c} must lie in [-1, 1]")
-
-    @property
-    def u(self) -> float:
-        return self.r * (1 + self.c)
-
-    @property
-    def v(self) -> float:
-        return self.r * (1 - self.c)
-
-    def spheroidal(self, a: float) -> Tuple[float, float]:
-        if not a > 0:
-            raise DomainError(f"focal distance a = {a} must be positive")
-        z = self.r * self.c
-        rho = self.r * math.sqrt(max(1 - self.c * self.c, 0.0))
-        r2 = math.hypot(rho - a, z)
-        return (self.r + r2) / a, (self.r - r2) / a

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from micz9.cli import main
 from micz9.exactscalar import RadicalScalar
 
@@ -92,6 +94,33 @@ def test_non_finite_or_overflowing_focal_distance_exit_2():
         assert "ValidationError" in out.stderr and "Traceback" not in out.stderr, argv
     out = run_cli("kspectrum", *SECTOR, "--mode", "float", "--a", "1e300")
     assert "sqrt(float max)" in out.stderr
+
+
+def test_overflowing_charge_or_bad_tol_exit_2():
+    for argv in (
+        ("states", "--n", "1", "--Q", "0", "--L", "0", "--J", "2", "--mode", "float",
+         "--Z", "1e160"),  # Z fits a float, the energy does not
+        ("verify", "--n", "0", "--Q", "0", "--L", "0", "--J", "0", "--Z", "1e400"),
+        ("sweep", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "1e400",
+         "--mode", "float", "--a-min", "1", "--a-max", "2", "--points", "3"),
+        ("kspectrum", *SECTOR[:-2], "--Z", "7.7e154", "--mode", "float", "--a", "1"),
+        ("verify", *SECTOR, "--tol", "nan"),
+        ("verify", *SECTOR, "--tol", "0"),
+    ):
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert "ValidationError" in out.stderr and "Traceback" not in out.stderr, argv
+
+
+@pytest.mark.parametrize(
+    "sector",
+    # n + Q/2 = 12 and the n + Q/2 = 6 sectors whose O(1/a) term once broke the parabolic limit
+    [(12, 0, 0, 0)] + [(6 - Q // 2, Q, L, J) for Q in (0, 2, 4) for L in (0, 2) for J in (0, 2)],
+)
+def test_verify_passes_past_the_desk_sweep(sector, capsys):
+    argv = ["verify"] + [x for k, v in zip("nQLJ", sector) for x in (f"--{k}", str(v))]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert json.loads(capsys.readouterr().out)["payload"]["ok"] is True
 
 
 def test_tcoeffs():

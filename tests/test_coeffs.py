@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from micz9.coeffs import (
-    CoeffContext,
     k_diag,
     k_offdiag,
+    k_pencil,
     m9_diag,
     m9_eigenvalues,
     m9_offdiag,
@@ -81,9 +81,15 @@ def test_offdiag_positive_interior():
             assert m9_offdiag(s, lam) > 0, (s, lam)
 
 
-def test_coeff_context():
-    ctx = CoeffContext(S22, Fraction(1))
-    assert ctx.diag(1) == Fraction(-39, 5)
-    assert ctx.offdiag(2) == k_offdiag(S22, 2, 1)
-    with pytest.raises(ValidationError):
-        CoeffContext(S22, Fraction(-1))
+def test_k_pencil_matches_entries():
+    # one multiply-add per entry reproduces the closed-form K(a) entries
+    aZ = Fraction(7, 3)
+    for s in enumerate_sectors(3, 3, 3):
+        const, slope, coupling_sq = k_pencil(s)
+        lams = lambda_range(s)
+        assert [c + aZ * x for c, x in zip(const, slope)] == [k_diag(s, l, aZ) for l in lams]
+        assert [aZ * aZ * x for x in coupling_sq] == [
+            k_offdiag(s, l, aZ).square() for l in lams[1:]
+        ]
+    # g = 1/6: slopes (6/5)/6 and (4/5)/6, squared coupling (24/25)/36
+    assert k_pencil(S22) == ((-8, -18), (Fraction(1, 5), Fraction(2, 15)), (Fraction(2, 75),))

@@ -9,14 +9,11 @@ from hypothesis import strategies as st
 
 from micz9.errors import RadicandMismatch
 from micz9.exactscalar import (
+    SQUAREFREE_BOUND_DEFAULT,
     RadicalScalar,
     _prime,
     exact_factorial,
     format_rational,
-    parse_rational,
-    radical_add,
-    radical_cmp,
-    radical_mul,
     squarefree_split,
 )
 from micz9.errors import FactorialOfNegative
@@ -27,16 +24,16 @@ def R(c, d=1):
 
 
 def test_mul_examples():
-    assert radical_mul(R("1/2", 2), R("1/2", 2)) == Fraction(1, 2)
-    assert radical_mul(R(3, "1/9"), R(1)) == 1
-    assert radical_mul(R(2, 6), R(5, "2/3")) == 20
+    assert R("1/2", 2) * R("1/2", 2) == Fraction(1, 2)
+    assert R(3, "1/9") * R(1) == 1
+    assert R(2, 6) * R(5, "2/3") == 20
 
 
 def test_add_examples():
-    assert radical_add(R("1/2", 2), R("1/2", 2)) == R(1, 2)
-    assert radical_add(R(0), R(5, 3)) == R(5, 3)
+    assert R("1/2", 2) + R("1/2", 2) == R(1, 2)
+    assert R(0) + R(5, 3) == R(5, 3)
     with pytest.raises(RadicandMismatch):
-        radical_add(R(1, 2), R(1, 3))
+        R(1, 2) + R(1, 3)
 
 
 def test_cmp_examples():
@@ -45,9 +42,9 @@ def test_cmp_examples():
     w = x.to_float()
     assert abs(w - 0.9797958971132712) < 1e-15
     assert x.square() == Fraction(24, 25)
-    assert radical_cmp(R(1, 2), R(1, 3)) < 0
-    assert radical_cmp(R(-1, 2), R("1/1000")) < 0
-    assert radical_cmp(R("1/2", 8), R(1, 2)) == 0  # sqrt(8)/2 == sqrt(2)
+    assert R(1, 2).compare(R(1, 3)) < 0
+    assert R(-1, 2).compare(R("1/1000")) < 0
+    assert R("1/2", 8).compare(R(1, 2)) == 0  # sqrt(8)/2 == sqrt(2)
 
 
 def test_to_float_examples():
@@ -79,19 +76,19 @@ def test_serialization_roundtrip():
     rec = x.as_record()
     assert set(rec) == {"coeff", "radicand"}
     assert RadicalScalar.from_record(rec) == x
-    assert parse_rational(format_rational(Fraction(-3, 7))) == Fraction(-3, 7)
+    assert Fraction(format_rational(Fraction(-3, 7))) == Fraction(-3, 7)
 
 
 def test_squarefree_split():
     assert squarefree_split(1) == (1, 1)
     assert squarefree_split(720) == (12, 5)
     assert squarefree_split(2**20) == (2**10, 1)
-    # square of a prime beyond the bound still caught by the perfect-square check
+    # square of the first prime beyond the bound still caught by the perfect-square check
     p = 1000003
-    assert squarefree_split(p * p, bound=10) == (p, 1)
+    assert p > SQUAREFREE_BOUND_DEFAULT
+    assert squarefree_split(p * p) == (p, 1)
     # but mixed with a small squarefree part it survives unreduced
-    s, f = squarefree_split(3 * p * p, bound=10)
-    assert s * s * f == 3 * p * p
+    assert squarefree_split(3 * p * p) == (1, 3 * p * p)
 
 
 def test_prime_list_from_sieve():
@@ -152,7 +149,7 @@ def test_square_to_float_within_2ulp(c, d):
 @given(c1=rationals, d1=small_nonneg, c2=rationals, d2=small_nonneg)
 def test_cmp_matches_floats(c1, d1, c2, d2):
     x, y = RadicalScalar(c1, d1), RadicalScalar(c2, d2)
-    cmp = radical_cmp(x, y)
+    cmp = x.compare(y)
     fx, fy = x.to_float(), y.to_float()
     if abs(fx - fy) > 1e-12 * (1 + abs(fx) + abs(fy)):
         assert cmp == (-1 if fx < fy else 1)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micz9 import coeffs
+from micz9 import coeffs, interbasis, wavefield
 from micz9.errors import (
     EmptySector,
     IndexOutOfRange,
@@ -17,10 +17,10 @@ from micz9.errors import (
 )
 from micz9.sector import (
     HalfInt,
-    StateLabel,
     alpha_scale,
     energy,
     enumerate_sectors,
+    lambda_index,
     lambda_range,
     m9_parabolic_eigenvalue,
     np_range,
@@ -133,14 +133,19 @@ def test_enumerate_sweep_bounds():
         assert 1 <= s.size <= 6
 
 
-def test_state_label_validation():
-    s = validate_sector(1, 0, 0, 0, 1)
-    StateLabel(s, "spherical", lam=HalfInt(2))
-    StateLabel(s, "parabolic", n_p=1, passive=(0, 0, 0, 0, 0, 0))
-    StateLabel(s, "spheroidal", n_k=0, a=2.5)
-    with pytest.raises(LambdaOutOfRange):
-        StateLabel(s, "spherical", lam=HalfInt(5))
-    with pytest.raises(IndexOutOfRange):
-        StateLabel(s, "parabolic", n_p=2)
-    with pytest.raises(Exception):
-        StateLabel(s, "spheroidal", n_k=0, a=-1.0)
+def test_lambda_index():
+    s = validate_sector(2, 1, 1, 0, 1)  # lambda = 1/2 .. 5/2
+    assert lambda_index(s, HalfInt(5)) == (Fraction(5, 2), 2)
+    assert lambda_index(s, Fraction(1, 2)) == (Fraction(1, 2), 0)
+    for bad in (Fraction(-1, 2), Fraction(7, 2), 1):  # below, above, off the ladder
+        with pytest.raises(LambdaOutOfRange):
+            lambda_index(s, bad)
+    # the one check behind every lambda-indexed entry point, still an index error
+    assert issubclass(LambdaOutOfRange, IndexOutOfRange)
+    for call in (
+        lambda: coeffs.m9_diag(s, 3),
+        lambda: interbasis.w_coefficient(s, 3, 0),
+        lambda: wavefield.norm_spherical(s, 3),
+    ):
+        with pytest.raises(LambdaOutOfRange):
+            call()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from micz9 import _backend
+from micz9 import _backend, coeffs
 from micz9.errors import (
     BranchMatchAmbiguous,
     DegenerateShift,
@@ -15,12 +15,9 @@ from micz9.errors import (
 )
 from micz9.sector import enumerate_sectors, lambda_range, validate_sector
 from micz9.spheroidal import (
-    SymTridiagonal,
     build_k_matrix,
-    build_k_matrix_exact,
     check_parabolic_limit,
     check_spherical_limit,
-    eigen_sym_tridiagonal,
     separation_constants,
     sign_fix_columns,
     sweep_branches,
@@ -48,18 +45,20 @@ def test_build_k_matrix_examples():
 
 def test_k_matrix_exact_trace():
     # trace identity: sum of eigenvalues equals sum of diagonal, exactly
+    aZ = Fraction(7, 2)
     for s in enumerate_sectors(3, 3, 3):
-        diag, _ = build_k_matrix_exact(s, Fraction(7, 2))
+        const, slope, _ = coeffs.k_pencil(s)
+        diag = [c + aZ * x for c, x in zip(const, slope)]
         spectrum = separation_constants(s, 3.5)
         assert abs(float(sum(diag)) - spectrum.K.sum()) < 1e-11 * max(1.0, abs(float(sum(diag))))
 
 
 def test_eigen_examples():
-    w, V = eigen_sym_tridiagonal(SymTridiagonal(np.array([0.0, -8.0]), np.array([-1.0])))
+    w, V = _backend.tridiag_eigh(np.array([0.0, -8.0]), np.array([-1.0]))
     np.testing.assert_allclose(w, [-4 - SQRT17, -4 + SQRT17], rtol=1e-15)
-    w, V = eigen_sym_tridiagonal(SymTridiagonal(np.array([2.0, -3.0, 1.0]), np.zeros(2)))
+    w, V = _backend.tridiag_eigh(np.array([2.0, -3.0, 1.0]), np.zeros(2))
     np.testing.assert_allclose(w, [-3.0, 1.0, 2.0])
-    w, V = eigen_sym_tridiagonal(SymTridiagonal(np.array([4.5]), np.zeros(0)))
+    w, V = _backend.tridiag_eigh(np.array([4.5]), np.zeros(0))
     assert w[0] == 4.5 and V[0, 0] == 1.0
 
 
@@ -93,7 +92,7 @@ def test_continuant_matches_inverse_iteration():
         for a in np.logspace(-2, 3, 4):
             spectrum = separation_constants(s, float(a))
             for k in range(s.size):
-                col = t_by_continuant(s, float(a), s.Z, float(spectrum.K[k]), k)
+                col = t_by_continuant(s, float(a), s.Z, float(spectrum.K[k]))
                 assert np.abs(col - spectrum.T[:, k]).max() <= 1e-8, (s, a, k)
 
 
@@ -101,6 +100,10 @@ def test_continuant_trivial_and_degenerate():
     assert t_by_continuant(validate_sector(0, 0, 0, 0, 1), 2.0, 1, 0.0)[0] == 1.0
     with pytest.raises(DegenerateShift):
         t_by_continuant(S1, 0.0, 1, -8.0)
+    # the same checks on a as the float route, before any exact arithmetic
+    for a in (math.inf, 1e300, math.nan, -1.0):
+        with pytest.raises(ValidationError):
+            t_by_continuant(S1, a, 1, -8.0)
 
 
 def test_sign_convention():

@@ -10,7 +10,6 @@ from micz9.interbasis import w_matrix
 from micz9.sector import HalfInt, alpha_scale, enumerate_sectors, lambda_range, validate_sector
 from micz9.spheroidal import separation_constants
 from micz9.wavefield import (
-    RadialAngularPoint,
     basis_overlap,
     gauss_rule,
     jacobi_gen,
@@ -177,16 +176,3 @@ def test_ode_residual_domain_checks():
         ode_residuals(S1, "angular", 0, [1.0])
     with pytest.raises(ValidationError):
         ode_residuals(S1, "azimuthal", 0, [0.5])
-
-
-def test_radial_angular_point():
-    p = RadialAngularPoint(2.0, 0.5)
-    assert p.u == pytest.approx(3.0) and p.v == pytest.approx(1.0)
-    assert p.u + p.v == pytest.approx(2 * p.r)
-    for a in (0.1, 1.0, 10.0):
-        xi, eta = p.spheroidal(a)
-        assert xi >= 1.0 and -1.0 <= eta <= 1.0
-    with pytest.raises(DomainError):
-        RadialAngularPoint(-1.0, 0.0)
-    with pytest.raises(DomainError):
-        RadialAngularPoint(1.0, 1.5)
