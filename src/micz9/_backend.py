@@ -265,7 +265,8 @@ def _eigh_chunk(d, e, rtol, maxit):
     order = np.argsort(w, axis=1, kind="stable")
     w = np.take_along_axis(w, order, axis=1)
     V = np.take_along_axis(V, order[:, None, :], axis=2)
-    _orthogonalize_clusters(w, V, 1e-6 * scale[:, None])
+    # LAPACK dstein's reorthogonalization window: eigenvalues within 1e-3 ||T||
+    _orthogonalize_clusters(w, V, 1e-3 * scale[:, None])
     # Rayleigh polish: exact eigenvectors make this a <= 1 ulp correction
     TV = d[:, :, None] * V
     TV[:, 1:, :] += e[:, :, None] * V[:, :-1, :]

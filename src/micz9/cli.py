@@ -364,14 +364,14 @@ def cmd_verify(args) -> None:
     tol_quad = args.tol if args.tol is not None else 1e-8
     if not (math.isfinite(tol_quad) and tol_quad > 0):
         raise ValidationError(f"--tol = {tol_quad} must be finite and positive")
-    checks = []
-    all_ok = True
-    for name, ok, detail in _verify_checks(s, args.nodes, tol_quad):
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-        all_ok = all_ok and ok
-    _emit("verify", s, args.mode, {"ok": all_ok, "checks": checks})
-    if not all_ok:
-        raise SystemExit(3)
+    checks = [
+        {"name": name, "ok": bool(ok), "detail": detail}
+        for name, ok, detail in _verify_checks(s, args.nodes, tol_quad)
+    ]
+    failed = [c["name"] for c in checks if not c["ok"]]
+    _emit("verify", s, args.mode, {"ok": not failed, "checks": checks})
+    if failed:  # a broken exact identity is an internal inconsistency
+        raise SystemExit(4 if any(name.endswith("_exact") for name in failed) else 3)
 
 
 _COMMANDS = {

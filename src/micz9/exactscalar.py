@@ -8,15 +8,19 @@ each radical squares away in the sums that matter.  Keeping the radicand
 explicit therefore permits bit-exact orthogonality and recurrence checks
 with no floating-point tolerance at all.
 
-Radicands are reduced squarefree by trial division by the primes up to
-SQUAREFREE_BOUND_DEFAULT = 10**6.  Square factors of larger primes are
-left in place; comparisons stay exact anyway because they go through sign
-analysis and cross-squaring.
+Radicands are reduced to canonical squarefree integers, exactly and with
+no bound: squarefree_split trial-divides by 2 and the odd numbers, dividing
+each factor out completely, and stops once the divisor squared exceeds
+what is left.  That takes about max(p2, sqrt(p1)) divisions, p1 >= p2 the
+two largest prime factors of the radicand; every radicand this package
+builds is a product or quotient of factorials and small integers, so its
+primes are O(n + Q + L + J).  A product of two canonical radicands a and
+b needs no factoring at all: with g = gcd(a, b), a*b = g*g * (a/g)*(b/g),
+and the last product is already squarefree.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -24,80 +28,29 @@ from .errors import FactorialOfNegative, RadicandMismatch
 
 Rational = Fraction
 
-SQUAREFREE_BOUND_DEFAULT = 10**6
-
-_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
-
-
-def _extend_primes(limit: int) -> int:
-    """Append every prime in (last cached prime, limit] by a segmented sieve.
-
-    Needs limit <= (last cached prime)^2, so the cached primes cover every
-    factor to strike out.  Returns how many primes were added.
-    """
-    lo = _PRIMES[-1] + 1
-    flags = bytearray([1]) * (limit - lo + 1)
-    for p in _PRIMES:
-        if p * p > limit:
-            break
-        start = max(p * p, -(-lo // p) * p)
-        flags[start - lo :: p] = bytes(len(range(start, limit + 1, p)))
-    count = len(_PRIMES)
-    _PRIMES.extend(itertools.compress(range(lo, limit + 1), flags))
-    return len(_PRIMES) - count
-
-
-def _is_prime_against_cache(cand: int) -> bool:
-    for p in _PRIMES:
-        if p * p > cand:
-            return True
-        if cand % p == 0:
-            return False
-    return True
-
-
-def _prime(i: int) -> int:
-    """i-th prime (from 0), growing the cached list as needed.
-
-    Up to SQUAREFREE_BOUND_DEFAULT the list grows by sieving up to twice
-    its last prime, so a caller that needs few primes builds few, and the
-    whole bound costs about twenty sieve passes; beyond the bound primes
-    are found one at a time by trial division against the list.
-    """
-    while i >= len(_PRIMES):
-        last = _PRIMES[-1]
-        limit = min(2 * last, SQUAREFREE_BOUND_DEFAULT)
-        if limit > last and _extend_primes(limit):
-            continue
-        cand = last + 2
-        while not _is_prime_against_cache(cand):
-            cand += 2
-        _PRIMES.append(cand)
-    return _PRIMES[i]
-
 
 def squarefree_split(n: int) -> tuple[int, int]:
-    """Split n >= 1 as s*s*f with f free of squared primes <= SQUAREFREE_BOUND_DEFAULT."""
+    """Split n >= 1 exactly as s*s*f with f squarefree.
+
+    Each divisor is divided out completely, so no composite divisor ever
+    divides what is left; once d*d exceeds the remainder, that remainder is
+    1 or a prime.
+    """
     if n <= 0:
         raise ValueError("squarefree_split needs a positive integer")
-    s = 1
-    r = math.isqrt(n)
-    if r * r == n:
-        return r, 1
-    i = 0
-    while True:
-        p = _prime(i)
-        if p > SQUAREFREE_BOUND_DEFAULT or p * p > n:
-            break
-        p2 = p * p
-        while n % p2 == 0:
-            n //= p2
-            s *= p
-        i += 1
-    r = math.isqrt(n)
-    if r * r == n:  # leftover perfect square of primes beyond the bound
-        return s * r, 1
-    return s, n
+    s = f = 1
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            s *= d ** (e // 2)
+            if e % 2:
+                f *= d
+        d += 1 if d == 2 else 2
+    return s, f * n
 
 
 def exact_factorial(x) -> int:
@@ -195,7 +148,12 @@ class RadicalScalar:
         if isinstance(other, RadicalScalar):
             if self.is_zero or other.is_zero:
                 return RadicalScalar.zero()
-            return RadicalScalar(self.coeff * other.coeff, self.radicand * other.radicand)
+            # canonical a, b: a*b = g*g*(a/g)*(b/g), the last product squarefree
+            a, b = self.radicand.numerator, other.radicand.numerator
+            g = math.gcd(a, b)
+            return RadicalScalar._raw(
+                self.coeff * other.coeff * g, Fraction((a // g) * (b // g))
+            )
         if isinstance(other, (int, Fraction)):
             if other == 0 or self.is_zero:
                 return RadicalScalar.zero()

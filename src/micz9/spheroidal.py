@@ -226,11 +226,13 @@ def t_by_continuant(s: Sector, a, Z, K: float) -> np.ndarray:
     cannot reproduce the eigenvector's small trailing components.  K only
     seeds the refinement, so the route stays independent of inverse
     iteration.  The exact entries come from coeffs.k_pencil.  An a or Z
-    that build_k_matrix rejects raises ValidationError; a zero interior
-    coupling (a = 0) or a float-range overflow raises DegenerateShift and
-    the caller falls back to inverse iteration.
+    that build_k_matrix rejects, or a non-finite K, raises ValidationError;
+    a zero interior coupling (a = 0) or a float-range overflow raises
+    DegenerateShift and the caller falls back to inverse iteration.
     """
     _k_entries(s, [a], Z)  # the float route's checks on a and Z
+    if not math.isfinite(K):
+        raise ValidationError(f"eigenvalue seed K = {K} must be finite")
     n = s.size
     if n == 1:
         return np.ones(1)

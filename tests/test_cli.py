@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from micz9 import interbasis, wavefield
 from micz9.cli import main
 from micz9.exactscalar import RadicalScalar
 
@@ -121,6 +122,25 @@ def test_verify_passes_past_the_desk_sweep(sector, capsys):
     argv = ["verify"] + [x for k, v in zip("nQLJ", sector) for x in (f"--{k}", str(v))]
     assert main(argv) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["payload"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "module, name, wrong, failing, code",
+    [
+        (interbasis, "w_via_cg", RadicalScalar(12345), "cg_oracle_exact", 4),  # internal
+        (wavefield, "w_overlap_stable", 12345.0, "quadrature_overlap", 3),  # numerical
+    ],
+)
+def test_verify_exit_code_follows_failing_check(
+    module, name, wrong, failing, code, monkeypatch, capsys
+):
+    monkeypatch.setattr(module, name, lambda *args, **kw: wrong)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *SECTOR[:-2]])
+    assert exc.value.code == code
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["payload"]["ok"] is False
+    assert [c["name"] for c in rec["payload"]["checks"] if not c["ok"]] == [failing]
 
 
 def test_tcoeffs():

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 
 from micz9.errors import RadicandMismatch
 from micz9.exactscalar import (
-    SQUAREFREE_BOUND_DEFAULT,
     RadicalScalar,
-    _prime,
     exact_factorial,
     format_rational,
     squarefree_split,
@@ -83,24 +81,30 @@ def test_squarefree_split():
     assert squarefree_split(1) == (1, 1)
     assert squarefree_split(720) == (12, 5)
     assert squarefree_split(2**20) == (2**10, 1)
-    # square of the first prime beyond the bound still caught by the perfect-square check
+    # exact with no bound: square factors of large primes come out too
     p = 1000003
-    assert p > SQUAREFREE_BOUND_DEFAULT
     assert squarefree_split(p * p) == (p, 1)
-    # but mixed with a small squarefree part it survives unreduced
-    assert squarefree_split(3 * p * p) == (1, 3 * p * p)
+    assert squarefree_split(3 * p * p) == (p, 3)
+    with pytest.raises(ValueError):
+        squarefree_split(0)
 
 
-def test_prime_list_from_sieve():
-    assert _prime(78497) == 999983  # the largest prime below 10**6
-    assert _prime(78498) == 1000003  # first prime past the sieve
-    trial = []
-    cand = 2
-    while len(trial) < 2000:
-        if all(cand % p for p in trial if p * p <= cand):
-            trial.append(cand)
-        cand += 1
-    assert [_prime(i) for i in range(2000)] == trial
+def test_squarefree_split_brute_force():
+    for n in range(1, 3000):
+        s, f = squarefree_split(n)
+        assert s * s * f == n
+        assert all(f % (d * d) for d in range(2, math.isqrt(f) + 1)), n
+
+
+def test_squarefree_split_of_factorial_by_legendre():
+    n = 60
+    primes = [p for p in range(2, n + 1) if all(p % q for q in range(2, p))]
+    s = f = 1
+    for p in primes:
+        e = sum(n // p**k for k in range(1, 7))  # p**7 > 60 for every prime
+        s *= p ** (e // 2)
+        f *= p ** (e % 2)
+    assert squarefree_split(math.factorial(n)) == (s, f)
 
 
 def test_exact_factorial_guard():
@@ -125,6 +129,9 @@ def test_multiplicative_closure(c1, d1, c2, d2):
     assert isinstance(z, RadicalScalar)
     assert z.square() == x.square() * y.square()
     assert z.sign() == x.sign() * y.sign()
+    # the gcd product rule gives the same canonical form as a full reduction
+    direct = RadicalScalar(c1 * c2, d1 * d2)
+    assert (z.coeff, z.radicand) == (direct.coeff, direct.radicand)
 
 
 @settings(max_examples=100, deadline=None)

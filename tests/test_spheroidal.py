@@ -104,6 +104,9 @@ def test_continuant_trivial_and_degenerate():
     for a in (math.inf, 1e300, math.nan, -1.0):
         with pytest.raises(ValidationError):
             t_by_continuant(S1, a, 1, -8.0)
+    for K in (math.inf, math.nan):  # a non-finite seed eigenvalue
+        with pytest.raises(ValidationError):
+            t_by_continuant(S1, 1.0, 1, K)
 
 
 def test_sign_convention():
