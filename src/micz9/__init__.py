@@ -78,7 +78,6 @@ from .wavefield import (
     ode_residuals,
     psi_parabolic,
     psi_spherical,
-    psi_spheroidal,
     w_overlap_quadrature,
     w_overlap_stable,
 )

@@ -358,7 +358,7 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     yield "ode_residuals", ode_worst <= 1e-8, f"max relative residual {_fmt(ode_worst)}"
 
 
-def cmd_verify(args) -> None:
+def cmd_verify(args) -> int | None:
     _require_record_format(args)
     s = _parse_sector(args)
     tol_quad = args.tol if args.tol is not None else 1e-8
@@ -371,7 +371,8 @@ def cmd_verify(args) -> None:
     failed = [c["name"] for c in checks if not c["ok"]]
     _emit("verify", s, args.mode, {"ok": not failed, "checks": checks})
     if failed:  # a broken exact identity is an internal inconsistency
-        raise SystemExit(4 if any(name.endswith("_exact") for name in failed) else 3)
+        return 4 if any(name.endswith("_exact") for name in failed) else 3
+    return None
 
 
 _COMMANDS = {
@@ -427,11 +428,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)  # None, or verify's failed-check code
     except Micz9Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
-    return 0
+    return code or 0
 
 
 if __name__ == "__main__":

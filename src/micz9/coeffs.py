@@ -6,8 +6,9 @@ forms in (n, Q, L, J, lambda).  The spheroidal separation-constant matrix
 K(a) = -Lambda - a (alpha/2) M9, with Lambda = diag(lambda(lambda+7)) and
 alpha/2 = 2Z/(2n+Q+8), is a linear pencil in which a and Z only ever
 enter through the product aZ: k_pencil holds its exact pieces once per
-sector, and both the float route and the exact continuant route build
-K(a) from them with one multiply-add per entry.  Matrices here are
+sector, and spheroidal rounds them once per (sector, Z) into the float
+pencil from which both its inverse-iteration and its continuant routes
+build K(a) with one multiply-add per entry.  Matrices here are
 indexed by lambda ascending (rows and columns), which is also recorded in
 the CLI output metadata.
 """

@@ -69,7 +69,7 @@ class BranchMatchAmbiguous(NumericalError):
 
 
 class DegenerateShift(NumericalError):
-    """The continuant recurrence hit a zero coupling or over/underflowed."""
+    """The continuant recurrence met a zero coupling or gave a non-finite column."""
 
 
 class OrthogonalityViolation(InternalConsistencyError):

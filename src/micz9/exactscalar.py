@@ -240,25 +240,10 @@ class RadicalScalar:
     def __abs__(self):
         return -self if self.coeff < 0 else self
 
-    def to_float(self, precision: int = 53):
-        """Value rounded to `precision` bits (within 1 ulp).
-
-        53 bits returns a Python float computed through a single correctly
-        rounded division and sqrt; higher precisions go through mpmath.
-        """
-        if precision < 53:
-            raise ValueError("precision must be at least 53 bits")
-        if precision == 53:
-            mag = math.sqrt(float(self.square()))
-            return -mag if self.coeff < 0 else mag
-        import mpmath
-
-        sq = self.square()
-        with mpmath.workprec(precision + 10):
-            v = mpmath.sqrt(mpmath.mpf(sq.numerator) / mpmath.mpf(sq.denominator))
-            if self.coeff < 0:
-                v = -v
-        return mpmath.mpf(v)
+    def to_float(self) -> float:
+        """The value within 1 ulp, from one correctly rounded division and sqrt."""
+        mag = math.sqrt(float(self.square()))
+        return -mag if self.coeff < 0 else mag
 
     def __float__(self):
         return self.to_float()

@@ -2,23 +2,26 @@
 
 The separation constants K at focal distance a are the eigenvalues of the
 symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
-Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  Both
-routes to K(a) read the exact pencil coeffs.k_pencil: the float route
-rounds it once per (sector, Z), so K(a) costs one multiply-add per entry
-and a whole grid of a is solved in one batch, and the continuant route
-takes its exact diagonal and squared couplings from it with one
-multiply-add per entry.  The eigenvector columns are the expansion
-coefficients of each spheroidal state over the spherical basis.  Columns
-follow the sign convention "first nonzero entry positive" (numerically:
-first entry exceeding 1e-12 of the column's max magnitude, which keeps
-the convention deterministic when leading entries underflow near the
-a -> 0 limit).
+Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  The
+exact pencil coeffs.k_pencil is rounded once per (sector, Z), so K(a)
+costs one multiply-add per entry and a whole grid of a is solved in one
+batch.  The eigenvector columns are the expansion coefficients of each
+spheroidal state over the spherical basis.  Columns follow the sign
+convention "first nonzero entry positive" (numerically: first entry
+exceeding 1e-12 of the column's max magnitude, which keeps the
+convention deterministic when leading entries underflow near the a -> 0
+limit).
 
-Two independent routes compute the eigenvectors: inverse iteration on
-the tridiagonal matrix, and the continuant (leading-principal-minor)
-recurrence.  The continuant column starts the coupling product one step
-above the ladder bottom, where the coupling is identically zero; as
-written with the full product every component would vanish.
+Two independent routes compute the eigenvectors from the same float
+entries: inverse iteration on the whole stack of matrices, and the
+continuant (three-term minor) recurrence at one eigenvalue.  The
+continuant is twisted: ratios of leading minors run down from the top
+of the ladder and ratios of trailing minors up from the bottom, and the
+column is built outward from the index where the two meet best, so each
+half runs in its stable direction.  At small a, K(a) is strongly graded
+and the trailing components of a column fall far below its peak; a
+one-sided recurrence would need the shift to many more bits than double
+precision to reproduce them.
 
 Labeling: n_k is ascending eigenvalue order at every a.  Eigenvalues of
 the irreducible tridiagonal matrix are simple for a > 0, so this
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -191,87 +195,63 @@ def separation_constants(s: Sector, a, Z=None) -> SpheroidalSpectrum:
     return spectra(s, [a], Z)[0]
 
 
-_NEWTON_BITS = 300  # working precision of the refined shift
+def _pivot_ratios(shifted: list, off2: list, pivmin: float) -> list:
+    """Ratios D_i = shifted_i - off2_{i-1} / D_{i-1} of successive leading minors.
 
-
-def _continuant_minors(diag, off2, K: Fraction):
-    """Leading principal minors p_0..p_N of (matrix - K) and their K-derivatives.
-
-    Exact rational arithmetic: diag entries and squared couplings are
-    rational for any representable a and rational Z.
+    A ratio smaller than pivmin in magnitude is replaced by -pivmin, which
+    keeps every off2 / D finite (LAPACK's safe-minimum pivot).
     """
-    p = [Fraction(1), diag[0] - K]
-    dp = [Fraction(0), Fraction(-1)]
-    for i in range(1, len(diag)):
-        shifted = diag[i] - K
-        p.append(shifted * p[i] - off2[i - 1] * p[i - 1])
-        dp.append(-p[i] + shifted * dp[i] - off2[i - 1] * dp[i - 1])
-    return p, dp
-
-
-def _round_to_bits(x: Fraction, bits: int) -> Fraction:
-    scaled = x * (1 << bits)
-    return Fraction(round(scaled), 1 << bits)
+    out = []
+    for i, x in enumerate(shifted):
+        piv = x - off2[i - 1] / out[-1] if i else x
+        out.append(-pivmin if abs(piv) < pivmin else piv)
+    return out
 
 
 def t_by_continuant(s: Sector, a, Z, K: float) -> np.ndarray:
-    """Coefficient column at eigenvalue K from the principal-minor recurrence.
+    """Coefficient column at eigenvalue K from the twisted minor recurrence.
 
-    Components are the leading principal minors of (matrix - K) divided by
-    the running product of couplings, with the product starting one step
-    above the ladder bottom (empty product = 1).  The minors are evaluated
-    in exact rational arithmetic after Newton-refining K on the top minor
-    (the characteristic polynomial): the column is so sensitive to the
-    shift on strongly graded matrices that a double-precision K alone
-    cannot reproduce the eigenvector's small trailing components.  K only
-    seeds the refinement, so the route stays independent of inverse
-    iteration.  The exact entries come from coeffs.k_pencil.  An a or Z
-    that build_k_matrix rejects, or a non-finite K, raises ValidationError;
-    a zero interior coupling (a = 0) or a float-range overflow raises
-    DegenerateShift and the caller falls back to inverse iteration.
+    Ratios of leading minors of (matrix - K) run down from the top
+    (D+_i = d_i - K - e_{i-1}^2 / D+_{i-1}) and ratios of trailing minors
+    run up from the bottom (D-_i, the same recurrence reversed).  The twist
+    index r minimizes |D+_r + D-_r - (d_r - K)|, the last diagonal entry of
+    the twisted factorization, which is smallest where the column peaks
+    (Fernando 1997; Parlett & Dhillon, LAA 1997).  With v_r = 1 the column
+    follows as v_i = -e_i v_{i+1} / D+_i above r and v_i = -e_{i-1} v_{i-1}
+    / D-_i below it: each side runs in the direction in which its
+    components decay, so double precision suffices however strongly K(a)
+    is graded.  The route shares only the matrix entries with inverse
+    iteration.  An a or Z that build_k_matrix rejects, or a non-finite K,
+    raises ValidationError; a zero coupling (a = 0) or a non-finite column
+    raises DegenerateShift.
     """
-    _k_entries(s, [a], Z)  # the float route's checks on a and Z
+    diag, off = _k_entries(s, [a], Z)  # the float route's checks on a and Z
     if not math.isfinite(K):
-        raise ValidationError(f"eigenvalue seed K = {K} must be finite")
+        raise ValidationError(f"eigenvalue K = {K} must be finite")
     n = s.size
     if n == 1:
         return np.ones(1)
-    aZ = Fraction(a) * Fraction(s.Z if Z is None else Z)
-    lam_term, slope, coupling_sq = coeffs.k_pencil(s)
-    diag = [c + aZ * x for c, x in zip(lam_term, slope)]
-    aZ2 = aZ * aZ
-    off2 = [aZ2 * x for x in coupling_sq]
-    try:
-        off_f = [-math.sqrt(float(x)) for x in off2]  # the couplings, each rounded once
-    except OverflowError as exc:
-        raise DegenerateShift(f"coupling overflow in sector {s} at a = {a}") from exc
-    if any(x == 0.0 for x in off_f):
+    e = off[0].tolist()
+    if 0.0 in e:
         raise DegenerateShift(f"zero coupling in sector {s} at a = {a}")
+    shifted = (diag[0] - K).tolist()
+    off2 = [x * x for x in e]
+    pivmin = sys.float_info.min * max(1.0, max(off2))
+    lead = _pivot_ratios(shifted, off2, pivmin)
+    trail = _pivot_ratios(shifted[::-1], off2[::-1], pivmin)[::-1]
+    r = min(range(n), key=lambda i: abs(lead[i] + trail[i] - shifted[i]))
 
-    shift = _round_to_bits(Fraction(K), _NEWTON_BITS)
-    for _ in range(4):
-        p, dp = _continuant_minors(diag, off2, shift)
-        if dp[n] == 0:
-            break
-        step = p[n] / dp[n]
-        shift = _round_to_bits(shift - step, _NEWTON_BITS)
-        if abs(step) < Fraction(1, 10**30) * (1 + abs(shift)):
-            break
-    p, _ = _continuant_minors(diag, off2, shift)
-
-    v = np.empty(n, dtype=np.float64)
-    v[0] = 1.0
-    coupling = 1.0
-    try:
-        for i in range(1, n):
-            coupling *= -off_f[i - 1]  # positive: matrix stores the negatives
-            v[i] = float(p[i]) / coupling
-    except OverflowError as exc:
-        raise DegenerateShift(f"continuant overflow in sector {s} at a = {a}") from exc
-    if not np.isfinite(v).all():
-        raise DegenerateShift(f"continuant over/underflow in sector {s} at a = {a}")
-    v /= np.linalg.norm(v)
-    return sign_fix_columns(v.reshape(-1, 1)).ravel()
+    v = [0.0] * n
+    v[r] = 1.0
+    for i in range(r - 1, -1, -1):
+        v[i] = -e[i] * v[i + 1] / lead[i]
+    for i in range(r + 1, n):
+        v[i] = -e[i - 1] * v[i - 1] / trail[i]
+    col = np.array(v)
+    if not np.isfinite(col).all():
+        raise DegenerateShift(f"non-finite continuant column in sector {s} at a = {a}")
+    col /= np.linalg.norm(col)
+    return sign_fix_columns(col.reshape(-1, 1)).ravel()
 
 
 @dataclass(frozen=True)

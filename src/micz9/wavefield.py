@@ -20,22 +20,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
 from . import _backend
-from .errors import DomainError, IndexOutOfRange, ValidationError
+from .errors import ConvergenceFailure, DomainError, IndexOutOfRange, ValidationError
 from .exactscalar import RadicalScalar, exact_factorial
 from .sector import (
     Sector,
     alpha_scale,
     energy,
     lambda_index,
-    lambda_range,
     m9_parabolic_eigenvalue,
 )
-from .spheroidal import SpheroidalSpectrum, separation_constants
 
 
 # ----------------------------------------------------------------------
@@ -108,12 +105,12 @@ def _christoffel_weights(diag, off, mu0, x):
     pm = np.zeros_like(x)
     pc = np.full_like(x, 1.0 / math.sqrt(mu0))
     S = pc * pc
-    for k in range(n - 1):
-        sub = off[k - 1] if k > 0 else 0.0
-        pn = ((x - diag[k]) * pc - sub * pm) / off[k]
-        pm, pc = pc, pn
-        S += pc * pc
-    with np.errstate(divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # S overflows: w = 0
+        for k in range(n - 1):
+            sub = off[k - 1] if k > 0 else 0.0
+            pn = ((x - diag[k]) * pc - sub * pm) / off[k]
+            pm, pc = pc, pn
+            S += pc * pc
         w = 1.0 / S
     return np.where(np.isfinite(S), w, 0.0)
 
@@ -251,22 +248,6 @@ def psi_parabolic(s: Sector, n_p: int, u, v):
     return out if out.shape else float(out)
 
 
-def psi_spheroidal(
-    s: Sector, n_k: int, a, Z=None, r=None, c=None, spectrum: Optional[SpheroidalSpectrum] = None
-):
-    """Spheroidal state at (r, cos(theta)) via its spherical-basis expansion."""
-    if not 0 <= n_k < s.size:
-        raise IndexOutOfRange(f"n_k = {n_k} outside 0..{s.size - 1}")
-    if spectrum is None:
-        spectrum = separation_constants(s, a, Z)
-    lams = lambda_range(s)
-    out = None
-    for idx, lam in enumerate(lams):
-        term = spectrum.T[idx, n_k] * psi_spherical(s, lam, r, c)
-        out = term if out is None else out + term
-    return out
-
-
 # ----------------------------------------------------------------------
 # overlap quadrature under r^8 (1-c^2)^3 dr dc
 # ----------------------------------------------------------------------
@@ -310,22 +291,13 @@ def _bare_factor(s: Sector, state, X, C):
         return _bare_spherical(s, state[1], X, C)
     if kind == "parabolic":
         return _bare_parabolic(s, state[1], X, C)
-    if kind == "spheroidal":
-        n_k, spectrum = state[1], state[2]
-        lams = lambda_range(s)
-        acc = None
-        for idx, lam in enumerate(lams):
-            term = spectrum.T[idx, n_k] * _bare_spherical(s, lam, X, C)
-            acc = term if acc is None else acc + term
-        return acc
     raise ValidationError(f"unknown basis state {state!r}")
 
 
 def basis_overlap(s: Sector, bra, ket, n_q: int = 64) -> float:
     """<bra|ket> over r^8 (1-c^2)^3 dr dc by tensor Gauss quadrature.
 
-    States are ("spherical", lam), ("parabolic", n_p) or
-    ("spheroidal", n_k, spectrum).  The radial rule is generalized
+    States are ("spherical", lam) or ("parabolic", n_p).  The radial rule is generalized
     Laguerre of order 8 in x = alpha*r (the pair's exponential weight,
     absorbed exactly); the angular rule is Legendre with (1-c^2)^3
     folded into the integrand.  Summation order is fixed, so results are
@@ -348,7 +320,10 @@ def w_overlap_quadrature(s: Sector, lam, n_p: int, n_q: int = 64) -> float:
 def w_overlap_stable(
     s: Sector, lam, n_p: int, n_q: int = 48, tol: float = 1e-10, max_doublings: int = 3
 ) -> float:
-    """Node-doubled overlap: doubles n_q until successive values agree to tol."""
+    """Node-doubled overlap: doubles n_q until successive values agree to tol.
+
+    Raises ConvergenceFailure if they still differ after max_doublings.
+    """
     val = w_overlap_quadrature(s, lam, n_p, n_q)
     for _ in range(max_doublings):
         n_q *= 2
@@ -356,7 +331,7 @@ def w_overlap_stable(
         if abs(nxt - val) < tol:
             return nxt
         val = nxt
-    raise ValidationError(
+    raise ConvergenceFailure(
         f"overlap failed to stabilize to {tol} by n_q = {n_q} for {s}, "
         f"lambda = {lam}, n_p = {n_p}"
     )

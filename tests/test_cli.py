@@ -11,6 +11,7 @@ import pytest
 from micz9 import interbasis, wavefield
 from micz9.cli import main
 from micz9.exactscalar import RadicalScalar
+from micz9.sector import enumerate_sectors
 
 
 def run_cli(*argv):
@@ -26,6 +27,10 @@ def run_json(*argv):
 
 
 SECTOR = ("--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "1")
+
+
+def verify_argv(n, Q, L, J):
+    return ["verify", "--n", str(n), "--Q", str(Q), "--L", str(L), "--J", str(J)]
 
 
 def test_states_exact():
@@ -115,13 +120,27 @@ def test_overflowing_charge_or_bad_tol_exit_2():
 
 @pytest.mark.parametrize(
     "sector",
-    # n + Q/2 = 12 and the n + Q/2 = 6 sectors whose O(1/a) term once broke the parabolic limit
-    [(12, 0, 0, 0)] + [(6 - Q // 2, Q, L, J) for Q in (0, 2, 4) for L in (0, 2) for J in (0, 2)],
+    # n + Q/2 = 12, the n + Q/2 = 6 sectors whose O(1/a) term once broke the parabolic
+    # limit, and n + Q/2 = 16, where the continuant once lost its trailing components
+    [(12, 0, 0, 0)]
+    + [(6 - Q // 2, Q, L, J) for Q in (0, 2, 4) for L in (0, 2) for J in (0, 2)]
+    + [(16, 0, 0, 0), (16, 2, 2, 2)],
 )
 def test_verify_passes_past_the_desk_sweep(sector, capsys):
-    argv = ["verify"] + [x for k, v in zip("nQLJ", sector) for x in (f"--{k}", str(v))]
-    assert main(argv) == 0, capsys.readouterr().err
+    assert main(verify_argv(*sector)) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["payload"]["ok"] is True
+
+
+@pytest.mark.slow
+def test_verify_sweep_to_sixteen(capsys):
+    """Opt-in (pytest -m slow): verify on every sector with n + Q/2 <= 16, Q, L, J <= 4."""
+    failed = []
+    for s in enumerate_sectors(16, 4, 4):
+        code = main(verify_argv(s.n, s.Q, s.L, s.J))
+        capsys.readouterr()
+        if code != 0:
+            failed.append((s.n, s.Q, s.L, s.J, code))
+    assert not failed
 
 
 @pytest.mark.parametrize(
@@ -135,9 +154,7 @@ def test_verify_exit_code_follows_failing_check(
     module, name, wrong, failing, code, monkeypatch, capsys
 ):
     monkeypatch.setattr(module, name, lambda *args, **kw: wrong)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", *SECTOR[:-2]])
-    assert exc.value.code == code
+    assert main(["verify", *SECTOR[:-2]]) == code
     rec = json.loads(capsys.readouterr().out)
     assert rec["payload"]["ok"] is False
     assert [c["name"] for c in rec["payload"]["checks"] if not c["ok"]] == [failing]

@@ -52,13 +52,6 @@ def test_to_float_examples():
     assert R(-1, 2).to_float() == -1.4142135623730951
 
 
-def test_to_float_high_precision():
-    v = R(1, 2).to_float(precision=120)
-    assert abs(float(v) - math.sqrt(2)) < 1e-15
-    with pytest.raises(ValueError):
-        R(1, 2).to_float(precision=10)
-
-
 def test_canonical_forms():
     assert R(5, 0).coeff == 0 and R(5, 0).radicand == 1  # zero is (0, 1)
     assert R(1, 18) == R(3, 2)

@@ -88,23 +88,26 @@ def test_continuant_pairing():
 
 
 def test_continuant_matches_inverse_iteration():
-    for s in enumerate_sectors(3, 3, 3):
-        for a in np.logspace(-2, 3, 4):
-            spectrum = separation_constants(s, float(a))
-            for k in range(s.size):
-                col = t_by_continuant(s, float(a), s.Z, float(spectrum.K[k]))
-                assert np.abs(col - spectrum.T[:, k]).max() <= 1e-8, (s, a, k)
+    cases = [(s, float(a)) for s in enumerate_sectors(3, 3, 3) for a in np.logspace(-2, 3, 4)]
+    # strongly graded at small a: the trailing components fall to ~1e-16 and below
+    cases += [(validate_sector(n, Q, L, J, 1), 0.01)
+              for n, Q, L, J in ((16, 0, 0, 0), (16, 2, 2, 2), (20, 0, 0, 0), (24, 0, 0, 0))]
+    for s, a in cases:
+        spectrum = separation_constants(s, a)
+        for k in range(s.size):
+            col = t_by_continuant(s, a, s.Z, float(spectrum.K[k]))
+            assert np.abs(col - spectrum.T[:, k]).max() <= 1e-8, (s, a, k)
 
 
 def test_continuant_trivial_and_degenerate():
     assert t_by_continuant(validate_sector(0, 0, 0, 0, 1), 2.0, 1, 0.0)[0] == 1.0
     with pytest.raises(DegenerateShift):
         t_by_continuant(S1, 0.0, 1, -8.0)
-    # the same checks on a as the float route, before any exact arithmetic
+    # the same checks on a as the float route, before the recurrence runs
     for a in (math.inf, 1e300, math.nan, -1.0):
         with pytest.raises(ValidationError):
             t_by_continuant(S1, a, 1, -8.0)
-    for K in (math.inf, math.nan):  # a non-finite seed eigenvalue
+    for K in (math.inf, math.nan):  # a non-finite eigenvalue
         with pytest.raises(ValidationError):
             t_by_continuant(S1, 1.0, 1, K)
 

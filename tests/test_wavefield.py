@@ -5,10 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from micz9.errors import DomainError, IndexOutOfRange, ValidationError
+from micz9.errors import ConvergenceFailure, DomainError, IndexOutOfRange, ValidationError
 from micz9.interbasis import w_matrix
 from micz9.sector import HalfInt, alpha_scale, enumerate_sectors, lambda_range, validate_sector
-from micz9.spheroidal import separation_constants
 from micz9.wavefield import (
     basis_overlap,
     gauss_rule,
@@ -21,7 +20,6 @@ from micz9.wavefield import (
     ode_residuals,
     psi_parabolic,
     psi_spherical,
-    psi_spheroidal,
     w_overlap_quadrature,
     w_overlap_stable,
 )
@@ -128,25 +126,11 @@ def test_w_overlap_stable_full_matrix():
                 assert abs(q - W.entries[i][n_p].to_float()) <= 1e-8, (s, lam, n_p)
 
 
-def test_psi_spheroidal_limits_and_norm():
-    # a -> 0: branch n_k lands on the spherical state lam = n + Q/2 - n_k
-    spectrum = separation_constants(S1, 1e-8)
-    pts = [(0.7, -0.5), (1.3, 0.4), (3.0, 0.9)]
-    for r, c in pts:
-        assert abs(psi_spheroidal(S1, 0, 1e-8, 1, r, c, spectrum=spectrum) - psi_spherical(S1, 1, r, c)) < 1e-6
-        assert abs(psi_spheroidal(S1, 1, 1e-8, 1, r, c, spectrum=spectrum) - psi_spherical(S1, 0, r, c)) < 1e-6
-    # N = 1 sector: spheroidal state is the spherical one at every a
-    s = validate_sector(1, 0, 0, 2, 1)
-    for a in (0.3, 5.0, 80.0):
-        spectrum = separation_constants(s, a)
-        assert psi_spheroidal(s, 0, a, 1, 1.1, 0.2, spectrum=spectrum) == pytest.approx(
-            psi_spherical(s, 1, 1.1, 0.2), rel=1e-12
-        )
-    spec5 = separation_constants(S1, 5.0)
-    norm = basis_overlap(S1, ("spheroidal", 0, spec5), ("spheroidal", 0, spec5), 64)
-    assert abs(norm - 1) < 1e-10
-    cross = basis_overlap(S1, ("spheroidal", 0, spec5), ("spheroidal", 1, spec5), 64)
-    assert abs(cross) < 1e-10
+def test_w_overlap_stable_convergence_failure():
+    # successive doublings never agree to within 0, which is a numerical failure
+    with pytest.raises(ConvergenceFailure) as exc:
+        w_overlap_stable(S1, 0, 0, tol=0.0)
+    assert exc.value.exit_code == 3
 
 
 RPTS = np.array([0.5, 1.0, 2.0, 5.0])
