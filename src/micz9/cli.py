@@ -51,7 +51,7 @@ def _exact_matrix(mat) -> list:
 
 
 def _float_matrix(mat) -> list:
-    return [[_fmt(x.to_float()) for x in row] for row in mat]
+    return [[_fmt(x) for x in row] for row in coeffs.matrix_to_float(mat)]
 
 
 def _require_float_mode(args) -> None:
@@ -248,13 +248,24 @@ def cmd_sweep(args) -> None:
     )
 
 
+def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[float, float]:
+    """Focal distances of the two limit checks, 1e-8/Z and 1e6/Z unless given.
+
+    K(a) depends on a and Z only through aZ, so these defaults check the
+    same aZ at every charge.
+    """
+    zf = float(s.Z)
+    return (1e-8 / zf if a_small is None else a_small, 1e6 / zf if a_large is None else a_large)
+
+
 def cmd_limits(args) -> None:
     _require_float_mode(args)
     _require_record_format(args)
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
-    sph = spheroidal.check_spherical_limit(s, a_small=args.a_small)
-    par = spheroidal.check_parabolic_limit(s, a_large=args.a_large)
+    a_small, a_large = _limit_distances(s, args.a_small, args.a_large)
+    sph = spheroidal.check_spherical_limit(s, a_small=a_small)
+    par = spheroidal.check_parabolic_limit(interbasis.w_matrix(s), a_large=a_large)
     payload = {
         "spherical": {
             "a_small": _fmt(sph.a_small),
@@ -280,14 +291,11 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     W = interbasis.w_matrix(s)  # raises OrthogonalityViolation on breach
     yield "w_orthogonality_exact", True, "identity verified exactly"
 
-    worst = max(
-        (abs(interbasis.w_recurrence_residual(s, lam, n_p).to_float()) for lam in lams for n_p in range(n)),
-        default=0.0,
-    )
+    worst = float(np.abs(coeffs.matrix_to_float(interbasis.w_recurrence_residual(W))).max())
     yield "w_recurrence_exact", worst == 0.0, f"max residual {_fmt(worst)}"
 
     closed = coeffs.m9_spherical_matrix(s)
-    brute = interbasis.m9_matrix_bruteforce(s)
+    brute = interbasis.m9_matrix_bruteforce(W)
     same = all(closed[i][j] == brute[i][j] for i in range(n) for j in range(n))
     yield "m9_equivalence_exact", same, "closed form equals brute force"
 
@@ -300,17 +308,13 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     yield "m9_eigenvalues_float", eig_err <= 1e-12, f"max deviation {_fmt(eig_err)}"
 
     cg_same = all(
-        interbasis.w_via_cg(s, lam, n_p) == W.entry(i, n_p)
+        interbasis.w_via_cg(s, lam, n_p) == W.entries[i][n_p]
         for i, lam in enumerate(lams)
         for n_p in range(n)
     )
     yield "cg_oracle_exact", cg_same, "single-coefficient form matches"
 
-    qworst = max(
-        abs(wavefield.w_overlap_stable(s, lam, n_p, n_q=n_q) - W.entry(i, n_p).to_float())
-        for i, lam in enumerate(lams)
-        for n_p in range(n)
-    )
+    qworst = float(np.abs(wavefield.w_overlap_stable(s, n_q=n_q) - W.to_float()).max())
     yield "quadrature_overlap", qworst <= tol_quad, f"max |quad - exact| {_fmt(qworst)}"
 
     worst_resid = 0.0
@@ -336,12 +340,13 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
             cont_worst = max(cont_worst, float(np.abs(col - spectrum.T[:, k]).max()))
     yield "continuant_agreement", cont_worst <= 1e-8, f"max column diff {_fmt(cont_worst)}"
 
-    sph = spheroidal.check_spherical_limit(s)  # raises LimitMismatch on failure
+    a_small, a_large = _limit_distances(s)
+    sph = spheroidal.check_spherical_limit(s, a_small=a_small)  # raises LimitMismatch
     yield "spherical_limit", True, (
         f"value error {_fmt(sph.max_value_error)}, vector error {_fmt(sph.max_vector_error)}"
     )
 
-    par = spheroidal.check_parabolic_limit(s)
+    par = spheroidal.check_parabolic_limit(W, a_large=a_large)
     yield "parabolic_limit", True, (
         f"set error {_fmt(par.max_set_error)}, column error {_fmt(par.max_column_error)}"
     )
@@ -418,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=2)
     p.add_argument("--log", action="store_true", help="logarithmic grid")
     p = sub.add_parser("limits", parents=[shared], help="spherical and parabolic degenerations")
-    p.add_argument("--a-small", dest="a_small", type=float, default=1e-8)
-    p.add_argument("--a-large", dest="a_large", type=float, default=1e6)
+    p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
+    p.add_argument("--a-large", dest="a_large", type=float, help="default 1e6/Z")
     sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
     return parser
 

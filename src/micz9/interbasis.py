@@ -1,19 +1,23 @@
 """Spherical-parabolic interbasis matrix W and its exact cross-oracles.
 
-Three independent routes to the same numbers live here:
+The parabolic basis is the eigenbasis of the ninth Runge-Lenz component
+M9, and W carries the spherical basis onto it.  W is built once from its
+closed form (sign, factorial prefactors, and a terminating 3F2 at unit
+argument summed exactly with incremental term ratios) and is orthogonal,
+exactly: every bilinear sum over the parabolic index keeps a common
+radicand because the n_p-dependent radical squares away.
 
-* the closed form (sign, factorial prefactors, and a terminating 3F2 at
-  unit argument summed exactly with incremental term ratios),
-* the same coefficient written as a single SU(2) Clebsch-Gordan value
-  (Condon-Shortley/Varshalovich phases, evaluated by the Racah sum), and
-* the three-term recurrence in lambda, whose residual must be exactly
-  zero entry by entry.
+The oracles check the two matrix identities that make W the eigenbasis,
+with mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal matrix:
 
-W is orthogonal, exactly: every bilinear sum over the parabolic index
-keeps a common radicand because the n_p-dependent radical squares away.
-The ninth Runge-Lenz matrix rebuilt by brute force from W and the
-parabolic eigenvalues must equal the closed-form tridiagonal matrix
-entrywise, again exactly.
+* M9 W = W diag(mu): w_recurrence_residual returns the difference, which
+  must be exactly zero (row by row it is the three-term recurrence of W
+  in lambda), and
+* W diag(mu) W^T = M9: m9_matrix_bruteforce rebuilds the left side.
+
+Independently, each entry written as a single SU(2) Clebsch-Gordan value
+(Condon-Shortley/Varshalovich phases, evaluated by the Racah sum) must
+equal the closed form.
 """
 
 from __future__ import annotations
@@ -29,10 +33,9 @@ from .exactscalar import RadicalScalar, exact_factorial
 from .sector import (
     HalfInt,
     Sector,
-    as_fraction,
     lambda_index,
     lambda_range,
-    m9_parabolic_eigenvalue,
+    np_index,
 )
 
 
@@ -61,8 +64,7 @@ def _as_index(x) -> int:
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact."""
     l, k_lam = lambda_index(s, lam)  # k_lam: ladder position of lambda
-    if not 0 <= n_p < s.size:
-        raise IndexOutOfRange(f"n_p = {n_p} outside 0..{s.size - 1}")
+    n_p = np_index(s, n_p)
 
     m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
     n_top = s.size - 1  # n + Q/2 - (L+J)/2
@@ -96,14 +98,8 @@ class WMatrix:
     def size(self) -> int:
         return self.sector.size
 
-    def entry(self, i: int, j: int) -> RadicalScalar:
-        return self.entries[i][j]
-
-    def column(self, n_p: int) -> list[RadicalScalar]:
-        return [row[n_p] for row in self.entries]
-
     def to_float(self) -> np.ndarray:
-        return np.array([[x.to_float() for x in row] for row in self.entries])
+        return coeffs.matrix_to_float(self.entries)
 
 
 def _assert_orthogonal(entries) -> None:
@@ -202,7 +198,8 @@ def w_via_cg(s: Sector, lam, n_p: int) -> RadicalScalar:
 
     Must equal w_coefficient exactly on every valid index pair.
     """
-    l = as_fraction(lam)
+    l, _ = lambda_index(s, lam)
+    n_p = np_index(s, n_p)
     nf = Fraction(s.n)
     qjl = Fraction(s.Q + s.J - s.L, 4)
     qlj = Fraction(s.Q - s.J + s.L, 4)
@@ -220,46 +217,36 @@ def w_via_cg(s: Sector, lam, n_p: int) -> RadicalScalar:
     return sign * clebsch_gordan(args)
 
 
-def m9_matrix_bruteforce(s: Sector) -> list[list[RadicalScalar]]:
-    """Ninth Runge-Lenz matrix rebuilt as sum_np eig(n_p) W[:,n_p] W[:,n_p]^T.
+def m9_matrix_bruteforce(W: WMatrix) -> list[list[RadicalScalar]]:
+    """Ninth Runge-Lenz matrix rebuilt as W diag(mu) W^T from the given W.
 
     Exact; must equal coeffs.m9_spherical_matrix entrywise.
     """
-    W = w_matrix(s).entries
-    n = s.size
-    eigs = [m9_parabolic_eigenvalue(s, n_p).fraction for n_p in range(n)]
+    w, n = W.entries, W.size
+    mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
+    scaled = [[m * x for m, x in zip(mu, row)] for row in w]
+    return [
+        [sum((a * b for a, b in zip(scaled[i], w[j])), RadicalScalar.zero()) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def w_recurrence_residual(W: WMatrix) -> list[list[RadicalScalar]]:
+    """Exact residual M9 W - W diag(mu), every entry zero for a correct W.
+
+    M9 is coeffs.m9_spherical_matrix, so row lambda of the residual is the
+    three-term recurrence of W in lambda at each n_p:
+    (M9[lambda, lambda] - mu_p) W[lambda, n_p] + B_lambda W[lambda-1, n_p]
+    + B_{lambda+1} W[lambda+1, n_p], with out-of-range W terms zero.
+    """
+    m9 = coeffs.m9_spherical_matrix(W.sector)
+    w, n = W.entries, W.size
+    mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
     out = []
     for i in range(n):
-        row = []
-        for j in range(n):
-            acc = RadicalScalar.zero()
-            for n_p in range(n):
-                acc = acc + eigs[n_p] * (W[i][n_p] * W[j][n_p])
-            row.append(acc)
-        out.append(row)
+        band = range(max(i - 1, 0), min(i + 2, n))  # M9 is tridiagonal
+        out.append([
+            sum((m9[i][k] * w[k][p] for k in band), RadicalScalar.zero()) - mu[p] * w[i][p]
+            for p in range(n)
+        ])
     return out
-
-
-def w_recurrence_residual(s: Sector, lam, n_p: int) -> RadicalScalar:
-    """Residual of the three-term lambda recurrence at (lambda, n_p); exactly zero.
-
-    [n_p - (n+Q/2-J)/2 - (J-L)(L+J+6)(2n+Q+8)/(16(lam+3)(lam+4))] W[lam,n_p]
-      + (B_lam W[lam-1,n_p] + B_{lam+1} W[lam+1,n_p]) / 2
-    with out-of-range W terms zero.
-    """
-    l = as_fraction(lam)
-    m, h = s.m.fraction, s.lam_min.fraction
-
-    scalar = (
-        n_p
-        - (m - s.J) / 2
-        - Fraction((s.J - s.L) * (s.L + s.J + 6) * (2 * s.n + s.Q + 8)) / (16 * (l + 3) * (l + 4))
-    )
-    res = scalar * w_coefficient(s, l, n_p)
-    if l - 1 >= h:
-        res = res + Fraction(1, 2) * (coeffs.m9_offdiag(s, l) * w_coefficient(s, l - 1, n_p))
-    if l + 1 <= m:
-        res = res + Fraction(1, 2) * (
-            coeffs.m9_offdiag(s, l + 1) * w_coefficient(s, l + 1, n_p)
-        )
-    return res

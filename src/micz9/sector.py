@@ -156,6 +156,17 @@ def lambda_index(s: Sector, lam) -> Tuple[Fraction, int]:
     return l, int(l - lo)
 
 
+def np_index(s: Sector, n_p) -> int:
+    """n_p as an int; IndexOutOfRange unless it is an integer in 0..N-1."""
+    try:
+        f = as_fraction(n_p)
+    except (TypeError, ValueError, OverflowError):
+        f = None
+    if f is None or f.denominator != 1 or not 0 <= f < s.size:
+        raise IndexOutOfRange(f"n_p = {n_p} outside 0..{s.size - 1} for sector {s}")
+    return int(f)
+
+
 def np_range(s: Sector) -> list[int]:
     """Parabolic labels 0 .. N-1."""
     return list(range(s.size))
@@ -173,9 +184,7 @@ def alpha_scale(s: Sector) -> Fraction:
 
 def m9_parabolic_eigenvalue(s: Sector, n_p: int) -> HalfInt:
     """Eigenvalue n + Q/2 - J - 2 n_p of the ninth Runge-Lenz component."""
-    if not 0 <= n_p < s.size:
-        raise IndexOutOfRange(f"n_p = {n_p} outside 0..{s.size - 1}")
-    return HalfInt(2 * s.n + s.Q - 2 * s.J - 4 * n_p)
+    return HalfInt(2 * s.n + s.Q - 2 * s.J - 4 * np_index(s, n_p))
 
 
 def enumerate_sectors(m_max=4, q_max: int = 4, lj_max: int = 4, Z=1) -> Iterator[Sector]:

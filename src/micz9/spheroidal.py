@@ -42,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import coeffs, interbasis
+from . import coeffs
 from ._backend import tridiag_eigh
 from .errors import (
     BranchMatchAmbiguous,
@@ -50,6 +50,7 @@ from .errors import (
     LimitMismatch,
     ValidationError,
 )
+from .interbasis import WMatrix
 from .sector import Sector, alpha_scale, lambda_range, m9_parabolic_eigenvalue
 
 _SIGN_TOL = 1e-12
@@ -351,9 +352,9 @@ def check_spherical_limit(
 class ParabolicLimitReport:
     sector: Sector
     a_large: float
-    set_errors: np.ndarray  # sorted K/a vs sorted first-order targets
+    set_errors: np.ndarray  # sorted K/a vs sorted first-order targets, over Z
     branch_np: np.ndarray  # eigenvalue-matched parabolic label per branch
-    value_errors: np.ndarray  # per-branch |K/a - matched target|
+    value_errors: np.ndarray  # per-branch |K/a - matched target| / Z
     column_errors: np.ndarray  # max-norm distance of T columns to first-order W columns
 
     @property
@@ -366,9 +367,9 @@ class ParabolicLimitReport:
 
 
 def check_parabolic_limit(
-    s: Sector, Z=None, a_large: float = 1e6, tol: float = 1e-4
+    W: WMatrix, Z=None, a_large: float = 1e6, tol: float = 1e-4
 ) -> ParabolicLimitReport:
-    """Verify the large-a degeneration against the parabolic constants.
+    """Verify the large-a degeneration of W.sector against the parabolic constants.
 
     In the parabolic basis (the columns of W) K(a) = -Lambda - a (alpha/2)
     M9 is -G - a (alpha/2) diag(mu), with G = W^T Lambda W and mu_p =
@@ -376,12 +377,17 @@ def check_parabolic_limit(
     {-(alpha/2) mu_p - G_pp/a} and each branch's column the renormalized
     W[:,p] + sum_{q != p} W[:,q] G_qp / (a (alpha/2) (mu_p - mu_q)), with p
     matched per eigenvalue rather than per descending label.  Subtracting
-    the first-order term keeps the check valid as G grows with N.
-    Raises LimitMismatch on failure.
+    the first-order term keeps the check valid as G grows with N.  K(a)
+    depends on a and Z only through aZ, and K/a scales with Z, so the K/a
+    errors are divided by Z and a_large Z must be at least 1e4: the same
+    aZ and tol then mean the same check at every charge.  Z defaults to
+    the sector's charge.  Raises LimitMismatch on failure.
     """
-    if not a_large >= 1e4:
-        raise ValidationError(f"a_large = {a_large} must be at least 1e4")
+    s = W.sector
     Zf = Fraction(s.Z if Z is None else Z)
+    zf = float(Zf)
+    if not a_large * zf >= 1e4:
+        raise ValidationError(f"a_large Z = {a_large} * {Zf} must be at least 1e4")
     sZ = Sector(s.n, s.Q, s.L, s.J, Zf)
     spectrum = separation_constants(sZ, a_large)
     n = s.size
@@ -389,16 +395,16 @@ def check_parabolic_limit(
     lead = np.array(
         [-float(half_alpha * m9_parabolic_eigenvalue(sZ, n_p).fraction) for n_p in range(n)]
     )
-    W = interbasis.w_matrix(sZ).to_float()
+    w = W.to_float()
     lam = -_k_pencil(sZ, Zf)[0]  # Lambda = diag(lambda(lambda+7))
-    G = W.T @ (lam[:, None] * W)
+    G = w.T @ (lam[:, None] * w)
     targets = lead - np.diag(G) / a_large
     gaps = a_large * (lead[:, None] - lead[None, :])  # [q, p] = a (alpha/2) (mu_p - mu_q)
     np.fill_diagonal(gaps, np.inf)
-    columns = W + W @ (G / gaps)
+    columns = w + w @ (G / gaps)
     columns /= np.linalg.norm(columns, axis=0)
     ratios = spectrum.K / a_large
-    set_errors = np.abs(np.sort(ratios) - np.sort(targets))
+    set_errors = np.abs(np.sort(ratios) - np.sort(targets)) / zf
 
     branch_np = np.empty(n, dtype=np.int64)
     value_errors = np.empty(n)
@@ -406,7 +412,7 @@ def check_parabolic_limit(
     for i in range(n):
         j = int(np.argmin(np.abs(targets - ratios[i])))
         branch_np[i] = j
-        value_errors[i] = abs(ratios[i] - targets[j])
+        value_errors[i] = abs(ratios[i] - targets[j]) / zf
         column_errors[i] = np.abs(spectrum.T[:, i] - columns[:, j]).max()
     report = ParabolicLimitReport(
         sZ, float(a_large), set_errors, branch_np, value_errors, column_errors

@@ -50,7 +50,7 @@ def test_criterion_02_m9_equivalence():
     worst = 0.0
     for s in SECTORS:
         closed = coeffs.m9_spherical_matrix(s)
-        brute = interbasis.m9_matrix_bruteforce(s)
+        brute = interbasis.m9_matrix_bruteforce(wmat(s))
         n = s.size
         assert all(closed[i][j] == brute[i][j] for i in range(n) for j in range(n)), s
         got = np.sort(np.linalg.eigvalsh(coeffs.matrix_to_float(closed)))
@@ -62,9 +62,8 @@ def test_criterion_02_m9_equivalence():
 
 def test_criterion_03_w_recurrence_exact():
     for s in SECTORS:
-        for lam in mz.lambda_range(s):
-            for n_p in range(s.size):
-                assert interbasis.w_recurrence_residual(s, lam, n_p).is_zero, (s, lam, n_p)
+        resid = interbasis.w_recurrence_residual(wmat(s))
+        assert all(x.is_zero for row in resid for x in row), s
     report(3, "W recurrence residual (exact)", True, "identically zero on the sweep")
 
 
@@ -78,15 +77,12 @@ def test_criterion_04_cg_oracle_exact():
 
 
 def test_criterion_05_quadrature_certification():
-    wavefield.w_overlap_stable(SECTORS[0], mz.lambda_range(SECTORS[0])[0], 0)  # warm kernels
+    wavefield.w_overlap_stable(SECTORS[0])  # warm kernels
     t0 = time.perf_counter()
     worst = 0.0
     for s in SECTORS:
-        W = wmat(s)
-        for i, lam in enumerate(mz.lambda_range(s)):
-            for n_p in range(s.size):
-                q = wavefield.w_overlap_stable(s, lam, n_p, n_q=48, tol=1e-10)
-                worst = max(worst, abs(q - W.entries[i][n_p].to_float()))
+        q = wavefield.w_overlap_stable(s, n_q=48, tol=1e-10)
+        worst = max(worst, float(np.abs(q - wmat(s).to_float()).max()))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-8 and elapsed <= 20.0
     report(5, "quadrature certification", ok,
@@ -145,7 +141,7 @@ def test_criterion_08_spherical_limit():
 def test_criterion_09_parabolic_limit():
     worst_set = worst_col = 0.0
     for s in SECTORS:
-        rep = spheroidal.check_parabolic_limit(s, a_large=1e6, tol=1e-4)
+        rep = spheroidal.check_parabolic_limit(wmat(s), a_large=1e6, tol=1e-4)
         worst_set = max(worst_set, rep.max_set_error)
         worst_col = max(worst_col, rep.max_column_error)
     report(9, "parabolic limit", worst_set <= 1e-4 and worst_col <= 1e-4,

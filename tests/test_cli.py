@@ -29,8 +29,8 @@ def run_json(*argv):
 SECTOR = ("--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "1")
 
 
-def verify_argv(n, Q, L, J):
-    return ["verify", "--n", str(n), "--Q", str(Q), "--L", str(L), "--J", str(J)]
+def verify_argv(n, Q, L, J, Z="1"):
+    return ["verify", "--n", str(n), "--Q", str(Q), "--L", str(L), "--J", str(J), "--Z", str(Z)]
 
 
 def test_states_exact():
@@ -121,14 +121,24 @@ def test_overflowing_charge_or_bad_tol_exit_2():
 @pytest.mark.parametrize(
     "sector",
     # n + Q/2 = 12, the n + Q/2 = 6 sectors whose O(1/a) term once broke the parabolic
-    # limit, and n + Q/2 = 16, where the continuant once lost its trailing components
+    # limit, n + Q/2 = 16, where the continuant once lost its trailing components, and
+    # charges far from 1, where both limits were once taken at a fixed a instead of aZ
     [(12, 0, 0, 0)]
     + [(6 - Q // 2, Q, L, J) for Q in (0, 2, 4) for L in (0, 2) for J in (0, 2)]
-    + [(16, 0, 0, 0), (16, 2, 2, 2)],
+    + [(16, 0, 0, 0), (16, 2, 2, 2)]
+    + [(3, 1, 0, 1, "1/1000"), (8, 0, 0, 0, "1000"), (8, 0, 0, 0, "100000")],
 )
 def test_verify_passes_past_the_desk_sweep(sector, capsys):
     assert main(verify_argv(*sector)) == 0, capsys.readouterr().err
     assert json.loads(capsys.readouterr().out)["payload"]["ok"] is True
+
+
+def test_verify_builds_w_once(monkeypatch, capsys):
+    built = []
+    original = interbasis.w_matrix
+    monkeypatch.setattr(interbasis, "w_matrix", lambda s: built.append(s) or original(s))
+    assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
+    assert len(built) == 1
 
 
 @pytest.mark.slow
@@ -197,6 +207,15 @@ def test_limits():
     assert max(float(x) for x in p["spherical"]["value_errors"]) < 1e-12
     assert max(float(x) for x in p["parabolic"]["column_errors"]) < 1e-4
     assert p["parabolic"]["branch_np"] == [0, 1]
+
+
+@pytest.mark.parametrize("Z", ["1/1000", "1000"])
+def test_limits_default_distances_follow_the_charge(Z, capsys):
+    argv = ["limits", "--n", "8", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z, "--mode", "float"]
+    assert main(argv) == 0, capsys.readouterr().err
+    p = json.loads(capsys.readouterr().out)["payload"]
+    assert float(p["spherical"]["a_small"]) == 1e-8 / float(Fraction(Z))
+    assert float(p["parabolic"]["a_large"]) == 1e6 / float(Fraction(Z))
 
 
 def test_verify_trivial_sector():

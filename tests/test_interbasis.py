@@ -101,18 +101,18 @@ def test_cg_oracle_full_sweep():
 
 
 def test_m9_bruteforce_examples():
-    mat = m9_matrix_bruteforce(S1)
+    mat = m9_matrix_bruteforce(w_matrix(S1))
     assert mat[0][0].is_zero and mat[0][1] == 1 and mat[1][0] == 1
-    mat0 = m9_matrix_bruteforce(S0)
+    mat0 = m9_matrix_bruteforce(w_matrix(S0))
     assert len(mat0) == 1 and mat0[0][0].is_zero
-    mat22 = m9_matrix_bruteforce(S22)
+    mat22 = m9_matrix_bruteforce(w_matrix(S22))
     closed = m9_spherical_matrix(S22)
     assert all(mat22[i][j] == closed[i][j] for i in range(2) for j in range(2))
 
 
 def test_m9_equivalence_small_sweep():
     for s in enumerate_sectors(3, 3, 3):
-        brute = m9_matrix_bruteforce(s)
+        brute = m9_matrix_bruteforce(w_matrix(s))
         closed = m9_spherical_matrix(s)
         n = s.size
         assert all(brute[i][j] == closed[i][j] for i in range(n) for j in range(n)), s
@@ -120,9 +120,9 @@ def test_m9_equivalence_small_sweep():
 
 def test_w_recurrence_exact_small_sweep():
     for s in enumerate_sectors(3, 3, 3):
-        for lam in lambda_range(s):
-            for n_p in range(s.size):
-                assert w_recurrence_residual(s, lam, n_p).is_zero, (s, lam, n_p)
+        resid = w_recurrence_residual(w_matrix(s))
+        assert len(resid) == s.size and all(len(row) == s.size for row in resid), s
+        assert all(x.is_zero for row in resid for x in row), s
 
 
 def test_odd_parity_sector():
@@ -132,7 +132,7 @@ def test_odd_parity_sector():
     for i, lam in enumerate(lambda_range(s)):
         for n_p in range(s.size):
             assert w_via_cg(s, lam, n_p) == W.entries[i][n_p]
-            assert w_recurrence_residual(s, lam, n_p).is_zero
+    assert all(x.is_zero for row in w_recurrence_residual(W) for x in row)
 
 
 def test_w_float_matches_exact():

@@ -23,6 +23,7 @@ from micz9.sector import (
     lambda_index,
     lambda_range,
     m9_parabolic_eigenvalue,
+    np_index,
     np_range,
     validate_sector,
 )
@@ -149,3 +150,34 @@ def test_lambda_index():
     ):
         with pytest.raises(LambdaOutOfRange):
             call()
+
+
+S1 = validate_sector(1, 0, 0, 0, 1)  # lambda = 0, 1; n_p = 0, 1
+
+
+def test_np_index():
+    assert np_index(S1, 1) == 1 and np_index(S1, Fraction(0)) == 0
+    for bad in (-1, 2, 0.5, Fraction(1, 2), float("nan")):
+        with pytest.raises(IndexOutOfRange):
+            np_index(S1, bad)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (interbasis.w_coefficient, (1, 0.5)),
+        (interbasis.w_via_cg, (1, 7)),
+        (interbasis.w_via_cg, (9, 0)),
+        (wavefield.norm_parabolic, (0.5,)),
+        (wavefield.psi_parabolic, (0.5, 1, 1)),
+        (m9_parabolic_eigenvalue, (2,)),
+        (wavefield.ode_residuals, ("parabolic_u", 0.5, [1.0])),
+    ],
+    ids=["w_coefficient", "w_via_cg-n_p", "w_via_cg-lambda", "norm_parabolic",
+         "psi_parabolic", "m9_parabolic_eigenvalue", "ode_residuals"],
+)
+def test_bad_parabolic_or_lambda_label_is_an_index_error(fn, args):
+    # the one check behind every n_p-indexed entry point: exit 2, never a wrong value
+    with pytest.raises(IndexOutOfRange) as exc:
+        fn(S1, *args)
+    assert exc.value.exit_code == 2

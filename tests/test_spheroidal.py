@@ -13,6 +13,7 @@ from micz9.errors import (
     LimitMismatch,
     ValidationError,
 )
+from micz9.interbasis import w_matrix
 from micz9.sector import enumerate_sectors, lambda_range, validate_sector
 from micz9.spheroidal import (
     build_k_matrix,
@@ -197,7 +198,7 @@ def test_spherical_limit_examples():
 
 
 def test_parabolic_limit_examples():
-    rep = check_parabolic_limit(S1)
+    rep = check_parabolic_limit(w_matrix(S1))
     assert rep.max_set_error <= 1e-4 and rep.max_column_error <= 1e-4
     # ascending branches pair with ascending parabolic labels
     assert list(rep.branch_np) == [0, 1]
@@ -208,10 +209,10 @@ def test_parabolic_limit_examples():
     np.testing.assert_allclose(spectrum.T[:, 1], [2**-0.5, -(2**-0.5)], atol=1e-4)
 
     s = validate_sector(1, 0, 0, 2, 1)  # N = 1: K/a -> 0 iff n+Q/2-L-2n_k = 0
-    rep = check_parabolic_limit(s)
+    rep = check_parabolic_limit(w_matrix(s))
     assert rep.max_set_error <= 1e-4
 
     with pytest.raises(LimitMismatch):
-        check_parabolic_limit(S1, tol=1e-30)
+        check_parabolic_limit(w_matrix(S1), tol=1e-30)
     with pytest.raises(ValidationError):
-        check_parabolic_limit(S1, a_large=100.0)
+        check_parabolic_limit(w_matrix(S1), a_large=100.0)

@@ -84,8 +84,9 @@ def test_gauss_highdegree_moment():
 
 
 def test_psi_spherical_norm_and_orthogonality():
-    assert abs(basis_overlap(S1, ("spherical", 0), ("spherical", 0), 64) - 1) < 1e-10
-    assert abs(basis_overlap(S1, ("spherical", 0), ("spherical", 1), 64)) < 1e-12
+    gram = basis_overlap(S1, "spherical", "spherical", 64)
+    assert abs(gram[0, 0] - 1) < 1e-10
+    assert abs(gram[0, 1]) < 1e-12
     # degenerate sector: constant angular part
     v1 = psi_spherical(S0, 0, 2.0, -0.3)
     v2 = psi_spherical(S0, 0, 2.0, 0.8)
@@ -100,8 +101,9 @@ def test_psi_spherical_norm_and_orthogonality():
 
 
 def test_psi_parabolic_norm_and_orthogonality():
-    assert abs(basis_overlap(S1, ("parabolic", 0), ("parabolic", 0), 64) - 1) < 1e-10
-    assert abs(basis_overlap(S1, ("parabolic", 0), ("parabolic", 1), 64)) < 1e-10
+    gram = basis_overlap(S1, "parabolic", "parabolic", 64)
+    assert abs(gram[0, 0] - 1) < 1e-10
+    assert abs(gram[0, 1]) < 1e-10
     # (0,0,0,0): pure exponential in u+v
     u, v = 1.3, 0.7
     alpha = float(alpha_scale(S0))
@@ -112,24 +114,23 @@ def test_psi_parabolic_norm_and_orthogonality():
 
 
 def test_w_overlap_examples():
-    assert abs(w_overlap_quadrature(S0, 0, 0, 48) - 1.0) < 1e-10
-    assert abs(w_overlap_quadrature(S1, 0, 0, 64) - 0.7071067811865476) < 1e-8
-    assert abs(w_overlap_quadrature(S1, 1, 1, 64) + 0.7071067811865476) < 1e-8
+    assert abs(w_overlap_quadrature(S0, 48)[0, 0] - 1.0) < 1e-10
+    q = w_overlap_quadrature(S1, 64)
+    assert abs(q[0, 0] - 0.7071067811865476) < 1e-8
+    assert abs(q[1, 1] + 0.7071067811865476) < 1e-8
 
 
 def test_w_overlap_stable_full_matrix():
     for s in (S1, validate_sector(2, 0, 0, 2, 1), validate_sector(1, 1, 0, 1, 1)):
-        W = w_matrix(s)
-        for i, lam in enumerate(lambda_range(s)):
-            for n_p in range(s.size):
-                q = w_overlap_stable(s, lam, n_p)
-                assert abs(q - W.entries[i][n_p].to_float()) <= 1e-8, (s, lam, n_p)
+        q = w_overlap_stable(s)
+        assert q.shape == (s.size, s.size), s
+        assert np.abs(q - w_matrix(s).to_float()).max() <= 1e-8, s
 
 
 def test_w_overlap_stable_convergence_failure():
     # successive doublings never agree to within 0, which is a numerical failure
     with pytest.raises(ConvergenceFailure) as exc:
-        w_overlap_stable(S1, 0, 0, tol=0.0)
+        w_overlap_stable(S1, tol=0.0)
     assert exc.value.exit_code == 3
 
 
