@@ -195,6 +195,7 @@ def cmd_tcoeffs(args) -> None:
                 "n_k": n_k,
                 "K": _fmt(spectrum.K[n_k]),
                 "T_continuant": [_fmt(v) for v in col],
+                # difference from the eigh column; the key is part of the output schema
                 "max_diff_vs_inverse_iteration": _fmt(np.abs(col - spectrum.T[:, n_k]).max()),
             }
         )

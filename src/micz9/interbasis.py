@@ -103,20 +103,13 @@ class WMatrix:
 
 
 def _assert_orthogonal(entries) -> None:
+    """Exact W^T W = I; for a square W this implies W W^T = I as well."""
     n = len(entries)
     for i in range(n):
         for j in range(i, n):
-            row = sum(
-                (entries[i][k] * entries[j][k] for k in range(n)), RadicalScalar.zero()
-            )
-            col = sum(
-                (entries[k][i] * entries[k][j] for k in range(n)), RadicalScalar.zero()
-            )
-            want = 1 if i == j else 0
-            if row != want or col != want:
-                raise OrthogonalityViolation(
-                    f"W^T W or W W^T deviates from identity at ({i},{j}): {row}, {col}"
-                )
+            dot = sum((entries[k][i] * entries[k][j] for k in range(n)), RadicalScalar.zero())
+            if dot != (1 if i == j else 0):
+                raise OrthogonalityViolation(f"W^T W deviates from identity at ({i},{j}): {dot}")
 
 
 def w_matrix(s: Sector) -> WMatrix:

@@ -149,10 +149,13 @@ def lambda_range(s: Sector) -> list[HalfInt]:
 
 def lambda_index(s: Sector, lam) -> Tuple[Fraction, int]:
     """(lambda, its ladder position from 0); LambdaOutOfRange off the ladder."""
-    l = as_fraction(lam)
     lo, hi = s.lam_min.fraction, s.m.fraction
-    if l < lo or l > hi or (l - lo).denominator != 1:
-        raise LambdaOutOfRange(f"lambda = {l} outside {lo}..{hi} for sector {s}")
+    try:
+        l = as_fraction(lam)
+    except (TypeError, ValueError, OverflowError):
+        l = None
+    if l is None or not lo <= l <= hi or (l - lo).denominator != 1:
+        raise LambdaOutOfRange(f"lambda = {lam} outside {lo}..{hi} for sector {s}")
     return l, int(l - lo)
 
 

@@ -13,7 +13,7 @@ convention deterministic when leading entries underflow near the a -> 0
 limit).
 
 Two independent routes compute the eigenvectors from the same float
-entries: inverse iteration on the whole stack of matrices, and the
+entries: LAPACK's dense eigh on the whole stack of matrices, and the
 continuant (three-term minor) recurrence at one eigenvalue.  The
 continuant is twisted: ratios of leading minors run down from the top
 of the ladder and ratios of trailing minors up from the bottom, and the

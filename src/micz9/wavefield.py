@@ -3,10 +3,10 @@
 Everything here is the independent numeric side of the cross-checks: the
 explicit bound-state factors (radial-angular and parabolic products of
 exponentials, powers, generalized Laguerre and Jacobi polynomials), Gauss
-rules built by Golub-Welsch from the same tridiagonal eigensolver the
-rest of the package uses, overlap integrals under the reduced measure
-r^8 (1-c^2)^3 dr dc with c = cos(theta), and the residuals of the four
-separated differential equations evaluated with analytic derivatives.
+rules built by Golub-Welsch from the LAPACK eigenvalues of the Jacobi
+matrix, overlap integrals under the reduced measure r^8 (1-c^2)^3 dr dc
+with c = cos(theta), and the residuals of the four separated differential
+equations evaluated with analytic derivatives.
 
 Every state is alpha^{9/2} e^{-x/2}, x = alpha r, times a bare factor
 whose closed form is written once; psi_spherical and psi_parabolic add
@@ -125,8 +125,8 @@ def _christoffel_weights(diag, off, mu0, x):
 def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
     """Gauss rule with n_q nodes: legendre on [-1,1] or laguerre x^order e^-x.
 
-    Golub-Welsch on the symmetric Jacobi matrix of the family, reusing the
-    package's tridiagonal eigensolver for the nodes; the nodes are then
+    Golub-Welsch on the symmetric Jacobi matrix of the family, with the
+    nodes from LAPACK's dense eigenvalues-only solver; the nodes are then
     Newton-polished against the recurrence's own top polynomial and the
     weights come from the Christoffel sum, which is the eigenvector
     first-component formula evaluated consistently with the polished
@@ -159,7 +159,7 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
     if n_q == 1:
         nodes = np.array([diag[0]])
     else:
-        nodes, _ = _backend.tridiag_eigh(diag, off)
+        nodes = np.linalg.eigvalsh(_backend._dense(diag, off))
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             for _ in range(2):
                 q, dq = _orthonormal_last_pair(diag, off, nodes)

@@ -1,6 +1,7 @@
 """Numerical kernels: batched tridiagonal eigensolver and polynomial recurrences."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from micz9 import _backend as bk
+from micz9 import spheroidal
+from micz9.errors import ValidationError
+from micz9.sector import enumerate_sectors
 
 
 def dense(d, e):
@@ -49,8 +53,8 @@ def test_eigh_repeated_diagonal():
     d=arrays(np.float64, st.integers(2, 12), elements=st.floats(-50, 50)),
     seed=st.integers(0, 2**31),
 )
-# two eigenvalues 4.6e-3 apart at scale 48: orthogonal only with a cluster
-# window as wide as LAPACK's
+# two eigenvalues 4.6e-3 apart at scale 48: a close pair whose vectors
+# must still come out orthogonal
 @example(d=np.array([0.0, -27, 0, -24, 0, -40, 0, 0, -27]), seed=9)
 def test_eigh_vs_numpy_random(d, seed):
     n = d.shape[0]
@@ -98,14 +102,48 @@ def test_eigh_batched_stack_vs_numpy(stack):
         assert np.abs(V[p].T @ V[p] - np.eye(n)).max() <= 1e-10
 
 
-def test_sturm_count_matches_numpy():
-    rng = np.random.default_rng(7)
-    d = rng.uniform(-5, 5, 9)
-    e = rng.uniform(-3, 3, 8)
-    ref = np.linalg.eigvalsh(dense(d, e))
-    xs = np.array([-7.0, -1.0, 0.0, 0.5, 4.0, 9.0])
-    counts = bk._sturm_counts(d[:, None], (e * e)[:, None], xs, 1e-290, None, None)
-    assert counts.tolist() == [int((ref < x).sum()) for x in xs]
+def _exact_count_below(d, e2, x):
+    """Eigenvalues below x of the tridiagonal (d, squared couplings e2), exactly.
+
+    Negative pivots of the LDL^T factorization of T - x in Fractions.
+    """
+    count, q = 0, None
+    for i, di in enumerate(d):
+        q = di - x - (e2[i - 1] / q if i else 0)
+        count += q < 0
+    return count
+
+
+def test_k_eigenvalues_bracketed_by_exact_sturm_counts():
+    # K(a) is strongly graded at small and large a: its small eigenvalues
+    # are relatively accurate only after the Rayleigh polish
+    delta = Fraction(2e-12)
+    for Z in (Fraction(2, 5), Fraction(7, 3)):
+        for s in enumerate_sectors(5, 4, 4, Z):
+            D, E = spheroidal._k_entries(s, [1e-3, 1.0, 1e2, 1e6], Z)
+            W, _ = bk.tridiag_eigh(D, E)
+            for d, e, w in zip(D, E, W):
+                d = [Fraction(x) for x in d]
+                e2 = [Fraction(x) ** 2 for x in e]
+                for k, wk in enumerate(map(Fraction, w)):
+                    # K(a) = 0 exactly on the 1 x 1 sector (0,0,0,0)
+                    margin = max(delta * abs(wk), Fraction(5e-324))
+                    below = _exact_count_below(d, e2, wk - margin)
+                    above = _exact_count_below(d, e2, wk + margin)
+                    assert below <= k < above, (s, Z, k, float(wk))
+
+
+@pytest.mark.parametrize("which", ["d", "e"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_eigh_rejects_non_finite(which, bad):
+    d = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    e = np.array([[1.0, 1.0], [1.0, 1.0]])
+    (d if which == "d" else e)[1, 1] = bad
+    name = "diagonal" if which == "d" else "coupling"
+    with pytest.raises(ValidationError, match=rf"{name}\[1, 1\] = {bad}"):
+        bk.tridiag_eigh(d, e)
+    with pytest.raises(ValidationError, match=rf"{name}\[1\] = {bad}"):
+        bk.tridiag_eigh(d[1], e[1])
 
 
 def test_laguerre_explicit():

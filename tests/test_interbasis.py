@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from micz9.coeffs import m9_spherical_matrix
-from micz9.errors import IndexOutOfRange
+from micz9.errors import IndexOutOfRange, OrthogonalityViolation
 from micz9.exactscalar import RadicalScalar
 from micz9.interbasis import (
     CGArgs,
+    _assert_orthogonal,
     clebsch_gordan,
     m9_matrix_bruteforce,
     w_coefficient,
@@ -57,11 +58,18 @@ def test_w_first_row_positive():
 
 def test_orthogonality_exact_small_sweep():
     for s in enumerate_sectors(3, 3, 3):
-        W = w_matrix(s).entries  # construction verifies both W^T W and W W^T
+        W = w_matrix(s).entries  # construction proves W^T W = I, hence W W^T = I
         n = len(W)
         for i in range(n):
             row = sum((W[i][k] * W[i][k] for k in range(n)), RadicalScalar.zero())
             assert row == 1
+
+
+def test_orthogonality_proof_catches_one_tampered_entry():
+    W = [list(row) for row in w_matrix(validate_sector(3, 1, 1, 0, 1)).entries]
+    W[0][1] = W[0][1] * 2  # the first row is strictly positive
+    with pytest.raises(OrthogonalityViolation, match=r"at \(0,1\)"):
+        _assert_orthogonal(W)
 
 
 def test_clebsch_gordan_values():

@@ -138,7 +138,8 @@ def test_lambda_index():
     s = validate_sector(2, 1, 1, 0, 1)  # lambda = 1/2 .. 5/2
     assert lambda_index(s, HalfInt(5)) == (Fraction(5, 2), 2)
     assert lambda_index(s, Fraction(1, 2)) == (Fraction(1, 2), 0)
-    for bad in (Fraction(-1, 2), Fraction(7, 2), 1):  # below, above, off the ladder
+    # below, above, off the ladder, not a number
+    for bad in (Fraction(-1, 2), Fraction(7, 2), 1, float("nan"), float("inf"), float("-inf")):
         with pytest.raises(LambdaOutOfRange):
             lambda_index(s, bad)
     # the one check behind every lambda-indexed entry point, still an index error
@@ -146,6 +147,8 @@ def test_lambda_index():
     for call in (
         lambda: coeffs.m9_diag(s, 3),
         lambda: interbasis.w_coefficient(s, 3, 0),
+        lambda: interbasis.w_coefficient(s, float("nan"), 0),
+        lambda: interbasis.w_coefficient(s, float("inf"), 0),
         lambda: wavefield.norm_spherical(s, 3),
     ):
         with pytest.raises(LambdaOutOfRange):
