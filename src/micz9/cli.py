@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 validation (bad flags or quantum numbers),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -88,28 +89,16 @@ def _parse_sector(args) -> sector.Sector:
 def cmd_states(args) -> None:
     _require_record_format(args)
     s = _parse_sector(args)
-    lams = sector.lambda_range(s)
-    e = sector.energy(s)
-    al = sector.alpha_scale(s)
-    m9s = [sector.m9_parabolic_eigenvalue(s, n_p).fraction for n_p in sector.np_range(s)]
-    if args.mode == "exact":
-        payload = {
-            "N": s.size,
-            "lambda_range": [str(l) for l in lams],
-            "np_range": sector.np_range(s),
-            "energy": format_rational(e),
-            "alpha": format_rational(al),
-            "m9_eigenvalues": [format_rational(v) for v in m9s],
-        }
-    else:
-        payload = {
-            "N": s.size,
-            "lambda_range": [_fmt(l) for l in lams],
-            "np_range": sector.np_range(s),
-            "energy": _fmt(e),
-            "alpha": _fmt(al),
-            "m9_eigenvalues": [_fmt(v) for v in m9s],
-        }
+    show = format_rational if args.mode == "exact" else _fmt
+    m9s = [sector.m9_parabolic_eigenvalue(s, n_p) for n_p in sector.np_range(s)]
+    payload = {
+        "N": s.size,
+        "lambda_range": [show(l.fraction) for l in sector.lambda_range(s)],
+        "np_range": sector.np_range(s),
+        "energy": show(sector.energy(s)),
+        "alpha": show(sector.alpha_scale(s)),
+        "m9_eigenvalues": [show(v.fraction) for v in m9s],
+    }
     _emit("states", s, args.mode, payload)
 
 
@@ -130,75 +119,59 @@ def cmd_m9(args) -> None:
     s = _parse_sector(args)
     mat = coeffs.m9_spherical_matrix(s)
     trace = sum((row[i].as_rational() for i, row in enumerate(mat)), Fraction(0))
-    eigs = [v.fraction for v in coeffs.m9_eigenvalues(s)]
-    if args.mode == "exact":
-        payload = {
-            "row_index": "lambda_ascending",
-            "col_index": "lambda_ascending",
-            "matrix": _exact_matrix(mat),
-            "trace": format_rational(trace),
-            "eigenvalues": [format_rational(v) for v in eigs],
-        }
-    else:
-        payload = {
-            "row_index": "lambda_ascending",
-            "col_index": "lambda_ascending",
-            "matrix": _float_matrix(mat),
-            "trace": _fmt(trace),
-            "eigenvalues": [_fmt(v) for v in eigs],
-        }
+    exact = args.mode == "exact"
+    show = format_rational if exact else _fmt
+    payload = {
+        "row_index": "lambda_ascending",
+        "col_index": "lambda_ascending",
+        "matrix": _exact_matrix(mat) if exact else _float_matrix(mat),
+        "trace": show(trace),
+        "eigenvalues": [show(v.fraction) for v in coeffs.m9_eigenvalues(s)],
+    }
     _emit("m9", s, args.mode, payload)
 
 
-def _spectrum_payload(s: sector.Sector, a: float) -> tuple[dict, spheroidal.SpheroidalSpectrum]:
-    spectrum = spheroidal.separation_constants(s, a)
-    mat = spheroidal.build_k_matrix(s, a)
+def _spectrum_at_a(args) -> tuple[sector.Sector, spheroidal.SpheroidalSpectrum]:
+    """Sector and spectrum at --a for kspectrum and tcoeffs, after their flag checks."""
+    _require_float_mode(args)
+    _require_record_format(args)
+    s = _parse_sector(args)
+    _require_finite(a=args.a)
+    if args.a is None or not args.a > 0:
+        raise ValidationError(f"{args.command} needs --a > 0")
+    return s, spheroidal.separation_constants(s, args.a)
+
+
+def cmd_kspectrum(args) -> None:
+    s, spectrum = _spectrum_at_a(args)
+    mat = spheroidal.build_k_matrix(s, args.a)
     resid = max(
         float(np.abs(mat.matvec(spectrum.T[:, k]) - spectrum.K[k] * spectrum.T[:, k]).max())
         for k in range(s.size)
     )
     ortho = float(np.abs(spectrum.T.T @ spectrum.T - np.eye(s.size)).max())
     payload = {
-        "a": _fmt(a),
+        "a": _fmt(args.a),
         "K": [_fmt(v) for v in spectrum.K],
         "T_columns_by_nk": [[_fmt(spectrum.T[i, k]) for i in range(s.size)] for k in range(s.size)],
         "residual_inf": _fmt(resid),
         "orthogonality_error": _fmt(ortho),
     }
-    return payload, spectrum
-
-
-def cmd_kspectrum(args) -> None:
-    _require_float_mode(args)
-    _require_record_format(args)
-    s = _parse_sector(args)
-    _require_finite(a=args.a)
-    if args.a is None or not args.a > 0:
-        raise ValidationError("kspectrum needs --a > 0")
-    payload, _ = _spectrum_payload(s, args.a)
     _emit("kspectrum", s, "float", payload)
 
 
 def cmd_tcoeffs(args) -> None:
-    _require_float_mode(args)
-    _require_record_format(args)
-    s = _parse_sector(args)
-    _require_finite(a=args.a)
-    if args.a is None or not args.a > 0:
-        raise ValidationError("tcoeffs needs --a > 0")
-    spectrum = spheroidal.separation_constants(s, args.a)
+    s, spectrum = _spectrum_at_a(args)
     branches = []
     for n_k in range(s.size):
         col = spheroidal.t_by_continuant(s, args.a, s.Z, float(spectrum.K[n_k]))
-        branches.append(
-            {
-                "n_k": n_k,
-                "K": _fmt(spectrum.K[n_k]),
-                "T_continuant": [_fmt(v) for v in col],
-                # difference from the eigh column; the key is part of the output schema
-                "max_diff_vs_inverse_iteration": _fmt(np.abs(col - spectrum.T[:, n_k]).max()),
-            }
-        )
+        branches.append({
+            "n_k": n_k,
+            "K": _fmt(spectrum.K[n_k]),
+            "T_continuant": [_fmt(v) for v in col],
+            # difference from the eigh column; the key is part of the output schema
+            "max_diff_vs_inverse_iteration": _fmt(np.abs(col - spectrum.T[:, n_k]).max()),
+        })
     _emit("tcoeffs", s, "float", {"a": _fmt(args.a), "branches": branches})
 
 
@@ -217,36 +190,20 @@ def cmd_sweep(args) -> None:
     else:
         grid = np.linspace(args.a_min, args.a_max, args.points)
     sw = spheroidal.sweep_branches(s, s.Z, grid)
+    a_s = [_fmt(a) for a in grid]  # each point is printed once per branch
+    K, K_over_a = sw.K, sw.K_over_a
+    points, nks = range(grid.size), range(s.size)
     if args.format == "csv":
-        lines = ["a,n_k,K,K_over_a"]
-        for ip in range(grid.size):
-            for n_k in range(s.size):
-                lines.append(
-                    f"{_fmt(grid[ip])},{n_k},{_fmt(sw.K[ip, n_k])},{_fmt(sw.K_over_a[ip, n_k])}"
-                )
-        sys.stdout.write("\n".join(lines) + "\n")
+        lines = [f"{a_s[i]},{k},{_fmt(K[i, k])},{_fmt(K_over_a[i, k])}" for i in points for k in nks]
+        sys.stdout.write("\n".join(["a,n_k,K,K_over_a", *lines]) + "\n")
         return
-    branches = []
-    for n_k in range(s.size):
-        branches.append(
-            {
-                "n_k": n_k,
-                "points": [
-                    {
-                        "a": _fmt(grid[ip]),
-                        "K": _fmt(sw.K[ip, n_k]),
-                        "K_over_a": _fmt(sw.K_over_a[ip, n_k]),
-                    }
-                    for ip in range(grid.size)
-                ],
-            }
-        )
-    _emit(
-        "sweep",
-        s,
-        "float",
-        {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches},
-    )
+    branches = [
+        {"n_k": k, "points": [
+            {"a": a_s[i], "K": _fmt(K[i, k]), "K_over_a": _fmt(K_over_a[i, k])} for i in points
+        ]}
+        for k in nks
+    ]
+    _emit("sweep", s, "float", {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches})
 
 
 def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[float, float]:
@@ -300,12 +257,9 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     same = all(closed[i][j] == brute[i][j] for i in range(n) for j in range(n))
     yield "m9_equivalence_exact", same, "closed form equals brute force"
 
-    eig_err = float(
-        np.abs(
-            np.sort(np.linalg.eigvalsh(coeffs.matrix_to_float(closed)))
-            - np.sort(np.array([float(v.fraction) for v in coeffs.m9_eigenvalues(s)]))
-        ).max()
-    )
+    float_eigs = np.sort(np.linalg.eigvalsh(coeffs.matrix_to_float(closed)))
+    exact_eigs = np.sort([float(v.fraction) for v in coeffs.m9_eigenvalues(s)])
+    eig_err = float(np.abs(float_eigs - exact_eigs).max())
     yield "m9_eigenvalues_float", eig_err <= 1e-12, f"max deviation {_fmt(eig_err)}"
 
     cg_same = all(
@@ -370,6 +324,7 @@ def cmd_verify(args) -> int | None:
     tol_quad = args.tol if args.tol is not None else 1e-8
     if not (math.isfinite(tol_quad) and tol_quad > 0):
         raise ValidationError(f"--tol = {tol_quad} must be finite and positive")
+    wavefield.check_node_count(args.nodes)
     checks = [
         {"name": name, "ok": bool(ok), "detail": detail}
         for name, ok, detail in _verify_checks(s, args.nodes, tol_quad)
@@ -393,7 +348,9 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main call."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--n", type=int, required=True, help="principal quantum number")
     shared.add_argument("--Q", type=int, required=True, help="monopole charge quantum number")
@@ -402,7 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--Z", default="1", help="electric charge, rational like 1 or 2/5")
     shared.add_argument("--mode", choices=("exact", "float"), default="exact")
     shared.add_argument("--format", choices=("record", "csv"), default="record")
-    shared.add_argument("--nodes", type=int, default=48, help="quadrature node count")
+    top = wavefield.MAX_RULE_NODES >> wavefield.OVERLAP_DOUBLINGS  # verify doubles --nodes
+    shared.add_argument("--nodes", type=int, default=48, help=f"quadrature node count, 1..{top}")
     shared.add_argument("--tol", type=float, default=None, help="tolerance override")
 
     parser = argparse.ArgumentParser(
@@ -431,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)  # None, or verify's failed-check code
     except Micz9Error as exc:

@@ -1,11 +1,12 @@
 """Spherical-parabolic interbasis matrix W and its exact cross-oracles.
 
 The parabolic basis is the eigenbasis of the ninth Runge-Lenz component
-M9, and W carries the spherical basis onto it.  W is built once from its
-closed form (sign, factorial prefactors, and a terminating 3F2 at unit
-argument summed exactly with incremental term ratios) and is orthogonal,
-exactly: every bilinear sum over the parabolic index keeps a common
-radicand because the n_p-dependent radical squares away.
+M9, and W carries the spherical basis onto it.  Its closed form factors as
+W = diag(sqrt A) R diag(sqrt B): A(lambda) and B(n_p) are the lambda-only
+and n_p-only factorial ratios of the radicand, and the rational core R is
+sign * n_top!/(L+3)! * a terminating 3F2 at unit argument.  W is proved
+orthogonal on these factors, in integers, before its N^2 entries are
+assembled from one square root per row and one per column.
 
 The oracles check the two matrix identities that make W the eigenbasis,
 with mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal matrix:
@@ -22,6 +23,7 @@ equal the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,16 +44,17 @@ from .sector import (
 def _f32_unit_terminating(a1: int, a2: int, a3: int, b1: int, b2: int, kmax: int) -> Fraction:
     """Sum_{k=0..kmax} (a1)_k (a2)_k (a3)_k / ((b1)_k (b2)_k k!), exactly.
 
-    a1 = -kmax truncates the series; the incremental term ratio avoids
-    ever forming the huge Pochhammer products.  b2 may be a non-positive
+    a1 = -kmax truncates the series.  Horner's rule on the term ratios,
+    1 + t_0 (1 + t_1 (1 + ...)), keeps one integer numerator/denominator
+    pair, so only the total becomes a Fraction.  b2 may be a non-positive
     integer as long as the series terminates before its zero (guaranteed
     here because kmax <= -b2).
     """
-    total = term = Fraction(1)
-    for k in range(kmax):
-        term *= Fraction((a1 + k) * (a2 + k) * (a3 + k), (b1 + k) * (b2 + k) * (k + 1))
-        total += term
-    return total
+    num = den = 1
+    for k in reversed(range(kmax)):
+        step = (b1 + k) * (b2 + k) * (k + 1)
+        num, den = den * step + (a1 + k) * (a2 + k) * (a3 + k) * num, den * step
+    return Fraction(num, den)
 
 
 def _as_index(x) -> int:
@@ -61,30 +64,43 @@ def _as_index(x) -> int:
     return int(f)
 
 
+def _row(s: Sector, lam) -> tuple[int, int, Fraction]:
+    """Ladder position k of lambda, the 3F2 parameter l+h+7, and A(lambda)."""
+    l, k = lambda_index(s, lam)
+    m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
+    fact = exact_factorial
+    rad = Fraction(
+        fact(l + h + 6) * _as_index(2 * l + 7) * fact(l - d + 3),
+        fact(k) * fact(m + l + 7) * fact(m - l) * fact(l + d + 3),
+    )
+    return k, _as_index(l + h + 7), rad
+
+
+def _column_radicand(s: Sector, n_p: int) -> Fraction:
+    """B(n_p), the n_p-only part of the radicand; n_v = n_top - n_p."""
+    n_v = s.size - 1 - n_p
+    fact = exact_factorial
+    return Fraction(fact(n_p + s.J + 3) * fact(n_v + s.L + 3), fact(n_v) * fact(n_p))
+
+
+def _factors(s: Sector, lams, nps) -> tuple[list, list, list]:
+    """Row radicands A, rational core R and column radicands B on the given labels."""
+    rows = [_row(s, lam) for lam in lams]
+    nps = [np_index(s, n_p) for n_p in nps]
+    n_top = s.size - 1
+    pref = Fraction(exact_factorial(n_top), exact_factorial(s.L + 3))
+    f32 = _f32_unit_terminating
+    core = [
+        [(-1) ** k * pref * f32(-k, n_p - n_top, c, s.L + 4, -n_top, k) for n_p in nps]
+        for k, c, _ in rows
+    ]
+    return [a for _, _, a in rows], core, [_column_radicand(s, n_p) for n_p in nps]
+
+
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact."""
-    l, k_lam = lambda_index(s, lam)  # k_lam: ladder position of lambda
-    n_p = np_index(s, n_p)
-
-    m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
-    n_top = s.size - 1  # n + Q/2 - (L+J)/2
-    n_v = n_top - n_p
-
-    pref = Fraction(exact_factorial(n_top), exact_factorial(s.L + 3))
-    rad = Fraction(exact_factorial(l + h + 6), exact_factorial(k_lam))
-    rad *= Fraction(
-        _as_index(2 * l + 7) * exact_factorial(l - d + 3),
-        exact_factorial(m + l + 7) * exact_factorial(m - l) * exact_factorial(l + d + 3),
-    )
-    rad *= Fraction(
-        exact_factorial(n_p + s.J + 3) * exact_factorial(n_v + s.L + 3),
-        exact_factorial(n_v) * exact_factorial(n_p),
-    )
-    hyp = _f32_unit_terminating(
-        -k_lam, n_p - n_top, _as_index(l + h + 7), s.L + 4, -n_top, k_lam
-    )
-    sign = -1 if k_lam % 2 else 1
-    return RadicalScalar(sign * pref * hyp, rad)
+    (a,), ((r,),), (b,) = _factors(s, [lam], [n_p])
+    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(b) * r
 
 
 @dataclass(frozen=True)
@@ -102,23 +118,39 @@ class WMatrix:
         return coeffs.matrix_to_float(self.entries)
 
 
-def _assert_orthogonal(entries) -> None:
-    """Exact W^T W = I; for a square W this implies W W^T = I as well."""
-    n = len(entries)
+def _assert_orthogonal(row_rad, core, col_rad) -> None:
+    """Exact W^T W = I for W = diag(sqrt A) R diag(sqrt B), in integers.
+
+    W^T W = I is R^T diag(A) R = diag(1/B).  With A = a/D over a common
+    denominator D and column j of R = r_j/d_j over its own, that reads
+    sum_k a_k r_ki r_kj = 0 for i != j and D d_i^2 / B_i for i == j.  For
+    a square W it implies W W^T = I as well.
+    """
+    n = len(core)
+    den = math.lcm(*(x.denominator for x in row_rad))
+    a = [x.numerator * (den // x.denominator) for x in row_rad]
+    d = [math.lcm(*(row[j].denominator for row in core)) for j in range(n)]
+    cols = [[row[j].numerator * (d[j] // row[j].denominator) for row in core] for j in range(n)]
     for i in range(n):
+        ar = [x * y for x, y in zip(a, cols[i])]
+        b = col_rad[i]
         for j in range(i, n):
-            dot = sum((entries[k][i] * entries[k][j] for k in range(n)), RadicalScalar.zero())
-            if dot != (1 if i == j else 0):
-                raise OrthogonalityViolation(f"W^T W deviates from identity at ({i},{j}): {dot}")
+            dot = sum(x * y for x, y in zip(ar, cols[j]))
+            ok = dot * b.numerator == den * d[i] ** 2 * b.denominator if i == j else dot == 0
+            if not ok:
+                value = RadicalScalar(Fraction(dot, den * d[i] * d[j]), b * col_rad[j])
+                raise OrthogonalityViolation(f"W^T W deviates from identity at ({i},{j}): {value}")
 
 
 def w_matrix(s: Sector) -> WMatrix:
-    """All N^2 entries of W, with exact orthogonality verified before return."""
-    lams = lambda_range(s)
+    """All N^2 entries R sqrt(A) sqrt(B) of W, proved orthogonal on A, R, B first."""
+    row_rad, core, col_rad = _factors(s, lambda_range(s), range(s.size))
+    _assert_orthogonal(row_rad, core, col_rad)
+    roots_b = [RadicalScalar.sqrt(b) for b in col_rad]
     entries = tuple(
-        tuple(w_coefficient(s, lam, n_p) for n_p in range(s.size)) for lam in lams
+        tuple(root_a * root_b * r for root_b, r in zip(roots_b, row))
+        for root_a, row in zip(map(RadicalScalar.sqrt, row_rad), core)
     )
-    _assert_orthogonal(entries)
     return WMatrix(s, entries)
 
 

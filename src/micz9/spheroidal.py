@@ -69,17 +69,13 @@ class SymTridiagonal:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
-        if self.size > 1:
-            out[1:] += self.offdiag * v[:-1]
-            out[:-1] += self.offdiag * v[1:]
+        out[1:] += self.offdiag * v[:-1]
+        out[:-1] += self.offdiag * v[1:]
         return out
 
     def norm(self) -> float:
         """Infinity norm."""
-        n = self.size
-        if n == 1:
-            return abs(float(self.diag[0]))
-        r = np.abs(self.diag).copy()
+        r = np.abs(self.diag)
         r[1:] += np.abs(self.offdiag)
         r[:-1] += np.abs(self.offdiag)
         return float(r.max())
@@ -336,9 +332,7 @@ def check_spherical_limit(
         lam = lams[idx].fraction
         value_errors[n_k] = abs(spectrum.K[n_k] - mat.diag[idx])
         raw_gaps[n_k] = abs(spectrum.K[n_k] + float(lam * (lam + 7)))
-        e_col = np.zeros(n)
-        e_col[idx] = 1.0
-        vector_errors[n_k] = np.abs(spectrum.T[:, n_k] - e_col).max()
+        vector_errors[n_k] = np.abs(spectrum.T[:, n_k] - np.eye(n)[idx]).max()
     report = SphericalLimitReport(s, float(a_small), value_errors, raw_gaps, vector_errors)
     if report.max_value_error > tol_value or report.max_vector_error > tol_vector:
         raise LimitMismatch(

@@ -122,6 +122,10 @@ def _christoffel_weights(diag, off, mu0, x):
     return np.where(np.isfinite(S), w, 0.0)
 
 
+MAX_RULE_NODES = 1024  # the largest Gauss rule built: an 8 MB dense Jacobi matrix
+OVERLAP_DOUBLINGS = 3  # how often w_overlap_stable doubles its rule by default
+
+
 def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
     """Gauss rule with n_q nodes: legendre on [-1,1] or laguerre x^order e^-x.
 
@@ -133,8 +137,8 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
     nodes.  Weights whose magnitude underflows double precision come out
     as exact zeros (huge Laguerre rules only).
     """
-    if n_q < 1:
-        raise ValidationError(f"n_q = {n_q} must be >= 1")
+    if not 1 <= n_q <= MAX_RULE_NODES:
+        raise ValidationError(f"n_q = {n_q} must be in 1..{MAX_RULE_NODES}")
     key = (kind, n_q, float(order))
     hit = _rule_cache.get(key)
     if hit is not None:
@@ -304,13 +308,23 @@ def w_overlap_quadrature(s: Sector, n_q: int = 64) -> np.ndarray:
     return basis_overlap(s, "spherical", "parabolic", n_q)
 
 
+def check_node_count(n_q: int, max_doublings: int = OVERLAP_DOUBLINGS) -> None:
+    """Reject a starting node count whose last doubled rule cannot be built."""
+    if not 1 <= n_q << max_doublings <= MAX_RULE_NODES:
+        top = MAX_RULE_NODES >> max_doublings
+        raise ValidationError(f"node count {n_q} must be in 1..{top} ({max_doublings} doublings)")
+
+
 def w_overlap_stable(
-    s: Sector, n_q: int = 48, tol: float = 1e-10, max_doublings: int = 3
+    s: Sector, n_q: int = 48, tol: float = 1e-10, max_doublings: int = OVERLAP_DOUBLINGS
 ) -> np.ndarray:
     """Node-doubled W: doubles n_q until successive matrices agree entrywise to tol.
 
-    Raises ConvergenceFailure if they still differ after max_doublings.
+    Raises ConvergenceFailure if they still differ after max_doublings, and
+    ValidationError, before any rule is built, if the last rule would exceed
+    MAX_RULE_NODES.
     """
+    check_node_count(n_q, max_doublings)
     val = w_overlap_quadrature(s, n_q)
     change = math.inf
     for _ in range(max_doublings):

@@ -1,5 +1,6 @@
 """CLI contract: payload schemas, exit codes, determinism, mode agreement."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from micz9 import interbasis, wavefield
-from micz9.cli import main
+from micz9.cli import build_parser, main
 from micz9.exactscalar import RadicalScalar
 from micz9.sector import enumerate_sectors
 
@@ -116,6 +117,15 @@ def test_overflowing_charge_or_bad_tol_exit_2():
         out = run_cli(*argv)
         assert out.returncode == 2, argv
         assert "ValidationError" in out.stderr and "Traceback" not in out.stderr, argv
+
+
+def test_unbuildable_node_count_exit_2():
+    # the last doubled Gauss rule would need a 71 PiB dense Jacobi matrix
+    out = run_cli(*verify_argv(2, 0, 0, 0), "--nodes", "100000000")
+    assert out.returncode == 2 and out.stdout == ""
+    assert "ValidationError" in out.stderr and "Traceback" not in out.stderr
+    top = wavefield.MAX_RULE_NODES >> wavefield.OVERLAP_DOUBLINGS
+    assert f"1..{top}" in run_cli("verify", "--help").stdout
 
 
 @pytest.mark.parametrize(
@@ -267,3 +277,38 @@ def test_main_entrypoint_inprocess(capsys):
     assert main(["states", *SECTOR]) == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["payload"]["N"] == 2
+
+
+# sha256 of stdout, pinned before W was rebuilt from its factored form:
+# exact outputs never move.
+GOLDEN = [
+    (("wmatrix", "16", "0", "0", "0"),
+     "72c00f1d267315ce5004d5d222da2d9ca7d0e4bdaa046035225f0ba9b3f725bd"),
+    (("wmatrix", "20", "2", "0", "0"),
+     "054b68a2efd1c5f6ea55e1ebecae5bab07f92f9d9a510f2ab9a3328af7a3aa4c"),
+    (("m9", "4", "2", "0", "2"),
+     "aab16d7fd7c895e07ca30ae66ef45328911d70841932f9d7339ac241575b8ec8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN)
+def test_exact_output_is_pinned(argv, digest, capsys):
+    cmd, n, Q, L, J = argv
+    assert main([cmd, "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_cached_parser_matches_a_fresh_one(capsys):
+    calls = [["wmatrix", *SECTOR], ["m9", *SECTOR, "--mode", "float"]]
+    outs = []
+    for argv in calls:  # in a row, on the one cached parser
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    for argv, out in zip(calls, outs):
+        build_parser.cache_clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
+    with pytest.raises(SystemExit) as exc:  # a bad argv after a good call still exits 2
+        main(["wmatrix", "--n", "one", "--Q", "0", "--L", "0", "--J", "0"])
+    assert exc.value.code == 2
+    assert main(calls[0]) == 0 and capsys.readouterr().out == outs[0]

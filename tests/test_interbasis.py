@@ -10,6 +10,7 @@ from micz9.exactscalar import RadicalScalar
 from micz9.interbasis import (
     CGArgs,
     _assert_orthogonal,
+    _factors,
     clebsch_gordan,
     m9_matrix_bruteforce,
     w_coefficient,
@@ -65,11 +66,35 @@ def test_orthogonality_exact_small_sweep():
             assert row == 1
 
 
+def _factors_of_3110():
+    s = validate_sector(3, 1, 1, 0, 1)
+    return _factors(s, lambda_range(s), range(s.size))
+
+
 def test_orthogonality_proof_catches_one_tampered_entry():
-    W = [list(row) for row in w_matrix(validate_sector(3, 1, 1, 0, 1)).entries]
-    W[0][1] = W[0][1] * 2  # the first row is strictly positive
+    A, R, B = _factors_of_3110()
+    R[0][1] = R[0][1] * 2  # the first row is strictly positive
     with pytest.raises(OrthogonalityViolation, match=r"at \(0,1\)"):
-        _assert_orthogonal(W)
+        _assert_orthogonal(A, R, B)
+
+
+def test_orthogonality_proof_catches_a_tampered_radicand():
+    A, R, B = _factors_of_3110()
+    with pytest.raises(OrthogonalityViolation, match=r"at \(0,0\)"):
+        _assert_orthogonal([A[0] * 2, *A[1:]], R, B)
+    with pytest.raises(OrthogonalityViolation, match=r"at \(1,1\)"):
+        _assert_orthogonal(A, R, [B[0], B[1] * 2, *B[2:]])
+    _assert_orthogonal(A, R, B)  # the untampered factors pass
+
+
+def test_w_matrix_entries_are_w_coefficient():
+    # the whole-matrix build and the one-entry read agree component by component
+    for s in enumerate_sectors(6, 4, 4):
+        W = w_matrix(s).entries
+        for i, lam in enumerate(lambda_range(s)):
+            for n_p in range(s.size):
+                one = w_coefficient(s, lam, n_p)
+                assert (W[i][n_p].coeff, W[i][n_p].radicand) == (one.coeff, one.radicand), s
 
 
 def test_clebsch_gordan_values():

@@ -12,8 +12,10 @@ from micz9 import cli
 
 _TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
-# Kept for the trace but no longer on any command's path.
-_UNCALLED = {"k_diag", "k_offdiag"}
+# Kept for the trace but no longer on any command's path.  w_matrix builds
+# W from its row, column and core factors; w_coefficient reads one entry of
+# the same factors for library callers.
+_UNCALLED = {"k_diag", "k_offdiag", "w_coefficient"}
 
 
 def _load_tracer():
