@@ -39,6 +39,14 @@ def _dense(d, e):
     return T
 
 
+def _tridiag_product(d, e, V):
+    """T V for tridiagonals d (..., N), e (..., N-1) and columns V (..., N, M)."""
+    TV = d[..., :, None] * V
+    TV[..., 1:, :] += e[..., :, None] * V[..., :-1, :]
+    TV[..., :-1, :] += e[..., :, None] * V[..., 1:, :]
+    return TV
+
+
 def tridiag_eigh(d, e):
     """Ascending eigenvalues and orthonormal eigenvector columns.
 
@@ -73,10 +81,7 @@ def tridiag_eigh(d, e):
             V[lo : lo + step] = np.linalg.eigh(_dense(d[lo : lo + step], e[lo : lo + step]))[1]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigh on a {n} x {n} tridiagonal: {exc}") from None
-    TV = d[:, :, None] * V
-    TV[:, 1:, :] += e[:, :, None] * V[:, :-1, :]
-    TV[:, :-1, :] += e[:, :, None] * V[:, 1:, :]
-    w = np.einsum("prk,prk->pk", V, TV)
+    w = np.einsum("prk,prk->pk", V, _tridiag_product(d, e, V))
     order = np.argsort(w, axis=1, kind="stable")
     w, V = np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
     return (w[0], V[0]) if single else (w, V)

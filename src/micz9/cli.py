@@ -27,6 +27,9 @@ from .exactscalar import format_rational
 
 SCHEMA_VERSION = "1"
 
+# points x N^2 eigenvector entries in one sweep's solve: 2^24 is 128 MB of float64
+SWEEP_MAX_ENTRIES = 1 << 24
+
 
 def _fmt(x) -> str:
     return format(float(x), ".17g")
@@ -144,12 +147,9 @@ def _spectrum_at_a(args) -> tuple[sector.Sector, spheroidal.SpheroidalSpectrum]:
 
 def cmd_kspectrum(args) -> None:
     s, spectrum = _spectrum_at_a(args)
-    mat = spheroidal.build_k_matrix(s, args.a)
-    resid = max(
-        float(np.abs(mat.matvec(spectrum.T[:, k]) - spectrum.K[k] * spectrum.T[:, k]).max())
-        for k in range(s.size)
-    )
-    ortho = float(np.abs(spectrum.T.T @ spectrum.T - np.eye(s.size)).max())
+    T = spectrum.T
+    resid = float(np.abs(spectrum.matrix.matvec(T) - T * spectrum.K).max())
+    ortho = float(np.abs(T.T @ T - np.eye(s.size)).max())
     payload = {
         "a": _fmt(args.a),
         "K": [_fmt(v) for v in spectrum.K],
@@ -164,7 +164,7 @@ def cmd_tcoeffs(args) -> None:
     s, spectrum = _spectrum_at_a(args)
     branches = []
     for n_k in range(s.size):
-        col = spheroidal.t_by_continuant(s, args.a, s.Z, float(spectrum.K[n_k]))
+        col = spheroidal.t_by_continuant(spectrum.matrix, float(spectrum.K[n_k]))
         branches.append({
             "n_k": n_k,
             "K": _fmt(spectrum.K[n_k]),
@@ -185,11 +185,13 @@ def cmd_sweep(args) -> None:
         raise ValidationError("sweep needs 0 < --a-min < --a-max")
     if args.points < 2:
         raise ValidationError("sweep needs --points >= 2")
+    if args.points * s.size**2 > SWEEP_MAX_ENTRIES:  # checked before the grid is allocated
+        raise ValidationError(f"--points x N^2 must be at most {SWEEP_MAX_ENTRIES} (N = {s.size})")
     if args.log:
         grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max), args.points)
     else:
         grid = np.linspace(args.a_min, args.a_max, args.points)
-    sw = spheroidal.sweep_branches(s, s.Z, grid)
+    sw = spheroidal.sweep_branches(s, grid)
     a_s = [_fmt(a) for a in grid]  # each point is printed once per branch
     K, K_over_a = sw.K, sw.K_over_a
     points, nks = range(grid.size), range(s.size)
@@ -221,9 +223,9 @@ def cmd_limits(args) -> None:
     _require_record_format(args)
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
-    a_small, a_large = _limit_distances(s, args.a_small, args.a_large)
-    sph = spheroidal.check_spherical_limit(s, a_small=a_small)
-    par = spheroidal.check_parabolic_limit(interbasis.w_matrix(s), a_large=a_large)
+    small, large = spheroidal.spectra(s, _limit_distances(s, args.a_small, args.a_large))
+    sph = spheroidal.check_spherical_limit(small)
+    par = spheroidal.check_parabolic_limit(interbasis.w_matrix(s), large)
     payload = {
         "spherical": {
             "a_small": _fmt(sph.a_small),
@@ -272,36 +274,36 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     qworst = float(np.abs(wavefield.w_overlap_stable(s, n_q=n_q) - W.to_float()).max())
     yield "quadrature_overlap", qworst <= tol_quad, f"max |quad - exact| {_fmt(qworst)}"
 
+    # one batch: the eigenproblem at 4 distances, the continuant at 6, then both limits
+    solved = spheroidal.spectra(
+        s, [0.1, 1.0, 10.0, 100.0, *np.logspace(-2, 3, 6), *_limit_distances(s)]
+    )
+    eigen, continuant, (small, large) = solved[:4], solved[4:10], solved[10:]
     worst_resid = 0.0
     worst_ortho = 0.0
-    for spectrum in spheroidal.spectra(s, (0.1, 1.0, 10.0, 100.0)):
-        mat = spheroidal.build_k_matrix(s, spectrum.a)
-        scale = max(mat.norm(), 1e-300)
-        for k in range(n):
-            r = float(np.abs(mat.matvec(spectrum.T[:, k]) - spectrum.K[k] * spectrum.T[:, k]).max())
-            worst_resid = max(worst_resid, r / scale)
-        worst_ortho = max(
-            worst_ortho, float(np.abs(spectrum.T.T @ spectrum.T - np.eye(n)).max())
-        )
+    for spectrum in eigen:
+        mat, T = spectrum.matrix, spectrum.T
+        r = float(np.abs(mat.matvec(T) - T * spectrum.K).max())
+        worst_resid = max(worst_resid, r / max(mat.norm(), 1e-300))
+        worst_ortho = max(worst_ortho, float(np.abs(T.T @ T - np.eye(n)).max()))
     ok = worst_resid <= 1e-12 and worst_ortho <= 1e-12
     yield "spheroidal_eigenproblem", ok, (
         f"relative residual {_fmt(worst_resid)}, orthogonality {_fmt(worst_ortho)}"
     )
 
     cont_worst = 0.0
-    for spectrum in spheroidal.spectra(s, np.logspace(-2, 3, 6)):
+    for spectrum in continuant:
         for k in range(n):
-            col = spheroidal.t_by_continuant(s, spectrum.a, s.Z, float(spectrum.K[k]))
+            col = spheroidal.t_by_continuant(spectrum.matrix, float(spectrum.K[k]))
             cont_worst = max(cont_worst, float(np.abs(col - spectrum.T[:, k]).max()))
     yield "continuant_agreement", cont_worst <= 1e-8, f"max column diff {_fmt(cont_worst)}"
 
-    a_small, a_large = _limit_distances(s)
-    sph = spheroidal.check_spherical_limit(s, a_small=a_small)  # raises LimitMismatch
+    sph = spheroidal.check_spherical_limit(small)  # raises LimitMismatch
     yield "spherical_limit", True, (
         f"value error {_fmt(sph.max_value_error)}, vector error {_fmt(sph.max_vector_error)}"
     )
 
-    par = spheroidal.check_parabolic_limit(W, a_large=a_large)
+    par = spheroidal.check_parabolic_limit(W, large)
     yield "parabolic_limit", True, (
         f"set error {_fmt(par.max_set_error)}, column error {_fmt(par.max_column_error)}"
     )
@@ -379,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[shared], help="branch sweep over a grid of a values")
     p.add_argument("--a-min", dest="a_min", type=float)
     p.add_argument("--a-max", dest="a_max", type=float)
-    p.add_argument("--points", type=int, default=2)
+    p.add_argument("--points", type=int, default=2, help=f"2 to {SWEEP_MAX_ENTRIES} / N^2")
     p.add_argument("--log", action="store_true", help="logarithmic grid")
     p = sub.add_parser("limits", parents=[shared], help="spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")

@@ -3,10 +3,13 @@
 The separation constants K at focal distance a are the eigenvalues of the
 symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
 Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  The
-exact pencil coeffs.k_pencil is rounded once per (sector, Z), so K(a)
-costs one multiply-add per entry and a whole grid of a is solved in one
-batch.  The eigenvector columns are the expansion coefficients of each
-spheroidal state over the spherical basis.  Columns follow the sign
+exact pencil coeffs.k_pencil is rounded once per sector (which carries
+the charge Z), so K(a) costs one multiply-add per entry, and
+build_k_matrix, its one float builder, takes a whole list of a to be
+solved in one batch.  Each spectrum keeps the matrix it was solved from,
+which the continuant route and both limit checks read.  The eigenvector
+columns are the expansion coefficients of each spheroidal state over
+the spherical basis.  Columns follow the sign
 convention "first nonzero entry positive" (numerically: first entry
 exceeding 1e-12 of the column's max magnitude, which keeps the
 convention deterministic when leading entries underflow near the a -> 0
@@ -14,14 +17,14 @@ limit).
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
-continuant (three-term minor) recurrence at one eigenvalue.  The
-continuant is twisted: ratios of leading minors run down from the top
-of the ladder and ratios of trailing minors up from the bottom, and the
-column is built outward from the index where the two meet best, so each
-half runs in its stable direction.  At small a, K(a) is strongly graded
-and the trailing components of a column fall far below its peak; a
-one-sided recurrence would need the shift to many more bits than double
-precision to reproduce them.
+continuant (three-term minor) recurrence at one eigenvalue of one solved
+matrix.  The continuant is twisted: ratios of leading minors run down
+from the top of the ladder and ratios of trailing minors up from the
+bottom, and the column is built outward from the index where the two
+meet best, so each half runs in its stable direction.  At small a, K(a)
+is strongly graded and the trailing components of a column fall far
+below its peak; a one-sided recurrence would need the shift to many more
+bits than double precision to reproduce them.
 
 Labeling: n_k is ascending eigenvalue order at every a.  Eigenvalues of
 the irreducible tridiagonal matrix are simple for a > 0, so this
@@ -38,12 +41,11 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import coeffs
-from ._backend import tridiag_eigh
+from ._backend import _tridiag_product, tridiag_eigh
 from .errors import (
     BranchMatchAmbiguous,
     DegenerateShift,
@@ -58,20 +60,19 @@ _SIGN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SymTridiagonal:
-    """diag (length N) and offdiag (length N-1), float64."""
+    """diag (..., N) and offdiag (..., N-1), float64; matvec and norm read one matrix."""
 
     diag: np.ndarray
     offdiag: np.ndarray
 
     @property
     def size(self) -> int:
-        return self.diag.shape[0]
+        return self.diag.shape[-1]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
-        out[1:] += self.offdiag * v[:-1]
-        out[:-1] += self.offdiag * v[1:]
-        return out
+        """T v for a vector v (N,) or a block of columns (N, M)."""
+        v = np.asarray(v, dtype=np.float64)
+        return _tridiag_product(self.diag, self.offdiag, v.reshape(self.size, -1)).reshape(v.shape)
 
     def norm(self) -> float:
         """Infinity norm."""
@@ -82,15 +83,16 @@ class SymTridiagonal:
 
 
 @functools.lru_cache(maxsize=64)
-def _k_pencil(s: Sector, Z: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
-    lambda ascending, from the exact coeffs.k_pencil at charge Z; a Z whose
-    entries overflow a float raises ValidationError.  Read-only: the cache
-    hands the same arrays to every call.
+    lambda ascending, from the exact coeffs.k_pencil at the sector's charge;
+    a charge whose entries overflow a float raises ValidationError.
+    Read-only: the cache hands the same arrays to every call.
     """
     lam_term, slope, coupling_sq = coeffs.k_pencil(s)
+    Z = s.Z  # float K(a) scales with the sector's charge
     try:
         pencil = (
             np.array([float(x) for x in lam_term]),
@@ -107,39 +109,35 @@ def _k_pencil(s: Sector, Z: Fraction) -> tuple[np.ndarray, np.ndarray, np.ndarra
 _COUPLING_LIMIT = math.sqrt(np.finfo(np.float64).max)  # squared couplings must stay finite
 
 
-def _k_entries(s: Sector, a_values, Z) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals (P, N) and couplings (P, N-1) of K(a) at each a >= 0."""
-    a = np.asarray(a_values, dtype=np.float64)
-    for bad, need in ((~np.isfinite(a), "finite"), (a < 0, "non-negative")):
-        if bad.any():
-            raise ValidationError(f"focal distance a = {a[bad][0]} must be {need}")
-    Zf = Fraction(s.Z if Z is None else Z)
-    if Zf <= 0:
-        raise ValidationError(f"Z = {Z} must be positive")
-    lam_term, diag_slope, off_slope = _k_pencil(s, Zf)
-    with np.errstate(over="ignore"):  # checked just below
-        diag = lam_term + a[:, None] * diag_slope
-        off = a[:, None] * off_slope
-    bad = ~np.isfinite(diag).all(axis=1) | (np.abs(off) > _COUPLING_LIMIT).any(axis=1)
-    if bad.any():
-        raise ValidationError(
-            f"K(a) at a = {a[bad][0]} leaves the float range: entries must be finite and "
-            f"couplings at most sqrt(float max) = {_COUPLING_LIMIT:.4g} in magnitude"
-        )
-    return diag, off
-
-
-def build_k_matrix(s: Sector, a, Z=None) -> SymTridiagonal:
-    """Separation-constant matrix at focal distance a (float entries).
+def build_k_matrix(s: Sector, a) -> SymTridiagonal:
+    """Separation-constant matrix K(a) at focal distance a >= 0 (float entries).
 
     K(a) = -Lambda - a (alpha/2) M9 from the sector's float pencil:
     diag[i] carries the lambda_i diagonal, offdiag[i] the negative
-    coupling at lambda_{i+1}, lambda ascending.  Z defaults to the
-    sector's charge.  A non-finite a, or one whose couplings would
-    overflow when squared, raises ValidationError.
+    coupling at lambda_{i+1}, lambda ascending.  A scalar a gives one
+    matrix; a 1-d sequence of P values gives the stack, diag (P, N) and
+    offdiag (P, N-1), the layout tridiag_eigh solves.  Any other shape, a
+    negative or non-finite a, or one whose couplings would overflow when
+    squared raises ValidationError.
     """
-    diag, off = _k_entries(s, [a], Z)
-    return SymTridiagonal(diag[0], off[0])
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim > 1:
+        raise ValidationError(f"focal distances must be a number or a 1-d list, not {a.shape}")
+    stack = np.atleast_1d(a)
+    for bad, need in ((~np.isfinite(stack), "finite"), (stack < 0, "non-negative")):
+        if bad.any():
+            raise ValidationError(f"focal distance a = {stack[bad][0]} must be {need}")
+    lam_term, diag_slope, off_slope = _k_pencil(s)
+    with np.errstate(over="ignore"):  # checked just below
+        diag = lam_term + stack[:, None] * diag_slope
+        off = stack[:, None] * off_slope
+    bad = ~np.isfinite(diag).all(axis=1) | (np.abs(off) > _COUPLING_LIMIT).any(axis=1)
+    if bad.any():
+        raise ValidationError(
+            f"K(a) at a = {stack[bad][0]} leaves the float range: entries must be finite and "
+            f"couplings at most sqrt(float max) = {_COUPLING_LIMIT:.4g} in magnitude"
+        )
+    return SymTridiagonal(diag, off) if a.ndim else SymTridiagonal(diag[0], off[0])
 
 
 def sign_fix_columns(V: np.ndarray, tol: float = _SIGN_TOL) -> np.ndarray:
@@ -156,40 +154,41 @@ def sign_fix_columns(V: np.ndarray, tol: float = _SIGN_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpheroidalSpectrum:
-    """Eigenvalues K (ascending, index n_k) and coefficient columns T."""
+    """Eigenvalues K (ascending, index n_k) and coefficient columns T of matrix K(a)."""
 
     sector: Sector
     a: float
-    Z: float
     K: np.ndarray
     T: np.ndarray
+    matrix: SymTridiagonal
 
     @property
     def size(self) -> int:
         return self.K.shape[0]
 
 
-def _solve(s: Sector, a_values, Z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a (P,), K (P, N), T (P, N, N)) at every positive a, in one batched solve."""
+def _solve(s: Sector, a_values):
+    """(a (P,), K(a) stack, K (P, N), T (P, N, N)) at each positive a, in one batched solve."""
     a = np.asarray(a_values, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
         raise ValidationError("focal distances must form a non-empty 1-d list")
     if not (a > 0).all():
         raise ValidationError(f"focal distance a = {a[~(a > 0)][0]} must be positive")
-    K, T = tridiag_eigh(*_k_entries(s, a, Z))
-    return a, K, sign_fix_columns(T)
+    mat = build_k_matrix(s, a)
+    K, T = tridiag_eigh(mat.diag, mat.offdiag)
+    return a, mat, K, sign_fix_columns(T)
 
 
-def spectra(s: Sector, a_values, Z=None) -> list[SpheroidalSpectrum]:
+def spectra(s: Sector, a_values) -> list[SpheroidalSpectrum]:
     """Spectra at each focal distance in a_values, solved as one batch."""
-    a, K, T = _solve(s, a_values, Z)
-    Zf = float(s.Z if Z is None else Z)
-    return [SpheroidalSpectrum(s, float(a[i]), Zf, K[i], T[i]) for i in range(a.size)]
+    a, mat, K, T = _solve(s, a_values)
+    rows = zip(a, K, T, mat.diag, mat.offdiag)
+    return [SpheroidalSpectrum(s, float(x), k, t, SymTridiagonal(d, e)) for x, k, t, d, e in rows]
 
 
-def separation_constants(s: Sector, a, Z=None) -> SpheroidalSpectrum:
+def separation_constants(s: Sector, a) -> SpheroidalSpectrum:
     """Full spectrum of the separation-constant matrix at focal distance a."""
-    return spectra(s, [a], Z)[0]
+    return spectra(s, [a])[0]
 
 
 def _pivot_ratios(shifted: list, off2: list, pivmin: float) -> list:
@@ -205,10 +204,10 @@ def _pivot_ratios(shifted: list, off2: list, pivmin: float) -> list:
     return out
 
 
-def t_by_continuant(s: Sector, a, Z, K: float) -> np.ndarray:
-    """Coefficient column at eigenvalue K from the twisted minor recurrence.
+def t_by_continuant(mat: SymTridiagonal, K: float) -> np.ndarray:
+    """Column of one tridiagonal mat at its eigenvalue K, by the twisted minor recurrence.
 
-    Ratios of leading minors of (matrix - K) run down from the top
+    Ratios of leading minors of (mat - K) run down from the top
     (D+_i = d_i - K - e_{i-1}^2 / D+_{i-1}) and ratios of trailing minors
     run up from the bottom (D-_i, the same recurrence reversed).  The twist
     index r minimizes |D+_r + D-_r - (d_r - K)|, the last diagonal entry of
@@ -217,21 +216,20 @@ def t_by_continuant(s: Sector, a, Z, K: float) -> np.ndarray:
     follows as v_i = -e_i v_{i+1} / D+_i above r and v_i = -e_{i-1} v_{i-1}
     / D-_i below it: each side runs in the direction in which its
     components decay, so double precision suffices however strongly K(a)
-    is graded.  The route shares only the matrix entries with inverse
-    iteration.  An a or Z that build_k_matrix rejects, or a non-finite K,
-    raises ValidationError; a zero coupling (a = 0) or a non-finite column
+    is graded.  The route reads the entries of a solved spectrum's matrix
+    and shares nothing else with the LAPACK route.  A non-finite K raises
+    ValidationError; a zero coupling (K(a) at a = 0) or a non-finite column
     raises DegenerateShift.
     """
-    diag, off = _k_entries(s, [a], Z)  # the float route's checks on a and Z
     if not math.isfinite(K):
         raise ValidationError(f"eigenvalue K = {K} must be finite")
-    n = s.size
+    n = mat.size
     if n == 1:
         return np.ones(1)
-    e = off[0].tolist()
+    e = mat.offdiag.tolist()
     if 0.0 in e:
-        raise DegenerateShift(f"zero coupling in sector {s} at a = {a}")
-    shifted = (diag[0] - K).tolist()
+        raise DegenerateShift(f"zero coupling at position {e.index(0.0)} of the tridiagonal")
+    shifted = (mat.diag - K).tolist()
     off2 = [x * x for x in e]
     pivmin = sys.float_info.min * max(1.0, max(off2))
     lead = _pivot_ratios(shifted, off2, pivmin)
@@ -246,7 +244,7 @@ def t_by_continuant(s: Sector, a, Z, K: float) -> np.ndarray:
         v[i] = -e[i - 1] * v[i - 1] / trail[i]
     col = np.array(v)
     if not np.isfinite(col).all():
-        raise DegenerateShift(f"non-finite continuant column in sector {s} at a = {a}")
+        raise DegenerateShift(f"non-finite continuant column at K = {K}")
     col /= np.linalg.norm(col)
     return sign_fix_columns(col.reshape(-1, 1)).ravel()
 
@@ -256,14 +254,13 @@ class BranchSweep:
     """K and K/a per (grid point, branch), branches continuity-checked."""
 
     sector: Sector
-    Z: float
     a_grid: np.ndarray
     K: np.ndarray  # shape (len(a_grid), N)
     K_over_a: np.ndarray
     min_overlap: float
 
 
-def sweep_branches(s: Sector, Z, a_grid) -> BranchSweep:
+def sweep_branches(s: Sector, a_grid) -> BranchSweep:
     """Track all N branches over an ascending positive grid of a values.
 
     Ascending-order labeling is continuity-consistent (simple spectra);
@@ -276,7 +273,7 @@ def sweep_branches(s: Sector, Z, a_grid) -> BranchSweep:
         raise ValidationError("a_grid must be a 1-d array of at least one point")
     if not (np.diff(a_grid) > 0).all() or not (a_grid > 0).all():
         raise ValidationError("a_grid must be ascending and positive")
-    _, K, T = _solve(s, a_grid, Z)
+    _, _, K, T = _solve(s, a_grid)
     worst = np.abs(np.einsum("pij,pij->pj", T[:-1], T[1:])).min(axis=1, initial=1.0)
     bad = np.flatnonzero(worst <= 0.9)
     if bad.size:
@@ -286,7 +283,7 @@ def sweep_branches(s: Sector, Z, a_grid) -> BranchSweep:
             f"and a = {a_grid[ip + 1]} in sector {s}"
         )
     min_overlap = float(worst.min(initial=1.0))
-    return BranchSweep(s, float(Fraction(s.Z if Z is None else Z)), a_grid, K, K / a_grid[:, None], min_overlap)
+    return BranchSweep(s, a_grid, K, K / a_grid[:, None], min_overlap)
 
 
 @dataclass(frozen=True)
@@ -307,21 +304,18 @@ class SphericalLimitReport:
 
 
 def check_spherical_limit(
-    s: Sector, Z=None, a_small: float = 1e-8, tol_value: float = 1e-12, tol_vector: float = 1e-6
+    spectrum: SpheroidalSpectrum, tol_value: float = 1e-12, tol_vector: float = 1e-6
 ) -> SphericalLimitReport:
-    """Verify the small-a degeneration, branch by ascending branch.
+    """Verify the small-a degeneration of a spectrum solved at a small a.
 
     Branch n_k lands on angular label lambda = n+Q/2-n_k: its eigenvalue
-    must match the corresponding diagonal entry of the matrix at a_small
-    to tol_value (the remainder is O(a^2); the diagonal itself is
+    must match the corresponding diagonal entry of the solved matrix to
+    tol_value (the remainder is O(a^2); the diagonal itself is
     -lambda(lambda+7) plus an O(a) shift that vanishes when J = L), and
     its column must approach that coordinate unit vector to tol_vector.
     Raises LimitMismatch with per-branch diagnostics on failure.
     """
-    if not a_small > 0:
-        raise ValidationError(f"a_small = {a_small} must be positive")
-    spectrum = separation_constants(s, a_small, Z)
-    mat = build_k_matrix(s, a_small, Z)
+    s, mat, a_small = spectrum.sector, spectrum.matrix, spectrum.a
     n = s.size
     lams = lambda_range(s)
     value_errors = np.empty(n)
@@ -333,7 +327,7 @@ def check_spherical_limit(
         value_errors[n_k] = abs(spectrum.K[n_k] - mat.diag[idx])
         raw_gaps[n_k] = abs(spectrum.K[n_k] + float(lam * (lam + 7)))
         vector_errors[n_k] = np.abs(spectrum.T[:, n_k] - np.eye(n)[idx]).max()
-    report = SphericalLimitReport(s, float(a_small), value_errors, raw_gaps, vector_errors)
+    report = SphericalLimitReport(s, a_small, value_errors, raw_gaps, vector_errors)
     if report.max_value_error > tol_value or report.max_vector_error > tol_vector:
         raise LimitMismatch(
             f"spherical limit failed for {s} at a = {a_small}: "
@@ -361,9 +355,9 @@ class ParabolicLimitReport:
 
 
 def check_parabolic_limit(
-    W: WMatrix, Z=None, a_large: float = 1e6, tol: float = 1e-4
+    W: WMatrix, spectrum: SpheroidalSpectrum, tol: float = 1e-4
 ) -> ParabolicLimitReport:
-    """Verify the large-a degeneration of W.sector against the parabolic constants.
+    """Verify the large-a degeneration of a spectrum against the parabolic constants.
 
     In the parabolic basis (the columns of W) K(a) = -Lambda - a (alpha/2)
     M9 is -G - a (alpha/2) diag(mu), with G = W^T Lambda W and mu_p =
@@ -373,24 +367,23 @@ def check_parabolic_limit(
     matched per eigenvalue rather than per descending label.  Subtracting
     the first-order term keeps the check valid as G grows with N.  K(a)
     depends on a and Z only through aZ, and K/a scales with Z, so the K/a
-    errors are divided by Z and a_large Z must be at least 1e4: the same
-    aZ and tol then mean the same check at every charge.  Z defaults to
-    the sector's charge.  Raises LimitMismatch on failure.
+    errors are divided by Z and the spectrum's a Z must be at least 1e4:
+    the same aZ and tol then mean the same check at every charge.  W must
+    belong to the spectrum's sector.  Raises LimitMismatch on failure.
     """
-    s = W.sector
-    Zf = Fraction(s.Z if Z is None else Z)
-    zf = float(Zf)
+    s, a_large = spectrum.sector, spectrum.a
+    if W.sector != s:
+        raise ValidationError(f"W of sector {W.sector} given for a spectrum of sector {s}")
+    zf = float(s.Z)
     if not a_large * zf >= 1e4:
-        raise ValidationError(f"a_large Z = {a_large} * {Zf} must be at least 1e4")
-    sZ = Sector(s.n, s.Q, s.L, s.J, Zf)
-    spectrum = separation_constants(sZ, a_large)
+        raise ValidationError(f"a_large Z = {a_large} * {s.Z} must be at least 1e4")
     n = s.size
-    half_alpha = alpha_scale(sZ) / 2  # sqrt(-2E)
+    half_alpha = alpha_scale(s) / 2  # sqrt(-2E)
     lead = np.array(
-        [-float(half_alpha * m9_parabolic_eigenvalue(sZ, n_p).fraction) for n_p in range(n)]
+        [-float(half_alpha * m9_parabolic_eigenvalue(s, n_p).fraction) for n_p in range(n)]
     )
     w = W.to_float()
-    lam = -_k_pencil(sZ, Zf)[0]  # Lambda = diag(lambda(lambda+7))
+    lam = -_k_pencil(s)[0]  # Lambda = diag(lambda(lambda+7))
     G = w.T @ (lam[:, None] * w)
     targets = lead - np.diag(G) / a_large
     gaps = a_large * (lead[:, None] - lead[None, :])  # [q, p] = a (alpha/2) (mu_p - mu_q)
@@ -408,9 +401,7 @@ def check_parabolic_limit(
         branch_np[i] = j
         value_errors[i] = abs(ratios[i] - targets[j]) / zf
         column_errors[i] = np.abs(spectrum.T[:, i] - columns[:, j]).max()
-    report = ParabolicLimitReport(
-        sZ, float(a_large), set_errors, branch_np, value_errors, column_errors
-    )
+    report = ParabolicLimitReport(s, a_large, set_errors, branch_np, value_errors, column_errors)
     if len(set(branch_np.tolist())) != n:
         raise LimitMismatch(f"parabolic limit matching is not a bijection for {s}: {branch_np}")
     if report.max_set_error > tol or report.max_column_error > tol:

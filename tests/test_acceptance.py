@@ -118,7 +118,7 @@ def test_criterion_07_continuant_path():
         for a in np.logspace(-2, 3, 6):
             spectrum = spheroidal.separation_constants(s, float(a))
             for k in range(s.size):
-                col = spheroidal.t_by_continuant(s, float(a), s.Z, float(spectrum.K[k]))
+                col = spheroidal.t_by_continuant(spectrum.matrix, float(spectrum.K[k]))
                 worst = max(worst, float(np.abs(col - spectrum.T[:, k]).max()))
     report(7, "continuant vs the LAPACK eigenvector", worst <= 1e-8,
            f"max column diff {worst:.2e} <= 1e-8 over a in [1e-2, 1e3]")
@@ -127,7 +127,7 @@ def test_criterion_07_continuant_path():
 def test_criterion_08_spherical_limit():
     worst_val = worst_vec = worst_raw = 0.0
     for s in SECTORS:
-        rep = spheroidal.check_spherical_limit(s, a_small=1e-8,
+        rep = spheroidal.check_spherical_limit(spheroidal.separation_constants(s, 1e-8),
                                                tol_value=1e-12, tol_vector=1e-6)
         worst_val = max(worst_val, rep.max_value_error)
         worst_vec = max(worst_vec, rep.max_vector_error)
@@ -141,7 +141,8 @@ def test_criterion_08_spherical_limit():
 def test_criterion_09_parabolic_limit():
     worst_set = worst_col = 0.0
     for s in SECTORS:
-        rep = spheroidal.check_parabolic_limit(wmat(s), a_large=1e6, tol=1e-4)
+        rep = spheroidal.check_parabolic_limit(wmat(s), spheroidal.separation_constants(s, 1e6),
+                                               tol=1e-4)
         worst_set = max(worst_set, rep.max_set_error)
         worst_col = max(worst_col, rep.max_column_error)
     report(9, "parabolic limit", worst_set <= 1e-4 and worst_col <= 1e-4,

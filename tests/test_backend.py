@@ -120,7 +120,8 @@ def test_k_eigenvalues_bracketed_by_exact_sturm_counts():
     delta = Fraction(2e-12)
     for Z in (Fraction(2, 5), Fraction(7, 3)):
         for s in enumerate_sectors(5, 4, 4, Z):
-            D, E = spheroidal._k_entries(s, [1e-3, 1.0, 1e2, 1e6], Z)
+            mat = spheroidal.build_k_matrix(s, [1e-3, 1.0, 1e2, 1e6])
+            D, E = mat.diag, mat.offdiag
             W, _ = bk.tridiag_eigh(D, E)
             for d, e, w in zip(D, E, W):
                 d = [Fraction(x) for x in d]

@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from micz9 import interbasis, wavefield
-from micz9.cli import build_parser, main
+from micz9 import interbasis, spheroidal, wavefield
+from micz9.cli import SWEEP_MAX_ENTRIES, build_parser, main
 from micz9.exactscalar import RadicalScalar
 from micz9.sector import enumerate_sectors
 
@@ -126,6 +126,12 @@ def test_unbuildable_node_count_exit_2():
     assert "ValidationError" in out.stderr and "Traceback" not in out.stderr
     top = wavefield.MAX_RULE_NODES >> wavefield.OVERLAP_DOUBLINGS
     assert f"1..{top}" in run_cli("verify", "--help").stdout
+    # a sweep whose eigenvector stack would need 32 TB is refused before the grid is built
+    out = run_cli("sweep", *SECTOR, "--mode", "float", "--a-min", "1", "--a-max", "2",
+                  "--points", "1000000000000")
+    assert out.returncode == 2 and out.stdout == ""
+    assert "ValidationError" in out.stderr and "Traceback" not in out.stderr
+    assert f"2 to {SWEEP_MAX_ENTRIES} / N^2" in run_cli("sweep", "--help").stdout
 
 
 @pytest.mark.parametrize(
@@ -144,11 +150,22 @@ def test_verify_passes_past_the_desk_sweep(sector, capsys):
 
 
 def test_verify_builds_w_once(monkeypatch, capsys):
-    built = []
-    original = interbasis.w_matrix
-    monkeypatch.setattr(interbasis, "w_matrix", lambda s: built.append(s) or original(s))
+    calls = {"w_matrix": 0, "tridiag_eigh": 0, "build_k_matrix": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(interbasis, "w_matrix")
+    count(spheroidal, "tridiag_eigh")  # K(a) is solved once, at every focal distance
+    count(spheroidal, "build_k_matrix")
     assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
-    assert len(built) == 1
+    assert calls == {"w_matrix": 1, "tridiag_eigh": 1, "build_k_matrix": 1}
 
 
 @pytest.mark.slow

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from micz9 import _backend, coeffs
 from micz9.errors import (
@@ -16,6 +18,7 @@ from micz9.errors import (
 from micz9.interbasis import w_matrix
 from micz9.sector import enumerate_sectors, lambda_range, validate_sector
 from micz9.spheroidal import (
+    SymTridiagonal,
     build_k_matrix,
     check_parabolic_limit,
     check_spherical_limit,
@@ -30,7 +33,7 @@ SQRT17 = math.sqrt(17.0)
 
 
 def test_build_k_matrix_examples():
-    mat = build_k_matrix(S1, 5.0, 1)
+    mat = build_k_matrix(S1, 5.0)
     np.testing.assert_allclose(mat.diag, [0.0, -8.0])
     np.testing.assert_allclose(mat.offdiag, [-1.0])
     # a = 0: diagonal -lam(lam+7), zero couplings
@@ -42,6 +45,17 @@ def test_build_k_matrix_examples():
     assert mat.size == 1 and mat.diag[0] == 0.0
     with pytest.raises(ValidationError):
         build_k_matrix(S1, -1.0)
+    # a list of focal distances gives the stack, row by row the single-a matrices
+    for s in (S1, validate_sector(5, 2, 1, 1, Fraction(7, 3))):
+        a = [1e-3, 5.0, 1e4]
+        stack = build_k_matrix(s, a)
+        assert stack.diag.shape == (3, s.size) and stack.offdiag.shape == (3, s.size - 1)
+        for i, ai in enumerate(a):
+            one = build_k_matrix(s, ai)
+            assert stack.diag[i].tobytes() == one.diag.tobytes()
+            assert stack.offdiag[i].tobytes() == one.offdiag.tobytes()
+    with pytest.raises(ValidationError):
+        build_k_matrix(S1, [[1.0, 2.0]])
 
 
 def test_k_matrix_exact_trace():
@@ -79,12 +93,12 @@ def test_continuant_pairing():
     # the column (1, 4+sqrt(17)) (normalized) belongs to K = -4-sqrt(17):
     # first recurrence row (A0 - K) T0 = Btilde1 T1 with A0 = 0, Btilde1 = 1
     spectrum = separation_constants(S1, 5.0)
-    low = t_by_continuant(S1, 5.0, 1, float(spectrum.K[0]))
+    low = t_by_continuant(spectrum.matrix, float(spectrum.K[0]))
     expect = np.array([1.0, 4 + SQRT17])
     expect /= np.linalg.norm(expect)
     np.testing.assert_allclose(low, expect, rtol=1e-12)
     np.testing.assert_allclose(low, [0.122183, 0.992508], atol=1e-6)
-    high = t_by_continuant(S1, 5.0, 1, float(spectrum.K[1]))
+    high = t_by_continuant(spectrum.matrix, float(spectrum.K[1]))
     np.testing.assert_allclose(high, [0.992508, -0.122183], atol=1e-6)
 
 
@@ -96,21 +110,31 @@ def test_continuant_matches_inverse_iteration():
     for s, a in cases:
         spectrum = separation_constants(s, a)
         for k in range(s.size):
-            col = t_by_continuant(s, a, s.Z, float(spectrum.K[k]))
+            col = t_by_continuant(spectrum.matrix, float(spectrum.K[k]))
             assert np.abs(col - spectrum.T[:, k]).max() <= 1e-8, (s, a, k)
 
 
 def test_continuant_trivial_and_degenerate():
-    assert t_by_continuant(validate_sector(0, 0, 0, 0, 1), 2.0, 1, 0.0)[0] == 1.0
+    assert t_by_continuant(build_k_matrix(validate_sector(0, 0, 0, 0, 1), 2.0), 0.0)[0] == 1.0
     with pytest.raises(DegenerateShift):
-        t_by_continuant(S1, 0.0, 1, -8.0)
-    # the same checks on a as the float route, before the recurrence runs
-    for a in (math.inf, 1e300, math.nan, -1.0):
-        with pytest.raises(ValidationError):
-            t_by_continuant(S1, a, 1, -8.0)
+        t_by_continuant(build_k_matrix(S1, 0.0), -8.0)
     for K in (math.inf, math.nan):  # a non-finite eigenvalue
         with pytest.raises(ValidationError):
-            t_by_continuant(S1, 1.0, 1, K)
+            t_by_continuant(build_k_matrix(S1, 1.0), K)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 15), seed=st.integers(0, 2**31))
+def test_continuant_solves_any_irreducible_tridiagonal(n, seed):
+    # not compared with the eigh columns: clustered eigenvalues leave those free to rotate
+    rng = np.random.default_rng(seed)
+    d = rng.uniform(-10.0, 10.0, n)
+    e = rng.choice([-1.0, 1.0], n - 1) * 10.0 ** rng.uniform(-8.0, 1.0, n - 1)
+    mat = SymTridiagonal(d, e)
+    for K in _backend.tridiag_eigh(d, e)[0]:
+        v = t_by_continuant(mat, float(K))
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
+        assert np.abs(mat.matvec(v) - K * v).max() <= 1e-12 * mat.norm(), (d, e, K)
 
 
 def test_sign_convention():
@@ -126,7 +150,7 @@ def test_sign_convention():
 
 def test_sweep_branches_2x2_closed_form():
     grid = np.logspace(-3, 6, 91)
-    sw = sweep_branches(S1, 1, grid)
+    sw = sweep_branches(S1, grid)
     expect_low = -4 - np.sqrt(16 + grid**2 / 25)
     expect_high = -4 + np.sqrt(16 + grid**2 / 25)
     np.testing.assert_allclose(sw.K[:, 0], expect_low, rtol=1e-12)
@@ -141,7 +165,7 @@ def test_sweep_branches_2x2_closed_form():
 def test_sweep_single_state_flat():
     s = validate_sector(1, 0, 0, 2, 1)  # N = 1, L != J
     grid = np.linspace(0.5, 2.0, 5)
-    sw = sweep_branches(s, 1, grid)
+    sw = sweep_branches(s, grid)
     diag0 = [build_k_matrix(s, float(a)).diag[0] for a in grid]
     np.testing.assert_allclose(sw.K[:, 0], diag0, rtol=1e-15)
 
@@ -150,7 +174,7 @@ def test_sweep_branches_never_cross():
     for s in enumerate_sectors(3, 3, 3):
         if s.size < 2:
             continue
-        sw = sweep_branches(s, s.Z, np.logspace(-2, 2, 41))
+        sw = sweep_branches(s, np.logspace(-2, 2, 41))
         gaps = np.diff(sw.K, axis=1)
         assert (gaps > 0).all(), s
 
@@ -159,7 +183,7 @@ def test_sweep_matches_pointwise_spectra():
     s = validate_sector(11, 0, 0, 0, Fraction(3, 2))  # N = 12
     grid = np.logspace(-3, 6, 150)
     assert grid.size * s.size**2 > _backend._CHUNK_ELEMENTS  # more than one solver chunk
-    sw = sweep_branches(s, s.Z, grid)
+    sw = sweep_branches(s, grid)
     for ip, a in enumerate(grid):
         K = separation_constants(s, float(a)).K
         assert np.abs(sw.K[ip] - K).max() <= 1e-13 * build_k_matrix(s, float(a)).norm(), a
@@ -170,35 +194,35 @@ def test_k_matrix_rejects_non_finite_and_overflow():
         with pytest.raises(ValidationError):
             build_k_matrix(S1, a)
     with pytest.raises(ValidationError):
-        sweep_branches(S1, 1, np.array([1.0, 1e300]))
+        sweep_branches(S1, np.array([1.0, 1e300]))
 
 
 def test_sweep_coarse_grid_rejected():
     with pytest.raises(BranchMatchAmbiguous, match="a = 0.001 and a = 1000000.0"):
-        sweep_branches(S1, 1, np.array([1e-3, 1e6]))
+        sweep_branches(S1, np.array([1e-3, 1e6]))
     with pytest.raises(ValidationError):
-        sweep_branches(S1, 1, np.array([2.0, 1.0]))
+        sweep_branches(S1, np.array([2.0, 1.0]))
 
 
 def test_spherical_limit_examples():
-    rep = check_spherical_limit(S1)
+    rep = check_spherical_limit(separation_constants(S1, 1e-8))
     assert rep.max_value_error <= 1e-12 and rep.max_vector_error <= 1e-6
     np.testing.assert_allclose(rep.raw_gaps, 0.0, atol=1e-14)  # L == J: no O(a) term
 
-    rep = check_spherical_limit(validate_sector(0, 0, 0, 0, 1))
+    rep = check_spherical_limit(separation_constants(validate_sector(0, 0, 0, 0, 1), 1e-8))
     assert rep.max_value_error == 0.0
 
     s = validate_sector(2, 0, 0, 2, 1)
-    rep = check_spherical_limit(s)
+    rep = check_spherical_limit(separation_constants(s, 1e-8))
     assert rep.max_value_error <= 1e-12
     # diagonal limit: K ~ -18 + a*2Z*8/(4*4*5) and -8 + a*2Z*8/(4*5*6) shifts
     np.testing.assert_allclose(rep.raw_gaps, [2e-9 * 2 / 3, 2e-9], rtol=1e-4)
     with pytest.raises(LimitMismatch):
-        check_spherical_limit(s, tol_vector=1e-30)
+        check_spherical_limit(separation_constants(s, 1e-8), tol_vector=1e-30)
 
 
 def test_parabolic_limit_examples():
-    rep = check_parabolic_limit(w_matrix(S1))
+    rep = check_parabolic_limit(w_matrix(S1), separation_constants(S1, 1e6))
     assert rep.max_set_error <= 1e-4 and rep.max_column_error <= 1e-4
     # ascending branches pair with ascending parabolic labels
     assert list(rep.branch_np) == [0, 1]
@@ -209,10 +233,16 @@ def test_parabolic_limit_examples():
     np.testing.assert_allclose(spectrum.T[:, 1], [2**-0.5, -(2**-0.5)], atol=1e-4)
 
     s = validate_sector(1, 0, 0, 2, 1)  # N = 1: K/a -> 0 iff n+Q/2-L-2n_k = 0
-    rep = check_parabolic_limit(w_matrix(s))
+    rep = check_parabolic_limit(w_matrix(s), separation_constants(s, 1e6))
     assert rep.max_set_error <= 1e-4
 
     with pytest.raises(LimitMismatch):
-        check_parabolic_limit(w_matrix(S1), tol=1e-30)
+        check_parabolic_limit(w_matrix(S1), separation_constants(S1, 1e6), tol=1e-30)
     with pytest.raises(ValidationError):
-        check_parabolic_limit(w_matrix(S1), a_large=100.0)
+        check_parabolic_limit(w_matrix(S1), separation_constants(S1, 100.0))
+
+
+def test_parabolic_limit_rejects_w_of_another_sector():
+    other = validate_sector(1, 0, 0, 0, 2)  # S1 at another charge
+    with pytest.raises(ValidationError):
+        check_parabolic_limit(w_matrix(other), separation_constants(S1, 1e6))

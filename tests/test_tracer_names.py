@@ -35,6 +35,10 @@ def test_tracer_wraps_every_named_function(capsys):
         sweep = ["sweep", "--n", "2", "--Q", "0", "--L", "0", "--J", "2", "--mode", "float",
                  "--a-min", "0.1", "--a-max", "10", "--points", "20", "--log"]
         assert cli.main(sweep) == 0
+        # separation_constants is on neither path above: verify solves through spectra
+        kspectrum = ["kspectrum", "--n", "2", "--Q", "0", "--L", "0", "--J", "2",
+                     "--mode", "float", "--a", "1.5"]
+        assert cli.main(kspectrum) == 0
     finally:
         tracer.uninstall()
     assert cli.main is original
