@@ -6,23 +6,31 @@ W = diag(sqrt A) R diag(sqrt B): A(lambda) and B(n_p) are the lambda-only
 and n_p-only factorial ratios of the radicand, and the rational core R is
 sign * n_top!/(L+3)! * a terminating 3F2 at unit argument.  W is proved
 orthogonal on these factors, in integers, before its N^2 entries are
-assembled from one square root per row and one per column.
+assembled from one square root per row and one per column.  WMatrix keeps
+the factors next to the entries.
 
 The oracles check the two matrix identities that make W the eigenbasis,
-with mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal matrix:
+with mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal matrix.  Both
+run on the factors, in integers, and take square roots only to scale a
+nonzero result:
 
-* M9 W = W diag(mu): w_recurrence_residual returns the difference, which
-  must be exactly zero (row by row it is the three-term recurrence of W
-  in lambda), and
-* W diag(mu) W^T = M9: m9_matrix_bruteforce rebuilds the left side.
+* M9 W = W diag(mu): divided by sqrt(A_lambda) sqrt(B_p), row lambda is
+  the three-term recurrence of R in lambda, whose couplings
+  M9[lambda, k] sqrt(A_k / A_lambda) are rational on a correct W;
+  w_recurrence_residual returns the difference, which must be exactly zero;
+* W diag(mu) W^T = M9: m9_matrix_bruteforce sums R diag(B mu) R^T, the
+  left side divided by sqrt(A_i A_j).
 
-Independently, each entry written as a single SU(2) Clebsch-Gordan value
-(Condon-Shortley/Varshalovich phases, evaluated by the Racah sum) must
-equal the closed form.
+Independently of the 3F2, each printed entry must equal its single SU(2)
+Clebsch-Gordan form (Condon-Shortley/Varshalovich phases).  On W the CG
+prefactor splits into a part per row and a part per column, and only the
+Racah sum couples the two; w_via_cg builds each part once and sums each
+Racah series in integers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coeffs
-from .errors import IndexOutOfRange, OrthogonalityViolation
+from .errors import IndexOutOfRange, OrthogonalityViolation, RadicandMismatch
 from .exactscalar import RadicalScalar, exact_factorial
 from .sector import (
     HalfInt,
@@ -105,17 +113,42 @@ def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
 
 @dataclass(frozen=True)
 class WMatrix:
-    """Exact W: rows indexed by lambda ascending, columns by n_p ascending."""
+    """Exact W: rows indexed by lambda ascending, columns by n_p ascending.
+
+    entries[i][p] is row_roots[i] * col_roots[p] * core[i][p], with the
+    roots sqrt(row_radicands) and sqrt(col_radicands): the factors
+    W = diag(sqrt A) R diag(sqrt B) that w_matrix built it from.
+    """
 
     sector: Sector
     entries: tuple[tuple[RadicalScalar, ...], ...]
+    row_radicands: tuple[Fraction, ...]
+    core: tuple[tuple[Fraction, ...], ...]
+    col_radicands: tuple[Fraction, ...]
+    row_roots: tuple[RadicalScalar, ...]
+    col_roots: tuple[RadicalScalar, ...]
 
     @property
     def size(self) -> int:
         return self.sector.size
 
+    @functools.cached_property
+    def _float(self) -> np.ndarray:
+        out = coeffs.matrix_to_float(self.entries)
+        out.flags.writeable = False
+        return out
+
     def to_float(self) -> np.ndarray:
-        return coeffs.matrix_to_float(self.entries)
+        """The entries as floats, each within 1 ulp; built once per W, read-only."""
+        return self._float
+
+
+def _integer_columns(core) -> tuple[list[int], list[list[int]]]:
+    """Column j of R as r_j / d_j: the common denominators d and integer columns r."""
+    n = len(core)
+    d = [math.lcm(*(row[j].denominator for row in core)) for j in range(n)]
+    cols = [[row[j].numerator * (d[j] // row[j].denominator) for row in core] for j in range(n)]
+    return d, cols
 
 
 def _assert_orthogonal(row_rad, core, col_rad) -> None:
@@ -129,8 +162,7 @@ def _assert_orthogonal(row_rad, core, col_rad) -> None:
     n = len(core)
     den = math.lcm(*(x.denominator for x in row_rad))
     a = [x.numerator * (den // x.denominator) for x in row_rad]
-    d = [math.lcm(*(row[j].denominator for row in core)) for j in range(n)]
-    cols = [[row[j].numerator * (d[j] // row[j].denominator) for row in core] for j in range(n)]
+    d, cols = _integer_columns(core)
     for i in range(n):
         ar = [x * y for x, y in zip(a, cols[i])]
         b = col_rad[i]
@@ -146,12 +178,14 @@ def w_matrix(s: Sector) -> WMatrix:
     """All N^2 entries R sqrt(A) sqrt(B) of W, proved orthogonal on A, R, B first."""
     row_rad, core, col_rad = _factors(s, lambda_range(s), range(s.size))
     _assert_orthogonal(row_rad, core, col_rad)
-    roots_b = [RadicalScalar.sqrt(b) for b in col_rad]
+    roots_a = tuple(map(RadicalScalar.sqrt, row_rad))
+    roots_b = tuple(map(RadicalScalar.sqrt, col_rad))
     entries = tuple(
         tuple(root_a * root_b * r for root_b, r in zip(roots_b, row))
-        for root_a, row in zip(map(RadicalScalar.sqrt, row_rad), core)
+        for root_a, row in zip(roots_a, core)
     )
-    return WMatrix(s, entries)
+    core = tuple(map(tuple, core))
+    return WMatrix(s, entries, tuple(row_rad), core, tuple(col_rad), roots_a, roots_b)
 
 
 @dataclass(frozen=True)
@@ -170,6 +204,56 @@ class CGArgs:
         return cls(*(HalfInt.from_value(v) for v in (a, alpha, b, beta, c, gamma)))
 
 
+def _cg_row(a2: int, b2: int, c2: int, g2: int) -> tuple[int, Fraction] | None:
+    """a+b-c and the prefactor's (a, b, c, gamma) part, or None off the selection rules.
+
+    Arguments are doubled, so half-integers are ints.  The part is
+    (2c+1) (a+b-c)! (a-b+c)! (-a+b+c)! (c+gamma)! (c-gamma)! / (a+b+c+1)!.
+    The rules checked: |gamma| <= c, the triangle |a-b| <= c <= a+b, and
+    integer c-gamma and a+b+c.
+    """
+    if abs(g2) > c2 or not abs(a2 - b2) <= c2 <= a2 + b2 or (c2 - g2) % 2 or (a2 + b2 + c2) % 2:
+        return None
+    f = math.factorial
+    x1 = (a2 + b2 - c2) // 2
+    num = (c2 + 1) * f(x1) * f(x1 + c2 - b2) * f(x1 + c2 - a2)
+    num *= f((c2 + g2) // 2) * f((c2 - g2) // 2)
+    return x1, Fraction(num, f(x1 + c2 + 1))
+
+
+def _cg_column(a2: int, al2: int, b2: int, be2: int, g2: int) -> tuple[tuple[int, ...], int] | None:
+    """(a+alpha, a-alpha, b+beta, b-beta) and the product of their factorials.
+
+    Arguments are doubled, as in _cg_row.  The product is the prefactor's
+    (alpha, beta) part.  None off the selection rules: gamma = alpha+beta,
+    |alpha| <= a, |beta| <= b, and integer a-alpha and b-beta.
+    """
+    if g2 != al2 + be2 or abs(al2) > a2 or abs(be2) > b2 or (a2 - al2) % 2 or (b2 - be2) % 2:
+        return None
+    ints = ((a2 + al2) // 2, (a2 - al2) // 2, (b2 + be2) // 2, (b2 - be2) // 2)
+    return ints, math.prod(map(math.factorial, ints))
+
+
+def _racah_sum(x1: int, column: tuple[int, ...]) -> Fraction:
+    """The Racah series sum_k (-1)^k / (k! (x1-k)! (x2-k)! (x3-k)! (y1+k)! (y2+k)!).
+
+    x1 = a+b-c, and column = (a+alpha, x2 = a-alpha, x3 = b+beta, b-beta),
+    so y1 = c-b+alpha = a+alpha-x1 and y2 = c-a-beta = b-beta-x1.  Summed
+    from its first term by Horner's rule on the term ratios, in integers,
+    as _f32_unit_terminating does.
+    """
+    u, x2, x3, v = column
+    y1, y2 = u - x1, v - x1
+    lo, hi = max(0, -y1, -y2), min(x1, x2, x3)  # lo <= hi on the selection rules
+    num = den = 1
+    for k in reversed(range(lo, hi)):
+        step = (k + 1) * (y1 + k + 1) * (y2 + k + 1)
+        num, den = den * step - (x1 - k) * (x2 - k) * (x3 - k) * num, den * step
+    f = math.factorial
+    lead = f(lo) * f(x1 - lo) * f(x2 - lo) * f(x3 - lo) * f(y1 + lo) * f(y2 + lo)
+    return Fraction(-num if lo % 2 else num, den * lead)
+
+
 def clebsch_gordan(args: CGArgs) -> RadicalScalar:
     """Exact SU(2) Clebsch-Gordan coefficient (Condon-Shortley phases).
 
@@ -177,101 +261,127 @@ def clebsch_gordan(args: CGArgs) -> RadicalScalar:
     Selection-rule failures (gamma != alpha+beta, triangle violations,
     projections out of range, inconsistent half-integers) return zero.
     """
-    a, al = args.a.fraction, args.alpha.fraction
-    b, be = args.b.fraction, args.beta.fraction
-    c, ga = args.c.fraction, args.gamma.fraction
-
-    if ga != al + be:
-        return RadicalScalar.zero()
-    if abs(al) > a or abs(be) > b or abs(ga) > c:
-        return RadicalScalar.zero()
-    if c < abs(a - b) or c > a + b:
-        return RadicalScalar.zero()
-    # projections must differ from their momenta by integers, and the
-    # three momenta must couple to an integer total
-    for top, bottom in ((a, al), (b, be), (c, ga), (a + b + c, 0)):
-        if (top - bottom).denominator != 1:
-            return RadicalScalar.zero()
-
-    fact = exact_factorial
-    pref = Fraction(2 * c + 1, 1)
-    pref *= Fraction(
-        fact(a + b - c) * fact(a - b + c) * fact(-a + b + c), fact(a + b + c + 1)
+    a2, al2, b2, be2, c2, g2 = (
+        x.twice for x in (args.a, args.alpha, args.b, args.beta, args.c, args.gamma)
     )
-    pref *= Fraction(
-        fact(a + al) * fact(a - al) * fact(b + be) * fact(b - be) * fact(c + ga) * fact(c - ga)
-    )
-
-    k_lo = int(max(0, -(c - b + al), -(c - a - be)))
-    k_hi = int(min(a + b - c, a - al, b + be))
-    total = Fraction(0)
-    for k in range(k_lo, k_hi + 1):
-        den = (
-            fact(k)
-            * fact(a + b - c - k)
-            * fact(a - al - k)
-            * fact(b + be - k)
-            * fact(c - b + al + k)
-            * fact(c - a - be + k)
-        )
-        total += Fraction((-1) ** k, den)
-    return RadicalScalar(total, pref)
+    row, column = _cg_row(a2, b2, c2, g2), _cg_column(a2, al2, b2, be2, g2)
+    if row is None or column is None:
+        return RadicalScalar.zero()
+    (x1, row_part), (ints, column_part) = row, column
+    return RadicalScalar(_racah_sum(x1, ints), row_part * column_part)
 
 
-def w_via_cg(s: Sector, lam, n_p: int) -> RadicalScalar:
-    """W[lambda, n_p] through its single-Clebsch-Gordan form (cross-oracle).
+def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
+    """Positions (row, n_p) where a printed entry of W differs from its CG form.
 
-    Must equal w_coefficient exactly on every valid index pair.
+    Entry [lambda, n_p] is (-1)^(m-l-n_p) C^{l+3, h+3}_{a, alpha; b, beta},
+    with h = (L+J)/2, a and b fixed by the sector and alpha, beta by n_p.
+    The prefactor under the root is a row part times a column part, each
+    built once; only the Racah sum S couples them.  An entry agrees when
+    it has the sign of (-1)^(m-l-n_p) S and its square equals row part x
+    column part x S^2, compared in integers.  The oracle reads only the
+    printed entries, never the factors or the 3F2 they came from, and
+    returns [] for a correct W.
     """
-    l, _ = lambda_index(s, lam)
-    n_p = np_index(s, n_p)
-    nf = Fraction(s.n)
-    qjl = Fraction(s.Q + s.J - s.L, 4)
-    qlj = Fraction(s.Q - s.J + s.L, 4)
-    ljq = Fraction(s.L + s.J - s.Q, 4)
-    args = CGArgs.from_values(
-        (nf + 3) / 2 + qjl,
-        n_p - nf / 2 + ljq + Fraction(s.J + 3, 2),
-        (nf + 3) / 2 + qlj,
-        nf / 2 - ljq - n_p + Fraction(s.L + 3, 2),
-        l + 3,
-        s.lam_min.fraction + 3,
-    )
-    expo = _as_index(s.m.fraction - l - n_p)
-    sign = -1 if expo % 2 else 1
-    return sign * clebsch_gordan(args)
-
-
-def m9_matrix_bruteforce(W: WMatrix) -> list[list[RadicalScalar]]:
-    """Ninth Runge-Lenz matrix rebuilt as W diag(mu) W^T from the given W.
-
-    Exact; must equal coeffs.m9_spherical_matrix entrywise.
-    """
-    w, n = W.entries, W.size
-    mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
-    scaled = [[m * x for m, x in zip(mu, row)] for row in w]
-    return [
-        [sum((a * b for a, b in zip(scaled[i], w[j])), RadicalScalar.zero()) for j in range(n)]
-        for i in range(n)
+    s = W.sector
+    # the CG arguments, doubled: a and b per sector, alpha and beta per n_p
+    ljq = _as_index(Fraction(s.L + s.J - s.Q, 2))
+    a2, b2, g2 = s.n + 3 + s.J - ljq, s.n + 3 + s.L - ljq, s.lam_min.twice + 6
+    columns = [
+        _cg_column(a2, 2 * n_p - s.n + ljq + s.J + 3, b2, s.n - ljq - 2 * n_p + s.L + 3, g2)
+        for n_p in range(s.size)
     ]
+    bad = []  # W's arguments meet every selection rule, so no part is None
+    for i, (lam, entries) in enumerate(zip(lambda_range(s), W.entries)):
+        x1, row_part = _cg_row(a2, b2, lam.twice + 6, g2)
+        odd = (s.m.twice - lam.twice) // 2 % 2
+        for n_p, (x, (ints, column_part)) in enumerate(zip(entries, columns)):
+            S = _racah_sum(x1, ints)
+            want = S.numerator if (odd + n_p) % 2 == 0 else -S.numerator
+            sq = x.square()
+            ok = x.sign() == (want > 0) - (want < 0) and (
+                sq.numerator * row_part.denominator * S.denominator**2
+                == sq.denominator * row_part.numerator * column_part * S.numerator**2
+            )
+            if not ok:
+                bad.append((i, n_p))
+    return bad
+
+
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The non-negative rational whose square is q >= 0, or None if there is none."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return Fraction(num, den)
 
 
 def w_recurrence_residual(W: WMatrix) -> list[list[RadicalScalar]]:
     """Exact residual M9 W - W diag(mu), every entry zero for a correct W.
 
     M9 is coeffs.m9_spherical_matrix, so row lambda of the residual is the
-    three-term recurrence of W in lambda at each n_p:
-    (M9[lambda, lambda] - mu_p) W[lambda, n_p] + B_lambda W[lambda-1, n_p]
-    + B_{lambda+1} W[lambda+1, n_p], with out-of-range W terms zero.
+    three-term recurrence of W in lambda at each n_p.  It is summed on the
+    factors: entry [lambda, p] is sqrt(A_lambda) sqrt(B_p) times
+    sum_k M9[lambda, k] sqrt(A_k / A_lambda) R[k, p] - mu_p R[lambda, p].
+    The coupling b_lambda sqrt(A_(lambda-1) / A_lambda) is rational on a
+    correct W, and so is its mirror b_lambda sqrt(A_lambda / A_(lambda-1));
+    each row of the sum then runs in integers over R's column denominators.
+    Raises RadicandMismatch if a coupling is irrational: the residual then
+    leaves the c*sqrt(d) class, and A is wrong.
     """
-    m9 = coeffs.m9_spherical_matrix(W.sector)
-    w, n = W.entries, W.size
-    mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
+    s, n = W.sector, W.size
+    m9 = coeffs.m9_spherical_matrix(s)
+    mu = [v.fraction for v in coeffs.m9_eigenvalues(s)]
+    A = W.row_radicands
+    down = [Fraction(0)] * n  # [i]: M9[i, i-1] sqrt(A[i-1] / A[i])
+    for i in range(1, n):
+        b = m9[i][i - 1]
+        t = _rational_sqrt(b.square() * A[i - 1] / A[i])
+        if t is None:
+            raise RadicandMismatch(f"M9 coupling {b} times sqrt(A[{i - 1}]/A[{i}]) is irrational")
+        down[i] = b.sign() * t
+    up = [down[i + 1] * A[i + 1] / A[i] for i in range(n - 1)] + [Fraction(0)]
+    d, cols = _integer_columns(W.core)
+    mu_den = math.lcm(*(x.denominator for x in mu))
+    zero = RadicalScalar.zero()
     out = []
     for i in range(n):
-        band = range(max(i - 1, 0), min(i + 2, n))  # M9 is tridiagonal
-        out.append([
-            sum((m9[i][k] * w[k][p] for k in band), RadicalScalar.zero()) - mu[p] * w[i][p]
-            for p in range(n)
-        ])
+        diag = m9[i][i].as_rational()
+        e = math.lcm(down[i].denominator, up[i].denominator, diag.denominator, mu_den)
+        lo, mid, hi = (x.numerator * (e // x.denominator) for x in (down[i], diag, up[i]))
+        row = []
+        for p, (m, dp, r) in enumerate(zip(mu, d, cols)):
+            v = (mid - m.numerator * (e // m.denominator)) * r[i]
+            if i:
+                v += lo * r[i - 1]
+            if i + 1 < n:
+                v += hi * r[i + 1]
+            row.append(zero if v == 0 else W.row_roots[i] * W.col_roots[p] * Fraction(v, dp * e))
+        out.append(row)
+    return out
+
+
+def m9_matrix_bruteforce(W: WMatrix) -> list[list[RadicalScalar]]:
+    """Ninth Runge-Lenz matrix rebuilt as W diag(mu) W^T from the given W.
+
+    Exact; must equal coeffs.m9_spherical_matrix entrywise.  Entry [i, j]
+    is sqrt(A_i A_j) times [R diag(B mu) R^T]_ij, a sum of integers over
+    one common denominator; only its nonzero entries are scaled by the
+    two row roots.
+    """
+    n = W.size
+    mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
+    d, cols = _integer_columns(W.core)
+    weights = [b * m / (dp * dp) for b, m, dp in zip(W.col_radicands, mu, d)]
+    den = math.lcm(*(w.denominator for w in weights))
+    weights = [w.numerator * (den // w.denominator) for w in weights]
+    rows = list(zip(*cols))
+    zero = RadicalScalar.zero()
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        weighted = [w * x for w, x in zip(weights, rows[i])]
+        for j in range(i, n):  # W diag(mu) W^T is symmetric for every W
+            dot = sum(x * y for x, y in zip(weighted, rows[j]))
+            if dot:
+                out[i][j] = out[j][i] = W.row_roots[i] * W.row_roots[j] * Fraction(dot, den)
     return out

@@ -69,10 +69,7 @@ def test_criterion_03_w_recurrence_exact():
 
 def test_criterion_04_cg_oracle_exact():
     for s in SECTORS:
-        W = wmat(s)
-        for i, lam in enumerate(mz.lambda_range(s)):
-            for n_p in range(s.size):
-                assert interbasis.w_via_cg(s, lam, n_p) == W.entries[i][n_p], (s, lam, n_p)
+        assert interbasis.w_via_cg(wmat(s)) == [], s  # positions of differing entries
     report(4, "Clebsch-Gordan oracle (exact)", True, "equal on every entry")
 
 

@@ -183,7 +183,7 @@ def test_verify_sweep_to_sixteen(capsys):
 @pytest.mark.parametrize(
     "module, name, wrong, failing, code",
     [
-        (interbasis, "w_via_cg", RadicalScalar(12345), "cg_oracle_exact", 4),  # internal
+        (interbasis, "w_via_cg", [(0, 0)], "cg_oracle_exact", 4),  # internal
         (wavefield, "w_overlap_stable", 12345.0, "quadrature_overlap", 3),  # numerical
     ],
 )
@@ -195,6 +195,24 @@ def test_verify_exit_code_follows_failing_check(
     rec = json.loads(capsys.readouterr().out)
     assert rec["payload"]["ok"] is False
     assert [c["name"] for c in rec["payload"]["checks"] if not c["ok"]] == [failing]
+
+
+@pytest.mark.parametrize("residual", [Fraction(1, 10**400), Fraction(10**400)])
+def test_verify_recurrence_residual_is_judged_exactly(residual, monkeypatch, capsys):
+    # below the smallest float and above the largest: neither may pass or overflow
+    original = interbasis.w_recurrence_residual
+
+    def tampered(W):
+        resid = original(W)
+        resid[0][0] = RadicalScalar(residual)
+        return resid
+
+    monkeypatch.setattr(interbasis, "w_recurrence_residual", tampered)
+    assert main(["verify", *SECTOR]) == 4
+    rec = json.loads(capsys.readouterr().out)
+    failed = [c for c in rec["payload"]["checks"] if not c["ok"]]
+    assert [c["name"] for c in failed] == ["w_recurrence_exact"]
+    assert failed[0]["detail"] != "max residual 0"
 
 
 def test_tcoeffs():

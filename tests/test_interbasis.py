@@ -1,11 +1,13 @@
 """Interbasis matrix W: closed form, CG oracle, recurrence, brute force."""
 
+from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from micz9.coeffs import m9_spherical_matrix
-from micz9.errors import IndexOutOfRange, OrthogonalityViolation
+from micz9.coeffs import m9_spherical_matrix, matrix_to_float
+from micz9.errors import IndexOutOfRange, InternalConsistencyError, OrthogonalityViolation
 from micz9.exactscalar import RadicalScalar
 from micz9.interbasis import (
     CGArgs,
@@ -23,6 +25,7 @@ from micz9.sector import HalfInt, enumerate_sectors, lambda_range, validate_sect
 S0 = validate_sector(0, 0, 0, 0, 1)
 S1 = validate_sector(1, 0, 0, 0, 1)
 S22 = validate_sector(2, 0, 0, 2, 1)
+S4211 = validate_sector(4, 2, 1, 1, 1)  # N = 5, with exact zeros in its core
 
 SQRT2_HALF = RadicalScalar(Fraction(1, 2), 2)
 
@@ -118,19 +121,23 @@ def test_clebsch_gordan_values():
 
 
 def test_w_via_cg_examples():
-    assert w_via_cg(S1, 0, 0) == SQRT2_HALF
-    assert w_via_cg(S0, 0, 0) == 1
-    for i, lam in enumerate(lambda_range(S22)):
-        for n_p in range(S22.size):
-            assert w_via_cg(S22, lam, n_p) == w_coefficient(S22, lam, n_p)
+    # W of S1 by hand is [[1, 1], [1, -1]] / sqrt 2, and W of S0 is [[1]]
+    assert w_via_cg(w_matrix(S0)) == []
+    W = w_matrix(S1)
+    by_hand = ((SQRT2_HALF, SQRT2_HALF), (SQRT2_HALF, -SQRT2_HALF))
+    assert w_via_cg(replace(W, entries=by_hand)) == []
+    flipped = ((SQRT2_HALF, SQRT2_HALF), (SQRT2_HALF, SQRT2_HALF))
+    assert w_via_cg(replace(W, entries=flipped)) == [(1, 1)]
+    W22 = w_matrix(S22)
+    one_by_one = tuple(
+        tuple(w_coefficient(S22, lam, n_p) for n_p in range(S22.size)) for lam in lambda_range(S22)
+    )
+    assert w_via_cg(replace(W22, entries=one_by_one)) == []
 
 
 def test_cg_oracle_full_sweep():
     for s in enumerate_sectors(3, 3, 3):
-        W = w_matrix(s)
-        for i, lam in enumerate(lambda_range(s)):
-            for n_p in range(s.size):
-                assert w_via_cg(s, lam, n_p) == W.entries[i][n_p], (s, lam, n_p)
+        assert w_via_cg(w_matrix(s)) == [], s
 
 
 def test_m9_bruteforce_examples():
@@ -162,9 +169,7 @@ def test_odd_parity_sector():
     s = validate_sector(1, 1, 0, 1, 1)
     assert [l.twice for l in lambda_range(s)] == [1, 3]
     W = w_matrix(s)
-    for i, lam in enumerate(lambda_range(s)):
-        for n_p in range(s.size):
-            assert w_via_cg(s, lam, n_p) == W.entries[i][n_p]
+    assert w_via_cg(W) == []
     assert all(x.is_zero for row in w_recurrence_residual(W) for x in row)
 
 
@@ -173,3 +178,76 @@ def test_w_float_matches_exact():
     F = W.to_float()
     assert abs(F[0, 0] - 0.7071067811865476) < 1e-15
     assert abs(F[1, 1] + 0.7071067811865476) < 1e-15
+
+
+def test_w_float_is_built_once_and_read_only():
+    W = w_matrix(S4211)
+    F = W.to_float()
+    assert W.to_float() is F and not F.flags.writeable
+    assert np.array_equal(F, matrix_to_float(W.entries))  # each entry within 1 ulp, as before
+
+
+def _with_factors(W, *, row=None, core=None, col=None):
+    """Copy of W with some factors replaced; roots follow the radicands, entries stay."""
+    row = W.row_radicands if row is None else tuple(row)
+    col = W.col_radicands if col is None else tuple(col)
+    return replace(
+        W,
+        row_radicands=row,
+        core=W.core if core is None else tuple(map(tuple, core)),
+        col_radicands=col,
+        row_roots=tuple(map(RadicalScalar.sqrt, row)),
+        col_roots=tuple(map(RadicalScalar.sqrt, col)),
+    )
+
+
+def _flags(W) -> tuple[bool, bool]:
+    """Whether the recurrence and the equivalence oracle each reject W."""
+    try:
+        recurrence = any(not x.is_zero for row in w_recurrence_residual(W) for x in row)
+    except InternalConsistencyError:  # an irrational coupling on the core
+        recurrence = True
+    closed, brute = m9_spherical_matrix(W.sector), m9_matrix_bruteforce(W)
+    n = W.size
+    return recurrence, any(brute[i][j] != closed[i][j] for i in range(n) for j in range(n))
+
+
+def test_factor_oracles_pass_the_untampered_w():
+    W = w_matrix(S4211)
+    assert _flags(W) == (False, False) and w_via_cg(W) == []
+
+
+def test_factor_oracles_catch_a_tampered_core_entry():
+    W = w_matrix(S4211)
+    core = [list(row) for row in W.core]
+    assert core[1][1] != 0  # scaling an exact zero of R would change nothing
+    core[1][1] *= 2
+    assert _flags(_with_factors(W, core=core)) == (True, True)
+
+
+def test_factor_oracles_catch_a_tampered_row_radicand():
+    W = w_matrix(S4211)
+    row = list(W.row_radicands)
+    row[1] *= 2
+    assert _flags(_with_factors(W, row=row)) == (True, True)
+    row[1] *= 2  # 4 A: the coupling is rational again, the residual is not zero
+    assert _flags(_with_factors(W, row=row)) == (True, True)
+
+
+def test_factor_oracles_catch_a_tampered_column_radicand():
+    W = w_matrix(S4211)
+    assert W.sector.m.fraction - W.sector.J != 0  # mu_0 != 0, so column 0 enters W diag(mu) W^T
+    col = list(W.col_radicands)
+    col[0] *= 2
+    # M9 W = W diag(mu) holds for every column scaling of W; only the equivalence sees it
+    assert _flags(_with_factors(W, col=col)) == (False, True)
+
+
+def test_cg_oracle_reads_the_printed_entries_only():
+    W = w_matrix(S4211)
+    entries = [list(row) for row in W.entries]
+    entries[1][1] = entries[1][1] * 2
+    assert w_via_cg(replace(W, entries=tuple(map(tuple, entries)))) == [(1, 1)]
+    core = [list(row) for row in W.core]
+    core[1][1] *= 2  # the factors are not what the CG form checks
+    assert w_via_cg(_with_factors(W, core=core)) == []

@@ -169,14 +169,12 @@ def test_np_index():
     "fn, args",
     [
         (interbasis.w_coefficient, (1, 0.5)),
-        (interbasis.w_via_cg, (1, 7)),
-        (interbasis.w_via_cg, (9, 0)),
         (wavefield.norm_parabolic, (0.5,)),
         (wavefield.psi_parabolic, (0.5, 1, 1)),
         (m9_parabolic_eigenvalue, (2,)),
         (wavefield.ode_residuals, ("parabolic_u", 0.5, [1.0])),
     ],
-    ids=["w_coefficient", "w_via_cg-n_p", "w_via_cg-lambda", "norm_parabolic",
+    ids=["w_coefficient", "norm_parabolic",
          "psi_parabolic", "m9_parabolic_eigenvalue", "ode_residuals"],
 )
 def test_bad_parabolic_or_lambda_label_is_an_index_error(fn, args):

@@ -1,16 +1,19 @@
-"""The benchmark's trace mode still finds and wraps every function it names.
+"""The benchmark still finds every function it traces and every check it expects.
 
 perfbench/tracer.py patches micz9's public functions by module and name and
 reads the bound arguments of two of them; a function deleted or renamed in
 micz9, or a renamed parameter, would otherwise only show at ``--trace 1``.
+perfbench/checks.py rejects a ``verify`` record whose check names are not
+exactly its own list, so a renamed or added check would fail every
+benchmark operation.
 """
 
 import importlib.util
 import pathlib
 
-from micz9 import cli
+from micz9 import cli, sector
 
-_TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # Kept for the trace but no longer on any command's path.  w_matrix builds
 # W from its row, column and core factors; w_coefficient reads one entry of
@@ -18,15 +21,15 @@ _TRACER_PATH = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "trac
 _UNCALLED = {"k_diag", "k_offdiag", "w_coefficient"}
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_wraps_every_named_function(capsys):
-    tracer_mod = _load_tracer()
+    tracer_mod = _load("tracer")
     tracer = tracer_mod.Tracer()
     original = cli.main
     tracer.install()
@@ -49,3 +52,9 @@ def test_tracer_wraps_every_named_function(capsys):
     assert uncalled == _UNCALLED
     counters = tracer.snapshot()["_counters"]
     assert counters["gauss_rule_builds"] > 0 and counters["overlap_nodes"] > 0
+
+
+def test_verify_yields_the_benchmark_check_names_in_order():
+    s = sector.validate_sector(1, 0, 0, 0, 1)
+    names = tuple(name for name, _, _ in cli._verify_checks(s, 48, 1e-8))
+    assert names == _load("checks").VERIFY_CHECKS
