@@ -38,7 +38,8 @@ def _fmt(x) -> str:
 
 def _fmt_root(square: Fraction) -> str:
     """sqrt(square) like _fmt, but in decimal, so no size overflows or underflows."""
-    with decimal.localcontext(prec=17):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 17
         root = (decimal.Decimal(square.numerator) / square.denominator).sqrt()
     return format(root, ".17g")
 

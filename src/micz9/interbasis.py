@@ -117,7 +117,8 @@ class WMatrix:
 
     entries[i][p] is row_roots[i] * col_roots[p] * core[i][p], with the
     roots sqrt(row_radicands) and sqrt(col_radicands): the factors
-    W = diag(sqrt A) R diag(sqrt B) that w_matrix built it from.
+    W = diag(sqrt A) R diag(sqrt B) that w_matrix built it from.  The
+    roots are derived from the radicands, so they cannot disagree.
     """
 
     sector: Sector
@@ -125,12 +126,18 @@ class WMatrix:
     row_radicands: tuple[Fraction, ...]
     core: tuple[tuple[Fraction, ...], ...]
     col_radicands: tuple[Fraction, ...]
-    row_roots: tuple[RadicalScalar, ...]
-    col_roots: tuple[RadicalScalar, ...]
 
     @property
     def size(self) -> int:
         return self.sector.size
+
+    @functools.cached_property
+    def row_roots(self) -> tuple[RadicalScalar, ...]:
+        return tuple(map(RadicalScalar.sqrt, self.row_radicands))
+
+    @functools.cached_property
+    def col_roots(self) -> tuple[RadicalScalar, ...]:
+        return tuple(map(RadicalScalar.sqrt, self.col_radicands))
 
     @functools.cached_property
     def _float(self) -> np.ndarray:
@@ -184,8 +191,9 @@ def w_matrix(s: Sector) -> WMatrix:
         tuple(root_a * root_b * r for root_b, r in zip(roots_b, row))
         for root_a, row in zip(roots_a, core)
     )
-    core = tuple(map(tuple, core))
-    return WMatrix(s, entries, tuple(row_rad), core, tuple(col_rad), roots_a, roots_b)
+    W = WMatrix(s, entries, tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
+    W.__dict__.update(row_roots=roots_a, col_roots=roots_b)  # fill the caches with the roots built
+    return W
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """CLI contract: payload schemas, exit codes, determinism, mode agreement."""
 
+import decimal
 import hashlib
 import json
 import math
@@ -213,6 +214,15 @@ def test_verify_recurrence_residual_is_judged_exactly(residual, monkeypatch, cap
     failed = [c for c in rec["payload"]["checks"] if not c["ok"]]
     assert [c["name"] for c in failed] == ["w_recurrence_exact"]
     assert failed[0]["detail"] != "max residual 0"
+
+
+def test_verify_runs_on_the_python_310_localcontext(monkeypatch, capsys):
+    # decimal.localcontext takes keyword arguments only from Python 3.11 on
+    real = decimal.localcontext
+    monkeypatch.setattr(decimal, "localcontext", lambda ctx=None: real(ctx))
+    assert main(["verify", *SECTOR]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["payload"]["ok"] is True
 
 
 def test_tcoeffs():

@@ -188,17 +188,22 @@ def test_w_float_is_built_once_and_read_only():
 
 
 def _with_factors(W, *, row=None, core=None, col=None):
-    """Copy of W with some factors replaced; roots follow the radicands, entries stay."""
-    row = W.row_radicands if row is None else tuple(row)
-    col = W.col_radicands if col is None else tuple(col)
+    """Copy of W with some factors replaced; the entries stay."""
     return replace(
         W,
-        row_radicands=row,
+        row_radicands=W.row_radicands if row is None else tuple(row),
         core=W.core if core is None else tuple(map(tuple, core)),
-        col_radicands=col,
-        row_roots=tuple(map(RadicalScalar.sqrt, row)),
-        col_roots=tuple(map(RadicalScalar.sqrt, col)),
+        col_radicands=W.col_radicands if col is None else tuple(col),
     )
+
+
+def test_w_roots_follow_the_radicands():
+    W = w_matrix(S4211)
+    assert W.row_roots == tuple(map(RadicalScalar.sqrt, W.row_radicands))
+    assert W.col_roots == tuple(map(RadicalScalar.sqrt, W.col_radicands))
+    row = list(W.row_radicands)
+    row[1] *= 2
+    assert _with_factors(W, row=row).row_roots[1] == RadicalScalar.sqrt(row[1])
 
 
 def _flags(W) -> tuple[bool, bool]:
