@@ -2,15 +2,17 @@
 
 The coupling between adjacent angular blocks and the diagonal of the
 ninth Runge-Lenz component M9 in the spherical basis come from closed
-forms in (n, Q, L, J, lambda).  The spheroidal separation-constant matrix
-K(a) = -Lambda - a (alpha/2) M9, with Lambda = diag(lambda(lambda+7)) and
-alpha/2 = 2Z/(2n+Q+8), is a linear pencil in which a and Z only ever
-enter through the product aZ: k_pencil holds its exact pieces once per
-sector, and spheroidal rounds them once per (sector, Z) into the float
-pencil from which both its dense-eigensolver and its continuant routes
-build K(a) with one multiply-add per entry.  Matrices here are
-indexed by lambda ascending (rows and columns), which is also recorded in
-the CLI output metadata.
+forms in (n, Q, L, J, lambda).  m9_tridiagonal evaluates them once per
+sector into one cached rational tridiagonal, from which every reader
+derives its M9: m9_spherical_matrix is its exact view with radical
+couplings, and k_pencil scales it into the exact pencil of K(a) =
+-Lambda - a (alpha/2) M9, with Lambda = diag(lambda(lambda+7)) and
+alpha/2 = 2Z/(2n+Q+8).  There a and Z only ever enter through the
+product aZ, and spheroidal rounds the pencil once per (sector, Z) into
+the float pencil from which both its dense-eigensolver and its
+continuant routes build K(a) with one multiply-add per entry.  Matrices
+here are indexed by lambda ascending (rows and columns), which is also
+recorded in the CLI output metadata.
 """
 
 from __future__ import annotations
@@ -59,6 +61,16 @@ def m9_diag(s: Sector, lam) -> Fraction:
 
 
 @functools.lru_cache(maxsize=64)
+def m9_tridiagonal(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """M9 as (diagonal, squared couplings B^2), lambda ascending, evaluated once per sector.
+
+    B^2[i] couples positions i and i+1 and is B^2 at the larger lambda;
+    the coupling itself is the non-negative root B.
+    """
+    lams = [lam.fraction for lam in lambda_range(s)]
+    return tuple(m9_diag(s, l) for l in lams), tuple(_m9_offdiag_sq(s, l) for l in lams[1:])
+
+
 def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact pencil of K(a): (constant term, diagonal slope, squared coupling).
 
@@ -66,14 +78,16 @@ def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tup
     M9[lambda, lambda] and, between positions i and i+1, the coupling
     -aZ g B at the larger lambda.  The three tuples hold -lambda(lambda+7),
     the slope -g M9[lambda, lambda] per unit aZ, and g^2 B^2 per unit
-    (aZ)^2, lambda ascending.  The charge of s is not used.
+    (aZ)^2, lambda ascending: m9_tridiagonal scaled by -g and g^2.  The
+    charge of s is not used.
     """
     g = Fraction(2, 2 * s.n + s.Q + 8)
-    lams = [lam.fraction for lam in lambda_range(s)]
+    diag, coupling_sq = m9_tridiagonal(s)
+    lams = (lam.fraction for lam in lambda_range(s))
     return (
         tuple(-l * (l + 7) for l in lams),
-        tuple(-g * m9_diag(s, l) for l in lams),
-        tuple(g * g * _m9_offdiag_sq(s, l) for l in lams[1:]),
+        tuple(-g * x for x in diag),
+        tuple(g * g * x for x in coupling_sq),
     )
 
 
@@ -102,19 +116,17 @@ def k_offdiag(s: Sector, lam, aZ) -> RadicalScalar:
 def m9_spherical_matrix(s: Sector) -> list[list[RadicalScalar]]:
     """N x N symmetric tridiagonal matrix of the ninth Runge-Lenz component.
 
-    Rows and columns indexed by lambda ascending; the off-diagonal entry
-    between positions i and i+1 is B at the larger lambda.
+    The exact view of m9_tridiagonal: rows and columns indexed by lambda
+    ascending, the off-diagonal entry between positions i and i+1 is B at
+    the larger lambda.
     """
-    lams = lambda_range(s)
-    n = s.size
-    zero = RadicalScalar.zero()
-    mat = [[zero for _ in range(n)] for _ in range(n)]
-    for i, lam in enumerate(lams):
-        mat[i][i] = RadicalScalar.from_rational(m9_diag(s, lam))
-    for i in range(n - 1):
-        b = m9_offdiag(s, lams[i + 1])
-        mat[i][i + 1] = b
-        mat[i + 1][i] = b
+    diag, coupling_sq = m9_tridiagonal(s)
+    n = len(diag)
+    mat = [[RadicalScalar.zero()] * n for _ in range(n)]
+    for i, x in enumerate(diag):
+        mat[i][i] = RadicalScalar.from_rational(x)
+    for i, b_sq in enumerate(coupling_sq):
+        mat[i][i + 1] = mat[i + 1][i] = RadicalScalar.sqrt(b_sq)
     return mat
 
 

@@ -192,14 +192,6 @@ class RadicalScalar:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RadicalScalar.from_rational(other)
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def compare(self, other) -> int:
         """Exact three-way comparison: sign analysis, then cross-squaring."""
         if isinstance(other, (int, Fraction)):
@@ -222,31 +214,13 @@ class RadicalScalar:
             return self.compare(other) == 0
         return NotImplemented
 
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
     def __hash__(self):
         return hash((self.sign(), self.square()))
-
-    def __abs__(self):
-        return -self if self.coeff < 0 else self
 
     def to_float(self) -> float:
         """The value within 1 ulp, from one correctly rounded division and sqrt."""
         mag = math.sqrt(float(self.square()))
         return -mag if self.coeff < 0 else mag
-
-    def __float__(self):
-        return self.to_float()
 
     def as_record(self) -> dict:
         return {"coeff": format_rational(self.coeff), "radicand": format_rational(self.radicand)}

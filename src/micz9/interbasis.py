@@ -327,34 +327,33 @@ def _rational_sqrt(q: Fraction) -> Fraction | None:
 def w_recurrence_residual(W: WMatrix) -> list[list[RadicalScalar]]:
     """Exact residual M9 W - W diag(mu), every entry zero for a correct W.
 
-    M9 is coeffs.m9_spherical_matrix, so row lambda of the residual is the
+    M9 is coeffs.m9_tridiagonal, so row lambda of the residual is the
     three-term recurrence of W in lambda at each n_p.  It is summed on the
     factors: entry [lambda, p] is sqrt(A_lambda) sqrt(B_p) times
     sum_k M9[lambda, k] sqrt(A_k / A_lambda) R[k, p] - mu_p R[lambda, p].
-    The coupling b_lambda sqrt(A_(lambda-1) / A_lambda) is rational on a
-    correct W, and so is its mirror b_lambda sqrt(A_lambda / A_(lambda-1));
-    each row of the sum then runs in integers over R's column denominators.
-    Raises RadicandMismatch if a coupling is irrational: the residual then
-    leaves the c*sqrt(d) class, and A is wrong.
+    The coupling b_lambda sqrt(A_(lambda-1) / A_lambda), b_lambda >= 0 the
+    root of M9's squared coupling, is rational on a correct W, and so is
+    its mirror b_lambda sqrt(A_lambda / A_(lambda-1)); each row of the sum
+    then runs in integers over R's column denominators.  Raises
+    RadicandMismatch if a coupling is irrational: the residual then leaves
+    the c*sqrt(d) class, and A is wrong.
     """
     s, n = W.sector, W.size
-    m9 = coeffs.m9_spherical_matrix(s)
+    m9_diag, coupling_sq = coeffs.m9_tridiagonal(s)
     mu = [v.fraction for v in coeffs.m9_eigenvalues(s)]
     A = W.row_radicands
     down = [Fraction(0)] * n  # [i]: M9[i, i-1] sqrt(A[i-1] / A[i])
-    for i in range(1, n):
-        b = m9[i][i - 1]
-        t = _rational_sqrt(b.square() * A[i - 1] / A[i])
+    for i, b_sq in enumerate(coupling_sq, 1):
+        t = _rational_sqrt(b_sq * A[i - 1] / A[i])
         if t is None:
-            raise RadicandMismatch(f"M9 coupling {b} times sqrt(A[{i - 1}]/A[{i}]) is irrational")
-        down[i] = b.sign() * t
+            raise RadicandMismatch(f"M9 coupling^2 {b_sq} times A[{i - 1}]/A[{i}] is no square")
+        down[i] = t
     up = [down[i + 1] * A[i + 1] / A[i] for i in range(n - 1)] + [Fraction(0)]
     d, cols = _integer_columns(W.core)
     mu_den = math.lcm(*(x.denominator for x in mu))
     zero = RadicalScalar.zero()
     out = []
-    for i in range(n):
-        diag = m9[i][i].as_rational()
+    for i, diag in enumerate(m9_diag):
         e = math.lcm(down[i].denominator, up[i].denominator, diag.denominator, mu_den)
         lo, mid, hi = (x.numerator * (e // x.denominator) for x in (down[i], diag, up[i]))
         row = []

@@ -46,34 +46,6 @@ class HalfInt:
     def fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
-    def as_int(self) -> int:
-        if not self.is_integer:
-            raise ValidationError(f"{self} is not an integer")
-        return self.twice // 2
-
-    def __add__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice + other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice + 2 * other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, HalfInt):
-            return HalfInt(self.twice - other.twice)
-        if isinstance(other, int):
-            return HalfInt(self.twice - 2 * other)
-        return NotImplemented
-
-    def __float__(self):
-        return self.twice / 2.0
-
     def __str__(self):
         return str(self.fraction)
 

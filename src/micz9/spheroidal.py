@@ -88,7 +88,8 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
     lambda ascending, from the exact coeffs.k_pencil at the sector's charge;
-    a charge whose entries overflow a float raises ValidationError.
+    a charge whose entries overflow a float, or whose couplings (all
+    positive) underflow to 0, raises ValidationError.
     Read-only: the cache hands the same arrays to every call.
     """
     lam_term, slope, coupling_sq = coeffs.k_pencil(s)
@@ -101,6 +102,8 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         )
     except OverflowError as exc:
         raise ValidationError(f"K(a) at Z = {Z} leaves the float range") from exc
+    if not pencil[2].all():
+        raise ValidationError(f"K(a) at Z = {Z} leaves the float range: a coupling underflows to 0")
     for part in pencil:
         part.setflags(write=False)
     return pencil
@@ -140,13 +143,13 @@ def build_k_matrix(s: Sector, a) -> SymTridiagonal:
     return SymTridiagonal(diag, off) if a.ndim else SymTridiagonal(diag[0], off[0])
 
 
-def sign_fix_columns(V: np.ndarray, tol: float = _SIGN_TOL) -> np.ndarray:
+def sign_fix_columns(V: np.ndarray) -> np.ndarray:
     """Flip columns so the first above-threshold entry is positive (in place).
 
     V is (..., N, M): every column of every matrix in the stack.
     """
     mag = np.abs(V)
-    above = mag > tol * mag.max(axis=-2, keepdims=True)
+    above = mag > _SIGN_TOL * mag.max(axis=-2, keepdims=True)
     lead = np.take_along_axis(V, np.argmax(above, axis=-2)[..., None, :], axis=-2)
     V *= np.where(lead < 0.0, -1.0, 1.0)
     return V
@@ -161,10 +164,6 @@ class SpheroidalSpectrum:
     K: np.ndarray
     T: np.ndarray
     matrix: SymTridiagonal
-
-    @property
-    def size(self) -> int:
-        return self.K.shape[0]
 
 
 def _solve(s: Sector, a_values):
@@ -266,7 +265,8 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
     Ascending-order labeling is continuity-consistent (simple spectra);
     the adjacent-point eigenvector overlap per branch certifies it and
     raises BranchMatchAmbiguous at or below 0.9 (grid too coarse), naming
-    the first failing pair of points.
+    the first failing pair of points.  An a so small that K/a overflows
+    raises ValidationError.
     """
     a_grid = np.asarray(a_grid, dtype=np.float64)
     if a_grid.ndim != 1 or a_grid.size < 1:
@@ -274,6 +274,11 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
     if not (np.diff(a_grid) > 0).all() or not (a_grid > 0).all():
         raise ValidationError("a_grid must be ascending and positive")
     _, _, K, T = _solve(s, a_grid)
+    with np.errstate(over="ignore"):  # checked just below
+        K_over_a = K / a_grid[:, None]
+    bad = ~np.isfinite(K_over_a).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"K/a at a = {a_grid[bad][0]} leaves the float range")
     worst = np.abs(np.einsum("pij,pij->pj", T[:-1], T[1:])).min(axis=1, initial=1.0)
     bad = np.flatnonzero(worst <= 0.9)
     if bad.size:
@@ -283,7 +288,7 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
             f"and a = {a_grid[ip + 1]} in sector {s}"
         )
     min_overlap = float(worst.min(initial=1.0))
-    return BranchSweep(s, a_grid, K, K / a_grid[:, None], min_overlap)
+    return BranchSweep(s, a_grid, K, K_over_a, min_overlap)
 
 
 @dataclass(frozen=True)
@@ -342,7 +347,6 @@ class ParabolicLimitReport:
     a_large: float
     set_errors: np.ndarray  # sorted K/a vs sorted first-order targets, over Z
     branch_np: np.ndarray  # eigenvalue-matched parabolic label per branch
-    value_errors: np.ndarray  # per-branch |K/a - matched target| / Z
     column_errors: np.ndarray  # max-norm distance of T columns to first-order W columns
 
     @property
@@ -394,14 +398,12 @@ def check_parabolic_limit(
     set_errors = np.abs(np.sort(ratios) - np.sort(targets)) / zf
 
     branch_np = np.empty(n, dtype=np.int64)
-    value_errors = np.empty(n)
     column_errors = np.empty(n)
     for i in range(n):
         j = int(np.argmin(np.abs(targets - ratios[i])))
         branch_np[i] = j
-        value_errors[i] = abs(ratios[i] - targets[j]) / zf
         column_errors[i] = np.abs(spectrum.T[:, i] - columns[:, j]).max()
-    report = ParabolicLimitReport(s, a_large, set_errors, branch_np, value_errors, column_errors)
+    report = ParabolicLimitReport(s, a_large, set_errors, branch_np, column_errors)
     if len(set(branch_np.tolist())) != n:
         raise LimitMismatch(f"parabolic limit matching is not a bijection for {s}: {branch_np}")
     if report.max_set_error > tol or report.max_column_error > tol:

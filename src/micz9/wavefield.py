@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _backend
 from .errors import ConvergenceFailure, DomainError, ValidationError
-from .exactscalar import RadicalScalar, exact_factorial
+from .exactscalar import exact_factorial
 from .sector import (
     Sector,
     alpha_scale,
@@ -123,7 +123,7 @@ def _christoffel_weights(diag, off, mu0, x):
 
 
 MAX_RULE_NODES = 1024  # the largest Gauss rule built: an 8 MB dense Jacobi matrix
-OVERLAP_DOUBLINGS = 3  # how often w_overlap_stable doubles its rule by default
+OVERLAP_DOUBLINGS = 3  # how often w_overlap_stable doubles its rule
 
 
 def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
@@ -188,7 +188,7 @@ def norm_spherical(s: Sector, lam) -> float:
         f(m - l) * (2 * l + 7).numerator * f(l - h) * f(l + h + 6),
         (2 * s.n + s.Q + 8) * f(m + l + 7) * f(l - d + 3) * f(l + d + 3),
     )
-    return RadicalScalar.sqrt(rad).to_float()
+    return math.sqrt(float(rad))
 
 
 def norm_parabolic(s: Sector, n_p: int) -> float:
@@ -200,7 +200,7 @@ def norm_parabolic(s: Sector, n_p: int) -> float:
         f(n_p) * f(n_v),
         (2 * s.n + s.Q + 8) * f(n_p + s.J + 3) * f(n_v + s.L + 3),
     )
-    return RadicalScalar.sqrt(rad).to_float()
+    return math.sqrt(float(rad))
 
 
 def _spherical_factor(s: Sector, lam, X, C):
@@ -308,26 +308,26 @@ def w_overlap_quadrature(s: Sector, n_q: int = 64) -> np.ndarray:
     return basis_overlap(s, "spherical", "parabolic", n_q)
 
 
-def check_node_count(n_q: int, max_doublings: int = OVERLAP_DOUBLINGS) -> None:
+def check_node_count(n_q: int) -> None:
     """Reject a starting node count whose last doubled rule cannot be built."""
-    if not 1 <= n_q << max_doublings <= MAX_RULE_NODES:
-        top = MAX_RULE_NODES >> max_doublings
-        raise ValidationError(f"node count {n_q} must be in 1..{top} ({max_doublings} doublings)")
+    top = MAX_RULE_NODES >> OVERLAP_DOUBLINGS
+    if not 1 <= n_q <= top:
+        raise ValidationError(
+            f"node count {n_q} must be in 1..{top} ({OVERLAP_DOUBLINGS} doublings)"
+        )
 
 
-def w_overlap_stable(
-    s: Sector, n_q: int = 48, tol: float = 1e-10, max_doublings: int = OVERLAP_DOUBLINGS
-) -> np.ndarray:
+def w_overlap_stable(s: Sector, n_q: int = 48, tol: float = 1e-10) -> np.ndarray:
     """Node-doubled W: doubles n_q until successive matrices agree entrywise to tol.
 
-    Raises ConvergenceFailure if they still differ after max_doublings, and
-    ValidationError, before any rule is built, if the last rule would exceed
-    MAX_RULE_NODES.
+    Raises ConvergenceFailure if they still differ after OVERLAP_DOUBLINGS,
+    and ValidationError, before any rule is built, if the last rule would
+    exceed MAX_RULE_NODES.
     """
-    check_node_count(n_q, max_doublings)
+    check_node_count(n_q)
     val = w_overlap_quadrature(s, n_q)
     change = math.inf
-    for _ in range(max_doublings):
+    for _ in range(OVERLAP_DOUBLINGS):
         n_q *= 2
         nxt = w_overlap_quadrature(s, n_q)
         change = float(np.abs(nxt - val).max())

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from micz9 import interbasis, spheroidal, wavefield
+from micz9 import coeffs, interbasis, spheroidal, wavefield
 from micz9.cli import SWEEP_MAX_ENTRIES, build_parser, main
 from micz9.exactscalar import RadicalScalar
 from micz9.sector import enumerate_sectors
@@ -120,6 +120,24 @@ def test_overflowing_charge_or_bad_tol_exit_2():
         assert "ValidationError" in out.stderr and "Traceback" not in out.stderr, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [  # K(a)'s couplings round to 0.0 at Z = 1e-165 and below
+        verify_argv(2, 0, 0, 2, "1e-165"),
+        ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float", "--a", "1"],
+        ["limits", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float"],
+        ["kspectrum", *verify_argv(2, 0, 0, 2, "1e-320")[1:], "--mode", "float", "--a", "1"],
+        # K/a overflows on a subnormal grid
+        ["sweep", *SECTOR, "--mode", "float", "--a-min", "1e-320", "--a-max", "1e-319",
+         "--points", "3"],
+    ],
+)
+def test_underflowing_charge_or_focal_distance_exit_2(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ValidationError: "), err
+
+
 def test_unbuildable_node_count_exit_2():
     # the last doubled Gauss rule would need a 71 PiB dense Jacobi matrix
     out = run_cli(*verify_argv(2, 0, 0, 0), "--nodes", "100000000")
@@ -143,7 +161,8 @@ def test_unbuildable_node_count_exit_2():
     [(12, 0, 0, 0)]
     + [(6 - Q // 2, Q, L, J) for Q in (0, 2, 4) for L in (0, 2) for J in (0, 2)]
     + [(16, 0, 0, 0), (16, 2, 2, 2)]
-    + [(3, 1, 0, 1, "1/1000"), (8, 0, 0, 0, "1000"), (8, 0, 0, 0, "100000")],
+    + [(3, 1, 0, 1, "1/1000"), (8, 0, 0, 0, "1000"), (8, 0, 0, 0, "100000")]
+    + [(2, 0, 0, 2, "1e-160"), (2, 0, 0, 2, "1e-5")],  # K(a)'s couplings stay above 0.0
 )
 def test_verify_passes_past_the_desk_sweep(sector, capsys):
     assert main(verify_argv(*sector)) == 0, capsys.readouterr().err
@@ -167,6 +186,22 @@ def test_verify_builds_w_once(monkeypatch, capsys):
     count(spheroidal, "build_k_matrix")
     assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
     assert calls == {"w_matrix": 1, "tridiag_eigh": 1, "build_k_matrix": 1}
+
+
+def test_verify_evaluates_m9_once(monkeypatch, capsys):
+    coeffs.m9_tridiagonal.cache_clear()
+    spheroidal._k_pencil.cache_clear()
+    calls = 0
+    original = coeffs._m9_offdiag_sq
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return original(*args)
+
+    monkeypatch.setattr(coeffs, "_m9_offdiag_sq", counted)
+    assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
+    assert calls == 8  # the N - 1 couplings of M9, each once
 
 
 @pytest.mark.slow

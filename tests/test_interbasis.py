@@ -57,7 +57,7 @@ def test_w_first_row_positive():
     for s in enumerate_sectors(3, 3, 3):
         W = w_matrix(s)
         for n_p in range(s.size):
-            assert W.entries[0][n_p] > 0
+            assert W.entries[0][n_p].sign() == 1
 
 
 def test_orthogonality_exact_small_sweep():

@@ -116,14 +116,9 @@ def test_alpha_energy_identity():
 
 
 def test_halfint():
-    h = HalfInt(3)
-    assert str(h) == "3/2" and not h.is_integer
-    assert (h + 1).twice == 5
-    assert (h - HalfInt(1)).twice == 2
+    assert str(HalfInt(3)) == "3/2" and str(HalfInt(4)) == "2"
     assert HalfInt.from_value(Fraction(5, 2)).twice == 5
-    assert HalfInt(4).as_int() == 2
     assert HalfInt(2) < HalfInt(3)
-    assert float(HalfInt(3)) == 1.5
 
 
 def test_enumerate_sweep_bounds():
