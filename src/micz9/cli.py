@@ -36,6 +36,12 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _fmt_array(x: np.ndarray) -> np.ndarray:
+    """_fmt of each entry of a float array, in one %-pass: "%.17g" % v is format(v, ".17g")."""
+    text = "%.17g\n" * x.size % tuple(x.ravel().tolist())
+    return np.array(text.splitlines(), dtype=object).reshape(x.shape)
+
+
 def _fmt_root(square: Fraction) -> str:
     """sqrt(square) like _fmt, but in decimal, so no size overflows or underflows."""
     with decimal.localcontext() as ctx:
@@ -64,7 +70,7 @@ def _exact_matrix(mat) -> list:
 
 
 def _float_matrix(mat) -> list:
-    return [[_fmt(x) for x in row] for row in coeffs.matrix_to_float(mat)]
+    return _fmt_array(coeffs.matrix_to_float(mat)).tolist()
 
 
 def _require_float_mode(args) -> None:
@@ -161,8 +167,8 @@ def cmd_kspectrum(args) -> None:
     ortho = float(np.abs(T.T @ T - np.eye(s.size)).max())
     payload = {
         "a": _fmt(args.a),
-        "K": [_fmt(v) for v in spectrum.K],
-        "T_columns_by_nk": [[_fmt(spectrum.T[i, k]) for i in range(s.size)] for k in range(s.size)],
+        "K": _fmt_array(spectrum.K).tolist(),
+        "T_columns_by_nk": _fmt_array(spectrum.T.T).tolist(),
         "residual_inf": _fmt(resid),
         "orthogonality_error": _fmt(ortho),
     }
@@ -177,7 +183,7 @@ def cmd_tcoeffs(args) -> None:
         branches.append({
             "n_k": n_k,
             "K": _fmt(spectrum.K[n_k]),
-            "T_continuant": [_fmt(v) for v in col],
+            "T_continuant": _fmt_array(col).tolist(),
             # difference from the eigh column; the key is part of the output schema
             "max_diff_vs_inverse_iteration": _fmt(np.abs(col - spectrum.T[:, n_k]).max()),
         })
@@ -201,18 +207,18 @@ def cmd_sweep(args) -> None:
     else:
         grid = np.linspace(args.a_min, args.a_max, args.points)
     sw = spheroidal.sweep_branches(s, grid)
-    a_s = [_fmt(a) for a in grid]  # each point is printed once per branch
-    K, K_over_a = sw.K, sw.K_over_a
-    points, nks = range(grid.size), range(s.size)
-    if args.format == "csv":
-        lines = [f"{a_s[i]},{k},{_fmt(K[i, k])},{_fmt(K_over_a[i, k])}" for i in points for k in nks]
-        sys.stdout.write("\n".join(["a,n_k,K,K_over_a", *lines]) + "\n")
+    a_s = _fmt_array(grid)  # each point is printed once per branch
+    if args.format == "csv":  # one template over all (point, branch) rows of the grid
+        a_col, n_k = np.broadcast_arrays(a_s[:, None], np.arange(s.size))
+        cells = np.stack([a_col, n_k, sw.K, sw.K_over_a], axis=-1).ravel().tolist()
+        sys.stdout.write("a,n_k,K,K_over_a\n" + "%s,%d,%.17g,%.17g\n" * sw.K.size % tuple(cells))
         return
+    K_s, K_over_a_s = _fmt_array(sw.K.T), _fmt_array(sw.K_over_a.T)  # branch-major
     branches = [
         {"n_k": k, "points": [
-            {"a": a_s[i], "K": _fmt(K[i, k]), "K_over_a": _fmt(K_over_a[i, k])} for i in points
+            {"a": a, "K": K, "K_over_a": r} for a, K, r in zip(a_s, K_s[k], K_over_a_s[k])
         ]}
-        for k in nks
+        for k in range(s.size)
     ]
     _emit("sweep", s, "float", {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches})
 
@@ -221,9 +227,12 @@ def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[floa
     """Focal distances of the two limit checks, 1e-8/Z and 1e6/Z unless given.
 
     K(a) depends on a and Z only through aZ, so these defaults check the
-    same aZ at every charge.
+    same aZ at every charge.  A charge that rounds to 0.0 as a float raises
+    ValidationError.
     """
     zf = float(s.Z)
+    if not zf:
+        raise ValidationError("Z rounds to 0.0 as a float: 1e-8/Z and 1e6/Z are undefined")
     return (1e-8 / zf if a_small is None else a_small, 1e6 / zf if a_large is None else a_large)
 
 
@@ -238,15 +247,15 @@ def cmd_limits(args) -> None:
     payload = {
         "spherical": {
             "a_small": _fmt(sph.a_small),
-            "value_errors": [_fmt(v) for v in sph.value_errors],
-            "raw_gaps": [_fmt(v) for v in sph.raw_gaps],
-            "vector_errors": [_fmt(v) for v in sph.vector_errors],
+            "value_errors": _fmt_array(sph.value_errors).tolist(),
+            "raw_gaps": _fmt_array(sph.raw_gaps).tolist(),
+            "vector_errors": _fmt_array(sph.vector_errors).tolist(),
         },
         "parabolic": {
             "a_large": _fmt(par.a_large),
-            "branch_np": [int(v) for v in par.branch_np],
-            "set_errors": [_fmt(v) for v in par.set_errors],
-            "column_errors": [_fmt(v) for v in par.column_errors],
+            "branch_np": par.branch_np.tolist(),
+            "set_errors": _fmt_array(par.set_errors).tolist(),
+            "column_errors": _fmt_array(par.column_errors).tolist(),
         },
     }
     _emit("limits", s, "float", payload)

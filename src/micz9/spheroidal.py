@@ -120,8 +120,9 @@ def build_k_matrix(s: Sector, a) -> SymTridiagonal:
     coupling at lambda_{i+1}, lambda ascending.  A scalar a gives one
     matrix; a 1-d sequence of P values gives the stack, diag (P, N) and
     offdiag (P, N-1), the layout tridiag_eigh solves.  Any other shape, a
-    negative or non-finite a, or one whose couplings would overflow when
-    squared raises ValidationError.
+    negative or non-finite a, or an a > 0 whose couplings would overflow
+    when squared or round to 0.0 raises ValidationError; at a = 0 the
+    couplings are exactly 0.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim > 1:
@@ -134,11 +135,15 @@ def build_k_matrix(s: Sector, a) -> SymTridiagonal:
     with np.errstate(over="ignore"):  # checked just below
         diag = lam_term + stack[:, None] * diag_slope
         off = stack[:, None] * off_slope
-    bad = ~np.isfinite(diag).all(axis=1) | (np.abs(off) > _COUPLING_LIMIT).any(axis=1)
+    bad = (
+        ~np.isfinite(diag).all(axis=1)
+        | (np.abs(off) > _COUPLING_LIMIT).any(axis=1)
+        | ((off == 0.0).any(axis=1) & (stack > 0))  # the pencil's couplings are all nonzero
+    )
     if bad.any():
         raise ValidationError(
             f"K(a) at a = {stack[bad][0]} leaves the float range: entries must be finite and "
-            f"couplings at most sqrt(float max) = {_COUPLING_LIMIT:.4g} in magnitude"
+            f"couplings nonzero and at most sqrt(float max) = {_COUPLING_LIMIT:.4g} in magnitude"
         )
     return SymTridiagonal(diag, off) if a.ndim else SymTridiagonal(diag[0], off[0])
 

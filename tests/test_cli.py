@@ -8,12 +8,16 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from micz9 import coeffs, interbasis, spheroidal, wavefield
-from micz9.cli import SWEEP_MAX_ENTRIES, build_parser, main
+from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, build_parser, main
 from micz9.exactscalar import RadicalScalar
-from micz9.sector import enumerate_sectors
+from micz9.sector import enumerate_sectors, validate_sector
 
 
 def run_cli(*argv):
@@ -127,6 +131,13 @@ def test_overflowing_charge_or_bad_tol_exit_2():
         ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float", "--a", "1"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float"],
         ["kspectrum", *verify_argv(2, 0, 0, 2, "1e-320")[1:], "--mode", "float", "--a", "1"],
+        # Z itself rounds to 0.0, so the default limit distances 1e-8/Z and 1e6/Z are undefined
+        verify_argv(2, 0, 0, 2, "1e-400"),
+        ["limits", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--mode", "float"],
+        # a subnormal focal distance rounds K(a)'s couplings to 0.0
+        ["tcoeffs", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a", "5e-324"],
+        ["kspectrum", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a", "5e-324"],
+        ["limits", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a-small", "5e-324"],
         # K/a overflows on a subnormal grid
         ["sweep", *SECTOR, "--mode", "float", "--a-min", "1e-320", "--a-max", "1e-319",
          "--points", "3"],
@@ -289,6 +300,43 @@ def test_sweep_record_mode():
     )
     assert len(rec["payload"]["branches"]) == 2
     assert len(rec["payload"]["branches"][0]["points"]) == 3
+
+
+@pytest.mark.parametrize(
+    "sector",
+    [(0, 0, 0, 0, "1"), (2, 0, 0, 2, "7/3"), (14, 0, 0, 0, "1")],  # N = 1, 2 and 15
+)
+def test_sweep_text_matches_per_value_rendering(sector, capsys):
+    n, Q, L, J, Z = sector
+    flags = [*verify_argv(n, Q, L, J, Z)[1:], "--mode", "float", "--log", "--points", "200",
+             "--a-min", "1e-3", "--a-max", "1e6"]
+    grid = np.logspace(-3, 6, 200)
+    sw = spheroidal.sweep_branches(validate_sector(n, Q, L, J, Fraction(Z)), grid)
+    cell = {  # (point, branch) -> the three printed values, one format call each
+        (i, k): [format(float(x), ".17g") for x in (a, sw.K[i, k], sw.K_over_a[i, k])]
+        for i, a in enumerate(grid) for k in range(sw.K.shape[1])
+    }
+    assert main(["sweep", *flags, "--format", "csv"]) == 0
+    rows = "".join(f"{a},{k},{K},{r}\n" for (i, k), (a, K, r) in cell.items())
+    assert capsys.readouterr().out == "a,n_k,K,K_over_a\n" + rows
+    assert main(["sweep", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["branches"] == [
+        {"n_k": k, "points": [
+            dict(zip(("a", "K", "K_over_a"), cell[i, k])) for i in range(grid.size)
+        ]}
+        for k in range(sw.K.shape[1])
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+              elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
+@example(np.array([5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0, np.inf, -np.inf, np.nan]))
+def test_fmt_array_matches_fmt_elementwise(x):
+    text = _fmt_array(x)
+    assert text.shape == x.shape
+    assert text.ravel().tolist() == [_fmt(v) for v in x.ravel()]
 
 
 def test_limits():
