@@ -54,6 +54,40 @@ def _sector_record(s: sector.Sector) -> dict:
     return {"n": s.n, "Q": s.Q, "L": s.L, "J": s.J, "Z": format_rational(s.Z)}
 
 
+_encode_str = json.encoder.encode_basestring_ascii  # json.dumps' default string encoder
+
+
+def _render(x, pad: str = "") -> str:
+    """json.dumps(x, indent=2), byte for byte, for dicts with str keys, lists and scalars.
+
+    With an indent, json.dumps runs its pure-Python encoder; this does the
+    same layout in one recursive pass.  pad is the indent x is nested at.
+    """
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = pad + "  "
+        items = [_encode_str(k) + ": " + _render(v, inner) for k, v in x.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if isinstance(x, list):
+        if not x:
+            return "[]"
+        inner = pad + "  "
+        items = [_render(v, inner) for v in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    raise TypeError(f"a record holds no {type(x).__name__}")
+
+
 def _emit(command: str, s: sector.Sector, mode: str, payload: dict) -> None:
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -62,7 +96,7 @@ def _emit(command: str, s: sector.Sector, mode: str, payload: dict) -> None:
         "mode": mode,
         "payload": payload,
     }
-    sys.stdout.write(json.dumps(record, indent=2) + "\n")
+    sys.stdout.write(_render(record) + "\n")
 
 
 def _exact_matrix(mat) -> list:

@@ -223,7 +223,7 @@ class RadicalScalar:
         return -mag if self.coeff < 0 else mag
 
     def as_record(self) -> dict:
-        return {"coeff": format_rational(self.coeff), "radicand": format_rational(self.radicand)}
+        return {"coeff": str(self.coeff), "radicand": str(self.radicand)}  # both are Fractions
 
     @classmethod
     def from_record(cls, rec: dict) -> "RadicalScalar":

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import coeffs
 from .errors import IndexOutOfRange, OrthogonalityViolation, RadicandMismatch
-from .exactscalar import RadicalScalar, exact_factorial
+from .exactscalar import RadicalScalar
 from .sector import (
     HalfInt,
     Sector,
@@ -49,20 +49,23 @@ from .sector import (
 )
 
 
-def _f32_unit_terminating(a1: int, a2: int, a3: int, b1: int, b2: int, kmax: int) -> Fraction:
-    """Sum_{k=0..kmax} (a1)_k (a2)_k (a3)_k / ((b1)_k (b2)_k k!), exactly.
+def _f32_unit_terminating(
+    a1: int, a2: int, a3: int, b1: int, b2: int, kmax: int
+) -> tuple[int, int]:
+    """Sum_{k=0..kmax} (a1)_k (a2)_k (a3)_k / ((b1)_k (b2)_k k!) as integers (num, den).
 
     a1 = -kmax truncates the series.  Horner's rule on the term ratios,
     1 + t_0 (1 + t_1 (1 + ...)), keeps one integer numerator/denominator
-    pair, so only the total becomes a Fraction.  b2 may be a non-positive
-    integer as long as the series terminates before its zero (guaranteed
-    here because kmax <= -b2).
+    pair, unreduced, so the caller can fold its own prefactor in before
+    the one reduction.  b2 may be a non-positive integer as long as the
+    series terminates before its zero (guaranteed here because
+    kmax <= -b2).
     """
     num = den = 1
     for k in reversed(range(kmax)):
-        step = (b1 + k) * (b2 + k) * (k + 1)
-        num, den = den * step + (a1 + k) * (a2 + k) * (a3 + k) * num, den * step
-    return Fraction(num, den)
+        den *= (b1 + k) * (b2 + k) * (k + 1)
+        num = den + (a1 + k) * (a2 + k) * (a3 + k) * num
+    return num, den
 
 
 def _as_index(x) -> int:
@@ -73,35 +76,47 @@ def _as_index(x) -> int:
 
 
 def _row(s: Sector, lam) -> tuple[int, int, Fraction]:
-    """Ladder position k of lambda, the 3F2 parameter l+h+7, and A(lambda)."""
-    l, k = lambda_index(s, lam)
-    m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
-    fact = exact_factorial
+    """Ladder position k of lambda, the 3F2 parameter c = L+J+k+7, and A(lambda).
+
+    lambda = (L+J)/2 + k, so with n_top = N-1 every factorial argument of
+    A(lambda) is an integer in k.
+    """
+    k = lambda_index(s, lam)[1]
+    L, J, n_top = s.L, s.J, s.size - 1
+    f = math.factorial
     rad = Fraction(
-        fact(l + h + 6) * _as_index(2 * l + 7) * fact(l - d + 3),
-        fact(k) * fact(m + l + 7) * fact(m - l) * fact(l + d + 3),
+        f(L + J + k + 6) * (L + J + 2 * k + 7) * f(L + k + 3),
+        f(k) * f(n_top + L + J + k + 7) * f(n_top - k) * f(J + k + 3),
     )
-    return k, _as_index(l + h + 7), rad
+    return k, L + J + k + 7, rad
 
 
 def _column_radicand(s: Sector, n_p: int) -> Fraction:
     """B(n_p), the n_p-only part of the radicand; n_v = n_top - n_p."""
     n_v = s.size - 1 - n_p
-    fact = exact_factorial
-    return Fraction(fact(n_p + s.J + 3) * fact(n_v + s.L + 3), fact(n_v) * fact(n_p))
+    f = math.factorial
+    return Fraction(f(n_p + s.J + 3) * f(n_v + s.L + 3), f(n_v) * f(n_p))
 
 
 def _factors(s: Sector, lams, nps) -> tuple[list, list, list]:
-    """Row radicands A, rational core R and column radicands B on the given labels."""
+    """Row radicands A, rational core R and column radicands B on the given labels.
+
+    R[k, n_p] is (-1)^k n_top!/(L+3)! times the 3F2; the sign and the
+    prefactor go into the 3F2's integer pair, so each entry is one Fraction.
+    """
     rows = [_row(s, lam) for lam in lams]
     nps = [np_index(s, n_p) for n_p in nps]
     n_top = s.size - 1
-    pref = Fraction(exact_factorial(n_top), exact_factorial(s.L + 3))
+    pref_num, pref_den = math.factorial(n_top), math.factorial(s.L + 3)
     f32 = _f32_unit_terminating
-    core = [
-        [(-1) ** k * pref * f32(-k, n_p - n_top, c, s.L + 4, -n_top, k) for n_p in nps]
-        for k, c, _ in rows
-    ]
+    core = []
+    for k, c, _ in rows:
+        sign_num = -pref_num if k % 2 else pref_num
+        core_row = []
+        for n_p in nps:
+            num, den = f32(-k, n_p - n_top, c, s.L + 4, -n_top, k)
+            core_row.append(Fraction(sign_num * num, pref_den * den))
+        core.append(core_row)
     return [a for _, _, a in rows], core, [_column_radicand(s, n_p) for n_p in nps]
 
 
@@ -182,16 +197,32 @@ def _assert_orthogonal(row_rad, core, col_rad) -> None:
 
 
 def w_matrix(s: Sector) -> WMatrix:
-    """All N^2 entries R sqrt(A) sqrt(B) of W, proved orthogonal on A, R, B first."""
+    """All N^2 entries R sqrt(A) sqrt(B) of W, proved orthogonal on A, R, B first.
+
+    Each root is built once, sqrt(A_i) = (s_i/q_i) sqrt(f_i) with f_i
+    squarefree, and likewise sqrt(B_p).  An entry is then one reduction,
+    in integers: coeff s_i s_p g r / (q_i q_p) and radicand
+    (f_i/g)(f_p/g), g = gcd(f_i, f_p), which is already squarefree.
+    """
     row_rad, core, col_rad = _factors(s, lambda_range(s), range(s.size))
     _assert_orthogonal(row_rad, core, col_rad)
     roots_a = tuple(map(RadicalScalar.sqrt, row_rad))
     roots_b = tuple(map(RadicalScalar.sqrt, col_rad))
-    entries = tuple(
-        tuple(root_a * root_b * r for root_b, r in zip(roots_b, row))
-        for root_a, row in zip(roots_a, core)
-    )
-    W = WMatrix(s, entries, tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
+    cols = [(x.coeff.numerator, x.coeff.denominator, x.radicand.numerator) for x in roots_b]
+    raw, zero = RadicalScalar._raw, RadicalScalar.zero()
+    entries = []
+    for root_a, core_row in zip(roots_a, core):
+        s_a, q_a, f_a = root_a.coeff.numerator, root_a.coeff.denominator, root_a.radicand.numerator
+        row = []
+        for (s_b, q_b, f_b), r in zip(cols, core_row):
+            if r:
+                g = math.gcd(f_a, f_b)
+                coeff = Fraction(s_a * s_b * g * r.numerator, q_a * q_b * r.denominator)
+                row.append(raw(coeff, Fraction((f_a // g) * (f_b // g))))
+            else:
+                row.append(zero)
+        entries.append(tuple(row))
+    W = WMatrix(s, tuple(entries), tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
     W.__dict__.update(row_roots=roots_a, col_roots=roots_b)  # fill the caches with the roots built
     return W
 

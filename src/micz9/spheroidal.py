@@ -37,10 +37,12 @@ convention).
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -82,6 +84,13 @@ class SymTridiagonal:
         return float(r.max())
 
 
+def _short(x: Fraction) -> str:
+    """x to 6 significant digits, for a message; in decimal, so no size overflows."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        return format(decimal.Decimal(x.numerator) / x.denominator, ".6g")
+
+
 @functools.lru_cache(maxsize=64)
 def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
@@ -101,9 +110,11 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             -np.sqrt(np.array([float(Z * Z * x) for x in coupling_sq])),
         )
     except OverflowError as exc:
-        raise ValidationError(f"K(a) at Z = {Z} leaves the float range") from exc
+        raise ValidationError(f"K(a) at Z = {_short(Z)} leaves the float range") from exc
     if not pencil[2].all():
-        raise ValidationError(f"K(a) at Z = {Z} leaves the float range: a coupling underflows to 0")
+        raise ValidationError(
+            f"K(a) at Z = {_short(Z)} leaves the float range: a coupling underflows to 0"
+        )
     for part in pencil:
         part.setflags(write=False)
     return pencil
@@ -385,7 +396,7 @@ def check_parabolic_limit(
         raise ValidationError(f"W of sector {W.sector} given for a spectrum of sector {s}")
     zf = float(s.Z)
     if not a_large * zf >= 1e4:
-        raise ValidationError(f"a_large Z = {a_large} * {s.Z} must be at least 1e4")
+        raise ValidationError(f"a_large Z = {a_large} * {_short(s.Z)} must be at least 1e4")
     n = s.size
     half_alpha = alpha_scale(s) / 2  # sqrt(-2E)
     lead = np.array(

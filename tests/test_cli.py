@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from micz9 import coeffs, interbasis, spheroidal, wavefield
-from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, build_parser, main
+from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, _render, build_parser, main
 from micz9.exactscalar import RadicalScalar
 from micz9.sector import enumerate_sectors, validate_sector
 
@@ -147,6 +147,7 @@ def test_underflowing_charge_or_focal_distance_exit_2(argv, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("ValidationError: "), err
+    assert len(err) <= 200, err  # the charge is printed short, not as a full fraction
 
 
 def test_unbuildable_node_count_exit_2():
@@ -337,6 +338,48 @@ def test_fmt_array_matches_fmt_elementwise(x):
     text = _fmt_array(x)
     assert text.shape == x.shape
     assert text.ravel().tolist() == [_fmt(v) for v in x.ravel()]
+
+
+# quotes, backslashes, control and non-ASCII characters, and any other code point
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+                | st.characters())
+_RECORDS = st.recursive(
+    st.none() | st.booleans() | st.integers() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RECORDS)
+@example({"a": [], "b": {}, "c": [{}, [[]]], "": None})
+def test_render_is_json_dumps_indent_2(x):
+    assert _render(x) == json.dumps(x, indent=2)
+
+
+_FLOAT_AT_A = ["--mode", "float", "--a", "1.5"]
+
+
+@pytest.mark.parametrize("sector", [("1", "0", "0", "0"), ("4", "2", "0", "2")])
+@pytest.mark.parametrize(
+    "command",
+    [
+        *(["states", "--mode", m] for m in ("exact", "float")),
+        *(["wmatrix", "--mode", m] for m in ("exact", "float")),
+        *(["m9", "--mode", m] for m in ("exact", "float")),
+        ["kspectrum", *_FLOAT_AT_A],
+        ["tcoeffs", *_FLOAT_AT_A],
+        ["limits", "--mode", "float"],
+        ["sweep", "--mode", "float", "--a-min", "0.1", "--a-max", "10", "--points", "5"],
+        ["verify"],
+    ],
+    ids=" ".join,
+)
+def test_every_record_is_its_own_indent_2_rendering(command, sector, capsys):
+    n, Q, L, J = sector
+    assert main([*command, "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_limits():

@@ -91,8 +91,9 @@ def test_orthogonality_proof_catches_a_tampered_radicand():
 
 
 def test_w_matrix_entries_are_w_coefficient():
-    # the whole-matrix build and the one-entry read agree component by component
-    for s in enumerate_sectors(6, 4, 4):
+    # the whole-matrix build and the one-entry read agree component by component; N = 19
+    # adds large radicands, whose roots share big factors gcd(f_a, f_b) in one entry
+    for s in [*enumerate_sectors(6, 4, 4), validate_sector(16, 4, 0, 0, 1)]:
         W = w_matrix(s).entries
         for i, lam in enumerate(lambda_range(s)):
             for n_p in range(s.size):

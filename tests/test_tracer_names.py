@@ -5,11 +5,14 @@ reads the bound arguments of two of them; a function deleted or renamed in
 micz9, or a renamed parameter, would otherwise only show at ``--trace 1``.
 perfbench/checks.py rejects a ``verify`` record whose check names are not
 exactly its own list, so a renamed or added check would fail every
-benchmark operation.
+benchmark operation.  Its exact-W check also runs here on the ``exact``
+workload's sectors, so a wrong W fails the tests, not only the benchmark.
 """
 
 import importlib.util
 import pathlib
+
+import pytest
 
 from micz9 import cli, sector
 
@@ -58,3 +61,18 @@ def test_verify_yields_the_benchmark_check_names_in_order():
     s = sector.validate_sector(1, 0, 0, 0, 1)
     names = tuple(name for name, _, _ in cli._verify_checks(s, 48, 1e-8))
     assert names == _load("checks").VERIFY_CHECKS
+
+
+# EXACT_SECTORS of perfbench/run.py: N = 9..21
+_EXACT_SECTORS = (
+    (8, 2, 1, 1), (10, 1, 0, 1), (12, 4, 2, 2),
+    (13, 3, 1, 0), (14, 0, 0, 0), (14, 2, 1, 1),
+    (16, 2, 1, 1), (16, 4, 0, 0), (18, 4, 0, 0),
+)
+
+
+@pytest.mark.parametrize("n, Q, L, J", _EXACT_SECTORS)
+def test_exact_w_passes_the_benchmark_check(n, Q, L, J, capsys):
+    flags = ["--n", str(n), "--Q", str(Q), "--L", str(L), "--J", str(J)]
+    assert cli.main(["wmatrix", "--mode", "exact", *flags]) == 0
+    _load("checks").check_wmatrix(capsys.readouterr().out, n, Q, L, J)
