@@ -13,7 +13,8 @@ error.  Large stacks are solved in chunks of at most
 ``_CHUNK_ELEMENTS`` dense entries, which bounds the working memory.
 
 The generalized Laguerre and Jacobi polynomials are evaluated by their
-three-term recurrences.
+three-term recurrences; one run yields every degree up to the one asked
+for, so a whole ladder of degrees costs one call.
 """
 
 from __future__ import annotations
@@ -88,45 +89,55 @@ def tridiag_eigh(d, e):
 
 
 def _laguerre_rec(k, s, x):
-    pm = np.ones_like(x)
-    if k == 0:
-        return pm
-    pc = 1.0 + s - x
+    """Rows L_0^{(s)}(x) .. L_k^{(s)}(x) of the three-term recurrence."""
+    out = np.empty((k + 1,) + x.shape)
+    out[0] = 1.0
+    if k:
+        out[1] = 1.0 + s - x
     for j in range(1, k):
-        pn = ((2.0 * j + s + 1.0 - x) * pc - (j + s) * pm) / (j + 1.0)
-        pm, pc = pc, pn
-    return pc
+        out[j + 1] = ((2.0 * j + s + 1.0 - x) * out[j] - (j + s) * out[j - 1]) / (j + 1.0)
+    return out
 
 
 def _jacobi_rec(k, p, q, x):
-    pm = np.ones_like(x)
-    if k == 0:
-        return pm
-    pc = (p + 1.0) + (p + q + 2.0) * (x - 1.0) / 2.0
+    """Rows P_0^{(p,q)}(x) .. P_k^{(p,q)}(x) of the three-term recurrence."""
+    out = np.empty((k + 1,) + x.shape)
+    out[0] = 1.0
+    if k:
+        out[1] = (p + 1.0) + (p + q + 2.0) * (x - 1.0) / 2.0
     for j in range(1, k):
         c = 2.0 * j + p + q
         den = 2.0 * (j + 1.0) * (j + 1.0 + p + q) * c
         a1 = (c + 1.0) * (p * p - q * q)
         a2 = c * (c + 1.0) * (c + 2.0)
         a3 = 2.0 * (j + p) * (j + q) * (c + 2.0)
-        pn = ((a1 + a2 * x) * pc - a3 * pm) / den
-        pm, pc = pc, pn
-    return pc
+        out[j + 1] = ((a1 + a2 * x) * out[j] - a3 * out[j - 1]) / den
+    return out
 
 
-def laguerre(k: int, s: float, x):
-    """Generalized Laguerre L_k^{(s)}; k < 0 gives 0 (derivative ladders)."""
+def _evaluate(rec, k, params, x, ladder):
     xa = np.asarray(x, dtype=np.float64)
+    if ladder:
+        return rec(k, *params, xa) if k >= 0 else np.zeros((0,) + xa.shape)
     if k < 0:
         return np.zeros_like(xa) if xa.shape else 0.0
-    out = _laguerre_rec(k, float(s), xa)
+    out = rec(k, *params, xa)[k]
     return out if xa.shape else float(out)
 
 
-def jacobi(k: int, p: float, q: float, x):
-    """Jacobi P_k^{(p,q)}; k < 0 gives 0 (derivative ladders)."""
-    xa = np.asarray(x, dtype=np.float64)
-    if k < 0:
-        return np.zeros_like(xa) if xa.shape else 0.0
-    out = _jacobi_rec(k, float(p), float(q), xa)
-    return out if xa.shape else float(out)
+def laguerre(k: int, s: float, x, ladder: bool = False):
+    """Generalized Laguerre L_k^{(s)}; k < 0 gives 0 (derivative ladders).
+
+    With ladder=True the result is every degree 0..k of the same run,
+    stacked on a new first axis (no rows for k < 0).
+    """
+    return _evaluate(_laguerre_rec, k, (float(s),), x, ladder)
+
+
+def jacobi(k: int, p: float, q: float, x, ladder: bool = False):
+    """Jacobi P_k^{(p,q)}; k < 0 gives 0 (derivative ladders).
+
+    With ladder=True the result is every degree 0..k of the same run,
+    stacked on a new first axis (no rows for k < 0).
+    """
+    return _evaluate(_jacobi_rec, k, (float(p), float(q)), x, ladder)

@@ -10,6 +10,7 @@ parity; incompatible inputs are rejected rather than rounded.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Tuple
@@ -53,6 +54,13 @@ class HalfInt:
         return f"HalfInt({self.fraction})"
 
 
+def _short(x: Fraction) -> str:
+    """x to 6 significant digits, for a message; in decimal, so no size overflows."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 6
+        return format(decimal.Decimal(x.numerator) / x.denominator, ".6g")
+
+
 def as_fraction(x) -> Fraction:
     """Exact Fraction from HalfInt, int, or Fraction."""
     if isinstance(x, HalfInt):
@@ -89,7 +97,7 @@ class Sector:
         return (self.n, self.Q, self.L, self.J, self.Z)
 
     def __str__(self):
-        return f"(n={self.n}, Q={self.Q}, L={self.L}, J={self.J}, Z={self.Z})"
+        return f"(n={self.n}, Q={self.Q}, L={self.L}, J={self.J}, Z={_short(self.Z)})"
 
 
 def validate_sector(n: int, Q: int, L: int, J: int, Z=1) -> Sector:
@@ -105,7 +113,7 @@ def validate_sector(n: int, Q: int, L: int, J: int, Z=1) -> Sector:
             raise NegativeQuantumNumber(f"{name} = {v} must be non-negative")
     Z = Fraction(Z)
     if Z <= 0:
-        raise NonpositiveCharge(f"Z = {Z} must be positive")
+        raise NonpositiveCharge(f"Z = {_short(Z)} must be positive")
     if (Q - L - J) % 2 != 0:
         raise ParityMismatch(f"Q = {Q} and L+J = {L + J} must have equal parity")
     s = Sector(n, Q, L, J, Z)
@@ -119,27 +127,35 @@ def lambda_range(s: Sector) -> list[HalfInt]:
     return [HalfInt(s.lam_min.twice + 2 * i) for i in range(s.size)]
 
 
+def _twice(label):
+    """Twice a label: an int for HalfInt and int labels, else a Fraction; None if not a number."""
+    if isinstance(label, HalfInt):
+        return label.twice
+    if isinstance(label, int):
+        return 2 * label
+    try:
+        return 2 * as_fraction(label)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def lambda_index(s: Sector, lam) -> Tuple[Fraction, int]:
     """(lambda, its ladder position from 0); LambdaOutOfRange off the ladder."""
-    lo, hi = s.lam_min.fraction, s.m.fraction
-    try:
-        l = as_fraction(lam)
-    except (TypeError, ValueError, OverflowError):
-        l = None
-    if l is None or not lo <= l <= hi or (l - lo).denominator != 1:
-        raise LambdaOutOfRange(f"lambda = {lam} outside {lo}..{hi} for sector {s}")
-    return l, int(l - lo)
+    lo2, hi2 = s.L + s.J, 2 * s.n + s.Q  # twice the ends of the ladder
+    twice = _twice(lam)
+    if twice is None or not lo2 <= twice <= hi2 or (twice - lo2) % 2 != 0:
+        raise LambdaOutOfRange(
+            f"lambda = {lam} outside {Fraction(lo2, 2)}..{Fraction(hi2, 2)} for sector {s}"
+        )
+    return Fraction(twice, 2), (twice - lo2) // 2
 
 
 def np_index(s: Sector, n_p) -> int:
     """n_p as an int; IndexOutOfRange unless it is an integer in 0..N-1."""
-    try:
-        f = as_fraction(n_p)
-    except (TypeError, ValueError, OverflowError):
-        f = None
-    if f is None or f.denominator != 1 or not 0 <= f < s.size:
+    twice = _twice(n_p)
+    if twice is None or not 0 <= twice < 2 * s.size or twice % 2 != 0:
         raise IndexOutOfRange(f"n_p = {n_p} outside 0..{s.size - 1} for sector {s}")
-    return int(f)
+    return twice // 2
 
 
 def np_range(s: Sector) -> list[int]:

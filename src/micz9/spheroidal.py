@@ -37,7 +37,6 @@ convention).
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 import sys
@@ -55,7 +54,7 @@ from .errors import (
     ValidationError,
 )
 from .interbasis import WMatrix
-from .sector import Sector, alpha_scale, lambda_range, m9_parabolic_eigenvalue
+from .sector import Sector, _short, alpha_scale, lambda_range, m9_parabolic_eigenvalue
 
 _SIGN_TOL = 1e-12
 
@@ -82,13 +81,6 @@ class SymTridiagonal:
         r[1:] += np.abs(self.offdiag)
         r[:-1] += np.abs(self.offdiag)
         return float(r.max())
-
-
-def _short(x: Fraction) -> str:
-    """x to 6 significant digits, for a message; in decimal, so no size overflows."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = 6
-        return format(decimal.Decimal(x.numerator) / x.denominator, ".6g")
 
 
 @functools.lru_cache(maxsize=64)

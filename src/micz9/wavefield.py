@@ -18,28 +18,28 @@ to roundoff once the node count covers the polynomial degree.  The bare
 factors of a whole basis are evaluated once on the tensor grid, as the
 columns of a matrix Phi, and all overlaps of two bases come out as one
 Gram matrix Phi_bra^T diag(w) Phi_ket.
+
+Each basis is evaluated once per sector: one polynomial ladder per family
+(a single recurrence run returns every degree), norms from integer
+factorials, and each column multiplied in place in the closed form's
+order, skipping unit envelopes, so the columns are bitwise the one-state
+products.  The separated-equation residuals likewise evaluate every state
+of an equation in one pass and serve the per-label calls from it; powers
+and exponentials stay on the points array alone, so every residual is
+bitwise its one-state value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from . import _backend
 from .errors import ConvergenceFailure, DomainError, ValidationError
-from .exactscalar import exact_factorial
-from .sector import (
-    Sector,
-    alpha_scale,
-    energy,
-    lambda_index,
-    lambda_range,
-    m9_parabolic_eigenvalue,
-    np_index,
-)
+from .sector import Sector, lambda_index, np_index
 
 
 # ----------------------------------------------------------------------
@@ -52,23 +52,11 @@ def laguerre_gen(k: int, s: float, x):
     return _backend.laguerre(k, s, x)
 
 
-def laguerre_gen_pair(k: int, s: float, x):
-    """(value, derivative); d/dx L_k^{(s)} = -L_{k-1}^{(s+1)}."""
-    return _backend.laguerre(k, s, x), -_backend.laguerre(k - 1, s + 1, x)
-
-
 def jacobi_gen(k: int, p: float, q: float, x):
     """Jacobi P_k^{(p,q)}(x) by the three-term recurrence (p, q > -1)."""
     if p <= -1 or q <= -1:
         raise ValidationError(f"jacobi parameters must exceed -1, got ({p}, {q})")
     return _backend.jacobi(k, p, q, x)
-
-
-def jacobi_gen_pair(k: int, p: float, q: float, x):
-    """(value, derivative) via the degree-lowering identity."""
-    val = jacobi_gen(k, p, q, x)
-    der = 0.5 * (k + p + q + 1) * _backend.jacobi(k - 1, p + 1, q + 1, x)
-    return val, der
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +157,10 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
                 q, dq = _orthonormal_last_pair(diag, off, nodes)
                 step = q / dq
                 nodes = nodes - np.where(np.isfinite(step), step, 0.0)
-    rule = QuadratureRule(kind, float(order), nodes, _christoffel_weights(diag, off, mu0, nodes))
+    weights = _christoffel_weights(diag, off, mu0, nodes)
+    for part in (nodes, weights):  # the cache hands the same arrays to every caller
+        part.setflags(write=False)
+    rule = QuadratureRule(kind, float(order), nodes, weights)
     _rule_cache[key] = rule
     return rule
 
@@ -179,58 +170,96 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
 # ----------------------------------------------------------------------
 
 
+def _spherical_norms(s: Sector) -> list[float]:
+    """Normalizations of the radial-angular states, lambda ascending.
+
+    Under r^8 (1-c^2)^3 dr dc.  Every factorial argument is an integer for a
+    parity-valid sector, and each norm is the square root of one correctly
+    rounded int / int, which is what float(Fraction) gives.
+    """
+    f = math.factorial
+    m2, h2, d2 = 2 * s.n + s.Q, s.L + s.J, s.J - s.L  # twice n+Q/2, (L+J)/2, (J-L)/2
+    out = []
+    for l2 in range(h2, m2 + 1, 2):
+        num = f((m2 - l2) // 2) * (l2 + 7) * f((l2 - h2) // 2) * f((l2 + h2) // 2 + 6)
+        den = (m2 + 8) * f((m2 + l2) // 2 + 7) * f((l2 - d2) // 2 + 3) * f((l2 + d2) // 2 + 3)
+        out.append(math.sqrt(num / den))
+    return out
+
+
+def _parabolic_norms(s: Sector) -> list[float]:
+    """Normalizations of the parabolic states, n_p ascending, under the same measure."""
+    f = math.factorial
+    n_top = s.size - 1
+    return [
+        math.sqrt(
+            f(n_p) * f(n_top - n_p)
+            / ((2 * s.n + s.Q + 8) * f(n_p + s.J + 3) * f(n_top - n_p + s.L + 3))
+        )
+        for n_p in range(s.size)
+    ]
+
+
 def norm_spherical(s: Sector, lam) -> float:
     """Normalization of the radial-angular factor under r^8 (1-c^2)^3 dr dc."""
-    l, _ = lambda_index(s, lam)
-    m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
-    f = exact_factorial
-    rad = Fraction(
-        f(m - l) * (2 * l + 7).numerator * f(l - h) * f(l + h + 6),
-        (2 * s.n + s.Q + 8) * f(m + l + 7) * f(l - d + 3) * f(l + d + 3),
-    )
-    return math.sqrt(float(rad))
+    return _spherical_norms(s)[lambda_index(s, lam)[1]]
 
 
 def norm_parabolic(s: Sector, n_p: int) -> float:
     """Normalization of the parabolic factor under the same reduced measure."""
-    n_p = np_index(s, n_p)
-    n_v = s.size - 1 - n_p
-    f = exact_factorial
-    rad = Fraction(
-        f(n_p) * f(n_v),
-        (2 * s.n + s.Q + 8) * f(n_p + s.J + 3) * f(n_v + s.L + 3),
-    )
-    return math.sqrt(float(rad))
+    return _parabolic_norms(s)[np_index(s, n_p)]
 
 
-def _spherical_factor(s: Sector, lam, X, C):
-    """Bare radial-angular factor at x = alpha r and c = cos(theta)."""
-    l, k = lambda_index(s, lam)
-    lamf = float(l)
-    n_r = int(s.m.fraction - l)
-    return (
-        norm_spherical(s, lam)
-        * X**lamf
-        * laguerre_gen(n_r, 2 * lamf + 7, X)
-        * 2.0 ** (-(s.L + s.J + 7) / 2)
-        * (1 - C) ** (s.L / 2)
-        * (1 + C) ** (s.J / 2)
-        * jacobi_gen(k, s.L + 3, s.J + 3, C)
-    )
+def _product_into(out: np.ndarray, head, factors) -> None:
+    """out = head * f_1 * f_2 * ..., multiplied left to right in place.
+
+    A None factor is a unit envelope (a zero power), skipped because
+    multiplying by 1.0 is exact; the order of the rest is kept, so the
+    result is bitwise the closed form's.
+    """
+    factors = [f for f in factors if f is not None]
+    np.multiply(head, factors[0], out=out)
+    for f in factors[1:]:
+        np.multiply(out, f, out=out)
 
 
-def _parabolic_factor(s: Sector, n_p, U, V):
-    """Bare parabolic factor at (U, V) = alpha (u, v) / 2, so U + V = x."""
-    n_p = np_index(s, n_p)
-    n_v = s.size - 1 - n_p
-    return (
-        norm_parabolic(s, n_p)
-        * 2.0**-3.5
-        * U ** (s.J / 2)
-        * laguerre_gen(n_p, s.J + 3, U)
-        * V ** (s.L / 2)
-        * laguerre_gen(n_v, s.L + 3, V)
-    )
+def _spherical_columns(s: Sector, X, C, ks) -> np.ndarray:
+    """Bare radial-angular factors at x = alpha r and c = cos(theta), stacked last.
+
+    ks are ladder positions (lambda = (L+J)/2 + k).  One Jacobi ladder
+    serves every state; the Laguerre order 2 lambda + 7 changes with the
+    state, so each radial polynomial is its own run on the radial nodes.
+    """
+    jac = _backend.jacobi(max(ks), s.L + 3, s.J + 3, C, ladder=True)
+    env = 2.0 ** (-(s.L + s.J + 7) / 2)
+    left = (1 - C) ** (s.L / 2) if s.L else None
+    right = (1 + C) ** (s.J / 2) if s.J else None
+    norms = _spherical_norms(s)
+    out = np.empty(np.broadcast_shapes(np.shape(X), np.shape(C)) + (len(ks),))
+    for col, k in enumerate(ks):
+        lamf = (s.L + s.J + 2 * k) / 2
+        radial = norms[k] * X**lamf if lamf else norms[k]
+        radial = radial * _backend.laguerre(s.size - 1 - k, 2 * lamf + 7, X) * env
+        _product_into(out[..., col], radial, (left, right, jac[k]))
+    return out
+
+
+def _parabolic_columns(s: Sector, U, V, n_ps) -> np.ndarray:
+    """Bare parabolic factors at (U, V) = alpha (u, v) / 2, so U + V = x, stacked last.
+
+    One Laguerre ladder in U and one in V serve every state.
+    """
+    n_top = s.size - 1
+    lag_u = _backend.laguerre(max(n_ps), s.J + 3, U, ladder=True)
+    lag_v = _backend.laguerre(n_top - min(n_ps), s.L + 3, V, ladder=True)
+    u_env = U ** (s.J / 2) if s.J else None
+    v_env = V ** (s.L / 2) if s.L else None
+    norms = _parabolic_norms(s)
+    out = np.empty(np.broadcast_shapes(np.shape(U), np.shape(V)) + (len(n_ps),))
+    for col, n_p in enumerate(n_ps):
+        factors = (u_env, lag_u[n_p], v_env, lag_v[n_top - n_p])
+        _product_into(out[..., col], norms[n_p] * 2.0**-3.5, factors)
+    return out
 
 
 def psi_spherical(s: Sector, lam, r, c):
@@ -242,9 +271,10 @@ def psi_spherical(s: Sector, lam, r, c):
         raise DomainError("psi_spherical needs r > 0")
     if np.any(np.abs(c) > 1):
         raise DomainError("psi_spherical needs |cos(theta)| <= 1")
-    alpha = float(alpha_scale(s))
+    k = lambda_index(s, lam)[1]
+    alpha = _float_scales(s)[2]
     x = alpha * r
-    out = alpha**4.5 * np.exp(-x / 2) * _spherical_factor(s, lam, x, c)
+    out = alpha**4.5 * np.exp(-x / 2) * _spherical_columns(s, x, c, [k])[..., 0]
     return out if out.shape else float(out)
 
 
@@ -254,10 +284,11 @@ def psi_parabolic(s: Sector, n_p: int, u, v):
     v = np.asarray(v, dtype=np.float64)
     if np.any(u < 0) or np.any(v < 0):
         raise DomainError("psi_parabolic needs u, v >= 0")
-    alpha = float(alpha_scale(s))
+    n_p = np_index(s, n_p)
+    alpha = _float_scales(s)[2]
     U = alpha * u / 2
     V = alpha * v / 2
-    out = alpha**4.5 * np.exp(-(U + V) / 2) * _parabolic_factor(s, n_p, U, V)
+    out = alpha**4.5 * np.exp(-(U + V) / 2) * _parabolic_columns(s, U, V, [n_p])[..., 0]
     return out if out.shape else float(out)
 
 
@@ -268,15 +299,12 @@ def psi_parabolic(s: Sector, n_p: int, u, v):
 
 def _basis_factors(s: Sector, basis: str, X, C) -> np.ndarray:
     """Bare factors of every state of one basis on the (x, c) grid, stacked last."""
+    states = range(s.size)
     if basis == "spherical":
-        cols = [_spherical_factor(s, lam, X, C) for lam in lambda_range(s)]
-    elif basis == "parabolic":
-        U = X * (1 + C) / 2
-        V = X * (1 - C) / 2
-        cols = [_parabolic_factor(s, n_p, U, V) for n_p in range(s.size)]
-    else:
-        raise ValidationError(f"unknown basis {basis!r}")
-    return np.stack(cols, axis=-1)
+        return _spherical_columns(s, X, C, states)
+    if basis == "parabolic":
+        return _parabolic_columns(s, X * (1 + C) / 2, X * (1 - C) / 2, states)
+    raise ValidationError(f"unknown basis {basis!r}")
 
 
 def basis_overlap(s: Sector, bra: str, ket: str, n_q: int = 64) -> np.ndarray:
@@ -297,7 +325,8 @@ def basis_overlap(s: Sector, bra: str, ket: str, n_q: int = 64) -> np.ndarray:
     rc = gauss_rule("legendre", n_q)
     X = rx.nodes[:, None]
     C = rc.nodes[None, :]
-    phi_bra = _basis_factors(s, bra, X, C) * rx.weights[:, None, None]
+    phi_bra = _basis_factors(s, bra, X, C)
+    phi_bra *= rx.weights[:, None, None]
     phi_ket = _basis_factors(s, ket, X, C)
     per_c = phi_bra.transpose(1, 2, 0) @ phi_ket.transpose(1, 0, 2)  # (c, bra, ket)
     return np.tensordot(rc.weights * (1 - rc.nodes**2) ** 3, per_c, axes=1)
@@ -345,14 +374,22 @@ def w_overlap_stable(s: Sector, n_q: int = 48, tol: float = 1e-10) -> np.ndarray
 # ----------------------------------------------------------------------
 
 
-def _exp_poly_derivs(nu: float, k: int, order: float, x):
-    """g = x^nu e^{-x/2} L_k^{(order)}(x) and its first two derivatives."""
-    P, P1 = laguerre_gen_pair(k, order, x)
-    P2 = -laguerre_gen_pair(k - 1, order + 1, x)[1]
-    ex = np.exp(-x / 2)
-    xn = x**nu
-    xnm1 = x ** (nu - 1) if nu != 0 else np.zeros_like(x)
-    xnm2 = x ** (nu - 2) if nu not in (0, 1) else np.zeros_like(x)
+def _float_scales(s: Sector) -> tuple[float, float, float]:
+    """Z, E and alpha as floats, each one correctly rounded int / int like float(Fraction)."""
+    p, q, m8 = s.Z.numerator, s.Z.denominator, 2 * s.n + s.Q + 8
+    return p / q, -2 * p * p / (q * q * m8 * m8), 4 * p / (q * m8)
+
+
+def _powers(nu: float, x):
+    """x^nu, x^(nu-1), x^(nu-2), each 0 where its coefficient in g', g'' vanishes."""
+    zero = np.zeros_like(x)
+    xnm1 = x ** (nu - 1) if nu != 0 else zero
+    xnm2 = x ** (nu - 2) if nu not in (0, 1) else zero
+    return x**nu, xnm1, xnm2
+
+
+def _exp_poly_derivs(nu, xn, xnm1, xnm2, ex, P, P1, P2):
+    """g = x^nu e^{-x/2} P(x) and its first two derivatives, from P, P', P''."""
     g = xn * ex * P
     g1 = ex * ((nu * xnm1 - xn / 2) * P + xn * P1)
     g2 = ex * (
@@ -367,87 +404,136 @@ def _scaled_residual(terms) -> np.ndarray:
     return np.abs(total) / np.maximum(scale, 1e-300)
 
 
+def _padded(ladder: np.ndarray) -> np.ndarray:
+    """A ladder with two zero rows in front: row d + 2 holds degree d, and degrees -1, -2 are 0."""
+    return np.concatenate([np.zeros((2,) + ladder.shape[1:]), ladder])
+
+
+def _radial_terms(s: Sector, pts, Zf, E, alpha):
+    """Radial equation terms of every lambda, one row per state."""
+    n_top = s.size - 1
+    lams = [(s.L + s.J) / 2 + k for k in range(s.size)]
+    x = alpha * pts
+    ex = np.exp(-x / 2)
+    # P = L_j^{(o)} with o = 2 lambda + 7 and j = n+Q/2 - lambda, P' = -L_{j-1}^{(o+1)} and
+    # P'' = L_{j-2}^{(o+2)}; o + 2 is the next lambda's order, so its ladder holds P''
+    ladders, P1 = [], []
+    for k, lam in enumerate(lams):
+        ladders.append(_backend.laguerre(n_top - k, 2 * lam + 7, x, ladder=True))
+        P1.append(-_backend.laguerre(n_top - k - 1, 2 * lam + 8, x))
+    P, P1 = np.array([lad[-1] for lad in ladders]), np.array(P1)
+    zero = np.zeros_like(x)
+    P2 = np.array([lad[-2] if len(lad) > 1 else zero for lad in ladders[1:]] + [zero])
+    xn, xnm1, xnm2 = (np.array(p) for p in zip(*(_powers(lam, x) for lam in lams)))
+    lam = np.array(lams)[:, None]
+    g, g1, g2 = _exp_poly_derivs(lam, xn, xnm1, xnm2, ex, P, P1, P2)
+    R, R1, R2 = g, alpha * g1, alpha * alpha * g2
+    return (
+        -0.5 * (R2 + 8.0 * R1 / pts),
+        (lam * (lam + 7) / (2 * pts * pts)) * R,
+        -(Zf / pts) * R,
+        -E * R,
+    )
+
+
+def _angular_terms(s: Sector, c):
+    """Angular equation terms of every lambda, one row per state."""
+    ks = np.arange(s.size)
+    p, q = s.L + 3, s.J + 3
+    # d/dc P_k^{(p,q)} = (k+p+q+1)/2 P_{k-1}^{(p+1,q+1)}, twice
+    n_top = s.size - 1
+    lad = [_padded(_backend.jacobi(n_top - j, p + j, q + j, c, ladder=True)) for j in range(3)]
+    w1 = (0.5 * (ks + p + q + 1))[:, None]
+    w2 = (0.5 * (ks + p + q + 2))[:, None]
+    P, P1, P2 = lad[0][ks + 2], w1 * lad[1][ks + 1], w1 * (w2 * lad[2][ks])
+    st2 = 1 - c * c
+    st = np.sqrt(st2)
+    phi = (1 - c) ** (s.L / 2) * (1 + c) ** (s.J / 2)
+    psi1 = -(s.L / 2) / (1 - c) + (s.J / 2) / (1 + c)
+    psi2 = -(s.L / 2) / (1 - c) ** 2 - (s.J / 2) / (1 + c) ** 2
+    u = phi * P
+    u1 = phi * (psi1 * P + P1)
+    u2 = phi * ((psi1 * psi1 + psi2) * P + 2 * psi1 * P1 + P2)
+    # theta derivatives of u(cos(theta))
+    ut = -st * u1
+    utt = -c * u1 + st2 * u2
+    lam = ((s.L + s.J) / 2 + ks)[:, None]
+    return (
+        utt,
+        7.0 * (c / st) * ut,
+        -(s.L * (s.L + 6) / (2 * (1 - c))) * u,
+        -(s.J * (s.J + 6) / (2 * (1 + c))) * u,
+        lam * (lam + 7) * u,
+    )
+
+
+def _parabolic_terms(s: Sector, which: str, pts, Zf, E, alpha):
+    """Parabolic u or v equation terms of every n_p, one row per state."""
+    n_top = s.size - 1
+    n_p = np.arange(s.size)
+    sigma = (alpha / 4) * ((2 * s.n + s.Q - 2 * s.J - 4 * n_p) / 2)  # (alpha/4) M9 eigenvalue
+    if which == "parabolic_u":
+        nu, ks, order, barrier, sig = s.J / 2, n_p, s.J + 3, s.J * (s.J + 6), -sigma
+    else:
+        nu, ks, order, barrier, sig = s.L / 2, n_top - n_p, s.L + 3, s.L * (s.L + 6), +sigma
+    x = alpha * pts / 2
+    # d/dx L_k^{(o)} = -L_{k-1}^{(o+1)}, twice
+    lad = [_padded(_backend.laguerre(n_top - j, order + j, x, ladder=True)) for j in range(3)]
+    P, P1, P2 = lad[0][ks + 2], -lad[1][ks + 1], lad[2][ks]
+    g, g1, g2 = _exp_poly_derivs(nu, *_powers(nu, x), np.exp(-x / 2), P, P1, P2)
+    F, F1, F2 = g, (alpha / 2) * g1, (alpha / 2) ** 2 * g2
+    return (
+        pts * F2,
+        4.0 * F1,
+        -(barrier / (4 * pts)) * F,
+        (Zf / 2) * F,
+        (E * pts / 2) * F,
+        sig[:, None] * F,
+    )
+
+
+@functools.lru_cache(maxsize=4)  # one sector's four equations; keys hold the points
+def _ode_table(s: Sector, which: str, points: bytes) -> tuple[float, ...]:
+    """Max relative residual of one separated equation for every state of the sector.
+
+    Keyed by the float64 bytes of the points.  Each power, root and
+    exponential is taken on an array of the points' shape, as for a single
+    state, so every entry is bitwise the one-state value; the ladders and
+    the rest are shared by all states.
+    """
+    pts = np.frombuffer(points)
+    Zf, E, alpha = _float_scales(s)
+    if which == "angular":
+        if np.any(np.abs(pts) >= 1):
+            raise DomainError("angular points must satisfy |cos(theta)| < 1")
+        terms = _angular_terms(s, pts)
+    elif which == "radial":
+        if np.any(pts <= 0):
+            raise DomainError("radial points must satisfy r > 0")
+        terms = _radial_terms(s, pts, Zf, E, alpha)
+    else:
+        if np.any(pts <= 0):
+            raise DomainError("parabolic points must be positive")
+        terms = _parabolic_terms(s, which, pts, Zf, E, alpha)
+    return tuple(_scaled_residual(terms).max(axis=-1).tolist())
+
+
 def ode_residuals(s: Sector, which: str, index, points) -> float:
     """Max relative residual of one separated equation on interior points.
 
     which: "radial" or "angular" (index = lambda), "parabolic_u" or
     "parabolic_v" (index = n_p).  The closed-form factor and its
     analytic derivatives are plugged into the equation; each residual is
-    scaled by the largest participating term.
+    scaled by the largest participating term.  The first call for a
+    sector, equation and point set evaluates every state at once.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
     if pts.size == 0:
         raise DomainError("need at least one evaluation point")
-    Zf = float(s.Z)
-    E = float(energy(s))
-    alpha = float(alpha_scale(s))
-
-    if which == "radial":
-        l, _ = lambda_index(s, index)
-        if np.any(pts <= 0):
-            raise DomainError("radial points must satisfy r > 0")
-        lamf = float(l)
-        x = alpha * pts
-        g, g1, g2 = _exp_poly_derivs(lamf, int(s.m.fraction - l), 2 * lamf + 7, x)
-        R, R1, R2 = g, alpha * g1, alpha * alpha * g2
-        terms = (
-            -0.5 * (R2 + 8.0 * R1 / pts),
-            (lamf * (lamf + 7) / (2 * pts * pts)) * R,
-            -(Zf / pts) * R,
-            -E * R,
-        )
-        return float(_scaled_residual(terms).max())
-
-    if which == "angular":
-        l, k = lambda_index(s, index)
-        if np.any(np.abs(pts) >= 1):
-            raise DomainError("angular points must satisfy |cos(theta)| < 1")
-        lamf = float(l)
-        c = pts
-        st2 = 1 - c * c
-        st = np.sqrt(st2)
-        p, q = s.L + 3, s.J + 3
-        P, P1 = jacobi_gen_pair(k, p, q, c)
-        P2 = 0.5 * (k + p + q + 1) * jacobi_gen_pair(k - 1, p + 1, q + 1, c)[1]
-        phi = (1 - c) ** (s.L / 2) * (1 + c) ** (s.J / 2)
-        psi1 = -(s.L / 2) / (1 - c) + (s.J / 2) / (1 + c)
-        psi2 = -(s.L / 2) / (1 - c) ** 2 - (s.J / 2) / (1 + c) ** 2
-        u = phi * P
-        u1 = phi * (psi1 * P + P1)
-        u2 = phi * ((psi1 * psi1 + psi2) * P + 2 * psi1 * P1 + P2)
-        # theta derivatives of u(cos(theta))
-        ut = -st * u1
-        utt = -c * u1 + st2 * u2
-        terms = (
-            utt,
-            7.0 * (c / st) * ut,
-            -(s.L * (s.L + 6) / (2 * (1 - c))) * u,
-            -(s.J * (s.J + 6) / (2 * (1 + c))) * u,
-            lamf * (lamf + 7) * u,
-        )
-        return float(_scaled_residual(terms).max())
-
-    if which in ("parabolic_u", "parabolic_v"):
-        n_p = np_index(s, index)
-        if np.any(pts <= 0):
-            raise DomainError("parabolic points must be positive")
-        sigma = (alpha / 4) * float(m9_parabolic_eigenvalue(s, n_p).fraction)
-        if which == "parabolic_u":
-            nu, k, order, barrier, sig = s.J / 2, n_p, s.J + 3, s.J * (s.J + 6), -sigma
-        else:
-            n_v = s.size - 1 - n_p
-            nu, k, order, barrier, sig = s.L / 2, n_v, s.L + 3, s.L * (s.L + 6), +sigma
-        x = alpha * pts / 2
-        g, g1, g2 = _exp_poly_derivs(nu, k, order, x)
-        F, F1, F2 = g, (alpha / 2) * g1, (alpha / 2) ** 2 * g2
-        terms = (
-            pts * F2,
-            4.0 * F1,
-            -(barrier / (4 * pts)) * F,
-            (Zf / 2) * F,
-            (E * pts / 2) * F,
-            sig * F,
-        )
-        return float(_scaled_residual(terms).max())
-
-    raise ValidationError(f"unknown equation selector {which!r}")
+    if which in ("radial", "angular"):
+        i = lambda_index(s, index)[1]
+    elif which in ("parabolic_u", "parabolic_v"):
+        i = np_index(s, index)
+    else:
+        raise ValidationError(f"unknown equation selector {which!r}")
+    return _ode_table(s, which, pts.tobytes())[i]

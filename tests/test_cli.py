@@ -150,6 +150,20 @@ def test_underflowing_charge_or_focal_distance_exit_2(argv, capsys):
     assert len(err) <= 200, err  # the charge is printed short, not as a full fraction
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [  # a charge that is not positive, and an empty sector that prints its charge
+        ["states", "--n", "2", "--Q", "0", "--L", "0", "--J", "2", "--Z=-1e-320"],
+        ["states", "--n", "0", "--Q", "0", "--L", "2", "--J", "2", "--Z=1e-320"],
+    ],
+)
+def test_tiny_charge_in_an_error_message_is_printed_short(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert len(err) <= 200, err
+
+
 def test_unbuildable_node_count_exit_2():
     # the last doubled Gauss rule would need a 71 PiB dense Jacobi matrix
     out = run_cli(*verify_argv(2, 0, 0, 0), "--nodes", "100000000")
@@ -413,6 +427,16 @@ def test_verify_determinism():
     b = run_cli("verify", "--n", "2", "--Q", "1", "--L", "1", "--J", "0", "--Z", "1")
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_verify_twice_in_one_process_prints_the_same(capsys):
+    # the second run reads the cached Gauss rules, K(a) pencils and M9: nothing
+    # the first run computed in place may have changed them
+    argv = verify_argv(3, 1, 0, 1, "2/5")
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
 
 
 def test_float_exact_agreement():

@@ -38,6 +38,7 @@ def test_tracer_wraps_every_named_function(capsys):
     tracer.install()
     try:
         assert cli.main(["verify", "--n", "1", "--Q", "0", "--L", "0", "--J", "0"]) == 0
+        after_verify = {name: stat.calls for name, stat in tracer.stats.items()}
         sweep = ["sweep", "--n", "2", "--Q", "0", "--L", "0", "--J", "2", "--mode", "float",
                  "--a-min", "0.1", "--a-max", "10", "--points", "20", "--log"]
         assert cli.main(sweep) == 0
@@ -53,6 +54,9 @@ def test_tracer_wraps_every_named_function(capsys):
     assert set(tracer.stats) == names
     uncalled = {name for name, stat in tracer.stats.items() if stat.calls == 0}
     assert uncalled == _UNCALLED
+    # backend.poly.busy_s and wavefield.ode_residuals.busy_s cover verify's ladders
+    for name in ("laguerre", "jacobi", "ode_residuals"):
+        assert after_verify[name] > 0, name
     counters = tracer.snapshot()["_counters"]
     assert counters["gauss_rule_builds"] > 0 and counters["overlap_nodes"] > 0
 

@@ -1,20 +1,23 @@
 """Wavefunctions, Gauss rules, overlap quadrature, and equation residuals."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from micz9 import _backend
 from micz9.errors import ConvergenceFailure, DomainError, IndexOutOfRange, ValidationError
 from micz9.interbasis import w_matrix
 from micz9.sector import HalfInt, alpha_scale, enumerate_sectors, lambda_range, validate_sector
 from micz9.wavefield import (
+    _basis_factors,
     basis_overlap,
     gauss_rule,
     jacobi_gen,
-    jacobi_gen_pair,
     laguerre_gen,
-    laguerre_gen_pair,
     norm_parabolic,
     norm_spherical,
     ode_residuals,
@@ -32,7 +35,7 @@ def test_laguerre_examples():
     assert laguerre_gen(0, 4.0, 2.3) == 1.0
     assert laguerre_gen(1, 2.0, 0.5) == 2.5
     assert laguerre_gen(2, 0.0, 0.0) == 1.0  # binom(k+s, k)
-    val, der = laguerre_gen_pair(3, 2.0, 1.7)
+    der = -laguerre_gen(2, 3.0, 1.7)  # d/dx L_k^{(s)} = -L_{k-1}^{(s+1)}, as ode_residuals uses it
     h = 1e-6
     fd = (laguerre_gen(3, 2.0, 1.7 + h) - laguerre_gen(3, 2.0, 1.7 - h)) / (2 * h)
     assert abs(der - fd) < 1e-5
@@ -42,7 +45,7 @@ def test_jacobi_examples():
     assert jacobi_gen(0, 1.0, 2.0, 0.5) == 1.0
     assert jacobi_gen(1, 0.0, 0.0, 0.3) == pytest.approx(0.3)
     assert jacobi_gen(1, 4.0, 2.0, 1.0) == pytest.approx(5.0)  # p + 1 at x = 1
-    val, der = jacobi_gen_pair(4, 3.0, 5.0, -0.2)
+    der = 0.5 * (4 + 3.0 + 5.0 + 1) * jacobi_gen(3, 4.0, 6.0, -0.2)  # the degree-lowering identity
     h = 1e-6
     fd = (jacobi_gen(4, 3.0, 5.0, -0.2 + h) - jacobi_gen(4, 3.0, 5.0, -0.2 - h)) / (2 * h)
     assert abs(der - fd) < 1e-5 * max(1, abs(der))
@@ -81,6 +84,135 @@ def test_gauss_highdegree_moment():
     r = gauss_rule("legendre", 64)
     got = float(r.weights @ r.nodes**126)
     assert abs(got - 2 / 127) <= 1e-13 * (2 / 127)
+
+
+def test_cached_rule_is_read_only():
+    # basis_overlap multiplies in place; a cached rule must not be writable through it
+    rule = gauss_rule("laguerre", 48, 8.0)
+    assert gauss_rule("laguerre", 48, 8.0) is rule
+    for part in (rule.nodes, rule.weights):
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+        with pytest.raises(ValueError):
+            part[:, None] *= 2.0
+
+
+# ----------------------------------------------------------------------
+# reference: one state at a time, as the factors were evaluated before the
+# per-basis ladders (each recurrence rolled from degree 0 for every state)
+# ----------------------------------------------------------------------
+
+
+def _ref_laguerre(k, s, x):
+    pm = np.ones_like(x)
+    if k == 0:
+        return pm
+    pc = 1.0 + s - x
+    for j in range(1, k):
+        pn = ((2.0 * j + s + 1.0 - x) * pc - (j + s) * pm) / (j + 1.0)
+        pm, pc = pc, pn
+    return pc
+
+
+def _ref_jacobi(k, p, q, x):
+    pm = np.ones_like(x)
+    if k == 0:
+        return pm
+    pc = (p + 1.0) + (p + q + 2.0) * (x - 1.0) / 2.0
+    for j in range(1, k):
+        c = 2.0 * j + p + q
+        den = 2.0 * (j + 1.0) * (j + 1.0 + p + q) * c
+        a1 = (c + 1.0) * (p * p - q * q)
+        a2 = c * (c + 1.0) * (c + 2.0)
+        a3 = 2.0 * (j + p) * (j + q) * (c + 2.0)
+        pn = ((a1 + a2 * x) * pc - a3 * pm) / den
+        pm, pc = pc, pn
+    return pc
+
+
+def _ref_spherical_factor(s, lam, X, C):
+    l, k = lam.fraction, (lam.twice - s.L - s.J) // 2
+    m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
+    f = lambda v: math.factorial(int(v))  # noqa: E731
+    norm = math.sqrt(float(Fraction(
+        f(m - l) * (2 * l + 7).numerator * f(l - h) * f(l + h + 6),
+        (2 * s.n + s.Q + 8) * f(m + l + 7) * f(l - d + 3) * f(l + d + 3),
+    )))
+    lamf = float(l)
+    n_r = int(m - l)
+    return (
+        norm
+        * X**lamf
+        * _ref_laguerre(n_r, float(2 * lamf + 7), X)
+        * 2.0 ** (-(s.L + s.J + 7) / 2)
+        * (1 - C) ** (s.L / 2)
+        * (1 + C) ** (s.J / 2)
+        * _ref_jacobi(k, float(s.L + 3), float(s.J + 3), C)
+    )
+
+
+def _ref_parabolic_factor(s, n_p, U, V):
+    n_v = s.size - 1 - n_p
+    f = math.factorial
+    norm = math.sqrt(float(Fraction(
+        f(n_p) * f(n_v), (2 * s.n + s.Q + 8) * f(n_p + s.J + 3) * f(n_v + s.L + 3)
+    )))
+    return (
+        norm
+        * 2.0**-3.5
+        * U ** (s.J / 2)
+        * _ref_laguerre(n_p, float(s.J + 3), U)
+        * V ** (s.L / 2)
+        * _ref_laguerre(n_v, float(s.L + 3), V)
+    )
+
+
+@pytest.mark.parametrize("n_q", [48, 96])
+@pytest.mark.parametrize(
+    "nQLJ",
+    # L = J = 0, L = 0 < J, J = 0 < L, L and J > 0; half-integer lambda (odd Q) in the last three
+    [(2, 0, 0, 0), (8, 0, 0, 0), (2, 0, 0, 2), (2, 0, 2, 0), (3, 2, 1, 1),
+     (2, 1, 1, 0), (3, 1, 0, 1), (4, 3, 2, 1)],
+)
+def test_basis_columns_equal_the_per_state_factors_bitwise(nQLJ, n_q):
+    s = validate_sector(*nQLJ, Fraction(2, 5))
+    X = gauss_rule("laguerre", n_q, 8.0).nodes[:, None]
+    C = gauss_rule("legendre", n_q).nodes[None, :]
+    U, V = X * (1 + C) / 2, X * (1 - C) / 2
+    sph = np.stack([_ref_spherical_factor(s, lam, X, C) for lam in lambda_range(s)], axis=-1)
+    par = np.stack([_ref_parabolic_factor(s, n_p, U, V) for n_p in range(s.size)], axis=-1)
+    assert np.array_equal(_basis_factors(s, "spherical", X, C), sph)
+    assert np.array_equal(_basis_factors(s, "parabolic", X, C), par)
+
+
+_LADDER_X = st.lists(st.floats(-40, 40, allow_nan=False), min_size=1, max_size=6)
+
+
+@given(k=st.integers(0, 24), s=st.integers(0, 40), x=_LADDER_X)
+def test_laguerre_ladder_rows_are_the_single_degree_values(k, s, x):
+    x = np.array(x)
+    ladder = _backend.laguerre(k, s / 2, x, ladder=True)
+    assert ladder.shape == (k + 1, x.size)
+    for j in range(k + 1):
+        assert np.array_equal(ladder[j], _backend.laguerre(j, s / 2, x), equal_nan=True)
+        assert np.array_equal(ladder[j], _ref_laguerre(j, s / 2, x), equal_nan=True)
+
+
+@given(k=st.integers(0, 24), p=st.integers(-1, 16), q=st.integers(-1, 16), x=_LADDER_X)
+def test_jacobi_ladder_rows_are_the_single_degree_values(k, p, q, x):
+    x = np.array(x) / 40
+    ladder = _backend.jacobi(k, p / 2, q / 2, x, ladder=True)
+    assert ladder.shape == (k + 1, x.size)
+    for j in range(k + 1):
+        assert np.array_equal(ladder[j], _backend.jacobi(j, p / 2, q / 2, x), equal_nan=True)
+        assert np.array_equal(ladder[j], _ref_jacobi(j, p / 2, q / 2, x), equal_nan=True)
+
+
+def test_negative_degree_is_zero_or_an_empty_ladder():
+    x = np.array([0.5, 2.0])
+    assert np.array_equal(_backend.laguerre(-1, 3.0, x), [0.0, 0.0])
+    assert _backend.laguerre(-1, 3.0, 0.5) == 0.0
+    assert _backend.jacobi(-2, 1.0, 2.0, x, ladder=True).shape == (0, 2)
 
 
 def test_psi_spherical_norm_and_orthogonality():
