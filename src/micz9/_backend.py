@@ -13,8 +13,8 @@ error.  Large stacks are solved in chunks of at most
 ``_CHUNK_ELEMENTS`` dense entries, which bounds the working memory.
 
 The generalized Laguerre and Jacobi polynomials are evaluated by their
-three-term recurrences; one run yields every degree up to the one asked
-for, so a whole ladder of degrees costs one call.
+three-term recurrences; each call is one run and returns its whole ladder
+of degrees, 0 up to the one asked for.
 """
 
 from __future__ import annotations
@@ -88,9 +88,15 @@ def tridiag_eigh(d, e):
     return (w[0], V[0]) if single else (w, V)
 
 
-def _laguerre_rec(k, s, x):
-    """Rows L_0^{(s)}(x) .. L_k^{(s)}(x) of the three-term recurrence."""
-    out = np.empty((k + 1,) + x.shape)
+def laguerre(k: int, s: float, x) -> np.ndarray:
+    """Generalized Laguerre L_0^{(s)}(x) .. L_k^{(s)}(x), one three-term recurrence run.
+
+    Degree j is row j, stacked on a new first axis; k < 0 gives no rows.
+    """
+    x, s = np.asarray(x, dtype=np.float64), float(s)
+    out = np.empty((max(k + 1, 0),) + x.shape)
+    if k < 0:
+        return out
     out[0] = 1.0
     if k:
         out[1] = 1.0 + s - x
@@ -99,9 +105,15 @@ def _laguerre_rec(k, s, x):
     return out
 
 
-def _jacobi_rec(k, p, q, x):
-    """Rows P_0^{(p,q)}(x) .. P_k^{(p,q)}(x) of the three-term recurrence."""
-    out = np.empty((k + 1,) + x.shape)
+def jacobi(k: int, p: float, q: float, x) -> np.ndarray:
+    """Jacobi P_0^{(p,q)}(x) .. P_k^{(p,q)}(x), one three-term recurrence run.
+
+    Degree j is row j, stacked on a new first axis; k < 0 gives no rows.
+    """
+    x, p, q = np.asarray(x, dtype=np.float64), float(p), float(q)
+    out = np.empty((max(k + 1, 0),) + x.shape)
+    if k < 0:
+        return out
     out[0] = 1.0
     if k:
         out[1] = (p + 1.0) + (p + q + 2.0) * (x - 1.0) / 2.0
@@ -113,31 +125,3 @@ def _jacobi_rec(k, p, q, x):
         a3 = 2.0 * (j + p) * (j + q) * (c + 2.0)
         out[j + 1] = ((a1 + a2 * x) * out[j] - a3 * out[j - 1]) / den
     return out
-
-
-def _evaluate(rec, k, params, x, ladder):
-    xa = np.asarray(x, dtype=np.float64)
-    if ladder:
-        return rec(k, *params, xa) if k >= 0 else np.zeros((0,) + xa.shape)
-    if k < 0:
-        return np.zeros_like(xa) if xa.shape else 0.0
-    out = rec(k, *params, xa)[k]
-    return out if xa.shape else float(out)
-
-
-def laguerre(k: int, s: float, x, ladder: bool = False):
-    """Generalized Laguerre L_k^{(s)}; k < 0 gives 0 (derivative ladders).
-
-    With ladder=True the result is every degree 0..k of the same run,
-    stacked on a new first axis (no rows for k < 0).
-    """
-    return _evaluate(_laguerre_rec, k, (float(s),), x, ladder)
-
-
-def jacobi(k: int, p: float, q: float, x, ladder: bool = False):
-    """Jacobi P_k^{(p,q)}; k < 0 gives 0 (derivative ladders).
-
-    With ladder=True the result is every degree 0..k of the same run,
-    stacked on a new first axis (no rows for k < 0).
-    """
-    return _evaluate(_jacobi_rec, k, (float(p), float(q)), x, ladder)

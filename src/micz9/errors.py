@@ -76,9 +76,5 @@ class OrthogonalityViolation(InternalConsistencyError):
     """An exactly-orthogonal matrix failed its orthogonality check."""
 
 
-class FactorialOfNegative(InternalConsistencyError):
-    """A factorial argument went negative: an invalid state slipped through."""
-
-
 class RadicandMismatch(InternalConsistencyError):
     """Attempted sum of radicals with different reduced radicands."""

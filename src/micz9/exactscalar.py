@@ -24,9 +24,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import FactorialOfNegative, RadicandMismatch
-
-Rational = Fraction
+from .errors import RadicandMismatch
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -51,19 +49,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
                 f *= d
         d += 1 if d == 2 else 2
     return s, f * n
-
-
-def exact_factorial(x) -> int:
-    """Factorial of a value that must reduce to a non-negative integer.
-
-    Raises FactorialOfNegative otherwise: the closed forms only produce
-    integer factorial arguments for parity-valid quantum numbers, so a
-    failure here means an invalid state slipped through validation.
-    """
-    f = Fraction(x)
-    if f.denominator != 1 or f < 0:
-        raise FactorialOfNegative(f"factorial argument {x} is not a non-negative integer")
-    return math.factorial(int(f))
 
 
 def format_rational(x: Fraction) -> str:

@@ -40,13 +40,7 @@ import numpy as np
 from . import coeffs
 from .errors import IndexOutOfRange, OrthogonalityViolation, RadicandMismatch
 from .exactscalar import RadicalScalar
-from .sector import (
-    HalfInt,
-    Sector,
-    lambda_index,
-    lambda_range,
-    np_index,
-)
+from .sector import Sector, lambda_index, lambda_range, np_index
 
 
 def _f32_unit_terminating(
@@ -227,22 +221,6 @@ def w_matrix(s: Sector) -> WMatrix:
     return W
 
 
-@dataclass(frozen=True)
-class CGArgs:
-    """SU(2) Clebsch-Gordan arguments C^{c,gamma}_{a,alpha; b,beta}."""
-
-    a: HalfInt
-    alpha: HalfInt
-    b: HalfInt
-    beta: HalfInt
-    c: HalfInt
-    gamma: HalfInt
-
-    @classmethod
-    def from_values(cls, a, alpha, b, beta, c, gamma) -> "CGArgs":
-        return cls(*(HalfInt.from_value(v) for v in (a, alpha, b, beta, c, gamma)))
-
-
 def _cg_row(a2: int, b2: int, c2: int, g2: int) -> tuple[int, Fraction] | None:
     """a+b-c and the prefactor's (a, b, c, gamma) part, or None off the selection rules.
 
@@ -291,23 +269,6 @@ def _racah_sum(x1: int, column: tuple[int, ...]) -> Fraction:
     f = math.factorial
     lead = f(lo) * f(x1 - lo) * f(x2 - lo) * f(x3 - lo) * f(y1 + lo) * f(y2 + lo)
     return Fraction(-num if lo % 2 else num, den * lead)
-
-
-def clebsch_gordan(args: CGArgs) -> RadicalScalar:
-    """Exact SU(2) Clebsch-Gordan coefficient (Condon-Shortley phases).
-
-    Evaluated by the single-sum Racah formula over exact rationals.
-    Selection-rule failures (gamma != alpha+beta, triangle violations,
-    projections out of range, inconsistent half-integers) return zero.
-    """
-    a2, al2, b2, be2, c2, g2 = (
-        x.twice for x in (args.a, args.alpha, args.b, args.beta, args.c, args.gamma)
-    )
-    row, column = _cg_row(a2, b2, c2, g2), _cg_column(a2, al2, b2, be2, g2)
-    if row is None or column is None:
-        return RadicalScalar.zero()
-    (x1, row_part), (ints, column_part) = row, column
-    return RadicalScalar(_racah_sum(x1, ints), row_part * column_part)
 
 
 def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:

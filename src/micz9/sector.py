@@ -36,13 +36,6 @@ class HalfInt:
         if not isinstance(self.twice, int):
             raise ValidationError(f"HalfInt stores twice the value as int, got {self.twice!r}")
 
-    @classmethod
-    def from_value(cls, value) -> "HalfInt":
-        f = Fraction(value)
-        if f.denominator not in (1, 2):
-            raise ValidationError(f"{value} is not an integer or half-odd-integer")
-        return cls(f.numerator * (2 // f.denominator))
-
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.twice, 2)
@@ -59,13 +52,6 @@ def _short(x: Fraction) -> str:
     with decimal.localcontext() as ctx:
         ctx.prec = 6
         return format(decimal.Decimal(x.numerator) / x.denominator, ".6g")
-
-
-def as_fraction(x) -> Fraction:
-    """Exact Fraction from HalfInt, int, or Fraction."""
-    if isinstance(x, HalfInt):
-        return x.fraction
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -92,9 +78,6 @@ class Sector:
     def size(self) -> int:
         """Block dimension N = n + Q/2 - (L+J)/2 + 1."""
         return (2 * self.n + self.Q - self.L - self.J) // 2 + 1
-
-    def key(self) -> Tuple[int, int, int, int, Fraction]:
-        return (self.n, self.Q, self.L, self.J, self.Z)
 
     def __str__(self):
         return f"(n={self.n}, Q={self.Q}, L={self.L}, J={self.J}, Z={_short(self.Z)})"
@@ -134,7 +117,7 @@ def _twice(label):
     if isinstance(label, int):
         return 2 * label
     try:
-        return 2 * as_fraction(label)
+        return 2 * Fraction(label)
     except (TypeError, ValueError, OverflowError):
         return None
 

@@ -41,7 +41,6 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -316,6 +315,12 @@ class SphericalLimitReport:
         return float(self.vector_errors.max())
 
 
+def _worst(kind: str, errors: np.ndarray) -> str:
+    """The largest of the per-branch errors and its branch n_k, for a LimitMismatch message."""
+    i = int(np.argmax(errors))
+    return f"worst {kind} error {errors[i]:.3g} at n_k = {i}"
+
+
 def check_spherical_limit(
     spectrum: SpheroidalSpectrum, tol_value: float = 1e-12, tol_vector: float = 1e-6
 ) -> SphericalLimitReport:
@@ -326,7 +331,7 @@ def check_spherical_limit(
     tol_value (the remainder is O(a^2); the diagonal itself is
     -lambda(lambda+7) plus an O(a) shift that vanishes when J = L), and
     its column must approach that coordinate unit vector to tol_vector.
-    Raises LimitMismatch with per-branch diagnostics on failure.
+    Raises LimitMismatch, naming the worst branch of each error, on failure.
     """
     s, mat, a_small = spectrum.sector, spectrum.matrix, spectrum.a
     n = s.size
@@ -344,7 +349,7 @@ def check_spherical_limit(
     if report.max_value_error > tol_value or report.max_vector_error > tol_vector:
         raise LimitMismatch(
             f"spherical limit failed for {s} at a = {a_small}: "
-            f"value errors {value_errors}, vector errors {vector_errors}"
+            f"{_worst('value', value_errors)}, {_worst('vector', vector_errors)}"
         )
     return report
 
@@ -353,7 +358,7 @@ def check_spherical_limit(
 class ParabolicLimitReport:
     sector: Sector
     a_large: float
-    set_errors: np.ndarray  # sorted K/a vs sorted first-order targets, over Z
+    set_errors: np.ndarray  # K/a (ascending, so by n_k) vs sorted first-order targets, over Z
     branch_np: np.ndarray  # eigenvalue-matched parabolic label per branch
     column_errors: np.ndarray  # max-norm distance of T columns to first-order W columns
 
@@ -413,10 +418,15 @@ def check_parabolic_limit(
         column_errors[i] = np.abs(spectrum.T[:, i] - columns[:, j]).max()
     report = ParabolicLimitReport(s, a_large, set_errors, branch_np, column_errors)
     if len(set(branch_np.tolist())) != n:
-        raise LimitMismatch(f"parabolic limit matching is not a bijection for {s}: {branch_np}")
+        counts = np.bincount(branch_np, minlength=n)
+        n_p = int(np.argmax(counts))
+        raise LimitMismatch(
+            f"parabolic limit matching is not a bijection for {s}: "
+            f"n_p = {n_p} matches {counts[n_p]} branches"
+        )
     if report.max_set_error > tol or report.max_column_error > tol:
         raise LimitMismatch(
             f"parabolic limit failed for {s} at a = {a_large}: "
-            f"set errors {set_errors}, column errors {column_errors}"
+            f"{_worst('set', set_errors)}, {_worst('column', column_errors)}"
         )
     return report

@@ -43,23 +43,6 @@ from .sector import Sector, lambda_index, np_index
 
 
 # ----------------------------------------------------------------------
-# orthogonal polynomials
-# ----------------------------------------------------------------------
-
-
-def laguerre_gen(k: int, s: float, x):
-    """Generalized Laguerre L_k^{(s)}(x) by the three-term recurrence."""
-    return _backend.laguerre(k, s, x)
-
-
-def jacobi_gen(k: int, p: float, q: float, x):
-    """Jacobi P_k^{(p,q)}(x) by the three-term recurrence (p, q > -1)."""
-    if p <= -1 or q <= -1:
-        raise ValidationError(f"jacobi parameters must exceed -1, got ({p}, {q})")
-    return _backend.jacobi(k, p, q, x)
-
-
-# ----------------------------------------------------------------------
 # Gauss rules (Golub-Welsch on the Jacobi matrices)
 # ----------------------------------------------------------------------
 
@@ -200,16 +183,6 @@ def _parabolic_norms(s: Sector) -> list[float]:
     ]
 
 
-def norm_spherical(s: Sector, lam) -> float:
-    """Normalization of the radial-angular factor under r^8 (1-c^2)^3 dr dc."""
-    return _spherical_norms(s)[lambda_index(s, lam)[1]]
-
-
-def norm_parabolic(s: Sector, n_p: int) -> float:
-    """Normalization of the parabolic factor under the same reduced measure."""
-    return _parabolic_norms(s)[np_index(s, n_p)]
-
-
 def _product_into(out: np.ndarray, head, factors) -> None:
     """out = head * f_1 * f_2 * ..., multiplied left to right in place.
 
@@ -230,7 +203,7 @@ def _spherical_columns(s: Sector, X, C, ks) -> np.ndarray:
     serves every state; the Laguerre order 2 lambda + 7 changes with the
     state, so each radial polynomial is its own run on the radial nodes.
     """
-    jac = _backend.jacobi(max(ks), s.L + 3, s.J + 3, C, ladder=True)
+    jac = _backend.jacobi(max(ks), s.L + 3, s.J + 3, C)
     env = 2.0 ** (-(s.L + s.J + 7) / 2)
     left = (1 - C) ** (s.L / 2) if s.L else None
     right = (1 + C) ** (s.J / 2) if s.J else None
@@ -239,7 +212,7 @@ def _spherical_columns(s: Sector, X, C, ks) -> np.ndarray:
     for col, k in enumerate(ks):
         lamf = (s.L + s.J + 2 * k) / 2
         radial = norms[k] * X**lamf if lamf else norms[k]
-        radial = radial * _backend.laguerre(s.size - 1 - k, 2 * lamf + 7, X) * env
+        radial = radial * _backend.laguerre(s.size - 1 - k, 2 * lamf + 7, X)[-1] * env
         _product_into(out[..., col], radial, (left, right, jac[k]))
     return out
 
@@ -250,8 +223,8 @@ def _parabolic_columns(s: Sector, U, V, n_ps) -> np.ndarray:
     One Laguerre ladder in U and one in V serve every state.
     """
     n_top = s.size - 1
-    lag_u = _backend.laguerre(max(n_ps), s.J + 3, U, ladder=True)
-    lag_v = _backend.laguerre(n_top - min(n_ps), s.L + 3, V, ladder=True)
+    lag_u = _backend.laguerre(max(n_ps), s.J + 3, U)
+    lag_v = _backend.laguerre(n_top - min(n_ps), s.L + 3, V)
     u_env = U ** (s.J / 2) if s.J else None
     v_env = V ** (s.L / 2) if s.L else None
     norms = _parabolic_norms(s)
@@ -419,8 +392,8 @@ def _radial_terms(s: Sector, pts, Zf, E, alpha):
     # P'' = L_{j-2}^{(o+2)}; o + 2 is the next lambda's order, so its ladder holds P''
     ladders, P1 = [], []
     for k, lam in enumerate(lams):
-        ladders.append(_backend.laguerre(n_top - k, 2 * lam + 7, x, ladder=True))
-        P1.append(-_backend.laguerre(n_top - k - 1, 2 * lam + 8, x))
+        ladders.append(_backend.laguerre(n_top - k, 2 * lam + 7, x))
+        P1.append(-_padded(_backend.laguerre(n_top - k - 1, 2 * lam + 8, x))[-1])
     P, P1 = np.array([lad[-1] for lad in ladders]), np.array(P1)
     zero = np.zeros_like(x)
     P2 = np.array([lad[-2] if len(lad) > 1 else zero for lad in ladders[1:]] + [zero])
@@ -442,7 +415,7 @@ def _angular_terms(s: Sector, c):
     p, q = s.L + 3, s.J + 3
     # d/dc P_k^{(p,q)} = (k+p+q+1)/2 P_{k-1}^{(p+1,q+1)}, twice
     n_top = s.size - 1
-    lad = [_padded(_backend.jacobi(n_top - j, p + j, q + j, c, ladder=True)) for j in range(3)]
+    lad = [_padded(_backend.jacobi(n_top - j, p + j, q + j, c)) for j in range(3)]
     w1 = (0.5 * (ks + p + q + 1))[:, None]
     w2 = (0.5 * (ks + p + q + 2))[:, None]
     P, P1, P2 = lad[0][ks + 2], w1 * lad[1][ks + 1], w1 * (w2 * lad[2][ks])
@@ -478,7 +451,7 @@ def _parabolic_terms(s: Sector, which: str, pts, Zf, E, alpha):
         nu, ks, order, barrier, sig = s.L / 2, n_top - n_p, s.L + 3, s.L * (s.L + 6), +sigma
     x = alpha * pts / 2
     # d/dx L_k^{(o)} = -L_{k-1}^{(o+1)}, twice
-    lad = [_padded(_backend.laguerre(n_top - j, order + j, x, ladder=True)) for j in range(3)]
+    lad = [_padded(_backend.laguerre(n_top - j, order + j, x)) for j in range(3)]
     P, P1, P2 = lad[0][ks + 2], -lad[1][ks + 1], lad[2][ks]
     g, g1, g2 = _exp_poly_derivs(nu, *_powers(nu, x), np.exp(-x / 2), P, P1, P2)
     F, F1, F2 = g, (alpha / 2) * g1, (alpha / 2) ** 2 * g2

@@ -22,10 +22,10 @@ _W_CACHE: dict = {}
 
 
 def wmat(s):
-    W = _W_CACHE.get(s.key())
+    W = _W_CACHE.get(s)
     if W is None:
         W = interbasis.w_matrix(s)
-        _W_CACHE[s.key()] = W
+        _W_CACHE[s] = W
     return W
 
 

@@ -149,20 +149,25 @@ def test_eigh_rejects_non_finite(which, bad):
 
 def test_laguerre_explicit():
     x = np.linspace(0.0, 9.0, 31)
-    np.testing.assert_allclose(bk.laguerre(0, 3.0, x), np.ones_like(x))
-    np.testing.assert_allclose(bk.laguerre(1, 2.0, x), 3.0 - x, rtol=1e-15)
+    np.testing.assert_allclose(bk.laguerre(0, 3.0, x)[0], np.ones_like(x))
+    np.testing.assert_allclose(bk.laguerre(1, 2.0, x)[1], 3.0 - x, rtol=1e-15)
     l2 = 0.5 * (x * x - 2 * (2.0 + 2) * x + (2.0 + 1) * (2.0 + 2))
-    np.testing.assert_allclose(bk.laguerre(2, 2.0, x), l2, rtol=2e-14, atol=1e-13)
-    assert bk.laguerre(-1, 2.0, 1.0) == 0.0
-    assert bk.laguerre(3, 1.0, 0.0) == pytest.approx(math.comb(4, 3))
+    np.testing.assert_allclose(bk.laguerre(2, 2.0, x)[2], l2, rtol=2e-14, atol=1e-13)
+    assert bk.laguerre(0, 4.0, 2.3)[0] == 1.0
+    assert bk.laguerre(1, 2.0, 0.5)[1] == 2.5
+    # L_k^{(s)}(0) = binom(k+s, k)
+    assert bk.laguerre(2, 0.0, 0.0)[2] == 1.0
+    assert bk.laguerre(3, 1.0, 0.0)[3] == pytest.approx(math.comb(4, 3))
 
 
 def test_jacobi_explicit():
     x = np.linspace(-1.0, 1.0, 21)
-    np.testing.assert_allclose(bk.jacobi(0, 3.0, 5.0, x), np.ones_like(x))
-    np.testing.assert_allclose(bk.jacobi(1, 0.0, 0.0, x), x, atol=1e-15)  # Legendre
+    np.testing.assert_allclose(bk.jacobi(0, 3.0, 5.0, x)[0], np.ones_like(x))
+    np.testing.assert_allclose(bk.jacobi(1, 0.0, 0.0, x)[1], x, atol=1e-15)  # Legendre
     p1 = (2.0 + 1) + (2.0 + 3.0 + 2) * (x - 1) / 2
-    np.testing.assert_allclose(bk.jacobi(1, 2.0, 3.0, x), p1, rtol=1e-14, atol=1e-14)
-    # endpoint value binom(k+p, k)
-    assert bk.jacobi(2, 3.0, 5.0, 1.0) == pytest.approx(math.comb(5, 2))
-    assert bk.jacobi(-1, 1.0, 1.0, 0.3) == 0.0
+    np.testing.assert_allclose(bk.jacobi(1, 2.0, 3.0, x)[1], p1, rtol=1e-14, atol=1e-14)
+    assert bk.jacobi(0, 1.0, 2.0, 0.5)[0] == 1.0
+    assert bk.jacobi(1, 0.0, 0.0, 0.3)[1] == pytest.approx(0.3)
+    # endpoint value P_k^{(p,q)}(1) = binom(k+p, k)
+    assert bk.jacobi(1, 4.0, 2.0, 1.0)[1] == pytest.approx(5.0)
+    assert bk.jacobi(2, 3.0, 5.0, 1.0)[2] == pytest.approx(math.comb(5, 2))

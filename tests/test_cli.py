@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+import micz9
 from micz9 import coeffs, interbasis, spheroidal, wavefield
 from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, _render, build_parser, main
 from micz9.exactscalar import RadicalScalar
@@ -404,6 +406,16 @@ def test_limits():
     assert p["parabolic"]["branch_np"] == [0, 1]
 
 
+@pytest.mark.parametrize("flag", [["--a-small", "0.5"], ["--a-large", "1e4"]])
+def test_limit_mismatch_names_only_the_worst_branches(flag, capsys):
+    # N = 21: the whole per-branch error arrays used to go to stderr
+    argv = ["limits", "--n", "20", "--Q", "0", "--L", "0", "--J", "0", "--mode", "float", *flag]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("LimitMismatch: ") and "at n_k = " in err, err
+    assert len(err) <= 200, err
+
+
 @pytest.mark.parametrize("Z", ["1/1000", "1000"])
 def test_limits_default_distances_follow_the_charge(Z, capsys):
     argv = ["limits", "--n", "8", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z, "--mode", "float"]
@@ -491,6 +503,34 @@ def test_exact_output_is_pinned(argv, digest, capsys):
     cmd, n, Q, L, J = argv
     assert main([cmd, "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of the concatenated stdout of exact states, wmatrix and m9, sector by
+# sector over enumerate_sectors(5, 4, 4), pinned before the polynomial kernels
+# and the package exports were cut down
+SWEEP_EXACT_DIGEST = "23e8907f5902502b9d51592192f2a3ffb0845bb4fdc9c2dde293a47e1181547b"
+
+
+def test_exact_sweep_output_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for s in enumerate_sectors(5, 4, 4):
+        flags = ["--n", str(s.n), "--Q", str(s.Q), "--L", str(s.L), "--J", str(s.J)]
+        for cmd in ("states", "wmatrix", "m9"):
+            assert main([cmd, "--mode", "exact", *flags]) == 0
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == SWEEP_EXACT_DIGEST
+
+
+def test_package_exports_only_the_cli_surface():
+    public = {
+        name for name, value in vars(micz9).items()
+        if not isinstance(value, types.ModuleType) and not name.startswith("__")
+    }
+    assert public | {"__version__"} == {
+        "BACKEND", "RadicalScalar", "validate_sector", "enumerate_sectors", "lambda_range",
+        "__version__",
+    }
+    assert micz9.__version__
 
 
 def test_cached_parser_matches_a_fresh_one(capsys):

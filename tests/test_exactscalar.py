@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micz9.errors import RadicandMismatch
-from micz9.exactscalar import (
-    RadicalScalar,
-    exact_factorial,
-    format_rational,
-    squarefree_split,
-)
-from micz9.errors import FactorialOfNegative
+from micz9.exactscalar import RadicalScalar, format_rational, squarefree_split
 
 
 def R(c, d=1):
@@ -98,14 +92,6 @@ def test_squarefree_split_of_factorial_by_legendre():
         s *= p ** (e // 2)
         f *= p ** (e % 2)
     assert squarefree_split(math.factorial(n)) == (s, f)
-
-
-def test_exact_factorial_guard():
-    assert exact_factorial(Fraction(6, 2)) == 6
-    with pytest.raises(FactorialOfNegative):
-        exact_factorial(Fraction(1, 2))
-    with pytest.raises(FactorialOfNegative):
-        exact_factorial(-1)
 
 
 rationals = st.fractions(

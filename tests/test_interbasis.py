@@ -10,17 +10,18 @@ from micz9.coeffs import m9_spherical_matrix, matrix_to_float
 from micz9.errors import IndexOutOfRange, InternalConsistencyError, OrthogonalityViolation
 from micz9.exactscalar import RadicalScalar
 from micz9.interbasis import (
-    CGArgs,
     _assert_orthogonal,
+    _cg_column,
+    _cg_row,
     _factors,
-    clebsch_gordan,
+    _racah_sum,
     m9_matrix_bruteforce,
     w_coefficient,
     w_matrix,
     w_recurrence_residual,
     w_via_cg,
 )
-from micz9.sector import HalfInt, enumerate_sectors, lambda_range, validate_sector
+from micz9.sector import enumerate_sectors, lambda_range, validate_sector
 
 S0 = validate_sector(0, 0, 0, 0, 1)
 S1 = validate_sector(1, 0, 0, 0, 1)
@@ -101,24 +102,30 @@ def test_w_matrix_entries_are_w_coefficient():
                 assert (W[i][n_p].coeff, W[i][n_p].radicand) == (one.coeff, one.radicand), s
 
 
+def clebsch_gordan(a, alpha, b, beta, c, gamma) -> RadicalScalar:
+    """C^{c,gamma}_{a,alpha; b,beta} from w_via_cg's factors; zero off the selection rules."""
+    a2, al2, b2, be2, c2, g2 = (int(2 * Fraction(v)) for v in (a, alpha, b, beta, c, gamma))
+    row, column = _cg_row(a2, b2, c2, g2), _cg_column(a2, al2, b2, be2, g2)
+    if row is None or column is None:
+        return RadicalScalar.zero()
+    (x1, row_part), (ints, column_part) = row, column
+    return RadicalScalar(_racah_sum(x1, ints), row_part * column_part)
+
+
 def test_clebsch_gordan_values():
-    assert clebsch_gordan(CGArgs.from_values("1/2", "1/2", "1/2", "-1/2", 0, 0)) == SQRT2_HALF
-    assert clebsch_gordan(CGArgs.from_values("1/2", "-1/2", "1/2", "1/2", 0, 0)) == -SQRT2_HALF
-    assert clebsch_gordan(CGArgs.from_values(1, 1, "1/2", "1/2", "1/2", "1/2")).is_zero
-    assert clebsch_gordan(CGArgs.from_values("1/2", "1/2", "1/2", "1/2", 1, 1)) == 1
+    assert clebsch_gordan("1/2", "1/2", "1/2", "-1/2", 0, 0) == SQRT2_HALF
+    assert clebsch_gordan("1/2", "-1/2", "1/2", "1/2", 0, 0) == -SQRT2_HALF
+    assert clebsch_gordan(1, 1, "1/2", "1/2", "1/2", "1/2").is_zero
+    assert clebsch_gordan("1/2", "1/2", "1/2", "1/2", 1, 1) == 1
     # selection rule: gamma != alpha + beta
-    assert clebsch_gordan(CGArgs.from_values(1, 0, 1, 0, 1, 1)).is_zero
+    assert clebsch_gordan(1, 0, 1, 0, 1, 1).is_zero
     # triangle violation
-    assert clebsch_gordan(CGArgs.from_values(1, 1, 1, 1, 3, 2)).is_zero
+    assert clebsch_gordan(1, 1, 1, 1, 3, 2).is_zero
     # 1 x 1 -> 2 stretched
-    assert clebsch_gordan(CGArgs.from_values(1, 1, 1, 1, 2, 2)) == 1
+    assert clebsch_gordan(1, 1, 1, 1, 2, 2) == 1
     # 1 x 1 -> 0: C = (-1)^(1-m) / sqrt(3)
-    assert clebsch_gordan(CGArgs.from_values(1, 1, 1, -1, 0, 0)) == RadicalScalar(
-        Fraction(1, 3), 3
-    )
-    assert clebsch_gordan(CGArgs.from_values(1, 0, 1, 0, 0, 0)) == RadicalScalar(
-        Fraction(-1, 3), 3
-    )
+    assert clebsch_gordan(1, 1, 1, -1, 0, 0) == RadicalScalar(Fraction(1, 3), 3)
+    assert clebsch_gordan(1, 0, 1, 0, 0, 0) == RadicalScalar(Fraction(-1, 3), 3)
 
 
 def test_w_via_cg_examples():

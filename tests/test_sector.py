@@ -117,13 +117,12 @@ def test_alpha_energy_identity():
 
 def test_halfint():
     assert str(HalfInt(3)) == "3/2" and str(HalfInt(4)) == "2"
-    assert HalfInt.from_value(Fraction(5, 2)).twice == 5
     assert HalfInt(2) < HalfInt(3)
 
 
 def test_enumerate_sweep_bounds():
     sectors = list(enumerate_sectors(4, 4, 4))
-    assert len(sectors) == len(set(s.key() for s in sectors))
+    assert len(sectors) == len(set(sectors))
     for s in sectors:
         assert s.m.fraction <= 4 and s.Q <= 4 and s.L <= 4 and s.J <= 4
         assert 1 <= s.size <= 6
@@ -144,7 +143,6 @@ def test_lambda_index():
         lambda: interbasis.w_coefficient(s, 3, 0),
         lambda: interbasis.w_coefficient(s, float("nan"), 0),
         lambda: interbasis.w_coefficient(s, float("inf"), 0),
-        lambda: wavefield.norm_spherical(s, 3),
     ):
         with pytest.raises(LambdaOutOfRange):
             call()
@@ -164,13 +162,11 @@ def test_np_index():
     "fn, args",
     [
         (interbasis.w_coefficient, (1, 0.5)),
-        (wavefield.norm_parabolic, (0.5,)),
         (wavefield.psi_parabolic, (0.5, 1, 1)),
         (m9_parabolic_eigenvalue, (2,)),
         (wavefield.ode_residuals, ("parabolic_u", 0.5, [1.0])),
     ],
-    ids=["w_coefficient", "norm_parabolic",
-         "psi_parabolic", "m9_parabolic_eigenvalue", "ode_residuals"],
+    ids=["w_coefficient", "psi_parabolic", "m9_parabolic_eigenvalue", "ode_residuals"],
 )
 def test_bad_parabolic_or_lambda_label_is_an_index_error(fn, args):
     # the one check behind every n_p-indexed entry point: exit 2, never a wrong value

@@ -1,6 +1,7 @@
 """Spheroidal eigenproblem, continuant route, branch sweeps, and limits."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -217,7 +218,7 @@ def test_spherical_limit_examples():
     assert rep.max_value_error <= 1e-12
     # diagonal limit: K ~ -18 + a*2Z*8/(4*4*5) and -8 + a*2Z*8/(4*5*6) shifts
     np.testing.assert_allclose(rep.raw_gaps, [2e-9 * 2 / 3, 2e-9], rtol=1e-4)
-    with pytest.raises(LimitMismatch):
+    with pytest.raises(LimitMismatch, match=r"worst vector error \S+ at n_k = [01]$"):
         check_spherical_limit(separation_constants(s, 1e-8), tol_vector=1e-30)
 
 
@@ -236,8 +237,11 @@ def test_parabolic_limit_examples():
     rep = check_parabolic_limit(w_matrix(s), separation_constants(s, 1e6))
     assert rep.max_set_error <= 1e-4
 
-    with pytest.raises(LimitMismatch):
+    with pytest.raises(LimitMismatch, match=r"worst column error \S+ at n_k = [01]$"):
         check_parabolic_limit(w_matrix(S1), separation_constants(S1, 1e6), tol=1e-30)
+    twin = replace(spectrum, K=spectrum.K[[0, 0]])  # both branches match n_p = 0
+    with pytest.raises(LimitMismatch, match="n_p = 0 matches 2 branches"):
+        check_parabolic_limit(w_matrix(S1), twin)
     with pytest.raises(ValidationError):
         check_parabolic_limit(w_matrix(S1), separation_constants(S1, 100.0))
 
