@@ -28,13 +28,17 @@ S0 = validate_sector(0, 0, 0, 0, 1)
 S1 = validate_sector(1, 0, 0, 0, 1)
 
 
-def test_polynomial_derivative_identities():
+def test_laguerre_examples():
     # d/dx L_k^{(s)} = -L_{k-1}^{(s+1)}, as the radial and parabolic residuals use it
     h = 1e-6
     der = -_backend.laguerre(2, 3.0, 1.7)[-1]
     lag = _backend.laguerre(3, 2.0, [1.7 + h, 1.7 - h])[-1]
     assert abs(der - (lag[0] - lag[1]) / (2 * h)) < 1e-5
+
+
+def test_jacobi_examples():
     # d/dx P_k^{(p,q)} = (k+p+q+1)/2 P_{k-1}^{(p+1,q+1)}, as the angular residual uses it
+    h = 1e-6
     der = 0.5 * (4 + 3.0 + 5.0 + 1) * _backend.jacobi(3, 4.0, 6.0, -0.2)[-1]
     jac = _backend.jacobi(4, 3.0, 5.0, [-0.2 + h, -0.2 - h])[-1]
     assert abs(der - (jac[0] - jac[1]) / (2 * h)) < 1e-5 * max(1, abs(der))
