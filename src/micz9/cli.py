@@ -24,7 +24,6 @@ import numpy as np
 
 from . import coeffs, interbasis, sector, spheroidal, wavefield
 from .errors import Micz9Error, ValidationError
-from .exactscalar import format_rational
 
 SCHEMA_VERSION = "1"
 
@@ -51,7 +50,7 @@ def _fmt_root(square: Fraction) -> str:
 
 
 def _sector_record(s: sector.Sector) -> dict:
-    return {"n": s.n, "Q": s.Q, "L": s.L, "J": s.J, "Z": format_rational(s.Z)}
+    return {"n": s.n, "Q": s.Q, "L": s.L, "J": s.J, "Z": str(s.Z)}
 
 
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps' default string encoder
@@ -107,16 +106,6 @@ def _float_matrix(mat) -> list:
     return _fmt_array(coeffs.matrix_to_float(mat)).tolist()
 
 
-def _require_float_mode(args) -> None:
-    if args.mode == "exact":
-        raise ValidationError(f"{args.command} has no exact mode (real-valued focal distance)")
-
-
-def _require_record_format(args) -> None:
-    if args.format == "csv":
-        raise ValidationError(f"{args.command} emits a record, not CSV (only sweep does)")
-
-
 def _require_finite(**flags) -> None:
     """Reject infinite or NaN focal-distance flags (names given with _ for -)."""
     for name, value in flags.items():
@@ -139,9 +128,8 @@ def _parse_sector(args) -> sector.Sector:
 
 
 def cmd_states(args) -> None:
-    _require_record_format(args)
     s = _parse_sector(args)
-    show = format_rational if args.mode == "exact" else _fmt
+    show = str if args.mode == "exact" else _fmt
     m9s = [sector.m9_parabolic_eigenvalue(s, n_p) for n_p in sector.np_range(s)]
     payload = {
         "N": s.size,
@@ -155,7 +143,6 @@ def cmd_states(args) -> None:
 
 
 def cmd_wmatrix(args) -> None:
-    _require_record_format(args)
     s = _parse_sector(args)
     W = interbasis.w_matrix(s)
     payload = {
@@ -167,12 +154,11 @@ def cmd_wmatrix(args) -> None:
 
 
 def cmd_m9(args) -> None:
-    _require_record_format(args)
     s = _parse_sector(args)
     mat = coeffs.m9_spherical_matrix(s)
     trace = sum((row[i].as_rational() for i, row in enumerate(mat)), Fraction(0))
     exact = args.mode == "exact"
-    show = format_rational if exact else _fmt
+    show = str if exact else _fmt
     payload = {
         "row_index": "lambda_ascending",
         "col_index": "lambda_ascending",
@@ -184,9 +170,7 @@ def cmd_m9(args) -> None:
 
 
 def _spectrum_at_a(args) -> tuple[sector.Sector, spheroidal.SpheroidalSpectrum]:
-    """Sector and spectrum at --a for kspectrum and tcoeffs, after their flag checks."""
-    _require_float_mode(args)
-    _require_record_format(args)
+    """Sector and spectrum at --a for kspectrum and tcoeffs."""
     s = _parse_sector(args)
     _require_finite(a=args.a)
     if args.a is None or not args.a > 0:
@@ -225,7 +209,6 @@ def cmd_tcoeffs(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    _require_float_mode(args)
     s = _parse_sector(args)
     if args.a_min is None or args.a_max is None:
         raise ValidationError("sweep needs --a-min and --a-max")
@@ -271,8 +254,6 @@ def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[floa
 
 
 def cmd_limits(args) -> None:
-    _require_float_mode(args)
-    _require_record_format(args)
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
     small, large = spheroidal.spectra(s, _limit_distances(s, args.a_small, args.a_large))
@@ -297,7 +278,6 @@ def cmd_limits(args) -> None:
 
 def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     """Run the per-sector cross-oracle suite; yields (name, ok, detail)."""
-    lams = sector.lambda_range(s)
     n = s.size
 
     W = interbasis.w_matrix(s)  # raises OrthogonalityViolation on breach
@@ -362,29 +342,24 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
 
     rpts = np.array([0.5, 1.0, 2.0, 5.0])
     cpts = np.array([-0.9, -0.3, 0.0, 0.4, 0.9])
-    ode_worst = 0.0
-    for lam in lams:
-        ode_worst = max(ode_worst, wavefield.ode_residuals(s, "radial", lam, rpts))
-        ode_worst = max(ode_worst, wavefield.ode_residuals(s, "angular", lam, cpts))
-    for n_p in range(n):
-        ode_worst = max(ode_worst, wavefield.ode_residuals(s, "parabolic_u", n_p, rpts))
-        ode_worst = max(ode_worst, wavefield.ode_residuals(s, "parabolic_v", n_p, rpts))
+    ode_worst = float(np.concatenate([  # one residual per lambda or n_p
+        wavefield.ode_residuals(s, which, cpts if which == "angular" else rpts)
+        for which in ("radial", "angular", "parabolic_u", "parabolic_v")
+    ]).max())
     yield "ode_residuals", ode_worst <= 1e-8, f"max relative residual {_fmt(ode_worst)}"
 
 
 def cmd_verify(args) -> int | None:
-    _require_record_format(args)
     s = _parse_sector(args)
-    tol_quad = args.tol if args.tol is not None else 1e-8
-    if not (math.isfinite(tol_quad) and tol_quad > 0):
-        raise ValidationError(f"--tol = {tol_quad} must be finite and positive")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol = {args.tol} must be finite and positive")
     wavefield.check_node_count(args.nodes)
     checks = [
         {"name": name, "ok": bool(ok), "detail": detail}
-        for name, ok, detail in _verify_checks(s, args.nodes, tol_quad)
+        for name, ok, detail in _verify_checks(s, args.nodes, args.tol)
     ]
     failed = [c["name"] for c in checks if not c["ok"]]
-    _emit("verify", s, args.mode, {"ok": not failed, "checks": checks})
+    _emit("verify", s, "exact", {"ok": not failed, "checks": checks})
     if failed:  # a broken exact identity is an internal inconsistency
         return 4 if any(name.endswith("_exact") for name in failed) else 3
     return None
@@ -404,18 +379,18 @@ _COMMANDS = {
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every main call."""
+    """The argument parser, built once per process; each command takes only the flags it reads."""
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--n", type=int, required=True, help="principal quantum number")
     shared.add_argument("--Q", type=int, required=True, help="monopole charge quantum number")
     shared.add_argument("--L", type=int, required=True, help="first angular eigenvalue label")
     shared.add_argument("--J", type=int, required=True, help="second angular eigenvalue label")
     shared.add_argument("--Z", default="1", help="electric charge, rational like 1 or 2/5")
-    shared.add_argument("--mode", choices=("exact", "float"), default="exact")
-    shared.add_argument("--format", choices=("record", "csv"), default="record")
-    top = wavefield.MAX_RULE_NODES >> wavefield.OVERLAP_DOUBLINGS  # verify doubles --nodes
-    shared.add_argument("--nodes", type=int, default=48, help=f"quadrature node count, 1..{top}")
-    shared.add_argument("--tol", type=float, default=None, help="tolerance override")
+    two_modes = argparse.ArgumentParser(add_help=False, parents=[shared])
+    two_modes.add_argument("--mode", choices=("exact", "float"), default="exact")
+    # K(a) has a real focal distance, so these commands are float only
+    float_only = argparse.ArgumentParser(add_help=False, parents=[shared])
+    float_only.add_argument("--mode", choices=("float",), default="float")
 
     parser = argparse.ArgumentParser(
         prog="micz9",
@@ -423,22 +398,26 @@ def build_parser() -> argparse.ArgumentParser:
         "nine-dimensional MICZ-Kepler problem",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("states", parents=[shared], help="sector constants and label ranges")
-    sub.add_parser("wmatrix", parents=[shared], help="spherical-parabolic transformation matrix")
-    sub.add_parser("m9", parents=[shared], help="ninth Runge-Lenz matrix in the spherical basis")
-    p = sub.add_parser("kspectrum", parents=[shared], help="spheroidal separation constants")
+    sub.add_parser("states", parents=[two_modes], help="sector constants and label ranges")
+    sub.add_parser("wmatrix", parents=[two_modes], help="spherical-parabolic transformation matrix")
+    sub.add_parser("m9", parents=[two_modes], help="ninth Runge-Lenz matrix in the spherical basis")
+    p = sub.add_parser("kspectrum", parents=[float_only], help="spheroidal separation constants")
     p.add_argument("--a", type=float, help="focal distance (> 0)")
-    p = sub.add_parser("tcoeffs", parents=[shared], help="coefficient columns by continuant")
+    p = sub.add_parser("tcoeffs", parents=[float_only], help="coefficient columns by continuant")
     p.add_argument("--a", type=float, help="focal distance (> 0)")
-    p = sub.add_parser("sweep", parents=[shared], help="branch sweep over a grid of a values")
+    p = sub.add_parser("sweep", parents=[float_only], help="branch sweep over a grid of a values")
     p.add_argument("--a-min", dest="a_min", type=float)
     p.add_argument("--a-max", dest="a_max", type=float)
     p.add_argument("--points", type=int, default=2, help=f"2 to {SWEEP_MAX_ENTRIES} / N^2")
     p.add_argument("--log", action="store_true", help="logarithmic grid")
-    p = sub.add_parser("limits", parents=[shared], help="spherical and parabolic degenerations")
+    p.add_argument("--format", choices=("record", "csv"), default="record")
+    p = sub.add_parser("limits", parents=[float_only], help="spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
     p.add_argument("--a-large", dest="a_large", type=float, help="default 1e6/Z")
-    sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
+    p = sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
+    top = wavefield.MAX_RULE_NODES >> wavefield.OVERLAP_DOUBLINGS  # verify doubles --nodes
+    p.add_argument("--nodes", type=int, default=48, help=f"quadrature node count, 1..{top}")
+    p.add_argument("--tol", type=float, default=1e-8, help="quadrature overlap tolerance")
     return parser
 
 

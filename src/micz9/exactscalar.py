@@ -51,11 +51,6 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
-def format_rational(x: Fraction) -> str:
-    """Serialize a rational as "p/q" (or "p" when q == 1)."""
-    return str(Fraction(x))
-
-
 class RadicalScalar:
     """Exact value coeff*sqrt(radicand); canonical radicand is a squarefree integer.
 
@@ -216,8 +211,8 @@ class RadicalScalar:
 
     def __str__(self):
         if self.is_rational:
-            return format_rational(self.coeff)
-        return f"{format_rational(self.coeff)}*sqrt({format_rational(self.radicand)})"
+            return str(self.coeff)
+        return f"{self.coeff}*sqrt({self.radicand})"
 
     def __repr__(self):
-        return f"RadicalScalar({format_rational(self.coeff)}, {format_rational(self.radicand)})"
+        return f"RadicalScalar({self.coeff}, {self.radicand})"

@@ -38,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import coeffs
-from .errors import IndexOutOfRange, OrthogonalityViolation, RadicandMismatch
+from .errors import OrthogonalityViolation, RadicandMismatch
 from .exactscalar import RadicalScalar
 from .sector import Sector, lambda_index, lambda_range, np_index
 
@@ -60,13 +60,6 @@ def _f32_unit_terminating(
         den *= (b1 + k) * (b2 + k) * (k + 1)
         num = den + (a1 + k) * (a2 + k) * (a3 + k) * num
     return num, den
-
-
-def _as_index(x) -> int:
-    f = Fraction(x)
-    if f.denominator != 1:
-        raise IndexOutOfRange(f"{x} is not an integer index")
-    return int(f)
 
 
 def _row(s: Sector, lam) -> tuple[int, int, Fraction]:
@@ -285,7 +278,7 @@ def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
     """
     s = W.sector
     # the CG arguments, doubled: a and b per sector, alpha and beta per n_p
-    ljq = _as_index(Fraction(s.L + s.J - s.Q, 2))
+    ljq = (s.L + s.J - s.Q) // 2  # an integer: validate_sector enforces parity
     a2, b2, g2 = s.n + 3 + s.J - ljq, s.n + 3 + s.L - ljq, s.lam_min.twice + 6
     columns = [
         _cg_column(a2, 2 * n_p - s.n + ljq + s.J + 3, b2, s.n - ljq - 2 * n_p + s.L + 3, g2)

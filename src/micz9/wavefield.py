@@ -24,14 +24,13 @@ Each basis is evaluated once per sector: one polynomial ladder per family
 factorials, and each column multiplied in place in the closed form's
 order, skipping unit envelopes, so the columns are bitwise the one-state
 products.  The separated-equation residuals likewise evaluate every state
-of an equation in one pass and serve the per-label calls from it; powers
-and exponentials stay on the points array alone, so every residual is
-bitwise its one-state value.
+of an equation in one pass and return one residual per state; powers and
+exponentials stay on the points array alone, so every residual is bitwise
+its one-state value.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -465,16 +464,20 @@ def _parabolic_terms(s: Sector, which: str, pts, Zf, E, alpha):
     )
 
 
-@functools.lru_cache(maxsize=4)  # one sector's four equations; keys hold the points
-def _ode_table(s: Sector, which: str, points: bytes) -> tuple[float, ...]:
-    """Max relative residual of one separated equation for every state of the sector.
+def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
+    """Max relative residual of one separated equation on interior points, per state.
 
-    Keyed by the float64 bytes of the points.  Each power, root and
-    exponential is taken on an array of the points' shape, as for a single
+    which: "radial" or "angular" (one entry per lambda, ascending), or
+    "parabolic_u" or "parabolic_v" (one per n_p).  The closed-form factor
+    and its analytic derivatives are plugged into the equation; each
+    residual is scaled by the largest participating term.  Each power,
+    root and exponential is taken on the points array, as for a single
     state, so every entry is bitwise the one-state value; the ladders and
     the rest are shared by all states.
     """
-    pts = np.frombuffer(points)
+    pts = np.asarray(points, dtype=np.float64).ravel()
+    if pts.size == 0:
+        raise DomainError("need at least one evaluation point")
     Zf, E, alpha = _float_scales(s)
     if which == "angular":
         if np.any(np.abs(pts) >= 1):
@@ -484,29 +487,10 @@ def _ode_table(s: Sector, which: str, points: bytes) -> tuple[float, ...]:
         if np.any(pts <= 0):
             raise DomainError("radial points must satisfy r > 0")
         terms = _radial_terms(s, pts, Zf, E, alpha)
-    else:
+    elif which in ("parabolic_u", "parabolic_v"):
         if np.any(pts <= 0):
             raise DomainError("parabolic points must be positive")
         terms = _parabolic_terms(s, which, pts, Zf, E, alpha)
-    return tuple(_scaled_residual(terms).max(axis=-1).tolist())
-
-
-def ode_residuals(s: Sector, which: str, index, points) -> float:
-    """Max relative residual of one separated equation on interior points.
-
-    which: "radial" or "angular" (index = lambda), "parabolic_u" or
-    "parabolic_v" (index = n_p).  The closed-form factor and its
-    analytic derivatives are plugged into the equation; each residual is
-    scaled by the largest participating term.  The first call for a
-    sector, equation and point set evaluates every state at once.
-    """
-    pts = np.asarray(points, dtype=np.float64).ravel()
-    if pts.size == 0:
-        raise DomainError("need at least one evaluation point")
-    if which in ("radial", "angular"):
-        i = lambda_index(s, index)[1]
-    elif which in ("parabolic_u", "parabolic_v"):
-        i = np_index(s, index)
     else:
         raise ValidationError(f"unknown equation selector {which!r}")
-    return _ode_table(s, which, pts.tobytes())[i]
+    return _scaled_residual(terms).max(axis=-1)

@@ -87,7 +87,8 @@ def test_kspectrum():
     K = [float(x) for x in rec["payload"]["K"]]
     assert abs(K[0] - (-4 - math.sqrt(17))) < 1e-12
     assert abs(K[1] - (-4 + math.sqrt(17))) < 1e-12
-    out = run_cli("kspectrum", *SECTOR, "--a", "5")  # exact mode rejected
+    assert run_json("kspectrum", *SECTOR, "--a", "5") == rec  # float is the default mode
+    out = run_cli("kspectrum", *SECTOR, "--mode", "exact", "--a", "5")  # exact mode rejected
     assert out.returncode == 2
     out = run_cli("kspectrum", *SECTOR, "--mode", "float")  # missing --a
     assert out.returncode == 2
@@ -478,6 +479,22 @@ def test_rational_charge():
 def test_csv_rejected_outside_sweep():
     out = run_cli("states", *SECTOR, "--format", "csv")
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wmatrix", "--tol", "1e-3"],
+        ["states", "--nodes", "5"],
+        ["m9", "--format", "record"],
+        ["verify", "--mode", "float"],
+    ],
+    ids=" ".join,
+)
+def test_a_flag_the_command_does_not_read_exits_2(argv):
+    out = run_cli(*argv, *SECTOR)
+    assert out.returncode == 2 and out.stdout == ""
+    assert "unrecognized arguments" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_main_entrypoint_inprocess(capsys):

@@ -9,7 +9,6 @@ from micz9.coeffs import (
     k_diag,
     k_offdiag,
     k_pencil,
-    m9_diag,
     m9_eigenvalues,
     m9_offdiag,
     m9_spherical_matrix,

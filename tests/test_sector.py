@@ -164,9 +164,8 @@ def test_np_index():
         (interbasis.w_coefficient, (1, 0.5)),
         (wavefield.psi_parabolic, (0.5, 1, 1)),
         (m9_parabolic_eigenvalue, (2,)),
-        (wavefield.ode_residuals, ("parabolic_u", 0.5, [1.0])),
     ],
-    ids=["w_coefficient", "psi_parabolic", "m9_parabolic_eigenvalue", "ode_residuals"],
+    ids=["w_coefficient", "psi_parabolic", "m9_parabolic_eigenvalue"],
 )
 def test_bad_parabolic_or_lambda_label_is_an_index_error(fn, args):
     # the one check behind every n_p-indexed entry point: exit 2, never a wrong value

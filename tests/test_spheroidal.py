@@ -17,7 +17,7 @@ from micz9.errors import (
     ValidationError,
 )
 from micz9.interbasis import w_matrix
-from micz9.sector import enumerate_sectors, lambda_range, validate_sector
+from micz9.sector import enumerate_sectors, validate_sector
 from micz9.spheroidal import (
     SymTridiagonal,
     build_k_matrix,

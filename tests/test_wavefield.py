@@ -263,25 +263,24 @@ CPTS = np.array([-0.9, 0.0, 0.9])
 
 
 def test_ode_residual_examples():
-    assert ode_residuals(S1, "radial", 0, RPTS) < 1e-10
-    assert ode_residuals(S0, "parabolic_u", 0, RPTS) < 1e-12
-    assert ode_residuals(validate_sector(2, 0, 0, 2, 1), "angular", 2, CPTS) < 1e-9
+    assert ode_residuals(S1, "radial", RPTS)[0] < 1e-10  # lambda = 0
+    assert ode_residuals(S0, "parabolic_u", RPTS)[0] < 1e-12  # n_p = 0
+    assert ode_residuals(validate_sector(2, 0, 0, 2, 1), "angular", CPTS)[1] < 1e-9  # lambda = 2
 
 
 def test_ode_residual_sweep():
     for s in enumerate_sectors(3, 3, 3):
-        for lam in lambda_range(s):
-            assert ode_residuals(s, "radial", lam, RPTS) < 1e-8, (s, lam)
-            assert ode_residuals(s, "angular", lam, CPTS) < 1e-8, (s, lam)
-        for n_p in range(s.size):
-            assert ode_residuals(s, "parabolic_u", n_p, RPTS) < 1e-8, (s, n_p)
-            assert ode_residuals(s, "parabolic_v", n_p, RPTS) < 1e-8, (s, n_p)
+        for which, pts in (("radial", RPTS), ("angular", CPTS),
+                           ("parabolic_u", RPTS), ("parabolic_v", RPTS)):
+            worst = ode_residuals(s, which, pts)
+            assert worst.shape == (s.size,), (s, which)  # one per lambda or n_p
+            assert worst.max() < 1e-8, (s, which)
 
 
 def test_ode_residual_domain_checks():
     with pytest.raises(DomainError):
-        ode_residuals(S1, "radial", 0, [0.0, 1.0])
+        ode_residuals(S1, "radial", [0.0, 1.0])
     with pytest.raises(DomainError):
-        ode_residuals(S1, "angular", 0, [1.0])
+        ode_residuals(S1, "angular", [1.0])
     with pytest.raises(ValidationError):
-        ode_residuals(S1, "azimuthal", 0, [0.5])
+        ode_residuals(S1, "azimuthal", [0.5])
