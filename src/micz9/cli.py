@@ -196,8 +196,7 @@ def cmd_kspectrum(args) -> None:
 def cmd_tcoeffs(args) -> None:
     s, spectrum = _spectrum_at_a(args)
     branches = []
-    for n_k in range(s.size):
-        col = spheroidal.t_by_continuant(spectrum.matrix, float(spectrum.K[n_k]))
+    for n_k, col in enumerate(spheroidal.t_by_continuant(spectrum.matrix, spectrum.K).T):
         branches.append({
             "n_k": n_k,
             "K": _fmt(spectrum.K[n_k]),
@@ -276,6 +275,13 @@ def cmd_limits(args) -> None:
     _emit("limits", s, "float", payload)
 
 
+def _stack(solved: list) -> tuple[spheroidal.SymTridiagonal, np.ndarray, np.ndarray]:
+    """The matrices of a list of spectra as one stack, with their K (P, N) and T (P, N, N)."""
+    parts = [(x.matrix.diag, x.matrix.offdiag, x.K, x.T) for x in solved]
+    diag, off, K, T = (np.array(part) for part in zip(*parts))
+    return spheroidal.SymTridiagonal(diag, off), K, T
+
+
 def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     """Run the per-sector cross-oracle suite; yields (name, ok, detail)."""
     n = s.size
@@ -310,24 +316,17 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     solved = spheroidal.spectra(
         s, [0.1, 1.0, 10.0, 100.0, *np.logspace(-2, 3, 6), *_limit_distances(s)]
     )
-    eigen, continuant, (small, large) = solved[:4], solved[4:10], solved[10:]
-    worst_resid = 0.0
-    worst_ortho = 0.0
-    for spectrum in eigen:
-        mat, T = spectrum.matrix, spectrum.T
-        r = float(np.abs(mat.matvec(T) - T * spectrum.K).max())
-        worst_resid = max(worst_resid, r / max(mat.norm(), 1e-300))
-        worst_ortho = max(worst_ortho, float(np.abs(T.T @ T - np.eye(n)).max()))
+    (mat, K, T), (small, large) = _stack(solved[:4]), solved[10:]
+    resid = np.abs(mat.matvec(T) - T * K[:, None, :]).max(axis=(1, 2))
+    worst_resid = float((resid / np.maximum(mat.norm(), 1e-300)).max())
+    worst_ortho = float(np.abs(np.swapaxes(T, 1, 2) @ T - np.eye(n)).max())
     ok = worst_resid <= 1e-12 and worst_ortho <= 1e-12
     yield "spheroidal_eigenproblem", ok, (
         f"relative residual {_fmt(worst_resid)}, orthogonality {_fmt(worst_ortho)}"
     )
 
-    cont_worst = 0.0
-    for spectrum in continuant:
-        for k in range(n):
-            col = spheroidal.t_by_continuant(spectrum.matrix, float(spectrum.K[k]))
-            cont_worst = max(cont_worst, float(np.abs(col - spectrum.T[:, k]).max()))
+    mat, K, T = _stack(solved[4:10])
+    cont_worst = float(np.abs(spheroidal.t_by_continuant(mat, K) - T).max())
     yield "continuant_agreement", cont_worst <= 1e-8, f"max column diff {_fmt(cont_worst)}"
 
     sph = spheroidal.check_spherical_limit(small)  # raises LimitMismatch

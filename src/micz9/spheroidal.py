@@ -17,8 +17,8 @@ limit).
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
-continuant (three-term minor) recurrence at one eigenvalue of one solved
-matrix.  The continuant is twisted: ratios of leading minors run down
+continuant (three-term minor) recurrence, at every eigenvalue of a stack
+at once.  The continuant is twisted: ratios of leading minors run down
 from the top of the ladder and ratios of trailing minors up from the
 bottom, and the column is built outward from the index where the two
 meet best, so each half runs in its stable direction.  At small a, K(a)
@@ -53,14 +53,14 @@ from .errors import (
     ValidationError,
 )
 from .interbasis import WMatrix
-from .sector import Sector, _short, alpha_scale, lambda_range, m9_parabolic_eigenvalue
+from .sector import Sector, _short, alpha_scale, m9_parabolic_eigenvalue
 
 _SIGN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class SymTridiagonal:
-    """diag (..., N) and offdiag (..., N-1), float64; matvec and norm read one matrix."""
+    """One matrix, diag (N,) and offdiag (N-1,), or a stack, diag (P, N) and offdiag (P, N-1)."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -70,16 +70,18 @@ class SymTridiagonal:
         return self.diag.shape[-1]
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        """T v for a vector v (N,) or a block of columns (N, M)."""
+        """T v, matrix by matrix, for vectors (..., N) or blocks of columns (..., N, M)."""
         v = np.asarray(v, dtype=np.float64)
-        return _tridiag_product(self.diag, self.offdiag, v.reshape(self.size, -1)).reshape(v.shape)
+        vector = v.ndim == self.diag.ndim
+        TV = _tridiag_product(self.diag, self.offdiag, v[..., None] if vector else v)
+        return TV[..., 0] if vector else TV
 
-    def norm(self) -> float:
-        """Infinity norm."""
+    def norm(self):
+        """Infinity norm: a float for one matrix, an array (P,) for a stack."""
         r = np.abs(self.diag)
-        r[1:] += np.abs(self.offdiag)
-        r[:-1] += np.abs(self.offdiag)
-        return float(r.max())
+        r[..., 1:] += np.abs(self.offdiag)
+        r[..., :-1] += np.abs(self.offdiag)
+        return float(r.max()) if r.ndim == 1 else r.max(axis=-1)
 
 
 @functools.lru_cache(maxsize=64)
@@ -197,62 +199,72 @@ def separation_constants(s: Sector, a) -> SpheroidalSpectrum:
     return spectra(s, [a])[0]
 
 
-def _pivot_ratios(shifted: list, off2: list, pivmin: float) -> list:
-    """Ratios D_i = shifted_i - off2_{i-1} / D_{i-1} of successive leading minors.
+def t_by_continuant(mat: SymTridiagonal, K) -> np.ndarray:
+    """Columns of tridiagonals at their eigenvalues, by the twisted minor recurrence.
 
-    A ratio smaller than pivmin in magnitude is replaced by -pivmin, which
-    keeps every off2 / D finite (LAPACK's safe-minimum pivot).
-    """
-    out = []
-    for i, x in enumerate(shifted):
-        piv = x - off2[i - 1] / out[-1] if i else x
-        out.append(-pivmin if abs(piv) < pivmin else piv)
-    return out
-
-
-def t_by_continuant(mat: SymTridiagonal, K: float) -> np.ndarray:
-    """Column of one tridiagonal mat at its eigenvalue K, by the twisted minor recurrence.
-
+    mat is one matrix, diag (N,), or a stack, diag (P, N); K holds M
+    eigenvalues of each, (M,) or (P, M), and the columns come back as
+    (N, M) or (P, N, M); a scalar K on one matrix gives its (N,) column.
     Ratios of leading minors of (mat - K) run down from the top
     (D+_i = d_i - K - e_{i-1}^2 / D+_{i-1}) and ratios of trailing minors
-    run up from the bottom (D-_i, the same recurrence reversed).  The twist
-    index r minimizes |D+_r + D-_r - (d_r - K)|, the last diagonal entry of
-    the twisted factorization, which is smallest where the column peaks
-    (Fernando 1997; Parlett & Dhillon, LAA 1997).  With v_r = 1 the column
-    follows as v_i = -e_i v_{i+1} / D+_i above r and v_i = -e_{i-1} v_{i-1}
-    / D-_i below it: each side runs in the direction in which its
+    run up from the bottom (D-_i, the same recurrence reversed); a ratio
+    below pivmin in magnitude becomes -pivmin, which keeps every e^2 / D
+    finite (LAPACK's safe-minimum pivot, one per matrix).  The twist index
+    r is the first to minimize |D+_r + D-_r - (d_r - K)|, the last diagonal
+    entry of the twisted factorization, which is smallest where the column
+    peaks (Fernando 1997; Parlett & Dhillon, LAA 1997).  With v_r = 1 the
+    column follows as v_i = -e_i v_{i+1} / D+_i above r and v_i = -e_{i-1}
+    v_{i-1} / D-_i below it: each side runs in the direction in which its
     components decay, so double precision suffices however strongly K(a)
-    is graded.  The route reads the entries of a solved spectrum's matrix
-    and shares nothing else with the LAPACK route.  A non-finite K raises
-    ValidationError; a zero coupling (K(a) at a = 0) or a non-finite column
-    raises DegenerateShift.
+    is graded.  The matrix and its reversal run side by side (the D+ of
+    the reversal are the D-, and its column below the twist is the part
+    above it), position first, so each step is one operation over every
+    column.  A non-finite K raises ValidationError, and a zero coupling
+    (K(a) at a = 0) or a column that is not finite or whose norm overflows
+    raises DegenerateShift, each naming the first bad entry.
     """
-    if not math.isfinite(K):
-        raise ValidationError(f"eigenvalue K = {K} must be finite")
-    n = mat.size
+    K = np.asarray(K, dtype=np.float64)
+    scalar, stacked = K.ndim == 0, mat.diag.ndim == 2
+    if mat.diag.ndim > 2 or (K.shape[:-1] != mat.diag.shape[:-1] if K.ndim else stacked):
+        raise ValidationError(f"eigenvalues {K.shape} do not fit tridiagonals {mat.diag.shape}")
+    if not np.isfinite(K).all():
+        raise ValidationError(f"eigenvalue K = {float(K[~np.isfinite(K)][0])} must be finite")
+    n, out_shape = mat.size, mat.diag.shape + K.shape[-1:]  # K.shape[-1:] is () for a scalar
     if n == 1:
-        return np.ones(1)
-    e = mat.offdiag.tolist()
-    if 0.0 in e:
-        raise DegenerateShift(f"zero coupling at position {e.index(0.0)} of the tridiagonal")
-    shifted = (mat.diag - K).tolist()
-    off2 = [x * x for x in e]
-    pivmin = sys.float_info.min * max(1.0, max(off2))
-    lead = _pivot_ratios(shifted, off2, pivmin)
-    trail = _pivot_ratios(shifted[::-1], off2[::-1], pivmin)[::-1]
-    r = min(range(n), key=lambda i: abs(lead[i] + trail[i] - shifted[i]))
-
-    v = [0.0] * n
-    v[r] = 1.0
-    for i in range(r - 1, -1, -1):
-        v[i] = -e[i] * v[i + 1] / lead[i]
-    for i in range(r + 1, n):
-        v[i] = -e[i - 1] * v[i - 1] / trail[i]
-    col = np.array(v)
-    if not np.isfinite(col).all():
-        raise DegenerateShift(f"non-finite continuant column at K = {K}")
-    col /= np.linalg.norm(col)
-    return sign_fix_columns(col.reshape(-1, 1)).ravel()
+        return np.ones(out_shape)
+    zero = mat.offdiag == 0.0
+    if zero.any():
+        *p, i = np.argwhere(zero)[0]
+        at = f"tridiagonal {p[0]}" if stacked else "the tridiagonal"
+        raise DegenerateShift(f"zero coupling at position {i} of {at}")
+    K = K.reshape(mat.diag.size // n, K.shape[-1] if K.ndim else 1)  # (P, M), P = 1 for one
+    # axes: position, then the matrix (0) and its reversal (1), then P and M
+    e = mat.offdiag.reshape(len(K), n - 1).T[:, None, :, None]
+    e = np.concatenate([e, e[::-1]], axis=1)
+    with np.errstate(all="ignore"):  # a column that is not finite raises below
+        shifted = mat.diag.reshape(len(K), n).T[:, None, :, None] - K
+        off2 = e * e
+        pivmin = sys.float_info.min * np.maximum(1.0, off2.max(axis=(0, 1)))
+        piv = np.concatenate([shifted, shifted[::-1]], axis=1)  # D+ of both: the reversal's are D-
+        for i in range(n):
+            if i:
+                np.subtract(piv[i], off2[i - 1] / piv[i - 1], out=piv[i])
+            np.copyto(piv[i], -pivmin, where=np.abs(piv[i]) < pivmin)
+        r = np.argmin(np.abs(piv[:, 0] + piv[::-1, 1] - shifted[:, 0]), axis=0)
+        # v_r = 1, then down the matrix through D- and down the reversal (up the matrix) through D+
+        pos = np.arange(n)[:, None, None, None] - np.stack([r, n - 1 - r])  # from the twist
+        w = (pos == 0) * 1.0
+        den, neg_e, after = piv[::-1, ::-1], -e, pos > 0  # den[i] = (D-_i, D+_{N-1-i})
+        for i in range(1, n):
+            np.copyto(w[i], neg_e[i - 1] * w[i - 1] / den[i], where=after[i])
+        up, down = w[::-1, 1].transpose(1, 2, 0), w[:, 0].transpose(1, 2, 0)
+        rows = np.where(np.arange(n) < r[..., None], up, down)  # (P, M, N): row per column
+        sq = rows[..., None, :] @ rows[..., :, None]  # (P, M, 1, 1): a BLAS dot, as in norm
+    bad = ~np.isfinite(sq[..., 0, 0])  # a non-finite entry, or a norm that overflows
+    if bad.any():
+        raise DegenerateShift(f"non-finite continuant column at K = {float(K[bad][0])}")
+    rows /= np.sqrt(sq)[..., 0]
+    return sign_fix_columns(rows.swapaxes(1, 2)).reshape(out_shape)
 
 
 @dataclass(frozen=True)
@@ -334,17 +346,10 @@ def check_spherical_limit(
     Raises LimitMismatch, naming the worst branch of each error, on failure.
     """
     s, mat, a_small = spectrum.sector, spectrum.matrix, spectrum.a
-    n = s.size
-    lams = lambda_range(s)
-    value_errors = np.empty(n)
-    raw_gaps = np.empty(n)
-    vector_errors = np.empty(n)
-    for n_k in range(n):
-        idx = n - 1 - n_k  # position of lambda = m - n_k in the ascending ladder
-        lam = lams[idx].fraction
-        value_errors[n_k] = abs(spectrum.K[n_k] - mat.diag[idx])
-        raw_gaps[n_k] = abs(spectrum.K[n_k] + float(lam * (lam + 7)))
-        vector_errors[n_k] = np.abs(spectrum.T[:, n_k] - np.eye(n)[idx]).max()
+    # branch n_k lands on position N-1-n_k of the ascending ladder; raw gap |K + lambda(lambda+7)|
+    value_errors = np.abs(spectrum.K - mat.diag[::-1])
+    raw_gaps = np.abs(spectrum.K - _k_pencil(s)[0][::-1])
+    vector_errors = np.abs(spectrum.T - np.eye(s.size)[::-1]).max(axis=0)
     report = SphericalLimitReport(s, a_small, value_errors, raw_gaps, vector_errors)
     if report.max_value_error > tol_value or report.max_vector_error > tol_vector:
         raise LimitMismatch(
@@ -410,12 +415,8 @@ def check_parabolic_limit(
     ratios = spectrum.K / a_large
     set_errors = np.abs(np.sort(ratios) - np.sort(targets)) / zf
 
-    branch_np = np.empty(n, dtype=np.int64)
-    column_errors = np.empty(n)
-    for i in range(n):
-        j = int(np.argmin(np.abs(targets - ratios[i])))
-        branch_np[i] = j
-        column_errors[i] = np.abs(spectrum.T[:, i] - columns[:, j]).max()
+    branch_np = np.argmin(np.abs(targets - ratios[:, None]), axis=1)  # [branch, target] grid
+    column_errors = np.abs(spectrum.T - columns[:, branch_np]).max(axis=0)
     report = ParabolicLimitReport(s, a_large, set_errors, branch_np, column_errors)
     if len(set(branch_np.tolist())) != n:
         counts = np.bincount(branch_np, minlength=n)

@@ -199,7 +199,7 @@ def test_verify_passes_past_the_desk_sweep(sector, capsys):
 
 
 def test_verify_builds_w_once(monkeypatch, capsys):
-    calls = {"w_matrix": 0, "tridiag_eigh": 0, "build_k_matrix": 0}
+    calls = {"w_matrix": 0, "tridiag_eigh": 0, "build_k_matrix": 0, "t_by_continuant": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -213,8 +213,9 @@ def test_verify_builds_w_once(monkeypatch, capsys):
     count(interbasis, "w_matrix")
     count(spheroidal, "tridiag_eigh")  # K(a) is solved once, at every focal distance
     count(spheroidal, "build_k_matrix")
+    count(spheroidal, "t_by_continuant")  # every column of all six spectra in one call
     assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
-    assert calls == {"w_matrix": 1, "tridiag_eigh": 1, "build_k_matrix": 1}
+    assert calls == {"w_matrix": 1, "tridiag_eigh": 1, "build_k_matrix": 1, "t_by_continuant": 1}
 
 
 def test_verify_evaluates_m9_once(monkeypatch, capsys):

@@ -1,6 +1,8 @@
 """Spheroidal eigenproblem, continuant route, branch sweeps, and limits."""
 
 import math
+import re
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -117,11 +119,95 @@ def test_continuant_matches_inverse_iteration():
 
 def test_continuant_trivial_and_degenerate():
     assert t_by_continuant(build_k_matrix(validate_sector(0, 0, 0, 0, 1), 2.0), 0.0)[0] == 1.0
-    with pytest.raises(DegenerateShift):
+    one = t_by_continuant(build_k_matrix(validate_sector(0, 0, 0, 0, 1), [1.0, 2.0]), [[0.0]] * 2)
+    assert one.shape == (2, 1, 1) and (one == 1.0).all()
+    empty = SymTridiagonal(np.zeros((0, 3)), np.zeros((0, 2)))  # no matrices, or no eigenvalues
+    assert t_by_continuant(empty, np.zeros((0, 2))).shape == (0, 3, 2)
+    assert t_by_continuant(build_k_matrix(S1, [1.0, 2.0]), np.zeros((2, 0))).shape == (2, 2, 0)
+    with pytest.raises(DegenerateShift, match="position 0 of the tridiagonal$"):
         t_by_continuant(build_k_matrix(S1, 0.0), -8.0)
     for K in (math.inf, math.nan):  # a non-finite eigenvalue
         with pytest.raises(ValidationError):
             t_by_continuant(build_k_matrix(S1, 1.0), K)
+    # a stack names the first bad entry: the matrix and position, the K, the column's K
+    s = validate_sector(3, 0, 0, 0, 1)  # N = 4
+    stack = build_k_matrix(s, [1.0, 0.0, 0.0])
+    with pytest.raises(DegenerateShift, match="position 0 of tridiagonal 1$"):
+        t_by_continuant(stack, np.zeros((3, 2)))
+    K = np.zeros((3, 2))
+    K[1, 1], K[2, 0] = -math.inf, math.nan
+    with pytest.raises(ValidationError, match="K = -inf must"):
+        t_by_continuant(build_k_matrix(s, [1.0, 2.0, 3.0]), K)
+    with pytest.raises(ValidationError, match=r"eigenvalues \(3,\) do not fit"):
+        t_by_continuant(stack, np.zeros(3))
+    blowup = SymTridiagonal(np.array([[0.0, 1.0, 0.0]] * 2), np.array([[1.0, 1.0], [1e-300, 1e300]]))
+    with pytest.raises(DegenerateShift, match="non-finite continuant column at K = 0.25$"):
+        t_by_continuant(blowup, [[0.5, 0.0], [0.25, 0.0]])
+    with pytest.raises(DegenerateShift, match="non-finite continuant column at K = 0.0$"):
+        t_by_continuant(SymTridiagonal(blowup.diag[1], blowup.offdiag[1]), 0.0)
+
+
+def _ref_pivot_ratios(shifted, off2, pivmin):
+    out = []
+    for i, x in enumerate(shifted):
+        piv = x - off2[i - 1] / out[-1] if i else x
+        out.append(-pivmin if abs(piv) < pivmin else piv)
+    return out
+
+
+def _ref_continuant(d, e, K):
+    """One column, one Python-float step at a time: the twisted recurrence of t_by_continuant."""
+    n = len(d)
+    if n == 1:
+        return np.ones(1)
+    e = e.tolist()
+    shifted = (d - K).tolist()
+    off2 = [x * x for x in e]
+    pivmin = sys.float_info.min * max(1.0, max(off2))
+    lead = _ref_pivot_ratios(shifted, off2, pivmin)
+    trail = _ref_pivot_ratios(shifted[::-1], off2[::-1], pivmin)[::-1]
+    r = min(range(n), key=lambda i: abs(lead[i] + trail[i] - shifted[i]))
+    v = [0.0] * n
+    v[r] = 1.0
+    for i in range(r - 1, -1, -1):
+        v[i] = -e[i] * v[i + 1] / lead[i]
+    for i in range(r + 1, n):
+        v[i] = -e[i - 1] * v[i - 1] / trail[i]
+    col = np.array(v)
+    with np.errstate(over="ignore"):  # a norm that overflows is refused, like a non-finite entry
+        norm = np.linalg.norm(col)
+    if not np.isfinite(col).all() or not math.isfinite(norm):
+        raise DegenerateShift(f"non-finite continuant column at K = {K}")
+    col /= norm
+    return sign_fix_columns(col.reshape(-1, 1)).ravel()
+
+
+# graded couplings, and tiny ones whose squares underflow (with integer diagonals, the
+# eigenvalues then hit the diagonal exactly and the pivots fall to the safe minimum)
+_DECADES = st.sampled_from([(-8.0, 1.0), (-40.0, 0.0), (-170.0, -150.0), (-320.0, -300.0)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(1, 4), n=st.integers(1, 12), decades=_DECADES, integer_diag=st.booleans(),
+       seed=st.integers(0, 2**31))
+def test_batched_continuant_is_the_one_column_recurrence(p, n, decades, integer_diag, seed):
+    rng = np.random.default_rng(seed)
+    d = rng.integers(-3, 4, (p, n)).astype(float) if integer_diag else rng.uniform(-10, 10, (p, n))
+    e = rng.choice([-1.0, 1.0], (p, n - 1)) * 10.0 ** rng.uniform(*decades, (p, n - 1))
+    K = _backend.tridiag_eigh(d, e)[0]
+    try:
+        ref = [[_ref_continuant(d[i], e[i], k) for k in K[i].tolist()] for i in range(p)]
+    except DegenerateShift as exc:  # the batch names the same first column
+        with pytest.raises(DegenerateShift, match=re.escape(str(exc))):
+            t_by_continuant(SymTridiagonal(d, e), K)
+        return
+    cols = t_by_continuant(SymTridiagonal(d, e), K)
+    assert cols.shape == (p, n, n)
+    for i in range(p):
+        for k in range(n):
+            assert np.array_equal(cols[i, :, k], ref[i][k]), (i, k)
+        one = t_by_continuant(SymTridiagonal(d[i], e[i]), K[i])  # one matrix, all its K
+        assert np.array_equal(one, cols[i])
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,6 +222,24 @@ def test_continuant_solves_any_irreducible_tridiagonal(n, seed):
         v = t_by_continuant(mat, float(K))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-14
         assert np.abs(mat.matvec(v) - K * v).max() <= 1e-12 * mat.norm(), (d, e, K)
+
+
+def test_stacked_matvec_and_norm_read_each_matrix():
+    s = validate_sector(5, 2, 1, 1, Fraction(7, 3))
+    a = [1e-3, 5.0, 1e4]
+    stack = build_k_matrix(s, a)
+    V = np.random.default_rng(3).standard_normal((3, s.size, 2))
+    TV, norms = stack.matvec(V), stack.norm()
+    assert TV.shape == V.shape and norms.shape == (3,)
+    assert stack.matvec(V[..., 0]).tobytes() == TV[..., 0].tobytes()  # vectors (P, N)
+    for i, ai in enumerate(a):
+        one = build_k_matrix(s, ai)
+        assert norms[i] == one.norm() and isinstance(one.norm(), float)
+        assert one.matvec(V[i]).tobytes() == TV[i].tobytes()
+        assert one.matvec(V[i, :, 1]).tobytes() == np.ascontiguousarray(TV[i, :, 1]).tobytes()
+        dense = np.diag(one.diag) + np.diag(one.offdiag, 1) + np.diag(one.offdiag, -1)
+        np.testing.assert_allclose(norms[i], np.abs(dense).sum(axis=1).max(), rtol=1e-15)
+        np.testing.assert_allclose(TV[i], dense @ V[i], rtol=1e-14, atol=1e-14 * norms[i])
 
 
 def test_sign_convention():
