@@ -255,9 +255,9 @@ def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[floa
 def cmd_limits(args) -> None:
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
-    small, large = spheroidal.spectra(s, _limit_distances(s, args.a_small, args.a_large))
-    sph = spheroidal.check_spherical_limit(small)
-    par = spheroidal.check_parabolic_limit(interbasis.w_matrix(s), large)
+    both = spheroidal.separation_constants(s, _limit_distances(s, args.a_small, args.a_large))
+    sph = spheroidal.check_spherical_limit(both[0])
+    par = spheroidal.check_parabolic_limit(interbasis.w_matrix(s), both[1])
     payload = {
         "spherical": {
             "a_small": _fmt(sph.a_small),
@@ -273,13 +273,6 @@ def cmd_limits(args) -> None:
         },
     }
     _emit("limits", s, "float", payload)
-
-
-def _stack(solved: list) -> tuple[spheroidal.SymTridiagonal, np.ndarray, np.ndarray]:
-    """The matrices of a list of spectra as one stack, with their K (P, N) and T (P, N, N)."""
-    parts = [(x.matrix.diag, x.matrix.offdiag, x.K, x.T) for x in solved]
-    diag, off, K, T = (np.array(part) for part in zip(*parts))
-    return spheroidal.SymTridiagonal(diag, off), K, T
 
 
 def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
@@ -313,10 +306,11 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
     yield "quadrature_overlap", qworst <= tol_quad, f"max |quad - exact| {_fmt(qworst)}"
 
     # one batch: the eigenproblem at 4 distances, the continuant at 6, then both limits
-    solved = spheroidal.spectra(
+    solved = spheroidal.separation_constants(
         s, [0.1, 1.0, 10.0, 100.0, *np.logspace(-2, 3, 6), *_limit_distances(s)]
     )
-    (mat, K, T), (small, large) = _stack(solved[:4]), solved[10:]
+    eig = solved[:4]
+    mat, K, T = eig.matrix, eig.K, eig.T
     resid = np.abs(mat.matvec(T) - T * K[:, None, :]).max(axis=(1, 2))
     worst_resid = float((resid / np.maximum(mat.norm(), 1e-300)).max())
     worst_ortho = float(np.abs(np.swapaxes(T, 1, 2) @ T - np.eye(n)).max())
@@ -325,16 +319,16 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
         f"relative residual {_fmt(worst_resid)}, orthogonality {_fmt(worst_ortho)}"
     )
 
-    mat, K, T = _stack(solved[4:10])
-    cont_worst = float(np.abs(spheroidal.t_by_continuant(mat, K) - T).max())
+    cont = solved[4:10]
+    cont_worst = float(np.abs(spheroidal.t_by_continuant(cont.matrix, cont.K) - cont.T).max())
     yield "continuant_agreement", cont_worst <= 1e-8, f"max column diff {_fmt(cont_worst)}"
 
-    sph = spheroidal.check_spherical_limit(small)  # raises LimitMismatch
+    sph = spheroidal.check_spherical_limit(solved[10])  # raises LimitMismatch
     yield "spherical_limit", True, (
         f"value error {_fmt(sph.max_value_error)}, vector error {_fmt(sph.max_vector_error)}"
     )
 
-    par = spheroidal.check_parabolic_limit(W, large)
+    par = spheroidal.check_parabolic_limit(W, solved[11])
     yield "parabolic_limit", True, (
         f"set error {_fmt(par.max_set_error)}, column error {_fmt(par.max_column_error)}"
     )

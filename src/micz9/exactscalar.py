@@ -172,26 +172,12 @@ class RadicalScalar:
 
     __radd__ = __add__
 
-    def compare(self, other) -> int:
-        """Exact three-way comparison: sign analysis, then cross-squaring."""
+    def __eq__(self, other):
+        """Equal values: the same sign and the same square; int and Fraction compare too."""
         if isinstance(other, (int, Fraction)):
             other = RadicalScalar.from_rational(other)
-        sa, sb = self.sign(), other.sign()
-        if sa != sb:
-            return -1 if sa < sb else 1
-        if sa == 0:
-            return 0
-        qa, qb = self.square(), other.square()
-        if qa == qb:
-            return 0
-        less = qa < qb
-        if sa < 0:
-            less = not less
-        return -1 if less else 1
-
-    def __eq__(self, other):
-        if isinstance(other, (RadicalScalar, int, Fraction)):
-            return self.compare(other) == 0
+        if isinstance(other, RadicalScalar):
+            return self.sign() == other.sign() and self.square() == other.square()
         return NotImplemented
 
     def __hash__(self):
@@ -204,10 +190,6 @@ class RadicalScalar:
 
     def as_record(self) -> dict:
         return {"coeff": str(self.coeff), "radicand": str(self.radicand)}  # both are Fractions
-
-    @classmethod
-    def from_record(cls, rec: dict) -> "RadicalScalar":
-        return cls(Fraction(rec["coeff"]), Fraction(rec["radicand"]))
 
     def __str__(self):
         if self.is_rational:

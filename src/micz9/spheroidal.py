@@ -4,16 +4,16 @@ The separation constants K at focal distance a are the eigenvalues of the
 symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
 Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  The
 exact pencil coeffs.k_pencil is rounded once per sector (which carries
-the charge Z), so K(a) costs one multiply-add per entry, and
-build_k_matrix, its one float builder, takes a whole list of a to be
-solved in one batch.  Each spectrum keeps the matrix it was solved from,
-which the continuant route and both limit checks read.  The eigenvector
-columns are the expansion coefficients of each spheroidal state over
-the spherical basis.  Columns follow the sign
-convention "first nonzero entry positive" (numerically: first entry
-exceeding 1e-12 of the column's max magnitude, which keeps the
-convention deterministic when leading entries underflow near the a -> 0
-limit).
+the charge Z), so K(a) costs one multiply-add per entry.  build_k_matrix,
+its one float builder, and separation_constants, the one solve, take a
+scalar a for one matrix or a list of a for the stack, solved in one
+batch.  Each spectrum keeps the matrix it was solved from, which the
+continuant route and both limit checks read; a stack's rows and slices
+are spectra too.  The eigenvector columns are the expansion coefficients
+of each spheroidal state over the spherical basis.  Columns follow the
+sign convention "first nonzero entry positive" (numerically: first entry
+exceeding 1e-12 of the column's max magnitude, which keeps the convention
+deterministic when leading entries underflow near the a -> 0 limit).
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
@@ -68,6 +68,12 @@ class SymTridiagonal:
     @property
     def size(self) -> int:
         return self.diag.shape[-1]
+
+    def __getitem__(self, i) -> "SymTridiagonal":
+        """Matrix i of a stack, or a sub-stack for a slice."""
+        if self.diag.ndim != 2:
+            raise ValidationError("only a stack of tridiagonals can be indexed")
+        return SymTridiagonal(self.diag[i], self.offdiag[i])
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """T v, matrix by matrix, for vectors (..., N) or blocks of columns (..., N, M)."""
@@ -166,37 +172,34 @@ def sign_fix_columns(V: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpheroidalSpectrum:
-    """Eigenvalues K (ascending, index n_k) and coefficient columns T of matrix K(a)."""
+    """Eigenvalues K (ascending, index n_k) and coefficient columns T of K(a).
+
+    A float a: K (N,), T (N, N) and one matrix.  An array a (P,): K (P, N),
+    T (P, N, N) and the stack, whose row i or slice is spectrum[i].
+    """
 
     sector: Sector
-    a: float
+    a: float | np.ndarray
     K: np.ndarray
     T: np.ndarray
     matrix: SymTridiagonal
 
-
-def _solve(s: Sector, a_values):
-    """(a (P,), K(a) stack, K (P, N), T (P, N, N)) at each positive a, in one batched solve."""
-    a = np.asarray(a_values, dtype=np.float64)
-    if a.ndim != 1 or a.size == 0:
-        raise ValidationError("focal distances must form a non-empty 1-d list")
-    if not (a > 0).all():
-        raise ValidationError(f"focal distance a = {a[~(a > 0)][0]} must be positive")
-    mat = build_k_matrix(s, a)
-    K, T = tridiag_eigh(mat.diag, mat.offdiag)
-    return a, mat, K, sign_fix_columns(T)
-
-
-def spectra(s: Sector, a_values) -> list[SpheroidalSpectrum]:
-    """Spectra at each focal distance in a_values, solved as one batch."""
-    a, mat, K, T = _solve(s, a_values)
-    rows = zip(a, K, T, mat.diag, mat.offdiag)
-    return [SpheroidalSpectrum(s, float(x), k, t, SymTridiagonal(d, e)) for x, k, t, d, e in rows]
+    def __getitem__(self, i) -> "SpheroidalSpectrum":
+        mat, a = self.matrix[i], self.a[i]
+        return SpheroidalSpectrum(self.sector, a if a.ndim else float(a), self.K[i], self.T[i], mat)
 
 
 def separation_constants(s: Sector, a) -> SpheroidalSpectrum:
-    """Full spectrum of the separation-constant matrix at focal distance a."""
-    return spectra(s, [a])[0]
+    """Spectrum of K(a) at one focal distance a > 0, or of the stack at a 1-d list, in one batch."""
+    a = np.asarray(a, dtype=np.float64)
+    stack = np.atleast_1d(a)
+    if a.ndim > 1 or a.size == 0:
+        raise ValidationError("focal distances must form a non-empty 1-d list")
+    if not (stack > 0).all():
+        raise ValidationError(f"focal distance a = {stack[~(stack > 0)][0]} must be positive")
+    mat = build_k_matrix(s, a)
+    K, T = tridiag_eigh(mat.diag, mat.offdiag)
+    return SpheroidalSpectrum(s, a if a.ndim else float(a), K, sign_fix_columns(T), mat)
 
 
 def t_by_continuant(mat: SymTridiagonal, K) -> np.ndarray:
@@ -292,7 +295,8 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
         raise ValidationError("a_grid must be a 1-d array of at least one point")
     if not (np.diff(a_grid) > 0).all() or not (a_grid > 0).all():
         raise ValidationError("a_grid must be ascending and positive")
-    _, _, K, T = _solve(s, a_grid)
+    spectrum = separation_constants(s, a_grid)
+    K, T = spectrum.K, spectrum.T
     with np.errstate(over="ignore"):  # checked just below
         K_over_a = K / a_grid[:, None]
     bad = ~np.isfinite(K_over_a).all(axis=1)
@@ -345,6 +349,8 @@ def check_spherical_limit(
     its column must approach that coordinate unit vector to tol_vector.
     Raises LimitMismatch, naming the worst branch of each error, on failure.
     """
+    if spectrum.K.ndim != 1:  # a stack's axis would be read as the branches
+        raise ValidationError("the spherical limit check takes one spectrum, not a stack")
     s, mat, a_small = spectrum.sector, spectrum.matrix, spectrum.a
     # branch n_k lands on position N-1-n_k of the ascending ladder; raw gap |K + lambda(lambda+7)|
     value_errors = np.abs(spectrum.K - mat.diag[::-1])
@@ -393,6 +399,8 @@ def check_parabolic_limit(
     the same aZ and tol then mean the same check at every charge.  W must
     belong to the spectrum's sector.  Raises LimitMismatch on failure.
     """
+    if spectrum.K.ndim != 1:
+        raise ValidationError("the parabolic limit check takes one spectrum, not a stack")
     s, a_large = spectrum.sector, spectrum.a
     if W.sector != s:
         raise ValidationError(f"W of sector {W.sector} given for a spectrum of sector {s}")

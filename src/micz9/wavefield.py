@@ -9,8 +9,8 @@ with c = cos(theta), and the residuals of the four separated differential
 equations evaluated with analytic derivatives.
 
 Every state is alpha^{9/2} e^{-x/2}, x = alpha r, times a bare factor
-whose closed form is written once; psi_spherical and psi_parabolic add
-the common part back.  Quadrature never exponentiates the nodes: paired
+whose closed form is written once, and evaluated per basis as the
+columns below.  Quadrature never exponentiates the nodes: paired
 states carry a total weight exp(-alpha r), which the generalized Laguerre
 rule of order 8 absorbs exactly, and the polynomial remainder has integer
 powers for every parity-valid sector, so the tensor rules are exact up
@@ -38,7 +38,7 @@ import numpy as np
 
 from . import _backend
 from .errors import ConvergenceFailure, DomainError, ValidationError
-from .sector import Sector, lambda_index, np_index
+from .sector import Sector
 
 
 # ----------------------------------------------------------------------
@@ -57,39 +57,24 @@ class QuadratureRule:
 _rule_cache: dict = {}
 
 
-def _orthonormal_last_pair(diag, off, x):
-    """Unnormalized top polynomial q_n and derivative at x, via the recurrence."""
+def _recurrence(diag, off, q0, x):
+    """q_n, q_n' and q_0^2 + ... + q_{n-1}^2 at x, from q_0 = q0 by the Jacobi recurrence.
+
+    q_{k+1} = ((x - diag_k) q_k - off_{k-1} q_{k-1}) / off_k, and the top q_n
+    is left undivided: its zeros are the nodes, and with q0 = 1/sqrt(mu0)
+    the q_k are orthonormal, so the sum is the Christoffel sum of the weights.
+    """
     n = diag.shape[0]
-    pm = np.zeros_like(x)
-    dpm = np.zeros_like(x)
-    pc = np.ones_like(x)
-    dpc = np.zeros_like(x)
-    for k in range(n - 1):
+    pm, dpm, dpc = np.zeros_like(x), np.zeros_like(x), np.zeros_like(x)
+    pc, S = np.full_like(x, q0), np.zeros_like(x)
+    for k in range(n):
+        S += pc * pc
         sub = off[k - 1] if k > 0 else 0.0
-        pn = ((x - diag[k]) * pc - sub * pm) / off[k]
-        dpn = (pc + (x - diag[k]) * dpc - sub * dpm) / off[k]
-        pm, pc = pc, pn
-        dpm, dpc = dpc, dpn
-    sub = off[n - 2] if n > 1 else 0.0
-    q = (x - diag[n - 1]) * pc - sub * pm
-    dq = pc + (x - diag[n - 1]) * dpc - sub * dpm
-    return q, dq
-
-
-def _christoffel_weights(diag, off, mu0, x):
-    """Gauss weights 1 / sum_k ptilde_k(x)^2 with orthonormal ptilde."""
-    n = diag.shape[0]
-    pm = np.zeros_like(x)
-    pc = np.full_like(x, 1.0 / math.sqrt(mu0))
-    S = pc * pc
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # S overflows: w = 0
-        for k in range(n - 1):
-            sub = off[k - 1] if k > 0 else 0.0
-            pn = ((x - diag[k]) * pc - sub * pm) / off[k]
-            pm, pc = pc, pn
-            S += pc * pc
-        w = 1.0 / S
-    return np.where(np.isfinite(S), w, 0.0)
+        top = off[k] if k < n - 1 else 1.0  # dividing by 1.0 is exact
+        pn = ((x - diag[k]) * pc - sub * pm) / top
+        dpn = (pc + (x - diag[k]) * dpc - sub * dpm) / top
+        pm, pc, dpm, dpc = pc, pn, dpc, dpn
+    return pc, dpc, S
 
 
 MAX_RULE_NODES = 1024  # the largest Gauss rule built: an 8 MB dense Jacobi matrix
@@ -130,16 +115,14 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
         mu0 = math.gamma(order + 1.0)
     else:
         raise ValidationError(f"unknown rule kind {kind!r}")
-    if n_q == 1:
-        nodes = np.array([diag[0]])
-    else:
-        nodes = np.linalg.eigvalsh(_backend._dense(diag, off))
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            for _ in range(2):
-                q, dq = _orthonormal_last_pair(diag, off, nodes)
-                step = q / dq
-                nodes = nodes - np.where(np.isfinite(step), step, 0.0)
-    weights = _christoffel_weights(diag, off, mu0, nodes)
+    nodes = np.linalg.eigvalsh(_backend._dense(diag, off)) if n_q > 1 else np.array([diag[0]])
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):  # S overflows: w = 0
+        for _ in range(2 if n_q > 1 else 0):
+            q, dq, _ = _recurrence(diag, off, 1.0, nodes)
+            step = q / dq
+            nodes = nodes - np.where(np.isfinite(step), step, 0.0)
+        S = _recurrence(diag, off, 1.0 / math.sqrt(mu0), nodes)[2]
+        weights = np.where(np.isfinite(S), 1.0 / S, 0.0)
     for part in (nodes, weights):  # the cache hands the same arrays to every caller
         part.setflags(write=False)
     rule = QuadratureRule(kind, float(order), nodes, weights)
@@ -234,36 +217,6 @@ def _parabolic_columns(s: Sector, U, V, n_ps) -> np.ndarray:
     return out
 
 
-def psi_spherical(s: Sector, lam, r, c):
-    """Radial-angular factor at (r, cos(theta)); normalized, sign of the
-    closed form (positive leading Jacobi/Laguerre coefficients)."""
-    r = np.asarray(r, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if np.any(r <= 0):
-        raise DomainError("psi_spherical needs r > 0")
-    if np.any(np.abs(c) > 1):
-        raise DomainError("psi_spherical needs |cos(theta)| <= 1")
-    k = lambda_index(s, lam)[1]
-    alpha = _float_scales(s)[2]
-    x = alpha * r
-    out = alpha**4.5 * np.exp(-x / 2) * _spherical_columns(s, x, c, [k])[..., 0]
-    return out if out.shape else float(out)
-
-
-def psi_parabolic(s: Sector, n_p: int, u, v):
-    """Parabolic factor at (u, v) = (r+z, r-z); normalized."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if np.any(u < 0) or np.any(v < 0):
-        raise DomainError("psi_parabolic needs u, v >= 0")
-    n_p = np_index(s, n_p)
-    alpha = _float_scales(s)[2]
-    U = alpha * u / 2
-    V = alpha * v / 2
-    out = alpha**4.5 * np.exp(-(U + V) / 2) * _parabolic_columns(s, U, V, [n_p])[..., 0]
-    return out if out.shape else float(out)
-
-
 # ----------------------------------------------------------------------
 # overlap quadrature under r^8 (1-c^2)^3 dr dc
 # ----------------------------------------------------------------------
@@ -291,17 +244,20 @@ def basis_overlap(s: Sector, bra: str, ket: str, n_q: int = 64) -> np.ndarray:
     Phi_ket, w the product weights.  The radial sum runs first at each
     angular node and the angular sum last: the Laguerre weights span
     hundreds of decades, and one flat sum over the whole grid loses up to
-    ten times more to roundoff.  Bit-stable for a fixed node count.
+    ten times more to roundoff.  Bit-stable for a fixed node count.  Factors
+    that overflow (large N, many nodes) give entries that are not finite,
+    with no warning.
     """
     rx = gauss_rule("laguerre", n_q, order=8.0)
     rc = gauss_rule("legendre", n_q)
     X = rx.nodes[:, None]
     C = rc.nodes[None, :]
-    phi_bra = _basis_factors(s, bra, X, C)
-    phi_bra *= rx.weights[:, None, None]
-    phi_ket = _basis_factors(s, ket, X, C)
-    per_c = phi_bra.transpose(1, 2, 0) @ phi_ket.transpose(1, 0, 2)  # (c, bra, ket)
-    return np.tensordot(rc.weights * (1 - rc.nodes**2) ** 3, per_c, axes=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_bra = _basis_factors(s, bra, X, C)
+        phi_bra *= rx.weights[:, None, None]
+        phi_ket = _basis_factors(s, ket, X, C)
+        per_c = phi_bra.transpose(1, 2, 0) @ phi_ket.transpose(1, 0, 2)  # (c, bra, ket)
+        return np.tensordot(rc.weights * (1 - rc.nodes**2) ** 3, per_c, axes=1)
 
 
 def w_overlap_quadrature(s: Sector, n_q: int = 64) -> np.ndarray:
@@ -321,22 +277,23 @@ def check_node_count(n_q: int) -> None:
 def w_overlap_stable(s: Sector, n_q: int = 48, tol: float = 1e-10) -> np.ndarray:
     """Node-doubled W: doubles n_q until successive matrices agree entrywise to tol.
 
-    Raises ConvergenceFailure if they still differ after OVERLAP_DOUBLINGS,
-    and ValidationError, before any rule is built, if the last rule would
+    Raises ConvergenceFailure if they still differ after OVERLAP_DOUBLINGS
+    or a matrix is not finite (its factors overflow at large N), and
+    ValidationError, before any rule is built, if the last rule would
     exceed MAX_RULE_NODES.
     """
     check_node_count(n_q)
-    val = w_overlap_quadrature(s, n_q)
-    change = math.inf
-    for _ in range(OVERLAP_DOUBLINGS):
-        n_q *= 2
-        nxt = w_overlap_quadrature(s, n_q)
-        change = float(np.abs(nxt - val).max())
+    val = None
+    for nodes in [n_q << k for k in range(OVERLAP_DOUBLINGS + 1)]:
+        nxt = w_overlap_quadrature(s, nodes)
+        if not np.isfinite(nxt).all():
+            raise ConvergenceFailure(f"overlap matrix is not finite at n_q = {nodes} for {s}")
+        change = math.inf if val is None else float(np.abs(nxt - val).max())
         if change < tol:
             return nxt
         val = nxt
     raise ConvergenceFailure(
-        f"overlap matrix failed to stabilize to {tol} by n_q = {n_q} for {s}: "
+        f"overlap matrix failed to stabilize to {tol} by n_q = {nodes} for {s}: "
         f"last change {change:.3g}"
     )
 

@@ -199,7 +199,8 @@ def test_verify_passes_past_the_desk_sweep(sector, capsys):
 
 
 def test_verify_builds_w_once(monkeypatch, capsys):
-    calls = {"w_matrix": 0, "tridiag_eigh": 0, "build_k_matrix": 0, "t_by_continuant": 0}
+    calls = {"w_matrix": 0, "separation_constants": 0, "tridiag_eigh": 0, "build_k_matrix": 0,
+             "t_by_continuant": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -211,11 +212,13 @@ def test_verify_builds_w_once(monkeypatch, capsys):
         monkeypatch.setattr(module, name, counted)
 
     count(interbasis, "w_matrix")
+    count(spheroidal, "separation_constants")  # one solve entry, for one a or a stack
     count(spheroidal, "tridiag_eigh")  # K(a) is solved once, at every focal distance
     count(spheroidal, "build_k_matrix")
     count(spheroidal, "t_by_continuant")  # every column of all six spectra in one call
     assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
-    assert calls == {"w_matrix": 1, "tridiag_eigh": 1, "build_k_matrix": 1, "t_by_continuant": 1}
+    assert calls == {"w_matrix": 1, "separation_constants": 1, "tridiag_eigh": 1,
+                     "build_k_matrix": 1, "t_by_continuant": 1}
 
 
 def test_verify_evaluates_m9_once(monkeypatch, capsys):
@@ -464,7 +467,8 @@ def test_float_exact_agreement():
     flw = run_json("wmatrix", *SECTOR, "--mode", "float")["payload"]["matrix"]
     for i in range(2):
         for j in range(2):
-            want = RadicalScalar.from_record(exw[i][j]).to_float()
+            rec = exw[i][j]
+            want = RadicalScalar(Fraction(rec["coeff"]), Fraction(rec["radicand"])).to_float()
             got = float(flw[i][j])
             assert abs(got - want) <= 2 * math.ulp(max(abs(want), 1e-300))
 

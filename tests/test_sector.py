@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micz9 import coeffs, interbasis, wavefield
+from micz9 import coeffs, interbasis
 from micz9.errors import (
     EmptySector,
     IndexOutOfRange,
@@ -162,10 +162,9 @@ def test_np_index():
     "fn, args",
     [
         (interbasis.w_coefficient, (1, 0.5)),
-        (wavefield.psi_parabolic, (0.5, 1, 1)),
         (m9_parabolic_eigenvalue, (2,)),
     ],
-    ids=["w_coefficient", "psi_parabolic", "m9_parabolic_eigenvalue"],
+    ids=["w_coefficient", "m9_parabolic_eigenvalue"],
 )
 def test_bad_parabolic_or_lambda_label_is_an_index_error(fn, args):
     # the one check behind every n_p-indexed entry point: exit 2, never a wrong value

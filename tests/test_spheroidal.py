@@ -92,6 +92,37 @@ def test_separation_constants_examples():
         separation_constants(S1, 0.0)
 
 
+def test_separation_constants_takes_one_a_or_a_stack():
+    s = validate_sector(5, 2, 1, 1, Fraction(7, 3))
+    a = [1e-3, 5.0, 1e4]
+    stack = separation_constants(s, a)
+    n = s.size
+    assert stack.a.tolist() == a and stack.K.shape == (3, n) and stack.T.shape == (3, n, n)
+    assert stack.matrix.diag.shape == (3, n) and stack.matrix.offdiag.shape == (3, n - 1)
+    for i, ai in enumerate(a):
+        row = stack[i]
+        assert isinstance(row.a, float) and row.a == ai and row.sector == s
+        assert row.K.tobytes() == stack.K[i].tobytes() and row.T.tobytes() == stack.T[i].tobytes()
+        assert row.matrix.diag.tobytes() == stack.matrix.diag[i].tobytes()
+        assert row.matrix.offdiag.tobytes() == stack.matrix.offdiag[i].tobytes()
+        one = separation_constants(s, ai)  # a scalar a: a float a and one matrix
+        assert isinstance(one.a, float) and one.a == ai
+        assert one.K.shape == (n,) and one.T.shape == (n, n) and one.matrix.diag.shape == (n,)
+        assert np.abs(one.K - row.K).max() <= 1e-13 * one.matrix.norm()
+    part = stack[1:]
+    assert part.a.tolist() == a[1:] and part.K.shape == (2, n) and part.T.shape == (2, n, n)
+    assert part.matrix.diag.tobytes() == stack.matrix.diag[1:].tobytes()
+    with pytest.raises(ValidationError, match="only a stack"):
+        separation_constants(s, 5.0)[0]
+    for bad, message in (
+        ([], "non-empty 1-d list"), ([[1.0, 2.0]], "non-empty 1-d list"),
+        ([1.0, 0.0], "a = 0.0 must be positive"), (-1.0, "a = -1.0 must be positive"),
+        ([1.0, math.nan], "a = nan must be positive"), ([math.inf], "a = inf must be finite"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            separation_constants(s, bad)
+
+
 def test_continuant_pairing():
     # the column (1, 4+sqrt(17)) (normalized) belongs to K = -4-sqrt(17):
     # first recurrence row (A0 - K) T0 = Btilde1 T1 with A0 = 0, Btilde1 = 1
@@ -348,6 +379,17 @@ def test_parabolic_limit_examples():
         check_parabolic_limit(w_matrix(S1), twin)
     with pytest.raises(ValidationError):
         check_parabolic_limit(w_matrix(S1), separation_constants(S1, 100.0))
+
+
+def test_limit_checks_reject_a_stack():
+    # a stack's first axis is not the branch axis: mat.diag[::-1] would reverse the stack
+    both = separation_constants(S1, [1e-8, 1e6])
+    with pytest.raises(ValidationError, match="not a stack"):
+        check_spherical_limit(both)
+    with pytest.raises(ValidationError, match="not a stack"):
+        check_parabolic_limit(w_matrix(S1), both)
+    assert check_spherical_limit(both[0]).max_vector_error <= 1e-6
+    assert check_parabolic_limit(w_matrix(S1), both[1]).max_column_error <= 1e-4
 
 
 def test_parabolic_limit_rejects_w_of_another_sector():

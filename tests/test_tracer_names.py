@@ -42,7 +42,8 @@ def test_tracer_wraps_every_named_function(capsys):
         sweep = ["sweep", "--n", "2", "--Q", "0", "--L", "0", "--J", "2", "--mode", "float",
                  "--a-min", "0.1", "--a-max", "10", "--points", "20", "--log"]
         assert cli.main(sweep) == 0
-        # separation_constants is on neither path above: verify solves through spectra
+        # kspectrum solves one matrix; verify and sweep above solve stacks, all through
+        # separation_constants
         kspectrum = ["kspectrum", "--n", "2", "--Q", "0", "--L", "0", "--J", "2",
                      "--mode", "float", "--a", "1.5"]
         assert cli.main(kspectrum) == 0

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from micz9 import _backend
-from micz9.errors import ConvergenceFailure, DomainError, IndexOutOfRange, ValidationError
+from micz9.errors import ConvergenceFailure, DomainError, ValidationError
 from micz9.interbasis import w_matrix
 from micz9.sector import alpha_scale, enumerate_sectors, lambda_range, validate_sector
 from micz9.wavefield import (
@@ -18,8 +18,6 @@ from micz9.wavefield import (
     basis_overlap,
     gauss_rule,
     ode_residuals,
-    psi_parabolic,
-    psi_spherical,
     w_overlap_quadrature,
     w_overlap_stable,
 )
@@ -207,34 +205,35 @@ def test_negative_degree_is_zero_or_an_empty_ladder():
     assert np.array_equal(top, [0.0, 0.0]) and np.signbit(top).all()
 
 
+def _state(s, basis, x, c):
+    """The normalized state 0 of a basis at x = alpha r and c = cos(theta)."""
+    alpha = float(alpha_scale(s))
+    return alpha**4.5 * math.exp(-x / 2) * float(_basis_factors(s, basis, x, c)[0])
+
+
 def test_psi_spherical_norm_and_orthogonality():
     gram = basis_overlap(S1, "spherical", "spherical", 64)
     assert abs(gram[0, 0] - 1) < 1e-10
     assert abs(gram[0, 1]) < 1e-12
     # degenerate sector: constant angular part
-    v1 = psi_spherical(S0, 0, 2.0, -0.3)
-    v2 = psi_spherical(S0, 0, 2.0, 0.8)
-    assert v1 == pytest.approx(v2, rel=1e-15)
     alpha = float(alpha_scale(S0))
+    v1 = _state(S0, "spherical", alpha * 2.0, -0.3)
+    v2 = _state(S0, "spherical", alpha * 2.0, 0.8)
+    assert v1 == pytest.approx(v2, rel=1e-15)
     expect = math.sqrt(1 / 288) * alpha**4.5 * math.exp(-alpha) * 2.0**-3.5
-    assert psi_spherical(S0, 0, 2.0, 0.1) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(IndexOutOfRange):
-        psi_spherical(S1, 2, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        psi_spherical(S1, 0, -1.0, 0.0)
+    assert _state(S0, "spherical", alpha * 2.0, 0.1) == pytest.approx(expect, rel=1e-14)
 
 
 def test_psi_parabolic_norm_and_orthogonality():
     gram = basis_overlap(S1, "parabolic", "parabolic", 64)
     assert abs(gram[0, 0] - 1) < 1e-10
     assert abs(gram[0, 1]) < 1e-10
-    # (0,0,0,0): pure exponential in u+v
+    # (0,0,0,0): pure exponential in u+v, at r = (u+v)/2 and cos(theta) = (u-v)/(u+v)
     u, v = 1.3, 0.7
     alpha = float(alpha_scale(S0))
     expect = math.sqrt(1 / 288) * 2.0**-3.5 * alpha**4.5 * math.exp(-alpha * (u + v) / 4)
-    assert psi_parabolic(S0, 0, u, v) == pytest.approx(expect, rel=1e-14)
-    with pytest.raises(DomainError):
-        psi_parabolic(S1, 0, -0.1, 1.0)
+    got = _state(S0, "parabolic", alpha * (u + v) / 2, (u - v) / (u + v))
+    assert got == pytest.approx(expect, rel=1e-14)
 
 
 def test_w_overlap_examples():
@@ -256,6 +255,13 @@ def test_w_overlap_stable_convergence_failure():
     with pytest.raises(ConvergenceFailure) as exc:
         w_overlap_stable(S1, tol=0.0)
     assert exc.value.exit_code == 3
+
+
+def test_w_overlap_stable_names_an_overlap_that_is_not_finite():
+    # at N = 101 the radial factor's x**lambda overflows at n_q = 384: one named error, no warning
+    with pytest.raises(ConvergenceFailure, match=r"not finite at n_q = 384 for \(n=100,") as exc:
+        w_overlap_stable(validate_sector(100, 0, 0, 0, 1))
+    assert len(f"{type(exc.value).__name__}: {exc.value}\n".encode()) <= 200
 
 
 RPTS = np.array([0.5, 1.0, 2.0, 5.0])
