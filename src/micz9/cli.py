@@ -275,7 +275,7 @@ def cmd_limits(args) -> None:
     _emit("limits", s, "float", payload)
 
 
-def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
+def _verify_checks(s: sector.Sector):
     """Run the per-sector cross-oracle suite; yields (name, ok, detail)."""
     n = s.size
 
@@ -302,8 +302,8 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
         else "single-coefficient form matches"
     )
 
-    qworst = float(np.abs(wavefield.w_overlap_stable(s, n_q=n_q) - W.to_float()).max())
-    yield "quadrature_overlap", qworst <= tol_quad, f"max |quad - exact| {_fmt(qworst)}"
+    qworst = float(np.abs(wavefield.w_overlap_stable(s) - W.to_float()).max())
+    yield "quadrature_overlap", qworst <= 1e-8, f"max |quad - exact| {_fmt(qworst)}"
 
     # one batch: the eigenproblem at 4 distances, the continuant at 6, then both limits
     solved = spheroidal.separation_constants(
@@ -344,12 +344,8 @@ def _verify_checks(s: sector.Sector, n_q: int, tol_quad: float):
 
 def cmd_verify(args) -> int | None:
     s = _parse_sector(args)
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValidationError(f"--tol = {args.tol} must be finite and positive")
-    wavefield.check_node_count(args.nodes)
     checks = [
-        {"name": name, "ok": bool(ok), "detail": detail}
-        for name, ok, detail in _verify_checks(s, args.nodes, args.tol)
+        {"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in _verify_checks(s)
     ]
     failed = [c["name"] for c in checks if not c["ok"]]
     _emit("verify", s, "exact", {"ok": not failed, "checks": checks})
@@ -407,10 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limits", parents=[float_only], help="spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
     p.add_argument("--a-large", dest="a_large", type=float, help="default 1e6/Z")
-    p = sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
-    top = wavefield.MAX_RULE_NODES >> wavefield.OVERLAP_DOUBLINGS  # verify doubles --nodes
-    p.add_argument("--nodes", type=int, default=48, help=f"quadrature node count, 1..{top}")
-    p.add_argument("--tol", type=float, default=1e-8, help="quadrature overlap tolerance")
+    sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
     return parser
 
 

@@ -13,8 +13,11 @@ whose closed form is written once, and evaluated per basis as the
 columns below.  Quadrature never exponentiates the nodes: paired
 states carry a total weight exp(-alpha r), which the generalized Laguerre
 rule of order 8 absorbs exactly, and the polynomial remainder has integer
-powers for every parity-valid sector, so the tensor rules are exact up
-to roundoff once the node count covers the polynomial degree.  The bare
+powers for every parity-valid sector.  For a spherical-parabolic pair
+that remainder has degree 2m in x and 2m+6 in c (with m = n+Q/2 and the
+(1-c^2)^3 of the measure folded into the Legendre weights), so
+(2n+Q+8)//2 = floor(m)+4 nodes make both tensor rules exact up to
+roundoff; w_overlap_stable uses exactly that count.  The bare
 factors of a whole basis are evaluated once on the tensor grid, as the
 columns of a matrix Phi, and all overlaps of two bases come out as one
 Gram matrix Phi_bra^T diag(w) Phi_ket.
@@ -38,7 +41,7 @@ import numpy as np
 
 from . import _backend
 from .errors import ConvergenceFailure, DomainError, ValidationError
-from .sector import Sector
+from .sector import Sector, alpha_scale, energy
 
 
 # ----------------------------------------------------------------------
@@ -78,7 +81,6 @@ def _recurrence(diag, off, q0, x):
 
 
 MAX_RULE_NODES = 1024  # the largest Gauss rule built: an 8 MB dense Jacobi matrix
-OVERLAP_DOUBLINGS = 3  # how often w_overlap_stable doubles its rule
 
 
 def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
@@ -140,7 +142,8 @@ def _spherical_norms(s: Sector) -> list[float]:
 
     Under r^8 (1-c^2)^3 dr dc.  Every factorial argument is an integer for a
     parity-valid sector, and each norm is the square root of one correctly
-    rounded int / int, which is what float(Fraction) gives.
+    rounded int / int, which is what float(Fraction) gives, taken after a
+    scaling by a power of 4 that keeps the quotient from underflowing.
     """
     f = math.factorial
     m2, h2, d2 = 2 * s.n + s.Q, s.L + s.J, s.J - s.L  # twice n+Q/2, (L+J)/2, (J-L)/2
@@ -148,7 +151,9 @@ def _spherical_norms(s: Sector) -> list[float]:
     for l2 in range(h2, m2 + 1, 2):
         num = f((m2 - l2) // 2) * (l2 + 7) * f((l2 - h2) // 2) * f((l2 + h2) // 2 + 6)
         den = (m2 + 8) * f((m2 + l2) // 2 + 7) * f((l2 - d2) // 2 + 3) * f((l2 + d2) // 2 + 3)
-        out.append(math.sqrt(num / den))
+        # num / den alone underflows from N = 87; the scalings by 4**j and 2**-j are exact
+        j = max(0, (den.bit_length() - num.bit_length()) // 2)
+        out.append(math.sqrt((num << 2 * j) / den) * 2.0**-j)
     return out
 
 
@@ -232,7 +237,7 @@ def _basis_factors(s: Sector, basis: str, X, C) -> np.ndarray:
     raise ValidationError(f"unknown basis {basis!r}")
 
 
-def basis_overlap(s: Sector, bra: str, ket: str, n_q: int = 64) -> np.ndarray:
+def basis_overlap(s: Sector, bra: str, ket: str, n_q: int) -> np.ndarray:
     """N x N Gram matrix <bra_i|ket_j> over r^8 (1-c^2)^3 dr dc.
 
     bra and ket name a basis: "spherical" (states by lambda ascending) or
@@ -260,53 +265,31 @@ def basis_overlap(s: Sector, bra: str, ket: str, n_q: int = 64) -> np.ndarray:
         return np.tensordot(rc.weights * (1 - rc.nodes**2) ** 3, per_c, axes=1)
 
 
-def w_overlap_quadrature(s: Sector, n_q: int = 64) -> np.ndarray:
+def w_overlap_quadrature(s: Sector, n_q: int) -> np.ndarray:
     """Spherical-parabolic overlaps: the quadrature route to the whole of W."""
     return basis_overlap(s, "spherical", "parabolic", n_q)
 
 
-def check_node_count(n_q: int) -> None:
-    """Reject a starting node count whose last doubled rule cannot be built."""
-    top = MAX_RULE_NODES >> OVERLAP_DOUBLINGS
-    if not 1 <= n_q <= top:
-        raise ValidationError(
-            f"node count {n_q} must be in 1..{top} ({OVERLAP_DOUBLINGS} doublings)"
-        )
+def w_overlap_stable(s: Sector) -> np.ndarray:
+    """W by quadrature at the exact-degree node count (2n+Q+8)//2.
 
-
-def w_overlap_stable(s: Sector, n_q: int = 48, tol: float = 1e-10) -> np.ndarray:
-    """Node-doubled W: doubles n_q until successive matrices agree entrywise to tol.
-
-    Raises ConvergenceFailure if they still differ after OVERLAP_DOUBLINGS
-    or a matrix is not finite (its factors overflow at large N), and
-    ValidationError, before any rule is built, if the last rule would
-    exceed MAX_RULE_NODES.
+    With m = n+Q/2, a spherical-parabolic product is x^8 e^{-x} times a
+    polynomial of degree 2m in x, and of degree 2m+6 in c once (1-c^2)^3
+    is folded into the Legendre weights.  An n-node Gauss rule is exact to
+    degree 2n-1, so floor(m)+4 nodes make both tensor rules exact.  Raises
+    ConvergenceFailure if the matrix is not finite (its factors overflow
+    at large N).
     """
-    check_node_count(n_q)
-    val = None
-    for nodes in [n_q << k for k in range(OVERLAP_DOUBLINGS + 1)]:
-        nxt = w_overlap_quadrature(s, nodes)
-        if not np.isfinite(nxt).all():
-            raise ConvergenceFailure(f"overlap matrix is not finite at n_q = {nodes} for {s}")
-        change = math.inf if val is None else float(np.abs(nxt - val).max())
-        if change < tol:
-            return nxt
-        val = nxt
-    raise ConvergenceFailure(
-        f"overlap matrix failed to stabilize to {tol} by n_q = {nodes} for {s}: "
-        f"last change {change:.3g}"
-    )
+    n_q = (2 * s.n + s.Q + 8) // 2
+    val = w_overlap_quadrature(s, n_q)
+    if not np.isfinite(val).all():
+        raise ConvergenceFailure(f"overlap matrix is not finite at n_q = {n_q} for {s}")
+    return val
 
 
 # ----------------------------------------------------------------------
 # separated-equation residuals (analytic derivatives)
 # ----------------------------------------------------------------------
-
-
-def _float_scales(s: Sector) -> tuple[float, float, float]:
-    """Z, E and alpha as floats, each one correctly rounded int / int like float(Fraction)."""
-    p, q, m8 = s.Z.numerator, s.Z.denominator, 2 * s.n + s.Q + 8
-    return p / q, -2 * p * p / (q * q * m8 * m8), 4 * p / (q * m8)
 
 
 def _powers(nu: float, x):
@@ -435,7 +418,7 @@ def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
     pts = np.asarray(points, dtype=np.float64).ravel()
     if pts.size == 0:
         raise DomainError("need at least one evaluation point")
-    Zf, E, alpha = _float_scales(s)
+    Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
     if which == "angular":
         if np.any(np.abs(pts) >= 1):
             raise DomainError("angular points must satisfy |cos(theta)| < 1")

@@ -64,7 +64,7 @@ def test_tracer_wraps_every_named_function(capsys):
 
 def test_verify_yields_the_benchmark_check_names_in_order():
     s = sector.validate_sector(1, 0, 0, 0, 1)
-    names = tuple(name for name, _, _ in cli._verify_checks(s, 48, 1e-8))
+    names = tuple(name for name, _, _ in cli._verify_checks(s))
     assert names == _load("checks").VERIFY_CHECKS
 
 

@@ -250,17 +250,35 @@ def test_w_overlap_stable_full_matrix():
         assert np.abs(q - w_matrix(s).to_float()).max() <= 1e-8, s
 
 
-def test_w_overlap_stable_convergence_failure():
-    # successive doublings never agree to within 0, which is a numerical failure
-    with pytest.raises(ConvergenceFailure) as exc:
-        w_overlap_stable(S1, tol=0.0)
-    assert exc.value.exit_code == 3
+def _exact_degree_nodes(s):
+    """Gauss nodes that integrate a spherical-parabolic product exactly: floor(n+Q/2) + 4."""
+    return (2 * s.n + s.Q + 8) // 2
+
+
+def test_w_overlap_stable_uses_the_exact_degree_node_count():
+    for s in enumerate_sectors(4, 4, 4):
+        n_q = _exact_degree_nodes(s)
+        q = w_overlap_stable(s)
+        assert np.abs(q - w_overlap_quadrature(s, 2 * n_q)).max() <= 1e-13, s
+        # one node fewer misses W: the count is derived, not padded
+        short = w_overlap_quadrature(s, n_q - 1)
+        assert np.abs(short - w_matrix(s).to_float()).max() > 1e-11, s
+
+
+def test_spherical_norms_do_not_underflow_at_large_n():
+    # the top spherical norms of N = 89 underflow to 0.0 unless num / den is scaled first
+    s = validate_sector(88, 0, 0, 0, 1)
+    n_q = _exact_degree_nodes(s)
+    assert np.abs(w_overlap_stable(s) - w_matrix(s).to_float()).max() <= 1e-8
+    for basis in ("spherical", "parabolic"):
+        gram = basis_overlap(s, basis, basis, n_q)
+        assert np.abs(gram - np.eye(s.size)).max() <= 1e-12, basis
 
 
 def test_w_overlap_stable_names_an_overlap_that_is_not_finite():
-    # at N = 101 the radial factor's x**lambda overflows at n_q = 384: one named error, no warning
-    with pytest.raises(ConvergenceFailure, match=r"not finite at n_q = 384 for \(n=100,") as exc:
-        w_overlap_stable(validate_sector(100, 0, 0, 0, 1))
+    # at N = 151 the radial factors overflow at n_q = 154: one named error, no warning
+    with pytest.raises(ConvergenceFailure, match=r"not finite at n_q = 154 for \(n=150,") as exc:
+        w_overlap_stable(validate_sector(150, 0, 0, 0, 1))
     assert len(f"{type(exc.value).__name__}: {exc.value}\n".encode()) <= 200
 
 
