@@ -2,8 +2,8 @@
 
 The coupling between adjacent angular blocks and the diagonal of the
 ninth Runge-Lenz component M9 in the spherical basis come from closed
-forms in (n, Q, L, J, lambda).  m9_tridiagonal evaluates them once per
-sector into one cached rational tridiagonal, from which every reader
+forms in the integers (n, Q, L, J, 2 lambda).  m9_tridiagonal evaluates them
+once per sector into one cached rational tridiagonal, from which every reader
 derives its M9: m9_spherical_matrix is its exact view with radical
 couplings, and k_pencil scales it into the exact pencil of K(a) =
 -Lambda - a (alpha/2) M9, with Lambda = diag(lambda(lambda+7)) and
@@ -27,21 +27,21 @@ from .exactscalar import RadicalScalar
 from .sector import HalfInt, Sector, lambda_index, lambda_range, m9_parabolic_eigenvalue
 
 
-def _m9_offdiag_sq(s: Sector, lam) -> Fraction:
-    """B_lambda squared, a rational closed form."""
-    l, _ = lambda_index(s, lam)
-    m = s.m.fraction
-    h = s.lam_min.fraction
-    d = Fraction(s.J - s.L, 2)
-    return (
-        (m - l + 1)
-        * (m + l + 7)
-        * (l - h)
-        * (l + h + 6)
-        * (l + 3 - d)
-        * (l + 3 + d)
-        / ((l + 3) ** 2 * (2 * l + 7) * (2 * l + 5))
-    )
+def _twice_lambda(s: Sector, lam) -> int:
+    """2 lambda, an int; LambdaOutOfRange off the ladder."""
+    return s.L + s.J + 2 * lambda_index(s, lam)[1]
+
+
+def _m9_offdiag_sq(s: Sector, l2: int) -> Fraction:
+    """B_lambda squared at l2 = 2 lambda, a rational closed form built in integers.
+
+    With m = n+Q/2, h = (L+J)/2 and d = (J-L)/2, B^2 is
+    (m-l+1)(m+l+7)(l-h)(l+h+6)(l+3-d)(l+3+d) / ((l+3)^2 (2l+7)(2l+5)),
+    and on doubled labels each factor is an integer over 2.
+    """
+    m2, h2, d2 = 2 * s.n + s.Q, s.L + s.J, s.J - s.L
+    num = (m2 - l2 + 2) * (m2 + l2 + 14) * (l2 - h2) * (l2 + h2 + 12)
+    return Fraction(num * (l2 + 6 - d2) * (l2 + 6 + d2), 16 * (l2 + 6) ** 2 * (l2 + 7) * (l2 + 5))
 
 
 def m9_offdiag(s: Sector, lam) -> RadicalScalar:
@@ -50,14 +50,17 @@ def m9_offdiag(s: Sector, lam) -> RadicalScalar:
     Non-negative, and strictly positive on the interior of the ladder,
     which makes the tridiagonal matrices built from it irreducible.
     """
-    return RadicalScalar.sqrt(_m9_offdiag_sq(s, lam))
+    return RadicalScalar.sqrt(_m9_offdiag_sq(s, _twice_lambda(s, lam)))
+
+
+def _m9_diag(s: Sector, l2: int) -> Fraction:
+    """M9[lambda, lambda] at l2 = 2 lambda: -(J-L)(L+J+6)(2n+Q+8) / (2 (l2+6)(l2+8))."""
+    return Fraction(-(s.J - s.L) * (s.L + s.J + 6) * (2 * s.n + s.Q + 8), 2 * (l2 + 6) * (l2 + 8))
 
 
 def m9_diag(s: Sector, lam) -> Fraction:
     """Diagonal element -(J-L)(L+J+6)(2n+Q+8) / (8 (lambda+3)(lambda+4))."""
-    l, _ = lambda_index(s, lam)
-    num = -(s.J - s.L) * (s.L + s.J + 6) * (2 * s.n + s.Q + 8)
-    return Fraction(num) / (8 * (l + 3) * (l + 4))
+    return _m9_diag(s, _twice_lambda(s, lam))
 
 
 @functools.lru_cache(maxsize=64)
@@ -65,10 +68,11 @@ def m9_tridiagonal(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...
     """M9 as (diagonal, squared couplings B^2), lambda ascending, evaluated once per sector.
 
     B^2[i] couples positions i and i+1 and is B^2 at the larger lambda;
-    the coupling itself is the non-negative root B.
+    the coupling itself is the non-negative root B.  Each entry is one
+    Fraction of integers on the doubled labels.
     """
-    lams = [lam.fraction for lam in lambda_range(s)]
-    return tuple(m9_diag(s, l) for l in lams), tuple(_m9_offdiag_sq(s, l) for l in lams[1:])
+    l2s = range(s.L + s.J, 2 * s.n + s.Q + 1, 2)
+    return tuple(_m9_diag(s, l2) for l2 in l2s), tuple(_m9_offdiag_sq(s, l2) for l2 in l2s[1:])
 
 
 def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:

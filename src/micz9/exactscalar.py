@@ -25,6 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import RadicandMismatch
+from .sector import _short
 
 
 def squarefree_split(n: int) -> tuple[int, int]:
@@ -52,7 +53,7 @@ def squarefree_split(n: int) -> tuple[int, int]:
 
 
 class RadicalScalar:
-    """Exact value coeff*sqrt(radicand); canonical radicand is a squarefree integer.
+    """Exact value coeff*sqrt(radicand): coeff a Fraction, radicand a squarefree int.
 
     Zero is canonically (0, 1); radicand == 1 iff the value is rational.
     """
@@ -66,19 +67,19 @@ class RadicalScalar:
             raise ValueError(f"negative radicand {radicand}")
         if coeff == 0 or radicand == 0:
             object.__setattr__(self, "coeff", Fraction(0))
-            object.__setattr__(self, "radicand", Fraction(1))
+            object.__setattr__(self, "radicand", 1)
             return
         # sqrt(p/q) = sqrt(p*q)/q, then pull squares out of p*q
         p, q = radicand.numerator, radicand.denominator
         s, f = squarefree_split(p * q)
         object.__setattr__(self, "coeff", coeff * Fraction(s, q))
-        object.__setattr__(self, "radicand", Fraction(f))
+        object.__setattr__(self, "radicand", f)
 
     def __setattr__(self, name, value):  # values are immutable
         raise AttributeError("RadicalScalar is immutable")
 
     @classmethod
-    def _raw(cls, coeff: Fraction, radicand: Fraction) -> "RadicalScalar":
+    def _raw(cls, coeff: Fraction, radicand: int) -> "RadicalScalar":
         """Bypass reduction for already-canonical components (internal)."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "coeff", coeff)
@@ -87,14 +88,14 @@ class RadicalScalar:
 
     @classmethod
     def zero(cls) -> "RadicalScalar":
-        return cls._raw(Fraction(0), Fraction(1))
+        return cls._raw(Fraction(0), 1)
 
     @classmethod
     def from_rational(cls, x) -> "RadicalScalar":
         x = Fraction(x)
         if x == 0:
             return cls.zero()
-        return cls._raw(x, Fraction(1))
+        return cls._raw(x, 1)
 
     @classmethod
     def sqrt(cls, x) -> "RadicalScalar":
@@ -129,11 +130,9 @@ class RadicalScalar:
             if self.is_zero or other.is_zero:
                 return RadicalScalar.zero()
             # canonical a, b: a*b = g*g*(a/g)*(b/g), the last product squarefree
-            a, b = self.radicand.numerator, other.radicand.numerator
+            a, b = self.radicand, other.radicand
             g = math.gcd(a, b)
-            return RadicalScalar._raw(
-                self.coeff * other.coeff * g, Fraction((a // g) * (b // g))
-            )
+            return RadicalScalar._raw(self.coeff * other.coeff * g, (a // g) * (b // g))
         if isinstance(other, (int, Fraction)):
             if other == 0 or self.is_zero:
                 return RadicalScalar.zero()
@@ -162,8 +161,8 @@ class RadicalScalar:
         if other.is_zero:
             return self
         if self.radicand != other.radicand:
-            raise RadicandMismatch(
-                f"cannot add sqrt({self.radicand}) and sqrt({other.radicand}) terms"
+            raise RadicandMismatch(  # a radicand may run to hundreds of digits: show 6
+                f"cannot add sqrt({_short(self.radicand)}) and sqrt({_short(other.radicand)}) terms"
             )
         c = self.coeff + other.coeff
         if c == 0:
@@ -184,12 +183,17 @@ class RadicalScalar:
         return hash((self.sign(), self.square()))
 
     def to_float(self) -> float:
-        """The value within 1 ulp, from one correctly rounded division and sqrt."""
-        mag = math.sqrt(float(self.square()))
+        """The value within 1 ulp, from one correctly rounded division and sqrt.
+
+        The division is int true division of c.num^2 r by c.den^2, correctly
+        rounded like float(self.square()) and so bitwise the same.
+        """
+        c = self.coeff
+        mag = math.sqrt(c.numerator * c.numerator * self.radicand / (c.denominator * c.denominator))
         return -mag if self.coeff < 0 else mag
 
     def as_record(self) -> dict:
-        return {"coeff": str(self.coeff), "radicand": str(self.radicand)}  # both are Fractions
+        return {"coeff": str(self.coeff), "radicand": str(self.radicand)}
 
     def __str__(self):
         if self.is_rational:

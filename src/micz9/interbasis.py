@@ -2,30 +2,30 @@
 
 The parabolic basis is the eigenbasis of the ninth Runge-Lenz component
 M9, and W carries the spherical basis onto it.  Its closed form factors as
-W = diag(sqrt A) R diag(sqrt B): A(lambda) and B(n_p) are the lambda-only
-and n_p-only factorial ratios of the radicand, and the rational core R is
-sign * n_top!/(L+3)! * a terminating 3F2 at unit argument.  W is proved
-orthogonal on these factors, in integers, before its N^2 entries are
-assembled from one square root per row and one per column.  WMatrix keeps
-the factors next to the entries.
+W = diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C holds
+the Horner numerators of a terminating 3F2 at unit argument, whose
+denominator depends on k alone.  A'(lambda) is the lambda-only factorial
+ratio of the radicand with that denominator, n_top!/(L+3)! and the row's
+content folded in; B(n_p) is the n_p-only ratio.  WMatrix keeps the
+factors next to the entries, which take one square root per row and one
+per column.  With mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal
+matrix, w_matrix proves W orthogonal on the factors in O(N^2) integer
+operations, with no W^T W sum:
 
-The oracles check the two matrix identities that make W the eigenbasis,
-with mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal matrix.  Both
-run on the factors, in integers, and take square roots only to scale a
-nonzero result:
+* M9 W = W diag(mu), divided by sqrt(A'_lambda) sqrt(B_p), is the
+  three-term recurrence of C in lambda, whose couplings
+  M9[lambda, k] sqrt(A'_k / A'_lambda) are rational on a correct W.  Its
+  residual is exactly zero, and as M9 is symmetric with distinct mu_p,
+  that makes W^T W diagonal;
+* the column norms sum_k A'_k C[k, p]^2 = 1/B_p make that diagonal I.
 
-* M9 W = W diag(mu): divided by sqrt(A_lambda) sqrt(B_p), row lambda is
-  the three-term recurrence of R in lambda, whose couplings
-  M9[lambda, k] sqrt(A_k / A_lambda) are rational on a correct W;
-  w_recurrence_residual returns the difference, which must be exactly zero;
-* W diag(mu) W^T = M9: m9_matrix_bruteforce sums R diag(B mu) R^T, the
-  left side divided by sqrt(A_i A_j).
-
-Independently of the 3F2, each printed entry must equal its single SU(2)
-Clebsch-Gordan form (Condon-Shortley/Varshalovich phases).  On W the CG
-prefactor splits into a part per row and a part per column, and only the
-Racah sum couples the two; w_via_cg builds each part once and sums each
-Racah series in integers.
+The same residual, from the same kernel, is verify's w_recurrence_residual.
+m9_matrix_bruteforce sums W diag(mu) W^T = M9 on the factors, as
+C diag(B mu) C^T scaled by sqrt(A'_i A'_j).  Independently of the 3F2,
+each printed entry must equal its single SU(2) Clebsch-Gordan form
+(Condon-Shortley/Varshalovich phases).  On W the CG prefactor splits into
+a part per row and a part per column, and only the Racah sum couples the
+two; w_via_cg builds each part once and sums each Racah series in integers.
 """
 
 from __future__ import annotations
@@ -43,39 +43,38 @@ from .exactscalar import RadicalScalar
 from .sector import Sector, lambda_index, lambda_range, np_index
 
 
-def _f32_unit_terminating(
-    a1: int, a2: int, a3: int, b1: int, b2: int, kmax: int
-) -> tuple[int, int]:
-    """Sum_{k=0..kmax} (a1)_k (a2)_k (a3)_k / ((b1)_k (b2)_k k!) as integers (num, den).
+def _row(s: Sector, lam) -> tuple[int, Fraction]:
+    """Ladder position k of lambda = (L+J)/2 + k and A(lambda) rho_k^2, all in integers of k.
 
-    a1 = -kmax truncates the series.  Horner's rule on the term ratios,
-    1 + t_0 (1 + t_1 (1 + ...)), keeps one integer numerator/denominator
-    pair, unreduced, so the caller can fold its own prefactor in before
-    the one reduction.  b2 may be a non-positive integer as long as the
-    series terminates before its zero (guaranteed here because
-    kmax <= -b2).
-    """
-    num = den = 1
-    for k in reversed(range(kmax)):
-        den *= (b1 + k) * (b2 + k) * (k + 1)
-        num = den + (a1 + k) * (a2 + k) * (a3 + k) * num
-    return num, den
-
-
-def _row(s: Sector, lam) -> tuple[int, int, Fraction]:
-    """Ladder position k of lambda, the 3F2 parameter c = L+J+k+7, and A(lambda).
-
-    lambda = (L+J)/2 + k, so with n_top = N-1 every factorial argument of
-    A(lambda) is an integer in k.
+    A is the lambda-only factorial ratio of W's radicand, and
+    rho_k = (n_top-k)! / ((L+k+3)! k!) is n_top!/(L+3)! over the magnitude
+    of _core_row's denominator (L+4)_k (-n_top)_k k!.
     """
     k = lambda_index(s, lam)[1]
     L, J, n_top = s.L, s.J, s.size - 1
     f = math.factorial
-    rad = Fraction(
-        f(L + J + k + 6) * (L + J + 2 * k + 7) * f(L + k + 3),
-        f(k) * f(n_top + L + J + k + 7) * f(n_top - k) * f(J + k + 3),
+    return k, Fraction(
+        f(L + J + k + 6) * (L + J + 2 * k + 7) * f(n_top - k),
+        f(k) ** 3 * f(n_top + L + J + k + 7) * f(J + k + 3) * f(L + k + 3),
     )
-    return k, L + J + k + 7, rad
+
+
+def _core_row(s: Sector, k: int, nps: list[int]) -> list[int]:
+    """Row k of Horner numerators of 3F2(-k, n_p-n_top, L+J+k+7; L+4, -n_top; 1) on nps.
+
+    Horner's rule on the term ratios, 1 + t_0 (1 + t_1 (1 + ...)), has the
+    denominator (L+4)_k (-n_top)_k k!, which depends on k alone and has the
+    sign (-1)^k; one pass runs every column on it.  The core entry
+    (-1)^k n_top!/(L+3)! 3F2 is then rho_k times the numerator.  The series
+    ends before the zero of (-n_top)_j because k <= n_top.
+    """
+    L, n_top, c = s.L, s.size - 1, s.L + s.J + k + 7
+    den, row = 1, [1] * len(nps)
+    for j in reversed(range(k)):
+        den *= (L + 4 + j) * (j - n_top) * (j + 1)
+        t = (j - k) * (c + j)
+        row = [den + t * (n_p - n_top + j) * x for n_p, x in zip(nps, row)]
+    return row
 
 
 def _column_radicand(s: Sector, n_p: int) -> Fraction:
@@ -85,32 +84,27 @@ def _column_radicand(s: Sector, n_p: int) -> Fraction:
     return Fraction(f(n_p + s.J + 3) * f(n_v + s.L + 3), f(n_v) * f(n_p))
 
 
-def _factors(s: Sector, lams, nps) -> tuple[list, list, list]:
-    """Row radicands A, rational core R and column radicands B on the given labels.
+def _factors(s: Sector, lams, nps) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
+    """Row factors A', integer core C and column radicands B on the given labels.
 
-    R[k, n_p] is (-1)^k n_top!/(L+3)! times the 3F2; the sign and the
-    prefactor go into the 3F2's integer pair, so each entry is one Fraction.
+    Each row of Horner numerators is divided by its content g, the gcd of
+    the row, and A' takes g^2: at N = 201 that leaves core entries of
+    about 200 bits out of 3,900.
     """
-    rows = [_row(s, lam) for lam in lams]
     nps = [np_index(s, n_p) for n_p in nps]
-    n_top = s.size - 1
-    pref_num, pref_den = math.factorial(n_top), math.factorial(s.L + 3)
-    f32 = _f32_unit_terminating
-    core = []
-    for k, c, _ in rows:
-        sign_num = -pref_num if k % 2 else pref_num
-        core_row = []
-        for n_p in nps:
-            num, den = f32(-k, n_p - n_top, c, s.L + 4, -n_top, k)
-            core_row.append(Fraction(sign_num * num, pref_den * den))
-        core.append(core_row)
-    return [a for _, _, a in rows], core, [_column_radicand(s, n_p) for n_p in nps]
+    row_rad, core = [], []
+    for k, a in (_row(s, lam) for lam in lams):
+        row = _core_row(s, k, nps)
+        g = math.gcd(*row) or 1  # a lone zero entry has no content
+        row_rad.append(a * g * g)
+        core.append([x // g for x in row])
+    return row_rad, core, [_column_radicand(s, n_p) for n_p in nps]
 
 
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact."""
-    (a,), ((r,),), (b,) = _factors(s, [lam], [n_p])
-    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(b) * r
+    (a,), ((c,),), (b,) = _factors(s, [lam], [n_p])
+    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(b) * c
 
 
 @dataclass(frozen=True)
@@ -119,14 +113,15 @@ class WMatrix:
 
     entries[i][p] is row_roots[i] * col_roots[p] * core[i][p], with the
     roots sqrt(row_radicands) and sqrt(col_radicands): the factors
-    W = diag(sqrt A) R diag(sqrt B) that w_matrix built it from.  The
-    roots are derived from the radicands, so they cannot disagree.
+    W = diag(sqrt A') C diag(sqrt B) that w_matrix built it from, C an
+    integer matrix.  The roots are derived from the radicands, so they
+    cannot disagree.
     """
 
     sector: Sector
     entries: tuple[tuple[RadicalScalar, ...], ...]
     row_radicands: tuple[Fraction, ...]
-    core: tuple[tuple[Fraction, ...], ...]
+    core: tuple[tuple[int, ...], ...]
     col_radicands: tuple[Fraction, ...]
 
     @property
@@ -152,60 +147,91 @@ class WMatrix:
         return self._float
 
 
-def _integer_columns(core) -> tuple[list[int], list[list[int]]]:
-    """Column j of R as r_j / d_j: the common denominators d and integer columns r."""
-    n = len(core)
-    d = [math.lcm(*(row[j].denominator for row in core)) for j in range(n)]
-    cols = [[row[j].numerator * (d[j] // row[j].denominator) for row in core] for j in range(n)]
-    return d, cols
+def _rational_sqrt(q: Fraction) -> Fraction | None:
+    """The non-negative rational whose square is q >= 0, or None if there is none."""
+    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+    if num * num != q.numerator or den * den != q.denominator:
+        return None
+    return Fraction(num, den)
 
 
-def _assert_orthogonal(row_rad, core, col_rad) -> None:
-    """Exact W^T W = I for W = diag(sqrt A) R diag(sqrt B), in integers.
+def _recurrence_rows(s: Sector, row_rad, core):
+    """Rows i of M9 W - W diag(mu) over sqrt(A'_i) sqrt(B_p), as (e, ints v): entry p is v[p]/e.
 
-    W^T W = I is R^T diag(A) R = diag(1/B).  With A = a/D over a common
-    denominator D and column j of R = r_j/d_j over its own, that reads
-    sum_k a_k r_ki r_kj = 0 for i != j and D d_i^2 / B_i for i == j.  For
-    a square W it implies W W^T = I as well.
+    That entry is sum_k M9[i, k] sqrt(A'_k / A'_i) C[k, p] - mu_p C[i, p],
+    M9 from coeffs.m9_tridiagonal.  Its coupling b_i sqrt(A'_(i-1) / A'_i),
+    b_i >= 0 the root of M9's squared coupling, and the mirror
+    b_i sqrt(A'_i / A'_(i-1)) are rational on a correct W.  Raises
+    RadicandMismatch if one is not: the residual leaves the c*sqrt(d)
+    class, and A' is wrong.
     """
     n = len(core)
+    m9_diag, coupling_sq = coeffs.m9_tridiagonal(s)
+    mu2 = [v.twice for v in coeffs.m9_eigenvalues(s)]  # 2 mu_p, an int: e is kept even
+    down = [Fraction(0)] * n  # [i]: M9[i, i-1] sqrt(A'[i-1] / A'[i])
+    for i, b_sq in enumerate(coupling_sq, 1):
+        t = _rational_sqrt(b_sq * row_rad[i - 1] / row_rad[i])
+        if t is None:
+            raise RadicandMismatch(f"the M9 coupling into row {i} of W is irrational for {s}")
+        down[i] = t
+    up = [down[i + 1] * row_rad[i + 1] / row_rad[i] for i in range(n - 1)] + [Fraction(0)]
+    for i, diag in enumerate(m9_diag):
+        e = math.lcm(down[i].denominator, up[i].denominator, diag.denominator, 2)
+        lo, mid, hi = (x.numerator * (e // x.denominator) for x in (down[i], diag, up[i]))
+        half = e // 2
+        v = [(mid - m * half) * x for m, x in zip(mu2, core[i])]
+        if i:
+            v = [y + lo * x for y, x in zip(v, core[i - 1])]
+        if i + 1 < n:
+            v = [y + hi * x for y, x in zip(v, core[i + 1])]
+        yield e, v
+
+
+def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> None:
+    """W^T W = I for W = diag(sqrt A') C diag(sqrt B), in O(N^2) integer operations.
+
+    M9 is symmetric and its eigenvalues mu_p are distinct, so the zero
+    residual M9 W = W diag(mu) makes (mu_q - mu_p) (W^T W)_pq = 0: W^T W is
+    diagonal.  Its diagonal is B_p sum_k A'_k C[k, p]^2, so the column
+    norms sum_k A'_k C[k, p]^2 = 1/B_p make it I.  The failed identity and
+    its position go into the OrthogonalityViolation.
+    """
+    try:
+        for i, (_, v) in enumerate(_recurrence_rows(s, row_rad, core)):
+            p = next((p for p, x in enumerate(v) if x), None)
+            if p is not None:
+                raise OrthogonalityViolation(f"residual (M9 W - W diag mu)[{i},{p}] != 0 for {s}")
+    except RadicandMismatch as exc:
+        raise OrthogonalityViolation(f"residual: {exc}") from exc
     den = math.lcm(*(x.denominator for x in row_rad))
     a = [x.numerator * (den // x.denominator) for x in row_rad]
-    d, cols = _integer_columns(core)
-    for i in range(n):
-        ar = [x * y for x, y in zip(a, cols[i])]
-        b = col_rad[i]
-        for j in range(i, n):
-            dot = sum(x * y for x, y in zip(ar, cols[j]))
-            ok = dot * b.numerator == den * d[i] ** 2 * b.denominator if i == j else dot == 0
-            if not ok:
-                value = RadicalScalar(Fraction(dot, den * d[i] * d[j]), b * col_rad[j])
-                raise OrthogonalityViolation(f"W^T W deviates from identity at ({i},{j}): {value}")
+    for p, (col, b) in enumerate(zip(zip(*core), col_rad)):
+        if sum(x * c * c for x, c in zip(a, col)) * b.numerator != den * b.denominator:
+            raise OrthogonalityViolation(f"norm (W^T W)[{p},{p}] != 1 for {s}")
 
 
 def w_matrix(s: Sector) -> WMatrix:
-    """All N^2 entries R sqrt(A) sqrt(B) of W, proved orthogonal on A, R, B first.
+    """All N^2 entries sqrt(A') C sqrt(B) of W, after _prove_orthogonal on A', C, B.
 
-    Each root is built once, sqrt(A_i) = (s_i/q_i) sqrt(f_i) with f_i
-    squarefree, and likewise sqrt(B_p).  An entry is then one reduction,
-    in integers: coeff s_i s_p g r / (q_i q_p) and radicand
+    Each root is built once, sqrt(A'_i) = (s_i/q_i) sqrt(f_i) with f_i
+    squarefree, and likewise sqrt(B_p).  An entry is then one reduction, in
+    integers: coeff s_i s_p g C[i, p] / (q_i q_p) and radicand
     (f_i/g)(f_p/g), g = gcd(f_i, f_p), which is already squarefree.
     """
     row_rad, core, col_rad = _factors(s, lambda_range(s), range(s.size))
-    _assert_orthogonal(row_rad, core, col_rad)
+    _prove_orthogonal(s, row_rad, core, col_rad)
     roots_a = tuple(map(RadicalScalar.sqrt, row_rad))
     roots_b = tuple(map(RadicalScalar.sqrt, col_rad))
-    cols = [(x.coeff.numerator, x.coeff.denominator, x.radicand.numerator) for x in roots_b]
+    cols = [(x.coeff.numerator, x.coeff.denominator, x.radicand) for x in roots_b]
     raw, zero = RadicalScalar._raw, RadicalScalar.zero()
     entries = []
     for root_a, core_row in zip(roots_a, core):
-        s_a, q_a, f_a = root_a.coeff.numerator, root_a.coeff.denominator, root_a.radicand.numerator
+        s_a, q_a, f_a = root_a.coeff.numerator, root_a.coeff.denominator, root_a.radicand
         row = []
-        for (s_b, q_b, f_b), r in zip(cols, core_row):
-            if r:
+        for (s_b, q_b, f_b), c in zip(cols, core_row):
+            if c:
                 g = math.gcd(f_a, f_b)
-                coeff = Fraction(s_a * s_b * g * r.numerator, q_a * q_b * r.denominator)
-                row.append(raw(coeff, Fraction((f_a // g) * (f_b // g))))
+                row.append(raw(Fraction(s_a * s_b * g * c, q_a * q_b), (f_a // g) * (f_b // g)))
             else:
                 row.append(zero)
         entries.append(tuple(row))
@@ -301,79 +327,41 @@ def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
     return bad
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """The non-negative rational whose square is q >= 0, or None if there is none."""
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        return None
-    return Fraction(num, den)
-
-
 def w_recurrence_residual(W: WMatrix) -> list[list[RadicalScalar]]:
     """Exact residual M9 W - W diag(mu), every entry zero for a correct W.
 
     M9 is coeffs.m9_tridiagonal, so row lambda of the residual is the
-    three-term recurrence of W in lambda at each n_p.  It is summed on the
-    factors: entry [lambda, p] is sqrt(A_lambda) sqrt(B_p) times
-    sum_k M9[lambda, k] sqrt(A_k / A_lambda) R[k, p] - mu_p R[lambda, p].
-    The coupling b_lambda sqrt(A_(lambda-1) / A_lambda), b_lambda >= 0 the
-    root of M9's squared coupling, is rational on a correct W, and so is
-    its mirror b_lambda sqrt(A_lambda / A_(lambda-1)); each row of the sum
-    then runs in integers over R's column denominators.  Raises
-    RadicandMismatch if a coupling is irrational: the residual then leaves
-    the c*sqrt(d) class, and A is wrong.
+    three-term recurrence of W in lambda at each n_p.  It is w_matrix's
+    own kernel, _recurrence_rows, on W's factors; each nonzero entry is
+    scaled back by sqrt(A'_lambda) sqrt(B_p).  Raises RadicandMismatch if
+    a coupling is irrational.
     """
-    s, n = W.sector, W.size
-    m9_diag, coupling_sq = coeffs.m9_tridiagonal(s)
-    mu = [v.fraction for v in coeffs.m9_eigenvalues(s)]
-    A = W.row_radicands
-    down = [Fraction(0)] * n  # [i]: M9[i, i-1] sqrt(A[i-1] / A[i])
-    for i, b_sq in enumerate(coupling_sq, 1):
-        t = _rational_sqrt(b_sq * A[i - 1] / A[i])
-        if t is None:
-            raise RadicandMismatch(f"M9 coupling^2 {b_sq} times A[{i - 1}]/A[{i}] is no square")
-        down[i] = t
-    up = [down[i + 1] * A[i + 1] / A[i] for i in range(n - 1)] + [Fraction(0)]
-    d, cols = _integer_columns(W.core)
-    mu_den = math.lcm(*(x.denominator for x in mu))
-    zero = RadicalScalar.zero()
-    out = []
-    for i, diag in enumerate(m9_diag):
-        e = math.lcm(down[i].denominator, up[i].denominator, diag.denominator, mu_den)
-        lo, mid, hi = (x.numerator * (e // x.denominator) for x in (down[i], diag, up[i]))
-        row = []
-        for p, (m, dp, r) in enumerate(zip(mu, d, cols)):
-            v = (mid - m.numerator * (e // m.denominator)) * r[i]
-            if i:
-                v += lo * r[i - 1]
-            if i + 1 < n:
-                v += hi * r[i + 1]
-            row.append(zero if v == 0 else W.row_roots[i] * W.col_roots[p] * Fraction(v, dp * e))
-        out.append(row)
-    return out
+    zero, rows = RadicalScalar.zero(), _recurrence_rows(W.sector, W.row_radicands, W.core)
+    return [
+        [W.row_roots[i] * W.col_roots[p] * Fraction(x, e) if x else zero for p, x in enumerate(v)]
+        for i, (e, v) in enumerate(rows)
+    ]
 
 
 def m9_matrix_bruteforce(W: WMatrix) -> list[list[RadicalScalar]]:
     """Ninth Runge-Lenz matrix rebuilt as W diag(mu) W^T from the given W.
 
     Exact; must equal coeffs.m9_spherical_matrix entrywise.  Entry [i, j]
-    is sqrt(A_i A_j) times [R diag(B mu) R^T]_ij, a sum of integers over
+    is sqrt(A'_i A'_j) times [C diag(B mu) C^T]_ij, a sum of integers over
     one common denominator; only its nonzero entries are scaled by the
     two row roots.
     """
     n = W.size
     mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
-    d, cols = _integer_columns(W.core)
-    weights = [b * m / (dp * dp) for b, m, dp in zip(W.col_radicands, mu, d)]
+    weights = [b * m for b, m in zip(W.col_radicands, mu)]
     den = math.lcm(*(w.denominator for w in weights))
     weights = [w.numerator * (den // w.denominator) for w in weights]
-    rows = list(zip(*cols))
     zero = RadicalScalar.zero()
     out = [[zero] * n for _ in range(n)]
     for i in range(n):
-        weighted = [w * x for w, x in zip(weights, rows[i])]
+        weighted = [w * x for w, x in zip(weights, W.core[i])]
         for j in range(i, n):  # W diag(mu) W^T is symmetric for every W
-            dot = sum(x * y for x, y in zip(weighted, rows[j]))
+            dot = sum(x * y for x, y in zip(weighted, W.core[j]))
             if dot:
                 out[i][j] = out[j][i] = W.row_roots[i] * W.row_roots[j] * Fraction(dot, den)
     return out

@@ -511,6 +511,13 @@ GOLDEN = [
      "054b68a2efd1c5f6ea55e1ebecae5bab07f92f9d9a510f2ab9a3328af7a3aa4c"),
     (("m9", "4", "2", "0", "2"),
      "aab16d7fd7c895e07ca30ae66ef45328911d70841932f9d7339ac241575b8ec8"),
+    # beyond N = 22, pinned while W was still proved by the O(N^3) W^T W sum
+    (("wmatrix", "40", "0", "0", "0"),
+     "6ab9764aa4294b4e4e941d7c02d07583766e91afa630eabb7c020d003cc512eb"),
+    (("wmatrix", "60", "0", "0", "0"),
+     "4b48bad69ebeeca25fa01ba953b4280adda60a9b597b6b92dfebfbad47a9108e"),
+    (("wmatrix", "30", "3", "1", "4"),
+     "d16f112b576b573f32219a9f9d226fc1510ad69e5571948389093f63821b8636"),
 ]
 
 

@@ -1,19 +1,26 @@
 """Interbasis matrix W: closed form, CG oracle, recurrence, brute force."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from micz9.coeffs import m9_spherical_matrix, matrix_to_float
-from micz9.errors import IndexOutOfRange, InternalConsistencyError, OrthogonalityViolation
+from micz9 import coeffs
+from micz9.coeffs import m9_eigenvalues, m9_spherical_matrix, matrix_to_float
+from micz9.errors import (
+    IndexOutOfRange,
+    InternalConsistencyError,
+    OrthogonalityViolation,
+    RadicandMismatch,
+)
 from micz9.exactscalar import RadicalScalar
 from micz9.interbasis import (
-    _assert_orthogonal,
     _cg_column,
     _cg_row,
     _factors,
+    _prove_orthogonal,
     _racah_sum,
     m9_matrix_bruteforce,
     w_coefficient,
@@ -70,25 +77,104 @@ def test_orthogonality_exact_small_sweep():
             assert row == 1
 
 
-def _factors_of_3110():
-    s = validate_sector(3, 1, 1, 0, 1)
+S3110 = validate_sector(3, 1, 1, 0, 1)
+
+
+def _factors_of(s):
     return _factors(s, lambda_range(s), range(s.size))
 
 
-def test_orthogonality_proof_catches_one_tampered_entry():
-    A, R, B = _factors_of_3110()
-    R[0][1] = R[0][1] * 2  # the first row is strictly positive
-    with pytest.raises(OrthogonalityViolation, match=r"at \(0,1\)"):
-        _assert_orthogonal(A, R, B)
+def test_structural_proof_passes_the_untampered_factors():
+    for s in enumerate_sectors(4, 4, 4):
+        A, C, B = _factors_of(s)
+        assert all(isinstance(x, int) for row in C for x in row), s
+        _prove_orthogonal(s, A, C, B)
 
 
-def test_orthogonality_proof_catches_a_tampered_radicand():
-    A, R, B = _factors_of_3110()
-    with pytest.raises(OrthogonalityViolation, match=r"at \(0,0\)"):
-        _assert_orthogonal([A[0] * 2, *A[1:]], R, B)
-    with pytest.raises(OrthogonalityViolation, match=r"at \(1,1\)"):
-        _assert_orthogonal(A, R, [B[0], B[1] * 2, *B[2:]])
-    _assert_orthogonal(A, R, B)  # the untampered factors pass
+def test_structural_proof_catches_one_doubled_core_entry():
+    A, C, B = _factors_of(S3110)
+    C[0][1] *= 2  # the first row is strictly positive
+    with pytest.raises(OrthogonalityViolation, match=r"^residual .*\[0,1\] "):
+        _prove_orthogonal(S3110, A, C, B)
+
+
+def test_structural_proof_catches_a_doubled_row_factor():
+    A, C, B = _factors_of(S3110)
+    A[1] *= 2  # the couplings into rows 1 and 2 turn irrational
+    with pytest.raises(OrthogonalityViolation, match=r"^residual: .* row 1 "):
+        _prove_orthogonal(S3110, A, C, B)
+
+
+def test_structural_proof_catches_a_doubled_column_radicand():
+    A, C, B = _factors_of(S3110)
+    B[1] *= 2  # M9 W = W diag(mu) holds for every column scaling; only the norm sees it
+    with pytest.raises(OrthogonalityViolation, match=r"^norm .*\[1,1\]"):
+        _prove_orthogonal(S3110, A, C, B)
+
+
+def test_structural_proof_catches_a_doubled_core_column():
+    A, C, B = _factors_of(S3110)
+    for row in C:
+        row[2] *= 2
+    with pytest.raises(OrthogonalityViolation, match=r"^norm .*\[2,2\]"):
+        _prove_orthogonal(S3110, A, C, B)
+
+
+def test_structural_proof_catches_a_perturbed_m9_diagonal(monkeypatch):
+    s = S4211
+    diag, coupling_sq = coeffs.m9_tridiagonal(s)
+    perturbed = (diag[0] + Fraction(1, 10**30), *diag[1:])
+    monkeypatch.setattr(coeffs, "m9_tridiagonal", lambda _: (perturbed, coupling_sq))
+    with pytest.raises(OrthogonalityViolation, match=r"^residual .*\[0,0\] "):
+        w_matrix(s)
+
+
+def test_errors_on_a_tampered_n_101_w_stay_short():
+    s = validate_sector(100, 0, 0, 0, 1)
+    A, C, B = _factors_of(s)
+    for tamper in ("core", "row", "col"):
+        a, c, b = list(A), [list(row) for row in C], list(B)
+        if tamper == "core":
+            c[50][50] *= 2
+        elif tamper == "row":
+            a[50] *= 2
+        else:
+            b[50] *= 2
+        with pytest.raises(OrthogonalityViolation) as err:
+            _prove_orthogonal(s, a, c, b)
+        assert len(str(err.value).encode()) <= 200, tamper
+        assert ("[50,50]" if tamper == "col" else "50") in str(err.value), tamper
+    W = w_matrix(s)
+    row = list(W.row_radicands)
+    row[50] *= 2
+    with pytest.raises(RadicandMismatch) as err:
+        w_recurrence_residual(_with_factors(W, row=row))
+    assert len(str(err.value).encode()) <= 200 and "row 50" in str(err.value)
+    big = RadicalScalar.sqrt(math.factorial(1000))
+    assert len(str(big.radicand)) > 200  # printed in full, this alone would pass the bound
+    with pytest.raises(RadicandMismatch) as err:
+        big + W.entries[94][80]
+    assert len(str(err.value).encode()) <= 200
+
+
+def test_to_float_is_bitwise_the_correctly_rounded_square_root():
+    # the int division c.num^2 r / c.den^2 is float(Fraction) of the square, bit for bit
+    for s in enumerate_sectors(5, 4, 4):
+        for x in (*(x for row in w_matrix(s).entries for x in row),
+                  *(x for row in m9_spherical_matrix(s) for x in row)):
+            mag = math.sqrt(float(x.square()))
+            assert x.to_float().hex() == (-mag if x.coeff < 0 else mag).hex(), (s, x)
+
+
+@pytest.mark.slow
+def test_exact_w_at_n_201_is_orthogonal_in_float():
+    """Opt-in (pytest -m slow): W^T W = I and M9 W = W diag(mu) in float at (200,0,0,0)."""
+    s = validate_sector(200, 0, 0, 0, 1)
+    F = w_matrix(s).to_float()
+    assert np.abs(F.T @ F - np.eye(s.size)).max() <= 1e-11
+    M = matrix_to_float(m9_spherical_matrix(s))
+    mu = np.array([float(v.fraction) for v in m9_eigenvalues(s)])
+    assert np.abs(M @ F - F * mu).max() <= 1e-11
 
 
 def test_w_matrix_entries_are_w_coefficient():
@@ -233,7 +319,7 @@ def test_factor_oracles_pass_the_untampered_w():
 def test_factor_oracles_catch_a_tampered_core_entry():
     W = w_matrix(S4211)
     core = [list(row) for row in W.core]
-    assert core[1][1] != 0  # scaling an exact zero of R would change nothing
+    assert core[1][1] != 0  # scaling an exact zero of C would change nothing
     core[1][1] *= 2
     assert _flags(_with_factors(W, core=core)) == (True, True)
 

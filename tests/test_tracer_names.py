@@ -19,8 +19,9 @@ from micz9 import cli, sector
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # Kept for the trace but no longer on any command's path.  w_matrix builds
-# W from its row, column and core factors; w_coefficient reads one entry of
-# the same factors for library callers.
+# W from its row factors, integer core and column radicands, and proves it
+# orthogonal on them; w_coefficient reads one entry of the same factors,
+# unproved, for library callers.
 _UNCALLED = {"k_diag", "k_offdiag", "w_coefficient"}
 
 
