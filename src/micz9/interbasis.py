@@ -84,27 +84,29 @@ def _column_radicand(s: Sector, n_p: int) -> Fraction:
     return Fraction(f(n_p + s.J + 3) * f(n_v + s.L + 3), f(n_v) * f(n_p))
 
 
-def _factors(s: Sector, lams, nps) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
-    """Row factors A', integer core C and column radicands B on the given labels.
+def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
+    """Row factors A', integer core C and column radicands B of the whole W.
 
     Each row of Horner numerators is divided by its content g, the gcd of
     the row, and A' takes g^2: at N = 201 that leaves core entries of
-    about 200 bits out of 3,900.
+    about 200 bits out of 3,900.  g has only small primes because the
+    column n_p = n_top is the row's denominator itself; on part of a row
+    it need not, and sqrt(A') would factor a large g^2.
     """
-    nps = [np_index(s, n_p) for n_p in nps]
     row_rad, core = [], []
-    for k, a in (_row(s, lam) for lam in lams):
-        row = _core_row(s, k, nps)
-        g = math.gcd(*row) or 1  # a lone zero entry has no content
+    for k, a in (_row(s, lam) for lam in lambda_range(s)):
+        row = _core_row(s, k, range(s.size))
+        g = math.gcd(*row)
         row_rad.append(a * g * g)
         core.append([x // g for x in row])
-    return row_rad, core, [_column_radicand(s, n_p) for n_p in nps]
+    return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
 
 
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact."""
-    (a,), ((c,),), (b,) = _factors(s, [lam], [n_p])
-    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(b) * c
+    k, a = _row(s, lam)
+    (x,) = _core_row(s, k, [np_index(s, n_p)])  # x stays out of the root; see _factors
+    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(_column_radicand(s, n_p)) * x
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def w_matrix(s: Sector) -> WMatrix:
     integers: coeff s_i s_p g C[i, p] / (q_i q_p) and radicand
     (f_i/g)(f_p/g), g = gcd(f_i, f_p), which is already squarefree.
     """
-    row_rad, core, col_rad = _factors(s, lambda_range(s), range(s.size))
+    row_rad, core, col_rad = _factors(s)
     _prove_orthogonal(s, row_rad, core, col_rad)
     roots_a = tuple(map(RadicalScalar.sqrt, row_rad))
     roots_b = tuple(map(RadicalScalar.sqrt, col_rad))

@@ -64,6 +64,7 @@ def test_w_first_row_positive():
     # term, so every entry there is strictly positive
     for s in enumerate_sectors(3, 3, 3):
         W = w_matrix(s)
+        assert all(isinstance(x, int) for row in W.core for x in row), s
         for n_p in range(s.size):
             assert W.entries[0][n_p].sign() == 1
 
@@ -80,40 +81,29 @@ def test_orthogonality_exact_small_sweep():
 S3110 = validate_sector(3, 1, 1, 0, 1)
 
 
-def _factors_of(s):
-    return _factors(s, lambda_range(s), range(s.size))
-
-
-def test_structural_proof_passes_the_untampered_factors():
-    for s in enumerate_sectors(4, 4, 4):
-        A, C, B = _factors_of(s)
-        assert all(isinstance(x, int) for row in C for x in row), s
-        _prove_orthogonal(s, A, C, B)
-
-
 def test_structural_proof_catches_one_doubled_core_entry():
-    A, C, B = _factors_of(S3110)
+    A, C, B = _factors(S3110)
     C[0][1] *= 2  # the first row is strictly positive
     with pytest.raises(OrthogonalityViolation, match=r"^residual .*\[0,1\] "):
         _prove_orthogonal(S3110, A, C, B)
 
 
 def test_structural_proof_catches_a_doubled_row_factor():
-    A, C, B = _factors_of(S3110)
+    A, C, B = _factors(S3110)
     A[1] *= 2  # the couplings into rows 1 and 2 turn irrational
     with pytest.raises(OrthogonalityViolation, match=r"^residual: .* row 1 "):
         _prove_orthogonal(S3110, A, C, B)
 
 
 def test_structural_proof_catches_a_doubled_column_radicand():
-    A, C, B = _factors_of(S3110)
+    A, C, B = _factors(S3110)
     B[1] *= 2  # M9 W = W diag(mu) holds for every column scaling; only the norm sees it
     with pytest.raises(OrthogonalityViolation, match=r"^norm .*\[1,1\]"):
         _prove_orthogonal(S3110, A, C, B)
 
 
 def test_structural_proof_catches_a_doubled_core_column():
-    A, C, B = _factors_of(S3110)
+    A, C, B = _factors(S3110)
     for row in C:
         row[2] *= 2
     with pytest.raises(OrthogonalityViolation, match=r"^norm .*\[2,2\]"):
@@ -131,7 +121,7 @@ def test_structural_proof_catches_a_perturbed_m9_diagonal(monkeypatch):
 
 def test_errors_on_a_tampered_n_101_w_stay_short():
     s = validate_sector(100, 0, 0, 0, 1)
-    A, C, B = _factors_of(s)
+    A, C, B = _factors(s)
     for tamper in ("core", "row", "col"):
         a, c, b = list(A), [list(row) for row in C], list(B)
         if tamper == "core":
@@ -186,6 +176,17 @@ def test_w_matrix_entries_are_w_coefficient():
             for n_p in range(s.size):
                 one = w_coefficient(s, lam, n_p)
                 assert (W[i][n_p].coeff, W[i][n_p].radicand) == (one.coeff, one.radicand), s
+
+
+def test_w_coefficient_matches_w_matrix_at_n_61():
+    # a lone entry's Horner numerator has no small content to divide out, so
+    # w_coefficient keeps it out of the root: trial division on its square
+    # would run to its largest prime, past 0.3 s at (8, 8), (12, 49) and (17, 18)
+    s = validate_sector(60, 0, 0, 0, 1)
+    W, lams = w_matrix(s).entries, list(lambda_range(s))
+    for i, n_p in ((0, 0), (8, 8), (12, 49), (17, 18), (45, 17), (60, 59), (59, 60)):
+        one = w_coefficient(s, lams[i], n_p)
+        assert (W[i][n_p].coeff, W[i][n_p].radicand) == (one.coeff, one.radicand), (i, n_p)
 
 
 def clebsch_gordan(a, alpha, b, beta, c, gamma) -> RadicalScalar:

@@ -20,8 +20,8 @@ _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # Kept for the trace but no longer on any command's path.  w_matrix builds
 # W from its row factors, integer core and column radicands, and proves it
-# orthogonal on them; w_coefficient reads one entry of the same factors,
-# unproved, for library callers.
+# orthogonal on them; w_coefficient builds one entry from the same row,
+# core and column pieces, unproved, for library callers.
 _UNCALLED = {"k_diag", "k_offdiag", "w_coefficient"}
 
 
