@@ -26,10 +26,10 @@ Each basis is evaluated once per sector: one polynomial ladder per family
 (a single recurrence run returns every degree), norms from integer
 factorials, and each column multiplied in place in the closed form's
 order, skipping unit envelopes, so the columns are bitwise the one-state
-products.  The separated-equation residuals likewise evaluate every state
-of an equation in one pass and return one residual per state; powers and
-exponentials stay on the points array alone, so every residual is bitwise
-its one-state value.
+products.  The separated-equation residuals read the same ladder kernel
+with its two derivatives, evaluate every state of an equation in one
+pass, and never form the envelope: each equation is divided by it, so no
+power of the point underflows at large N.
 """
 
 from __future__ import annotations
@@ -94,9 +94,11 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
     nodes.  Weights whose magnitude underflows double precision come out
     as exact zeros (huge Laguerre rules only).
     """
-    if not 1 <= n_q <= MAX_RULE_NODES:
-        raise ValidationError(f"n_q = {n_q} must be in 1..{MAX_RULE_NODES}")
-    key = (kind, n_q, float(order))
+    if not isinstance(n_q, (int, np.integer)) or not 1 <= n_q <= MAX_RULE_NODES:
+        raise ValidationError(f"n_q = {n_q!r} must be an integer in 1..{MAX_RULE_NODES}")
+    if not math.isfinite(order):
+        raise ValidationError(f"rule order must be finite, got {order}")
+    key = (kind, int(n_q), float(order))
     hit = _rule_cache.get(key)
     if hit is not None:
         return hit
@@ -170,6 +172,28 @@ def _parabolic_norms(s: Sector) -> list[float]:
     ]
 
 
+def _ladder(k: int, params: tuple, t, derivs: bool = False):
+    """Degrees 0..k at t of L^(p) (params = (p,)) or P^(p,q) (params = (p, q)), stacked first.
+
+    The values are one _backend run.  With derivs, (values, d/dt, d2/dt2)
+    come back, each derivative from the ladder one parameter step up by
+    d/dt L_d^(p) = -L_{d-1}^(p+1) or d/dt P_d^(p,q) = (d+p+q+1)/2 P_{d-1}^(p+1,q+1).
+    """
+    poly = _backend.laguerre if len(params) == 1 else _backend.jacobi
+    rows = poly(k, *params, t)
+    if not derivs:
+        return rows
+
+    def d_dt(lower, a):  # d/dt F^(a), degree 0 (zero) and up, from F^(a+1) one degree lower
+        d = np.arange(1.0, len(lower) + 1).reshape((-1,) + (1,) * (rows.ndim - 1))
+        scale = -1.0 if len(a) == 1 else (d + sum(a) + 1) / 2
+        return np.concatenate([np.zeros((1,) + rows.shape[1:]), scale * lower])
+
+    up1, up2 = (tuple(a + j for a in params) for j in (1, 2))
+    second = d_dt(d_dt(poly(k - 2, *up2, t), up1), params)[: k + 1]  # degree 0 needs no degree -2
+    return rows, d_dt(poly(k - 1, *up1, t), params), second
+
+
 def _product_into(out: np.ndarray, head, factors) -> None:
     """out = head * f_1 * f_2 * ..., multiplied left to right in place.
 
@@ -190,7 +214,7 @@ def _spherical_columns(s: Sector, X, C, ks) -> np.ndarray:
     serves every state; the Laguerre order 2 lambda + 7 changes with the
     state, so each radial polynomial is its own run on the radial nodes.
     """
-    jac = _backend.jacobi(max(ks), s.L + 3, s.J + 3, C)
+    jac = _ladder(max(ks), (s.L + 3, s.J + 3), C)
     env = 2.0 ** (-(s.L + s.J + 7) / 2)
     left = (1 - C) ** (s.L / 2) if s.L else None
     right = (1 + C) ** (s.J / 2) if s.J else None
@@ -199,7 +223,7 @@ def _spherical_columns(s: Sector, X, C, ks) -> np.ndarray:
     for col, k in enumerate(ks):
         lamf = (s.L + s.J + 2 * k) / 2
         radial = norms[k] * X**lamf if lamf else norms[k]
-        radial = radial * _backend.laguerre(s.size - 1 - k, 2 * lamf + 7, X)[-1] * env
+        radial = radial * _ladder(s.size - 1 - k, (2 * lamf + 7,), X)[-1] * env
         _product_into(out[..., col], radial, (left, right, jac[k]))
     return out
 
@@ -210,8 +234,8 @@ def _parabolic_columns(s: Sector, U, V, n_ps) -> np.ndarray:
     One Laguerre ladder in U and one in V serve every state.
     """
     n_top = s.size - 1
-    lag_u = _backend.laguerre(max(n_ps), s.J + 3, U)
-    lag_v = _backend.laguerre(n_top - min(n_ps), s.L + 3, V)
+    lag_u = _ladder(max(n_ps), (s.J + 3,), U)
+    lag_v = _ladder(n_top - min(n_ps), (s.L + 3,), V)
     u_env = U ** (s.J / 2) if s.J else None
     v_env = V ** (s.L / 2) if s.L else None
     norms = _parabolic_norms(s)
@@ -292,95 +316,53 @@ def w_overlap_stable(s: Sector) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def _powers(nu: float, x):
-    """x^nu, x^(nu-1), x^(nu-2), each 0 where its coefficient in g', g'' vanishes."""
-    zero = np.zeros_like(x)
-    xnm1 = x ** (nu - 1) if nu != 0 else zero
-    xnm2 = x ** (nu - 2) if nu not in (0, 1) else zero
-    return x**nu, xnm1, xnm2
+def _over_envelope(hpsi, h2dpsi, h, P, P1, P2):
+    """f / E, h f' / E and h^2 f'' / E for f = E P, given h psi and h^2 psi', psi = E'/E.
 
-
-def _exp_poly_derivs(nu, xn, xnm1, xnm2, ex, P, P1, P2):
-    """g = x^nu e^{-x/2} P(x) and its first two derivatives, from P, P', P''."""
-    g = xn * ex * P
-    g1 = ex * ((nu * xnm1 - xn / 2) * P + xn * P1)
-    g2 = ex * (
-        (nu * (nu - 1) * xnm2 - nu * xnm1 + xn / 4) * P + (2 * nu * xnm1 - xn) * P1 + xn * P2
-    )
-    return g, g1, g2
-
-
-def _scaled_residual(terms) -> np.ndarray:
-    total = sum(terms)
-    scale = np.maximum.reduce([np.abs(t) for t in terms])
-    return np.abs(total) / np.maximum(scale, 1e-300)
-
-
-def _padded(ladder: np.ndarray) -> np.ndarray:
-    """A ladder with two zero rows in front: row d + 2 holds degree d, and degrees -1, -2 are 0."""
-    return np.concatenate([np.zeros((2,) + ladder.shape[1:]), ladder])
+    f' = E (psi P + P') and f'' = E ((psi^2 + psi') P + 2 psi P' + P''): the
+    envelope E is never formed, and with h the point's own scale no
+    negative power of the point is formed either.
+    """
+    hP1 = h * P1
+    return P, hpsi * P + hP1, (hpsi * hpsi + h2dpsi) * P + 2.0 * hpsi * hP1 + h * h * P2
 
 
 def _radial_terms(s: Sector, pts, Zf, E, alpha):
-    """Radial equation terms of every lambda, one row per state."""
-    n_top = s.size - 1
-    lams = [(s.L + s.J) / 2 + k for k in range(s.size)]
+    """Radial equation terms of every lambda, one row per state, times r^2 / (x^lambda e^{-x/2})."""
+    lam = ((s.L + s.J) / 2 + np.arange(s.size))[:, None]
     x = alpha * pts
-    ex = np.exp(-x / 2)
-    # P = L_j^{(o)} with o = 2 lambda + 7 and j = n+Q/2 - lambda, P' = -L_{j-1}^{(o+1)} and
-    # P'' = L_{j-2}^{(o+2)}; o + 2 is the next lambda's order, so its ladder holds P''
-    ladders, P1 = [], []
-    for k, lam in enumerate(lams):
-        ladders.append(_backend.laguerre(n_top - k, 2 * lam + 7, x))
-        P1.append(-_padded(_backend.laguerre(n_top - k - 1, 2 * lam + 8, x))[-1])
-    P, P1 = np.array([lad[-1] for lad in ladders]), np.array(P1)
-    zero = np.zeros_like(x)
-    P2 = np.array([lad[-2] if len(lad) > 1 else zero for lad in ladders[1:]] + [zero])
-    xn, xnm1, xnm2 = (np.array(p) for p in zip(*(_powers(lam, x) for lam in lams)))
-    lam = np.array(lams)[:, None]
-    g, g1, g2 = _exp_poly_derivs(lam, xn, xnm1, xnm2, ex, P, P1, P2)
-    R, R1, R2 = g, alpha * g1, alpha * alpha * g2
+    # P = L_{n_top-k}^{(2 lambda + 7)}(x), the top row of each state's own ladder
+    tops = [[rows[-1] for rows in _ladder(s.size - 1 - k, (2 * lk + 7,), x, derivs=True)]
+            for k, lk in enumerate(lam[:, 0])]
+    P, P1, P2 = np.array(tops).transpose(1, 0, 2)
+    g, xg1, x2g2 = _over_envelope(lam - x / 2, -lam, x, P, P1, P2)
     return (
-        -0.5 * (R2 + 8.0 * R1 / pts),
-        (lam * (lam + 7) / (2 * pts * pts)) * R,
-        -(Zf / pts) * R,
-        -E * R,
+        -0.5 * (x2g2 + 8.0 * xg1),
+        (lam * (lam + 7) / 2) * g,
+        -(Zf * pts) * g,
+        -(E * pts * pts) * g,
     )
 
 
 def _angular_terms(s: Sector, c):
-    """Angular equation terms of every lambda, one row per state."""
-    ks = np.arange(s.size)
-    p, q = s.L + 3, s.J + 3
-    # d/dc P_k^{(p,q)} = (k+p+q+1)/2 P_{k-1}^{(p+1,q+1)}, twice
-    n_top = s.size - 1
-    lad = [_padded(_backend.jacobi(n_top - j, p + j, q + j, c)) for j in range(3)]
-    w1 = (0.5 * (ks + p + q + 1))[:, None]
-    w2 = (0.5 * (ks + p + q + 2))[:, None]
-    P, P1, P2 = lad[0][ks + 2], w1 * lad[1][ks + 1], w1 * (w2 * lad[2][ks])
-    st2 = 1 - c * c
-    st = np.sqrt(st2)
-    phi = (1 - c) ** (s.L / 2) * (1 + c) ** (s.J / 2)
-    psi1 = -(s.L / 2) / (1 - c) + (s.J / 2) / (1 + c)
-    psi2 = -(s.L / 2) / (1 - c) ** 2 - (s.J / 2) / (1 + c) ** 2
-    u = phi * P
-    u1 = phi * (psi1 * P + P1)
-    u2 = phi * ((psi1 * psi1 + psi2) * P + 2 * psi1 * P1 + P2)
-    # theta derivatives of u(cos(theta))
-    ut = -st * u1
-    utt = -c * u1 + st2 * u2
-    lam = ((s.L + s.J) / 2 + ks)[:, None]
+    """Angular equation terms of every lambda, one row per state, times (1-c^2) / envelope."""
+    P, P1, P2 = _ladder(s.size - 1, (s.L + 3, s.J + 3), c, derivs=True)
+    a, b = 1 + c, 1 - c
+    h, hl, hj = a * b, s.L / 2, s.J / 2
+    u, hu1, h2u2 = _over_envelope(hj * b - hl * a, -hl * a * a - hj * b * b, h, P, P1, P2)
+    lam = ((s.L + s.J) / 2 + np.arange(s.size))[:, None]
+    # theta derivatives of u(cos(theta)): sin^2 u_tt = h^2 u'' - c h u', sin^2 cot u_t = -c h u'
     return (
-        utt,
-        7.0 * (c / st) * ut,
-        -(s.L * (s.L + 6) / (2 * (1 - c))) * u,
-        -(s.J * (s.J + 6) / (2 * (1 + c))) * u,
-        lam * (lam + 7) * u,
+        h2u2 - c * hu1,
+        -7.0 * c * hu1,
+        -(s.L * (s.L + 6) / 2) * a * u,
+        -(s.J * (s.J + 6) / 2) * b * u,
+        lam * (lam + 7) * h * u,
     )
 
 
 def _parabolic_terms(s: Sector, which: str, pts, Zf, E, alpha):
-    """Parabolic u or v equation terms of every n_p, one row per state."""
+    """Parabolic u or v equation terms of every n_p, one row per state, times u / envelope."""
     n_top = s.size - 1
     n_p = np.arange(s.size)
     sigma = (alpha / 4) * ((2 * s.n + s.Q - 2 * s.J - 4 * n_p) / 2)  # (alpha/4) M9 eigenvalue
@@ -389,18 +371,15 @@ def _parabolic_terms(s: Sector, which: str, pts, Zf, E, alpha):
     else:
         nu, ks, order, barrier, sig = s.L / 2, n_top - n_p, s.L + 3, s.L * (s.L + 6), +sigma
     x = alpha * pts / 2
-    # d/dx L_k^{(o)} = -L_{k-1}^{(o+1)}, twice
-    lad = [_padded(_backend.laguerre(n_top - j, order + j, x)) for j in range(3)]
-    P, P1, P2 = lad[0][ks + 2], -lad[1][ks + 1], lad[2][ks]
-    g, g1, g2 = _exp_poly_derivs(nu, *_powers(nu, x), np.exp(-x / 2), P, P1, P2)
-    F, F1, F2 = g, (alpha / 2) * g1, (alpha / 2) ** 2 * g2
+    P, P1, P2 = (rows[ks] for rows in _ladder(n_top, (order,), x, derivs=True))
+    g, xg1, x2g2 = _over_envelope(nu - x / 2, -nu, x, P, P1, P2)
     return (
-        pts * F2,
-        4.0 * F1,
-        -(barrier / (4 * pts)) * F,
-        (Zf / 2) * F,
-        (E * pts / 2) * F,
-        sig[:, None] * F,
+        x2g2,
+        4.0 * xg1,
+        -(barrier / 4) * g,
+        (Zf / 2 * pts) * g,
+        (E / 2 * pts * pts) * g,
+        (sig[:, None] * pts) * g,
     )
 
 
@@ -408,16 +387,16 @@ def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
     """Max relative residual of one separated equation on interior points, per state.
 
     which: "radial" or "angular" (one entry per lambda, ascending), or
-    "parabolic_u" or "parabolic_v" (one per n_p).  The closed-form factor
-    and its analytic derivatives are plugged into the equation; each
-    residual is scaled by the largest participating term.  Each power,
-    root and exponential is taken on the points array, as for a single
-    state, so every entry is bitwise the one-state value; the ladders and
-    the rest are shared by all states.
+    "parabolic_u" or "parabolic_v" (one per n_p).  Each factor is an
+    envelope E (a power of x times e^{-x/2}, or (1-c)^(L/2) (1+c)^(J/2))
+    times a polynomial P; the equation is linear, so it is divided by E
+    and multiplied by r^2, 1-c^2 or the parabolic point, and evaluated from
+    P, P', P'' and E's log-derivative alone.  Each residual is scaled by the
+    largest participating term, which that positive factor leaves unchanged.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
-    if pts.size == 0:
-        raise DomainError("need at least one evaluation point")
+    if pts.size == 0 or not np.isfinite(pts).all():
+        raise DomainError("need one or more evaluation points, all finite")
     Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
     if which == "angular":
         if np.any(np.abs(pts) >= 1):
@@ -433,4 +412,5 @@ def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
         terms = _parabolic_terms(s, which, pts, Zf, E, alpha)
     else:
         raise ValidationError(f"unknown equation selector {which!r}")
-    return _scaled_residual(terms).max(axis=-1)
+    scale = np.maximum.reduce([np.abs(t) for t in terms])
+    return (np.abs(sum(terms)) / np.maximum(scale, 1e-300)).max(axis=-1)

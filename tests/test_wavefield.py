@@ -14,7 +14,7 @@ from micz9.interbasis import w_matrix
 from micz9.sector import alpha_scale, enumerate_sectors, lambda_range, validate_sector
 from micz9.wavefield import (
     _basis_factors,
-    _padded,
+    _ladder,
     basis_overlap,
     gauss_rule,
     ode_residuals,
@@ -53,6 +53,14 @@ def test_gauss_rule_classical_values():
         gauss_rule("legendre", 0)
     with pytest.raises(ValidationError):
         gauss_rule("chebyshev", 4)
+
+
+@pytest.mark.parametrize("n_q, order", [(4.5, 0.0), (4.0, 8.0), ("4", 8.0), (4, math.nan),
+                                        (4, math.inf), (4, -math.inf)])
+def test_gauss_rule_rejects_a_non_integer_count_or_a_non_finite_order(n_q, order):
+    # checked before the cache lookup: 4.5 once built a 5-node rule, nan a LinAlgError
+    with pytest.raises(ValidationError):
+        gauss_rule("laguerre", n_q, order)
 
 
 def test_gauss_exactness_ladder():
@@ -200,9 +208,32 @@ def test_negative_degree_is_zero_or_an_empty_ladder():
     assert _backend.laguerre(-1, 3.0, x).shape == (0, 2)
     assert _backend.laguerre(-1, 3.0, 0.5).shape == (0,)
     assert _backend.jacobi(-2, 1.0, 2.0, x).shape == (0, 2)
-    # padded, degrees -1 and -2 read 0: the radial residual's P' at the top lambda is -0.0
-    top = -_padded(_backend.laguerre(-1, 3.0, x))[-1]
-    assert np.array_equal(top, [0.0, 0.0]) and np.signbit(top).all()
+    # a degree-0 ladder, as at the top lambda of the radial residual: P' and P'' are zero rows
+    _, P1, P2 = _ladder(0, (3.0,), x, derivs=True)
+    assert P1.shape == P2.shape == (1, 2) and not P1.any() and not P2.any()
+
+
+@given(k=st.integers(0, 12), p=st.integers(-1, 12), q=st.integers(-1, 12), x=_LADDER_X,
+       jacobi=st.booleans())
+def test_derivative_ladder_is_the_backend_identity(k, p, q, x, jacobi):
+    # values: bitwise the one _backend run; derivatives: each degree from its own _backend call
+    poly = _backend.jacobi if jacobi else _backend.laguerre
+    params = (p / 2, q / 2) if jacobi else (p / 2,)
+    t = np.array(x) / 40 if jacobi else np.array(x)
+    assert np.array_equal(_ladder(k, params, t), poly(k, *params, t))
+    P, P1, P2 = _ladder(k, params, t, derivs=True)
+    assert np.array_equal(P, poly(k, *params, t))
+    assert P1.shape == P2.shape == P.shape
+
+    def scale(d, j):  # d/dt F_d^(a) = scale F_{d-1}^(a+1), a = params + j
+        return -1.0 if not jacobi else (d + sum(params) + 2 * j + 1) / 2
+
+    for d in range(k + 1):
+        one = poly(d - 1, *(a + 1 for a in params), t)
+        two = poly(d - 2, *(a + 2 for a in params), t)
+        assert np.array_equal(P1[d], scale(d, 0) * one[-1] if d >= 1 else np.zeros_like(t))
+        want = scale(d, 0) * (scale(d - 1, 1) * two[-1]) if d >= 2 else np.zeros_like(t)
+        assert np.array_equal(P2[d], want)
 
 
 def _state(s, basis, x, c):
@@ -308,3 +339,32 @@ def test_ode_residual_domain_checks():
         ode_residuals(S1, "angular", [1.0])
     with pytest.raises(ValidationError):
         ode_residuals(S1, "azimuthal", [0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("which", ["radial", "angular", "parabolic_u", "parabolic_v"])
+def test_ode_residuals_reject_a_point_that_is_not_finite(which, bad):
+    # nan slipped past the <= 0 and |c| >= 1 checks, and inf raised a numpy RuntimeWarning
+    with pytest.raises(DomainError, match="finite"):
+        ode_residuals(S1, which, [0.5, bad])
+
+
+def test_radial_residual_holds_at_large_n():
+    # x^lambda underflowed from N ~ 150: these read 2.2e-9, 1.4e-7 and 1.0 with the envelope formed
+    for nQLJ in ((150, 0, 0, 0), (150, 3, 1, 2), (200, 0, 0, 0)):
+        assert ode_residuals(validate_sector(*nQLJ), "radial", [0.5, 1, 2, 5]).max() <= 1e-8, nQLJ
+
+
+@pytest.mark.slow
+def test_ode_residual_sweep_at_large_n():
+    """Opt-in (pytest -m slow): all four equations, N from 150 to 300, Q, L, J <= 4 mixed."""
+    families = [(Q, L, J) for Q in range(5) for L in range(5) for J in range(5)
+                if (Q - L - J) % 2 == 0]
+    rpts, cpts = [0.5, 1.0, 2.0, 5.0], [-0.9, -0.3, 0.0, 0.4, 0.9]
+    for i, size in enumerate(range(150, 301, 10)):
+        for Q, L, J in (families[(7 * i) % len(families)], families[(7 * i + 31) % len(families)]):
+            s = validate_sector(size - 1 - (Q - L - J) // 2, Q, L, J, 1)
+            assert s.size == size
+            for which in ("radial", "angular", "parabolic_u", "parabolic_v"):
+                worst = ode_residuals(s, which, cpts if which == "angular" else rpts).max()
+                assert worst <= 1e-8, (s, which, worst)
