@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import ConvergenceFailure, ValidationError
 
-BACKEND = "numpy"
-
 # P * N * N dense entries per chunk: 64 KB of float64.
 _CHUNK_ELEMENTS = 1 << 13
 
@@ -88,13 +86,14 @@ def tridiag_eigh(d, e):
     return (w[0], V[0]) if single else (w, V)
 
 
-def laguerre(k: int, s: float, x) -> np.ndarray:
+def laguerre(k: int, s, x) -> np.ndarray:
     """Generalized Laguerre L_0^{(s)}(x) .. L_k^{(s)}(x), one three-term recurrence run.
 
     Degree j is row j, stacked on a new first axis; k < 0 gives no rows.
+    The order s may be an array broadcasting against x, one order per entry.
     """
-    x, s = np.asarray(x, dtype=np.float64), float(s)
-    out = np.empty((max(k + 1, 0),) + x.shape)
+    x, s = np.asarray(x, dtype=np.float64), np.asarray(s, dtype=np.float64)
+    out = np.empty((max(k + 1, 0),) + np.broadcast_shapes(x.shape, s.shape))
     if k < 0:
         return out
     out[0] = 1.0

@@ -20,9 +20,7 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from . import coeffs, interbasis, sector, spheroidal, wavefield
+from . import coeffs, interbasis, sector  # numpy and the float modules load where used
 from .errors import Micz9Error, ValidationError
 
 SCHEMA_VERSION = "1"
@@ -35,8 +33,9 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_array(x: np.ndarray) -> np.ndarray:
+def _fmt_array(x):
     """_fmt of each entry of a float array, in one %-pass: "%.17g" % v is format(v, ".17g")."""
+    import numpy as np
     text = "%.17g\n" * x.size % tuple(x.ravel().tolist())
     return np.array(text.splitlines(), dtype=object).reshape(x.shape)
 
@@ -169,8 +168,9 @@ def cmd_m9(args) -> None:
     _emit("m9", s, args.mode, payload)
 
 
-def _spectrum_at_a(args) -> tuple[sector.Sector, spheroidal.SpheroidalSpectrum]:
-    """Sector and spectrum at --a for kspectrum and tcoeffs."""
+def _spectrum_at_a(args):
+    """Sector and spheroidal spectrum at --a for kspectrum and tcoeffs."""
+    from . import spheroidal
     s = _parse_sector(args)
     _require_finite(a=args.a)
     if args.a is None or not args.a > 0:
@@ -179,6 +179,7 @@ def _spectrum_at_a(args) -> tuple[sector.Sector, spheroidal.SpheroidalSpectrum]:
 
 
 def cmd_kspectrum(args) -> None:
+    import numpy as np
     s, spectrum = _spectrum_at_a(args)
     T = spectrum.T
     resid = float(np.abs(spectrum.matrix.matvec(T) - T * spectrum.K).max())
@@ -194,6 +195,7 @@ def cmd_kspectrum(args) -> None:
 
 
 def cmd_tcoeffs(args) -> None:
+    from . import spheroidal
     s, spectrum = _spectrum_at_a(args)
     branches = []
     for n_k, col in enumerate(spheroidal.t_by_continuant(spectrum.matrix, spectrum.K).T):
@@ -202,12 +204,14 @@ def cmd_tcoeffs(args) -> None:
             "K": _fmt(spectrum.K[n_k]),
             "T_continuant": _fmt_array(col).tolist(),
             # difference from the eigh column; the key is part of the output schema
-            "max_diff_vs_inverse_iteration": _fmt(np.abs(col - spectrum.T[:, n_k]).max()),
+            "max_diff_vs_inverse_iteration": _fmt(abs(col - spectrum.T[:, n_k]).max()),
         })
     _emit("tcoeffs", s, "float", {"a": _fmt(args.a), "branches": branches})
 
 
 def cmd_sweep(args) -> None:
+    import numpy as np
+    from . import spheroidal
     s = _parse_sector(args)
     if args.a_min is None or args.a_max is None:
         raise ValidationError("sweep needs --a-min and --a-max")
@@ -240,7 +244,7 @@ def cmd_sweep(args) -> None:
 
 
 def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[float, float]:
-    """Focal distances of the two limit checks, 1e-8/Z and 1e6/Z unless given.
+    """Focal distances of the two limit checks, 1e-8/Z and 1e8/Z unless given.
 
     K(a) depends on a and Z only through aZ, so these defaults check the
     same aZ at every charge.  A charge that rounds to 0.0 as a float raises
@@ -248,11 +252,12 @@ def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[floa
     """
     zf = float(s.Z)
     if not zf:
-        raise ValidationError("Z rounds to 0.0 as a float: 1e-8/Z and 1e6/Z are undefined")
-    return (1e-8 / zf if a_small is None else a_small, 1e6 / zf if a_large is None else a_large)
+        raise ValidationError("Z rounds to 0.0 as a float: 1e-8/Z and 1e8/Z are undefined")
+    return (1e-8 / zf if a_small is None else a_small, 1e8 / zf if a_large is None else a_large)
 
 
 def cmd_limits(args) -> None:
+    from . import spheroidal
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
     both = spheroidal.separation_constants(s, _limit_distances(s, args.a_small, args.a_large))
@@ -277,6 +282,8 @@ def cmd_limits(args) -> None:
 
 def _verify_checks(s: sector.Sector):
     """Run the per-sector cross-oracle suite; yields (name, ok, detail)."""
+    import numpy as np
+    from . import spheroidal, wavefield
     n = s.size
 
     W = interbasis.w_matrix(s)  # raises OrthogonalityViolation on breach
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("record", "csv"), default="record")
     p = sub.add_parser("limits", parents=[float_only], help="spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
-    p.add_argument("--a-large", dest="a_large", type=float, help="default 1e6/Z")
+    p.add_argument("--a-large", dest="a_large", type=float, help="default 1e8/Z")
     sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
     return parser
 

@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import ValidationError
 from .exactscalar import RadicalScalar
 from .sector import HalfInt, Sector, lambda_index, lambda_range, m9_parabolic_eigenvalue
@@ -139,5 +137,6 @@ def m9_eigenvalues(s: Sector) -> list[HalfInt]:
     return [m9_parabolic_eigenvalue(s, n_p) for n_p in range(s.size)]
 
 
-def matrix_to_float(mat: list[list[RadicalScalar]]) -> np.ndarray:
+def matrix_to_float(mat: list[list[RadicalScalar]]):
+    import numpy as np
     return np.array([[x.to_float() for x in row] for row in mat], dtype=np.float64)

@@ -35,8 +35,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import coeffs
 from .errors import OrthogonalityViolation, RadicandMismatch
 from .exactscalar import RadicalScalar
@@ -139,12 +137,12 @@ class WMatrix:
         return tuple(map(RadicalScalar.sqrt, self.col_radicands))
 
     @functools.cached_property
-    def _float(self) -> np.ndarray:
+    def _float(self):
         out = coeffs.matrix_to_float(self.entries)
         out.flags.writeable = False
         return out
 
-    def to_float(self) -> np.ndarray:
+    def to_float(self):
         """The entries as floats, each within 1 ulp; built once per W, read-only."""
         return self._float
 

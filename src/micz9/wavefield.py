@@ -175,7 +175,8 @@ def _parabolic_norms(s: Sector) -> list[float]:
 def _ladder(k: int, params: tuple, t, derivs: bool = False):
     """Degrees 0..k at t of L^(p) (params = (p,)) or P^(p,q) (params = (p, q)), stacked first.
 
-    The values are one _backend run.  With derivs, (values, d/dt, d2/dt2)
+    The values are one _backend run; a Laguerre p may be an array of orders
+    broadcasting against t.  With derivs, (values, d/dt, d2/dt2)
     come back, each derivative from the ladder one parameter step up by
     d/dt L_d^(p) = -L_{d-1}^(p+1) or d/dt P_d^(p,q) = (d+p+q+1)/2 P_{d-1}^(p+1,q+1).
     """
@@ -211,19 +212,21 @@ def _spherical_columns(s: Sector, X, C, ks) -> np.ndarray:
     """Bare radial-angular factors at x = alpha r and c = cos(theta), stacked last.
 
     ks are ladder positions (lambda = (L+J)/2 + k).  One Jacobi ladder
-    serves every state; the Laguerre order 2 lambda + 7 changes with the
-    state, so each radial polynomial is its own run on the radial nodes.
+    serves every state, and one Laguerre run over every state's order
+    2 lambda + 7 gives each radial polynomial as the row of its own degree.
     """
     jac = _ladder(max(ks), (s.L + 3, s.J + 3), C)
+    n_top, lamfs = s.size - 1, [(s.L + s.J + 2 * k) / 2 for k in ks]
+    orders = np.reshape([2 * lamf + 7 for lamf in lamfs], (-1,) + (1,) * np.ndim(X))
+    lag = _ladder(n_top - min(ks), (orders,), X)  # degrees past a state's own may overflow, unread
     env = 2.0 ** (-(s.L + s.J + 7) / 2)
     left = (1 - C) ** (s.L / 2) if s.L else None
     right = (1 + C) ** (s.J / 2) if s.J else None
     norms = _spherical_norms(s)
     out = np.empty(np.broadcast_shapes(np.shape(X), np.shape(C)) + (len(ks),))
-    for col, k in enumerate(ks):
-        lamf = (s.L + s.J + 2 * k) / 2
+    for col, (k, lamf) in enumerate(zip(ks, lamfs)):
         radial = norms[k] * X**lamf if lamf else norms[k]
-        radial = radial * _ladder(s.size - 1 - k, (2 * lamf + 7,), X)[-1] * env
+        radial = radial * lag[n_top - k, col] * env
         _product_into(out[..., col], radial, (left, right, jac[k]))
     return out
 
@@ -329,12 +332,13 @@ def _over_envelope(hpsi, h2dpsi, h, P, P1, P2):
 
 def _radial_terms(s: Sector, pts, Zf, E, alpha):
     """Radial equation terms of every lambda, one row per state, times r^2 / (x^lambda e^{-x/2})."""
-    lam = ((s.L + s.J) / 2 + np.arange(s.size))[:, None]
+    ks = np.arange(s.size)
+    lam = ((s.L + s.J) / 2 + ks)[:, None]
     x = alpha * pts
-    # P = L_{n_top-k}^{(2 lambda + 7)}(x), the top row of each state's own ladder
-    tops = [[rows[-1] for rows in _ladder(s.size - 1 - k, (2 * lk + 7,), x, derivs=True)]
-            for k, lk in enumerate(lam[:, 0])]
-    P, P1, P2 = np.array(tops).transpose(1, 0, 2)
+    # P = L_{n_top-k}^{(2 lambda + 7)}(x): one run over every state's order, read at the state's
+    # own degree; the degrees past it may overflow, under ode_residuals' errstate, unread
+    ladders = _ladder(s.size - 1, (2 * lam + 7,), x, derivs=True)
+    P, P1, P2 = (rows[ks[::-1], ks] for rows in ladders)
     g, xg1, x2g2 = _over_envelope(lam - x / 2, -lam, x, P, P1, P2)
     return (
         -0.5 * (x2g2 + 8.0 * xg1),
@@ -393,6 +397,7 @@ def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
     and multiplied by r^2, 1-c^2 or the parabolic point, and evaluated from
     P, P', P'' and E's log-derivative alone.  Each residual is scaled by the
     largest participating term, which that positive factor leaves unchanged.
+    A term past the float range (alpha r far out at a large charge) raises DomainError.
     """
     pts = np.asarray(points, dtype=np.float64).ravel()
     if pts.size == 0 or not np.isfinite(pts).all():
@@ -401,16 +406,16 @@ def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
     if which == "angular":
         if np.any(np.abs(pts) >= 1):
             raise DomainError("angular points must satisfy |cos(theta)| < 1")
-        terms = _angular_terms(s, pts)
-    elif which == "radial":
-        if np.any(pts <= 0):
-            raise DomainError("radial points must satisfy r > 0")
-        terms = _radial_terms(s, pts, Zf, E, alpha)
-    elif which in ("parabolic_u", "parabolic_v"):
-        if np.any(pts <= 0):
-            raise DomainError("parabolic points must be positive")
-        terms = _parabolic_terms(s, which, pts, Zf, E, alpha)
-    else:
+    elif which not in ("radial", "parabolic_u", "parabolic_v"):
         raise ValidationError(f"unknown equation selector {which!r}")
+    elif np.any(pts <= 0):
+        raise DomainError(f"{which} points must be positive")
+    with np.errstate(over="ignore", invalid="ignore"):  # a term past the float range: see below
+        terms = (_angular_terms(s, pts) if which == "angular"
+                 else _radial_terms(s, pts, Zf, E, alpha) if which == "radial"
+                 else _parabolic_terms(s, which, pts, Zf, E, alpha))
+        total = np.abs(sum(terms))
+    if not np.isfinite(total).all():  # alpha r so large that P or a product overflows
+        raise DomainError(f"the {which} equation leaves the float range at these points on {s}")
     scale = np.maximum.reduce([np.abs(t) for t in terms])
-    return (np.abs(sum(terms)) / np.maximum(scale, 1e-300)).max(axis=-1)
+    return (total / np.maximum(scale, 1e-300)).max(axis=-1)

@@ -1,12 +1,16 @@
 """CLI contract: payload schemas, exit codes, determinism, mode agreement."""
 
+import contextlib
 import decimal
 import hashlib
+import io
 import json
 import math
+import re
 import subprocess
 import sys
 import types
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +245,18 @@ def test_verify_sweep_to_sixteen(capsys):
     assert not failed
 
 
+def test_verify_passes_where_the_parabolic_limit_once_failed(capsys):
+    # at the old default aZ = 1e6 the column error was 1.03e-4 against a tol of 1e-4
+    assert main(verify_argv(48, 0, 0, 0)) == 0, capsys.readouterr().err
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sector", [(64, 0, 0, 0), (100, 0, 0, 0), (100, 4, 4, 4), (90, 3, 1, 4)])
+def test_verify_passes_at_large_n(sector, capsys):
+    """Opt-in (pytest -m slow): the parabolic limit at aZ = 1e8 holds up to N = 101."""
+    assert main(verify_argv(*sector)) == 0, capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "module, name, wrong, failing, code",
     [
@@ -419,7 +435,7 @@ def test_limits_default_distances_follow_the_charge(Z, capsys):
     assert main(argv) == 0, capsys.readouterr().err
     p = json.loads(capsys.readouterr().out)["payload"]
     assert float(p["spherical"]["a_small"]) == 1e-8 / float(Fraction(Z))
-    assert float(p["parabolic"]["a_large"]) == 1e6 / float(Fraction(Z))
+    assert float(p["parabolic"]["a_large"]) == 1e8 / float(Fraction(Z))
 
 
 def test_verify_trivial_sector():
@@ -544,6 +560,48 @@ def test_exact_sweep_output_is_pinned(capsys):
     assert digest.hexdigest() == SWEEP_EXACT_DIGEST
 
 
+# Runs argvs in a fresh interpreter where any import of numpy raises ImportError,
+# and prints each one's exit code and stdout digest.
+_NUMPY_FREE = """
+import contextlib, hashlib, io, json, sys
+sys.modules["numpy"] = None
+from micz9 import cli
+result = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    result.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+print(json.dumps(result))
+"""
+
+
+def test_exact_commands_run_without_numpy(capsys):
+    pinned = {(cmd, *sector): digest for (cmd, *sector), digest in GOLDEN}
+    argvs, want = [], []
+    for n, Q, L, J in dict.fromkeys(key[1:] for key in pinned):
+        flags = ["--n", n, "--Q", Q, "--L", L, "--J", J]
+        for cmd, mode in (("states", "exact"), ("states", "float"), ("wmatrix", "exact"),
+                          ("m9", "exact")):
+            argvs.append([cmd, "--mode", mode, *flags])
+            digest = pinned.get((cmd, n, Q, L, J)) if mode == "exact" else None
+            if digest is None:  # not pinned: the output of this process, which has numpy
+                assert main(argvs[-1]) == 0
+                digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+            want.append([0, digest])
+    run = subprocess.run([sys.executable, "-c", _NUMPY_FREE, json.dumps(argvs)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == want
+
+
+def test_importing_the_cli_loads_no_float_module():
+    float_side = ("numpy", "micz9._backend", "micz9.spheroidal", "micz9.wavefield")
+    code = f"import sys, micz9.cli; print([m for m in {float_side} if m in sys.modules])"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0 and run.stdout == "[]\n", run.stdout + run.stderr
+
+
 def test_package_exports_only_the_cli_surface():
     public = {
         name for name, value in vars(micz9).items()
@@ -570,3 +628,86 @@ def test_cached_parser_matches_a_fresh_one(capsys):
         main(["wmatrix", "--n", "one", "--Q", "0", "--L", "0", "--J", "0"])
     assert exc.value.code == 2
     assert main(calls[0]) == 0 and capsys.readouterr().out == outs[0]
+
+
+# ----------------------------------------------------------------------
+# argv fuzz: every argv ends in exit 0 with a record (CSV for a CSV sweep),
+# or in exit 2, 3 or 4 with a named error on stderr; never in exit 1, a
+# traceback or a warning.  Sizes stay small: n <= 5, at most 8 sweep points.
+# ----------------------------------------------------------------------
+
+def _mostly(valid, other):
+    """Nine draws in ten from valid, the rest from other."""
+    return st.integers(0, 9).flatmap(lambda i: valid if i else other)
+
+
+_FLOAT_TEXT = _mostly(
+    st.floats(1e-3, 1e3).map(repr),
+    st.sampled_from(["0", "-1", "nan", "inf", "-inf", "5e-324", "1e-300", "1e300", "one"]),
+)
+_FLAG_VALUES = {
+    "--mode": st.sampled_from(["exact", "float", "complex"]),
+    "--a": _FLOAT_TEXT,
+    "--a-min": _FLOAT_TEXT,
+    "--a-max": _FLOAT_TEXT,
+    "--points": st.integers(-1, 8).map(str),
+    "--log": st.none(),
+    "--format": st.sampled_from(["record", "csv", "xml"]),
+    "--a-small": _FLOAT_TEXT,
+    "--a-large": _FLOAT_TEXT,
+    "--nodes": st.integers(1, 48).map(str),
+    "--tol": _FLOAT_TEXT,
+}
+_READS = {  # the flags each command reads besides the sector
+    "states": ["--mode"], "wmatrix": ["--mode"], "m9": ["--mode"],
+    "kspectrum": ["--mode", "--a"], "tcoeffs": ["--mode", "--a"],
+    "sweep": ["--mode", "--a-min", "--a-max", "--points", "--log", "--format"],
+    "limits": ["--mode", "--a-small", "--a-large"], "verify": [],
+}
+_CHARGE = _mostly(
+    st.sampled_from(["1", "2/5", "3/2", "1000", "1/1000"]),
+    st.sampled_from(["1e-5", "1e-170", "1e-320", "1e60", "1e150", "1e160", "1e400", "0", "-1",
+                     "1/0", "two"]),
+)
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(_mostly(st.sampled_from(list(_READS)), st.just("energy")))
+    argv = [command]
+    for flag, top in (("--n", 5), ("--Q", 4), ("--L", 4), ("--J", 4)):
+        value = draw(_mostly(st.integers(0, top).map(str), st.sampled_from([None, "-1", "x"])))
+        if value is not None:
+            argv += [flag, value]
+    argv += ["--Z", draw(_CHARGE)]
+    flags = [flag for flag in _READS.get(command, []) if draw(st.integers(0, 3))]
+    flags += draw(_mostly(st.just([]), st.sampled_from(sorted(_FLAG_VALUES)).map(lambda f: [f])))
+    for flag in flags:
+        value = draw(_FLAG_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=_argvs())
+def test_every_argv_ends_in_a_record_or_a_named_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "", (argv, err)
+        if argv[0] == "sweep" and "csv" in argv:
+            header, *rows = out.splitlines()
+            assert header == "a,n_k,K,K_over_a" and rows, (argv, out)
+            assert all(len([float(x) for x in row.split(",")]) == 4 for row in rows), argv
+        else:
+            assert json.loads(out)["command"] == argv[0], argv
+    else:
+        assert code in (2, 3, 4), (argv, code, err)
+        named = re.match(r"[A-Z]\w+: ", err) or (code == 2 and err.startswith("usage: "))
+        assert named and "Traceback" not in err and out == "", (argv, code, out, err)

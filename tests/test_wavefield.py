@@ -1,6 +1,7 @@
 """Wavefunctions, Gauss rules, overlap quadrature, and equation residuals."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -11,10 +12,12 @@ from hypothesis import strategies as st
 from micz9 import _backend
 from micz9.errors import ConvergenceFailure, DomainError, ValidationError
 from micz9.interbasis import w_matrix
-from micz9.sector import alpha_scale, enumerate_sectors, lambda_range, validate_sector
+from micz9.sector import alpha_scale, energy, enumerate_sectors, lambda_range, validate_sector
 from micz9.wavefield import (
     _basis_factors,
     _ladder,
+    _over_envelope,
+    _radial_terms,
     basis_overlap,
     gauss_rule,
     ode_residuals,
@@ -353,6 +356,56 @@ def test_radial_residual_holds_at_large_n():
     # x^lambda underflowed from N ~ 150: these read 2.2e-9, 1.4e-7 and 1.0 with the envelope formed
     for nQLJ in ((150, 0, 0, 0), (150, 3, 1, 2), (200, 0, 0, 0)):
         assert ode_residuals(validate_sector(*nQLJ), "radial", [0.5, 1, 2, 5]).max() <= 1e-8, nQLJ
+
+
+def _ref_radial_terms(s, pts):
+    """The radial terms as they were evaluated before: three ladders per state, top rows read."""
+    Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
+    lam = ((s.L + s.J) / 2 + np.arange(s.size))[:, None]
+    x = alpha * pts
+    tops = [[rows[-1] for rows in _ladder(s.size - 1 - k, (2 * lk + 7,), x, derivs=True)]
+            for k, lk in enumerate(lam[:, 0])]
+    P, P1, P2 = np.array(tops).transpose(1, 0, 2)
+    g, xg1, x2g2 = _over_envelope(lam - x / 2, -lam, x, P, P1, P2)
+    return -0.5 * (x2g2 + 8.0 * xg1), (lam * (lam + 7) / 2) * g, -(Zf * pts) * g, -(E * pts * pts) * g
+
+
+def test_radial_terms_equal_the_per_state_ladders_bitwise():
+    large = [validate_sector(150, 3, 1, 2), validate_sector(299, 2, 0, 2)]
+    for s in [*enumerate_sectors(3, 3, 3), *large]:
+        Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
+        for got, want in zip(_radial_terms(s, RPTS, Zf, E, alpha), _ref_radial_terms(s, RPTS)):
+            assert np.array_equal(got, want), s
+
+
+def test_radial_residual_runs_one_ladder_set_at_any_n(monkeypatch):
+    calls = []
+    original = _backend.laguerre
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(_backend, "laguerre", counted)
+    counts = []
+    for n in (4, 40, 120):
+        calls.clear()
+        ode_residuals(validate_sector(n, 0, 0, 0), "radial", RPTS)
+        counts.append(len(calls))
+    assert counts == [3, 3, 3]  # values, first and second derivatives; it was 3 N
+
+
+def test_radial_residual_at_n_400_warns_of_no_discarded_degree():
+    # the degrees past each state's own overflow from N ~ 365; they are thrown away unseen
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ode_residuals(validate_sector(399, 0, 0, 0), "radial", RPTS).max() <= 1e-8
+
+
+def test_ode_residuals_name_a_point_past_the_float_range():
+    # alpha r ~ 1e59 overflowed P with a RuntimeWarning, and verify read "max residual nan"
+    with pytest.raises(DomainError, match="float range"):
+        ode_residuals(validate_sector(5, 2, 2, 2, 10**60), "radial", RPTS)
 
 
 @pytest.mark.slow
