@@ -19,8 +19,7 @@ of degrees, 0 up to the one asked for.
 
 from __future__ import annotations
 
-import numpy as np
-
+# numpy is imported where used: the CLI loads this module for every command
 from .errors import ConvergenceFailure, ValidationError
 
 # P * N * N dense entries per chunk: 64 KB of float64.
@@ -29,6 +28,7 @@ _CHUNK_ELEMENTS = 1 << 13
 
 def _dense(d, e):
     """Dense symmetric tridiagonal matrices (..., N, N) from d (..., N), e (..., N-1)."""
+    import numpy as np
     n = d.shape[-1]
     T = np.zeros(d.shape + (n,))
     i = np.arange(n)
@@ -59,6 +59,7 @@ def tridiag_eigh(d, e):
     non-finite entry raises ValidationError, and a LAPACK failure to
     converge raises ConvergenceFailure.
     """
+    import numpy as np
     d = np.asarray(d, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
     single = d.ndim == 1
@@ -92,6 +93,7 @@ def laguerre(k: int, s, x) -> np.ndarray:
     Degree j is row j, stacked on a new first axis; k < 0 gives no rows.
     The order s may be an array broadcasting against x, one order per entry.
     """
+    import numpy as np
     x, s = np.asarray(x, dtype=np.float64), np.asarray(s, dtype=np.float64)
     out = np.empty((max(k + 1, 0),) + np.broadcast_shapes(x.shape, s.shape))
     if k < 0:
@@ -109,6 +111,7 @@ def jacobi(k: int, p: float, q: float, x) -> np.ndarray:
 
     Degree j is row j, stacked on a new first axis; k < 0 gives no rows.
     """
+    import numpy as np
     x, p, q = np.asarray(x, dtype=np.float64), float(p), float(q)
     out = np.empty((max(k + 1, 0),) + x.shape)
     if k < 0:

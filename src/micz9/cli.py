@@ -20,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import coeffs, interbasis, sector  # numpy and the float modules load where used
+from . import coeffs, interbasis, sector, spheroidal, wavefield  # numpy loads where used
 from .errors import Micz9Error, ValidationError
 
 SCHEMA_VERSION = "1"
@@ -170,7 +170,6 @@ def cmd_m9(args) -> None:
 
 def _spectrum_at_a(args):
     """Sector and spheroidal spectrum at --a for kspectrum and tcoeffs."""
-    from . import spheroidal
     s = _parse_sector(args)
     _require_finite(a=args.a)
     if args.a is None or not args.a > 0:
@@ -195,7 +194,6 @@ def cmd_kspectrum(args) -> None:
 
 
 def cmd_tcoeffs(args) -> None:
-    from . import spheroidal
     s, spectrum = _spectrum_at_a(args)
     branches = []
     for n_k, col in enumerate(spheroidal.t_by_continuant(spectrum.matrix, spectrum.K).T):
@@ -211,7 +209,6 @@ def cmd_tcoeffs(args) -> None:
 
 def cmd_sweep(args) -> None:
     import numpy as np
-    from . import spheroidal
     s = _parse_sector(args)
     if args.a_min is None or args.a_max is None:
         raise ValidationError("sweep needs --a-min and --a-max")
@@ -243,26 +240,26 @@ def cmd_sweep(args) -> None:
     _emit("sweep", s, "float", {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches})
 
 
-def _limit_distances(s: sector.Sector, a_small=None, a_large=None) -> tuple[float, float]:
-    """Focal distances of the two limit checks, 1e-8/Z and 1e8/Z unless given.
+def _limit_distances(W: interbasis.WMatrix, a_small=None, a_large=None) -> tuple[float, float]:
+    """Focal distances of the two limit checks, 1e-8/Z and parabolic_distance(W) unless given.
 
-    K(a) depends on a and Z only through aZ, so these defaults check the
-    same aZ at every charge.  A charge that rounds to 0.0 as a float raises
-    ValidationError.
+    Both defaults are the same aZ at every charge.  A charge that rounds
+    to 0.0 as a float raises ValidationError.
     """
-    zf = float(s.Z)
+    zf = float(W.sector.Z)
     if not zf:
-        raise ValidationError("Z rounds to 0.0 as a float: 1e-8/Z and 1e8/Z are undefined")
-    return (1e-8 / zf if a_small is None else a_small, 1e8 / zf if a_large is None else a_large)
+        raise ValidationError("Z rounds to 0.0 as a float: the default distances are undefined")
+    return (1e-8 / zf if a_small is None else a_small,
+            spheroidal.parabolic_distance(W) if a_large is None else a_large)
 
 
 def cmd_limits(args) -> None:
-    from . import spheroidal
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
-    both = spheroidal.separation_constants(s, _limit_distances(s, args.a_small, args.a_large))
+    W = interbasis.w_matrix(s)
+    both = spheroidal.separation_constants(s, _limit_distances(W, args.a_small, args.a_large))
     sph = spheroidal.check_spherical_limit(both[0])
-    par = spheroidal.check_parabolic_limit(interbasis.w_matrix(s), both[1])
+    par = spheroidal.check_parabolic_limit(W, both[1])
     payload = {
         "spherical": {
             "a_small": _fmt(sph.a_small),
@@ -283,7 +280,6 @@ def cmd_limits(args) -> None:
 def _verify_checks(s: sector.Sector):
     """Run the per-sector cross-oracle suite; yields (name, ok, detail)."""
     import numpy as np
-    from . import spheroidal, wavefield
     n = s.size
 
     W = interbasis.w_matrix(s)  # raises OrthogonalityViolation on breach
@@ -314,7 +310,7 @@ def _verify_checks(s: sector.Sector):
 
     # one batch: the eigenproblem at 4 distances, the continuant at 6, then both limits
     solved = spheroidal.separation_constants(
-        s, [0.1, 1.0, 10.0, 100.0, *np.logspace(-2, 3, 6), *_limit_distances(s)]
+        s, [0.1, 1.0, 10.0, 100.0, *np.logspace(-2, 3, 6), *_limit_distances(W)]
     )
     eig = solved[:4]
     mat, K, T = eig.matrix, eig.K, eig.T
@@ -409,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("record", "csv"), default="record")
     p = sub.add_parser("limits", parents=[float_only], help="spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
-    p.add_argument("--a-large", dest="a_large", type=float, help="default 1e8/Z")
+    p.add_argument("--a-large", dest="a_large", type=float, help="default: parabolic_distance")
     sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
     return parser
 

@@ -17,14 +17,8 @@ deterministic when leading entries underflow near the a -> 0 limit).
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
-continuant (three-term minor) recurrence, at every eigenvalue of a stack
-at once.  The continuant is twisted: ratios of leading minors run down
-from the top of the ladder and ratios of trailing minors up from the
-bottom, and the column is built outward from the index where the two
-meet best, so each half runs in its stable direction.  At small a, K(a)
-is strongly graded and the trailing components of a column fall far
-below its peak; a one-sided recurrence would need the shift to many more
-bits than double precision to reproduce them.
+twisted continuant recurrence (t_by_continuant) at every eigenvalue of a
+stack at once, which stays accurate however strongly K(a) is graded.
 
 Labeling: n_k is ascending eigenvalue order at every a.  Eigenvalues of
 the irreducible tridiagonal matrix are simple for a > 0, so this
@@ -42,9 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import coeffs
+from . import coeffs  # numpy is imported where used: the CLI loads this module for every command
 from ._backend import _tridiag_product, tridiag_eigh
 from .errors import (
     BranchMatchAmbiguous,
@@ -77,6 +69,7 @@ class SymTridiagonal:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """T v, matrix by matrix, for vectors (..., N) or blocks of columns (..., N, M)."""
+        import numpy as np
         v = np.asarray(v, dtype=np.float64)
         vector = v.ndim == self.diag.ndim
         TV = _tridiag_product(self.diag, self.offdiag, v[..., None] if vector else v)
@@ -84,9 +77,9 @@ class SymTridiagonal:
 
     def norm(self):
         """Infinity norm: a float for one matrix, an array (P,) for a stack."""
-        r = np.abs(self.diag)
-        r[..., 1:] += np.abs(self.offdiag)
-        r[..., :-1] += np.abs(self.offdiag)
+        r = abs(self.diag)
+        r[..., 1:] += abs(self.offdiag)
+        r[..., :-1] += abs(self.offdiag)
         return float(r.max()) if r.ndim == 1 else r.max(axis=-1)
 
 
@@ -100,6 +93,7 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positive) underflow to 0, raises ValidationError.
     Read-only: the cache hands the same arrays to every call.
     """
+    import numpy as np
     lam_term, slope, coupling_sq = coeffs.k_pencil(s)
     Z = s.Z  # float K(a) scales with the sector's charge
     try:
@@ -119,7 +113,7 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pencil
 
 
-_COUPLING_LIMIT = math.sqrt(np.finfo(np.float64).max)  # squared couplings must stay finite
+_COUPLING_LIMIT = math.sqrt(sys.float_info.max)  # squared couplings must stay finite
 
 
 def build_k_matrix(s: Sector, a) -> SymTridiagonal:
@@ -134,6 +128,7 @@ def build_k_matrix(s: Sector, a) -> SymTridiagonal:
     when squared or round to 0.0 raises ValidationError; at a = 0 the
     couplings are exactly 0.
     """
+    import numpy as np
     a = np.asarray(a, dtype=np.float64)
     if a.ndim > 1:
         raise ValidationError(f"focal distances must be a number or a 1-d list, not {a.shape}")
@@ -163,6 +158,7 @@ def sign_fix_columns(V: np.ndarray) -> np.ndarray:
 
     V is (..., N, M): every column of every matrix in the stack.
     """
+    import numpy as np
     mag = np.abs(V)
     above = mag > _SIGN_TOL * mag.max(axis=-2, keepdims=True)
     lead = np.take_along_axis(V, np.argmax(above, axis=-2)[..., None, :], axis=-2)
@@ -191,6 +187,7 @@ class SpheroidalSpectrum:
 
 def separation_constants(s: Sector, a) -> SpheroidalSpectrum:
     """Spectrum of K(a) at one focal distance a > 0, or of the stack at a 1-d list, in one batch."""
+    import numpy as np
     a = np.asarray(a, dtype=np.float64)
     stack = np.atleast_1d(a)
     if a.ndim > 1 or a.size == 0:
@@ -226,6 +223,7 @@ def t_by_continuant(mat: SymTridiagonal, K) -> np.ndarray:
     (K(a) at a = 0) or a column that is not finite or whose norm overflows
     raises DegenerateShift, each naming the first bad entry.
     """
+    import numpy as np
     K = np.asarray(K, dtype=np.float64)
     scalar, stacked = K.ndim == 0, mat.diag.ndim == 2
     if mat.diag.ndim > 2 or (K.shape[:-1] != mat.diag.shape[:-1] if K.ndim else stacked):
@@ -290,6 +288,7 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
     the first failing pair of points.  An a so small that K/a overflows
     raises ValidationError.
     """
+    import numpy as np
     a_grid = np.asarray(a_grid, dtype=np.float64)
     if a_grid.ndim != 1 or a_grid.size < 1:
         raise ValidationError("a_grid must be a 1-d array of at least one point")
@@ -333,7 +332,7 @@ class SphericalLimitReport:
 
 def _worst(kind: str, errors: np.ndarray) -> str:
     """The largest of the per-branch errors and its branch n_k, for a LimitMismatch message."""
-    i = int(np.argmax(errors))
+    i = int(errors.argmax())
     return f"worst {kind} error {errors[i]:.3g} at n_k = {i}"
 
 
@@ -349,6 +348,7 @@ def check_spherical_limit(
     its column must approach that coordinate unit vector to tol_vector.
     Raises LimitMismatch, naming the worst branch of each error, on failure.
     """
+    import numpy as np
     if spectrum.K.ndim != 1:  # a stack's axis would be read as the branches
         raise ValidationError("the spherical limit check takes one spectrum, not a stack")
     s, mat, a_small = spectrum.sector, spectrum.matrix, spectrum.a
@@ -382,6 +382,36 @@ class ParabolicLimitReport:
         return float(self.column_errors.max())
 
 
+def _first_order(W: WMatrix, a: float):
+    """Float W, G = W^T Lambda W, K/a to zeroth order, -(alpha/2) mu, and the gaps at a.
+
+    gaps[q, p] = a (alpha/2) (mu_p - mu_q), infinite on the diagonal.
+    """
+    import numpy as np
+    s = W.sector
+    mu = np.array([m9_parabolic_eigenvalue(s, n_p).twice for n_p in range(s.size)]) / 2
+    lead = -float(alpha_scale(s) / 2) * mu  # alpha/2 = sqrt(-2E)
+    w = W.to_float()
+    lam = -_k_pencil(s)[0]  # Lambda = diag(lambda(lambda+7))
+    gaps = a * (lead[:, None] - lead[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return w, w.T @ (lam[:, None] * w), lead, gaps
+
+
+def parabolic_distance(W: WMatrix, tol: float = 1e-4) -> float:
+    """Focal distance at which check_parabolic_limit's first-order column correction is 10 tol.
+
+    That correction falls as 1/(aZ), and the remainder the check leaves as
+    its square.  At this distance, but never below the check's floor
+    aZ = 1e4, a missing or wrong correction fails the check, while the
+    remainder, about (10 tol)^2, stays well inside tol.
+    """
+    zf = float(W.sector.Z)
+    w, G, _, gaps = _first_order(W, 1.0)
+    correction = float(abs(w @ (G / gaps)).max()) * zf  # at aZ = 1
+    return max(correction / (10 * tol), 1e4) / zf
+
+
 def check_parabolic_limit(
     W: WMatrix, spectrum: SpheroidalSpectrum, tol: float = 1e-4
 ) -> ParabolicLimitReport:
@@ -399,6 +429,7 @@ def check_parabolic_limit(
     the same aZ and tol then mean the same check at every charge.  W must
     belong to the spectrum's sector.  Raises LimitMismatch on failure.
     """
+    import numpy as np
     if spectrum.K.ndim != 1:
         raise ValidationError("the parabolic limit check takes one spectrum, not a stack")
     s, a_large = spectrum.sector, spectrum.a
@@ -408,16 +439,8 @@ def check_parabolic_limit(
     if not a_large * zf >= 1e4:
         raise ValidationError(f"a_large Z = {a_large} * {_short(s.Z)} must be at least 1e4")
     n = s.size
-    half_alpha = alpha_scale(s) / 2  # sqrt(-2E)
-    lead = np.array(
-        [-float(half_alpha * m9_parabolic_eigenvalue(s, n_p).fraction) for n_p in range(n)]
-    )
-    w = W.to_float()
-    lam = -_k_pencil(s)[0]  # Lambda = diag(lambda(lambda+7))
-    G = w.T @ (lam[:, None] * w)
+    w, G, lead, gaps = _first_order(W, a_large)
     targets = lead - np.diag(G) / a_large
-    gaps = a_large * (lead[:, None] - lead[None, :])  # [q, p] = a (alpha/2) (mu_p - mu_q)
-    np.fill_diagonal(gaps, np.inf)
     columns = w + w @ (G / gaps)
     columns /= np.linalg.norm(columns, axis=0)
     ratios = spectrum.K / a_large

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import pathlib
 import re
 import subprocess
 import sys
@@ -136,7 +137,7 @@ def test_overflowing_charge_exit_2():
         ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float", "--a", "1"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float"],
         ["kspectrum", *verify_argv(2, 0, 0, 2, "1e-320")[1:], "--mode", "float", "--a", "1"],
-        # Z itself rounds to 0.0, so the default limit distances 1e-8/Z and 1e6/Z are undefined
+        # Z itself rounds to 0.0, so the default limit distances, 1e-8/Z and aZ/Z, are undefined
         verify_argv(2, 0, 0, 2, "1e-400"),
         ["limits", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--mode", "float"],
         # a subnormal focal distance rounds K(a)'s couplings to 0.0
@@ -246,14 +247,23 @@ def test_verify_sweep_to_sixteen(capsys):
 
 
 def test_verify_passes_where_the_parabolic_limit_once_failed(capsys):
-    # at the old default aZ = 1e6 the column error was 1.03e-4 against a tol of 1e-4
+    # at the old fixed aZ = 1e6 the column error was 1.03e-4 against a tol of 1e-4
     assert main(verify_argv(48, 0, 0, 0)) == 0, capsys.readouterr().err
+
+
+def test_verify_records_a_residual_past_the_float_range(capsys):
+    # at Z = 1e60, alpha r ~ 1e59: one radial state overflows, and verify reports it as a failed
+    # check in its record (exit 3) instead of a warning and "max residual nan"
+    assert main(verify_argv(5, 2, 2, 2, "1e60")) == 3
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    assert [name for name, c in checks.items() if not c["ok"]] == ["ode_residuals"]
+    assert checks["ode_residuals"]["detail"] == "max relative residual inf"
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("sector", [(64, 0, 0, 0), (100, 0, 0, 0), (100, 4, 4, 4), (90, 3, 1, 4)])
 def test_verify_passes_at_large_n(sector, capsys):
-    """Opt-in (pytest -m slow): the parabolic limit at aZ = 1e8 holds up to N = 101."""
+    """Opt-in (pytest -m slow): the parabolic limit at its default distance holds up to N = 101."""
     assert main(verify_argv(*sector)) == 0, capsys.readouterr().err
 
 
@@ -435,7 +445,9 @@ def test_limits_default_distances_follow_the_charge(Z, capsys):
     assert main(argv) == 0, capsys.readouterr().err
     p = json.loads(capsys.readouterr().out)["payload"]
     assert float(p["spherical"]["a_small"]) == 1e-8 / float(Fraction(Z))
-    assert float(p["parabolic"]["a_large"]) == 1e8 / float(Fraction(Z))
+    # the same aZ at every charge: where the first-order correction is ten times the tol
+    aZ = spheroidal.parabolic_distance(interbasis.w_matrix(validate_sector(8, 0, 0, 0)))
+    assert math.isclose(float(p["parabolic"]["a_large"]) * float(Fraction(Z)), aZ, rel_tol=1e-12)
 
 
 def test_verify_trivial_sector():
@@ -595,11 +607,15 @@ def test_exact_commands_run_without_numpy(capsys):
     assert json.loads(run.stdout) == want
 
 
-def test_importing_the_cli_loads_no_float_module():
-    float_side = ("numpy", "micz9._backend", "micz9.spheroidal", "micz9.wavefield")
-    code = f"import sys, micz9.cli; print([m for m in {float_side} if m in sys.modules])"
+def test_importing_the_cli_loads_every_module_but_no_numpy():
+    # perfbench/tracer.py patches only the micz9 modules loaded when it installs, and the
+    # benchmark imports micz9.cli alone before that: all of micz9 must be loaded, numpy not
+    code = ("import sys, micz9.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('micz9', 'numpy'))))")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert run.returncode == 0 and run.stdout == "[]\n", run.stdout + run.stderr
+    files = pathlib.Path(micz9.__file__).parent.glob("*.py")
+    modules = sorted(["micz9"] + [f"micz9.{p.stem}" for p in files if p.stem != "__init__"])
+    assert run.returncode == 0 and run.stdout == f"{modules}\n", run.stdout + run.stderr
 
 
 def test_package_exports_only_the_cli_surface():
@@ -632,7 +648,8 @@ def test_cached_parser_matches_a_fresh_one(capsys):
 
 # ----------------------------------------------------------------------
 # argv fuzz: every argv ends in exit 0 with a record (CSV for a CSV sweep),
-# or in exit 2, 3 or 4 with a named error on stderr; never in exit 1, a
+# or in exit 2, 3 or 4 with a named error on stderr, or, for a verify whose
+# check fails, in exit 3 or 4 with a record naming it; never in exit 1, a
 # traceback or a warning.  Sizes stay small: n <= 5, at most 8 sweep points.
 # ----------------------------------------------------------------------
 
@@ -707,6 +724,10 @@ def test_every_argv_ends_in_a_record_or_a_named_error(argv):
             assert all(len([float(x) for x in row.split(",")]) == 4 for row in rows), argv
         else:
             assert json.loads(out)["command"] == argv[0], argv
+    elif argv[0] == "verify" and out:  # a failed check, named in the record: 4 if exact, else 3
+        failed = [c["name"] for c in json.loads(out)["payload"]["checks"] if not c["ok"]]
+        exact = any(name.endswith("_exact") for name in failed)
+        assert failed and code == (4 if exact else 3) and err == "", (argv, code, err)
     else:
         assert code in (2, 3, 4), (argv, code, err)
         named = re.match(r"[A-Z]\w+: ", err) or (code == 2 and err.startswith("usage: "))

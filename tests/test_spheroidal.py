@@ -19,12 +19,13 @@ from micz9.errors import (
     ValidationError,
 )
 from micz9.interbasis import w_matrix
-from micz9.sector import enumerate_sectors, validate_sector
+from micz9.sector import alpha_scale, enumerate_sectors, m9_parabolic_eigenvalue, validate_sector
 from micz9.spheroidal import (
     SymTridiagonal,
     build_k_matrix,
     check_parabolic_limit,
     check_spherical_limit,
+    parabolic_distance,
     separation_constants,
     sign_fix_columns,
     sweep_branches,
@@ -379,6 +380,27 @@ def test_parabolic_limit_examples():
         check_parabolic_limit(w_matrix(S1), twin)
     with pytest.raises(ValidationError):
         check_parabolic_limit(w_matrix(S1), separation_constants(S1, 100.0))
+
+
+@pytest.mark.parametrize("nQLJ, Z", [((1, 0, 0, 0), 1), ((4, 2, 1, 1), Fraction(2, 5)),
+                                     ((12, 0, 2, 2), 1), ((20, 0, 0, 0), 1000)])
+def test_parabolic_distance_keeps_the_first_order_terms_load_bearing(nQLJ, Z):
+    # at a fixed aZ = 1e8 both first-order terms were below the tol for N < 64, so a check
+    # without them passed too; at this distance each is larger than the tol, and the remainder
+    # of the check stays near (10 tol)^2
+    s = validate_sector(*nQLJ, Z)
+    W = w_matrix(s)
+    a = parabolic_distance(W)
+    assert a * float(Z) >= 1e4
+    spectrum = separation_constants(s, a)
+    rep = check_parabolic_limit(W, spectrum)
+    assert rep.max_set_error <= 1e-5 and rep.max_column_error <= 1e-5
+    w = W.to_float()
+    mu = [m9_parabolic_eigenvalue(s, n_p).fraction for n_p in range(s.size)]
+    lead = [-float(alpha_scale(s) / 2 * m) for m in mu]  # K/a to zeroth order
+    set_zeroth = np.abs(np.sort(spectrum.K / a) - np.sort(lead)).max() / float(Z)
+    column_zeroth = np.abs(spectrum.T - w[:, rep.branch_np]).max()
+    assert set_zeroth > 1e-4 and column_zeroth > 1e-4, (set_zeroth, column_zeroth)
 
 
 def test_limit_checks_reject_a_stack():

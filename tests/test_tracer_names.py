@@ -10,7 +10,10 @@ workload's sectors, so a wrong W fails the tests, not only the benchmark.
 """
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,33 @@ def test_tracer_wraps_every_named_function(capsys):
         assert after_verify[name] > 0, name
     counters = tracer.snapshot()["_counters"]
     assert counters["gauss_rule_builds"] > 0 and counters["overlap_nodes"] > 0
+
+
+# perfbench/run.py's order in a fresh interpreter: micz9 and micz9.cli, then the tracer installed
+_FRESH_TRACE = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("tracer", sys.argv[1])
+tracer_mod = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer_mod)
+import micz9
+from micz9 import cli
+tracer = tracer_mod.Tracer()
+tracer.install()
+code = cli.main(["verify", "--n", "1", "--Q", "0", "--L", "0", "--J", "0"])
+print(json.dumps([code, {name: stat.calls for name, stat in tracer.stats.items()}]))
+"""
+
+
+def test_tracer_reaches_the_float_layers_from_a_fresh_import_of_the_cli():
+    # the test above runs after other test modules have imported the float side
+    run = subprocess.run([sys.executable, "-c", _FRESH_TRACE, str(_PERFBENCH / "tracer.py")],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    code, calls = json.loads(run.stdout.splitlines()[-1])
+    assert code == 0
+    for name in ("tridiag_eigh", "laguerre", "jacobi", "separation_constants", "gauss_rule",
+                 "w_overlap_stable", "ode_residuals", "check_parabolic_limit"):
+        assert calls[name] > 0, name
 
 
 def test_verify_yields_the_benchmark_check_names_in_order():

@@ -402,10 +402,10 @@ def test_radial_residual_at_n_400_warns_of_no_discarded_degree():
         assert ode_residuals(validate_sector(399, 0, 0, 0), "radial", RPTS).max() <= 1e-8
 
 
-def test_ode_residuals_name_a_point_past_the_float_range():
+def test_ode_residuals_past_the_float_range_are_infinite():
     # alpha r ~ 1e59 overflowed P with a RuntimeWarning, and verify read "max residual nan"
-    with pytest.raises(DomainError, match="float range"):
-        ode_residuals(validate_sector(5, 2, 2, 2, 10**60), "radial", RPTS)
+    worst = ode_residuals(validate_sector(5, 2, 2, 2, 10**60), "radial", RPTS)
+    assert np.isinf(worst[0]) and (worst[1:] <= 1e-8).all()  # the lowest lambda overflows
 
 
 @pytest.mark.slow
