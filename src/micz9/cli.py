@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import coeffs, interbasis, sector, spheroidal, wavefield  # numpy loads where used
-from .errors import Micz9Error, ValidationError
+from .errors import InternalConsistencyError, Micz9Error, NumericalError, ValidationError
 
 SCHEMA_VERSION = "1"
 
@@ -59,7 +59,8 @@ def _render(x, pad: str = "") -> str:
     """json.dumps(x, indent=2), byte for byte, for dicts with str keys, lists and scalars.
 
     With an indent, json.dumps runs its pure-Python encoder; this does the
-    same layout in one recursive pass.  pad is the indent x is nested at.
+    same layout in one recursive pass.  pad is the indent x is nested at,
+    and a callable value, like _exact_text's, renders itself at its pad.
     """
     if isinstance(x, str):
         return _encode_str(x)
@@ -83,6 +84,8 @@ def _render(x, pad: str = "") -> str:
         return "false"
     if isinstance(x, int):
         return int.__repr__(x)
+    if callable(x):
+        return x(pad)
     raise TypeError(f"a record holds no {type(x).__name__}")
 
 
@@ -97,12 +100,21 @@ def _emit(command: str, s: sector.Sector, mode: str, payload: dict) -> None:
     sys.stdout.write(_render(record) + "\n")
 
 
-def _exact_matrix(mat) -> list:
-    return [[x.as_record() for x in row] for row in mat]
+def _exact_text(rows):
+    """An N x N exact matrix, a list of rows of (num, den, radicand), as a renderer for _render.
 
+    At a pad it returns the text of the list of {coeff, radicand} records,
+    coeff written like str(Fraction): one template, filled in one %-pass.
+    """
+    cells = [x for row in rows for n, d, f in row for x in (f"{n}/{d}" if d != 1 else n, f)]
 
-def _float_matrix(mat) -> list:
-    return _fmt_array(coeffs.matrix_to_float(mat)).tolist()
+    def render(pad: str) -> str:
+        i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
+        entry = f'{{\n{i3}"coeff": "%s",\n{i3}"radicand": "%s"\n{i2}}}'
+        row = "[\n" + i2 + (",\n" + i2).join([entry] * len(rows)) + "\n" + i1 + "]"
+        return ("[\n" + i1 + (",\n" + i1).join([row] * len(rows)) + "\n" + pad + "]") % tuple(cells)
+
+    return render
 
 
 def _require_finite(**flags) -> None:
@@ -144,10 +156,11 @@ def cmd_states(args) -> None:
 def cmd_wmatrix(args) -> None:
     s = _parse_sector(args)
     W = interbasis.w_matrix(s)
+    exact = args.mode == "exact"
     payload = {
         "row_index": "lambda_ascending",
         "col_index": "np_ascending",
-        "matrix": _exact_matrix(W.entries) if args.mode == "exact" else _float_matrix(W.entries),
+        "matrix": _exact_text(W.printed) if exact else _fmt_array(W.to_float()).tolist(),
     }
     _emit("wmatrix", s, args.mode, payload)
 
@@ -161,7 +174,9 @@ def cmd_m9(args) -> None:
     payload = {
         "row_index": "lambda_ascending",
         "col_index": "lambda_ascending",
-        "matrix": _exact_matrix(mat) if exact else _float_matrix(mat),
+        "matrix": _exact_text(
+            [[(x.coeff.numerator, x.coeff.denominator, x.radicand) for x in row] for row in mat]
+        ) if exact else _fmt_array(coeffs.matrix_to_float(mat)).tolist(),
         "trace": show(trace),
         "eigenvalues": [show(v.fraction) for v in coeffs.m9_eigenvalues(s)],
     }
@@ -353,7 +368,11 @@ def cmd_verify(args) -> int | None:
     failed = [c["name"] for c in checks if not c["ok"]]
     _emit("verify", s, "exact", {"ok": not failed, "checks": checks})
     if failed:  # a broken exact identity is an internal inconsistency
-        return 4 if any(name.endswith("_exact") for name in failed) else 3
+        exact = any(name.endswith("_exact") for name in failed)
+        error = InternalConsistencyError if exact else NumericalError
+        line = f"{error.__name__}: verify failed {' '.join(failed)}"
+        print(line if len(line) <= 200 else line[:197] + "...", file=sys.stderr)
+        return error.exit_code
     return None
 
 

@@ -16,7 +16,8 @@ two largest prime factors of the radicand; every radicand this package
 builds is a product or quotient of factorials and small integers, so its
 primes are O(n + Q + L + J).  A product of two canonical radicands a and
 b needs no factoring at all: with g = gcd(a, b), a*b = g*g * (a/g)*(b/g),
-and the last product is already squarefree.
+and the last product is already squarefree.  rational_root is the one root
+kernel, sqrt(p/r) = (s/q) sqrt(f) in integers, for RadicalScalar and W alike.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ def squarefree_split(n: int) -> tuple[int, int]:
     return s, f * n
 
 
+def rational_root(p: int, r: int) -> tuple[int, int, int]:
+    """(s, q, f) with sqrt(p/r) = (s/q) sqrt(f), s/q in lowest terms and f squarefree; p, r >= 1."""
+    s, f = squarefree_split(p * r)  # sqrt(p/r) = sqrt(p*r)/r
+    g = math.gcd(s, r)
+    return s // g, r // g, f
+
+
+def root_to_float(num: int, den: int, radicand: int) -> float:
+    """(num/den) sqrt(radicand) within 1 ulp, from one correctly rounded division and sqrt.
+
+    The division is int true division of num^2 radicand by den^2, correctly
+    rounded like float(Fraction) of the square and so bitwise the same.
+    """
+    mag = math.sqrt(num * num * radicand / (den * den))
+    return -mag if num < 0 else mag
+
+
 class RadicalScalar:
     """Exact value coeff*sqrt(radicand): coeff a Fraction, radicand a squarefree int.
 
@@ -69,9 +87,7 @@ class RadicalScalar:
             object.__setattr__(self, "coeff", Fraction(0))
             object.__setattr__(self, "radicand", 1)
             return
-        # sqrt(p/q) = sqrt(p*q)/q, then pull squares out of p*q
-        p, q = radicand.numerator, radicand.denominator
-        s, f = squarefree_split(p * q)
+        s, q, f = rational_root(radicand.numerator, radicand.denominator)
         object.__setattr__(self, "coeff", coeff * Fraction(s, q))
         object.__setattr__(self, "radicand", f)
 
@@ -183,17 +199,8 @@ class RadicalScalar:
         return hash((self.sign(), self.square()))
 
     def to_float(self) -> float:
-        """The value within 1 ulp, from one correctly rounded division and sqrt.
-
-        The division is int true division of c.num^2 r by c.den^2, correctly
-        rounded like float(self.square()) and so bitwise the same.
-        """
-        c = self.coeff
-        mag = math.sqrt(c.numerator * c.numerator * self.radicand / (c.denominator * c.denominator))
-        return -mag if self.coeff < 0 else mag
-
-    def as_record(self) -> dict:
-        return {"coeff": str(self.coeff), "radicand": str(self.radicand)}
+        """The value within 1 ulp, as root_to_float computes it."""
+        return root_to_float(self.coeff.numerator, self.coeff.denominator, self.radicand)
 
     def __str__(self):
         if self.is_rational:

@@ -7,10 +7,13 @@ the Horner numerators of a terminating 3F2 at unit argument, whose
 denominator depends on k alone.  A'(lambda) is the lambda-only factorial
 ratio of the radicand with that denominator, n_top!/(L+3)! and the row's
 content folded in; B(n_p) is the n_p-only ratio.  WMatrix keeps the
-factors next to the entries, which take one square root per row and one
-per column.  With mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal
-matrix, w_matrix proves W orthogonal on the factors in O(N^2) integer
-operations, with no W^T W sum:
+factors next to the printed entries: with one root per row and one per
+column, each entry is reduced once to the integers (num, den, f) of
+(num/den) sqrt(f) that the CLI prints, with no Fraction or RadicalScalar
+per entry; the roots and the floats are views built when read.  With
+mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal matrix, w_matrix
+proves W orthogonal on the factors in O(N^2) integer operations, with no
+W^T W sum:
 
 * M9 W = W diag(mu), divided by sqrt(A'_lambda) sqrt(B_p), is the
   three-term recurrence of C in lambda, whose couplings
@@ -37,7 +40,7 @@ from fractions import Fraction
 
 from . import coeffs
 from .errors import OrthogonalityViolation, RadicandMismatch
-from .exactscalar import RadicalScalar
+from .exactscalar import RadicalScalar, rational_root, root_to_float
 from .sector import Sector, lambda_index, lambda_range, np_index
 
 
@@ -111,15 +114,17 @@ def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
 class WMatrix:
     """Exact W: rows indexed by lambda ascending, columns by n_p ascending.
 
-    entries[i][p] is row_roots[i] * col_roots[p] * core[i][p], with the
-    roots sqrt(row_radicands) and sqrt(col_radicands): the factors
-    W = diag(sqrt A') C diag(sqrt B) that w_matrix built it from, C an
-    integer matrix.  The roots are derived from the radicands, so they
-    cannot disagree.
+    printed[i][p] is entry [i, p] as the integers (num, den, f) of
+    (num/den) sqrt(f), num/den in lowest terms, f squarefree and zero
+    (0, 1, 1): the form the CLI prints.  w_matrix reduced it from the
+    factors W = diag(sqrt A') C diag(sqrt B), C an integer matrix, kept
+    next to it.  The roots sqrt(row_radicands) and sqrt(col_radicands) and
+    the floats are views built on first read; the roots derive from the
+    radicands, so they cannot disagree.
     """
 
     sector: Sector
-    entries: tuple[tuple[RadicalScalar, ...], ...]
+    printed: tuple[tuple[tuple[int, int, int], ...], ...]
     row_radicands: tuple[Fraction, ...]
     core: tuple[tuple[int, ...], ...]
     col_radicands: tuple[Fraction, ...]
@@ -138,7 +143,8 @@ class WMatrix:
 
     @functools.cached_property
     def _float(self):
-        out = coeffs.matrix_to_float(self.entries)
+        import numpy as np
+        out = np.array([[root_to_float(*x) for x in row] for row in self.printed], dtype=np.float64)
         out.flags.writeable = False
         return out
 
@@ -211,33 +217,30 @@ def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> None:
 
 
 def w_matrix(s: Sector) -> WMatrix:
-    """All N^2 entries sqrt(A') C sqrt(B) of W, after _prove_orthogonal on A', C, B.
+    """W printed from its factors A', C, B, after _prove_orthogonal on them.
 
-    Each root is built once, sqrt(A'_i) = (s_i/q_i) sqrt(f_i) with f_i
-    squarefree, and likewise sqrt(B_p).  An entry is then one reduction, in
-    integers: coeff s_i s_p g C[i, p] / (q_i q_p) and radicand
-    (f_i/g)(f_p/g), g = gcd(f_i, f_p), which is already squarefree.
+    Each root is reduced once, sqrt(A'_i) = (s_i/q_i) sqrt(f_i) by
+    rational_root, and likewise sqrt(B_p).  An entry is then one reduction,
+    in integers: s_i s_p g C[i, p] / (q_i q_p) in lowest terms and the
+    radicand (f_i/g)(f_p/g), g = gcd(f_i, f_p), which is already squarefree.
     """
     row_rad, core, col_rad = _factors(s)
     _prove_orthogonal(s, row_rad, core, col_rad)
-    roots_a = tuple(map(RadicalScalar.sqrt, row_rad))
-    roots_b = tuple(map(RadicalScalar.sqrt, col_rad))
-    cols = [(x.coeff.numerator, x.coeff.denominator, x.radicand) for x in roots_b]
-    raw, zero = RadicalScalar._raw, RadicalScalar.zero()
-    entries = []
-    for root_a, core_row in zip(roots_a, core):
-        s_a, q_a, f_a = root_a.coeff.numerator, root_a.coeff.denominator, root_a.radicand
+    cols = [rational_root(x.numerator, x.denominator) for x in col_rad]
+    printed = []
+    for a, core_row in zip(row_rad, core):
+        s_a, q_a, f_a = rational_root(a.numerator, a.denominator)
         row = []
         for (s_b, q_b, f_b), c in zip(cols, core_row):
             if c:
                 g = math.gcd(f_a, f_b)
-                row.append(raw(Fraction(s_a * s_b * g * c, q_a * q_b), (f_a // g) * (f_b // g)))
+                num, den = s_a * s_b * g * c, q_a * q_b
+                h = math.gcd(num, den)
+                row.append((num // h, den // h, (f_a // g) * (f_b // g)))
             else:
-                row.append(zero)
-        entries.append(tuple(row))
-    W = WMatrix(s, tuple(entries), tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
-    W.__dict__.update(row_roots=roots_a, col_roots=roots_b)  # fill the caches with the roots built
-    return W
+                row.append((0, 1, 1))
+        printed.append(tuple(row))
+    return WMatrix(s, tuple(printed), tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
 
 
 def _cg_row(a2: int, b2: int, c2: int, g2: int) -> tuple[int, Fraction] | None:
@@ -296,11 +299,11 @@ def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
     Entry [lambda, n_p] is (-1)^(m-l-n_p) C^{l+3, h+3}_{a, alpha; b, beta},
     with h = (L+J)/2, a and b fixed by the sector and alpha, beta by n_p.
     The prefactor under the root is a row part times a column part, each
-    built once; only the Racah sum S couples them.  An entry agrees when
-    it has the sign of (-1)^(m-l-n_p) S and its square equals row part x
-    column part x S^2, compared in integers.  The oracle reads only the
-    printed entries, never the factors or the 3F2 they came from, and
-    returns [] for a correct W.
+    built once; only the Racah sum S couples them.  A printed entry
+    (num/den) sqrt(f) agrees when num has the sign of (-1)^(m-l-n_p) S and
+    num^2 f / den^2 equals row part x column part x S^2, in integers.  The
+    oracle reads only the printed entries, never the factors or the 3F2
+    they came from, and returns [] for a correct W.
     """
     s = W.sector
     # the CG arguments, doubled: a and b per sector, alpha and beta per n_p
@@ -311,16 +314,15 @@ def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
         for n_p in range(s.size)
     ]
     bad = []  # W's arguments meet every selection rule, so no part is None
-    for i, (lam, entries) in enumerate(zip(lambda_range(s), W.entries)):
+    for i, (lam, row) in enumerate(zip(lambda_range(s), W.printed)):
         x1, row_part = _cg_row(a2, b2, lam.twice + 6, g2)
         odd = (s.m.twice - lam.twice) // 2 % 2
-        for n_p, (x, (ints, column_part)) in enumerate(zip(entries, columns)):
+        for n_p, ((num, den, f), (ints, column_part)) in enumerate(zip(row, columns)):
             S = _racah_sum(x1, ints)
             want = S.numerator if (odd + n_p) % 2 == 0 else -S.numerator
-            sq = x.square()
-            ok = x.sign() == (want > 0) - (want < 0) and (
-                sq.numerator * row_part.denominator * S.denominator**2
-                == sq.denominator * row_part.numerator * column_part * S.numerator**2
+            ok = (num > 0) - (num < 0) == (want > 0) - (want < 0) and (
+                num * num * f * row_part.denominator * S.denominator**2
+                == den * den * row_part.numerator * column_part * S.numerator**2
             )
             if not ok:
                 bad.append((i, n_p))

@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,7 +37,8 @@ def report(num, name, ok, detail):
 def test_criterion_01_w_orthogonality_exact():
     zero = mz.RadicalScalar.zero()
     for s in SECTORS:
-        W = wmat(s).entries  # w_matrix itself raises on any deviation
+        # the printed entries; w_matrix itself raises on any deviation
+        W = [[mz.RadicalScalar(Fraction(a, b), f) for a, b, f in row] for row in wmat(s).printed]
         n = s.size
         for i in range(n):
             for j in range(i, n):

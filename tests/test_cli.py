@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import micz9
-from micz9 import coeffs, interbasis, spheroidal, wavefield
+from micz9 import cli, coeffs, interbasis, spheroidal, wavefield
 from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, _render, build_parser, main
 from micz9.exactscalar import RadicalScalar
 from micz9.sector import enumerate_sectors, validate_sector
@@ -279,9 +279,23 @@ def test_verify_exit_code_follows_failing_check(
 ):
     monkeypatch.setattr(module, name, lambda *args, **kw: wrong)
     assert main(["verify", *SECTOR[:-2]]) == code
-    rec = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    rec = json.loads(out)
     assert rec["payload"]["ok"] is False
     assert [c["name"] for c in rec["payload"]["checks"] if not c["ok"]] == [failing]
+    error = "InternalConsistencyError" if code == 4 else "NumericalError"
+    assert err == f"{error}: verify failed {failing}\n"
+
+
+def test_verify_failure_line_stays_short(monkeypatch, capsys):
+    # every check failing at once names more than 200 B of checks: the line is cut there
+    assert main(["verify", *SECTOR]) == 0
+    names = [c["name"] for c in json.loads(capsys.readouterr().out)["payload"]["checks"]]
+    monkeypatch.setattr(cli, "_verify_checks", lambda s: ((name, False, "") for name in names))
+    assert main(["verify", *SECTOR]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"InternalConsistencyError: verify failed {names[0]} {names[1]} ")
+    assert err.endswith("...\n") and len(err.encode()) == 201 and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("residual", [Fraction(1, 10**400), Fraction(10**400)])
@@ -572,6 +586,39 @@ def test_exact_sweep_output_is_pinned(capsys):
     assert digest.hexdigest() == SWEEP_EXACT_DIGEST
 
 
+def _records(rows) -> list:
+    return [[{"coeff": str(x.coeff), "radicand": str(x.radicand)} for x in row] for row in rows]
+
+
+def test_exact_matrices_print_as_json_dumps_of_their_records(capsys):
+    # the one entry template against json.dumps of records built here, entry by entry
+    sectors = [*enumerate_sectors(5, 4, 4),
+               validate_sector(20, 2, 0, 0), validate_sector(30, 3, 1, 4)]
+    for s in sectors:
+        flags = ["--n", str(s.n), "--Q", str(s.Q), "--L", str(s.L), "--J", str(s.J)]
+        W = interbasis.w_matrix(s)
+        entries = [[RadicalScalar(Fraction(n, d), f) for n, d, f in row] for row in W.printed]
+        for cmd, mat in (("wmatrix", entries), ("m9", coeffs.m9_spherical_matrix(s))):
+            assert main([cmd, "--mode", "exact", *flags]) == 0
+            out = capsys.readouterr().out
+            record = json.loads(out)
+            record["payload"]["matrix"] = _records(mat)
+            assert out == json.dumps(record, indent=2) + "\n", (cmd, s)
+
+
+def test_exact_w_is_printed_without_a_radical_scalar(monkeypatch, capsys):
+    # no entry, root or zero of W becomes an object on its way from the factors to stdout
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact wmatrix built a RadicalScalar")
+
+    monkeypatch.setattr(RadicalScalar, "__init__", refuse)
+    monkeypatch.setattr(RadicalScalar, "_raw", refuse)
+    (cmd, n, Q, L, J), digest = GOLDEN[0]
+    assert (cmd, n, Q, L, J) == ("wmatrix", "16", "0", "0", "0")
+    assert main([cmd, "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 # Runs argvs in a fresh interpreter where any import of numpy raises ImportError,
 # and prints each one's exit code and stdout digest.
 _NUMPY_FREE = """
@@ -649,8 +696,9 @@ def test_cached_parser_matches_a_fresh_one(capsys):
 # ----------------------------------------------------------------------
 # argv fuzz: every argv ends in exit 0 with a record (CSV for a CSV sweep),
 # or in exit 2, 3 or 4 with a named error on stderr, or, for a verify whose
-# check fails, in exit 3 or 4 with a record naming it; never in exit 1, a
-# traceback or a warning.  Sizes stay small: n <= 5, at most 8 sweep points.
+# check fails, in exit 3 or 4 with a record naming it and one line on stderr
+# naming the error class and the checks; never in exit 1, a traceback or a
+# warning.  Sizes stay small: n <= 5, at most 8 sweep points.
 # ----------------------------------------------------------------------
 
 def _mostly(valid, other):
@@ -724,10 +772,13 @@ def test_every_argv_ends_in_a_record_or_a_named_error(argv):
             assert all(len([float(x) for x in row.split(",")]) == 4 for row in rows), argv
         else:
             assert json.loads(out)["command"] == argv[0], argv
-    elif argv[0] == "verify" and out:  # a failed check, named in the record: 4 if exact, else 3
+    elif argv[0] == "verify" and out:  # a failed check, named in the record and on stderr
         failed = [c["name"] for c in json.loads(out)["payload"]["checks"] if not c["ok"]]
         exact = any(name.endswith("_exact") for name in failed)
-        assert failed and code == (4 if exact else 3) and err == "", (argv, code, err)
+        error = "InternalConsistencyError" if exact else "NumericalError"
+        assert failed and code == (4 if exact else 3), (argv, code, err)
+        line = f"{error}: verify failed {' '.join(failed)}"
+        assert err == line + "\n" and len(line.encode()) <= 200, (argv, err)
     else:
         assert code in (2, 3, 4), (argv, code, err)
         named = re.match(r"[A-Z]\w+: ", err) or (code == 2 and err.startswith("usage: "))

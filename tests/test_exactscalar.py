@@ -1,5 +1,6 @@
 """Exact radical arithmetic: closure, equality, rounding, serialization."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from micz9.errors import RadicandMismatch
-from micz9.exactscalar import RadicalScalar, squarefree_split
+from micz9.cli import _exact_text
+from micz9.exactscalar import RadicalScalar, rational_root, root_to_float, squarefree_split
 
 
 def R(c, d=1):
@@ -55,10 +57,28 @@ def test_canonical_forms():
 
 
 def test_serialization_roundtrip():
+    # the CLI's exact matrix writer prints each entry as a {coeff, radicand} record
     x = R("-3/7", "18/5")
-    rec = x.as_record()
+    text = _exact_text([[(x.coeff.numerator, x.coeff.denominator, x.radicand)]])("")
+    ((rec,),) = json.loads(text)
     assert set(rec) == {"coeff", "radicand"}
     assert RadicalScalar(Fraction(rec["coeff"]), Fraction(rec["radicand"])) == x
+
+
+def test_rational_root():
+    assert rational_root(18, 5) == (3, 5, 10)  # sqrt(18/5) = (3/5) sqrt(10)
+    assert rational_root(16, 2) == (2, 1, 2)  # s/q comes in lowest terms
+    for p in range(1, 60):
+        for r in range(1, 60):
+            s, q, f = rational_root(p, r)
+            assert Fraction(s * s * f, q * q) == Fraction(p, r) and math.gcd(s, q) == 1
+            assert squarefree_split(f) == (1, f), (p, r)
+
+
+def test_root_to_float_is_the_value_of_the_printed_integers():
+    assert root_to_float(-1, 2, 2) == -0.7071067811865476
+    assert root_to_float(0, 1, 1) == 0.0
+    assert root_to_float(3, 5, 10) == R(1, "18/5").to_float()
 
 
 def test_squarefree_split():

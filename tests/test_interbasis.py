@@ -38,6 +38,17 @@ S4211 = validate_sector(4, 2, 1, 1, 1)  # N = 5, with exact zeros in its core
 SQRT2_HALF = RadicalScalar(Fraction(1, 2), 2)
 
 
+def entries(W) -> list[list[RadicalScalar]]:
+    """W's printed (num, den, f) entries as RadicalScalar values, reduced anew."""
+    return [[RadicalScalar(Fraction(n, d), f) for n, d, f in row] for row in W.printed]
+
+
+def printed(rows) -> tuple:
+    """RadicalScalar rows in W's printed form."""
+    return tuple(tuple((x.coeff.numerator, x.coeff.denominator, x.radicand) for x in row)
+                 for row in rows)
+
+
 def test_w_coefficient_hand_values():
     assert w_coefficient(S0, 0, 0) == 1
     assert w_coefficient(S1, 0, 0) == SQRT2_HALF
@@ -51,12 +62,13 @@ def test_w_coefficient_hand_values():
 
 
 def test_w_matrix_examples():
-    assert w_matrix(S0).entries[0][0] == 1
+    assert w_matrix(S0).printed == (((1, 1, 1),),)
     W = w_matrix(S1)
-    assert W.entries[0][0] == SQRT2_HALF and W.entries[1][1] == -SQRT2_HALF
+    assert W.printed == (((1, 2, 2), (1, 2, 2)), ((1, 2, 2), (-1, 2, 2)))
+    assert entries(W)[0][0] == SQRT2_HALF and entries(W)[1][1] == -SQRT2_HALF
     # any 1x1 sector is +-1; the leading entry is always positive
     for s in (validate_sector(0, 2, 1, 1, 1), validate_sector(1, 0, 0, 2, 1)):
-        assert abs(w_matrix(s).entries[0][0].to_float()) == 1.0
+        assert abs(w_matrix(s).to_float()[0, 0]) == 1.0
 
 
 def test_w_first_row_positive():
@@ -66,12 +78,12 @@ def test_w_first_row_positive():
         W = w_matrix(s)
         assert all(isinstance(x, int) for row in W.core for x in row), s
         for n_p in range(s.size):
-            assert W.entries[0][n_p].sign() == 1
+            assert W.printed[0][n_p][0] > 0
 
 
 def test_orthogonality_exact_small_sweep():
     for s in enumerate_sectors(3, 3, 3):
-        W = w_matrix(s).entries  # construction proves W^T W = I, hence W W^T = I
+        W = entries(w_matrix(s))  # construction proves W^T W = I, hence W W^T = I
         n = len(W)
         for i in range(n):
             row = sum((W[i][k] * W[i][k] for k in range(n)), RadicalScalar.zero())
@@ -143,17 +155,21 @@ def test_errors_on_a_tampered_n_101_w_stay_short():
     big = RadicalScalar.sqrt(math.factorial(1000))
     assert len(str(big.radicand)) > 200  # printed in full, this alone would pass the bound
     with pytest.raises(RadicandMismatch) as err:
-        big + W.entries[94][80]
+        big + entries(W)[94][80]
     assert len(str(err.value).encode()) <= 200
 
 
 def test_to_float_is_bitwise_the_correctly_rounded_square_root():
     # the int division c.num^2 r / c.den^2 is float(Fraction) of the square, bit for bit
     for s in enumerate_sectors(5, 4, 4):
-        for x in (*(x for row in w_matrix(s).entries for x in row),
+        W = w_matrix(s)
+        for x in (*(x for row in entries(W) for x in row),
                   *(x for row in m9_spherical_matrix(s) for x in row)):
             mag = math.sqrt(float(x.square()))
             assert x.to_float().hex() == (-mag if x.coeff < 0 else mag).hex(), (s, x)
+        for (n, d, f), y in zip((x for row in W.printed for x in row), W.to_float().ravel()):
+            mag = math.sqrt(float(Fraction(n * n * f, d * d)))
+            assert y.hex() == (-mag if n < 0 else mag).hex(), (s, n, d, f)
 
 
 @pytest.mark.slow
@@ -171,11 +187,9 @@ def test_w_matrix_entries_are_w_coefficient():
     # the whole-matrix build and the one-entry read agree component by component; N = 19
     # adds large radicands, whose roots share big factors gcd(f_a, f_b) in one entry
     for s in [*enumerate_sectors(6, 4, 4), validate_sector(16, 4, 0, 0, 1)]:
-        W = w_matrix(s).entries
+        W = w_matrix(s).printed
         for i, lam in enumerate(lambda_range(s)):
-            for n_p in range(s.size):
-                one = w_coefficient(s, lam, n_p)
-                assert (W[i][n_p].coeff, W[i][n_p].radicand) == (one.coeff, one.radicand), s
+            assert W[i] == printed([[w_coefficient(s, lam, n_p) for n_p in range(s.size)]])[0], s
 
 
 def test_w_coefficient_matches_w_matrix_at_n_61():
@@ -183,10 +197,9 @@ def test_w_coefficient_matches_w_matrix_at_n_61():
     # w_coefficient keeps it out of the root: trial division on its square
     # would run to its largest prime, past 0.3 s at (8, 8), (12, 49) and (17, 18)
     s = validate_sector(60, 0, 0, 0, 1)
-    W, lams = w_matrix(s).entries, list(lambda_range(s))
+    W, lams = w_matrix(s).printed, list(lambda_range(s))
     for i, n_p in ((0, 0), (8, 8), (12, 49), (17, 18), (45, 17), (60, 59), (59, 60)):
-        one = w_coefficient(s, lams[i], n_p)
-        assert (W[i][n_p].coeff, W[i][n_p].radicand) == (one.coeff, one.radicand), (i, n_p)
+        assert W[i][n_p] == printed([[w_coefficient(s, lams[i], n_p)]])[0][0], (i, n_p)
 
 
 def clebsch_gordan(a, alpha, b, beta, c, gamma) -> RadicalScalar:
@@ -220,14 +233,14 @@ def test_w_via_cg_examples():
     assert w_via_cg(w_matrix(S0)) == []
     W = w_matrix(S1)
     by_hand = ((SQRT2_HALF, SQRT2_HALF), (SQRT2_HALF, -SQRT2_HALF))
-    assert w_via_cg(replace(W, entries=by_hand)) == []
+    assert w_via_cg(replace(W, printed=printed(by_hand))) == []
     flipped = ((SQRT2_HALF, SQRT2_HALF), (SQRT2_HALF, SQRT2_HALF))
-    assert w_via_cg(replace(W, entries=flipped)) == [(1, 1)]
+    assert w_via_cg(replace(W, printed=printed(flipped))) == [(1, 1)]
     W22 = w_matrix(S22)
     one_by_one = tuple(
         tuple(w_coefficient(S22, lam, n_p) for n_p in range(S22.size)) for lam in lambda_range(S22)
     )
-    assert w_via_cg(replace(W22, entries=one_by_one)) == []
+    assert w_via_cg(replace(W22, printed=printed(one_by_one))) == []
 
 
 def test_cg_oracle_full_sweep():
@@ -279,11 +292,11 @@ def test_w_float_is_built_once_and_read_only():
     W = w_matrix(S4211)
     F = W.to_float()
     assert W.to_float() is F and not F.flags.writeable
-    assert np.array_equal(F, matrix_to_float(W.entries))  # each entry within 1 ulp, as before
+    assert np.array_equal(F, matrix_to_float(entries(W)))  # each entry within 1 ulp, as before
 
 
 def _with_factors(W, *, row=None, core=None, col=None):
-    """Copy of W with some factors replaced; the entries stay."""
+    """Copy of W with some factors replaced; the printed entries stay."""
     return replace(
         W,
         row_radicands=W.row_radicands if row is None else tuple(row),
@@ -345,9 +358,9 @@ def test_factor_oracles_catch_a_tampered_column_radicand():
 
 def test_cg_oracle_reads_the_printed_entries_only():
     W = w_matrix(S4211)
-    entries = [list(row) for row in W.entries]
-    entries[1][1] = entries[1][1] * 2
-    assert w_via_cg(replace(W, entries=tuple(map(tuple, entries)))) == [(1, 1)]
+    rows = entries(W)
+    rows[1][1] = rows[1][1] * 2
+    assert w_via_cg(replace(W, printed=printed(rows))) == [(1, 1)]
     core = [list(row) for row in W.core]
     core[1][1] *= 2  # the factors are not what the CG form checks
     assert w_via_cg(_with_factors(W, core=core)) == []
