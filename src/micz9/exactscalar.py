@@ -134,13 +134,6 @@ class RadicalScalar:
     def square(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
 
-    def sign(self) -> int:
-        if self.coeff > 0:
-            return 1
-        if self.coeff < 0:
-            return -1
-        return 0
-
     def __mul__(self, other):
         if isinstance(other, RadicalScalar):
             if self.is_zero or other.is_zero:
@@ -188,15 +181,15 @@ class RadicalScalar:
     __radd__ = __add__
 
     def __eq__(self, other):
-        """Equal values: the same sign and the same square; int and Fraction compare too."""
+        """Equal values, so equal parts: every value is canonical; int and Fraction compare too."""
         if isinstance(other, (int, Fraction)):
             other = RadicalScalar.from_rational(other)
         if isinstance(other, RadicalScalar):
-            return self.sign() == other.sign() and self.square() == other.square()
+            return self.coeff == other.coeff and self.radicand == other.radicand
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.sign(), self.square()))
+        return hash(self.coeff if self.radicand == 1 else (self.coeff, self.radicand))  # int too
 
     def to_float(self) -> float:
         """The value within 1 ulp, as root_to_float computes it."""

@@ -22,9 +22,10 @@ W^T W sum:
   that makes W^T W diagonal;
 * the column norms sum_k A'_k C[k, p]^2 = 1/B_p make that diagonal I.
 
-The same residual, from the same kernel, is verify's w_recurrence_residual.
-m9_matrix_bruteforce sums W diag(mu) W^T = M9 on the factors, as
-C diag(B mu) C^T scaled by sqrt(A'_i A'_j).  Independently of the 3F2,
+W keeps that residual's rows and its roots from the proof: verify's
+w_recurrence_residual reports those rows, and m9_matrix_bruteforce sums
+W diag(mu) W^T = M9 on the factors, as C diag(B mu) C^T scaled by the
+kept roots sqrt(A'_i) sqrt(A'_j).  Independently of the 3F2,
 each printed entry must equal its single SU(2) Clebsch-Gordan form
 (Condon-Shortley/Varshalovich phases).  On W the CG prefactor splits into
 a part per row and a part per column, and only the Racah sum couples the
@@ -41,7 +42,7 @@ from fractions import Fraction
 from . import coeffs
 from .errors import OrthogonalityViolation, RadicandMismatch
 from .exactscalar import RadicalScalar, rational_root, root_to_float
-from .sector import Sector, lambda_index, lambda_range, np_index
+from .sector import Sector, alpha_scale, lambda_index, lambda_range, np_index
 
 
 def _row(s: Sector, lam) -> tuple[int, Fraction]:
@@ -118,9 +119,10 @@ class WMatrix:
     (num/den) sqrt(f), num/den in lowest terms, f squarefree and zero
     (0, 1, 1): the form the CLI prints.  w_matrix reduced it from the
     factors W = diag(sqrt A') C diag(sqrt B), C an integer matrix, kept
-    next to it.  The roots sqrt(row_radicands) and sqrt(col_radicands) and
-    the floats are views built on first read; the roots derive from the
-    radicands, so they cannot disagree.
+    next to it.  The roots sqrt(row_radicands) and sqrt(col_radicands), the
+    recurrence rows and the floats are views of the factors, built on first
+    read or kept from w_matrix's proof; a copy by dataclasses.replace keeps
+    none, so no view can disagree with the factors.
     """
 
     sector: Sector
@@ -134,12 +136,31 @@ class WMatrix:
         return self.sector.size
 
     @functools.cached_property
+    def _roots(self) -> tuple[tuple[int, int, int], ...]:
+        """(s, q, f) of each root (s/q) sqrt(f), rows then columns, from rational_root."""
+        return tuple(rational_root(x.numerator, x.denominator)
+                     for x in self.row_radicands + self.col_radicands)
+
+    @functools.cached_property
     def row_roots(self) -> tuple[RadicalScalar, ...]:
-        return tuple(map(RadicalScalar.sqrt, self.row_radicands))
+        return tuple(RadicalScalar._raw(Fraction(s, q), f) for s, q, f in self._roots[: self.size])
 
     @functools.cached_property
     def col_roots(self) -> tuple[RadicalScalar, ...]:
-        return tuple(map(RadicalScalar.sqrt, self.col_radicands))
+        return tuple(RadicalScalar._raw(Fraction(s, q), f) for s, q, f in self._roots[self.size :])
+
+    @functools.cached_property
+    def _recurrence(self) -> tuple[tuple[int, list[int]], ...]:
+        return tuple(_recurrence_rows(self.sector, self.row_radicands, self.core))
+
+    @functools.cached_property
+    def _parabolic_frame(self):
+        """Float W, G = W^T diag(lambda(lambda+7)) W and -(alpha/2) mu: spheroidal's a-free part."""
+        import numpy as np
+        s, w = self.sector, self.to_float()
+        lam = np.array([float(x.fraction * (x.fraction + 7)) for x in lambda_range(s)])
+        mu = np.array([m.twice for m in coeffs.m9_eigenvalues(s)]) / 2
+        return w, w.T @ (lam[:, None] * w), -float(alpha_scale(s) / 2) * mu  # alpha/2: sqrt(-2E)
 
     @functools.cached_property
     def _float(self):
@@ -193,27 +214,29 @@ def _recurrence_rows(s: Sector, row_rad, core):
         yield e, v
 
 
-def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> None:
+def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> tuple:
     """W^T W = I for W = diag(sqrt A') C diag(sqrt B), in O(N^2) integer operations.
 
     M9 is symmetric and its eigenvalues mu_p are distinct, so the zero
     residual M9 W = W diag(mu) makes (mu_q - mu_p) (W^T W)_pq = 0: W^T W is
     diagonal.  Its diagonal is B_p sum_k A'_k C[k, p]^2, so the column
     norms sum_k A'_k C[k, p]^2 = 1/B_p make it I.  The failed identity and
-    its position go into the OrthogonalityViolation.
+    its position go into the OrthogonalityViolation.  Returns the residual rows.
     """
     try:
-        for i, (_, v) in enumerate(_recurrence_rows(s, row_rad, core)):
-            p = next((p for p, x in enumerate(v) if x), None)
-            if p is not None:
-                raise OrthogonalityViolation(f"residual (M9 W - W diag mu)[{i},{p}] != 0 for {s}")
+        rows = tuple(_recurrence_rows(s, row_rad, core))
     except RadicandMismatch as exc:
         raise OrthogonalityViolation(f"residual: {exc}") from exc
+    for i, (_, v) in enumerate(rows):
+        p = next((p for p, x in enumerate(v) if x), None)
+        if p is not None:
+            raise OrthogonalityViolation(f"residual (M9 W - W diag mu)[{i},{p}] != 0 for {s}")
     den = math.lcm(*(x.denominator for x in row_rad))
     a = [x.numerator * (den // x.denominator) for x in row_rad]
     for p, (col, b) in enumerate(zip(zip(*core), col_rad)):
         if sum(x * c * c for x, c in zip(a, col)) * b.numerator != den * b.denominator:
             raise OrthogonalityViolation(f"norm (W^T W)[{p},{p}] != 1 for {s}")
+    return rows
 
 
 def w_matrix(s: Sector) -> WMatrix:
@@ -225,13 +248,12 @@ def w_matrix(s: Sector) -> WMatrix:
     radicand (f_i/g)(f_p/g), g = gcd(f_i, f_p), which is already squarefree.
     """
     row_rad, core, col_rad = _factors(s)
-    _prove_orthogonal(s, row_rad, core, col_rad)
-    cols = [rational_root(x.numerator, x.denominator) for x in col_rad]
+    rows = _prove_orthogonal(s, row_rad, core, col_rad)
+    roots = [rational_root(x.numerator, x.denominator) for x in row_rad + col_rad]
     printed = []
-    for a, core_row in zip(row_rad, core):
-        s_a, q_a, f_a = rational_root(a.numerator, a.denominator)
+    for (s_a, q_a, f_a), core_row in zip(roots, core):
         row = []
-        for (s_b, q_b, f_b), c in zip(cols, core_row):
+        for (s_b, q_b, f_b), c in zip(roots[s.size :], core_row):
             if c:
                 g = math.gcd(f_a, f_b)
                 num, den = s_a * s_b * g * c, q_a * q_b
@@ -240,7 +262,9 @@ def w_matrix(s: Sector) -> WMatrix:
             else:
                 row.append((0, 1, 1))
         printed.append(tuple(row))
-    return WMatrix(s, tuple(printed), tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
+    W = WMatrix(s, tuple(printed), tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
+    W.__dict__.update(_roots=tuple(roots), _recurrence=rows)  # the cached views, already built
+    return W
 
 
 def _cg_row(a2: int, b2: int, c2: int, g2: int) -> tuple[int, Fraction] | None:
@@ -334,11 +358,11 @@ def w_recurrence_residual(W: WMatrix) -> list[list[RadicalScalar]]:
 
     M9 is coeffs.m9_tridiagonal, so row lambda of the residual is the
     three-term recurrence of W in lambda at each n_p.  It is w_matrix's
-    own kernel, _recurrence_rows, on W's factors; each nonzero entry is
-    scaled back by sqrt(A'_lambda) sqrt(B_p).  Raises RadicandMismatch if
-    a coupling is irrational.
+    own kernel, _recurrence_rows, on W's factors (the rows its proof read,
+    on a W from w_matrix); each nonzero entry is scaled back by
+    sqrt(A'_lambda) sqrt(B_p).  Raises RadicandMismatch if a coupling is irrational.
     """
-    zero, rows = RadicalScalar.zero(), _recurrence_rows(W.sector, W.row_radicands, W.core)
+    zero, rows = RadicalScalar.zero(), W._recurrence
     return [
         [W.row_roots[i] * W.col_roots[p] * Fraction(x, e) if x else zero for p, x in enumerate(v)]
         for i, (e, v) in enumerate(rows)

@@ -45,7 +45,7 @@ from .errors import (
     ValidationError,
 )
 from .interbasis import WMatrix
-from .sector import Sector, _short, alpha_scale, m9_parabolic_eigenvalue
+from .sector import Sector, _short
 
 _SIGN_TOL = 1e-12
 
@@ -385,17 +385,13 @@ class ParabolicLimitReport:
 def _first_order(W: WMatrix, a: float):
     """Float W, G = W^T Lambda W, K/a to zeroth order, -(alpha/2) mu, and the gaps at a.
 
-    gaps[q, p] = a (alpha/2) (mu_p - mu_q), infinite on the diagonal.
+    gaps[q, p] = a (alpha/2) (mu_p - mu_q), infinite on the diagonal; the rest is W's, built once.
     """
     import numpy as np
-    s = W.sector
-    mu = np.array([m9_parabolic_eigenvalue(s, n_p).twice for n_p in range(s.size)]) / 2
-    lead = -float(alpha_scale(s) / 2) * mu  # alpha/2 = sqrt(-2E)
-    w = W.to_float()
-    lam = -_k_pencil(s)[0]  # Lambda = diag(lambda(lambda+7))
+    w, G, lead = W._parabolic_frame
     gaps = a * (lead[:, None] - lead[None, :])
     np.fill_diagonal(gaps, np.inf)
-    return w, w.T @ (lam[:, None] * w), lead, gaps
+    return w, G, lead, gaps
 
 
 def parabolic_distance(W: WMatrix, tol: float = 1e-4) -> float:

@@ -24,9 +24,10 @@ Each basis is evaluated once per sector: one polynomial ladder per family
 factorials, and each column multiplied in place in the closed form's
 order, skipping unit envelopes, so the columns are bitwise the one-state
 products.  The separated-equation residuals read the same ladder kernel
-with its two derivatives, evaluate every state of an equation in one
-pass, and never form the envelope: each equation is divided by it, so no
-power of the point underflows at large N.
+with its two derivatives and never form the envelope: each equation is
+divided by it, so no power of the point underflows at large N, and the
+radial and both parabolic equations then share one form, evaluated for
+every state of all three in one Laguerre pass.
 """
 
 from __future__ import annotations
@@ -333,23 +334,41 @@ def _over_envelope(hpsi, h2dpsi, h, P, P1, P2):
     return P, hpsi * P + hP1, (hpsi * hpsi + h2dpsi) * P + 2.0 * hpsi * hP1 + h * h * P2
 
 
-def _radial_terms(s: Sector, pts, Zf, E, alpha):
-    """Radial equation terms of every lambda, one row per state, times r^2 / (x^lambda e^{-x/2})."""
+def _laguerre_rows(s: Sector, names, Zf, E, alpha):
+    """Rows x/r, c1, cZ, cE, order, degree, nu, c0, cs; a column per state of each named equation.
+
+    Divided by its envelope x^nu e^{-x/2}, the radial equation (times r^2,
+    scaled by -2) and the parabolic u and v equations (times u or v) read
+    x^2 g'' + c1 x g' + (c0 + cZ r + cE r^2 + cs r) g, g = L_degree^(order)(x), cs r the M9 term.
+    """
     import numpy as np
-    ks = np.arange(s.size)
-    lam = ((s.L + s.J) / 2 + ks)[:, None]
-    x = alpha * pts
-    # P = L_{n_top-k}^{(2 lambda + 7)}(x): one run over every state's order, read at the state's
-    # own degree; the degrees past it may overflow, under ode_residuals' errstate, unread
-    ladders = _ladder(s.size - 1, (2 * lam + 7,), x, derivs=True)
-    P, P1, P2 = (rows[ks[::-1], ks] for rows in ladders)
-    g, xg1, x2g2 = _over_envelope(lam - x / 2, -lam, x, P, P1, P2)
-    return (
-        -0.5 * (x2g2 + 8.0 * xg1),
-        (lam * (lam + 7) / 2) * g,
-        -(Zf * pts) * g,
-        -(E * pts * pts) * g,
-    )
+    k, n_top = np.arange(s.size), s.size - 1
+    lam = (s.L + s.J) / 2 + k
+    sigma = (alpha / 4) * ((2 * s.n + s.Q - 2 * s.J - 4 * k) / 2)  # (alpha/4) mu at n_p = k
+    half = (alpha / 2, 4, Zf / 2, E / 2)
+    table = {
+        "radial": (alpha, 8, 2 * Zf, 2 * E, 2 * lam + 7, n_top - k, lam, -lam * (lam + 7), 0),
+        "parabolic_u": (*half, s.J + 3, k, s.J / 2, -s.J * (s.J + 6) / 4, -sigma),
+        "parabolic_v": (*half, s.L + 3, n_top - k, s.L / 2, -s.L * (s.L + 6) / 4, sigma),
+    }
+    rows = np.empty((9, len(names), s.size))
+    for i, w in enumerate(names):
+        for j, x in enumerate(table[w]):
+            rows[j, i] = x
+    return rows.reshape(9, -1)
+
+
+def _laguerre_terms(s: Sector, names, pts, Zf, E, alpha):
+    """Terms of the named radial and parabolic equations, a row per state of each; see above."""
+    import numpy as np
+    xr, c1, cZ, cE, order, degree, nu, c0, cs = _laguerre_rows(s, names, Zf, E, alpha)[..., None]
+    x = xr * pts
+    # one run over every state's order, read at the state's own degree; the degrees past it may
+    # overflow, under ode_residuals' errstate, unread
+    ladders = _ladder(s.size - 1, (order,), x, derivs=True)
+    P, P1, P2 = (rows[degree[:, 0].astype(int), np.arange(len(x))] for rows in ladders)
+    g, xg1, x2g2 = _over_envelope(nu - x / 2, -nu, x, P, P1, P2)
+    return x2g2, c1 * xg1, c0 * g, (cZ * pts) * g, (cE * pts * pts) * g, (cs * pts) * g
 
 
 def _angular_terms(s: Sector, c):
@@ -370,39 +389,17 @@ def _angular_terms(s: Sector, c):
     )
 
 
-def _parabolic_terms(s: Sector, which: str, pts, Zf, E, alpha):
-    """Parabolic u or v equation terms of every n_p, one row per state, times u / envelope."""
-    import numpy as np
-    n_top = s.size - 1
-    n_p = np.arange(s.size)
-    sigma = (alpha / 4) * ((2 * s.n + s.Q - 2 * s.J - 4 * n_p) / 2)  # (alpha/4) M9 eigenvalue
-    if which == "parabolic_u":
-        nu, ks, order, barrier, sig = s.J / 2, n_p, s.J + 3, s.J * (s.J + 6), -sigma
-    else:
-        nu, ks, order, barrier, sig = s.L / 2, n_top - n_p, s.L + 3, s.L * (s.L + 6), +sigma
-    x = alpha * pts / 2
-    P, P1, P2 = (rows[ks] for rows in _ladder(n_top, (order,), x, derivs=True))
-    g, xg1, x2g2 = _over_envelope(nu - x / 2, -nu, x, P, P1, P2)
-    return (
-        x2g2,
-        4.0 * xg1,
-        -(barrier / 4) * g,
-        (Zf / 2 * pts) * g,
-        (E / 2 * pts * pts) * g,
-        (sig[:, None] * pts) * g,
-    )
+def ode_residuals(s: Sector, which: str | tuple[str, ...], points) -> np.ndarray:
+    """Max relative residual of separated equations on interior points, per state.
 
-
-def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
-    """Max relative residual of one separated equation on interior points, per state.
-
-    which: "radial" or "angular" (one entry per lambda, ascending), or
-    "parabolic_u" or "parabolic_v" (one per n_p).  Each factor is an
-    envelope E (a power of x times e^{-x/2}, or (1-c)^(L/2) (1+c)^(J/2))
+    which: "radial" or "angular" (one entry per lambda, ascending),
+    "parabolic_u" or "parabolic_v" (one per n_p), or a tuple of all but
+    "angular", entries in its order from one Laguerre run.  Each factor is
+    an envelope E (a power of x times e^{-x/2}, or (1-c)^(L/2) (1+c)^(J/2))
     times a polynomial P; the equation is linear, so it is divided by E
     and multiplied by r^2, 1-c^2 or the parabolic point, and evaluated from
     P, P', P'' and E's log-derivative alone.  Each residual is scaled by the
-    largest participating term, which that positive factor leaves unchanged.
+    largest participating term, which a constant factor leaves unchanged.
     A state whose terms leave the float range (alpha r far out at a large
     charge) gets an infinite residual: the check fails, with no warning.
     """
@@ -411,17 +408,17 @@ def ode_residuals(s: Sector, which: str, points) -> np.ndarray:
     if pts.size == 0 or not np.isfinite(pts).all():
         raise DomainError("need one or more evaluation points, all finite")
     Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
-    if which == "angular":
+    names = tuple(which) if isinstance(which, (tuple, list)) else (which,)
+    if names == ("angular",):
         if np.any(np.abs(pts) >= 1):
             raise DomainError("angular points must satisfy |cos(theta)| < 1")
-    elif which not in ("radial", "parabolic_u", "parabolic_v"):
+    elif not names or not set(names) <= {"radial", "parabolic_u", "parabolic_v"}:
         raise ValidationError(f"unknown equation selector {which!r}")
     elif np.any(pts <= 0):
         raise DomainError(f"{which} points must be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf below
-        terms = (_angular_terms(s, pts) if which == "angular"
-                 else _radial_terms(s, pts, Zf, E, alpha) if which == "radial"
-                 else _parabolic_terms(s, which, pts, Zf, E, alpha))
+        terms = (_angular_terms(s, pts) if names == ("angular",)
+                 else _laguerre_terms(s, names, pts, Zf, E, alpha))
         scale = np.maximum.reduce([np.abs(t) for t in terms])
         rel = np.abs(sum(terms)) / np.maximum(scale, 1e-300)
     return np.where(np.isfinite(rel), rel, np.inf).max(axis=-1)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import micz9
-from micz9 import cli, coeffs, interbasis, spheroidal, wavefield
+from micz9 import _backend, cli, coeffs, exactscalar, interbasis, spheroidal, wavefield
 from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, _render, build_parser, main
 from micz9.exactscalar import RadicalScalar
 from micz9.sector import enumerate_sectors, validate_sector
@@ -216,6 +216,30 @@ def test_verify_builds_w_once(monkeypatch, capsys):
     assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
     assert calls == {"w_matrix": 1, "separation_constants": 1, "tridiag_eigh": 1,
                      "build_k_matrix": 1, "t_by_continuant": 1}
+
+
+def test_verify_does_each_sectors_shared_work_once(monkeypatch, capsys):
+    calls = dict.fromkeys(["laguerre", "_recurrence_rows", "frame", "squarefree_split"], 0)
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for module, name in [(_backend, "laguerre"), (interbasis, "_recurrence_rows"),
+                         (exactscalar, "squarefree_split")]:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    frame = vars(interbasis.WMatrix)["_parabolic_frame"]  # built on W's first read
+    monkeypatch.setattr(frame, "func", counted("frame", frame.func))
+    assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
+    # three runs for the quadrature and three for the radial and both parabolic equations
+    # together, not three each
+    assert calls["laguerre"] == 6
+    assert calls["_recurrence_rows"] == 1  # w_recurrence_exact reads the rows of W's proof
+    assert calls["frame"] == 1  # one parabolic first-order frame for both limit routines
+    # 9 row and 9 column roots in w_matrix and M9's 8 couplings; the brute force reads W's roots
+    assert calls["squarefree_split"] == 26
 
 
 def test_verify_evaluates_m9_once(monkeypatch, capsys):

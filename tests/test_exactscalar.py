@@ -17,6 +17,10 @@ def R(c, d=1):
     return RadicalScalar(Fraction(c), Fraction(d))
 
 
+def _sign(x: RadicalScalar) -> int:
+    return (x.coeff > 0) - (x.coeff < 0)
+
+
 def test_mul_examples():
     assert R("1/2", 2) * R("1/2", 2) == Fraction(1, 2)
     assert R(3, "1/9") * R(1) == 1
@@ -124,7 +128,7 @@ def test_multiplicative_closure(c1, d1, c2, d2):
     z = x * y
     assert isinstance(z, RadicalScalar)
     assert z.square() == x.square() * y.square()
-    assert z.sign() == x.sign() * y.sign()
+    assert _sign(z) == _sign(x) * _sign(y)
     # the gcd product rule gives the same canonical form as a full reduction
     direct = RadicalScalar(c1 * c2, d1 * d2)
     assert (z.coeff, z.radicand) == (direct.coeff, direct.radicand)
@@ -157,3 +161,29 @@ def test_eq_matches_floats(c1, d1, c2, d2):
         assert x != y
     if x == y:  # the same sign and square: the same correctly rounded float
         assert fx == fy
+
+
+def _old_eq(x, y) -> bool:
+    """The rule == used before it compared canonical parts: the same sign and the same square."""
+    y = y if isinstance(y, RadicalScalar) else RadicalScalar.from_rational(y)
+    return _sign(x) == _sign(y) and x.square() == y.square()
+
+
+_values = st.builds(RadicalScalar, rationals, small_nonneg)
+# products and sums of constructed values, on a shared radicand so every sum is defined
+_derived = st.one_of(
+    _values,
+    st.builds(lambda x, y: x * y, _values, _values),
+    st.builds(lambda a, b, d: RadicalScalar(a, d) + RadicalScalar(b, d),
+              rationals, rationals, small_nonneg),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_derived, y=st.one_of(_derived, rationals, st.integers(-50, 50)))
+def test_eq_on_canonical_parts_is_the_sign_and_square_rule(x, y):
+    assert (x == y) == _old_eq(x, y)
+    assert (y == x) == _old_eq(x, y)
+    if x == y:  # equal values hash equal, an int or a Fraction among them
+        assert hash(x) == hash(y)
+    assert x == x * 1 and x == RadicalScalar(x.coeff, x.radicand)

@@ -22,6 +22,7 @@ from micz9.interbasis import (
     _factors,
     _prove_orthogonal,
     _racah_sum,
+    _recurrence_rows,
     m9_matrix_bruteforce,
     w_coefficient,
     w_matrix,
@@ -306,16 +307,25 @@ def _with_factors(W, *, row=None, core=None, col=None):
 
 
 def test_w_roots_follow_the_radicands():
-    W = w_matrix(S4211)
+    W = w_matrix(S4211)  # its roots and recurrence rows are the ones w_matrix's proof computed
     assert W.row_roots == tuple(map(RadicalScalar.sqrt, W.row_radicands))
     assert W.col_roots == tuple(map(RadicalScalar.sqrt, W.col_radicands))
+    assert W._recurrence == tuple(_recurrence_rows(S4211, W.row_radicands, W.core))
+    assert not any(x for _, v in W._recurrence for x in v)
     row = list(W.row_radicands)
     row[1] *= 2
-    assert _with_factors(W, row=row).row_roots[1] == RadicalScalar.sqrt(row[1])
+    assert _with_factors(W, row=row).row_roots[1] == RadicalScalar.sqrt(row[1]) != W.row_roots[1]
+    row[1] *= 2  # 4 A: every coupling is rational, so the copy has recurrence rows of its own
+    tampered = _with_factors(W, row=row)
+    assert tampered._recurrence == tuple(_recurrence_rows(S4211, row, W.core)) != W._recurrence
+    core = [list(r) for r in W.core]
+    core[1][1] *= 2
+    tampered = _with_factors(W, core=core)
+    assert tampered._recurrence == tuple(_recurrence_rows(S4211, W.row_radicands, core))
+    assert tampered._recurrence != W._recurrence and tampered.row_roots == W.row_roots
 
 
-def _flags(W) -> tuple[bool, bool]:
-    """Whether the recurrence and the equivalence oracle each reject W."""
+def _flags_of(W) -> tuple[bool, bool]:
     try:
         recurrence = any(not x.is_zero for row in w_recurrence_residual(W) for x in row)
     except InternalConsistencyError:  # an irrational coupling on the core
@@ -323,6 +333,18 @@ def _flags(W) -> tuple[bool, bool]:
     closed, brute = m9_spherical_matrix(W.sector), m9_matrix_bruteforce(W)
     n = W.size
     return recurrence, any(brute[i][j] != closed[i][j] for i in range(n) for j in range(n))
+
+
+def _flags(W) -> tuple[bool, bool]:
+    """Whether the recurrence and the equivalence oracle each reject W.
+
+    A copy by dataclasses.replace keeps none of the views w_matrix filled
+    in, so the oracles rebuild its roots and recurrence rows from the
+    factors; on W they must reach the same verdicts.
+    """
+    flags = _flags_of(W)
+    assert _flags_of(replace(W)) == flags
+    return flags
 
 
 def test_factor_oracles_pass_the_untampered_w():

@@ -9,15 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from micz9 import _backend
+from micz9 import _backend, wavefield
 from micz9.errors import ConvergenceFailure, DomainError, ValidationError
 from micz9.interbasis import w_matrix
 from micz9.sector import alpha_scale, energy, enumerate_sectors, lambda_range, validate_sector
 from micz9.wavefield import (
     _basis_factors,
     _ladder,
+    _laguerre_terms,
     _over_envelope,
-    _radial_terms,
     basis_overlap,
     gauss_rule,
     ode_residuals,
@@ -359,7 +359,7 @@ def test_radial_residual_holds_at_large_n():
 
 
 def _ref_radial_terms(s, pts):
-    """The radial terms as they were evaluated before: three ladders per state, top rows read."""
+    """The radial terms from three ladders per state, top rows read, in the shared form (x -2)."""
     Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
     lam = ((s.L + s.J) / 2 + np.arange(s.size))[:, None]
     x = alpha * pts
@@ -367,15 +367,51 @@ def _ref_radial_terms(s, pts):
             for k, lk in enumerate(lam[:, 0])]
     P, P1, P2 = np.array(tops).transpose(1, 0, 2)
     g, xg1, x2g2 = _over_envelope(lam - x / 2, -lam, x, P, P1, P2)
-    return -0.5 * (x2g2 + 8.0 * xg1), (lam * (lam + 7) / 2) * g, -(Zf * pts) * g, -(E * pts * pts) * g
+    return (x2g2, 8.0 * xg1, -lam * (lam + 7) * g, (2 * Zf * pts) * g, (2 * E * pts * pts) * g,
+            (0.0 * pts) * g)
 
 
 def test_radial_terms_equal_the_per_state_ladders_bitwise():
     large = [validate_sector(150, 3, 1, 2), validate_sector(299, 2, 0, 2)]
     for s in [*enumerate_sectors(3, 3, 3), *large]:
         Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
-        for got, want in zip(_radial_terms(s, RPTS, Zf, E, alpha), _ref_radial_terms(s, RPTS)):
+        got = _laguerre_terms(s, ("radial",), RPTS, Zf, E, alpha)
+        for got, want in zip(got, _ref_radial_terms(s, RPTS)):
             assert np.array_equal(got, want), s
+
+
+_LAGUERRE = ("radial", "parabolic_u", "parabolic_v")
+
+
+def test_one_run_for_three_equations_gives_each_equations_residuals_bitwise():
+    for s in [*enumerate_sectors(3, 3, 3), validate_sector(150, 3, 1, 2)]:
+        each = [ode_residuals(s, which, RPTS) for which in _LAGUERRE]
+        assert np.array_equal(ode_residuals(s, _LAGUERRE, RPTS), np.concatenate(each)), s
+        assert np.array_equal(ode_residuals(s, ["parabolic_v", "radial"], RPTS),
+                              np.concatenate(each[::-2])), s
+    for bad in [(), ("radial", "angular"), ("radial", "azimuthal")]:
+        with pytest.raises(ValidationError):
+            ode_residuals(S1, bad, RPTS)
+
+
+# rows of wavefield._laguerre_rows that multiply a term of the equation
+_COEFFICIENT_ROWS = {"c1": 1, "cZ": 2, "cE": 3, "c0": 7, "c_sigma": 8}
+
+
+@pytest.mark.parametrize("coefficient", list(_COEFFICIENT_ROWS))
+@pytest.mark.parametrize("which", _LAGUERRE)
+def test_a_wrong_coefficient_fails_its_equation(monkeypatch, which, coefficient):
+    # the shared builder keeps every term of each equation: one wrong value shows on every sector
+    original = wavefield._laguerre_rows
+
+    def wrong(*args):
+        rows = original(*args)
+        rows[_COEFFICIENT_ROWS[coefficient]] += 0.5
+        return rows
+
+    monkeypatch.setattr(wavefield, "_laguerre_rows", wrong)
+    for s in enumerate_sectors(3, 3, 3):
+        assert ode_residuals(s, which, RPTS).max() > 1e-8, s
 
 
 def test_radial_residual_runs_one_ladder_set_at_any_n(monkeypatch):
