@@ -55,9 +55,9 @@ def tridiag_eigh(d, e):
     and then comes back unbatched: w (N,) and V (N, N).
 
     The vectors come from LAPACK's dense symmetric solver; the eigenvalues
-    are their Rayleigh quotients w_k = v_k^T T v_k, re-sorted stably.  A
-    non-finite entry raises ValidationError, and a LAPACK failure to
-    converge raises ConvergenceFailure.
+    are their Rayleigh quotients w_k = v_k^T T v_k, re-sorted stably.  Other
+    shapes or a non-finite entry raise ValidationError, and a LAPACK
+    failure to converge raises ConvergenceFailure.
     """
     import numpy as np
     d = np.asarray(d, dtype=np.float64)
@@ -66,7 +66,7 @@ def tridiag_eigh(d, e):
     if single:
         d, e = d[None], e[None]
     if d.ndim != 2 or d.shape[1] == 0 or e.shape != (d.shape[0], d.shape[1] - 1):
-        raise ValueError("need diagonals of shape (P, N) and couplings of shape (P, N-1)")
+        raise ValidationError("need diagonals of shape (P, N) and couplings of shape (P, N-1)")
     for name, x in (("diagonal", d), ("coupling", e)):
         bad = ~np.isfinite(x)
         if bad.any():

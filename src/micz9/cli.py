@@ -141,14 +141,13 @@ def _parse_sector(args) -> sector.Sector:
 def cmd_states(args) -> None:
     s = _parse_sector(args)
     show = str if args.mode == "exact" else _fmt
-    m9s = [sector.m9_parabolic_eigenvalue(s, n_p) for n_p in sector.np_range(s)]
     payload = {
         "N": s.size,
         "lambda_range": [show(l.fraction) for l in sector.lambda_range(s)],
         "np_range": sector.np_range(s),
         "energy": show(sector.energy(s)),
         "alpha": show(sector.alpha_scale(s)),
-        "m9_eigenvalues": [show(v.fraction) for v in m9s],
+        "m9_eigenvalues": [show(v.fraction) for v in coeffs.m9_eigenvalues(s)],
     }
     _emit("states", s, args.mode, payload)
 
@@ -168,16 +167,13 @@ def cmd_wmatrix(args) -> None:
 def cmd_m9(args) -> None:
     s = _parse_sector(args)
     mat = coeffs.m9_spherical_matrix(s)
-    trace = sum((row[i].as_rational() for i, row in enumerate(mat)), Fraction(0))
     exact = args.mode == "exact"
     show = str if exact else _fmt
     payload = {
         "row_index": "lambda_ascending",
         "col_index": "lambda_ascending",
-        "matrix": _exact_text(
-            [[(x.coeff.numerator, x.coeff.denominator, x.radicand) for x in row] for row in mat]
-        ) if exact else _fmt_array(coeffs.matrix_to_float(mat)).tolist(),
-        "trace": show(trace),
+        "matrix": _exact_text(mat) if exact else _fmt_array(coeffs.matrix_to_float(mat)).tolist(),
+        "trace": show(sum(coeffs.m9_tridiagonal(s)[0], Fraction(0))),
         "eigenvalues": [show(v.fraction) for v in coeffs.m9_eigenvalues(s)],
     }
     _emit("m9", s, args.mode, payload)
@@ -305,8 +301,7 @@ def _verify_checks(s: sector.Sector):
     yield "w_recurrence_exact", worst == 0, f"max residual {_fmt_root(worst)}"
 
     closed = coeffs.m9_spherical_matrix(s)
-    brute = interbasis.m9_matrix_bruteforce(W)
-    same = all(closed[i][j] == brute[i][j] for i in range(n) for j in range(n))
+    same = closed == interbasis.m9_matrix_bruteforce(W)
     yield "m9_equivalence_exact", same, "closed form equals brute force"
 
     float_eigs = np.sort(np.linalg.eigvalsh(coeffs.matrix_to_float(closed)))
@@ -323,11 +318,10 @@ def _verify_checks(s: sector.Sector):
     qworst = float(np.abs(wavefield.w_overlap_stable(s) - W.to_float()).max())
     yield "quadrature_overlap", qworst <= 1e-8, f"max |quad - exact| {_fmt(qworst)}"
 
-    # one batch: the eigenproblem at 4 distances, the continuant at 6, then both limits
-    solved = spheroidal.separation_constants(
-        s, [0.1, 1.0, 10.0, 100.0, *np.logspace(-2, 3, 6), *_limit_distances(W)]
-    )
-    eig = solved[:4]
+    # one batch: the continuant at 6 distances, whose middle 4 are the eigenproblem's
+    # 0.1, 1, 10 and 100 bit for bit, then both limits
+    solved = spheroidal.separation_constants(s, [*np.logspace(-2, 3, 6), *_limit_distances(W)])
+    eig = solved[1:5]
     mat, K, T = eig.matrix, eig.K, eig.T
     resid = np.abs(mat.matvec(T) - T * K[:, None, :]).max(axis=(1, 2))
     worst_resid = float((resid / np.maximum(mat.norm(), 1e-300)).max())
@@ -337,16 +331,16 @@ def _verify_checks(s: sector.Sector):
         f"relative residual {_fmt(worst_resid)}, orthogonality {_fmt(worst_ortho)}"
     )
 
-    cont = solved[4:10]
+    cont = solved[:6]
     cont_worst = float(np.abs(spheroidal.t_by_continuant(cont.matrix, cont.K) - cont.T).max())
     yield "continuant_agreement", cont_worst <= 1e-8, f"max column diff {_fmt(cont_worst)}"
 
-    sph = spheroidal.check_spherical_limit(solved[10])  # raises LimitMismatch
+    sph = spheroidal.check_spherical_limit(solved[6])  # raises LimitMismatch
     yield "spherical_limit", True, (
         f"value error {_fmt(sph.max_value_error)}, vector error {_fmt(sph.max_vector_error)}"
     )
 
-    par = spheroidal.check_parabolic_limit(W, solved[11])
+    par = spheroidal.check_parabolic_limit(W, solved[7])
     yield "parabolic_limit", True, (
         f"set error {_fmt(par.max_set_error)}, column error {_fmt(par.max_column_error)}"
     )

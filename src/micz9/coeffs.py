@@ -4,15 +4,15 @@ The coupling between adjacent angular blocks and the diagonal of the
 ninth Runge-Lenz component M9 in the spherical basis come from closed
 forms in the integers (n, Q, L, J, 2 lambda).  m9_tridiagonal evaluates them
 once per sector into one cached rational tridiagonal, from which every reader
-derives its M9: m9_spherical_matrix is its exact view with radical
-couplings, and k_pencil scales it into the exact pencil of K(a) =
--Lambda - a (alpha/2) M9, with Lambda = diag(lambda(lambda+7)) and
-alpha/2 = 2Z/(2n+Q+8).  There a and Z only ever enter through the
-product aZ, and spheroidal rounds the pencil once per (sector, Z) into
-the float pencil from which both its dense-eigensolver and its
-continuant routes build K(a) with one multiply-add per entry.  Matrices
-here are indexed by lambda ascending (rows and columns), which is also
-recorded in the CLI output metadata.
+derives its M9: m9_spherical_matrix is its exact view in W's printed form,
+rows of integers (num, den, f) of (num/den) sqrt(f), and k_pencil scales
+it into the exact pencil of K(a) = -Lambda - a (alpha/2) M9, with
+Lambda = diag(lambda(lambda+7)) and alpha/2 = 2Z/(2n+Q+8).  There a and
+Z only ever enter through the product aZ, and spheroidal rounds the
+pencil once per (sector, Z) into the float pencil from which both its
+dense-eigensolver and its continuant routes build K(a) with one
+multiply-add per entry.  Matrices here are indexed by lambda ascending
+(rows and columns), which is also recorded in the CLI output metadata.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import functools
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactscalar import RadicalScalar
+from .exactscalar import RadicalScalar, rational_root, root_to_float
 from .sector import HalfInt, Sector, lambda_index, lambda_range, m9_parabolic_eigenvalue
 
 
@@ -115,21 +115,23 @@ def k_offdiag(s: Sector, lam, aZ) -> RadicalScalar:
     return _focal(s, aZ) * m9_offdiag(s, lam)
 
 
-def m9_spherical_matrix(s: Sector) -> list[list[RadicalScalar]]:
+def m9_spherical_matrix(s: Sector) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     """N x N symmetric tridiagonal matrix of the ninth Runge-Lenz component.
 
-    The exact view of m9_tridiagonal: rows and columns indexed by lambda
-    ascending, the off-diagonal entry between positions i and i+1 is B at
-    the larger lambda.
+    The exact view of m9_tridiagonal in W's printed form: entry [i, j] is
+    the integers (num, den, f) of (num/den) sqrt(f), num/den in lowest
+    terms, f squarefree and zero (0, 1, 1).  Rows and columns are indexed
+    by lambda ascending; a diagonal entry is (num, den, 1), and the entry
+    between positions i and i+1 is the root B at the larger lambda.
     """
     diag, coupling_sq = m9_tridiagonal(s)
     n = len(diag)
-    mat = [[RadicalScalar.zero()] * n for _ in range(n)]
+    mat = [[(0, 1, 1)] * n for _ in range(n)]
     for i, x in enumerate(diag):
-        mat[i][i] = RadicalScalar.from_rational(x)
-    for i, b_sq in enumerate(coupling_sq):
-        mat[i][i + 1] = mat[i + 1][i] = RadicalScalar.sqrt(b_sq)
-    return mat
+        mat[i][i] = (x.numerator, x.denominator, 1)
+    for i, b_sq in enumerate(coupling_sq):  # B > 0 on the interior of the ladder
+        mat[i][i + 1] = mat[i + 1][i] = rational_root(b_sq.numerator, b_sq.denominator)
+    return tuple(map(tuple, mat))
 
 
 def m9_eigenvalues(s: Sector) -> list[HalfInt]:
@@ -137,6 +139,7 @@ def m9_eigenvalues(s: Sector) -> list[HalfInt]:
     return [m9_parabolic_eigenvalue(s, n_p) for n_p in range(s.size)]
 
 
-def matrix_to_float(mat: list[list[RadicalScalar]]):
+def matrix_to_float(rows):
+    """Rows of (num, den, f) as a float64 array, each entry within 1 ulp by root_to_float."""
     import numpy as np
-    return np.array([[x.to_float() for x in row] for row in mat], dtype=np.float64)
+    return np.array([[root_to_float(*x) for x in row] for row in rows], dtype=np.float64)

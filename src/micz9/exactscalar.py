@@ -126,11 +126,6 @@ class RadicalScalar:
     def is_rational(self) -> bool:
         return self.radicand == 1
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.coeff
-
     def square(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
 

@@ -6,14 +6,16 @@ W = diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C holds
 the Horner numerators of a terminating 3F2 at unit argument, whose
 denominator depends on k alone.  A'(lambda) is the lambda-only factorial
 ratio of the radicand with that denominator, n_top!/(L+3)! and the row's
-content folded in; B(n_p) is the n_p-only ratio.  WMatrix keeps the
-factors next to the printed entries: with one root per row and one per
-column, each entry is reduced once to the integers (num, den, f) of
+content folded in; B(n_p) is the n_p-only ratio.  Every exact matrix
+here is held in W's printed form, rows of the integers (num, den, f) of
 (num/den) sqrt(f) that the CLI prints, with no Fraction or RadicalScalar
-per entry; the roots and the floats are views built when read.  With
-mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal matrix, w_matrix
-proves W orthogonal on the factors in O(N^2) integer operations, with no
-W^T W sum:
+per entry: _printed_entries reduces a row root times a column root times
+an integer over a per-row denominator, one gcd per entry, for W, the
+brute-force M9 and the recurrence residual alike.  WMatrix keeps the
+factors next to the printed entries; its roots and floats are views built
+when read.  With mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal
+matrix, w_matrix proves W orthogonal on the factors in O(N^2) integer
+operations, with no W^T W sum:
 
 * M9 W = W diag(mu), divided by sqrt(A'_lambda) sqrt(B_p), is the
   three-term recurrence of C in lambda, whose couplings
@@ -25,11 +27,13 @@ W^T W sum:
 W keeps that residual's rows and its roots from the proof: verify's
 w_recurrence_residual reports those rows, and m9_matrix_bruteforce sums
 W diag(mu) W^T = M9 on the factors, as C diag(B mu) C^T scaled by the
-kept roots sqrt(A'_i) sqrt(A'_j).  Independently of the 3F2,
-each printed entry must equal its single SU(2) Clebsch-Gordan form
-(Condon-Shortley/Varshalovich phases).  On W the CG prefactor splits into
-a part per row and a part per column, and only the Racah sum couples the
-two; w_via_cg builds each part once and sums each Racah series in integers.
+kept roots sqrt(A'_i) sqrt(A'_j), into the printed form that
+coeffs.m9_spherical_matrix gives, so the two compare with one ==.
+Independently of the 3F2, each printed entry must equal its single SU(2)
+Clebsch-Gordan form (Condon-Shortley/Varshalovich phases).  On W the CG
+prefactor splits into a part per row and a part per column, and only the
+Racah sum couples the two; w_via_cg builds each part once and sums each
+Racah series in integers.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from fractions import Fraction
 
 from . import coeffs
 from .errors import OrthogonalityViolation, RadicandMismatch
-from .exactscalar import RadicalScalar, rational_root, root_to_float
+from .exactscalar import RadicalScalar, rational_root
 from .sector import Sector, alpha_scale, lambda_index, lambda_range, np_index
 
 
@@ -119,10 +123,11 @@ class WMatrix:
     (num/den) sqrt(f), num/den in lowest terms, f squarefree and zero
     (0, 1, 1): the form the CLI prints.  w_matrix reduced it from the
     factors W = diag(sqrt A') C diag(sqrt B), C an integer matrix, kept
-    next to it.  The roots sqrt(row_radicands) and sqrt(col_radicands), the
-    recurrence rows and the floats are views of the factors, built on first
-    read or kept from w_matrix's proof; a copy by dataclasses.replace keeps
-    none, so no view can disagree with the factors.
+    next to it.  The roots (s, q, f) of sqrt(row_radicands) and
+    sqrt(col_radicands), the recurrence rows and the floats are views of
+    the factors, built on first read or kept from w_matrix's proof; a copy
+    by dataclasses.replace keeps none, so no view can disagree with the
+    factors.
     """
 
     sector: Sector
@@ -142,14 +147,6 @@ class WMatrix:
                      for x in self.row_radicands + self.col_radicands)
 
     @functools.cached_property
-    def row_roots(self) -> tuple[RadicalScalar, ...]:
-        return tuple(RadicalScalar._raw(Fraction(s, q), f) for s, q, f in self._roots[: self.size])
-
-    @functools.cached_property
-    def col_roots(self) -> tuple[RadicalScalar, ...]:
-        return tuple(RadicalScalar._raw(Fraction(s, q), f) for s, q, f in self._roots[self.size :])
-
-    @functools.cached_property
     def _recurrence(self) -> tuple[tuple[int, list[int]], ...]:
         return tuple(_recurrence_rows(self.sector, self.row_radicands, self.core))
 
@@ -164,8 +161,7 @@ class WMatrix:
 
     @functools.cached_property
     def _float(self):
-        import numpy as np
-        out = np.array([[root_to_float(*x) for x in row] for row in self.printed], dtype=np.float64)
+        out = coeffs.matrix_to_float(self.printed)
         out.flags.writeable = False
         return out
 
@@ -239,31 +235,43 @@ def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> tuple:
     return rows
 
 
+def _printed_entries(row_roots, col_roots, ints, dens) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Entries r_i c_p ints[i][p] / dens[i] in printed form, r_i and c_p roots (s, q, f).
+
+    A root (s/q) sqrt(f) is as rational_root gives it, f squarefree.  An
+    entry is one reduction in integers: s_i s_p g x / (q_i q_p d_i) in
+    lowest terms and the radicand (f_i/g)(f_p/g), g = gcd(f_i, f_p), which
+    is already squarefree; a zero x gives (0, 1, 1).
+    """
+    out = []
+    for (s_a, q_a, f_a), d, row in zip(row_roots, dens, ints):
+        q_a *= d
+        entries = []
+        for (s_b, q_b, f_b), x in zip(col_roots, row):
+            if x:
+                g = math.gcd(f_a, f_b)
+                num, den = s_a * s_b * g * x, q_a * q_b
+                h = math.gcd(num, den)
+                entries.append((num // h, den // h, (f_a // g) * (f_b // g)))
+            else:
+                entries.append((0, 1, 1))
+        out.append(tuple(entries))
+    return tuple(out)
+
+
 def w_matrix(s: Sector) -> WMatrix:
     """W printed from its factors A', C, B, after _prove_orthogonal on them.
 
     Each root is reduced once, sqrt(A'_i) = (s_i/q_i) sqrt(f_i) by
-    rational_root, and likewise sqrt(B_p).  An entry is then one reduction,
-    in integers: s_i s_p g C[i, p] / (q_i q_p) in lowest terms and the
-    radicand (f_i/g)(f_p/g), g = gcd(f_i, f_p), which is already squarefree.
+    rational_root, and likewise sqrt(B_p); _printed_entries then reduces
+    every entry sqrt(A'_i) C[i, p] sqrt(B_p) in one call.
     """
     row_rad, core, col_rad = _factors(s)
     rows = _prove_orthogonal(s, row_rad, core, col_rad)
-    roots = [rational_root(x.numerator, x.denominator) for x in row_rad + col_rad]
-    printed = []
-    for (s_a, q_a, f_a), core_row in zip(roots, core):
-        row = []
-        for (s_b, q_b, f_b), c in zip(roots[s.size :], core_row):
-            if c:
-                g = math.gcd(f_a, f_b)
-                num, den = s_a * s_b * g * c, q_a * q_b
-                h = math.gcd(num, den)
-                row.append((num // h, den // h, (f_a // g) * (f_b // g)))
-            else:
-                row.append((0, 1, 1))
-        printed.append(tuple(row))
-    W = WMatrix(s, tuple(printed), tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
-    W.__dict__.update(_roots=tuple(roots), _recurrence=rows)  # the cached views, already built
+    roots = tuple(rational_root(x.numerator, x.denominator) for x in row_rad + col_rad)
+    printed = _printed_entries(roots[: s.size], roots[s.size :], core, [1] * s.size)
+    W = WMatrix(s, printed, tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
+    W.__dict__.update(_roots=roots, _recurrence=rows)  # the cached views, already built
     return W
 
 
@@ -359,35 +367,33 @@ def w_recurrence_residual(W: WMatrix) -> list[list[RadicalScalar]]:
     M9 is coeffs.m9_tridiagonal, so row lambda of the residual is the
     three-term recurrence of W in lambda at each n_p.  It is w_matrix's
     own kernel, _recurrence_rows, on W's factors (the rows its proof read,
-    on a W from w_matrix); each nonzero entry is scaled back by
-    sqrt(A'_lambda) sqrt(B_p).  Raises RadicandMismatch if a coupling is irrational.
+    on a W from w_matrix).  _printed_entries reduces entry [i, p], v[p]/e
+    of row i times sqrt(A'_lambda) sqrt(B_p), to integers, and each becomes
+    a RadicalScalar.  Raises RadicandMismatch if a coupling is irrational.
     """
-    zero, rows = RadicalScalar.zero(), W._recurrence
-    return [
-        [W.row_roots[i] * W.col_roots[p] * Fraction(x, e) if x else zero for p, x in enumerate(v)]
-        for i, (e, v) in enumerate(rows)
-    ]
+    dens, ints = zip(*W._recurrence)
+    zero = RadicalScalar.zero()
+    scaled = _printed_entries(W._roots[: W.size], W._roots[W.size :], ints, dens)
+    return [[RadicalScalar._raw(Fraction(x, d), f) if x else zero for x, d, f in row]
+            for row in scaled]
 
 
-def m9_matrix_bruteforce(W: WMatrix) -> list[list[RadicalScalar]]:
-    """Ninth Runge-Lenz matrix rebuilt as W diag(mu) W^T from the given W.
+def m9_matrix_bruteforce(W: WMatrix) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """Ninth Runge-Lenz matrix rebuilt as W diag(mu) W^T from the given W, in printed form.
 
-    Exact; must equal coeffs.m9_spherical_matrix entrywise.  Entry [i, j]
-    is sqrt(A'_i A'_j) times [C diag(B mu) C^T]_ij, a sum of integers over
-    one common denominator; only its nonzero entries are scaled by the
-    two row roots.
+    Exact; must equal coeffs.m9_spherical_matrix.  Entry [i, j] is
+    sqrt(A'_i A'_j) times [C diag(B mu) C^T]_ij, a sum of integers over one
+    common denominator, which _printed_entries scales by the two row roots.
     """
     n = W.size
     mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
     weights = [b * m for b, m in zip(W.col_radicands, mu)]
     den = math.lcm(*(w.denominator for w in weights))
     weights = [w.numerator * (den // w.denominator) for w in weights]
-    zero = RadicalScalar.zero()
-    out = [[zero] * n for _ in range(n)]
+    dots = [[0] * n for _ in range(n)]
     for i in range(n):
         weighted = [w * x for w, x in zip(weights, W.core[i])]
         for j in range(i, n):  # W diag(mu) W^T is symmetric for every W
-            dot = sum(x * y for x, y in zip(weighted, W.core[j]))
-            if dot:
-                out[i][j] = out[j][i] = W.row_roots[i] * W.row_roots[j] * Fraction(dot, den)
-    return out
+            dots[i][j] = dots[j][i] = sum(x * y for x, y in zip(weighted, W.core[j]))
+    roots = W._roots[:n]
+    return _printed_entries(roots, roots, dots, [den] * n)

@@ -272,9 +272,7 @@ def t_by_continuant(mat: SymTridiagonal, K) -> np.ndarray:
 class BranchSweep:
     """K and K/a per (grid point, branch), branches continuity-checked."""
 
-    sector: Sector
-    a_grid: np.ndarray
-    K: np.ndarray  # shape (len(a_grid), N)
+    K: np.ndarray  # shape (grid points, N)
     K_over_a: np.ndarray
     min_overlap: float
 
@@ -310,12 +308,11 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
             f"and a = {a_grid[ip + 1]} in sector {s}"
         )
     min_overlap = float(worst.min(initial=1.0))
-    return BranchSweep(s, a_grid, K, K_over_a, min_overlap)
+    return BranchSweep(K, K_over_a, min_overlap)
 
 
 @dataclass(frozen=True)
 class SphericalLimitReport:
-    sector: Sector
     a_small: float
     value_errors: np.ndarray  # |K - diag entry|, the O(a^2) remainder
     raw_gaps: np.ndarray  # |K + lam(lam+7)|, O(a) when J != L
@@ -356,7 +353,7 @@ def check_spherical_limit(
     value_errors = np.abs(spectrum.K - mat.diag[::-1])
     raw_gaps = np.abs(spectrum.K - _k_pencil(s)[0][::-1])
     vector_errors = np.abs(spectrum.T - np.eye(s.size)[::-1]).max(axis=0)
-    report = SphericalLimitReport(s, a_small, value_errors, raw_gaps, vector_errors)
+    report = SphericalLimitReport(a_small, value_errors, raw_gaps, vector_errors)
     if report.max_value_error > tol_value or report.max_vector_error > tol_vector:
         raise LimitMismatch(
             f"spherical limit failed for {s} at a = {a_small}: "
@@ -367,7 +364,6 @@ def check_spherical_limit(
 
 @dataclass(frozen=True)
 class ParabolicLimitReport:
-    sector: Sector
     a_large: float
     set_errors: np.ndarray  # K/a (ascending, so by n_k) vs sorted first-order targets, over Z
     branch_np: np.ndarray  # eigenvalue-matched parabolic label per branch
@@ -402,9 +398,12 @@ def parabolic_distance(W: WMatrix, tol: float = 1e-4) -> float:
     aZ = 1e4, a missing or wrong correction fails the check, while the
     remainder, about (10 tol)^2, stays well inside tol.
     """
+    import numpy as np
     zf = float(W.sector.Z)
     w, G, _, gaps = _first_order(W, 1.0)
-    correction = float(abs(w @ (G / gaps)).max()) * zf  # at aZ = 1
+    # gaps that are subnormal or 0.0 at a tiny Z give inf or nan, which the solve rejects
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        correction = float(abs(w @ (G / gaps)).max()) * zf  # at aZ = 1
     return max(correction / (10 * tol), 1e4) / zf
 
 
@@ -444,7 +443,7 @@ def check_parabolic_limit(
 
     branch_np = np.argmin(np.abs(targets - ratios[:, None]), axis=1)  # [branch, target] grid
     column_errors = np.abs(spectrum.T - columns[:, branch_np]).max(axis=0)
-    report = ParabolicLimitReport(s, a_large, set_errors, branch_np, column_errors)
+    report = ParabolicLimitReport(a_large, set_errors, branch_np, column_errors)
     if len(set(branch_np.tolist())) != n:
         counts = np.bincount(branch_np, minlength=n)
         n_p = int(np.argmax(counts))

@@ -47,8 +47,6 @@ from .sector import Sector, alpha_scale, energy
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    kind: str  # "legendre" | "laguerre"
-    order: float  # weight exponent for laguerre, 0 for legendre
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -127,7 +125,7 @@ def gauss_rule(kind: str, n_q: int, order: float = 0.0) -> QuadratureRule:
         weights = np.where(np.isfinite(S), 1.0 / S, 0.0)
     for part in (nodes, weights):  # the cache hands the same arrays to every caller
         part.setflags(write=False)
-    rule = QuadratureRule(kind, float(order), nodes, weights)
+    rule = QuadratureRule(nodes, weights)
     _rule_cache[key] = rule
     return rule
 

@@ -147,6 +147,18 @@ def test_eigh_rejects_non_finite(which, bad):
         bk.tridiag_eigh(d[1], e[1])
 
 
+@pytest.mark.parametrize("d_shape, e_shape", [
+    ((2, 3), (2, 3)),  # couplings as long as the diagonal
+    ((2, 3), (3, 2)),  # another stack size
+    ((3,), (1,)),  # one matrix with a coupling short
+    ((0,), (0,)),  # no matrix entries at all
+    ((1, 2, 3), (1, 2, 2)),  # a stack of stacks
+])
+def test_eigh_rejects_mismatched_shapes(d_shape, e_shape):
+    with pytest.raises(ValidationError, match=r"shape \(P, N\) and couplings of shape \(P, N-1\)"):
+        bk.tridiag_eigh(np.ones(d_shape), np.ones(e_shape))
+
+
 def test_laguerre_explicit():
     x = np.linspace(0.0, 9.0, 31)
     np.testing.assert_allclose(bk.laguerre(0, 3.0, x)[0], np.ones_like(x))

@@ -147,6 +147,10 @@ def test_overflowing_charge_exit_2():
         # K/a overflows on a subnormal grid
         ["sweep", *SECTOR, "--mode", "float", "--a-min", "1e-320", "--a-max", "1e-319",
          "--points", "3"],
+        # the parabolic distance's gaps are subnormal (1e-320) or 0.0 (5e-324): the distance
+        # comes out inf and is rejected, with no RuntimeWarning on the way
+        verify_argv(0, 2, 0, 0, "1e-320"),
+        ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--mode", "float"],
     ],
 )
 def test_underflowing_charge_or_focal_distance_exit_2(argv, capsys):
@@ -611,7 +615,9 @@ def test_exact_sweep_output_is_pinned(capsys):
 
 
 def _records(rows) -> list:
-    return [[{"coeff": str(x.coeff), "radicand": str(x.radicand)} for x in row] for row in rows]
+    """{coeff, radicand} records of (num, den, f) rows, written from RadicalScalar values."""
+    values = ([RadicalScalar(Fraction(n, d), f) for n, d, f in row] for row in rows)
+    return [[{"coeff": str(x.coeff), "radicand": str(x.radicand)} for x in row] for row in values]
 
 
 def test_exact_matrices_print_as_json_dumps_of_their_records(capsys):
@@ -620,9 +626,8 @@ def test_exact_matrices_print_as_json_dumps_of_their_records(capsys):
                validate_sector(20, 2, 0, 0), validate_sector(30, 3, 1, 4)]
     for s in sectors:
         flags = ["--n", str(s.n), "--Q", str(s.Q), "--L", str(s.L), "--J", str(s.J)]
-        W = interbasis.w_matrix(s)
-        entries = [[RadicalScalar(Fraction(n, d), f) for n, d, f in row] for row in W.printed]
-        for cmd, mat in (("wmatrix", entries), ("m9", coeffs.m9_spherical_matrix(s))):
+        for cmd, mat in (("wmatrix", interbasis.w_matrix(s).printed),
+                         ("m9", coeffs.m9_spherical_matrix(s))):
             assert main([cmd, "--mode", "exact", *flags]) == 0
             out = capsys.readouterr().out
             record = json.loads(out)
@@ -631,16 +636,17 @@ def test_exact_matrices_print_as_json_dumps_of_their_records(capsys):
 
 
 def test_exact_w_is_printed_without_a_radical_scalar(monkeypatch, capsys):
-    # no entry, root or zero of W becomes an object on its way from the factors to stdout
+    # no entry, root or zero of W or M9 becomes an object on its way to stdout
     def refuse(*args, **kwargs):
-        raise AssertionError("exact wmatrix built a RadicalScalar")
+        raise AssertionError("an exact matrix command built a RadicalScalar")
 
     monkeypatch.setattr(RadicalScalar, "__init__", refuse)
     monkeypatch.setattr(RadicalScalar, "_raw", refuse)
-    (cmd, n, Q, L, J), digest = GOLDEN[0]
-    assert (cmd, n, Q, L, J) == ("wmatrix", "16", "0", "0", "0")
-    assert main([cmd, "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    pinned = dict(GOLDEN)
+    for argv in (("wmatrix", "16", "0", "0", "0"), ("m9", "4", "2", "0", "2")):
+        cmd, n, Q, L, J = argv
+        assert main([cmd, "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned[argv]
 
 
 # Runs argvs in a fresh interpreter where any import of numpy raises ImportError,

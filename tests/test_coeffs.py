@@ -45,17 +45,18 @@ def test_k_offdiag_examples():
 
 
 def test_m9_matrix_examples():
+    # entries are (num, den, f) of (num/den) sqrt(f), zero (0, 1, 1)
     mat = m9_spherical_matrix(S1)
-    assert mat[0][0].is_zero and mat[1][1].is_zero
-    assert mat[0][1] == 1 and mat[1][0] == 1
+    assert mat[0][0] == mat[1][1] == (0, 1, 1)
+    assert mat[0][1] == mat[1][0] == (1, 1, 1)
 
     mat = m9_spherical_matrix(S22)
-    assert mat[0][0] == Fraction(-6, 5)
-    assert mat[1][1] == Fraction(-4, 5)
-    assert mat[0][1] == RadicalScalar(Fraction(2, 5), 6)
+    assert mat[0][0] == (-6, 5, 1)
+    assert mat[1][1] == (-4, 5, 1)
+    assert mat[0][1] == mat[1][0] == (2, 5, 6)  # (2/5) sqrt(6), m9_offdiag(S22, 2)
 
     mat = m9_spherical_matrix(validate_sector(0, 0, 0, 0, 1))
-    assert len(mat) == 1 and mat[0][0].is_zero
+    assert mat == (((0, 1, 1),),)
 
 
 def test_m9_eigenvalues_float_oracle():

@@ -39,9 +39,14 @@ S4211 = validate_sector(4, 2, 1, 1, 1)  # N = 5, with exact zeros in its core
 SQRT2_HALF = RadicalScalar(Fraction(1, 2), 2)
 
 
+def radicals(rows) -> list[list[RadicalScalar]]:
+    """Rows of printed (num, den, f) entries as RadicalScalar values, reduced anew."""
+    return [[RadicalScalar(Fraction(n, d), f) for n, d, f in row] for row in rows]
+
+
 def entries(W) -> list[list[RadicalScalar]]:
-    """W's printed (num, den, f) entries as RadicalScalar values, reduced anew."""
-    return [[RadicalScalar(Fraction(n, d), f) for n, d, f in row] for row in W.printed]
+    """W's printed entries as RadicalScalar values."""
+    return radicals(W.printed)
 
 
 def printed(rows) -> tuple:
@@ -163,14 +168,15 @@ def test_errors_on_a_tampered_n_101_w_stay_short():
 def test_to_float_is_bitwise_the_correctly_rounded_square_root():
     # the int division c.num^2 r / c.den^2 is float(Fraction) of the square, bit for bit
     for s in enumerate_sectors(5, 4, 4):
-        W = w_matrix(s)
+        W, M9 = w_matrix(s), m9_spherical_matrix(s)
         for x in (*(x for row in entries(W) for x in row),
-                  *(x for row in m9_spherical_matrix(s) for x in row)):
+                  *(x for row in radicals(M9) for x in row)):
             mag = math.sqrt(float(x.square()))
             assert x.to_float().hex() == (-mag if x.coeff < 0 else mag).hex(), (s, x)
-        for (n, d, f), y in zip((x for row in W.printed for x in row), W.to_float().ravel()):
-            mag = math.sqrt(float(Fraction(n * n * f, d * d)))
-            assert y.hex() == (-mag if n < 0 else mag).hex(), (s, n, d, f)
+        for rows, F in ((W.printed, W.to_float()), (M9, matrix_to_float(M9))):
+            for (n, d, f), y in zip((x for row in rows for x in row), F.ravel()):
+                mag = math.sqrt(float(Fraction(n * n * f, d * d)))
+                assert y.hex() == (-mag if n < 0 else mag).hex(), (s, n, d, f)
 
 
 @pytest.mark.slow
@@ -250,10 +256,10 @@ def test_cg_oracle_full_sweep():
 
 
 def test_m9_bruteforce_examples():
-    mat = m9_matrix_bruteforce(w_matrix(S1))
-    assert mat[0][0].is_zero and mat[0][1] == 1 and mat[1][0] == 1
+    mat = m9_matrix_bruteforce(w_matrix(S1))  # (num, den, f) of (num/den) sqrt(f)
+    assert mat[0][0] == (0, 1, 1) and mat[0][1] == mat[1][0] == (1, 1, 1)
     mat0 = m9_matrix_bruteforce(w_matrix(S0))
-    assert len(mat0) == 1 and mat0[0][0].is_zero
+    assert mat0 == (((0, 1, 1),),)
     mat22 = m9_matrix_bruteforce(w_matrix(S22))
     closed = m9_spherical_matrix(S22)
     assert all(mat22[i][j] == closed[i][j] for i in range(2) for j in range(2))
@@ -272,6 +278,22 @@ def test_w_recurrence_exact_small_sweep():
         resid = w_recurrence_residual(w_matrix(s))
         assert len(resid) == s.size and all(len(row) == s.size for row in resid), s
         assert all(x.is_zero for row in resid for x in row), s
+
+
+def test_recurrence_residual_of_a_tampered_core_is_m9_w_minus_w_mu():
+    # the reference sums M9 W - W diag(mu) entry by entry in RadicalScalar arithmetic;
+    # a nonzero residual carries each row's denominator e into its values
+    s, n = S4211, S4211.size
+    W = w_matrix(s)
+    core = [list(row) for row in W.core]
+    core[1][1] *= 2
+    w = [[RadicalScalar.sqrt(a) * RadicalScalar.sqrt(b) * c for b, c in zip(W.col_radicands, row)]
+         for a, row in zip(W.row_radicands, core)]
+    m9, mu = radicals(m9_spherical_matrix(s)), [v.fraction for v in m9_eigenvalues(s)]
+    want = [[sum((m9[i][k] * w[k][p] for k in range(n)), -mu[p] * w[i][p]) for p in range(n)]
+            for i in range(n)]
+    got = w_recurrence_residual(_with_factors(W, core=core))
+    assert got == want and sum(not x.is_zero for row in got for x in row) > 1
 
 
 def test_odd_parity_sector():
@@ -293,7 +315,8 @@ def test_w_float_is_built_once_and_read_only():
     W = w_matrix(S4211)
     F = W.to_float()
     assert W.to_float() is F and not F.flags.writeable
-    assert np.array_equal(F, matrix_to_float(entries(W)))  # each entry within 1 ulp, as before
+    # each entry within 1 ulp, as before
+    assert np.array_equal(F, np.array([[x.to_float() for x in row] for row in entries(W)]))
 
 
 def _with_factors(W, *, row=None, core=None, col=None):
@@ -306,15 +329,19 @@ def _with_factors(W, *, row=None, core=None, col=None):
     )
 
 
+def roots(radicands) -> tuple:
+    """(s, q, f) of each sqrt(x) = (s/q) sqrt(f), as RadicalScalar.sqrt reduces it."""
+    return printed([map(RadicalScalar.sqrt, radicands)])[0]
+
+
 def test_w_roots_follow_the_radicands():
     W = w_matrix(S4211)  # its roots and recurrence rows are the ones w_matrix's proof computed
-    assert W.row_roots == tuple(map(RadicalScalar.sqrt, W.row_radicands))
-    assert W.col_roots == tuple(map(RadicalScalar.sqrt, W.col_radicands))
+    assert W._roots == roots(W.row_radicands + W.col_radicands)
     assert W._recurrence == tuple(_recurrence_rows(S4211, W.row_radicands, W.core))
     assert not any(x for _, v in W._recurrence for x in v)
     row = list(W.row_radicands)
     row[1] *= 2
-    assert _with_factors(W, row=row).row_roots[1] == RadicalScalar.sqrt(row[1]) != W.row_roots[1]
+    assert _with_factors(W, row=row)._roots[1] == roots(row[1:2])[0] != W._roots[1]
     row[1] *= 2  # 4 A: every coupling is rational, so the copy has recurrence rows of its own
     tampered = _with_factors(W, row=row)
     assert tampered._recurrence == tuple(_recurrence_rows(S4211, row, W.core)) != W._recurrence
@@ -322,7 +349,7 @@ def test_w_roots_follow_the_radicands():
     core[1][1] *= 2
     tampered = _with_factors(W, core=core)
     assert tampered._recurrence == tuple(_recurrence_rows(S4211, W.row_radicands, core))
-    assert tampered._recurrence != W._recurrence and tampered.row_roots == W.row_roots
+    assert tampered._recurrence != W._recurrence and tampered._roots == W._roots
 
 
 def _flags_of(W) -> tuple[bool, bool]:

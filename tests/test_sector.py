@@ -14,6 +14,7 @@ from micz9.errors import (
     NegativeQuantumNumber,
     NonpositiveCharge,
     ParityMismatch,
+    ValidationError,
 )
 from micz9.sector import (
     HalfInt,
@@ -48,6 +49,8 @@ def test_validate_errors():
         validate_sector(1, 0, 0, 0, Fraction(-1, 2))
     with pytest.raises(EmptySector):
         validate_sector(0, 0, 2, 2, 1)
+    with pytest.raises(ValidationError, match="n must be an integer, got 1.0"):
+        validate_sector(1.0, 0, 0, 0)
 
 
 def test_lambda_range_examples():
@@ -118,6 +121,8 @@ def test_alpha_energy_identity():
 def test_halfint():
     assert str(HalfInt(3)) == "3/2" and str(HalfInt(4)) == "2"
     assert HalfInt(2) < HalfInt(3)
+    with pytest.raises(ValidationError, match="twice the value as int, got 1.5"):
+        HalfInt(1.5)
 
 
 def test_enumerate_sweep_bounds():

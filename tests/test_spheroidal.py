@@ -332,6 +332,9 @@ def test_k_matrix_rejects_non_finite_and_overflow():
             build_k_matrix(S1, a)
     with pytest.raises(ValidationError):
         sweep_branches(S1, np.array([1.0, 1e300]))
+    s = validate_sector(1, 0, 0, 0, 10**200)  # the squared coupling Z^2 B^2 overflows
+    with pytest.raises(ValidationError, match=r"K\(a\) at Z = .* leaves the float range$"):
+        separation_constants(s, 1.0)
 
 
 def test_sweep_coarse_grid_rejected():
@@ -339,6 +342,8 @@ def test_sweep_coarse_grid_rejected():
         sweep_branches(S1, np.array([1e-3, 1e6]))
     with pytest.raises(ValidationError):
         sweep_branches(S1, np.array([2.0, 1.0]))
+    with pytest.raises(ValidationError, match="a_grid must be a 1-d array"):
+        sweep_branches(S1, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
 
 def test_spherical_limit_examples():

@@ -66,6 +66,20 @@ def test_gauss_rule_rejects_a_non_integer_count_or_a_non_finite_order(n_q, order
         gauss_rule("laguerre", n_q, order)
 
 
+@pytest.mark.parametrize("kind, order, message", [
+    ("legendre", 1.0, "legendre rule takes no order parameter"),
+    ("laguerre", -1.0, "laguerre order must exceed -1, got -1.0"),
+], ids=["legendre", "laguerre"])
+def test_gauss_rule_rejects_an_order_outside_its_family(kind, order, message):
+    with pytest.raises(ValidationError, match=message):
+        gauss_rule(kind, 4, order=order)
+
+
+def test_basis_overlap_rejects_an_unknown_basis():
+    with pytest.raises(ValidationError, match="unknown basis 'cartesian'"):
+        basis_overlap(S1, "spherical", "cartesian", 4)
+
+
 def test_gauss_exactness_ladder():
     # exact on the whole polynomial degree ladder <= 2 n_q - 1
     r = gauss_rule("legendre", 12)
