@@ -125,11 +125,7 @@ def _require_finite(**flags) -> None:
 
 
 def _parse_sector(args) -> sector.Sector:
-    try:
-        z = Fraction(args.Z)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse Z = {args.Z!r} as a rational") from exc
-    s = sector.validate_sector(args.n, args.Q, args.L, args.J, z)
+    s = sector.validate_sector(args.n, args.Q, args.L, args.J, args.Z)  # Z parsed there
     try:  # float payloads print both, and the float K(a) scales with Z
         float(s.Z)
         float(sector.energy(s))
@@ -251,24 +247,13 @@ def cmd_sweep(args) -> None:
     _emit("sweep", s, "float", {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches})
 
 
-def _limit_distances(W: interbasis.WMatrix, a_small=None, a_large=None) -> tuple[float, float]:
-    """Focal distances of the two limit checks, 1e-8/Z and parabolic_distance(W) unless given.
-
-    Both defaults are the same aZ at every charge.  A charge that rounds
-    to 0.0 as a float raises ValidationError.
-    """
-    zf = float(W.sector.Z)
-    if not zf:
-        raise ValidationError("Z rounds to 0.0 as a float: the default distances are undefined")
-    return (1e-8 / zf if a_small is None else a_small,
-            spheroidal.parabolic_distance(W) if a_large is None else a_large)
-
-
 def cmd_limits(args) -> None:
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
     W = interbasis.w_matrix(s)
-    both = spheroidal.separation_constants(s, _limit_distances(W, args.a_small, args.a_large))
+    given = (args.a_small, args.a_large)  # a flag that is given, 0.0 too, replaces its default
+    a = [d if x is None else x for x, d in zip(given, spheroidal.limit_distances(W))]
+    both = spheroidal.separation_constants(s, a)
     sph = spheroidal.check_spherical_limit(both[0])
     par = spheroidal.check_parabolic_limit(W, both[1])
     payload = {
@@ -320,7 +305,8 @@ def _verify_checks(s: sector.Sector):
 
     # one batch: the continuant at 6 distances, whose middle 4 are the eigenproblem's
     # 0.1, 1, 10 and 100 bit for bit, then both limits
-    solved = spheroidal.separation_constants(s, [*np.logspace(-2, 3, 6), *_limit_distances(W)])
+    a = [*np.logspace(-2, 3, 6), *spheroidal.limit_distances(W)]
+    solved = spheroidal.separation_constants(s, a)
     eig = solved[1:5]
     mat, K, T = eig.matrix, eig.K, eig.T
     resid = np.abs(mat.matvec(T) - T * K[:, None, :]).max(axis=(1, 2))
@@ -418,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("record", "csv"), default="record")
     p = sub.add_parser("limits", parents=[float_only], help="spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
-    p.add_argument("--a-large", dest="a_large", type=float, help="default: parabolic_distance")
+    p.add_argument("--a-large", dest="a_large", type=float, help="default: limit_distances")
     sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
     return parser
 

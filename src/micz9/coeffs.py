@@ -3,16 +3,17 @@
 The coupling between adjacent angular blocks and the diagonal of the
 ninth Runge-Lenz component M9 in the spherical basis come from closed
 forms in the integers (n, Q, L, J, 2 lambda).  m9_tridiagonal evaluates them
-once per sector into one cached rational tridiagonal, from which every reader
-derives its M9: m9_spherical_matrix is its exact view in W's printed form,
-rows of integers (num, den, f) of (num/den) sqrt(f), and k_pencil scales
-it into the exact pencil of K(a) = -Lambda - a (alpha/2) M9, with
-Lambda = diag(lambda(lambda+7)) and alpha/2 = 2Z/(2n+Q+8).  There a and
-Z only ever enter through the product aZ, and spheroidal rounds the
+once per sector into one cached rational tridiagonal, the one source of every
+M9 and K(a) entry: m9_spherical_matrix is its exact view in W's printed form,
+rows of integers (num, den, f) of (num/den) sqrt(f), and k_pencil scales it
+into the exact pencil of K(a) = -Lambda - a (alpha/2) M9, Lambda =
+diag(lambda(lambda+7)) and alpha/2 = 2Z/(2n+Q+8), whose single entries k_diag
+and k_offdiag read.  M9's spectrum mu_p = n+Q/2-J-2n_p is m9_eigenvalues.
+There a and Z only ever enter through the product aZ, and spheroidal rounds the
 pencil once per (sector, Z) into the float pencil from which both its
-dense-eigensolver and its continuant routes build K(a) with one
-multiply-add per entry.  Matrices here are indexed by lambda ascending
-(rows and columns), which is also recorded in the CLI output metadata.
+dense-eigensolver and its continuant routes build K(a) with one multiply-add
+per entry.  Matrices here are indexed by lambda ascending (rows and columns),
+which is also recorded in the CLI output metadata.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactscalar import RadicalScalar, rational_root, root_to_float
-from .sector import HalfInt, Sector, lambda_index, lambda_range, m9_parabolic_eigenvalue
-
-
-def _twice_lambda(s: Sector, lam) -> int:
-    """2 lambda, an int; LambdaOutOfRange off the ladder."""
-    return s.L + s.J + 2 * lambda_index(s, lam)[1]
+from .sector import HalfInt, Sector, _rational, _short, lambda_index, lambda_range
 
 
 def _m9_offdiag_sq(s: Sector, l2: int) -> Fraction:
@@ -42,23 +38,9 @@ def _m9_offdiag_sq(s: Sector, l2: int) -> Fraction:
     return Fraction(num * (l2 + 6 - d2) * (l2 + 6 + d2), 16 * (l2 + 6) ** 2 * (l2 + 7) * (l2 + 5))
 
 
-def m9_offdiag(s: Sector, lam) -> RadicalScalar:
-    """Coupling B_lambda between blocks lambda-1 and lambda; B at (L+J)/2 is 0.
-
-    Non-negative, and strictly positive on the interior of the ladder,
-    which makes the tridiagonal matrices built from it irreducible.
-    """
-    return RadicalScalar.sqrt(_m9_offdiag_sq(s, _twice_lambda(s, lam)))
-
-
 def _m9_diag(s: Sector, l2: int) -> Fraction:
     """M9[lambda, lambda] at l2 = 2 lambda: -(J-L)(L+J+6)(2n+Q+8) / (2 (l2+6)(l2+8))."""
     return Fraction(-(s.J - s.L) * (s.L + s.J + 6) * (2 * s.n + s.Q + 8), 2 * (l2 + 6) * (l2 + 8))
-
-
-def m9_diag(s: Sector, lam) -> Fraction:
-    """Diagonal element -(J-L)(L+J+6)(2n+Q+8) / (8 (lambda+3)(lambda+4))."""
-    return _m9_diag(s, _twice_lambda(s, lam))
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,26 +75,24 @@ def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tup
     )
 
 
-# k_diag and k_offdiag are single K(a) entries; perfbench/tracer.py wraps them by name.
-
-
-def _focal(s: Sector, aZ) -> Fraction:
-    """a (alpha/2) = aZ g for aZ >= 0."""
-    aZ = Fraction(aZ)
+def _k_entries(s: Sector, lam, aZ) -> tuple[Fraction, Fraction]:
+    """K(a)'s diagonal and squared coupling at lambda and aZ >= 0, read from k_pencil."""
+    i = lambda_index(s, lam)[1]
+    aZ = _rational("aZ", aZ)
     if aZ < 0:
-        raise ValidationError(f"aZ = {aZ} must be non-negative")
-    return aZ * Fraction(2, 2 * s.n + s.Q + 8)
+        raise ValidationError(f"aZ = {_short(aZ)} must be non-negative")
+    const, slope, coupling_sq = k_pencil(s)
+    return const[i] + aZ * slope[i], aZ * aZ * coupling_sq[i - 1] if i else Fraction(0)
 
 
 def k_diag(s: Sector, lam, aZ) -> Fraction:
-    """Diagonal -lambda(lambda+7) - a (alpha/2) M9[lambda, lambda]."""
-    l, _ = lambda_index(s, lam)
-    return -l * (l + 7) - _focal(s, aZ) * m9_diag(s, l)
+    """Diagonal -lambda(lambda+7) - a (alpha/2) M9[lambda, lambda] of K(a)."""
+    return _k_entries(s, lam, aZ)[0]
 
 
 def k_offdiag(s: Sector, lam, aZ) -> RadicalScalar:
     """Magnitude a (alpha/2) B_lambda; the matrix itself carries the negative."""
-    return _focal(s, aZ) * m9_offdiag(s, lam)
+    return RadicalScalar.sqrt(_k_entries(s, lam, aZ)[1])
 
 
 def m9_spherical_matrix(s: Sector) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -135,8 +115,9 @@ def m9_spherical_matrix(s: Sector) -> tuple[tuple[tuple[int, int, int], ...], ..
 
 
 def m9_eigenvalues(s: Sector) -> list[HalfInt]:
-    """Spectrum {n + Q/2 - J - 2 n_p}, in n_p order (descending values)."""
-    return [m9_parabolic_eigenvalue(s, n_p) for n_p in range(s.size)]
+    """Spectrum mu_p = n + Q/2 - J - 2 n_p of M9, in n_p order (descending values)."""
+    top = 2 * s.n + s.Q - 2 * s.J
+    return [HalfInt(top - 4 * n_p) for n_p in range(s.size)]
 
 
 def matrix_to_float(rows):

@@ -1,9 +1,8 @@
 """Quantum-number bookkeeping for one degenerate block.
 
 A sector fixes (n, Q, L, J) plus the electric charge Z and carries the
-scalar constants attached to it: the bound-state energy, the exponential
-scale alpha = 2*sqrt(-2E), and the eigenvalues of the ninth Runge-Lenz
-component on the parabolic states.  The angular label lambda runs from
+scalar constants attached to it: the bound-state energy and the
+exponential scale alpha = 2*sqrt(-2E).  The angular label lambda runs from
 (L+J)/2 up to n+Q/2 in unit steps, which forces Q and L+J to share
 parity; incompatible inputs are rejected rather than rounded.
 """
@@ -54,6 +53,14 @@ def _short(x: Fraction) -> str:
         return format(decimal.Decimal(x.numerator) / x.denominator, ".6g")
 
 
+def _rational(name: str, x) -> Fraction:
+    """x as a Fraction; ValidationError naming x unless it is a finite rational."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        raise ValidationError(f"cannot parse {name} = {x!r} as a rational") from exc
+
+
 @dataclass(frozen=True)
 class Sector:
     """Validated (n, Q, L, J; Z) block.  Construct through validate_sector."""
@@ -86,15 +93,15 @@ class Sector:
 def validate_sector(n: int, Q: int, L: int, J: int, Z=1) -> Sector:
     """Validate quantum numbers and return the sector.
 
-    Raises NegativeQuantumNumber, ParityMismatch (Q and L+J differ in
-    parity), EmptySector (dimension < 1) or NonpositiveCharge.
+    Raises NegativeQuantumNumber, ParityMismatch (Q and L+J differ in parity),
+    EmptySector (N < 1), NonpositiveCharge or ValidationError (Z not rational).
     """
     for name, v in (("n", n), ("Q", Q), ("L", L), ("J", J)):
         if not isinstance(v, int):
             raise ValidationError(f"{name} must be an integer, got {v!r}")
         if v < 0:
             raise NegativeQuantumNumber(f"{name} = {v} must be non-negative")
-    Z = Fraction(Z)
+    Z = _rational("Z", Z)
     if Z <= 0:
         raise NonpositiveCharge(f"Z = {_short(Z)} must be positive")
     if (Q - L - J) % 2 != 0:
@@ -154,11 +161,6 @@ def energy(s: Sector) -> Fraction:
 def alpha_scale(s: Sector) -> Fraction:
     """Exponential scale alpha = 4Z/(2n+Q+8); satisfies alpha^2 = -8E."""
     return 4 * s.Z / Fraction(2 * s.n + s.Q + 8)
-
-
-def m9_parabolic_eigenvalue(s: Sector, n_p: int) -> HalfInt:
-    """Eigenvalue n + Q/2 - J - 2 n_p of the ninth Runge-Lenz component."""
-    return HalfInt(2 * s.n + s.Q - 2 * s.J - 4 * np_index(s, n_p))
 
 
 def enumerate_sectors(m_max=4, q_max: int = 4, lj_max: int = 4, Z=1) -> Iterator[Sector]:

@@ -9,11 +9,12 @@ its one float builder, and separation_constants, the one solve, take a
 scalar a for one matrix or a list of a for the stack, solved in one
 batch.  Each spectrum keeps the matrix it was solved from, which the
 continuant route and both limit checks read; a stack's rows and slices
-are spectra too.  The eigenvector columns are the expansion coefficients
-of each spheroidal state over the spherical basis.  Columns follow the
-sign convention "first nonzero entry positive" (numerically: first entry
-exceeding 1e-12 of the column's max magnitude, which keeps the convention
-deterministic when leading entries underflow near the a -> 0 limit).
+are spectra too.  limit_distances alone picks where the limits are checked.
+The eigenvector columns are the expansion coefficients of each spheroidal
+state over the spherical basis.  Columns follow the sign convention "first
+nonzero entry positive" (numerically: first entry exceeding 1e-12 of the
+column's max magnitude, which keeps the convention deterministic when
+leading entries underflow near the a -> 0 limit).
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
@@ -48,6 +49,8 @@ from .interbasis import WMatrix
 from .sector import Sector, _short
 
 _SIGN_TOL = 1e-12
+_PARABOLIC_TOL = 1e-4  # check_parabolic_limit's tolerance, which limit_distances aims for
+_PARABOLIC_MIN_AZ = 1e4  # the least a Z at which the parabolic first-order check applies
 
 
 @dataclass(frozen=True)
@@ -390,25 +393,27 @@ def _first_order(W: WMatrix, a: float):
     return w, G, lead, gaps
 
 
-def parabolic_distance(W: WMatrix, tol: float = 1e-4) -> float:
-    """Focal distance at which check_parabolic_limit's first-order column correction is 10 tol.
+def limit_distances(W: WMatrix) -> tuple[float, float]:
+    """Focal distances (a_small, a_large) of the two limit checks, the same aZ at every charge.
 
-    That correction falls as 1/(aZ), and the remainder the check leaves as
-    its square.  At this distance, but never below the check's floor
-    aZ = 1e4, a missing or wrong correction fails the check, while the
-    remainder, about (10 tol)^2, stays well inside tol.
+    a_small is 1e-8/Z.  At a_large, never below aZ = 1e4, check_parabolic_limit's
+    first-order column correction, which falls as 1/(aZ), is 10 tol: a missing or wrong
+    correction fails the check, while the remainder, about (10 tol)^2, stays well inside
+    tol.  Raises ValidationError, naming Z, if either is not a finite float.
     """
     import numpy as np
     zf = float(W.sector.Z)
     w, G, _, gaps = _first_order(W, 1.0)
-    # gaps that are subnormal or 0.0 at a tiny Z give inf or nan, which the solve rejects
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):  # a tiny Z: gaps underflow, 1e-8/Z overflows, Z is 0.0
         correction = float(abs(w @ (G / gaps)).max()) * zf  # at aZ = 1
-    return max(correction / (10 * tol), 1e4) / zf
+        a = np.array([1e-8, max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ)]) / zf
+    if not np.isfinite(a).all():
+        raise ValidationError(f"the limit distances at Z = {_short(W.sector.Z)} are not finite")
+    return tuple(a.tolist())
 
 
 def check_parabolic_limit(
-    W: WMatrix, spectrum: SpheroidalSpectrum, tol: float = 1e-4
+    W: WMatrix, spectrum: SpheroidalSpectrum, tol: float = _PARABOLIC_TOL
 ) -> ParabolicLimitReport:
     """Verify the large-a degeneration of a spectrum against the parabolic constants.
 
@@ -421,8 +426,9 @@ def check_parabolic_limit(
     the first-order term keeps the check valid as G grows with N.  K(a)
     depends on a and Z only through aZ, and K/a scales with Z, so the K/a
     errors are divided by Z and the spectrum's a Z must be at least 1e4:
-    the same aZ and tol then mean the same check at every charge.  W must
-    belong to the spectrum's sector.  Raises LimitMismatch on failure.
+    the same aZ and tol then mean the same check at every charge, which
+    limit_distances places.  W must belong to the spectrum's sector.
+    Raises LimitMismatch on failure.
     """
     import numpy as np
     if spectrum.K.ndim != 1:
@@ -431,7 +437,7 @@ def check_parabolic_limit(
     if W.sector != s:
         raise ValidationError(f"W of sector {W.sector} given for a spectrum of sector {s}")
     zf = float(s.Z)
-    if not a_large * zf >= 1e4:
+    if not a_large * zf >= _PARABOLIC_MIN_AZ:
         raise ValidationError(f"a_large Z = {a_large} * {_short(s.Z)} must be at least 1e4")
     n = s.size
     w, G, lead, gaps = _first_order(W, a_large)

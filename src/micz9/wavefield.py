@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _backend  # numpy is imported where used: the CLI loads this module for every command
+from . import _backend, coeffs  # numpy loads where used: the CLI imports this for every command
 from .errors import ConvergenceFailure, DomainError, ValidationError
 from .sector import Sector, alpha_scale, energy
 
@@ -206,46 +206,44 @@ def _product_into(out: np.ndarray, head, factors) -> None:
         np.multiply(out, f, out=out)
 
 
-def _spherical_columns(s: Sector, X, C, ks) -> np.ndarray:
-    """Bare radial-angular factors at x = alpha r and c = cos(theta), stacked last.
+def _spherical_columns(s: Sector, X, C) -> np.ndarray:
+    """Bare radial-angular factors at x = alpha r and c = cos(theta), stacked by k.
 
-    ks are ladder positions (lambda = (L+J)/2 + k).  One Jacobi ladder
-    serves every state, and one Laguerre run over every state's order
-    2 lambda + 7 gives each radial polynomial as the row of its own degree.
+    Column k is lambda = (L+J)/2 + k.  One Jacobi ladder serves every state, and one
+    Laguerre run over every order 2 lambda + 7 gives each radial polynomial as a row.
     """
     import numpy as np
-    jac = _ladder(max(ks), (s.L + 3, s.J + 3), C)
-    n_top, lamfs = s.size - 1, [(s.L + s.J + 2 * k) / 2 for k in ks]
+    n_top, lamfs = s.size - 1, [(s.L + s.J + 2 * k) / 2 for k in range(s.size)]
+    jac = _ladder(n_top, (s.L + 3, s.J + 3), C)
     orders = np.reshape([2 * lamf + 7 for lamf in lamfs], (-1,) + (1,) * np.ndim(X))
-    lag = _ladder(n_top - min(ks), (orders,), X)  # degrees past a state's own may overflow, unread
+    lag = _ladder(n_top, (orders,), X)  # degrees past a state's own may overflow, unread
     env = 2.0 ** (-(s.L + s.J + 7) / 2)
     left = (1 - C) ** (s.L / 2) if s.L else None
     right = (1 + C) ** (s.J / 2) if s.J else None
     norms = _spherical_norms(s)
-    out = np.empty(np.broadcast_shapes(np.shape(X), np.shape(C)) + (len(ks),))
-    for col, (k, lamf) in enumerate(zip(ks, lamfs)):
+    out = np.empty(np.broadcast_shapes(np.shape(X), np.shape(C)) + (s.size,))
+    for k, lamf in enumerate(lamfs):
         radial = norms[k] * X**lamf if lamf else norms[k]
-        radial = radial * lag[n_top - k, col] * env
-        _product_into(out[..., col], radial, (left, right, jac[k]))
+        radial = radial * lag[n_top - k, k] * env
+        _product_into(out[..., k], radial, (left, right, jac[k]))
     return out
 
 
-def _parabolic_columns(s: Sector, U, V, n_ps) -> np.ndarray:
-    """Bare parabolic factors at (U, V) = alpha (u, v) / 2, so U + V = x, stacked last.
+def _parabolic_columns(s: Sector, U, V) -> np.ndarray:
+    """Bare parabolic factors at (U, V) = alpha (u, v) / 2, so U + V = x, stacked by n_p.
 
     One Laguerre ladder in U and one in V serve every state.
     """
     import numpy as np
     n_top = s.size - 1
-    lag_u = _ladder(max(n_ps), (s.J + 3,), U)
-    lag_v = _ladder(n_top - min(n_ps), (s.L + 3,), V)
+    lag_u, lag_v = _ladder(n_top, (s.J + 3,), U), _ladder(n_top, (s.L + 3,), V)
     u_env = U ** (s.J / 2) if s.J else None
     v_env = V ** (s.L / 2) if s.L else None
     norms = _parabolic_norms(s)
-    out = np.empty(np.broadcast_shapes(np.shape(U), np.shape(V)) + (len(n_ps),))
-    for col, n_p in enumerate(n_ps):
+    out = np.empty(np.broadcast_shapes(np.shape(U), np.shape(V)) + (s.size,))
+    for n_p in range(s.size):
         factors = (u_env, lag_u[n_p], v_env, lag_v[n_top - n_p])
-        _product_into(out[..., col], norms[n_p] * 2.0**-3.5, factors)
+        _product_into(out[..., n_p], norms[n_p] * 2.0**-3.5, factors)
     return out
 
 
@@ -256,11 +254,10 @@ def _parabolic_columns(s: Sector, U, V, n_ps) -> np.ndarray:
 
 def _basis_factors(s: Sector, basis: str, X, C) -> np.ndarray:
     """Bare factors of every state of one basis on the (x, c) grid, stacked last."""
-    states = range(s.size)
     if basis == "spherical":
-        return _spherical_columns(s, X, C, states)
+        return _spherical_columns(s, X, C)
     if basis == "parabolic":
-        return _parabolic_columns(s, X * (1 + C) / 2, X * (1 - C) / 2, states)
+        return _parabolic_columns(s, X * (1 + C) / 2, X * (1 - C) / 2)
     raise ValidationError(f"unknown basis {basis!r}")
 
 
@@ -342,7 +339,7 @@ def _laguerre_rows(s: Sector, names, Zf, E, alpha):
     import numpy as np
     k, n_top = np.arange(s.size), s.size - 1
     lam = (s.L + s.J) / 2 + k
-    sigma = (alpha / 4) * ((2 * s.n + s.Q - 2 * s.J - 4 * k) / 2)  # (alpha/4) mu at n_p = k
+    sigma = (alpha / 4) * (np.array([v.twice for v in coeffs.m9_eigenvalues(s)]) / 2)
     half = (alpha / 2, 4, Zf / 2, E / 2)
     table = {
         "radial": (alpha, 8, 2 * Zf, 2 * E, 2 * lam + 7, n_top - k, lam, -lam * (lam + 7), 0),

@@ -147,9 +147,12 @@ def test_overflowing_charge_exit_2():
         # K/a overflows on a subnormal grid
         ["sweep", *SECTOR, "--mode", "float", "--a-min", "1e-320", "--a-max", "1e-319",
          "--points", "3"],
-        # the parabolic distance's gaps are subnormal (1e-320) or 0.0 (5e-324): the distance
-        # comes out inf and is rejected, with no RuntimeWarning on the way
+        # the parabolic distance's gaps are subnormal (1e-320) or 0.0 (5e-324), and 1e-8/Z
+        # overflows: the default distances are not finite, named by the charge with no
+        # RuntimeWarning on the way
         verify_argv(0, 2, 0, 0, "1e-320"),
+        verify_argv(0, 2, 0, 0, "5e-324"),
+        ["limits", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--mode", "float"],
         ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--mode", "float"],
     ],
 )
@@ -158,6 +161,8 @@ def test_underflowing_charge_or_focal_distance_exit_2(argv, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("ValidationError: "), err
     assert len(err) <= 200, err  # the charge is printed short, not as a full fraction
+    if not any(x.startswith("--a") for x in argv):  # no focal distance given: the charge is named
+        assert "focal distance a =" not in err and "Z = " in err, err
 
 
 @pytest.mark.parametrize(
@@ -488,8 +493,15 @@ def test_limits_default_distances_follow_the_charge(Z, capsys):
     p = json.loads(capsys.readouterr().out)["payload"]
     assert float(p["spherical"]["a_small"]) == 1e-8 / float(Fraction(Z))
     # the same aZ at every charge: where the first-order correction is ten times the tol
-    aZ = spheroidal.parabolic_distance(interbasis.w_matrix(validate_sector(8, 0, 0, 0)))
+    aZ = spheroidal.limit_distances(interbasis.w_matrix(validate_sector(8, 0, 0, 0)))[1]
     assert math.isclose(float(p["parabolic"]["a_large"]) * float(Fraction(Z)), aZ, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("flag", ["--a-small", "--a-large"])
+def test_limits_keeps_a_given_focal_distance_even_at_zero(flag, capsys):
+    # a given flag replaces its default even when it is falsy: 0 is refused, not defaulted
+    assert main(["limits", *SECTOR, "--mode", "float", flag, "0"]) == 2
+    assert capsys.readouterr().err == "ValidationError: focal distance a = 0.0 must be positive\n"
 
 
 def test_verify_trivial_sector():

@@ -23,7 +23,6 @@ from micz9.sector import (
     enumerate_sectors,
     lambda_index,
     lambda_range,
-    m9_parabolic_eigenvalue,
     np_index,
     np_range,
     validate_sector,
@@ -51,6 +50,12 @@ def test_validate_errors():
         validate_sector(0, 0, 2, 2, 1)
     with pytest.raises(ValidationError, match="n must be an integer, got 1.0"):
         validate_sector(1.0, 0, 0, 0)
+    # a charge that is not a finite rational is named, not a bare ValueError or OverflowError
+    for Z in (float("nan"), float("inf"), "x"):
+        with pytest.raises(ValidationError, match=f"Z = {Z!r}"):
+            validate_sector(1, 0, 0, 0, Z)
+    with pytest.raises(ValidationError, match="Z = nan"):
+        list(enumerate_sectors(Z=float("nan")))
 
 
 def test_lambda_range_examples():
@@ -80,11 +85,8 @@ def test_alpha_examples():
 
 def test_m9_parabolic_examples():
     s = validate_sector(1, 0, 0, 0, 1)
-    assert m9_parabolic_eigenvalue(s, 0).fraction == 1
-    assert m9_parabolic_eigenvalue(s, 1).fraction == -1
-    assert m9_parabolic_eigenvalue(validate_sector(2, 0, 0, 2, 1), 0).fraction == 0
-    with pytest.raises(IndexOutOfRange):
-        m9_parabolic_eigenvalue(s, 2)
+    assert [v.fraction for v in coeffs.m9_eigenvalues(s)] == [1, -1]
+    assert coeffs.m9_eigenvalues(validate_sector(2, 0, 0, 2, 1))[0].fraction == 0
 
 
 def test_ranges_same_size():
@@ -94,12 +96,8 @@ def test_ranges_same_size():
 
 def test_trace_matches_m9_matrix():
     for s in enumerate_sectors(3, 3, 3):
-        tr = sum(
-            (coeffs.m9_diag(s, lam) for lam in lambda_range(s)), Fraction(0)
-        )
-        eig_sum = sum(
-            (m9_parabolic_eigenvalue(s, k).fraction for k in np_range(s)), Fraction(0)
-        )
+        tr = sum(coeffs.m9_tridiagonal(s)[0], Fraction(0))
+        eig_sum = sum((v.fraction for v in coeffs.m9_eigenvalues(s)), Fraction(0))
         assert tr == eig_sum, s
 
 
@@ -144,7 +142,7 @@ def test_lambda_index():
     # the one check behind every lambda-indexed entry point, still an index error
     assert issubclass(LambdaOutOfRange, IndexOutOfRange)
     for call in (
-        lambda: coeffs.m9_diag(s, 3),
+        lambda: coeffs.k_diag(s, 3, 0),
         lambda: interbasis.w_coefficient(s, 3, 0),
         lambda: interbasis.w_coefficient(s, float("nan"), 0),
         lambda: interbasis.w_coefficient(s, float("inf"), 0),
@@ -167,12 +165,12 @@ def test_np_index():
     "fn, args",
     [
         (interbasis.w_coefficient, (1, 0.5)),
-        (m9_parabolic_eigenvalue, (2,)),
+        (coeffs.k_offdiag, (2, 1)),
     ],
-    ids=["w_coefficient", "m9_parabolic_eigenvalue"],
+    ids=["w_coefficient", "k_offdiag"],
 )
 def test_bad_parabolic_or_lambda_label_is_an_index_error(fn, args):
-    # the one check behind every n_p-indexed entry point: exit 2, never a wrong value
+    # the one check behind every n_p- or lambda-indexed entry point: exit 2, never a wrong value
     with pytest.raises(IndexOutOfRange) as exc:
         fn(S1, *args)
     assert exc.value.exit_code == 2

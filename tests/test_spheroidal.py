@@ -19,13 +19,13 @@ from micz9.errors import (
     ValidationError,
 )
 from micz9.interbasis import w_matrix
-from micz9.sector import alpha_scale, enumerate_sectors, m9_parabolic_eigenvalue, validate_sector
+from micz9.sector import alpha_scale, enumerate_sectors, validate_sector
 from micz9.spheroidal import (
     SymTridiagonal,
     build_k_matrix,
     check_parabolic_limit,
     check_spherical_limit,
-    parabolic_distance,
+    limit_distances,
     separation_constants,
     sign_fix_columns,
     sweep_branches,
@@ -395,17 +395,26 @@ def test_parabolic_distance_keeps_the_first_order_terms_load_bearing(nQLJ, Z):
     # of the check stays near (10 tol)^2
     s = validate_sector(*nQLJ, Z)
     W = w_matrix(s)
-    a = parabolic_distance(W)
+    a = limit_distances(W)[1]
     assert a * float(Z) >= 1e4
     spectrum = separation_constants(s, a)
     rep = check_parabolic_limit(W, spectrum)
     assert rep.max_set_error <= 1e-5 and rep.max_column_error <= 1e-5
     w = W.to_float()
-    mu = [m9_parabolic_eigenvalue(s, n_p).fraction for n_p in range(s.size)]
+    mu = [v.fraction for v in coeffs.m9_eigenvalues(s)]
     lead = [-float(alpha_scale(s) / 2 * m) for m in mu]  # K/a to zeroth order
     set_zeroth = np.abs(np.sort(spectrum.K / a) - np.sort(lead)).max() / float(Z)
     column_zeroth = np.abs(spectrum.T - w[:, rep.branch_np]).max()
     assert set_zeroth > 1e-4 and column_zeroth > 1e-4, (set_zeroth, column_zeroth)
+
+
+@pytest.mark.parametrize("Z", ["1e-400", "1e-320", "5e-324"])
+def test_limit_distances_name_a_charge_at_which_they_are_not_finite(Z):
+    # Z rounds to 0.0, or 1e-8/Z overflows and the gaps between the mu_p underflow
+    W = w_matrix(validate_sector(0, 2, 0, 0, Fraction(Z)))
+    with pytest.raises(ValidationError, match=f"Z = {Z}"):
+        limit_distances(W)
+    assert limit_distances(w_matrix(validate_sector(0, 2, 0, 0, 4)))[0] == 1e-8 / 4
 
 
 def test_limit_checks_reject_a_stack():

@@ -21,10 +21,12 @@ from micz9 import cli, sector
 
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
-# Kept for the trace but no longer on any command's path.  w_matrix builds
-# W from its row factors, integer core and column radicands, and proves it
-# orthogonal on them; w_coefficient builds one entry from the same row,
-# core and column pieces, unproved, for library callers.
+# Kept for the trace but no longer on any command's path.  k_diag and
+# k_offdiag read single entries of coeffs.k_pencil, which the float K(a) is
+# built from as a whole.  w_matrix builds W from its row factors, integer
+# core and column radicands, and proves it orthogonal on them;
+# w_coefficient builds one entry from the same row, core and column pieces,
+# unproved, for library callers.
 _UNCALLED = {"k_diag", "k_offdiag", "w_coefficient"}
 
 
