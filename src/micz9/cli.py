@@ -130,7 +130,9 @@ def _parse_sector(args) -> sector.Sector:
         float(s.Z)
         float(sector.energy(s))
     except OverflowError as exc:
-        raise ValidationError(f"Z = {args.Z} is too large: Z or the energy overflows a float") from exc
+        raise ValidationError(
+            f"Z = {sector._clip(args.Z)} is too large: Z or the energy overflows a float"
+        ) from exc
     return s
 
 

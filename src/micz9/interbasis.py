@@ -6,8 +6,13 @@ W = diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C holds
 the Horner numerators of a terminating 3F2 at unit argument, whose
 denominator depends on k alone.  A'(lambda) is the lambda-only factorial
 ratio of the radicand with that denominator, n_top!/(L+3)! and the row's
-content folded in; B(n_p) is the n_p-only ratio.  Every exact matrix
-here is held in W's printed form, rows of the integers (num, den, f) of
+content folded in; B(n_p) is the n_p-only ratio.  M9 and
+Lambda = diag(lambda(lambda+7)) act on W as a Leonard pair, so C has two
+three-term recurrences: M9's in lambda, and the dual one in n_p through
+G = W^T Lambda W.  w_matrix builds C by the n_p recurrence, in O(N^2)
+integer steps, and proves W orthogonal by the lambda one, which the build
+never reads; _core_row sums the 3F2 itself, for one entry.  Every exact
+matrix here is held in W's printed form, rows of the integers (num, den, f) of
 (num/den) sqrt(f) that the CLI prints, with no Fraction or RadicalScalar
 per entry: _printed_entries reduces a row root times a column root times
 an integer over a per-row denominator, one gcd per entry, for W, the
@@ -70,9 +75,11 @@ def _core_row(s: Sector, k: int, nps: list[int]) -> list[int]:
 
     Horner's rule on the term ratios, 1 + t_0 (1 + t_1 (1 + ...)), has the
     denominator (L+4)_k (-n_top)_k k!, which depends on k alone and has the
-    sign (-1)^k; one pass runs every column on it.  The core entry
-    (-1)^k n_top!/(L+3)! 3F2 is then rho_k times the numerator.  The series
-    ends before the zero of (-n_top)_j because k <= n_top.
+    sign (-1)^k; one pass runs every column on it, in O(k) steps per entry.
+    The core entry (-1)^k n_top!/(L+3)! 3F2 is then rho_k times the
+    numerator.  The series ends before the zero of (-n_top)_j because
+    k <= n_top.  w_coefficient reads an entry here; w_matrix steps
+    _np_recurrence instead.
     """
     L, n_top, c = s.L, s.size - 1, s.L + s.J + k + 7
     den, row = 1, [1] * len(nps)
@@ -90,26 +97,66 @@ def _column_radicand(s: Sector, n_p: int) -> Fraction:
     return Fraction(f(n_p + s.J + 3) * f(n_v + s.L + 3), f(n_v) * f(n_p))
 
 
-def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
-    """Row factors A', integer core C and column radicands B of the whole W.
+def _np_recurrence(s: Sector) -> tuple[list[int], list[int], list[int]]:
+    """(lower, diag, upper): the three-term recurrence of W's Horner numerators in n_p.
 
-    Each row of Horner numerators is divided by its content g, the gcd of
-    the row, and A' takes g^2: at N = 201 that leaves core entries of
-    about 200 bits out of 3,900.  g has only small primes because the
-    column n_p = n_top is the row's denominator itself; on part of a row
-    it need not, and sqrt(A') would factor a large g^2.
+    Lambda W = W G, Lambda = diag(lambda(lambda+7)) and G = W^T Lambda W
+    tridiagonal in n_p, is the Leonard pair's second recurrence.  Divided by
+    sqrt(A'_k) sqrt(B_p), it has integer coefficients on the numerators x
+    of row k:
+
+        lower[p] x[p-1] + upper[p] x[p+1] = (diag[p] - k(L+J+k+7)) x[p],
+
+    with n_v = n_top - p, lower[p] = p (n_v+L+4), upper[p] = (p+J+4) n_v and
+    diag[p] = 2 p n_v + (L+4) p + (J+4) n_v, that is G_pp - h(h+7) at
+    h = (L+J)/2; k(L+J+k+7) is lambda(lambda+7) - h(h+7).
     """
-    row_rad, core = [], []
+    L, J, n_top = s.L, s.J, s.size - 1
+    ps = range(s.size)
+    return ([p * (n_top - p + L + 4) for p in ps],
+            [2 * p * (n_top - p) + (L + 4) * p + (J + 4) * (n_top - p) for p in ps],
+            [(p + J + 4) * (n_top - p) for p in ps])
+
+
+def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
+    """Row factors A', integer core C and column radicands B of the whole W, in O(N^2) steps.
+
+    Row k of Horner numerators, _core_row's without summing a 3F2, is run
+    by _np_recurrence down from n_p = n_top, where the 3F2 is 1 and the
+    numerator is the row's denominator (L+4)_k (-n_top)_k k!; upper[n_top]
+    is 0, and each step divides exactly by lower[p] > 0.  A row at a time
+    keeps one row of unreduced numerators alive.  Each row is then divided
+    by its content g, the gcd of the row, and A' takes g^2: at N = 201
+    that leaves core entries of about 200 bits out of 3,900.  g has only
+    small primes because it divides the denominator at n_p = n_top.  The
+    build never reads M9 or mu, so _prove_orthogonal's lambda recurrence
+    checks it on an identity it was not built from.
+    """
+    L, J, n_top = s.L, s.J, s.size - 1
+    lower, diag, upper = _np_recurrence(s)
+    steps = [(diag[p], upper[p], lower[p]) for p in range(n_top, 0, -1)]
+    row_rad, core, den = [], [], 1
     for k, a in (_row(s, lam) for lam in lambda_range(s)):
-        row = _core_row(s, k, range(s.size))
+        shift = k * (L + J + k + 7)
+        x, after = den, 0  # the numerators at n_p and n_p + 1
+        row = [x]
+        for d, u, e in steps:
+            x, after = ((d - shift) * x - u * after) // e, x
+            row.append(x)
+        row.reverse()
         g = math.gcd(*row)
         row_rad.append(a * g * g)
-        core.append([x // g for x in row])
+        core.append([v // g for v in row])
+        den *= (L + 4 + k) * (k - n_top) * (k + 1)
     return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
 
 
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
-    """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact."""
+    """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact.
+
+    One entry is one 3F2 sum, _core_row on a single column, in O(N) steps;
+    the recurrence w_matrix runs would need the column's whole row.
+    """
     k, a = _row(s, lam)
     (x,) = _core_row(s, k, [np_index(s, n_p)])  # x stays out of the root; see _factors
     return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(_column_radicand(s, n_p)) * x

@@ -53,12 +53,47 @@ def _short(x: Fraction) -> str:
         return format(decimal.Decimal(x.numerator) / x.denominator, ".6g")
 
 
+def _clip(text: str, limit: int = 80) -> str:
+    """text cut to at most limit bytes of UTF-8, ending in "..." if cut: user text in a message."""
+    raw = text.encode()
+    return text if len(raw) <= limit else raw[: limit - 3].decode(errors="ignore") + "..."
+
+
+# |decimal exponent| of a charge's leading digit; a float spans 10^-324 .. 10^308
+_MAX_DECIMAL_EXPONENT = 1000
+
+
+def _decimal_exponent(text: str) -> int | None:
+    """Decimal exponent of the leading digit of text written as mantissa e exponent, else None.
+
+    Read without building 10^exponent, which Fraction(text) does in full.
+    """
+    mantissa, e, exponent = text.strip().lower().rpartition("e")
+    if not e:
+        return None
+    try:
+        return int(exponent) + decimal.Decimal(mantissa).adjusted()
+    except (ValueError, ArithmeticError):  # Fraction rejects these itself, at once
+        return None
+
+
 def _rational(name: str, x) -> Fraction:
-    """x as a Fraction; ValidationError naming x unless it is a finite rational."""
+    """x as a Fraction; ValidationError naming x unless it is a finite rational.
+
+    A decimal text whose leading digit lies beyond 10^(+-_MAX_DECIMAL_EXPONENT)
+    is refused before its Fraction is built.
+    """
+    if isinstance(x, str):
+        exponent = _decimal_exponent(x)
+        if exponent is not None and abs(exponent) > _MAX_DECIMAL_EXPONENT:
+            raise ValidationError(
+                f"{name} = {_clip(x)} is out of range: its decimal exponent {_clip(str(exponent), 20)}"
+                f" is outside {-_MAX_DECIMAL_EXPONENT}..{_MAX_DECIMAL_EXPONENT}"
+            )
     try:
         return Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
-        raise ValidationError(f"cannot parse {name} = {x!r} as a rational") from exc
+        raise ValidationError(f"cannot parse {name} = {_clip(repr(x))} as a rational") from exc
 
 
 @dataclass(frozen=True)

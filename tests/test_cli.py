@@ -179,6 +179,36 @@ def test_tiny_charge_in_an_error_message_is_printed_short(argv, capsys):
     assert len(err) <= 200, err
 
 
+@pytest.mark.parametrize("Z", ["1e30000000", "1e1000000", "1e-1001", "0.01e1003",
+                               "1e99999999999999999999999999"])
+def test_a_charge_beyond_its_decimal_exponent_bound_exits_2_at_once(Z):
+    # Fraction("1e30000000") would build 10^30000000 first: 47 s and 64 MB
+    argv = ["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z]
+    out = subprocess.run([sys.executable, "-m", "micz9.cli", *argv],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr.startswith(f"ValidationError: Z = {Z[:60]}") and "out of range" in out.stderr
+    assert len(out.stderr.encode()) <= 200, out.stderr
+
+
+@pytest.mark.parametrize("Z", ["5e-324", "1e-1000", "1000e-1003", "0.000001e160", "1.7e154",
+                               "1E-5", "2.5e+1", "1_0e-1_0"])
+def test_a_decimal_charge_inside_the_exponent_bound_is_read(Z, capsys):
+    argv = ["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["sector"]["Z"] == str(Fraction(Z))
+
+
+@pytest.mark.parametrize("Z", ["x" * 300, "1/" * 150, "\u00e9" * 300, "1" * 300, "-" + "1" * 300],
+                         ids=["letters", "slashes", "accents", "huge", "negative"])
+def test_a_long_charge_is_echoed_clipped(Z, capsys):
+    # not a rational, too large for a float, or not positive: one named line of at most 200 B
+    assert main(["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", f"--Z={Z}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(("ValidationError: ", "NonpositiveCharge: ")), err
+    assert err.count("\n") == 1 and len(err.encode()) <= 200, err
+
+
 def test_unbuildable_sweep_exit_2():
     # a sweep whose eigenvector stack would need 32 TB is refused before the grid is built
     out = run_cli("sweep", *SECTOR, "--mode", "float", "--a-min", "1", "--a-max", "2",
@@ -659,6 +689,36 @@ def test_exact_w_is_printed_without_a_radical_scalar(monkeypatch, capsys):
         cmd, n, Q, L, J = argv
         assert main([cmd, "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == pinned[argv]
+
+
+def test_exact_w_never_runs_the_3f2_rows(monkeypatch, capsys):
+    # w_matrix builds its core by the n_p recurrence; only w_coefficient reads a 3F2 row
+    def refuse(*args, **kwargs):
+        raise AssertionError("w_matrix ran a 3F2 row")
+
+    monkeypatch.setattr(interbasis, "_core_row", refuse)
+    for (cmd, n, Q, L, J), digest in GOLDEN:
+        assert interbasis.w_matrix(validate_sector(int(n), int(Q), int(L), int(J))).size
+        if cmd == "wmatrix":
+            assert main([cmd, "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
+            assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# sha256 of exact wmatrix stdout at large N, pinned while the core was still built
+# from 3F2 rows
+GOLDEN_LARGE = [
+    (("200", "0", "0", "0"), "de3a7aa96398eaa1c9e8f792b6212a98e886dddbe723646a55ae0319efdf16ea"),
+    (("120", "3", "1", "4"), "5c3a5cdd8bb47005e07b89696f64664adb3a218fb95109d545b11609439e217b"),
+]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("sector, digest", GOLDEN_LARGE)
+def test_exact_output_at_large_n_is_pinned(sector, digest, capsys):
+    """Opt-in (pytest -m slow): exact W at N = 201 and N = 121, byte for byte."""
+    n, Q, L, J = sector
+    assert main(["wmatrix", "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 # Runs argvs in a fresh interpreter where any import of numpy raises ImportError,

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from micz9 import coeffs
+from micz9 import coeffs, interbasis
 from micz9.coeffs import m9_eigenvalues, m9_spherical_matrix, matrix_to_float
 from micz9.errors import (
     IndexOutOfRange,
@@ -19,10 +19,13 @@ from micz9.exactscalar import RadicalScalar
 from micz9.interbasis import (
     _cg_column,
     _cg_row,
+    _column_radicand,
+    _core_row,
     _factors,
     _prove_orthogonal,
     _racah_sum,
     _recurrence_rows,
+    _row,
     m9_matrix_bruteforce,
     w_coefficient,
     w_matrix,
@@ -97,6 +100,42 @@ def test_orthogonality_exact_small_sweep():
 
 
 S3110 = validate_sector(3, 1, 1, 0, 1)
+
+
+def _factors_by_3f2_rows(s):
+    """(A', C, B) from _core_row's full 3F2 rows, each divided by its content."""
+    row_rad, core = [], []
+    for lam in lambda_range(s):
+        k, a = _row(s, lam)
+        row = _core_row(s, k, range(s.size))
+        g = math.gcd(*row)
+        row_rad.append(a * g * g)
+        core.append([x // g for x in row])
+    return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
+
+
+def test_factors_by_the_np_recurrence_equal_the_3f2_rows():
+    sectors = [*enumerate_sectors(6, 4, 4), validate_sector(60, 0, 0, 0), validate_sector(100, 3, 1, 4)]
+    for s in sectors:
+        assert _factors(s) == _factors_by_3f2_rows(s), s
+
+
+@pytest.mark.parametrize("part", [0, 1, 2], ids=["lower", "diag", "upper"])
+@pytest.mark.parametrize("nQLJ", [(4, 2, 1, 1), (20, 3, 1, 4), (60, 0, 0, 0)])
+def test_the_proof_rejects_a_build_on_a_perturbed_np_recurrence(monkeypatch, nQLJ, part):
+    # W is built by the n_p recurrence and proved by M9's lambda recurrence, which
+    # reads nothing the build reads: one coefficient off by one must not pass
+    s = validate_sector(*nQLJ)
+    exact = interbasis._np_recurrence
+
+    def perturbed(sector):
+        coefficients = exact(sector)
+        coefficients[part][sector.size // 2] += 1
+        return coefficients
+
+    monkeypatch.setattr(interbasis, "_np_recurrence", perturbed)
+    with pytest.raises(OrthogonalityViolation):
+        w_matrix(s)
 
 
 def test_structural_proof_catches_one_doubled_core_entry():
