@@ -12,8 +12,10 @@ and k_offdiag read.  M9's spectrum mu_p = n+Q/2-J-2n_p is m9_eigenvalues.
 There a and Z only ever enter through the product aZ, and spheroidal rounds the
 pencil once per (sector, Z) into the float pencil from which both its
 dense-eigensolver and its continuant routes build K(a) with one multiply-add
-per entry.  Matrices here are indexed by lambda ascending (rows and columns),
-which is also recorded in the CLI output metadata.
+per entry.  np_recurrence, the Leonard pair's other half, is the one source
+of G = W^T Lambda W, tridiagonal in n_p: W's core and the parabolic limit's
+float G.  Matrices in lambda are indexed by lambda ascending (rows and
+columns), which is also recorded in the CLI output metadata.
 """
 
 from __future__ import annotations
@@ -53,6 +55,21 @@ def m9_tridiagonal(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...
     """
     l2s = range(s.L + s.J, 2 * s.n + s.Q + 1, 2)
     return tuple(_m9_diag(s, l2) for l2 in l2s), tuple(_m9_offdiag_sq(s, l2) for l2 in l2s[1:])
+
+
+@functools.lru_cache(maxsize=64)
+def np_recurrence(s: Sector) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(lower, diag, upper) of G = W^T Lambda W, tridiagonal in n_p, evaluated once per sector.
+
+    Lambda W = W G on row k of W's integer core: lower[p] x[p-1] + upper[p] x[p+1]
+    = (diag[p] - k(L+J+k+7)) x[p], n_v = n_top - p, with lower[p] = p (n_v+L+4),
+    upper[p] = (p+J+4) n_v and diag[p] = 2 p n_v + (L+4) p + (J+4) n_v.  Then
+    G_pp = diag[p] + h(h+7), h = (L+J)/2, and G_p,p+1 = -sqrt(lower[p+1] upper[p]).
+    """
+    L, J, n_top, ps = s.L, s.J, s.size - 1, range(s.size)
+    return (tuple(p * (n_top - p + L + 4) for p in ps),
+            tuple(2 * p * (n_top - p) + (L + 4) * p + (J + 4) * (n_top - p) for p in ps),
+            tuple((p + J + 4) * (n_top - p) for p in ps))
 
 
 def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:

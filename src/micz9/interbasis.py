@@ -1,26 +1,26 @@
 """Spherical-parabolic interbasis matrix W and its exact cross-oracles.
 
-The parabolic basis is the eigenbasis of the ninth Runge-Lenz component
-M9, and W carries the spherical basis onto it.  Its closed form factors as
-W = diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C holds
-the Horner numerators of a terminating 3F2 at unit argument, whose
-denominator depends on k alone.  A'(lambda) is the lambda-only factorial
-ratio of the radicand with that denominator, n_top!/(L+3)! and the row's
-content folded in; B(n_p) is the n_p-only ratio.  M9 and
-Lambda = diag(lambda(lambda+7)) act on W as a Leonard pair, so C has two
-three-term recurrences: M9's in lambda, and the dual one in n_p through
-G = W^T Lambda W.  w_matrix builds C by the n_p recurrence, in O(N^2)
-integer steps, and proves W orthogonal by the lambda one, which the build
-never reads; _core_row sums the 3F2 itself, for one entry.  Every exact
-matrix here is held in W's printed form, rows of the integers (num, den, f) of
-(num/den) sqrt(f) that the CLI prints, with no Fraction or RadicalScalar
-per entry: _printed_entries reduces a row root times a column root times
-an integer over a per-row denominator, one gcd per entry, for W, the
-brute-force M9 and the recurrence residual alike.  WMatrix keeps the
+The parabolic basis is the eigenbasis of the ninth Runge-Lenz component M9,
+and W carries the spherical basis onto it.  Its closed form factors as W =
+diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C holds the
+Horner numerators of a terminating 3F2 at unit argument, whose denominator
+depends on k alone.  A'(lambda) is the lambda-only factorial ratio of the
+radicand with that denominator, n_top!/(L+3)! and the row's content folded
+in; B(n_p) is the n_p-only ratio.  M9 and Lambda = diag(lambda(lambda+7))
+act on W as a Leonard pair, so C has two three-term recurrences: M9's in
+lambda, and the dual one in n_p through G = W^T Lambda W, the closed-form
+tridiagonal coeffs.np_recurrence.  w_matrix builds C by the n_p one, in
+O(N^2) integer steps; _core_row sums the 3F2 itself, for one entry.  Every
+exact matrix here is held in W's printed form, rows of the integers (num,
+den, f) of (num/den) sqrt(f) that the CLI prints, with no Fraction or
+RadicalScalar per entry: _printed_entries reduces a row root times a column
+root times an integer over a per-row denominator, one gcd per entry, for W,
+the brute-force M9 and the recurrence residual alike.  WMatrix keeps the
 factors next to the printed entries; its roots and floats are views built
 when read.  With mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal
-matrix, w_matrix proves W orthogonal on the factors in O(N^2) integer
-operations, with no W^T W sum:
+matrix, w_matrix proves W orthogonal on the factors by the lambda
+recurrence, which the build never reads, in O(N^2) integer operations, with
+no W^T W sum:
 
 * M9 W = W diag(mu), divided by sqrt(A'_lambda) sqrt(B_p), is the
   three-term recurrence of C in lambda, whose couplings
@@ -51,7 +51,7 @@ from fractions import Fraction
 from . import coeffs
 from .errors import OrthogonalityViolation, RadicandMismatch
 from .exactscalar import RadicalScalar, rational_root
-from .sector import Sector, alpha_scale, lambda_index, lambda_range, np_index
+from .sector import Sector, lambda_index, lambda_range, np_index
 
 
 def _row(s: Sector, lam) -> tuple[int, Fraction]:
@@ -79,7 +79,7 @@ def _core_row(s: Sector, k: int, nps: list[int]) -> list[int]:
     The core entry (-1)^k n_top!/(L+3)! 3F2 is then rho_k times the
     numerator.  The series ends before the zero of (-n_top)_j because
     k <= n_top.  w_coefficient reads an entry here; w_matrix steps
-    _np_recurrence instead.
+    coeffs.np_recurrence instead.
     """
     L, n_top, c = s.L, s.size - 1, s.L + s.J + k + 7
     den, row = 1, [1] * len(nps)
@@ -97,32 +97,11 @@ def _column_radicand(s: Sector, n_p: int) -> Fraction:
     return Fraction(f(n_p + s.J + 3) * f(n_v + s.L + 3), f(n_v) * f(n_p))
 
 
-def _np_recurrence(s: Sector) -> tuple[list[int], list[int], list[int]]:
-    """(lower, diag, upper): the three-term recurrence of W's Horner numerators in n_p.
-
-    Lambda W = W G, Lambda = diag(lambda(lambda+7)) and G = W^T Lambda W
-    tridiagonal in n_p, is the Leonard pair's second recurrence.  Divided by
-    sqrt(A'_k) sqrt(B_p), it has integer coefficients on the numerators x
-    of row k:
-
-        lower[p] x[p-1] + upper[p] x[p+1] = (diag[p] - k(L+J+k+7)) x[p],
-
-    with n_v = n_top - p, lower[p] = p (n_v+L+4), upper[p] = (p+J+4) n_v and
-    diag[p] = 2 p n_v + (L+4) p + (J+4) n_v, that is G_pp - h(h+7) at
-    h = (L+J)/2; k(L+J+k+7) is lambda(lambda+7) - h(h+7).
-    """
-    L, J, n_top = s.L, s.J, s.size - 1
-    ps = range(s.size)
-    return ([p * (n_top - p + L + 4) for p in ps],
-            [2 * p * (n_top - p) + (L + 4) * p + (J + 4) * (n_top - p) for p in ps],
-            [(p + J + 4) * (n_top - p) for p in ps])
-
-
 def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
     """Row factors A', integer core C and column radicands B of the whole W, in O(N^2) steps.
 
     Row k of Horner numerators, _core_row's without summing a 3F2, is run
-    by _np_recurrence down from n_p = n_top, where the 3F2 is 1 and the
+    by coeffs.np_recurrence down from n_p = n_top, where the 3F2 is 1 and the
     numerator is the row's denominator (L+4)_k (-n_top)_k k!; upper[n_top]
     is 0, and each step divides exactly by lower[p] > 0.  A row at a time
     keeps one row of unreduced numerators alive.  Each row is then divided
@@ -133,7 +112,7 @@ def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]
     checks it on an identity it was not built from.
     """
     L, J, n_top = s.L, s.J, s.size - 1
-    lower, diag, upper = _np_recurrence(s)
+    lower, diag, upper = coeffs.np_recurrence(s)
     steps = [(diag[p], upper[p], lower[p]) for p in range(n_top, 0, -1)]
     row_rad, core, den = [], [], 1
     for k, a in (_row(s, lam) for lam in lambda_range(s)):
@@ -196,15 +175,6 @@ class WMatrix:
     @functools.cached_property
     def _recurrence(self) -> tuple[tuple[int, list[int]], ...]:
         return tuple(_recurrence_rows(self.sector, self.row_radicands, self.core))
-
-    @functools.cached_property
-    def _parabolic_frame(self):
-        """Float W, G = W^T diag(lambda(lambda+7)) W and -(alpha/2) mu: spheroidal's a-free part."""
-        import numpy as np
-        s, w = self.sector, self.to_float()
-        lam = np.array([float(x.fraction * (x.fraction + 7)) for x in lambda_range(s)])
-        mu = np.array([m.twice for m in coeffs.m9_eigenvalues(s)]) / 2
-        return w, w.T @ (lam[:, None] * w), -float(alpha_scale(s) / 2) * mu  # alpha/2: sqrt(-2E)
 
     @functools.cached_property
     def _float(self):
@@ -358,7 +328,7 @@ def _racah_sum(x1: int, column: tuple[int, ...]) -> Fraction:
     x1 = a+b-c, and column = (a+alpha, x2 = a-alpha, x3 = b+beta, b-beta),
     so y1 = c-b+alpha = a+alpha-x1 and y2 = c-a-beta = b-beta-x1.  Summed
     from its first term by Horner's rule on the term ratios, in integers,
-    as _f32_unit_terminating does.
+    as _core_row does.
     """
     u, x2, x3, v = column
     y1, y2 = u - x1, v - x1

@@ -61,6 +61,7 @@ def _clip(text: str, limit: int = 80) -> str:
 
 # |decimal exponent| of a charge's leading digit; a float spans 10^-324 .. 10^308
 _MAX_DECIMAL_EXPONENT = 1000
+_MAX_DIGITS_BOUND = 10 ** (_MAX_DECIMAL_EXPONENT + 1)  # and its numerator and denominator stay below
 
 
 def _decimal_exponent(text: str) -> int | None:
@@ -81,7 +82,8 @@ def _rational(name: str, x) -> Fraction:
     """x as a Fraction; ValidationError naming x unless it is a finite rational.
 
     A decimal text whose leading digit lies beyond 10^(+-_MAX_DECIMAL_EXPONENT)
-    is refused before its Fraction is built.
+    is refused before its Fraction is built, and one whose numerator or denominator reaches
+    _MAX_DIGITS_BOUND after: no text of it or its energy passes Python's 4,300-digit limit.
     """
     if isinstance(x, str):
         exponent = _decimal_exponent(x)
@@ -91,9 +93,14 @@ def _rational(name: str, x) -> Fraction:
                 f" is outside {-_MAX_DECIMAL_EXPONENT}..{_MAX_DECIMAL_EXPONENT}"
             )
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ValidationError(f"cannot parse {name} = {_clip(repr(x))} as a rational") from exc
+    if max(abs(q.numerator), q.denominator) >= _MAX_DIGITS_BOUND:
+        shown = _clip(x) if isinstance(x, str) else _short(q)
+        raise ValidationError(f"{name} = {shown} is out of range: its numerator or denominator"
+                              f" has more than {_MAX_DECIMAL_EXPONENT + 1} digits")
+    return q
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ from .errors import (
     ValidationError,
 )
 from .interbasis import WMatrix
-from .sector import Sector, _short
+from .sector import Sector, _short, alpha_scale
 
 _SIGN_TOL = 1e-12
 _PARABOLIC_TOL = 1e-4  # check_parabolic_limit's tolerance, which limit_distances aims for
@@ -381,16 +381,20 @@ class ParabolicLimitReport:
         return float(self.column_errors.max())
 
 
-def _first_order(W: WMatrix, a: float):
-    """Float W, G = W^T Lambda W, K/a to zeroth order, -(alpha/2) mu, and the gaps at a.
+def _first_order(W: WMatrix):
+    """Float W, G's diagonal and shift, the first-order column correction times a alpha.
 
-    gaps[q, p] = a (alpha/2) (mu_p - mu_q), infinite on the diagonal; the rest is W's, built once.
+    G = W^T Lambda W is the tridiagonal coeffs.np_recurrence and mu_p falls by 2 per n_p, so the
+    gaps to q = p +- 1 are +-a alpha: shift[:, p] = W[:,p+1] G_p,p+1 - W[:,p-1] G_p-1,p.
     """
     import numpy as np
-    w, G, lead = W._parabolic_frame
-    gaps = a * (lead[:, None] - lead[None, :])
-    np.fill_diagonal(gaps, np.inf)
-    return w, G, lead, gaps
+    s, w = W.sector, W.to_float()
+    lower, diag, upper = coeffs.np_recurrence(s)
+    g_off = -np.sqrt([float(x * y) for x, y in zip(lower[1:], upper)])
+    shift = np.zeros_like(w)
+    shift[:, :-1] = w[:, 1:] * g_off
+    shift[:, 1:] -= w[:, :-1] * g_off
+    return w, np.add(diag, (s.L + s.J) * (s.L + s.J + 14) / 4), shift  # h(h+7), h = (L+J)/2
 
 
 def limit_distances(W: WMatrix) -> tuple[float, float]:
@@ -402,13 +406,13 @@ def limit_distances(W: WMatrix) -> tuple[float, float]:
     tol.  Raises ValidationError, naming Z, if either is not a finite float.
     """
     import numpy as np
-    zf = float(W.sector.Z)
-    w, G, _, gaps = _first_order(W, 1.0)
-    with np.errstate(all="ignore"):  # a tiny Z: gaps underflow, 1e-8/Z overflows, Z is 0.0
-        correction = float(abs(w @ (G / gaps)).max()) * zf  # at aZ = 1
-        a = np.array([1e-8, max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ)]) / zf
+    s = W.sector  # alpha/Z is a rational free of Z, so the correction at aZ = 1 is finite
+    correction = float(abs(_first_order(W)[2]).max()) / float(alpha_scale(s) / s.Z)
+    aZ = max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ)
+    with np.errstate(all="ignore"):  # a tiny Z: 1e-8/Z overflows, or Z is 0.0
+        a = np.array([1e-8, aZ]) / float(s.Z)
     if not np.isfinite(a).all():
-        raise ValidationError(f"the limit distances at Z = {_short(W.sector.Z)} are not finite")
+        raise ValidationError(f"the limit distances at Z = {_short(s.Z)} are not finite")
     return tuple(a.tolist())
 
 
@@ -421,14 +425,14 @@ def check_parabolic_limit(
     M9 is -G - a (alpha/2) diag(mu), with G = W^T Lambda W and mu_p =
     n+Q/2-J-2n_p, so to first order in 1/a the set {K/a} must approach
     {-(alpha/2) mu_p - G_pp/a} and each branch's column the renormalized
-    W[:,p] + sum_{q != p} W[:,q] G_qp / (a (alpha/2) (mu_p - mu_q)), with p
-    matched per eigenvalue rather than per descending label.  Subtracting
-    the first-order term keeps the check valid as G grows with N.  K(a)
-    depends on a and Z only through aZ, and K/a scales with Z, so the K/a
-    errors are divided by Z and the spectrum's a Z must be at least 1e4:
-    the same aZ and tol then mean the same check at every charge, which
-    limit_distances places.  W must belong to the spectrum's sector.
-    Raises LimitMismatch on failure.
+    W[:,p] + sum_{q = p +- 1} W[:,q] G_qp / (a (alpha/2) (mu_p - mu_q)), G
+    being the closed-form tridiagonal coeffs.np_recurrence, with p matched per
+    eigenvalue rather than per descending label.  Subtracting the first-order
+    term keeps the check valid as G grows with N.  K(a) depends on a and Z
+    only through aZ, and K/a scales with Z, so the K/a errors are divided by Z
+    and the spectrum's a Z must be at least 1e4: the same aZ and tol then mean
+    the same check at every charge, which limit_distances places.  W must
+    belong to the spectrum's sector.  Raises LimitMismatch on failure.
     """
     import numpy as np
     if spectrum.K.ndim != 1:
@@ -440,9 +444,10 @@ def check_parabolic_limit(
     if not a_large * zf >= _PARABOLIC_MIN_AZ:
         raise ValidationError(f"a_large Z = {a_large} * {_short(s.Z)} must be at least 1e4")
     n = s.size
-    w, G, lead, gaps = _first_order(W, a_large)
-    targets = lead - np.diag(G) / a_large
-    columns = w + w @ (G / gaps)
+    w, g_diag, shift = _first_order(W)
+    alpha = float(alpha_scale(s))
+    targets = -alpha / 4 * np.array([m.twice for m in coeffs.m9_eigenvalues(s)]) - g_diag / a_large
+    columns = w + shift / (a_large * alpha)
     columns /= np.linalg.norm(columns, axis=0)
     ratios = spectrum.K / a_large
     set_errors = np.abs(np.sort(ratios) - np.sort(targets)) / zf

@@ -179,10 +179,16 @@ def test_tiny_charge_in_an_error_message_is_printed_short(argv, capsys):
     assert len(err) <= 200, err
 
 
-@pytest.mark.parametrize("Z", ["1e30000000", "1e1000000", "1e-1001", "0.01e1003",
-                               "1e99999999999999999999999999"])
+@pytest.mark.parametrize("Z", [
+    "1e30000000", "1e1000000", "1e-1001", "0.01e1003", "1e99999999999999999999999999",
+    # no exponent, but a numerator or denominator past 1,001 digits
+    pytest.param("1/1" + "0" * 2200, id="1/1e2200"),
+    pytest.param("2" + "0" * 3000 + "1/3" + "0" * 3000, id="2e3000/3e3000"),
+    pytest.param("0." + "0" * 2200 + "1", id="1e-2201"),
+])
 def test_a_charge_beyond_its_decimal_exponent_bound_exits_2_at_once(Z):
-    # Fraction("1e30000000") would build 10^30000000 first: 47 s and 64 MB
+    # Fraction("1e30000000") would build 10^30000000 first: 47 s and 64 MB; str(Fraction)
+    # of a charge written out in digits once passed Python's 4,300-digit limit
     argv = ["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z]
     out = subprocess.run([sys.executable, "-m", "micz9.cli", *argv],
                          capture_output=True, text=True, timeout=20)
@@ -258,7 +264,7 @@ def test_verify_builds_w_once(monkeypatch, capsys):
 
 
 def test_verify_does_each_sectors_shared_work_once(monkeypatch, capsys):
-    calls = dict.fromkeys(["laguerre", "_recurrence_rows", "frame", "squarefree_split"], 0)
+    calls = dict.fromkeys(["laguerre", "_recurrence_rows", "np_recurrence", "squarefree_split"], 0)
 
     def counted(name, original):
         def wrapper(*args):
@@ -267,16 +273,15 @@ def test_verify_does_each_sectors_shared_work_once(monkeypatch, capsys):
         return wrapper
 
     for module, name in [(_backend, "laguerre"), (interbasis, "_recurrence_rows"),
-                         (exactscalar, "squarefree_split")]:
+                         (exactscalar, "squarefree_split"), (coeffs, "np_recurrence")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-    frame = vars(interbasis.WMatrix)["_parabolic_frame"]  # built on W's first read
-    monkeypatch.setattr(frame, "func", counted("frame", frame.func))
     assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
     # three runs for the quadrature and three for the radial and both parabolic equations
     # together, not three each
     assert calls["laguerre"] == 6
     assert calls["_recurrence_rows"] == 1  # w_recurrence_exact reads the rows of W's proof
-    assert calls["frame"] == 1  # one parabolic first-order frame for both limit routines
+    # one exact G, read by W's build, limit_distances and the parabolic check; no float W^T Lambda W
+    assert calls["np_recurrence"] == 3
     # 9 row and 9 column roots in w_matrix and M9's 8 couplings; the brute force reads W's roots
     assert calls["squarefree_split"] == 26
 

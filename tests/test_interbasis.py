@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from micz9 import coeffs, interbasis
+from micz9 import coeffs
 from micz9.coeffs import m9_eigenvalues, m9_spherical_matrix, matrix_to_float
 from micz9.errors import (
     IndexOutOfRange,
@@ -126,14 +126,14 @@ def test_the_proof_rejects_a_build_on_a_perturbed_np_recurrence(monkeypatch, nQL
     # W is built by the n_p recurrence and proved by M9's lambda recurrence, which
     # reads nothing the build reads: one coefficient off by one must not pass
     s = validate_sector(*nQLJ)
-    exact = interbasis._np_recurrence
+    exact = coeffs.np_recurrence
 
     def perturbed(sector):
-        coefficients = exact(sector)
+        coefficients = [list(c) for c in exact(sector)]  # a copy: the cached tuples stay exact
         coefficients[part][sector.size // 2] += 1
         return coefficients
 
-    monkeypatch.setattr(interbasis, "_np_recurrence", perturbed)
+    monkeypatch.setattr(coeffs, "np_recurrence", perturbed)
     with pytest.raises(OrthogonalityViolation):
         w_matrix(s)
 

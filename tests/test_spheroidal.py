@@ -19,9 +19,10 @@ from micz9.errors import (
     ValidationError,
 )
 from micz9.interbasis import w_matrix
-from micz9.sector import alpha_scale, enumerate_sectors, validate_sector
+from micz9.sector import alpha_scale, enumerate_sectors, lambda_range, validate_sector
 from micz9.spheroidal import (
     SymTridiagonal,
+    _first_order,
     build_k_matrix,
     check_parabolic_limit,
     check_spherical_limit,
@@ -408,9 +409,36 @@ def test_parabolic_distance_keeps_the_first_order_terms_load_bearing(nQLJ, Z):
     assert set_zeroth > 1e-4 and column_zeroth > 1e-4, (set_zeroth, column_zeroth)
 
 
+def test_the_first_order_frame_reads_g_from_its_closed_form():
+    # G = W^T Lambda W in floats from the exact coeffs.np_recurrence, and the first-order
+    # columns from its two off-diagonals, against the dense products they replace
+    sectors = [*enumerate_sectors(8, 4, 4), validate_sector(60, 0, 0, 0),
+               validate_sector(100, 3, 1, 4)]
+    for s in sectors:
+        W = w_matrix(s)
+        w = W.to_float()
+        lam = np.array([float(x.fraction * (x.fraction + 7)) for x in lambda_range(s)])
+        G = w.T @ (lam[:, None] * w)
+        tol = 1e-14 * max(1.0, np.abs(G).max())
+        lower, diag, upper = coeffs.np_recurrence(s)
+        h = s.lam_min.fraction
+        off = [-math.sqrt(x * y) for x, y in zip(lower[1:], upper)]
+        closed = np.diag([float(d + h * (h + 7)) for d in diag])
+        closed += np.diag(off, 1) + np.diag(off, -1)
+        assert np.abs(closed - G).max() <= tol, s
+        _, g_diag, shift = _first_order(W)
+        assert np.abs(g_diag - np.diag(G)).max() <= tol, s
+        alpha = float(alpha_scale(s))
+        lead = -alpha / 2 * np.array([m.twice for m in coeffs.m9_eigenvalues(s)]) / 2
+        gaps = lead[:, None] - lead[None, :]  # a (alpha/2) (mu_p - mu_q) at a = 1
+        np.fill_diagonal(gaps, np.inf)
+        dense = w + w @ (G / gaps)
+        assert np.abs(w + shift / alpha - dense).max() <= 1e-14 * np.abs(dense).max(), s
+
+
 @pytest.mark.parametrize("Z", ["1e-400", "1e-320", "5e-324"])
 def test_limit_distances_name_a_charge_at_which_they_are_not_finite(Z):
-    # Z rounds to 0.0, or 1e-8/Z overflows and the gaps between the mu_p underflow
+    # Z rounds to 0.0, or 1e-8/Z overflows
     W = w_matrix(validate_sector(0, 2, 0, 0, Fraction(Z)))
     with pytest.raises(ValidationError, match=f"Z = {Z}"):
         limit_distances(W)
