@@ -232,6 +232,11 @@ def cmd_sweep(args) -> None:
         grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max), args.points)
     else:
         grid = np.linspace(args.a_min, args.a_max, args.points)
+    if not (np.diff(grid) > 0).all():  # --a-min and --a-max a few ulps apart
+        raise ValidationError(
+            f"--points {args.points} from --a-min {args.a_min} to --a-max {args.a_max} "
+            "give repeated grid points: use fewer points or a wider range"
+        )
     sw = spheroidal.sweep_branches(s, grid)
     a_s = _fmt_array(grid)  # each point is printed once per branch
     if args.format == "csv":  # one template over all (point, branch) rows of the grid
@@ -253,9 +258,10 @@ def cmd_limits(args) -> None:
     s = _parse_sector(args)
     _require_finite(a_small=args.a_small, a_large=args.a_large)
     W = interbasis.w_matrix(s)
-    given = (args.a_small, args.a_large)  # a flag that is given, 0.0 too, replaces its default
-    a = [d if x is None else x for x, d in zip(given, spheroidal.limit_distances(W))]
-    both = spheroidal.separation_constants(s, a)
+    # a flag that is given, 0.0 too, replaces its default, which is then not computed
+    a_small = spheroidal.spherical_distance(s) if args.a_small is None else args.a_small
+    a_large = spheroidal.parabolic_distance(W) if args.a_large is None else args.a_large
+    both = spheroidal.separation_constants(s, [a_small, a_large])
     sph = spheroidal.check_spherical_limit(both[0])
     par = spheroidal.check_parabolic_limit(W, both[1])
     payload = {

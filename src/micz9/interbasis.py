@@ -10,8 +10,11 @@ in; B(n_p) is the n_p-only ratio.  M9 and Lambda = diag(lambda(lambda+7))
 act on W as a Leonard pair, so C has two three-term recurrences: M9's in
 lambda, and the dual one in n_p through G = W^T Lambda W, the closed-form
 tridiagonal coeffs.np_recurrence.  w_matrix builds C by the n_p one, in
-O(N^2) integer steps; _core_row sums the 3F2 itself, for one entry.  Every
-exact matrix here is held in W's printed form, rows of the integers (num,
+O(N^2) integer steps; _core_row sums the 3F2 itself, for one entry.  The
+build and its proof run on integers and integer (num, den) pairs with exact
+divisions: a Fraction is built only for W's row_radicands and
+col_radicands fields, one per row and one per column.  Every exact
+matrix here is held in W's printed form, rows of the integers (num,
 den, f) of (num/den) sqrt(f) that the CLI prints, with no Fraction or
 RadicalScalar per entry: _printed_entries reduces a row root times a column
 root times an integer over a per-row denominator, one gcd per entry, for W,
@@ -38,7 +41,7 @@ Independently of the 3F2, each printed entry must equal its single SU(2)
 Clebsch-Gordan form (Condon-Shortley/Varshalovich phases).  On W the CG
 prefactor splits into a part per row and a part per column, and only the
 Racah sum couples the two; w_via_cg builds each part once and sums each
-Racah series in integers.
+Racah series in integers, each a (num, den) pair in lowest terms.
 """
 
 from __future__ import annotations
@@ -54,20 +57,19 @@ from .exactscalar import RadicalScalar, rational_root
 from .sector import Sector, lambda_index, lambda_range, np_index
 
 
-def _row(s: Sector, lam) -> tuple[int, Fraction]:
-    """Ladder position k of lambda = (L+J)/2 + k and A(lambda) rho_k^2, all in integers of k.
+def _row(s: Sector, k: int) -> tuple[int, int]:
+    """A(lambda) rho_k^2 at ladder position k, lambda = (L+J)/2 + k, as integers (num, den).
 
     A is the lambda-only factorial ratio of W's radicand, and
     rho_k = (n_top-k)! / ((L+k+3)! k!) is n_top!/(L+3)! over the magnitude
-    of _core_row's denominator (L+4)_k (-n_top)_k k!.
+    of _core_row's denominator (L+4)_k (-n_top)_k k!.  num/den is not
+    reduced; its one reduction is the Fraction that _factors or
+    w_coefficient builds.
     """
-    k = lambda_index(s, lam)[1]
     L, J, n_top = s.L, s.J, s.size - 1
     f = math.factorial
-    return k, Fraction(
-        f(L + J + k + 6) * (L + J + 2 * k + 7) * f(n_top - k),
-        f(k) ** 3 * f(n_top + L + J + k + 7) * f(J + k + 3) * f(L + k + 3),
-    )
+    return (f(L + J + k + 6) * (L + J + 2 * k + 7) * f(n_top - k),
+            f(k) ** 3 * f(n_top + L + J + k + 7) * f(J + k + 3) * f(L + k + 3))
 
 
 def _core_row(s: Sector, k: int, nps: list[int]) -> list[int]:
@@ -107,7 +109,9 @@ def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]
     keeps one row of unreduced numerators alive.  Each row is then divided
     by its content g, the gcd of the row, and A' takes g^2: at N = 201
     that leaves core entries of about 200 bits out of 3,900.  g has only
-    small primes because it divides the denominator at n_p = n_top.  The
+    small primes because it divides the denominator at n_p = n_top.  A' =
+    A g^2 is formed in integers, and its one Fraction, like each B's, is
+    the field WMatrix keeps; the proof reads their numerators.  The
     build never reads M9 or mu, so _prove_orthogonal's lambda recurrence
     checks it on an identity it was not built from.
     """
@@ -115,7 +119,7 @@ def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]
     lower, diag, upper = coeffs.np_recurrence(s)
     steps = [(diag[p], upper[p], lower[p]) for p in range(n_top, 0, -1)]
     row_rad, core, den = [], [], 1
-    for k, a in (_row(s, lam) for lam in lambda_range(s)):
+    for k in range(s.size):
         shift = k * (L + J + k + 7)
         x, after = den, 0  # the numerators at n_p and n_p + 1
         row = [x]
@@ -124,7 +128,8 @@ def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]
             row.append(x)
         row.reverse()
         g = math.gcd(*row)
-        row_rad.append(a * g * g)
+        a_num, a_den = _row(s, k)
+        row_rad.append(Fraction(a_num * g * g, a_den))
         core.append([v // g for v in row])
         den *= (L + 4 + k) * (k - n_top) * (k + 1)
     return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
@@ -136,9 +141,10 @@ def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     One entry is one 3F2 sum, _core_row on a single column, in O(N) steps;
     the recurrence w_matrix runs would need the column's whole row.
     """
-    k, a = _row(s, lam)
+    k = lambda_index(s, lam)[1]
     (x,) = _core_row(s, k, [np_index(s, n_p)])  # x stays out of the root; see _factors
-    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(_column_radicand(s, n_p)) * x
+    a = RadicalScalar.sqrt(Fraction(*_row(s, k)))
+    return a * RadicalScalar.sqrt(_column_radicand(s, n_p)) * x
 
 
 @dataclass(frozen=True)
@@ -187,37 +193,40 @@ class WMatrix:
         return self._float
 
 
-def _rational_sqrt(q: Fraction) -> Fraction | None:
-    """The non-negative rational whose square is q >= 0, or None if there is none."""
-    num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
-    if num * num != q.numerator or den * den != q.denominator:
-        return None
-    return Fraction(num, den)
-
-
 def _recurrence_rows(s: Sector, row_rad, core):
     """Rows i of M9 W - W diag(mu) over sqrt(A'_i) sqrt(B_p), as (e, ints v): entry p is v[p]/e.
 
     That entry is sum_k M9[i, k] sqrt(A'_k / A'_i) C[k, p] - mu_p C[i, p],
-    M9 from coeffs.m9_tridiagonal.  Its coupling b_i sqrt(A'_(i-1) / A'_i),
+    M9 from coeffs.m9_tridiagonal.  Its coupling t_i = b_i sqrt(A'_(i-1) / A'_i),
     b_i >= 0 the root of M9's squared coupling, and the mirror
-    b_i sqrt(A'_i / A'_(i-1)) are rational on a correct W.  Raises
-    RadicandMismatch if one is not: the residual leaves the c*sqrt(d)
-    class, and A' is wrong.
+    b_i sqrt(A'_i / A'_(i-1)) = b_i^2 / t_i are rational on a correct W;
+    each is an integer pair (num, den) in lowest terms, from one gcd and
+    two isqrts for t_i and one gcd for its mirror.  Raises RadicandMismatch
+    if t_i is not rational: the residual leaves the c*sqrt(d) class, and A'
+    is wrong.
     """
     n = len(core)
     m9_diag, coupling_sq = coeffs.m9_tridiagonal(s)
     mu2 = [v.twice for v in coeffs.m9_eigenvalues(s)]  # 2 mu_p, an int: e is kept even
-    down = [Fraction(0)] * n  # [i]: M9[i, i-1] sqrt(A'[i-1] / A'[i])
+    a = [(x.numerator, x.denominator) for x in row_rad]
+    down = [(0, 1)] * n  # [i]: M9[i, i-1] sqrt(A'[i-1] / A'[i])
+    up = [(0, 1)] * n  # [i]: M9[i, i+1] sqrt(A'[i+1] / A'[i])
     for i, b_sq in enumerate(coupling_sq, 1):
-        t = _rational_sqrt(b_sq * row_rad[i - 1] / row_rad[i])
-        if t is None:
+        (p0, q0), (p1, q1), bn, bd = a[i - 1], a[i], b_sq.numerator, b_sq.denominator
+        num, den = bn * p0 * q1, bd * q0 * p1
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        tn, td = math.isqrt(num), math.isqrt(den)
+        if tn * tn != num or td * td != den:
             raise RadicandMismatch(f"the M9 coupling into row {i} of W is irrational for {s}")
-        down[i] = t
-    up = [down[i + 1] * row_rad[i + 1] / row_rad[i] for i in range(n - 1)] + [Fraction(0)]
+        down[i] = tn, td
+        num, den = bn * td, bd * tn
+        g = math.gcd(num, den)
+        up[i - 1] = num // g, den // g
     for i, diag in enumerate(m9_diag):
-        e = math.lcm(down[i].denominator, up[i].denominator, diag.denominator, 2)
-        lo, mid, hi = (x.numerator * (e // x.denominator) for x in (down[i], diag, up[i]))
+        (ln, ld), (hn, hd) = down[i], up[i]
+        e = math.lcm(ld, hd, diag.denominator, 2)
+        lo, mid, hi = ln * (e // ld), diag.numerator * (e // diag.denominator), hn * (e // hd)
         half = e // 2
         v = [(mid - m * half) * x for m, x in zip(mu2, core[i])]
         if i:
@@ -292,11 +301,12 @@ def w_matrix(s: Sector) -> WMatrix:
     return W
 
 
-def _cg_row(a2: int, b2: int, c2: int, g2: int) -> tuple[int, Fraction] | None:
-    """a+b-c and the prefactor's (a, b, c, gamma) part, or None off the selection rules.
+def _cg_row(a2: int, b2: int, c2: int, g2: int) -> tuple[int, tuple[int, int]] | None:
+    """a+b-c and the prefactor's (a, b, c, gamma) part (num, den), or None off the selection rules.
 
     Arguments are doubled, so half-integers are ints.  The part is
-    (2c+1) (a+b-c)! (a-b+c)! (-a+b+c)! (c+gamma)! (c-gamma)! / (a+b+c+1)!.
+    (2c+1) (a+b-c)! (a-b+c)! (-a+b+c)! (c+gamma)! (c-gamma)! / (a+b+c+1)!,
+    in lowest terms.
     The rules checked: |gamma| <= c, the triangle |a-b| <= c <= a+b, and
     integer c-gamma and a+b+c.
     """
@@ -306,7 +316,9 @@ def _cg_row(a2: int, b2: int, c2: int, g2: int) -> tuple[int, Fraction] | None:
     x1 = (a2 + b2 - c2) // 2
     num = (c2 + 1) * f(x1) * f(x1 + c2 - b2) * f(x1 + c2 - a2)
     num *= f((c2 + g2) // 2) * f((c2 - g2) // 2)
-    return x1, Fraction(num, f(x1 + c2 + 1))
+    den = f(x1 + c2 + 1)
+    g = math.gcd(num, den)
+    return x1, (num // g, den // g)
 
 
 def _cg_column(a2: int, al2: int, b2: int, be2: int, g2: int) -> tuple[tuple[int, ...], int] | None:
@@ -322,13 +334,14 @@ def _cg_column(a2: int, al2: int, b2: int, be2: int, g2: int) -> tuple[tuple[int
     return ints, math.prod(map(math.factorial, ints))
 
 
-def _racah_sum(x1: int, column: tuple[int, ...]) -> Fraction:
+def _racah_sum(x1: int, column: tuple[int, ...]) -> tuple[int, int]:
     """The Racah series sum_k (-1)^k / (k! (x1-k)! (x2-k)! (x3-k)! (y1+k)! (y2+k)!).
 
     x1 = a+b-c, and column = (a+alpha, x2 = a-alpha, x3 = b+beta, b-beta),
     so y1 = c-b+alpha = a+alpha-x1 and y2 = c-a-beta = b-beta-x1.  Summed
     from its first term by Horner's rule on the term ratios, in integers,
-    as _core_row does.
+    as _core_row does, and returned as (num, den) in lowest terms, den > 0:
+    unreduced, their bits would grow with N in every entry's comparison.
     """
     u, x2, x3, v = column
     y1, y2 = u - x1, v - x1
@@ -339,7 +352,9 @@ def _racah_sum(x1: int, column: tuple[int, ...]) -> Fraction:
         num, den = den * step - (x1 - k) * (x2 - k) * (x3 - k) * num, den * step
     f = math.factorial
     lead = f(lo) * f(x1 - lo) * f(x2 - lo) * f(x3 - lo) * f(y1 + lo) * f(y2 + lo)
-    return Fraction(-num if lo % 2 else num, den * lead)
+    den *= lead
+    g = math.gcd(num, den)
+    return (-num if lo % 2 else num) // g, den // g
 
 
 def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
@@ -364,14 +379,13 @@ def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
     ]
     bad = []  # W's arguments meet every selection rule, so no part is None
     for i, (lam, row) in enumerate(zip(lambda_range(s), W.printed)):
-        x1, row_part = _cg_row(a2, b2, lam.twice + 6, g2)
+        x1, (row_num, row_den) = _cg_row(a2, b2, lam.twice + 6, g2)
         odd = (s.m.twice - lam.twice) // 2 % 2
         for n_p, ((num, den, f), (ints, column_part)) in enumerate(zip(row, columns)):
-            S = _racah_sum(x1, ints)
-            want = S.numerator if (odd + n_p) % 2 == 0 else -S.numerator
+            sn, sd = _racah_sum(x1, ints)
+            want = sn if (odd + n_p) % 2 == 0 else -sn
             ok = (num > 0) - (num < 0) == (want > 0) - (want < 0) and (
-                num * num * f * row_part.denominator * S.denominator**2
-                == den * den * row_part.numerator * column_part * S.numerator**2
+                num * num * f * row_den * sd * sd == den * den * row_num * column_part * sn * sn
             )
             if not ok:
                 bad.append((i, n_p))

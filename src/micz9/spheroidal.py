@@ -9,8 +9,9 @@ its one float builder, and separation_constants, the one solve, take a
 scalar a for one matrix or a list of a for the stack, solved in one
 batch.  Each spectrum keeps the matrix it was solved from, which the
 continuant route and both limit checks read; a stack's rows and slices
-are spectra too.  limit_distances alone picks where the limits are checked.
-The eigenvector columns are the expansion coefficients of each spheroidal
+are spectra too.  spherical_distance and parabolic_distance alone pick
+where the limits are checked, and limit_distances gives both.  The
+eigenvector columns are the expansion coefficients of each spheroidal
 state over the spherical basis.  Columns follow the sign convention "first
 nonzero entry positive" (numerically: first entry exceeding 1e-12 of the
 column's max magnitude, which keeps the convention deterministic when
@@ -394,26 +395,58 @@ def _first_order(W: WMatrix):
     shift = np.zeros_like(w)
     shift[:, :-1] = w[:, 1:] * g_off
     shift[:, 1:] -= w[:, :-1] * g_off
-    return w, np.add(diag, (s.L + s.J) * (s.L + s.J + 14) / 4), shift  # h(h+7), h = (L+J)/2
+    g_diag = np.add(diag, (s.L + s.J) * (s.L + s.J + 14) / 4)  # h(h+7), h = (L+J)/2
+    g_diag.flags.writeable = shift.flags.writeable = False  # both readers share them
+    return w, g_diag, shift
+
+
+def _frame(W: WMatrix):
+    """_first_order(W), run once per W: the parabolic distance and check both read it.
+
+    It is kept in W's __dict__ beside W's cached views, so a copy by
+    dataclasses.replace runs its own.
+    """
+    frame = W.__dict__.get("_first_order")
+    if frame is None:
+        frame = W.__dict__["_first_order"] = _first_order(W)
+    return frame
+
+
+def _at_charge(aZ: float, s: Sector, which: str) -> float:
+    """The focal distance aZ/Z as a float; ValidationError, naming Z, if it is not finite."""
+    import numpy as np
+    with np.errstate(all="ignore"):  # a tiny Z: aZ/Z overflows, or Z is 0.0
+        a = np.float64(aZ) / float(s.Z)
+    if not np.isfinite(a):
+        raise ValidationError(f"the {which} limit distance at Z = {_short(s.Z)} is not finite")
+    return float(a)
+
+
+def spherical_distance(s: Sector) -> float:
+    """check_spherical_limit's focal distance 1e-8/Z; ValidationError, naming Z, if not finite."""
+    return _at_charge(1e-8, s, "spherical")
+
+
+def parabolic_distance(W: WMatrix) -> float:
+    """check_parabolic_limit's focal distance, the same aZ at every charge.
+
+    Never below aZ = 1e4, it is where the check's first-order column
+    correction, which falls as 1/(aZ), is 10 tol: a missing or wrong
+    correction fails the check, while the remainder, about (10 tol)^2,
+    stays well inside tol.  Raises ValidationError, naming Z, if it is not
+    a finite float.
+    """
+    s = W.sector  # alpha/Z is a rational free of Z, so the correction at aZ = 1 is finite
+    correction = float(abs(_frame(W)[2]).max()) / float(alpha_scale(s) / s.Z)
+    return _at_charge(max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ), s, "parabolic")
 
 
 def limit_distances(W: WMatrix) -> tuple[float, float]:
     """Focal distances (a_small, a_large) of the two limit checks, the same aZ at every charge.
 
-    a_small is 1e-8/Z.  At a_large, never below aZ = 1e4, check_parabolic_limit's
-    first-order column correction, which falls as 1/(aZ), is 10 tol: a missing or wrong
-    correction fails the check, while the remainder, about (10 tol)^2, stays well inside
-    tol.  Raises ValidationError, naming Z, if either is not a finite float.
+    spherical_distance and parabolic_distance, for callers that use both.
     """
-    import numpy as np
-    s = W.sector  # alpha/Z is a rational free of Z, so the correction at aZ = 1 is finite
-    correction = float(abs(_first_order(W)[2]).max()) / float(alpha_scale(s) / s.Z)
-    aZ = max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ)
-    with np.errstate(all="ignore"):  # a tiny Z: 1e-8/Z overflows, or Z is 0.0
-        a = np.array([1e-8, aZ]) / float(s.Z)
-    if not np.isfinite(a).all():
-        raise ValidationError(f"the limit distances at Z = {_short(s.Z)} are not finite")
-    return tuple(a.tolist())
+    return spherical_distance(W.sector), parabolic_distance(W)
 
 
 def check_parabolic_limit(
@@ -444,7 +477,7 @@ def check_parabolic_limit(
     if not a_large * zf >= _PARABOLIC_MIN_AZ:
         raise ValidationError(f"a_large Z = {a_large} * {_short(s.Z)} must be at least 1e4")
     n = s.size
-    w, g_diag, shift = _first_order(W)
+    w, g_diag, shift = _frame(W)
     alpha = float(alpha_scale(s))
     targets = -alpha / 4 * np.array([m.twice for m in coeffs.m9_eigenvalues(s)]) - g_diag / a_large
     columns = w + shift / (a_large * alpha)

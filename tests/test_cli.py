@@ -215,6 +215,16 @@ def test_a_long_charge_is_echoed_clipped(Z, capsys):
     assert err.count("\n") == 1 and len(err.encode()) <= 200, err
 
 
+@pytest.mark.parametrize("log", [[], ["--log"]])
+def test_sweep_whose_grid_repeats_a_point_names_the_flags(log, capsys):
+    argv = ["sweep", "--n", "3", "--Q", "0", "--L", "0", "--J", "0", "--a-min", "1",
+            "--a-max", "1.0000000000000002", "--points", "5", *log]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ValidationError: --points 5 ") and err.count("\n") == 1
+    assert "--a-min 1.0" in err and "--a-max 1.0000000000000002" in err and "a_grid" not in err
+
+
 def test_unbuildable_sweep_exit_2():
     # a sweep whose eigenvector stack would need 32 TB is refused before the grid is built
     out = run_cli("sweep", *SECTOR, "--mode", "float", "--a-min", "1", "--a-max", "2",
@@ -264,7 +274,9 @@ def test_verify_builds_w_once(monkeypatch, capsys):
 
 
 def test_verify_does_each_sectors_shared_work_once(monkeypatch, capsys):
-    calls = dict.fromkeys(["laguerre", "_recurrence_rows", "np_recurrence", "squarefree_split"], 0)
+    calls = dict.fromkeys(
+        ["laguerre", "_recurrence_rows", "np_recurrence", "squarefree_split", "_first_order"], 0
+    )
 
     def counted(name, original):
         def wrapper(*args):
@@ -273,15 +285,18 @@ def test_verify_does_each_sectors_shared_work_once(monkeypatch, capsys):
         return wrapper
 
     for module, name in [(_backend, "laguerre"), (interbasis, "_recurrence_rows"),
-                         (exactscalar, "squarefree_split"), (coeffs, "np_recurrence")]:
+                         (exactscalar, "squarefree_split"), (coeffs, "np_recurrence"),
+                         (spheroidal, "_first_order")]:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
     # three runs for the quadrature and three for the radial and both parabolic equations
     # together, not three each
     assert calls["laguerre"] == 6
     assert calls["_recurrence_rows"] == 1  # w_recurrence_exact reads the rows of W's proof
-    # one exact G, read by W's build, limit_distances and the parabolic check; no float W^T Lambda W
-    assert calls["np_recurrence"] == 3
+    # one exact G, read by W's build and by one first-order frame, which the parabolic distance
+    # and the parabolic check share; no float W^T Lambda W
+    assert calls["np_recurrence"] == 2
+    assert calls["_first_order"] == 1
     # 9 row and 9 column roots in w_matrix and M9's 8 couplings; the brute force reads W's roots
     assert calls["squarefree_split"] == 26
 
@@ -537,6 +552,27 @@ def test_limits_keeps_a_given_focal_distance_even_at_zero(flag, capsys):
     # a given flag replaces its default even when it is falsy: 0 is refused, not defaulted
     assert main(["limits", *SECTOR, "--mode", "float", flag, "0"]) == 2
     assert capsys.readouterr().err == "ValidationError: focal distance a = 0.0 must be positive\n"
+
+
+@pytest.mark.parametrize("Z, flags", [("1e-310", ["--a-small", "1e-3", "--a-large", "1e300"]),
+                                      ("1e-305", ["--a-large", "1e300"])])
+def test_limits_computes_no_default_for_a_given_distance(Z, flags, monkeypatch, capsys):
+    # the parabolic default is not finite at these charges (the spherical one neither at
+    # 1e-310): a given distance replaces it uncomputed, so the error names what fails at
+    # the distances used, and no first-order frame is built
+    calls = 0
+    original = spheroidal._first_order
+
+    def counted(W):
+        nonlocal calls
+        calls += 1
+        return original(W)
+
+    monkeypatch.setattr(spheroidal, "_first_order", counted)
+    assert main(["limits", "--n", "3", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z, *flags]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"ValidationError: K(a) at Z = {Z} leaves the float range")
+    assert calls == 0
 
 
 def test_verify_trivial_sector():

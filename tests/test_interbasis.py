@@ -105,19 +105,86 @@ S3110 = validate_sector(3, 1, 1, 0, 1)
 def _factors_by_3f2_rows(s):
     """(A', C, B) from _core_row's full 3F2 rows, each divided by its content."""
     row_rad, core = [], []
-    for lam in lambda_range(s):
-        k, a = _row(s, lam)
+    for k in range(s.size):
+        a_num, a_den = _row(s, k)
         row = _core_row(s, k, range(s.size))
         g = math.gcd(*row)
-        row_rad.append(a * g * g)
+        row_rad.append(Fraction(a_num * g * g, a_den))
         core.append([x // g for x in row])
     return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
 
 
+REFERENCE_SECTORS = [*enumerate_sectors(6, 4, 4), validate_sector(60, 0, 0, 0),
+                     validate_sector(100, 3, 1, 4)]
+
+
 def test_factors_by_the_np_recurrence_equal_the_3f2_rows():
-    sectors = [*enumerate_sectors(6, 4, 4), validate_sector(60, 0, 0, 0), validate_sector(100, 3, 1, 4)]
-    for s in sectors:
+    for s in REFERENCE_SECTORS:
         assert _factors(s) == _factors_by_3f2_rows(s), s
+
+
+def _factors_in_fractions(s):
+    """(A', C, B) by the n_p recurrence with A' a Fraction throughout, from its closed form."""
+    L, J, n_top, f = s.L, s.J, s.size - 1, math.factorial
+    lower, diag, upper = coeffs.np_recurrence(s)
+    row_rad, core, den = [], [], 1
+    for k in range(s.size):
+        a = Fraction(f(L + J + k + 6) * (L + J + 2 * k + 7) * f(n_top - k),
+                     f(k) ** 3 * f(n_top + L + J + k + 7) * f(J + k + 3) * f(L + k + 3))
+        shift = k * (L + J + k + 7)
+        x, after, row = den, 0, [den]
+        for p in range(n_top, 0, -1):
+            x, after = ((diag[p] - shift) * x - upper[p] * after) // lower[p], x
+            row.append(x)
+        row.reverse()
+        g = math.gcd(*row)
+        row_rad.append(a * g * g)
+        core.append([v // g for v in row])
+        den *= (L + 4 + k) * (k - n_top) * (k + 1)
+    return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
+
+
+def _recurrence_rows_in_fractions(s, row_rad, core):
+    """The rows (e, v) of M9 W - W diag(mu), each coupling a Fraction and its root checked."""
+    n = len(core)
+    m9_diag, coupling_sq = coeffs.m9_tridiagonal(s)
+    mu2 = [v.twice for v in m9_eigenvalues(s)]
+    down = [Fraction(0)] * n
+    for i, b_sq in enumerate(coupling_sq, 1):
+        q = b_sq * row_rad[i - 1] / row_rad[i]
+        num, den = math.isqrt(q.numerator), math.isqrt(q.denominator)
+        if num * num != q.numerator or den * den != q.denominator:
+            raise RadicandMismatch(f"row {i}")
+        down[i] = Fraction(num, den)
+    up = [down[i + 1] * row_rad[i + 1] / row_rad[i] for i in range(n - 1)] + [Fraction(0)]
+    rows = []
+    for i, d in enumerate(m9_diag):
+        e = math.lcm(down[i].denominator, up[i].denominator, d.denominator, 2)
+        lo, mid, hi = (x.numerator * (e // x.denominator) for x in (down[i], d, up[i]))
+        v = [(mid - m * (e // 2)) * x for m, x in zip(mu2, core[i])]
+        if i:
+            v = [y + lo * x for y, x in zip(v, core[i - 1])]
+        if i + 1 < n:
+            v = [y + hi * x for y, x in zip(v, core[i + 1])]
+        rows.append((e, v))
+    return tuple(rows)
+
+
+def test_integer_build_and_proof_equal_their_fraction_reference():
+    # _factors and _recurrence_rows run on integer pairs; the Fraction formulation they
+    # replace must give the same (A', C, B) and the same rows (e, v), bit for bit
+    for s in REFERENCE_SECTORS:
+        A, C, B = _factors(s)
+        assert (A, C, B) == _factors_in_fractions(s), s
+        assert tuple(_recurrence_rows(s, A, C)) == _recurrence_rows_in_fractions(s, A, C), s
+        if s.size > 1:  # 4 A': every coupling stays rational, and the rows are not zero
+            A[-1] *= 4
+            rows = tuple(_recurrence_rows(s, A, C))
+            assert rows == _recurrence_rows_in_fractions(s, A, C) and any(rows[-1][1]), s
+            A[-1] *= 2  # 8 A': the coupling into the last row turns irrational in both
+            for rows in (_recurrence_rows, _recurrence_rows_in_fractions):
+                with pytest.raises(RadicandMismatch, match=rf"row {s.size - 1}\b"):
+                    tuple(rows(s, A, C))
 
 
 @pytest.mark.parametrize("part", [0, 1, 2], ids=["lower", "diag", "upper"])
@@ -255,7 +322,7 @@ def clebsch_gordan(a, alpha, b, beta, c, gamma) -> RadicalScalar:
     if row is None or column is None:
         return RadicalScalar.zero()
     (x1, row_part), (ints, column_part) = row, column
-    return RadicalScalar(_racah_sum(x1, ints), row_part * column_part)
+    return RadicalScalar(Fraction(*_racah_sum(x1, ints)), Fraction(*row_part) * column_part)
 
 
 def test_clebsch_gordan_values():
