@@ -9,8 +9,10 @@ Rayleigh quotient v^T T v of its unit vector, with the tridiagonal
 product: the dense solver's eigenvalues carry errors of order eps ||T||,
 which is large relative to the small eigenvalues of a strongly graded
 K(a), while the quotient is accurate to the square of the vector's
-error.  Large stacks are solved in chunks of at most
-``_CHUNK_ELEMENTS`` dense entries, which bounds the working memory.
+error.  The stack is re-sorted by its quotients only when some row of
+them is out of ascending order, which is rare.  Large stacks are solved
+in chunks of at most ``_CHUNK_ELEMENTS`` dense entries, which bounds the
+working memory.
 
 The generalized Laguerre and Jacobi polynomials are evaluated by their
 three-term recurrences; each call is one run and returns its whole ladder
@@ -55,7 +57,10 @@ def tridiag_eigh(d, e):
     and then comes back unbatched: w (N,) and V (N, N).
 
     The vectors come from LAPACK's dense symmetric solver; the eigenvalues
-    are their Rayleigh quotients w_k = v_k^T T v_k, re-sorted stably.  Other
+    are their Rayleigh quotients w_k = v_k^T T v_k.  LAPACK returns the
+    vectors in ascending order of its own eigenvalues, and the quotients
+    nearly always keep that order; where some row's do not, the whole stack
+    is re-sorted stably, which leaves its ascending rows as they were.  Other
     shapes or a non-finite entry raise ValidationError, and a LAPACK
     failure to converge raises ConvergenceFailure.
     """
@@ -82,8 +87,11 @@ def tridiag_eigh(d, e):
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"LAPACK eigh on a {n} x {n} tridiagonal: {exc}") from None
     w = np.einsum("prk,prk->pk", V, _tridiag_product(d, e, V))
-    order = np.argsort(w, axis=1, kind="stable")
-    w, V = np.take_along_axis(w, order, axis=1), np.take_along_axis(V, order[:, None, :], axis=2)
+    # a stable sort leaves an ascending row as it is; written so that a NaN counts as out of order
+    if not (w[:, :-1] <= w[:, 1:]).all():
+        order = np.argsort(w, axis=1, kind="stable")
+        w = np.take_along_axis(w, order, axis=1)
+        V = np.take_along_axis(V, order[:, None, :], axis=2)
     return (w[0], V[0]) if single else (w, V)
 
 

@@ -25,8 +25,12 @@ from .errors import InternalConsistencyError, Micz9Error, NumericalError, Valida
 
 SCHEMA_VERSION = "1"
 
-# points x N^2 eigenvector entries in one sweep's solve: 2^24 is 128 MB of float64
+# points x N^2 eigenvector entries in one sweep's solve: 2^24 is 128 MB of float64.  This
+# bounds the solve; the CSV text is bounded apart from it, by _CSV_CHUNK_ROWS.
 SWEEP_MAX_ENTRIES = 1 << 24
+# (point, branch) rows of sweep CSV text formatted at a time: about 250 KB of text, and
+# more than any 200-point sweep up to N = 20 has in all
+_CSV_CHUNK_ROWS = 1 << 12
 
 
 def _fmt(x) -> str:
@@ -216,6 +220,28 @@ def cmd_tcoeffs(args) -> None:
     _emit("tcoeffs", s, "float", {"a": _fmt(args.a), "branches": branches})
 
 
+def _write_sweep_csv(grid, sw: spheroidal.BranchSweep) -> None:
+    """The sweep's CSV on stdout, formatted and written a chunk of grid points at a time.
+
+    A chunk holds at most _CSV_CHUNK_ROWS rows (one, if a single point has
+    more), so the text and its cells stay bounded however long the grid.
+    Each point's N rows are one template with each n_k written in, filled
+    in one %-pass from three interleaved lists: the point's a text, repeated
+    once per branch, K and K/a.
+    """
+    n = sw.K.shape[1]
+    step = max(1, _CSV_CHUNK_ROWS // n)
+    point = "".join(f"%s,{k},%.17g,%.17g\n" for k in range(n))
+    sys.stdout.write("a,n_k,K,K_over_a\n")
+    for lo in range(0, len(grid), step):
+        a_s = _fmt_array(grid[lo : lo + step]).tolist()
+        cells = [None] * (3 * n * len(a_s))
+        cells[0::3] = [a for a in a_s for _ in range(n)]
+        cells[1::3] = sw.K[lo : lo + step].ravel().tolist()
+        cells[2::3] = sw.K_over_a[lo : lo + step].ravel().tolist()
+        sys.stdout.write(point * len(a_s) % tuple(cells))
+
+
 def cmd_sweep(args) -> None:
     import numpy as np
     s = _parse_sector(args)
@@ -238,12 +264,10 @@ def cmd_sweep(args) -> None:
             "give repeated grid points: use fewer points or a wider range"
         )
     sw = spheroidal.sweep_branches(s, grid)
-    a_s = _fmt_array(grid)  # each point is printed once per branch
-    if args.format == "csv":  # one template over all (point, branch) rows of the grid
-        a_col, n_k = np.broadcast_arrays(a_s[:, None], np.arange(s.size))
-        cells = np.stack([a_col, n_k, sw.K, sw.K_over_a], axis=-1).ravel().tolist()
-        sys.stdout.write("a,n_k,K,K_over_a\n" + "%s,%d,%.17g,%.17g\n" * sw.K.size % tuple(cells))
+    if args.format == "csv":
+        _write_sweep_csv(grid, sw)
         return
+    a_s = _fmt_array(grid)  # each point is printed once per branch
     K_s, K_over_a_s = _fmt_array(sw.K.T), _fmt_array(sw.K_over_a.T)  # branch-major
     branches = [
         {"n_k": k, "points": [

@@ -15,7 +15,9 @@ eigenvector columns are the expansion coefficients of each spheroidal
 state over the spherical basis.  Columns follow the sign convention "first
 nonzero entry positive" (numerically: first entry exceeding 1e-12 of the
 column's max magnitude, which keeps the convention deterministic when
-leading entries underflow near the a -> 0 limit).
+leading entries underflow near the a -> 0 limit).  sweep_branches alone
+skips the convention: it reads its columns only through the magnitudes of
+their overlaps.
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
@@ -288,7 +290,10 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
     the adjacent-point eigenvector overlap per branch certifies it and
     raises BranchMatchAmbiguous at or below 0.9 (grid too coarse), naming
     the first failing pair of points.  An a so small that K/a overflows
-    raises ValidationError.
+    raises ValidationError.  K is separation_constants' K bit for bit, but
+    the columns are solved and read here without its sign convention: the
+    only use of them is the magnitude |<T_p, T_p+1>| of each overlap, which
+    no column's sign changes.
     """
     import numpy as np
     a_grid = np.asarray(a_grid, dtype=np.float64)
@@ -296,8 +301,8 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
         raise ValidationError("a_grid must be a 1-d array of at least one point")
     if not (np.diff(a_grid) > 0).all() or not (a_grid > 0).all():
         raise ValidationError("a_grid must be ascending and positive")
-    spectrum = separation_constants(s, a_grid)
-    K, T = spectrum.K, spectrum.T
+    mat = build_k_matrix(s, a_grid)
+    K, T = tridiag_eigh(mat.diag, mat.offdiag)
     with np.errstate(over="ignore"):  # checked just below
         K_over_a = K / a_grid[:, None]
     bad = ~np.isfinite(K_over_a).all(axis=1)

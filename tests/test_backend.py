@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from micz9 import _backend as bk
 from micz9 import spheroidal
 from micz9.errors import ValidationError
-from micz9.sector import enumerate_sectors
+from micz9.sector import enumerate_sectors, validate_sector
 
 
 def dense(d, e):
@@ -100,6 +100,29 @@ def test_eigh_batched_stack_vs_numpy(stack):
         assert np.abs(w[p] - np.linalg.eigvalsh(T)).max() <= 1e-12 * scale
         assert np.abs(T @ V[p] - V[p] * w[p]).max() <= 1e-11 * scale
         assert np.abs(V[p].T @ V[p] - np.eye(n)).max() <= 1e-10
+
+
+def test_eigh_resorts_vectors_given_out_of_order(monkeypatch):
+    # LAPACK returns its vectors in ascending order, so tridiag_eigh sorts only when some
+    # row of Rayleigh quotients is not ascending: reverse every other matrix's columns
+    s = validate_sector(5, 2, 1, 1, Fraction(7, 3))  # N = 7
+    mat = spheroidal.build_k_matrix(s, np.logspace(-3, 6, 9))
+    want_w, want_V = bk.tridiag_eigh(mat.diag, mat.offdiag)
+    original = np.linalg.eigh
+
+    def reversing(T):
+        w, V = original(T)
+        V[::2] = V[::2, :, ::-1].copy()
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", reversing)
+    w, V = bk.tridiag_eigh(mat.diag, mat.offdiag)
+    assert (np.diff(w, axis=1) > 0).all()
+    norms = mat.norm()
+    for p in range(len(w)):
+        T = dense(mat.diag[p], mat.offdiag[p])
+        assert np.abs(T @ V[p] - V[p] * w[p]).max() <= 1e-13 * norms[p]
+    assert w.tobytes() == want_w.tobytes() and V.tobytes() == want_V.tobytes()
 
 
 def _exact_count_below(d, e2, x):

@@ -441,7 +441,8 @@ def test_sweep_record_mode():
 
 @pytest.mark.parametrize(
     "sector",
-    [(0, 0, 0, 0, "1"), (2, 0, 0, 2, "7/3"), (14, 0, 0, 0, "1")],  # N = 1, 2 and 15
+    # N = 1, 2, 15 and 21, whose 4,200 CSV rows span two of cli._CSV_CHUNK_ROWS
+    [(0, 0, 0, 0, "1"), (2, 0, 0, 2, "7/3"), (14, 0, 0, 0, "1"), (22, 0, 0, 4, "1")],
 )
 def test_sweep_text_matches_per_value_rendering(sector, capsys):
     n, Q, L, J, Z = sector
@@ -464,6 +465,65 @@ def test_sweep_text_matches_per_value_rendering(sector, capsys):
         ]}
         for k in range(sw.K.shape[1])
     ]
+
+
+def test_sweep_never_runs_the_sign_convention(monkeypatch, capsys):
+    # sweep reads its columns only through |<T_p, T_p+1>|, which no column's sign changes:
+    # its K and overlap are those of the signed spectrum bit for bit
+    s = validate_sector(5, 2, 1, 1, Fraction(7, 3))
+    flags = [*verify_argv(5, 2, 1, 1, "7/3")[1:], "--mode", "float", "--log", "--points", "200",
+             "--a-min", "1e-3", "--a-max", "1e6"]
+    grid = np.logspace(-3, 6, 200)
+    signed = spheroidal.separation_constants(s, grid)
+    rows = "".join(f"{_fmt(a)},{k},{_fmt(K)},{_fmt(K / a)}\n"
+                   for a, Ks in zip(grid, signed.K) for k, K in enumerate(Ks))
+    T = signed.T
+    overlap = np.abs(np.einsum("pij,pij->pj", T[:-1], T[1:])).min()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep ran the sign convention")
+
+    monkeypatch.setattr(spheroidal, "sign_fix_columns", refuse)
+    assert main(["sweep", *flags, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "a,n_k,K,K_over_a\n" + rows
+    assert main(["sweep", *flags]) == 0
+    payload = json.loads(capsys.readouterr().out)["payload"]
+    assert payload["min_branch_overlap"] == _fmt(overlap)
+    K_s = [[point["K"] for point in branch["points"]] for branch in payload["branches"]]
+    assert K_s == _fmt_array(signed.K.T).tolist()
+
+
+# One CLI call in a fresh interpreter; its own peak RSS in KB goes to stderr after its output.
+_PEAK_RSS = """
+import resource, sys
+from micz9.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+def test_sweep_csv_memory_stays_bounded_on_a_long_grid(tmp_path):
+    """Opt-in (pytest -m slow): 2^20 points at N = 1, 26 MB of CSV, in under 150 MB of RSS."""
+    points = 1 << 20
+    argv = ["sweep", "--n", "0", "--Q", "0", "--L", "0", "--J", "0", "--log",
+            "--points", str(points), "--a-min", "1e-3", "--a-max", "1e6", "--format", "csv"]
+    out = tmp_path / "sweep.csv"
+    with out.open("w") as f:
+        run = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], stdout=f,
+                             stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stderr) < 150 * 1024
+    grid = np.logspace(-3, 6, points)
+    sw = spheroidal.sweep_branches(validate_sector(0, 0, 0, 0), grid)
+    want = hashlib.sha256(b"a,n_k,K,K_over_a\n")
+    step = 1 << 16
+    for lo in range(0, points, step):  # one format call per value, a slice at a time
+        rows = zip(grid[lo : lo + step], sw.K[lo : lo + step, 0], sw.K_over_a[lo : lo + step, 0])
+        want.update("".join(f"{_fmt(a)},0,{_fmt(K)},{_fmt(r)}\n" for a, K, r in rows).encode())
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == want.hexdigest()
 
 
 @settings(max_examples=100, deadline=None)

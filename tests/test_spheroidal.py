@@ -322,6 +322,8 @@ def test_sweep_matches_pointwise_spectra():
     grid = np.logspace(-3, 6, 150)
     assert grid.size * s.size**2 > _backend._CHUNK_ELEMENTS  # more than one solver chunk
     sw = sweep_branches(s, grid)
+    # solved without the sign convention, the same stack gives the same K bit for bit
+    assert sw.K.tobytes() == separation_constants(s, grid).K.tobytes()
     for ip, a in enumerate(grid):
         K = separation_constants(s, float(a)).K
         assert np.abs(sw.K[ip] - K).max() <= 1e-13 * build_k_matrix(s, float(a)).norm(), a

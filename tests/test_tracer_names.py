@@ -48,8 +48,8 @@ def test_tracer_wraps_every_named_function(capsys):
         sweep = ["sweep", "--n", "2", "--Q", "0", "--L", "0", "--J", "2", "--mode", "float",
                  "--a-min", "0.1", "--a-max", "10", "--points", "20", "--log"]
         assert cli.main(sweep) == 0
-        # kspectrum solves one matrix; verify and sweep above solve stacks, all through
-        # separation_constants
+        # kspectrum solves one matrix through separation_constants, as verify above solves a
+        # stack; sweep solves its stack with build_k_matrix and tridiag_eigh directly
         kspectrum = ["kspectrum", "--n", "2", "--Q", "0", "--L", "0", "--J", "2",
                      "--mode", "float", "--a", "1.5"]
         assert cli.main(kspectrum) == 0
