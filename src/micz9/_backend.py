@@ -33,10 +33,10 @@ def _dense(d, e):
     import numpy as np
     n = d.shape[-1]
     T = np.zeros(d.shape + (n,))
-    i = np.arange(n)
-    T[..., i, i] = d
-    T[..., i[:-1], i[1:]] = e
-    T[..., i[1:], i[:-1]] = e
+    flat = T.reshape(d.shape[:-1] + (n * n,))  # a view, whose diagonals have stride n + 1
+    flat[..., :: n + 1] = d
+    flat[..., 1 :: n + 1] = e
+    flat[..., n :: n + 1] = e
     return T
 
 
@@ -73,9 +73,8 @@ def tridiag_eigh(d, e):
     if d.ndim != 2 or d.shape[1] == 0 or e.shape != (d.shape[0], d.shape[1] - 1):
         raise ValidationError("need diagonals of shape (P, N) and couplings of shape (P, N-1)")
     for name, x in (("diagonal", d), ("coupling", e)):
-        bad = ~np.isfinite(x)
-        if bad.any():
-            p, i = np.unravel_index(int(np.argmax(bad)), x.shape)
+        if not np.isfinite(x).all():  # then name the first bad entry
+            p, i = np.unravel_index(int(np.argmax(~np.isfinite(x))), x.shape)
             at = f"[{i}]" if single else f"[{p}, {i}]"
             raise ValidationError(f"{name}{at} = {x[p, i]} is not finite")
     P, n = d.shape
@@ -103,7 +102,7 @@ def laguerre(k: int, s, x) -> np.ndarray:
     """
     import numpy as np
     x, s = np.asarray(x, dtype=np.float64), np.asarray(s, dtype=np.float64)
-    out = np.empty((max(k + 1, 0),) + np.broadcast_shapes(x.shape, s.shape))
+    out = np.empty((max(k + 1, 0),) + np.broadcast(x, s).shape)
     if k < 0:
         return out
     out[0] = 1.0

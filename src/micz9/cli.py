@@ -93,7 +93,8 @@ def _render(x, pad: str = "") -> str:
     raise TypeError(f"a record holds no {type(x).__name__}")
 
 
-def _emit(command: str, s: sector.Sector, mode: str, payload: dict) -> None:
+def _emit(command: str, s: sector.Sector, mode: str, payload: dict, fills=()) -> None:
+    """Write the record; each NUL that a callable value renders is filled by fills' next chunks."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -101,7 +102,12 @@ def _emit(command: str, s: sector.Sector, mode: str, payload: dict) -> None:
         "mode": mode,
         "payload": payload,
     }
-    sys.stdout.write(_render(record) + "\n")
+    head, *tails = _render(record).split("\0", len(fills))  # no scan of a record with none
+    sys.stdout.write(head)
+    for chunks, tail in zip(fills, tails):
+        sys.stdout.writelines(chunks)
+        sys.stdout.write(tail)
+    sys.stdout.write("\n")
 
 
 def _exact_text(rows):
@@ -130,9 +136,8 @@ def _require_finite(**flags) -> None:
 
 def _parse_sector(args) -> sector.Sector:
     s = sector.validate_sector(args.n, args.Q, args.L, args.J, args.Z)  # Z parsed there
-    try:  # float payloads print both, and the float K(a) scales with Z
-        float(s.Z)
-        float(sector.energy(s))
+    try:  # float payloads print Z and the energy, and the float K(a) scales with Z
+        [num / den for num, den in sector.ratios(s)]  # alpha < Z
     except OverflowError as exc:
         raise ValidationError(
             f"Z = {sector._clip(args.Z)} is too large: Z or the energy overflows a float"
@@ -242,6 +247,16 @@ def _write_sweep_csv(grid, sw: spheroidal.BranchSweep) -> None:
         sys.stdout.write(point * len(a_s) % tuple(cells))
 
 
+def _sweep_points(pads, *columns):
+    """One branch's points as _render writes them at pads[0], with _fmt's "%.17g", in chunks."""
+    point, sep = _render(dict.fromkeys(("a", "K", "K_over_a"), "%.17g"), pads[0]), ",\n" + pads[0]
+    for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+        chunk = [x[lo : lo + _CSV_CHUNK_ROWS].tolist() for x in columns]
+        cells = [None] * (3 * len(chunk[0]))
+        cells[0::3], cells[1::3], cells[2::3] = chunk
+        yield (sep if lo else "") + sep.join([point] * len(chunk[0])) % tuple(cells)
+
+
 def cmd_sweep(args) -> None:
     import numpy as np
     s = _parse_sector(args)
@@ -267,15 +282,11 @@ def cmd_sweep(args) -> None:
     if args.format == "csv":
         _write_sweep_csv(grid, sw)
         return
-    a_s = _fmt_array(grid)  # each point is printed once per branch
-    K_s, K_over_a_s = _fmt_array(sw.K.T), _fmt_array(sw.K_over_a.T)  # branch-major
-    branches = [
-        {"n_k": k, "points": [
-            {"a": a, "K": K, "K_over_a": r} for a, K, r in zip(a_s, K_s[k], K_over_a_s[k])
-        ]}
-        for k in range(s.size)
-    ]
-    _emit("sweep", s, "float", {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches})
+    pads = []  # each branch's points are rendered at pads[0]
+    branches = [{"n_k": k, "points": [lambda pad: pads.append(pad) or "\0"]} for k in range(s.size)]
+    payload = {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches}
+    fills = [_sweep_points(pads, grid, sw.K[:, k], sw.K_over_a[:, k]) for k in range(s.size)]
+    _emit("sweep", s, "float", payload, fills)
 
 
 def cmd_limits(args) -> None:
@@ -321,9 +332,8 @@ def _verify_checks(s: sector.Sector):
     same = closed == interbasis.m9_matrix_bruteforce(W)
     yield "m9_equivalence_exact", same, "closed form equals brute force"
 
-    float_eigs = np.sort(np.linalg.eigvalsh(coeffs.matrix_to_float(closed)))
-    exact_eigs = np.sort([float(v.fraction) for v in coeffs.m9_eigenvalues(s)])
-    eig_err = float(np.abs(float_eigs - exact_eigs).max())
+    exact_eigs = np.array(coeffs.m9_twice_eigenvalues(s)[::-1]) / 2  # ascending, as eigvalsh's
+    eig_err = float(np.abs(np.linalg.eigvalsh(coeffs.matrix_to_float(closed)) - exact_eigs).max())
     yield "m9_eigenvalues_float", eig_err <= 1e-12, f"max deviation {_fmt(eig_err)}"
 
     cg_bad = interbasis.w_via_cg(W)
@@ -337,7 +347,7 @@ def _verify_checks(s: sector.Sector):
 
     # one batch: the continuant at 6 distances, whose middle 4 are the eigenproblem's
     # 0.1, 1, 10 and 100 bit for bit, then both limits
-    a = [*np.logspace(-2, 3, 6), *spheroidal.limit_distances(W)]
+    a = [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, *spheroidal.limit_distances(W)]
     solved = spheroidal.separation_constants(s, a)
     eig = solved[1:5]
     mat, K, T = eig.matrix, eig.K, eig.T

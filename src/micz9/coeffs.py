@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactscalar import RadicalScalar, rational_root, root_to_float
-from .sector import HalfInt, Sector, _rational, _short, lambda_index, lambda_range
+from .sector import HalfInt, Sector, _rational, _short, lambda_index
 
 
 def _m9_offdiag_sq(s: Sector, l2: int) -> Fraction:
@@ -72,6 +72,14 @@ def np_recurrence(s: Sector) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
             tuple((p + J + 4) * (n_top - p) for p in ps))
 
 
+def k_pencil_ratios(s: Sector) -> tuple[list[tuple[int, int]], ...]:
+    """k_pencil's entries as unreduced (numerator, denominator): the one source, exact or float."""
+    g_den, (diag, coupling_sq) = 2 * s.n + s.Q + 8, m9_tridiagonal(s)  # the scale g = 2 / g_den
+    return ([(-l2 * (l2 + 14), 4) for l2 in range(s.L + s.J, 2 * s.n + s.Q + 1, 2)],
+            [(-2 * x.numerator, g_den * x.denominator) for x in diag],
+            [(4 * x.numerator, g_den * g_den * x.denominator) for x in coupling_sq])
+
+
 def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Exact pencil of K(a): (constant term, diagonal slope, squared coupling).
 
@@ -79,17 +87,10 @@ def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tup
     M9[lambda, lambda] and, between positions i and i+1, the coupling
     -aZ g B at the larger lambda.  The three tuples hold -lambda(lambda+7),
     the slope -g M9[lambda, lambda] per unit aZ, and g^2 B^2 per unit
-    (aZ)^2, lambda ascending: m9_tridiagonal scaled by -g and g^2.  The
-    charge of s is not used.
+    (aZ)^2, lambda ascending: k_pencil_ratios, m9_tridiagonal scaled by -g
+    and g^2.  The charge of s is not used.
     """
-    g = Fraction(2, 2 * s.n + s.Q + 8)
-    diag, coupling_sq = m9_tridiagonal(s)
-    lams = (lam.fraction for lam in lambda_range(s))
-    return (
-        tuple(-l * (l + 7) for l in lams),
-        tuple(-g * x for x in diag),
-        tuple(g * g * x for x in coupling_sq),
-    )
+    return tuple(tuple(Fraction(*x) for x in part) for part in k_pencil_ratios(s))
 
 
 def _k_entries(s: Sector, lam, aZ) -> tuple[Fraction, Fraction]:
@@ -131,13 +132,17 @@ def m9_spherical_matrix(s: Sector) -> tuple[tuple[tuple[int, int, int], ...], ..
     return tuple(map(tuple, mat))
 
 
+def m9_twice_eigenvalues(s: Sector) -> range:
+    """2 mu_p = 2n + Q - 2J - 4 n_p as plain ints, n_p ascending: 2(n+Q/2-J) to -2(n+Q/2-L)."""
+    return range(2 * s.n + s.Q - 2 * s.J, 2 * s.L - 2 * s.n - s.Q - 4, -4)
+
+
 def m9_eigenvalues(s: Sector) -> list[HalfInt]:
     """Spectrum mu_p = n + Q/2 - J - 2 n_p of M9, in n_p order (descending values)."""
-    top = 2 * s.n + s.Q - 2 * s.J
-    return [HalfInt(top - 4 * n_p) for n_p in range(s.size)]
+    return [HalfInt(t) for t in m9_twice_eigenvalues(s)]
 
 
 def matrix_to_float(rows):
     """Rows of (num, den, f) as a float64 array, each entry within 1 ulp by root_to_float."""
-    import numpy as np
-    return np.array([[root_to_float(*x) for x in row] for row in rows], dtype=np.float64)
+    import numpy as np  # a zero entry is 0.0, as root_to_float gives it
+    return np.array([[root_to_float(*x) if x[0] else 0.0 for x in row] for row in rows])

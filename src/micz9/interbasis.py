@@ -207,7 +207,7 @@ def _recurrence_rows(s: Sector, row_rad, core):
     """
     n = len(core)
     m9_diag, coupling_sq = coeffs.m9_tridiagonal(s)
-    mu2 = [v.twice for v in coeffs.m9_eigenvalues(s)]  # 2 mu_p, an int: e is kept even
+    mu2 = coeffs.m9_twice_eigenvalues(s)  # 2 mu_p, an int: e is kept even
     a = [(x.numerator, x.denominator) for x in row_rad]
     down = [(0, 1)] * n  # [i]: M9[i, i-1] sqrt(A'[i-1] / A'[i])
     up = [(0, 1)] * n  # [i]: M9[i, i+1] sqrt(A'[i+1] / A'[i])

@@ -195,14 +195,20 @@ def np_range(s: Sector) -> list[int]:
     return list(range(s.size))
 
 
+def ratios(s: Sector) -> tuple[tuple[int, int], ...]:
+    """Z, the energy and alpha as unreduced (num, den), whose int division num / den is float()."""
+    zn, zd, d = s.Z.numerator, s.Z.denominator, 2 * s.n + s.Q + 8
+    return (zn, zd), (-2 * zn * zn, (zd * d) ** 2), (4 * zn, zd * d)
+
+
 def energy(s: Sector) -> Fraction:
     """Bound-state energy -Z^2 / (2 (n + 4 + Q/2)^2), exactly."""
-    return -2 * s.Z * s.Z / Fraction((2 * s.n + s.Q + 8) ** 2)
+    return Fraction(*ratios(s)[1])
 
 
 def alpha_scale(s: Sector) -> Fraction:
     """Exponential scale alpha = 4Z/(2n+Q+8); satisfies alpha^2 = -8E."""
-    return 4 * s.Z / Fraction(2 * s.n + s.Q + 8)
+    return Fraction(*ratios(s)[2])
 
 
 def enumerate_sectors(m_max=4, q_max: int = 4, lj_max: int = 4, Z=1) -> Iterator[Sector]:

@@ -3,21 +3,21 @@
 The separation constants K at focal distance a are the eigenvalues of the
 symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
 Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  The
-exact pencil coeffs.k_pencil is rounded once per sector (which carries
-the charge Z), so K(a) costs one multiply-add per entry.  build_k_matrix,
-its one float builder, and separation_constants, the one solve, take a
-scalar a for one matrix or a list of a for the stack, solved in one
-batch.  Each spectrum keeps the matrix it was solved from, which the
-continuant route and both limit checks read; a stack's rows and slices
-are spectra too.  spherical_distance and parabolic_distance alone pick
-where the limits are checked, and limit_distances gives both.  The
-eigenvector columns are the expansion coefficients of each spheroidal
-state over the spherical basis.  Columns follow the sign convention "first
-nonzero entry positive" (numerically: first entry exceeding 1e-12 of the
-column's max magnitude, which keeps the convention deterministic when
-leading entries underflow near the a -> 0 limit).  sweep_branches alone
-skips the convention: it reads its columns only through the magnitudes of
-their overlaps.
+exact pencil coeffs.k_pencil is rounded once per sector (which carries the
+charge Z), straight from its integers, so K(a) costs one multiply-add per
+entry.  build_k_matrix, its one float builder, and separation_constants,
+the one solve, take a scalar a for one matrix or a list of a for the
+stack, solved in one batch.  Each spectrum keeps the matrix it was solved
+from, which the continuant route and both limit checks read; a stack's
+rows and slices are spectra too.  spherical_distance and
+parabolic_distance alone pick where the limits are checked, and
+limit_distances gives both.  The eigenvector columns are the expansion
+coefficients of each spheroidal state over the spherical basis.  Columns
+follow the sign convention "first nonzero entry positive" (numerically:
+first entry exceeding 1e-12 of the column's max magnitude, which keeps the
+convention deterministic when leading entries underflow near the a -> 0
+limit).  sweep_branches alone skips the convention: it reads its columns
+only through the magnitudes of their overlaps.
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
@@ -49,7 +49,7 @@ from .errors import (
     ValidationError,
 )
 from .interbasis import WMatrix
-from .sector import Sector, _short, alpha_scale
+from .sector import Sector, _short, ratios
 
 _SIGN_TOL = 1e-12
 _PARABOLIC_TOL = 1e-4  # check_parabolic_limit's tolerance, which limit_distances aims for
@@ -94,25 +94,26 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
-    lambda ascending, from the exact coeffs.k_pencil at the sector's charge;
-    a charge whose entries overflow a float, or whose couplings (all
-    positive) underflow to 0, raises ValidationError.
+    lambda ascending: each entry of coeffs.k_pencil times Z or Z^2, float() of
+    it bit for bit by one int division of its coeffs.k_pencil_ratios pair.  A
+    charge whose entries overflow a float, or whose couplings (all positive)
+    underflow to 0, raises ValidationError.
     Read-only: the cache hands the same arrays to every call.
     """
     import numpy as np
-    lam_term, slope, coupling_sq = coeffs.k_pencil(s)
-    Z = s.Z  # float K(a) scales with the sector's charge
+    lam_term, slope, coupling_sq = coeffs.k_pencil_ratios(s)
+    zn, zd = s.Z.numerator, s.Z.denominator  # float K(a) scales with the sector's charge
     try:
         pencil = (
-            np.array([float(x) for x in lam_term]),
-            np.array([float(Z * x) for x in slope]),
-            -np.sqrt(np.array([float(Z * Z * x) for x in coupling_sq])),
+            np.array([n / d for n, d in lam_term]),
+            np.array([zn * n / (zd * d) for n, d in slope]),
+            -np.sqrt(np.array([zn * zn * n / (zd * zd * d) for n, d in coupling_sq])),
         )
     except OverflowError as exc:
-        raise ValidationError(f"K(a) at Z = {_short(Z)} leaves the float range") from exc
+        raise ValidationError(f"K(a) at Z = {_short(s.Z)} leaves the float range") from exc
     if not pencil[2].all():
         raise ValidationError(
-            f"K(a) at Z = {_short(Z)} leaves the float range: a coupling underflows to 0"
+            f"K(a) at Z = {_short(s.Z)} leaves the float range: a coupling underflows to 0"
         )
     for part in pencil:
         part.setflags(write=False)
@@ -419,12 +420,11 @@ def _frame(W: WMatrix):
 
 def _at_charge(aZ: float, s: Sector, which: str) -> float:
     """The focal distance aZ/Z as a float; ValidationError, naming Z, if it is not finite."""
-    import numpy as np
-    with np.errstate(all="ignore"):  # a tiny Z: aZ/Z overflows, or Z is 0.0
-        a = np.float64(aZ) / float(s.Z)
-    if not np.isfinite(a):
+    zf = float(s.Z)  # a tiny Z: aZ/Z overflows to inf, or Z is 0.0
+    a = aZ / zf if zf else math.inf
+    if not math.isfinite(a):
         raise ValidationError(f"the {which} limit distance at Z = {_short(s.Z)} is not finite")
-    return float(a)
+    return a
 
 
 def spherical_distance(s: Sector) -> float:
@@ -442,7 +442,8 @@ def parabolic_distance(W: WMatrix) -> float:
     a finite float.
     """
     s = W.sector  # alpha/Z is a rational free of Z, so the correction at aZ = 1 is finite
-    correction = float(abs(_frame(W)[2]).max()) / float(alpha_scale(s) / s.Z)
+    (zn, zd), _, (an, ad) = ratios(s)
+    correction = float(abs(_frame(W)[2]).max()) / (an * zd / (ad * zn))
     return _at_charge(max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ), s, "parabolic")
 
 
@@ -478,19 +479,19 @@ def check_parabolic_limit(
     s, a_large = spectrum.sector, spectrum.a
     if W.sector != s:
         raise ValidationError(f"W of sector {W.sector} given for a spectrum of sector {s}")
-    zf = float(s.Z)
+    (zn, zd), _, (an, ad) = ratios(s)
+    zf, alpha = zn / zd, an / ad
     if not a_large * zf >= _PARABOLIC_MIN_AZ:
         raise ValidationError(f"a_large Z = {a_large} * {_short(s.Z)} must be at least 1e4")
     n = s.size
     w, g_diag, shift = _frame(W)
-    alpha = float(alpha_scale(s))
-    targets = -alpha / 4 * np.array([m.twice for m in coeffs.m9_eigenvalues(s)]) - g_diag / a_large
+    targets = -alpha / 4 * np.array(coeffs.m9_twice_eigenvalues(s)) - g_diag / a_large
     columns = w + shift / (a_large * alpha)
     columns /= np.linalg.norm(columns, axis=0)
-    ratios = spectrum.K / a_large
-    set_errors = np.abs(np.sort(ratios) - np.sort(targets)) / zf
+    k_over_a = spectrum.K / a_large
+    set_errors = np.abs(np.sort(k_over_a) - np.sort(targets)) / zf
 
-    branch_np = np.argmin(np.abs(targets - ratios[:, None]), axis=1)  # [branch, target] grid
+    branch_np = np.argmin(np.abs(targets - k_over_a[:, None]), axis=1)  # [branch, target] grid
     column_errors = np.abs(spectrum.T - columns[:, branch_np]).max(axis=0)
     report = ParabolicLimitReport(a_large, set_errors, branch_np, column_errors)
     if len(set(branch_np.tolist())) != n:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 from . import _backend, coeffs  # numpy loads where used: the CLI imports this for every command
 from .errors import ConvergenceFailure, DomainError, ValidationError
-from .sector import Sector, alpha_scale, energy
+from .sector import Sector, ratios
 
 
 # ----------------------------------------------------------------------
@@ -337,20 +337,18 @@ def _laguerre_rows(s: Sector, names, Zf, E, alpha):
     x^2 g'' + c1 x g' + (c0 + cZ r + cE r^2 + cs r) g, g = L_degree^(order)(x), cs r the M9 term.
     """
     import numpy as np
-    k, n_top = np.arange(s.size), s.size - 1
-    lam = (s.L + s.J) / 2 + k
-    sigma = (alpha / 4) * (np.array([v.twice for v in coeffs.m9_eigenvalues(s)]) / 2)
+    h, n_top, mu2 = (s.L + s.J) / 2, s.size - 1, coeffs.m9_twice_eigenvalues(s)
     half = (alpha / 2, 4, Zf / 2, E / 2)
-    table = {
-        "radial": (alpha, 8, 2 * Zf, 2 * E, 2 * lam + 7, n_top - k, lam, -lam * (lam + 7), 0),
-        "parabolic_u": (*half, s.J + 3, k, s.J / 2, -s.J * (s.J + 6) / 4, -sigma),
-        "parabolic_v": (*half, s.L + 3, n_top - k, s.L / 2, -s.L * (s.L + 6) / 4, sigma),
+    table = {  # state k's column; lambda = h + k, and sigma = alpha mu_p / 4 at n_p = k
+        "radial": lambda k: (alpha, 8, 2 * Zf, 2 * E, 2 * (h + k) + 7, n_top - k, h + k,
+                             -(h + k) * (h + k + 7), 0),
+        "parabolic_u": lambda k: (*half, s.J + 3, k, s.J / 2, -s.J * (s.J + 6) / 4,
+                                  -(alpha / 4 * (mu2[k] / 2))),
+        "parabolic_v": lambda k: (*half, s.L + 3, n_top - k, s.L / 2, -s.L * (s.L + 6) / 4,
+                                  alpha / 4 * (mu2[k] / 2)),
     }
-    rows = np.empty((9, len(names), s.size))
-    for i, w in enumerate(names):
-        for j, x in enumerate(table[w]):
-            rows[j, i] = x
-    return rows.reshape(9, -1)
+    columns = [table[w](k) for w in names for k in range(s.size)]
+    return np.array(columns, dtype=np.float64).T
 
 
 def _laguerre_terms(s: Sector, names, pts, Zf, E, alpha):
@@ -402,7 +400,7 @@ def ode_residuals(s: Sector, which: str | tuple[str, ...], points) -> np.ndarray
     pts = np.asarray(points, dtype=np.float64).ravel()
     if pts.size == 0 or not np.isfinite(pts).all():
         raise DomainError("need one or more evaluation points, all finite")
-    Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
+    Zf, E, alpha = (num / den for num, den in ratios(s))  # each float(), bit for bit
     names = tuple(which) if isinstance(which, (tuple, list)) else (which,)
     if names == ("angular",):
         if np.any(np.abs(pts) >= 1):

@@ -493,6 +493,56 @@ def test_sweep_never_runs_the_sign_convention(monkeypatch, capsys):
     assert K_s == _fmt_array(signed.K.T).tolist()
 
 
+def _sweep_record(s, grid):
+    """The sweep record as one whole dict, a _fmt call per printed value."""
+    sw = spheroidal.sweep_branches(s, grid)
+    branches = [
+        {"n_k": k, "points": [
+            {"a": _fmt(a), "K": _fmt(K), "K_over_a": _fmt(r)}
+            for a, K, r in zip(grid, sw.K[:, k], sw.K_over_a[:, k])
+        ]}
+        for k in range(s.size)
+    ]
+    return {"schema_version": cli.SCHEMA_VERSION, "command": "sweep",
+            "sector": cli._sector_record(s), "mode": "float",
+            "payload": {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches}}
+
+
+@pytest.mark.parametrize("sector, points", [
+    ((0, 0, 0, 0, "1"), 2 * cli._CSV_CHUNK_ROWS + 1),  # N = 1, three chunks
+    ((2, 0, 0, 2, "7/3"), cli._CSV_CHUNK_ROWS + 904),  # N = 3, two chunks per branch
+])
+def test_sweep_record_streams_the_rendering_of_the_whole_record(sector, points, capsys):
+    n, Q, L, J, Z = sector
+    assert main(["sweep", *verify_argv(n, Q, L, J, Z)[1:], "--log", "--points", str(points),
+                 "--a-min", "1e-2", "--a-max", "1e5"]) == 0
+    grid = np.logspace(-2, 5, points)
+    record = _sweep_record(validate_sector(n, Q, L, J, Fraction(Z)), grid)
+    assert capsys.readouterr().out == _render(record) + "\n"
+
+
+def test_float_commands_never_build_the_exact_pencil(monkeypatch, capsys):
+    # the float pencil is rounded from the integers of coeffs.k_pencil_ratios: no Fraction entry
+    flags = verify_argv(5, 2, 1, 1, "7/3")[1:]
+    argvs = [["verify", *flags], ["kspectrum", *flags, "--a", "2.5"],
+             ["sweep", *flags, "--log", "--points", "200", "--a-min", "1e-3", "--a-max", "1e6",
+              "--format", "csv"]]
+    outputs = []
+    for argv in argvs:
+        spheroidal._k_pencil.cache_clear()
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a float command built the exact pencil")
+
+    monkeypatch.setattr(coeffs, "k_pencil", refuse)
+    for argv, out in zip(argvs, outputs):
+        spheroidal._k_pencil.cache_clear()
+        assert main(argv) == 0, capsys.readouterr().err
+        assert capsys.readouterr().out == out
+
+
 # One CLI call in a fresh interpreter; its own peak RSS in KB goes to stderr after its output.
 _PEAK_RSS = """
 import resource, sys
@@ -524,6 +574,35 @@ def test_sweep_csv_memory_stays_bounded_on_a_long_grid(tmp_path):
         rows = zip(grid[lo : lo + step], sw.K[lo : lo + step, 0], sw.K_over_a[lo : lo + step, 0])
         want.update("".join(f"{_fmt(a)},0,{_fmt(K)},{_fmt(r)}\n" for a, K, r in rows).encode())
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want.hexdigest()
+
+
+# As _PEAK_RSS, but the peak is the process's own VmHWM: a child's ru_maxrss starts at the RSS
+# its parent had when it was spawned, which a long pytest session makes large.
+_PEAK_HWM = """
+import sys
+from micz9.cli import main
+code = main(sys.argv[1:])
+sys.stdout.flush()
+print(next(line.split()[1] for line in open("/proc/self/status") if line.startswith("VmHWM:")),
+      file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.slow
+def test_sweep_record_memory_stays_bounded_on_a_long_grid(tmp_path):
+    """Opt-in (pytest -m slow): a 2^18-point record at N = 1, 40 MB of text, in under 100 MB."""
+    points = 1 << 18
+    argv = ["sweep", "--n", "0", "--Q", "0", "--L", "0", "--J", "0", "--log",
+            "--points", str(points), "--a-min", "1e-3", "--a-max", "1e6"]
+    out = tmp_path / "sweep.json"
+    with out.open("w") as f:
+        run = subprocess.run([sys.executable, "-c", _PEAK_HWM, *argv], stdout=f,
+                             stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stderr) < 100 * 1024
+    record = _sweep_record(validate_sector(0, 0, 0, 0), np.logspace(-3, 6, points))
+    assert out.read_text() == _render(record) + "\n"
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from micz9 import _backend, coeffs
+from micz9 import _backend, coeffs, spheroidal
 from micz9.errors import (
     BranchMatchAmbiguous,
     DegenerateShift,
@@ -19,7 +19,15 @@ from micz9.errors import (
     ValidationError,
 )
 from micz9.interbasis import w_matrix
-from micz9.sector import alpha_scale, enumerate_sectors, lambda_range, validate_sector
+from micz9.sector import (
+    _short,
+    alpha_scale,
+    energy,
+    enumerate_sectors,
+    lambda_range,
+    ratios,
+    validate_sector,
+)
 from micz9.spheroidal import (
     SymTridiagonal,
     _first_order,
@@ -462,3 +470,73 @@ def test_parabolic_limit_rejects_w_of_another_sector():
     other = validate_sector(1, 0, 0, 0, 2)  # S1 at another charge
     with pytest.raises(ValidationError):
         check_parabolic_limit(w_matrix(other), separation_constants(S1, 1e6))
+
+
+def _outcome(f):
+    """f()'s floats as exact hex text (bit for bit), or the class and text of what it raised."""
+    try:
+        return [x.hex() for x in np.ravel(f()).tolist()]
+    except (ValidationError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _pencil_by_fractions(s):
+    """The float pencil as float() of each exact Fraction entry, and its error text."""
+    lam_term, slope, coupling_sq = coeffs.k_pencil(s)
+    Z = s.Z
+    try:
+        pencil = (
+            np.array([float(x) for x in lam_term]),
+            np.array([float(Z * x) for x in slope]),
+            -np.sqrt(np.array([float(Z * Z * x) for x in coupling_sq])),
+        )
+    except OverflowError:
+        raise ValidationError(f"K(a) at Z = {_short(Z)} leaves the float range") from None
+    if not pencil[2].all():
+        raise ValidationError(
+            f"K(a) at Z = {_short(Z)} leaves the float range: a coupling underflows to 0"
+        )
+    return np.concatenate(pencil)
+
+
+def _parabolic_distance_by_fractions(W):
+    """parabolic_distance with alpha/Z and the division by Z done as float() of Fractions."""
+    s = W.sector
+    correction = float(abs(_first_order(W)[2]).max()) / float(alpha_scale(s) / s.Z)
+    aZ = max(correction / (10 * 1e-4), 1e4)
+    with np.errstate(all="ignore"):
+        a = np.float64(aZ) / float(s.Z)
+    if not np.isfinite(a):
+        raise ValidationError(f"the parabolic limit distance at Z = {_short(s.Z)} is not finite")
+    return float(a)
+
+
+_DESK = [(s.n, s.Q, s.L, s.J) for s in enumerate_sectors()]
+
+
+# A charge m1 10^e1 / (m2 10^e2) spans 10^-1000 .. 10^1000, inside sector._rational's
+# 1,001-digit bound, across both ends of the float range and of its square (the energy
+# and the squared couplings).
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_DESK), st.integers(1, 10**6), st.integers(0, 994),
+       st.integers(1, 10**6), st.integers(0, 994))
+@example((4, 0, 0, 0), 1, 0, 1, 0)
+@example((2, 2, 1, 1), 2, 0, 5, 0)
+@example((1, 2, 0, 2), 2, 155, 1, 0)  # the energy and the pencil overflow, Z does not
+@example((1, 2, 0, 2), 1, 0, 1, 170)  # the squared couplings underflow, Z does not
+@example((3, 1, 1, 0), 17, 308, 1, 0)  # Z itself overflows
+@example((3, 1, 1, 0), 1, 0, 7, 322)  # Z is subnormal
+@example((3, 1, 1, 0), 1, 0, 1, 330)  # Z underflows to 0
+def test_float_constants_are_the_exact_values_rounded_once(nQLJ, m1, e1, m2, e2):
+    """Z, E, alpha, the float pencil and alpha/Z: one int division each, float() of a Fraction."""
+    s = validate_sector(*nQLJ, Fraction(m1 * 10**e1, m2 * 10**e2))
+    for pair, exact in zip(ratios(s), (s.Z, energy(s), alpha_scale(s))):
+        assert Fraction(*pair) == exact
+        assert _outcome(lambda: pair[0] / pair[1]) == _outcome(lambda: float(exact))
+    assert _outcome(lambda: np.concatenate(spheroidal._k_pencil(s))) == _outcome(
+        lambda: _pencil_by_fractions(s)
+    )
+    W = w_matrix(s)
+    assert _outcome(lambda: spheroidal.parabolic_distance(W)) == _outcome(
+        lambda: _parabolic_distance_by_fractions(W)
+    )
