@@ -347,7 +347,8 @@ def _verify_checks(s: sector.Sector):
 
     # one batch: the continuant at 6 distances, whose middle 4 are the eigenproblem's
     # 0.1, 1, 10 and 100 bit for bit, then both limits
-    a = [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, *spheroidal.limit_distances(W)]
+    a = [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0,
+         spheroidal.spherical_distance(s), spheroidal.parabolic_distance(W)]
     solved = spheroidal.separation_constants(s, a)
     eig = solved[1:5]
     mat, K, T = eig.matrix, eig.K, eig.T
@@ -446,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("record", "csv"), default="record")
     p = sub.add_parser("limits", parents=[float_only], help="spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
-    p.add_argument("--a-large", dest="a_large", type=float, help="default: limit_distances")
+    p.add_argument("--a-large", dest="a_large", type=float, help="default: parabolic_distance")
     sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
     return parser
 

@@ -5,17 +5,18 @@ ninth Runge-Lenz component M9 in the spherical basis come from closed
 forms in the integers (n, Q, L, J, 2 lambda).  m9_tridiagonal evaluates them
 once per sector into one cached rational tridiagonal, the one source of every
 M9 and K(a) entry: m9_spherical_matrix is its exact view in W's printed form,
-rows of integers (num, den, f) of (num/den) sqrt(f), and k_pencil scales it
-into the exact pencil of K(a) = -Lambda - a (alpha/2) M9, Lambda =
-diag(lambda(lambda+7)) and alpha/2 = 2Z/(2n+Q+8), whose single entries k_diag
-and k_offdiag read.  M9's spectrum mu_p = n+Q/2-J-2n_p is m9_eigenvalues.
-There a and Z only ever enter through the product aZ, and spheroidal rounds the
-pencil once per (sector, Z) into the float pencil from which both its
-dense-eigensolver and its continuant routes build K(a) with one multiply-add
-per entry.  np_recurrence, the Leonard pair's other half, is the one source
-of G = W^T Lambda W, tridiagonal in n_p: W's core and the parabolic limit's
-float G.  Matrices in lambda are indexed by lambda ascending (rows and
-columns), which is also recorded in the CLI output metadata.
+rows of integers (num, den, f) of (num/den) sqrt(f), and k_pencil_ratios
+scales it into the exact pencil of K(a) = -Lambda - a (alpha/2) M9, Lambda =
+diag(lambda(lambda+7)) and alpha/2 = 2Z/(2n+Q+8), as integer pairs (num,
+den).  k_diag and k_offdiag read single entries of those pairs, and
+spheroidal rounds them once per (sector, Z) into the float pencil from which
+both its dense-eigensolver and its continuant routes build K(a) with one
+multiply-add per entry; a and Z only ever enter through the product aZ.
+M9's spectrum mu_p = n+Q/2-J-2n_p is m9_eigenvalues.  np_recurrence, the
+Leonard pair's other half, is the one source of G = W^T Lambda W,
+tridiagonal in n_p: W's core and the parabolic limit's float G.  Matrices
+in lambda are indexed by lambda ascending (rows and columns), which is also
+recorded in the CLI output metadata.
 """
 
 from __future__ import annotations
@@ -73,34 +74,30 @@ def np_recurrence(s: Sector) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
 
 
 def k_pencil_ratios(s: Sector) -> tuple[list[tuple[int, int]], ...]:
-    """k_pencil's entries as unreduced (numerator, denominator): the one source, exact or float."""
+    """Exact pencil of K(a) as unreduced integer pairs (num, den): the one source, exact or float.
+
+    With g = 2/(2n+Q+8), K(a) has the diagonal -lambda(lambda+7) - aZ g
+    M9[lambda, lambda] and, between positions i and i+1, the coupling
+    -aZ g B at the larger lambda.  The three lists hold -lambda(lambda+7),
+    the slope -g M9[lambda, lambda] per unit aZ, and g^2 B^2 per unit
+    (aZ)^2, lambda ascending: m9_tridiagonal scaled by -g and g^2.  The
+    charge of s is not used.
+    """
     g_den, (diag, coupling_sq) = 2 * s.n + s.Q + 8, m9_tridiagonal(s)  # the scale g = 2 / g_den
     return ([(-l2 * (l2 + 14), 4) for l2 in range(s.L + s.J, 2 * s.n + s.Q + 1, 2)],
             [(-2 * x.numerator, g_den * x.denominator) for x in diag],
             [(4 * x.numerator, g_den * g_den * x.denominator) for x in coupling_sq])
 
 
-def k_pencil(s: Sector) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...], tuple[Fraction, ...]]:
-    """Exact pencil of K(a): (constant term, diagonal slope, squared coupling).
-
-    With g = 2/(2n+Q+8), K(a) has the diagonal -lambda(lambda+7) - aZ g
-    M9[lambda, lambda] and, between positions i and i+1, the coupling
-    -aZ g B at the larger lambda.  The three tuples hold -lambda(lambda+7),
-    the slope -g M9[lambda, lambda] per unit aZ, and g^2 B^2 per unit
-    (aZ)^2, lambda ascending: k_pencil_ratios, m9_tridiagonal scaled by -g
-    and g^2.  The charge of s is not used.
-    """
-    return tuple(tuple(Fraction(*x) for x in part) for part in k_pencil_ratios(s))
-
-
 def _k_entries(s: Sector, lam, aZ) -> tuple[Fraction, Fraction]:
-    """K(a)'s diagonal and squared coupling at lambda and aZ >= 0, read from k_pencil."""
+    """K(a)'s diagonal and squared coupling at lambda and aZ >= 0, read from k_pencil_ratios."""
     i = lambda_index(s, lam)[1]
     aZ = _rational("aZ", aZ)
     if aZ < 0:
         raise ValidationError(f"aZ = {_short(aZ)} must be non-negative")
-    const, slope, coupling_sq = k_pencil(s)
-    return const[i] + aZ * slope[i], aZ * aZ * coupling_sq[i - 1] if i else Fraction(0)
+    const, slope, coupling_sq = k_pencil_ratios(s)
+    diag = Fraction(*const[i]) + aZ * Fraction(*slope[i])
+    return diag, aZ * aZ * Fraction(*coupling_sq[i - 1]) if i else Fraction(0)
 
 
 def k_diag(s: Sector, lam, aZ) -> Fraction:

@@ -9,21 +9,21 @@ radicand with that denominator, n_top!/(L+3)! and the row's content folded
 in; B(n_p) is the n_p-only ratio.  M9 and Lambda = diag(lambda(lambda+7))
 act on W as a Leonard pair, so C has two three-term recurrences: M9's in
 lambda, and the dual one in n_p through G = W^T Lambda W, the closed-form
-tridiagonal coeffs.np_recurrence.  w_matrix builds C by the n_p one, in
-O(N^2) integer steps; _core_row sums the 3F2 itself, for one entry.  The
-build and its proof run on integers and integer (num, den) pairs with exact
-divisions: a Fraction is built only for W's row_radicands and
-col_radicands fields, one per row and one per column.  Every exact
-matrix here is held in W's printed form, rows of the integers (num,
-den, f) of (num/den) sqrt(f) that the CLI prints, with no Fraction or
-RadicalScalar per entry: _printed_entries reduces a row root times a column
-root times an integer over a per-row denominator, one gcd per entry, for W,
-the brute-force M9 and the recurrence residual alike.  WMatrix keeps the
-factors next to the printed entries; its roots and floats are views built
-when read.  With mu_p = n+Q/2-J-2n_p and M9 the closed-form tridiagonal
-matrix, w_matrix proves W orthogonal on the factors by the lambda
-recurrence, which the build never reads, in O(N^2) integer operations, with
-no W^T W sum:
+tridiagonal coeffs.np_recurrence.  C is built by the n_p one alone, a row
+in O(N) integer steps by _factor_row: w_matrix runs every row, and
+w_coefficient the one row of its entry.  The build and its proof run on
+integers and integer (num, den) pairs with exact divisions: a Fraction is
+built only for W's row_radicands and col_radicands fields, one per row and
+one per column.  Every exact matrix here is held in W's printed form, rows
+of the integers (num, den, f) of (num/den) sqrt(f) that the CLI prints,
+with no Fraction or RadicalScalar per entry: _printed_entries reduces a row
+root times a column root times an integer over a per-row denominator, one
+gcd per entry, for W, the brute-force M9 and the recurrence residual alike.
+WMatrix keeps the factors next to the printed entries; its roots and floats
+are views built when read.  With mu_p = n+Q/2-J-2n_p and M9 the closed-form
+tridiagonal matrix, w_matrix proves W orthogonal on the factors by the
+lambda recurrence, which the build never reads, in O(N^2) integer
+operations, with no W^T W sum:
 
 * M9 W = W diag(mu), divided by sqrt(A'_lambda) sqrt(B_p), is the
   three-term recurrence of C in lambda, whose couplings
@@ -62,34 +62,13 @@ def _row(s: Sector, k: int) -> tuple[int, int]:
 
     A is the lambda-only factorial ratio of W's radicand, and
     rho_k = (n_top-k)! / ((L+k+3)! k!) is n_top!/(L+3)! over the magnitude
-    of _core_row's denominator (L+4)_k (-n_top)_k k!.  num/den is not
-    reduced; its one reduction is the Fraction that _factors or
-    w_coefficient builds.
+    of row k's denominator (L+4)_k (-n_top)_k k!.  num/den is not reduced;
+    its one reduction is the Fraction that _factor_row builds.
     """
     L, J, n_top = s.L, s.J, s.size - 1
     f = math.factorial
     return (f(L + J + k + 6) * (L + J + 2 * k + 7) * f(n_top - k),
             f(k) ** 3 * f(n_top + L + J + k + 7) * f(J + k + 3) * f(L + k + 3))
-
-
-def _core_row(s: Sector, k: int, nps: list[int]) -> list[int]:
-    """Row k of Horner numerators of 3F2(-k, n_p-n_top, L+J+k+7; L+4, -n_top; 1) on nps.
-
-    Horner's rule on the term ratios, 1 + t_0 (1 + t_1 (1 + ...)), has the
-    denominator (L+4)_k (-n_top)_k k!, which depends on k alone and has the
-    sign (-1)^k; one pass runs every column on it, in O(k) steps per entry.
-    The core entry (-1)^k n_top!/(L+3)! 3F2 is then rho_k times the
-    numerator.  The series ends before the zero of (-n_top)_j because
-    k <= n_top.  w_coefficient reads an entry here; w_matrix steps
-    coeffs.np_recurrence instead.
-    """
-    L, n_top, c = s.L, s.size - 1, s.L + s.J + k + 7
-    den, row = 1, [1] * len(nps)
-    for j in reversed(range(k)):
-        den *= (L + 4 + j) * (j - n_top) * (j + 1)
-        t = (j - k) * (c + j)
-        row = [den + t * (n_p - n_top + j) * x for n_p, x in zip(nps, row)]
-    return row
 
 
 def _column_radicand(s: Sector, n_p: int) -> Fraction:
@@ -99,52 +78,62 @@ def _column_radicand(s: Sector, n_p: int) -> Fraction:
     return Fraction(f(n_p + s.J + 3) * f(n_v + s.L + 3), f(n_v) * f(n_p))
 
 
+def _factor_row(s: Sector, k: int, den: int, recurrence) -> tuple[Fraction, list[int]]:
+    """A'_k and row k of the integer core C, n_p ascending, in O(N) steps.
+
+    den is the row's denominator (L+4)_k (-n_top)_k k!, which has the sign
+    (-1)^k.  Row k of Horner numerators of 3F2(-k, n_p-n_top, L+J+k+7;
+    L+4, -n_top; 1) over den is run by recurrence, coeffs.np_recurrence(s),
+    down from n_p = n_top, where the 3F2 is 1 and the numerator is den;
+    upper[n_top] is 0, and each step divides exactly by lower[p] > 0.  The
+    row is then divided by its content g, the gcd of the row, and A' = A g^2
+    takes it: at N = 201 that leaves core entries of about 200 bits out of
+    3,900.  g has only small primes because it divides den.
+    """
+    lower, diag, upper = recurrence
+    shift = k * (s.L + s.J + k + 7)
+    x, after = den, 0  # the numerators at n_p and n_p + 1
+    row = [x]
+    for p in range(s.size - 1, 0, -1):
+        x, after = ((diag[p] - shift) * x - upper[p] * after) // lower[p], x
+        row.append(x)
+    row.reverse()
+    g = math.gcd(*row)
+    a_num, a_den = _row(s, k)
+    return Fraction(a_num * g * g, a_den), [v // g for v in row]
+
+
 def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
     """Row factors A', integer core C and column radicands B of the whole W, in O(N^2) steps.
 
-    Row k of Horner numerators, _core_row's without summing a 3F2, is run
-    by coeffs.np_recurrence down from n_p = n_top, where the 3F2 is 1 and the
-    numerator is the row's denominator (L+4)_k (-n_top)_k k!; upper[n_top]
-    is 0, and each step divides exactly by lower[p] > 0.  A row at a time
-    keeps one row of unreduced numerators alive.  Each row is then divided
-    by its content g, the gcd of the row, and A' takes g^2: at N = 201
-    that leaves core entries of about 200 bits out of 3,900.  g has only
-    small primes because it divides the denominator at n_p = n_top.  A' =
-    A g^2 is formed in integers, and its one Fraction, like each B's, is
-    the field WMatrix keeps; the proof reads their numerators.  The
-    build never reads M9 or mu, so _prove_orthogonal's lambda recurrence
-    checks it on an identity it was not built from.
+    _factor_row runs each row, on its denominator kept as a running
+    product, so one row of unreduced numerators is alive at a time.  Each
+    A' and B is one Fraction, the field WMatrix keeps; the proof reads
+    their numerators.  The build never reads M9 or mu, so
+    _prove_orthogonal's lambda recurrence checks it on an identity it was
+    not built from.
     """
-    L, J, n_top = s.L, s.J, s.size - 1
-    lower, diag, upper = coeffs.np_recurrence(s)
-    steps = [(diag[p], upper[p], lower[p]) for p in range(n_top, 0, -1)]
+    L, n_top, recurrence = s.L, s.size - 1, coeffs.np_recurrence(s)
     row_rad, core, den = [], [], 1
     for k in range(s.size):
-        shift = k * (L + J + k + 7)
-        x, after = den, 0  # the numerators at n_p and n_p + 1
-        row = [x]
-        for d, u, e in steps:
-            x, after = ((d - shift) * x - u * after) // e, x
-            row.append(x)
-        row.reverse()
-        g = math.gcd(*row)
-        a_num, a_den = _row(s, k)
-        row_rad.append(Fraction(a_num * g * g, a_den))
-        core.append([v // g for v in row])
+        a, row = _factor_row(s, k, den, recurrence)
+        row_rad.append(a)
+        core.append(row)
         den *= (L + 4 + k) * (k - n_top) * (k + 1)
     return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
 
 
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
-    """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact.
+    """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact but unproved.
 
-    One entry is one 3F2 sum, _core_row on a single column, in O(N) steps;
-    the recurrence w_matrix runs would need the column's whole row.
+    sqrt(A') sqrt(B) C[k, p], the integer kept out of the root, from the one
+    row _factor_row runs in O(N) steps on its denominator, formed as a product.
     """
     k = lambda_index(s, lam)[1]
-    (x,) = _core_row(s, k, [np_index(s, n_p)])  # x stays out of the root; see _factors
-    a = RadicalScalar.sqrt(Fraction(*_row(s, k)))
-    return a * RadicalScalar.sqrt(_column_radicand(s, n_p)) * x
+    p, L, n_top = np_index(s, n_p), s.L, s.size - 1
+    den = math.prod((L + 4 + j) * (j - n_top) * (j + 1) for j in range(k))
+    a, row = _factor_row(s, k, den, coeffs.np_recurrence(s))
+    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(_column_radicand(s, p)) * row[p]
 
 
 @dataclass(frozen=True)
@@ -340,8 +329,8 @@ def _racah_sum(x1: int, column: tuple[int, ...]) -> tuple[int, int]:
     x1 = a+b-c, and column = (a+alpha, x2 = a-alpha, x3 = b+beta, b-beta),
     so y1 = c-b+alpha = a+alpha-x1 and y2 = c-a-beta = b-beta-x1.  Summed
     from its first term by Horner's rule on the term ratios, in integers,
-    as _core_row does, and returned as (num, den) in lowest terms, den > 0:
-    unreduced, their bits would grow with N in every entry's comparison.
+    and returned as (num, den) in lowest terms, den > 0: unreduced, their
+    bits would grow with N in every entry's comparison.
     """
     u, x2, x3, v = column
     y1, y2 = u - x1, v - x1
@@ -366,8 +355,8 @@ def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
     built once; only the Racah sum S couples them.  A printed entry
     (num/den) sqrt(f) agrees when num has the sign of (-1)^(m-l-n_p) S and
     num^2 f / den^2 equals row part x column part x S^2, in integers.  The
-    oracle reads only the printed entries, never the factors or the 3F2
-    they came from, and returns [] for a correct W.
+    oracle reads only the printed entries, never the factors or the
+    recurrence that built them, and returns [] for a correct W.
     """
     s = W.sector
     # the CG arguments, doubled: a and b per sector, alpha and beta per n_p

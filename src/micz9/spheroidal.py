@@ -3,21 +3,21 @@
 The separation constants K at focal distance a are the eigenvalues of the
 symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
 Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  The
-exact pencil coeffs.k_pencil is rounded once per sector (which carries the
-charge Z), straight from its integers, so K(a) costs one multiply-add per
+exact pencil, the integer pairs of coeffs.k_pencil_ratios, is rounded once
+per sector (which carries the charge Z), so K(a) costs one multiply-add per
 entry.  build_k_matrix, its one float builder, and separation_constants,
 the one solve, take a scalar a for one matrix or a list of a for the
 stack, solved in one batch.  Each spectrum keeps the matrix it was solved
 from, which the continuant route and both limit checks read; a stack's
 rows and slices are spectra too.  spherical_distance and
-parabolic_distance alone pick where the limits are checked, and
-limit_distances gives both.  The eigenvector columns are the expansion
-coefficients of each spheroidal state over the spherical basis.  Columns
-follow the sign convention "first nonzero entry positive" (numerically:
-first entry exceeding 1e-12 of the column's max magnitude, which keeps the
-convention deterministic when leading entries underflow near the a -> 0
-limit).  sweep_branches alone skips the convention: it reads its columns
-only through the magnitudes of their overlaps.
+parabolic_distance alone pick where the limits are checked.  The
+eigenvector columns are the expansion coefficients of each spheroidal
+state over the spherical basis.  Columns follow the sign convention "first
+nonzero entry positive" (numerically: first entry exceeding 1e-12 of the
+column's max magnitude, which keeps the convention deterministic when
+leading entries underflow near the a -> 0 limit).  sweep_branches alone
+skips the convention: it reads its columns only through the magnitudes of
+their overlaps.
 
 Two independent routes compute the eigenvectors from the same float
 entries: LAPACK's dense eigh on the whole stack of matrices, and the
@@ -52,7 +52,7 @@ from .interbasis import WMatrix
 from .sector import Sector, _short, ratios
 
 _SIGN_TOL = 1e-12
-_PARABOLIC_TOL = 1e-4  # check_parabolic_limit's tolerance, which limit_distances aims for
+_PARABOLIC_TOL = 1e-4  # check_parabolic_limit's tolerance, which parabolic_distance aims for
 _PARABOLIC_MIN_AZ = 1e4  # the least a Z at which the parabolic first-order check applies
 
 
@@ -94,8 +94,8 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
-    lambda ascending: each entry of coeffs.k_pencil times Z or Z^2, float() of
-    it bit for bit by one int division of its coeffs.k_pencil_ratios pair.  A
+    lambda ascending: each coeffs.k_pencil_ratios pair times Z or Z^2, rounded
+    once by one int division, which is float() of the exact entry.  A
     charge whose entries overflow a float, or whose couplings (all positive)
     underflow to 0, raises ValidationError.
     Read-only: the cache hands the same arrays to every call.
@@ -232,7 +232,7 @@ def t_by_continuant(mat: SymTridiagonal, K) -> np.ndarray:
     """
     import numpy as np
     K = np.asarray(K, dtype=np.float64)
-    scalar, stacked = K.ndim == 0, mat.diag.ndim == 2
+    stacked = mat.diag.ndim == 2
     if mat.diag.ndim > 2 or (K.shape[:-1] != mat.diag.shape[:-1] if K.ndim else stacked):
         raise ValidationError(f"eigenvalues {K.shape} do not fit tridiagonals {mat.diag.shape}")
     if not np.isfinite(K).all():
@@ -447,14 +447,6 @@ def parabolic_distance(W: WMatrix) -> float:
     return _at_charge(max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ), s, "parabolic")
 
 
-def limit_distances(W: WMatrix) -> tuple[float, float]:
-    """Focal distances (a_small, a_large) of the two limit checks, the same aZ at every charge.
-
-    spherical_distance and parabolic_distance, for callers that use both.
-    """
-    return spherical_distance(W.sector), parabolic_distance(W)
-
-
 def check_parabolic_limit(
     W: WMatrix, spectrum: SpheroidalSpectrum, tol: float = _PARABOLIC_TOL
 ) -> ParabolicLimitReport:
@@ -470,7 +462,7 @@ def check_parabolic_limit(
     term keeps the check valid as G grows with N.  K(a) depends on a and Z
     only through aZ, and K/a scales with Z, so the K/a errors are divided by Z
     and the spectrum's a Z must be at least 1e4: the same aZ and tol then mean
-    the same check at every charge, which limit_distances places.  W must
+    the same check at every charge, which parabolic_distance places.  W must
     belong to the spectrum's sector.  Raises LimitMismatch on failure.
     """
     import numpy as np

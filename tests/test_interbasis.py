@@ -20,7 +20,6 @@ from micz9.interbasis import (
     _cg_column,
     _cg_row,
     _column_radicand,
-    _core_row,
     _factors,
     _prove_orthogonal,
     _racah_sum,
@@ -102,12 +101,29 @@ def test_orthogonality_exact_small_sweep():
 S3110 = validate_sector(3, 1, 1, 0, 1)
 
 
+def _core_row_by_3f2(s, k):
+    """Row k of Horner numerators of 3F2(-k, n_p-n_top, L+J+k+7; L+4, -n_top; 1), n_p ascending.
+
+    Horner's rule on the term ratios, 1 + t_0 (1 + t_1 (1 + ...)), has the
+    denominator (L+4)_k (-n_top)_k k!, which depends on k alone; one pass
+    runs every column on it, in O(k) steps per entry.  The series ends
+    before the zero of (-n_top)_j because k <= n_top.
+    """
+    L, n_top, c = s.L, s.size - 1, s.L + s.J + k + 7
+    den, row = 1, [1] * s.size
+    for j in reversed(range(k)):
+        den *= (L + 4 + j) * (j - n_top) * (j + 1)
+        t = (j - k) * (c + j)
+        row = [den + t * (n_p - n_top + j) * x for n_p, x in enumerate(row)]
+    return row
+
+
 def _factors_by_3f2_rows(s):
-    """(A', C, B) from _core_row's full 3F2 rows, each divided by its content."""
+    """(A', C, B) from full 3F2 rows summed term by term, each divided by its content."""
     row_rad, core = [], []
     for k in range(s.size):
         a_num, a_den = _row(s, k)
-        row = _core_row(s, k, range(s.size))
+        row = _core_row_by_3f2(s, k)
         g = math.gcd(*row)
         row_rad.append(Fraction(a_num * g * g, a_den))
         core.append([x // g for x in row])

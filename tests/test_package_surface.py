@@ -1,9 +1,9 @@
-"""No function, class or method of micz9 exists only for its own tests.
+"""No function, class, method or local of micz9 exists for nothing.
 
-An AST scan of src/micz9: every definition found, dunders excluded, must be
+AST scans of src/micz9: every definition found, dunders excluded, must be
 referenced by name somewhere in the package outside its own body, be
 exported by micz9/__init__, or be one of the functions perfbench/tracer.py
-wraps.
+wraps; and every local a function stores must be read somewhere in it.
 """
 
 import ast
@@ -53,3 +53,18 @@ def test_every_definition_is_used_exported_or_traced():
                 continue
             unused.append(f"{module}.{name}")
     assert not unused, f"defined but used by nothing in micz9: {unused}"
+
+
+def test_every_stored_local_is_read():
+    # a name a function binds and never reads is dead code; _-prefixed names (so "_") are exempt
+    unread = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = [n for n in ast.walk(fn) if isinstance(n, ast.Name)]
+            loaded = {n.id for n in names if not isinstance(n.ctx, ast.Store)}
+            unread += sorted({f"{path.stem}.{fn.name}: {n.id}" for n in names
+                              if isinstance(n.ctx, ast.Store) and not n.id.startswith("_")
+                              and n.id not in loaded})
+    assert not unread, f"locals stored and never read: {unread}"

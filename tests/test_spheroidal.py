@@ -34,9 +34,10 @@ from micz9.spheroidal import (
     build_k_matrix,
     check_parabolic_limit,
     check_spherical_limit,
-    limit_distances,
+    parabolic_distance,
     separation_constants,
     sign_fix_columns,
+    spherical_distance,
     sweep_branches,
     t_by_continuant,
 )
@@ -75,8 +76,8 @@ def test_k_matrix_exact_trace():
     # trace identity: sum of eigenvalues equals sum of diagonal, exactly
     aZ = Fraction(7, 2)
     for s in enumerate_sectors(3, 3, 3):
-        const, slope, _ = coeffs.k_pencil(s)
-        diag = [c + aZ * x for c, x in zip(const, slope)]
+        const, slope, _ = coeffs.k_pencil_ratios(s)
+        diag = [Fraction(*c) + aZ * Fraction(*x) for c, x in zip(const, slope)]
         spectrum = separation_constants(s, 3.5)
         assert abs(float(sum(diag)) - spectrum.K.sum()) < 1e-11 * max(1.0, abs(float(sum(diag))))
 
@@ -406,7 +407,7 @@ def test_parabolic_distance_keeps_the_first_order_terms_load_bearing(nQLJ, Z):
     # of the check stays near (10 tol)^2
     s = validate_sector(*nQLJ, Z)
     W = w_matrix(s)
-    a = limit_distances(W)[1]
+    a = parabolic_distance(W)
     assert a * float(Z) >= 1e4
     spectrum = separation_constants(s, a)
     rep = check_parabolic_limit(W, spectrum)
@@ -450,9 +451,11 @@ def test_the_first_order_frame_reads_g_from_its_closed_form():
 def test_limit_distances_name_a_charge_at_which_they_are_not_finite(Z):
     # Z rounds to 0.0, or 1e-8/Z overflows
     W = w_matrix(validate_sector(0, 2, 0, 0, Fraction(Z)))
-    with pytest.raises(ValidationError, match=f"Z = {Z}"):
-        limit_distances(W)
-    assert limit_distances(w_matrix(validate_sector(0, 2, 0, 0, 4)))[0] == 1e-8 / 4
+    with pytest.raises(ValidationError, match=f"spherical limit distance at Z = {Z}"):
+        spherical_distance(W.sector)
+    with pytest.raises(ValidationError, match=f"parabolic limit distance at Z = {Z}"):
+        parabolic_distance(W)
+    assert spherical_distance(validate_sector(0, 2, 0, 0, 4)) == 1e-8 / 4
 
 
 def test_limit_checks_reject_a_stack():
@@ -482,7 +485,9 @@ def _outcome(f):
 
 def _pencil_by_fractions(s):
     """The float pencil as float() of each exact Fraction entry, and its error text."""
-    lam_term, slope, coupling_sq = coeffs.k_pencil(s)
+    lam_term, slope, coupling_sq = (
+        [Fraction(*x) for x in part] for part in coeffs.k_pencil_ratios(s)
+    )
     Z = s.Z
     try:
         pencil = (

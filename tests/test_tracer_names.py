@@ -22,10 +22,10 @@ from micz9 import cli, sector
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # Kept for the trace but no longer on any command's path.  k_diag and
-# k_offdiag read single entries of coeffs.k_pencil, which the float K(a) is
-# built from as a whole.  w_matrix builds W from its row factors, integer
-# core and column radicands, and proves it orthogonal on them;
-# w_coefficient builds one entry from the same row, core and column pieces,
+# k_offdiag read single integer pairs of coeffs.k_pencil_ratios, which the
+# float K(a) is rounded from as a whole.  w_matrix builds W from its row
+# factors, integer core and column radicands, and proves it orthogonal on
+# them; w_coefficient runs the same row kernel on the one row of its entry,
 # unproved, for library callers.
 _UNCALLED = {"k_diag", "k_offdiag", "w_coefficient"}
 
