@@ -145,8 +145,7 @@ def _parse_sector(args) -> sector.Sector:
     return s
 
 
-def cmd_states(args) -> None:
-    s = _parse_sector(args)
+def cmd_states(args, s) -> None:
     show = str if args.mode == "exact" else _fmt
     payload = {
         "N": s.size,
@@ -159,8 +158,7 @@ def cmd_states(args) -> None:
     _emit("states", s, args.mode, payload)
 
 
-def cmd_wmatrix(args) -> None:
-    s = _parse_sector(args)
+def cmd_wmatrix(args, s) -> None:
     W = interbasis.w_matrix(s)
     exact = args.mode == "exact"
     payload = {
@@ -171,8 +169,7 @@ def cmd_wmatrix(args) -> None:
     _emit("wmatrix", s, args.mode, payload)
 
 
-def cmd_m9(args) -> None:
-    s = _parse_sector(args)
+def cmd_m9(args, s) -> None:
     mat = coeffs.m9_spherical_matrix(s)
     exact = args.mode == "exact"
     show = str if exact else _fmt
@@ -186,18 +183,17 @@ def cmd_m9(args) -> None:
     _emit("m9", s, args.mode, payload)
 
 
-def _spectrum_at_a(args):
-    """Sector and spheroidal spectrum at --a for kspectrum and tcoeffs."""
-    s = _parse_sector(args)
+def _spectrum_at_a(args, s):
+    """The spheroidal spectrum at --a for kspectrum and tcoeffs."""
     _require_finite(a=args.a)
     if args.a is None or not args.a > 0:
         raise ValidationError(f"{args.command} needs --a > 0")
-    return s, spheroidal.separation_constants(s, args.a)
+    return spheroidal.separation_constants(s, args.a)
 
 
-def cmd_kspectrum(args) -> None:
+def cmd_kspectrum(args, s) -> None:
     import numpy as np
-    s, spectrum = _spectrum_at_a(args)
+    spectrum = _spectrum_at_a(args, s)
     T = spectrum.T
     resid = float(np.abs(spectrum.matrix.matvec(T) - T * spectrum.K).max())
     ortho = float(np.abs(T.T @ T - np.eye(s.size)).max())
@@ -211,8 +207,8 @@ def cmd_kspectrum(args) -> None:
     _emit("kspectrum", s, "float", payload)
 
 
-def cmd_tcoeffs(args) -> None:
-    s, spectrum = _spectrum_at_a(args)
+def cmd_tcoeffs(args, s) -> None:
+    spectrum = _spectrum_at_a(args, s)
     branches = []
     for n_k, col in enumerate(spheroidal.t_by_continuant(spectrum.matrix, spectrum.K).T):
         branches.append({
@@ -257,9 +253,8 @@ def _sweep_points(pads, *columns):
         yield (sep if lo else "") + sep.join([point] * len(chunk[0])) % tuple(cells)
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args, s) -> None:
     import numpy as np
-    s = _parse_sector(args)
     if args.a_min is None or args.a_max is None:
         raise ValidationError("sweep needs --a-min and --a-max")
     _require_finite(a_min=args.a_min, a_max=args.a_max)
@@ -289,8 +284,7 @@ def cmd_sweep(args) -> None:
     _emit("sweep", s, "float", payload, fills)
 
 
-def cmd_limits(args) -> None:
-    s = _parse_sector(args)
+def cmd_limits(args, s) -> None:
     _require_finite(a_small=args.a_small, a_large=args.a_large)
     W = interbasis.w_matrix(s)
     # a flag that is given, 0.0 too, replaces its default, which is then not computed
@@ -383,8 +377,7 @@ def _verify_checks(s: sector.Sector):
     yield "ode_residuals", ode_worst <= 1e-8, f"max relative residual {_fmt(ode_worst)}"
 
 
-def cmd_verify(args) -> int | None:
-    s = _parse_sector(args)
+def cmd_verify(args, s) -> int | None:
     checks = [
         {"name": name, "ok": bool(ok), "detail": detail} for name, ok, detail in _verify_checks(s)
     ]
@@ -397,18 +390,6 @@ def cmd_verify(args) -> int | None:
         print(line if len(line) <= 200 else line[:197] + "...", file=sys.stderr)
         return error.exit_code
     return None
-
-
-_COMMANDS = {
-    "states": cmd_states,
-    "wmatrix": cmd_wmatrix,
-    "m9": cmd_m9,
-    "kspectrum": cmd_kspectrum,
-    "tcoeffs": cmd_tcoeffs,
-    "sweep": cmd_sweep,
-    "limits": cmd_limits,
-    "verify": cmd_verify,
-}
 
 
 @functools.cache
@@ -432,30 +413,36 @@ def build_parser() -> argparse.ArgumentParser:
         "nine-dimensional MICZ-Kepler problem",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("states", parents=[two_modes], help="sector constants and label ranges")
-    sub.add_parser("wmatrix", parents=[two_modes], help="spherical-parabolic transformation matrix")
-    sub.add_parser("m9", parents=[two_modes], help="ninth Runge-Lenz matrix in the spherical basis")
-    p = sub.add_parser("kspectrum", parents=[float_only], help="spheroidal separation constants")
+
+    def command(name, parents, run, text):  # each command carries its handler, run(args, s)
+        p = sub.add_parser(name, parents=[parents], help=text)
+        p.set_defaults(run=run)
+        return p
+
+    command("states", two_modes, cmd_states, "sector constants and label ranges")
+    command("wmatrix", two_modes, cmd_wmatrix, "spherical-parabolic transformation matrix")
+    command("m9", two_modes, cmd_m9, "ninth Runge-Lenz matrix in the spherical basis")
+    p = command("kspectrum", float_only, cmd_kspectrum, "spheroidal separation constants")
     p.add_argument("--a", type=float, help="focal distance (> 0)")
-    p = sub.add_parser("tcoeffs", parents=[float_only], help="coefficient columns by continuant")
+    p = command("tcoeffs", float_only, cmd_tcoeffs, "coefficient columns by continuant")
     p.add_argument("--a", type=float, help="focal distance (> 0)")
-    p = sub.add_parser("sweep", parents=[float_only], help="branch sweep over a grid of a values")
+    p = command("sweep", float_only, cmd_sweep, "branch sweep over a grid of a values")
     p.add_argument("--a-min", dest="a_min", type=float)
     p.add_argument("--a-max", dest="a_max", type=float)
     p.add_argument("--points", type=int, default=2, help=f"2 to {SWEEP_MAX_ENTRIES} / N^2")
     p.add_argument("--log", action="store_true", help="logarithmic grid")
     p.add_argument("--format", choices=("record", "csv"), default="record")
-    p = sub.add_parser("limits", parents=[float_only], help="spherical and parabolic degenerations")
+    p = command("limits", float_only, cmd_limits, "spherical and parabolic degenerations")
     p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
     p.add_argument("--a-large", dest="a_large", type=float, help="default: parabolic_distance")
-    sub.add_parser("verify", parents=[shared], help="full cross-oracle suite for one sector")
+    command("verify", shared, cmd_verify, "full cross-oracle suite for one sector")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        code = _COMMANDS[args.command](args)  # None, or verify's failed-check code
+    try:  # the sector first, then the command's own flags
+        code = args.run(args, _parse_sector(args))  # None, or verify's failed-check code
     except Micz9Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -17,7 +17,9 @@ builds is a product or quotient of factorials and small integers, so its
 primes are O(n + Q + L + J).  A product of two canonical radicands a and
 b needs no factoring at all: with g = gcd(a, b), a*b = g*g * (a/g)*(b/g),
 and the last product is already squarefree.  rational_root is the one root
-kernel, sqrt(p/r) = (s/q) sqrt(f) in integers, for RadicalScalar and W alike.
+kernel, sqrt(p/r) = (s/q) sqrt(f) in integers, for RadicalScalar and W alike;
+sqrt_ratio is the one float root of an exact ratio, for W, K(a) and the norms,
+and it underflows only where the root itself does.
 """
 
 from __future__ import annotations
@@ -60,13 +62,22 @@ def rational_root(p: int, r: int) -> tuple[int, int, int]:
     return s // g, r // g, f
 
 
-def root_to_float(num: int, den: int, radicand: int) -> float:
-    """(num/den) sqrt(radicand) within 1 ulp, from one correctly rounded division and sqrt.
+def sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p/q) within 1 ulp for ints p >= 0 and q > 0, from one division and one math.sqrt.
 
-    The division is int true division of num^2 radicand by den^2, correctly
-    rounded like float(Fraction) of the square and so bitwise the same.
+    The correctly rounded int true division is of p 4^j by q, an exact
+    scaling that keeps the quotient from underflowing, and the root is
+    scaled back by 2^-j: bitwise math.sqrt(p / q) wherever p/q is a normal
+    float, and 0.0 only where the root itself is below the float range.  A
+    quotient past the float range raises OverflowError.
     """
-    mag = math.sqrt(num * num * radicand / (den * den))
+    j = max(0, (q.bit_length() - p.bit_length()) // 2)
+    return math.ldexp(math.sqrt((p << 2 * j) / q), -j)
+
+
+def root_to_float(num: int, den: int, radicand: int) -> float:
+    """(num/den) sqrt(radicand) within 1 ulp: sqrt_ratio of num^2 radicand over den^2, signed."""
+    mag = sqrt_ratio(num * num * radicand, den * den)
     return -mag if num < 0 else mag
 
 

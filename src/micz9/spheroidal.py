@@ -48,6 +48,7 @@ from .errors import (
     LimitMismatch,
     ValidationError,
 )
+from .exactscalar import sqrt_ratio
 from .interbasis import WMatrix
 from .sector import Sector, _short, ratios
 
@@ -94,10 +95,12 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
-    lambda ascending: each coeffs.k_pencil_ratios pair times Z or Z^2, rounded
-    once by one int division, which is float() of the exact entry.  A
-    charge whose entries overflow a float, or whose couplings (all positive)
-    underflow to 0, raises ValidationError.
+    lambda ascending: each diagonal coeffs.k_pencil_ratios pair times 1 or Z,
+    rounded once by one int division, and each coupling sqrt_ratio of its pair
+    times Z^2, the root of a scaled, correctly rounded quotient within 1 ulp
+    that underflows only where the coupling itself does.  A charge whose
+    entries overflow a float, or whose couplings (all positive) underflow
+    to 0, raises ValidationError.
     Read-only: the cache hands the same arrays to every call.
     """
     import numpy as np
@@ -107,7 +110,7 @@ def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         pencil = (
             np.array([n / d for n, d in lam_term]),
             np.array([zn * n / (zd * d) for n, d in slope]),
-            -np.sqrt(np.array([zn * zn * n / (zd * zd * d) for n, d in coupling_sq])),
+            -np.array([sqrt_ratio(zn * zn * n, zd * zd * d) for n, d in coupling_sq]),
         )
     except OverflowError as exc:
         raise ValidationError(f"K(a) at Z = {_short(s.Z)} leaves the float range") from exc
@@ -397,7 +400,7 @@ def _first_order(W: WMatrix):
     import numpy as np
     s, w = W.sector, W.to_float()
     lower, diag, upper = coeffs.np_recurrence(s)
-    g_off = -np.sqrt([float(x * y) for x, y in zip(lower[1:], upper)])
+    g_off = -np.array([sqrt_ratio(x * y, 1) for x, y in zip(lower[1:], upper)])
     shift = np.zeros_like(w)
     shift[:, :-1] = w[:, 1:] * g_off
     shift[:, 1:] -= w[:, :-1] * g_off

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 
 from . import _backend, coeffs  # numpy loads where used: the CLI imports this for every command
 from .errors import ConvergenceFailure, DomainError, ValidationError
+from .exactscalar import sqrt_ratio
 from .sector import Sector, ratios
 
 
@@ -139,9 +140,8 @@ def _spherical_norms(s: Sector) -> list[float]:
     """Normalizations of the radial-angular states, lambda ascending.
 
     Under r^8 (1-c^2)^3 dr dc.  Every factorial argument is an integer for a
-    parity-valid sector, and each norm is the square root of one correctly
-    rounded int / int, which is what float(Fraction) gives, taken after a
-    scaling by a power of 4 that keeps the quotient from underflowing.
+    parity-valid sector, and each norm is sqrt_ratio of one exact int / int:
+    within 1 ulp, and 0.0 only where the norm itself is below the float range.
     """
     f = math.factorial
     m2, h2, d2 = 2 * s.n + s.Q, s.L + s.J, s.J - s.L  # twice n+Q/2, (L+J)/2, (J-L)/2
@@ -149,9 +149,7 @@ def _spherical_norms(s: Sector) -> list[float]:
     for l2 in range(h2, m2 + 1, 2):
         num = f((m2 - l2) // 2) * (l2 + 7) * f((l2 - h2) // 2) * f((l2 + h2) // 2 + 6)
         den = (m2 + 8) * f((m2 + l2) // 2 + 7) * f((l2 - d2) // 2 + 3) * f((l2 + d2) // 2 + 3)
-        # num / den alone underflows from N = 87; the scalings by 4**j and 2**-j are exact
-        j = max(0, (den.bit_length() - num.bit_length()) // 2)
-        out.append(math.sqrt((num << 2 * j) / den) * 2.0**-j)
+        out.append(sqrt_ratio(num, den))  # num / den alone underflows from N = 87
     return out
 
 
@@ -160,10 +158,8 @@ def _parabolic_norms(s: Sector) -> list[float]:
     f = math.factorial
     n_top = s.size - 1
     return [
-        math.sqrt(
-            f(n_p) * f(n_top - n_p)
-            / ((2 * s.n + s.Q + 8) * f(n_p + s.J + 3) * f(n_top - n_p + s.L + 3))
-        )
+        sqrt_ratio(f(n_p) * f(n_top - n_p),
+                   (2 * s.n + s.Q + 8) * f(n_p + s.J + 3) * f(n_top - n_p + s.L + 3))
         for n_p in range(s.size)
     ]
 

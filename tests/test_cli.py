@@ -132,11 +132,15 @@ def test_overflowing_charge_exit_2():
 
 @pytest.mark.parametrize(
     "argv",
-    [  # K(a)'s couplings round to 0.0 at Z = 1e-165 and below
-        verify_argv(2, 0, 0, 2, "1e-165"),
-        ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float", "--a", "1"],
-        ["limits", *verify_argv(2, 0, 0, 2, "1e-165")[1:], "--mode", "float"],
-        ["kspectrum", *verify_argv(2, 0, 0, 2, "1e-320")[1:], "--mode", "float", "--a", "1"],
+    [  # K(a)'s coupling, 0.1633 Z at (2,0,0,2), is rounded once and so rounds to 0.0 only
+        # below Z = 1.51e-323, half the least subnormal over 0.1633 (at 1e-323 it is 1.6e-324);
+        # verify and limits meet the spherical distance 1e-8/Z, not finite there, first
+        verify_argv(2, 0, 0, 2, "1e-323"),
+        ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float", "--a", "1"],
+        ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float"],
+        ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float",
+         "--a-small", "1e-3", "--a-large", "1e300"],
+        ["kspectrum", *verify_argv(2, 0, 0, 2, "1.5e-323")[1:], "--mode", "float", "--a", "1"],
         # Z itself rounds to 0.0, so the default limit distances, 1e-8/Z and aZ/Z, are undefined
         verify_argv(2, 0, 0, 2, "1e-400"),
         ["limits", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--mode", "float"],
@@ -689,7 +693,8 @@ def test_limits_keeps_a_given_focal_distance_even_at_zero(flag, capsys):
 def test_limits_computes_no_default_for_a_given_distance(Z, flags, monkeypatch, capsys):
     # the parabolic default is not finite at these charges (the spherical one neither at
     # 1e-310): a given distance replaces it uncomputed, so the error names what fails at
-    # the distances used, and no first-order frame is built
+    # the distances used, a Z = 1e300 Z below the parabolic check's 1e4, and no
+    # first-order frame is built
     calls = 0
     original = spheroidal._first_order
 
@@ -701,7 +706,7 @@ def test_limits_computes_no_default_for_a_given_distance(Z, flags, monkeypatch, 
     monkeypatch.setattr(spheroidal, "_first_order", counted)
     assert main(["limits", "--n", "3", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z, *flags]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith(f"ValidationError: K(a) at Z = {Z} leaves the float range")
+    assert out == "" and err == f"ValidationError: a_large Z = 1e+300 * {Z} must be at least 1e4\n"
     assert calls == 0
 
 

@@ -1,16 +1,24 @@
 """Exact radical arithmetic: closure, equality, rounding, serialization."""
 
+import decimal
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from micz9.errors import RadicandMismatch
 from micz9.cli import _exact_text
-from micz9.exactscalar import RadicalScalar, rational_root, root_to_float, squarefree_split
+from micz9.exactscalar import (
+    RadicalScalar,
+    rational_root,
+    root_to_float,
+    sqrt_ratio,
+    squarefree_split,
+)
 
 
 def R(c, d=1):
@@ -83,6 +91,48 @@ def test_root_to_float_is_the_value_of_the_printed_integers():
     assert root_to_float(-1, 2, 2) == -0.7071067811865476
     assert root_to_float(0, 1, 1) == 0.0
     assert root_to_float(3, 5, 10) == R(1, "18/5").to_float()
+
+
+def test_root_to_float_keeps_a_value_whose_square_underflows():
+    # (1/10^200)^2 = 1e-400 underflows: the root of that rounded square would be 0.0
+    assert root_to_float(1, 10**200, 1) == 1e-200
+    assert sqrt_ratio(1, 4**537) == 2.0**-537
+    assert sqrt_ratio(1, 4**537 * 2**1000) == 2.0**-1037  # a subnormal root, exactly
+    assert sqrt_ratio(1, 4**1200) == 0.0  # below the float range itself
+    assert sqrt_ratio(0, 7) == 0.0
+    with pytest.raises(OverflowError):
+        sqrt_ratio(10**400, 1)  # the quotient, not only the root, must fit a float
+
+
+def _decimal_root(p: int, q: int) -> float:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return float((decimal.Decimal(p) / q).sqrt())
+
+
+# p / q = m1 10^e1 / (m2 10^e2) from 10^-700 to 10^700: the normal float range and the
+# quotients below it, whose roots are normal down to 1e-308 ** 2
+_ratios = st.tuples(st.integers(0, 10**6), st.integers(0, 700),
+                    st.integers(1, 10**6), st.integers(0, 700))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratios)
+def test_sqrt_ratio_is_math_sqrt_of_a_normal_quotient(ratio):
+    m1, e1, m2, e2 = ratio
+    p, q = m1 * 10**e1, m2 * 10**e2
+    assume(p == 0 or sys.float_info.min <= Fraction(p, q) <= sys.float_info.max)
+    assert sqrt_ratio(p, q).hex() == math.sqrt(p / q).hex()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratios)
+def test_sqrt_ratio_is_within_an_ulp_of_the_root(ratio):
+    m1, e1, m2, e2 = ratio
+    p, q = m1 * 10**e1, m2 * 10**e2
+    assume(Fraction(p, q) <= sys.float_info.max)
+    want = _decimal_root(p, q)
+    assert abs(sqrt_ratio(p, q) - want) <= math.ulp(want)
 
 
 def test_squarefree_split():

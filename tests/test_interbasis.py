@@ -1,5 +1,6 @@
 """Interbasis matrix W: closed form, CG oracle, recurrence, brute force."""
 
+import decimal
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -310,6 +311,21 @@ def test_exact_w_at_n_201_is_orthogonal_in_float():
     M = matrix_to_float(m9_spherical_matrix(s))
     mu = np.array([float(v.fraction) for v in m9_eigenvalues(s)])
     assert np.abs(M @ F - F * mu).max() <= 1e-11
+
+
+@pytest.mark.slow
+def test_float_w_at_n_561_is_within_an_ulp_everywhere():
+    """Opt-in (pytest -m slow): every float entry of W at (560,0,0,0) against a Decimal root.
+
+    Many entries there are far below 1e-154, so their squares are subnormal
+    or 0.0: only a root taken of a scaled quotient keeps them within 1 ulp.
+    """
+    W = w_matrix(validate_sector(560, 0, 0, 0, 1))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for (n, d, f), y in zip((x for row in W.printed for x in row), W.to_float().ravel()):
+            want = math.copysign(float((decimal.Decimal(n * n * f) / (d * d)).sqrt()), n)
+            assert abs(y - want) <= math.ulp(want), (n, d, f, y, want)
 
 
 def test_w_matrix_entries_are_w_coefficient():

@@ -1,5 +1,6 @@
 """Spheroidal eigenproblem, continuant route, branch sweeps, and limits."""
 
+import decimal
 import math
 import re
 import sys
@@ -447,6 +448,19 @@ def test_the_first_order_frame_reads_g_from_its_closed_form():
         assert np.abs(w + shift / alpha - dense).max() <= 1e-14 * np.abs(dense).max(), s
 
 
+@pytest.mark.parametrize("nQLJ", [(2, 0, 0, 0), (2, 0, 0, 2), (3, 1, 1, 0), (1, 4, 3, 1),
+                                  (4, 0, 2, 4)])
+@pytest.mark.parametrize("aZ", [1.0, 37.5])
+def test_k_depends_on_a_and_z_only_through_their_product(nQLJ, aZ):
+    # below Z = 1e-154 the couplings' squares are subnormal or 0.0: each coupling is the
+    # root of a scaled quotient, so K at a fixed aZ does not move with Z
+    K = separation_constants(validate_sector(*nQLJ, 1), aZ).K
+    for Z in ("1e-160", "1e-200", "1e-300"):
+        s = validate_sector(*nQLJ, Fraction(Z))
+        at_z = separation_constants(s, aZ / float(s.Z)).K
+        assert np.abs(at_z - K).max() <= 1e-14 * np.abs(K).max(), (Z, at_z, K)
+
+
 @pytest.mark.parametrize("Z", ["1e-400", "1e-320", "5e-324"])
 def test_limit_distances_name_a_charge_at_which_they_are_not_finite(Z):
     # Z rounds to 0.0, or 1e-8/Z overflows
@@ -484,16 +498,33 @@ def _outcome(f):
 
 
 def _pencil_by_fractions(s):
-    """The float pencil as float() of each exact Fraction entry, and its error text."""
+    """The float pencil from exact Fraction entries, and each entry's tolerance in ulps.
+
+    Each entry is float() of its Fraction, bit for bit (tolerance 0), but a
+    coupling whose exact square is below the normal float range is the
+    40-digit Decimal root of that square, rounded to a float, and may differ
+    by its ulp.  Raises the ValidationError that _k_pencil raises.
+    """
     lam_term, slope, coupling_sq = (
         [Fraction(*x) for x in part] for part in coeffs.k_pencil_ratios(s)
     )
     Z = s.Z
+    couplings, tols = [], []
     try:
+        for sq in (Z * Z * x for x in coupling_sq):
+            if sq < sys.float_info.min:
+                with decimal.localcontext() as ctx:
+                    ctx.prec = 40
+                    root = float((decimal.Decimal(sq.numerator) / sq.denominator).sqrt())
+                couplings.append(root)
+                tols.append(math.ulp(root))
+            else:
+                couplings.append(math.sqrt(float(sq)))
+                tols.append(0.0)
         pencil = (
             np.array([float(x) for x in lam_term]),
             np.array([float(Z * x) for x in slope]),
-            -np.sqrt(np.array([float(Z * Z * x) for x in coupling_sq])),
+            -np.array(couplings),
         )
     except OverflowError:
         raise ValidationError(f"K(a) at Z = {_short(Z)} leaves the float range") from None
@@ -501,7 +532,7 @@ def _pencil_by_fractions(s):
         raise ValidationError(
             f"K(a) at Z = {_short(Z)} leaves the float range: a coupling underflows to 0"
         )
-    return np.concatenate(pencil)
+    return np.concatenate(pencil), np.concatenate([np.zeros(2 * s.size), tols])
 
 
 def _parabolic_distance_by_fractions(W):
@@ -528,19 +559,31 @@ _DESK = [(s.n, s.Q, s.L, s.J) for s in enumerate_sectors()]
 @example((4, 0, 0, 0), 1, 0, 1, 0)
 @example((2, 2, 1, 1), 2, 0, 5, 0)
 @example((1, 2, 0, 2), 2, 155, 1, 0)  # the energy and the pencil overflow, Z does not
-@example((1, 2, 0, 2), 1, 0, 1, 170)  # the squared couplings underflow, Z does not
+@example((1, 2, 0, 2), 1, 0, 1, 170)  # the squared couplings underflow, Z and they do not
 @example((3, 1, 1, 0), 17, 308, 1, 0)  # Z itself overflows
 @example((3, 1, 1, 0), 1, 0, 7, 322)  # Z is subnormal
 @example((3, 1, 1, 0), 1, 0, 1, 330)  # Z underflows to 0
 def test_float_constants_are_the_exact_values_rounded_once(nQLJ, m1, e1, m2, e2):
-    """Z, E, alpha, the float pencil and alpha/Z: one int division each, float() of a Fraction."""
+    """Z, E, alpha, the float pencil and alpha/Z: one int division each, float() of a Fraction.
+
+    The couplings are roots: bitwise the root of float() of their square
+    where that square is a normal float, and within 1 ulp of the root below.
+    """
     s = validate_sector(*nQLJ, Fraction(m1 * 10**e1, m2 * 10**e2))
     for pair, exact in zip(ratios(s), (s.Z, energy(s), alpha_scale(s))):
         assert Fraction(*pair) == exact
         assert _outcome(lambda: pair[0] / pair[1]) == _outcome(lambda: float(exact))
-    assert _outcome(lambda: np.concatenate(spheroidal._k_pencil(s))) == _outcome(
-        lambda: _pencil_by_fractions(s)
-    )
+    got = _outcome(lambda: np.concatenate(spheroidal._k_pencil(s)))
+    try:
+        want, ulps = _pencil_by_fractions(s)
+    except ValidationError as exc:
+        assert got == ("ValidationError", str(exc))
+    else:
+        assert isinstance(got, list), got
+        bitwise = ulps == 0
+        assert [x for x, b in zip(got, bitwise) if b] == [x.hex() for x in want[bitwise]]
+        got = np.array([float.fromhex(x) for x in got])
+        assert (np.abs(got - want) <= ulps)[~bitwise].all()
     W = w_matrix(s)
     assert _outcome(lambda: spheroidal.parabolic_distance(W)) == _outcome(
         lambda: _parabolic_distance_by_fractions(W)
