@@ -6,8 +6,14 @@ One structured JSON record per invocation on stdout; CSV (header
 17-significant-digit decimal literals.  Identical flags produce
 byte-identical output.
 
-Exit codes: 0 success, 2 validation (bad flags or quantum numbers),
-3 numerical failure, 4 internal-consistency breach.
+The charge enters here once.  The kernels work at Z = 1, in aZ and Zr,
+so a given focal distance a becomes aZ = a float(Z), rounded once, and is
+refused if that is not a finite positive float; a is printed as given, and
+K/a is K over it.  verify's distances are aZ and its radial points Zr, so
+its record at any charge is its Z = 1 record but for the sector's Z.
+
+Exit codes: 0 success, 2 validation (bad flags or quantum numbers), 3 numerical
+failure, 4 internal-consistency breach, 141 (128 + SIGPIPE) if stdout closes early.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import decimal
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -31,6 +38,7 @@ SWEEP_MAX_ENTRIES = 1 << 24
 # (point, branch) rows of sweep CSV text formatted at a time: about 250 KB of text, and
 # more than any 200-point sweep up to N = 20 has in all
 _CSV_CHUNK_ROWS = 1 << 12
+EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, the code of a shell command killed by a closed pipe
 
 
 def _fmt(x) -> str:
@@ -134,9 +142,23 @@ def _require_finite(**flags) -> None:
             raise ValidationError(f"--{name.replace('_', '-')} = {value} must be finite")
 
 
+def _to_aZ(a, s: sector.Sector):
+    """a, float or array, as aZ; one not finite and positive passes, for the caller to refuse."""
+    import numpy as np
+    a = np.asarray(a, dtype=np.float64)
+    ok = (a > 0) & (a < math.inf)
+    with np.errstate(over="ignore"):  # checked just below
+        aZ = np.where(ok, a * float(s.Z), a)
+    bad = ok & ~((aZ > 0) & (aZ < math.inf))
+    if bad.any():
+        raise ValidationError(f"focal distance a = {a[bad].flat[0]} at Z = {sector._short(s.Z)} "
+                              f"gives aZ = {aZ[bad].flat[0]}, not a finite positive float")
+    return aZ
+
+
 def _parse_sector(args) -> sector.Sector:
     s = sector.validate_sector(args.n, args.Q, args.L, args.J, args.Z)  # Z parsed there
-    try:  # float payloads print Z and the energy, and the float K(a) scales with Z
+    try:  # float payloads print Z, the energy and alpha, and aZ reads float(Z)
         [num / den for num, den in sector.ratios(s)]  # alpha < Z
     except OverflowError as exc:
         raise ValidationError(
@@ -188,7 +210,7 @@ def _spectrum_at_a(args, s):
     _require_finite(a=args.a)
     if args.a is None or not args.a > 0:
         raise ValidationError(f"{args.command} needs --a > 0")
-    return spheroidal.separation_constants(s, args.a)
+    return spheroidal.separation_constants(s, _to_aZ(args.a, s))
 
 
 def cmd_kspectrum(args, s) -> None:
@@ -221,7 +243,7 @@ def cmd_tcoeffs(args, s) -> None:
     _emit("tcoeffs", s, "float", {"a": _fmt(args.a), "branches": branches})
 
 
-def _write_sweep_csv(grid, sw: spheroidal.BranchSweep) -> None:
+def _write_sweep_csv(grid, K, K_over_a) -> None:
     """The sweep's CSV on stdout, formatted and written a chunk of grid points at a time.
 
     A chunk holds at most _CSV_CHUNK_ROWS rows (one, if a single point has
@@ -230,7 +252,7 @@ def _write_sweep_csv(grid, sw: spheroidal.BranchSweep) -> None:
     in one %-pass from three interleaved lists: the point's a text, repeated
     once per branch, K and K/a.
     """
-    n = sw.K.shape[1]
+    n = K.shape[1]
     step = max(1, _CSV_CHUNK_ROWS // n)
     point = "".join(f"%s,{k},%.17g,%.17g\n" for k in range(n))
     sys.stdout.write("a,n_k,K,K_over_a\n")
@@ -238,8 +260,8 @@ def _write_sweep_csv(grid, sw: spheroidal.BranchSweep) -> None:
         a_s = _fmt_array(grid[lo : lo + step]).tolist()
         cells = [None] * (3 * n * len(a_s))
         cells[0::3] = [a for a in a_s for _ in range(n)]
-        cells[1::3] = sw.K[lo : lo + step].ravel().tolist()
-        cells[2::3] = sw.K_over_a[lo : lo + step].ravel().tolist()
+        cells[1::3] = K[lo : lo + step].ravel().tolist()
+        cells[2::3] = K_over_a[lo : lo + step].ravel().tolist()
         sys.stdout.write(point * len(a_s) % tuple(cells))
 
 
@@ -268,40 +290,58 @@ def cmd_sweep(args, s) -> None:
         grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max), args.points)
     else:
         grid = np.linspace(args.a_min, args.a_max, args.points)
-    if not (np.diff(grid) > 0).all():  # --a-min and --a-max a few ulps apart
+    aZ = _to_aZ(grid, s)
+    if not (np.diff(aZ) > 0).all():  # --a-min and --a-max a few ulps apart
         raise ValidationError(
             f"--points {args.points} from --a-min {args.a_min} to --a-max {args.a_max} "
             "give repeated grid points: use fewer points or a wider range"
         )
-    sw = spheroidal.sweep_branches(s, grid)
+    K, min_overlap = spheroidal.sweep_branches(s, aZ)
+    with np.errstate(over="ignore"):  # checked just below
+        K_over_a = K / grid[:, None]
+    bad = ~np.isfinite(K_over_a).all(axis=1)
+    if bad.any():
+        raise ValidationError(f"K/a at a = {grid[bad][0]} leaves the float range")
     if args.format == "csv":
-        _write_sweep_csv(grid, sw)
+        _write_sweep_csv(grid, K, K_over_a)
         return
     pads = []  # each branch's points are rendered at pads[0]
     branches = [{"n_k": k, "points": [lambda pad: pads.append(pad) or "\0"]} for k in range(s.size)]
-    payload = {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches}
-    fills = [_sweep_points(pads, grid, sw.K[:, k], sw.K_over_a[:, k]) for k in range(s.size)]
+    payload = {"min_branch_overlap": _fmt(min_overlap), "branches": branches}
+    fills = [_sweep_points(pads, grid, K[:, k], K_over_a[:, k]) for k in range(s.size)]
     _emit("sweep", s, "float", payload, fills)
+
+
+def _limit_distance(s, W, which: str, given):
+    """(a, aZ) of a limit: the given flag's, 0.0 too, or the default aZ at a = aZ/Z, if finite."""
+    if given is not None:
+        return given, _to_aZ(given, s)
+    aZ = spheroidal.SPHERICAL_AZ if which == "spherical" else spheroidal.parabolic_distance(W)
+    if not (float(s.Z) and math.isfinite(aZ / float(s.Z))):
+        raise ValidationError(
+            f"the {which} limit distance at Z = {sector._short(s.Z)} is not finite")
+    return aZ / float(s.Z), aZ
 
 
 def cmd_limits(args, s) -> None:
     _require_finite(a_small=args.a_small, a_large=args.a_large)
     W = interbasis.w_matrix(s)
-    # a flag that is given, 0.0 too, replaces its default, which is then not computed
-    a_small = spheroidal.spherical_distance(s) if args.a_small is None else args.a_small
-    a_large = spheroidal.parabolic_distance(W) if args.a_large is None else args.a_large
-    both = spheroidal.separation_constants(s, [a_small, a_large])
+    a_small, aZ_small = _limit_distance(s, W, "spherical", args.a_small)
+    a_large, aZ_large = _limit_distance(s, W, "parabolic", args.a_large)
+    both = spheroidal.separation_constants(s, [aZ_small, aZ_large])
     sph = spheroidal.check_spherical_limit(both[0])
+    if not aZ_large >= spheroidal.PARABOLIC_MIN_AZ:  # named in the user's a and Z
+        raise ValidationError(f"a_large Z = {a_large} * {sector._short(s.Z)} must be at least 1e4")
     par = spheroidal.check_parabolic_limit(W, both[1])
     payload = {
         "spherical": {
-            "a_small": _fmt(sph.a_small),
+            "a_small": _fmt(a_small),
             "value_errors": _fmt_array(sph.value_errors).tolist(),
             "raw_gaps": _fmt_array(sph.raw_gaps).tolist(),
             "vector_errors": _fmt_array(sph.vector_errors).tolist(),
         },
         "parabolic": {
-            "a_large": _fmt(par.a_large),
+            "a_large": _fmt(a_large),
             "branch_np": par.branch_np.tolist(),
             "set_errors": _fmt_array(par.set_errors).tolist(),
             "column_errors": _fmt_array(par.column_errors).tolist(),
@@ -339,11 +379,11 @@ def _verify_checks(s: sector.Sector):
     qworst = float(np.abs(wavefield.w_overlap_stable(s) - W.to_float()).max())
     yield "quadrature_overlap", qworst <= 1e-8, f"max |quad - exact| {_fmt(qworst)}"
 
-    # one batch: the continuant at 6 distances, whose middle 4 are the eigenproblem's
+    # one batch: the continuant at 6 distances aZ, whose middle 4 are the eigenproblem's
     # 0.1, 1, 10 and 100 bit for bit, then both limits
-    a = [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0,
-         spheroidal.spherical_distance(s), spheroidal.parabolic_distance(W)]
-    solved = spheroidal.separation_constants(s, a)
+    aZ = [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0,
+          spheroidal.SPHERICAL_AZ, spheroidal.parabolic_distance(W)]
+    solved = spheroidal.separation_constants(s, aZ)
     eig = solved[1:5]
     mat, K, T = eig.matrix, eig.K, eig.T
     resid = np.abs(mat.matvec(T) - T * K[:, None, :]).max(axis=(1, 2))
@@ -368,7 +408,7 @@ def _verify_checks(s: sector.Sector):
         f"set error {_fmt(par.max_set_error)}, column error {_fmt(par.max_column_error)}"
     )
 
-    rpts = np.array([0.5, 1.0, 2.0, 5.0])
+    rpts = np.array([0.5, 1.0, 2.0, 5.0])  # Zr
     cpts = np.array([-0.9, -0.3, 0.0, 0.4, 0.9])
     ode_worst = float(np.concatenate([  # one residual per lambda or n_p; one Laguerre run for three
         wavefield.ode_residuals(s, "angular", cpts),
@@ -433,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log", action="store_true", help="logarithmic grid")
     p.add_argument("--format", choices=("record", "csv"), default="record")
     p = command("limits", float_only, cmd_limits, "spherical and parabolic degenerations")
-    p.add_argument("--a-small", dest="a_small", type=float, help="default 1e-8/Z")
+    p.add_argument("--a-small", dest="a_small", type=float, help="default: aZ = 1e-8")
     p.add_argument("--a-large", dest="a_large", type=float, help="default: parabolic_distance")
     command("verify", shared, cmd_verify, "full cross-oracle suite for one sector")
     return parser
@@ -443,9 +483,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:  # the sector first, then the command's own flags
         code = args.run(args, _parse_sector(args))  # None, or verify's failed-check code
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
     except Micz9Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # Python's SIGPIPE recipe: what is left goes to devnull at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     return code or 0
 
 

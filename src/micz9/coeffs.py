@@ -5,13 +5,12 @@ ninth Runge-Lenz component M9 in the spherical basis come from closed
 forms in the integers (n, Q, L, J, 2 lambda).  m9_tridiagonal evaluates them
 once per sector into one cached rational tridiagonal, the one source of every
 M9 and K(a) entry: m9_spherical_matrix is its exact view in W's printed form,
-rows of integers (num, den, f) of (num/den) sqrt(f), and k_pencil_ratios
-scales it into the exact pencil of K(a) = -Lambda - a (alpha/2) M9, Lambda =
+rows of integers (num, den, f) of (num/den) sqrt(f), and k_pencil scales
+it into the exact pencil of K(a) = -Lambda - a (alpha/2) M9, Lambda =
 diag(lambda(lambda+7)) and alpha/2 = 2Z/(2n+Q+8), as integer pairs (num,
-den).  k_diag and k_offdiag read single entries of those pairs, and
-spheroidal rounds them once per (sector, Z) into the float pencil from which
-both its dense-eigensolver and its continuant routes build K(a) with one
-multiply-add per entry; a and Z only ever enter through the product aZ.
+den) per unit aZ, free of the charge.  k_diag and k_offdiag read single
+entries of those pairs, and spheroidal rounds them once per (n, Q, L, J)
+into the float pencil from which it builds K(a), one multiply-add per entry.
 M9's spectrum mu_p = n+Q/2-J-2n_p is m9_eigenvalues.  np_recurrence, the
 Leonard pair's other half, is the one source of G = W^T Lambda W,
 tridiagonal in n_p: W's core and the parabolic limit's float G.  Matrices
@@ -73,7 +72,7 @@ def np_recurrence(s: Sector) -> tuple[tuple[int, ...], tuple[int, ...], tuple[in
             tuple((p + J + 4) * (n_top - p) for p in ps))
 
 
-def k_pencil_ratios(s: Sector) -> tuple[list[tuple[int, int]], ...]:
+def k_pencil(s: Sector) -> tuple[list[tuple[int, int]], ...]:
     """Exact pencil of K(a) as unreduced integer pairs (num, den): the one source, exact or float.
 
     With g = 2/(2n+Q+8), K(a) has the diagonal -lambda(lambda+7) - aZ g
@@ -90,12 +89,12 @@ def k_pencil_ratios(s: Sector) -> tuple[list[tuple[int, int]], ...]:
 
 
 def _k_entries(s: Sector, lam, aZ) -> tuple[Fraction, Fraction]:
-    """K(a)'s diagonal and squared coupling at lambda and aZ >= 0, read from k_pencil_ratios."""
+    """K(a)'s diagonal and squared coupling at lambda and aZ >= 0, read from k_pencil."""
     i = lambda_index(s, lam)[1]
     aZ = _rational("aZ", aZ)
     if aZ < 0:
         raise ValidationError(f"aZ = {_short(aZ)} must be non-negative")
-    const, slope, coupling_sq = k_pencil_ratios(s)
+    const, slope, coupling_sq = k_pencil(s)
     diag = Fraction(*const[i]) + aZ * Fraction(*slope[i])
     return diag, aZ * aZ * Fraction(*coupling_sq[i - 1]) if i else Fraction(0)
 

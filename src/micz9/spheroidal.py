@@ -2,16 +2,17 @@
 
 The separation constants K at focal distance a are the eigenvalues of the
 symmetric tridiagonal N x N matrix K(a) = -Lambda - a (alpha/2) M9, with
-Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  The
-exact pencil, the integer pairs of coeffs.k_pencil_ratios, is rounded once
-per sector (which carries the charge Z), so K(a) costs one multiply-add per
-entry.  build_k_matrix, its one float builder, and separation_constants,
-the one solve, take a scalar a for one matrix or a list of a for the
-stack, solved in one batch.  Each spectrum keeps the matrix it was solved
-from, which the continuant route and both limit checks read; a stack's
-rows and slices are spectra too.  spherical_distance and
-parabolic_distance alone pick where the limits are checked.  The
-eigenvector columns are the expansion coefficients of each spheroidal
+Lambda = diag(lambda(lambda+7)) and M9 the ninth Runge-Lenz matrix.  As
+alpha = 4Z/(2n+Q+8), K depends on a and Z only through aZ: everything here
+works at Z = 1 and reads no charge, so each a below is the user's aZ.  The
+exact pencil, the integer pairs of coeffs.k_pencil, is rounded once per
+(n, Q, L, J), so K(a) costs one multiply-add per entry.  build_k_matrix,
+its one float builder, and separation_constants, the one solve, take a
+scalar a for one matrix or a list of a for the stack, solved in one batch.
+Each spectrum keeps the matrix it was solved from, which the continuant
+route and both limit checks read; a stack's rows and slices are spectra
+too.  SPHERICAL_AZ and parabolic_distance alone place the limit checks.
+The eigenvector columns are the expansion coefficients of each spheroidal
 state over the spherical basis.  Columns follow the sign convention "first
 nonzero entry positive" (numerically: first entry exceeding 1e-12 of the
 column's max magnitude, which keeps the convention deterministic when
@@ -50,11 +51,12 @@ from .errors import (
 )
 from .exactscalar import sqrt_ratio
 from .interbasis import WMatrix
-from .sector import Sector, _short, ratios
+from .sector import Sector
 
 _SIGN_TOL = 1e-12
 _PARABOLIC_TOL = 1e-4  # check_parabolic_limit's tolerance, which parabolic_distance aims for
-_PARABOLIC_MIN_AZ = 1e4  # the least a Z at which the parabolic first-order check applies
+PARABOLIC_MIN_AZ = 1e4  # the least aZ at which the parabolic first-order check applies
+SPHERICAL_AZ = 1e-8  # the aZ at which check_spherical_limit is taken
 
 
 @dataclass(frozen=True)
@@ -91,33 +93,21 @@ class SymTridiagonal:
 
 
 @functools.lru_cache(maxsize=64)
-def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Float pencil of K(a) = -Lambda - a (alpha/2) M9, each entry rounded once.
+def _k_pencil(n: int, Q: int, L: int, J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float pencil of K(a) = -Lambda - a (alpha/2) M9 per unit aZ, each entry rounded once.
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
-    lambda ascending: each diagonal coeffs.k_pencil_ratios pair times 1 or Z,
-    rounded once by one int division, and each coupling sqrt_ratio of its pair
-    times Z^2, the root of a scaled, correctly rounded quotient within 1 ulp
-    that underflows only where the coupling itself does.  A charge whose
-    entries overflow a float, or whose couplings (all positive) underflow
-    to 0, raises ValidationError.
-    Read-only: the cache hands the same arrays to every call.
+    lambda ascending: each diagonal coeffs.k_pencil pair by one correctly
+    rounded int division, and each coupling sqrt_ratio of its pair, within
+    1 ulp.  Read-only: the cache hands the same arrays to every call.
     """
     import numpy as np
-    lam_term, slope, coupling_sq = coeffs.k_pencil_ratios(s)
-    zn, zd = s.Z.numerator, s.Z.denominator  # float K(a) scales with the sector's charge
-    try:
-        pencil = (
-            np.array([n / d for n, d in lam_term]),
-            np.array([zn * n / (zd * d) for n, d in slope]),
-            -np.array([sqrt_ratio(zn * zn * n, zd * zd * d) for n, d in coupling_sq]),
-        )
-    except OverflowError as exc:
-        raise ValidationError(f"K(a) at Z = {_short(s.Z)} leaves the float range") from exc
-    if not pencil[2].all():
-        raise ValidationError(
-            f"K(a) at Z = {_short(s.Z)} leaves the float range: a coupling underflows to 0"
-        )
+    lam_term, slope, coupling_sq = coeffs.k_pencil(Sector(n, Q, L, J))
+    pencil = (
+        np.array([num / den for num, den in lam_term]),
+        np.array([num / den for num, den in slope]),
+        -np.array([sqrt_ratio(num, den) for num, den in coupling_sq]),
+    )
     for part in pencil:
         part.setflags(write=False)
     return pencil
@@ -127,7 +117,7 @@ _COUPLING_LIMIT = math.sqrt(sys.float_info.max)  # squared couplings must stay f
 
 
 def build_k_matrix(s: Sector, a) -> SymTridiagonal:
-    """Separation-constant matrix K(a) at focal distance a >= 0 (float entries).
+    """Separation-constant matrix K(a) at focal distance aZ = a >= 0 (float entries).
 
     K(a) = -Lambda - a (alpha/2) M9 from the sector's float pencil:
     diag[i] carries the lambda_i diagonal, offdiag[i] the negative
@@ -146,7 +136,7 @@ def build_k_matrix(s: Sector, a) -> SymTridiagonal:
     for bad, need in ((~np.isfinite(stack), "finite"), (stack < 0, "non-negative")):
         if bad.any():
             raise ValidationError(f"focal distance a = {stack[bad][0]} must be {need}")
-    lam_term, diag_slope, off_slope = _k_pencil(s)
+    lam_term, diag_slope, off_slope = _k_pencil(s.n, s.Q, s.L, s.J)
     with np.errstate(over="ignore"):  # checked just below
         diag = lam_term + stack[:, None] * diag_slope
         off = stack[:, None] * off_slope
@@ -278,26 +268,16 @@ def t_by_continuant(mat: SymTridiagonal, K) -> np.ndarray:
     return sign_fix_columns(rows.swapaxes(1, 2)).reshape(out_shape)
 
 
-@dataclass(frozen=True)
-class BranchSweep:
-    """K and K/a per (grid point, branch), branches continuity-checked."""
-
-    K: np.ndarray  # shape (grid points, N)
-    K_over_a: np.ndarray
-    min_overlap: float
-
-
-def sweep_branches(s: Sector, a_grid) -> BranchSweep:
-    """Track all N branches over an ascending positive grid of a values.
+def sweep_branches(s: Sector, a_grid) -> tuple[np.ndarray, float]:
+    """K per (grid point, branch) over an ascending positive grid of a, and the least overlap.
 
     Ascending-order labeling is continuity-consistent (simple spectra);
     the adjacent-point eigenvector overlap per branch certifies it and
     raises BranchMatchAmbiguous at or below 0.9 (grid too coarse), naming
-    the first failing pair of points.  An a so small that K/a overflows
-    raises ValidationError.  K is separation_constants' K bit for bit, but
-    the columns are solved and read here without its sign convention: the
-    only use of them is the magnitude |<T_p, T_p+1>| of each overlap, which
-    no column's sign changes.
+    the first failing pair of points.  K is separation_constants' K bit for
+    bit, but the columns are solved and read here without its sign
+    convention: the only use of them is the magnitude |<T_p, T_p+1>| of each
+    overlap, which no column's sign changes.
     """
     import numpy as np
     a_grid = np.asarray(a_grid, dtype=np.float64)
@@ -307,11 +287,6 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
         raise ValidationError("a_grid must be ascending and positive")
     mat = build_k_matrix(s, a_grid)
     K, T = tridiag_eigh(mat.diag, mat.offdiag)
-    with np.errstate(over="ignore"):  # checked just below
-        K_over_a = K / a_grid[:, None]
-    bad = ~np.isfinite(K_over_a).all(axis=1)
-    if bad.any():
-        raise ValidationError(f"K/a at a = {a_grid[bad][0]} leaves the float range")
     worst = np.abs(np.einsum("pij,pij->pj", T[:-1], T[1:])).min(axis=1, initial=1.0)
     bad = np.flatnonzero(worst <= 0.9)
     if bad.size:
@@ -320,13 +295,11 @@ def sweep_branches(s: Sector, a_grid) -> BranchSweep:
             f"branch overlap {worst[ip]:.3f} <= 0.9 between a = {a_grid[ip]} "
             f"and a = {a_grid[ip + 1]} in sector {s}"
         )
-    min_overlap = float(worst.min(initial=1.0))
-    return BranchSweep(K, K_over_a, min_overlap)
+    return K, float(worst.min(initial=1.0))
 
 
 @dataclass(frozen=True)
 class SphericalLimitReport:
-    a_small: float
     value_errors: np.ndarray  # |K - diag entry|, the O(a^2) remainder
     raw_gaps: np.ndarray  # |K + lam(lam+7)|, O(a) when J != L
     vector_errors: np.ndarray  # max-norm distance of T columns to unit vectors
@@ -364,9 +337,9 @@ def check_spherical_limit(
     s, mat, a_small = spectrum.sector, spectrum.matrix, spectrum.a
     # branch n_k lands on position N-1-n_k of the ascending ladder; raw gap |K + lambda(lambda+7)|
     value_errors = np.abs(spectrum.K - mat.diag[::-1])
-    raw_gaps = np.abs(spectrum.K - _k_pencil(s)[0][::-1])
+    raw_gaps = np.abs(spectrum.K - _k_pencil(s.n, s.Q, s.L, s.J)[0][::-1])
     vector_errors = np.abs(spectrum.T - np.eye(s.size)[::-1]).max(axis=0)
-    report = SphericalLimitReport(a_small, value_errors, raw_gaps, vector_errors)
+    report = SphericalLimitReport(value_errors, raw_gaps, vector_errors)
     if report.max_value_error > tol_value or report.max_vector_error > tol_vector:
         raise LimitMismatch(
             f"spherical limit failed for {s} at a = {a_small}: "
@@ -377,8 +350,7 @@ def check_spherical_limit(
 
 @dataclass(frozen=True)
 class ParabolicLimitReport:
-    a_large: float
-    set_errors: np.ndarray  # K/a (ascending, so by n_k) vs sorted first-order targets, over Z
+    set_errors: np.ndarray  # K/a (ascending, so by n_k) vs sorted first-order targets
     branch_np: np.ndarray  # eigenvalue-matched parabolic label per branch
     column_errors: np.ndarray  # max-norm distance of T columns to first-order W columns
 
@@ -421,33 +393,17 @@ def _frame(W: WMatrix):
     return frame
 
 
-def _at_charge(aZ: float, s: Sector, which: str) -> float:
-    """The focal distance aZ/Z as a float; ValidationError, naming Z, if it is not finite."""
-    zf = float(s.Z)  # a tiny Z: aZ/Z overflows to inf, or Z is 0.0
-    a = aZ / zf if zf else math.inf
-    if not math.isfinite(a):
-        raise ValidationError(f"the {which} limit distance at Z = {_short(s.Z)} is not finite")
-    return a
-
-
-def spherical_distance(s: Sector) -> float:
-    """check_spherical_limit's focal distance 1e-8/Z; ValidationError, naming Z, if not finite."""
-    return _at_charge(1e-8, s, "spherical")
-
-
 def parabolic_distance(W: WMatrix) -> float:
-    """check_parabolic_limit's focal distance, the same aZ at every charge.
+    """check_parabolic_limit's focal distance aZ.
 
-    Never below aZ = 1e4, it is where the check's first-order column
-    correction, which falls as 1/(aZ), is 10 tol: a missing or wrong
+    Never below PARABOLIC_MIN_AZ, it is where the check's first-order
+    column correction, which falls as 1/(aZ), is 10 tol: a missing or wrong
     correction fails the check, while the remainder, about (10 tol)^2,
-    stays well inside tol.  Raises ValidationError, naming Z, if it is not
-    a finite float.
+    stays well inside tol.
     """
-    s = W.sector  # alpha/Z is a rational free of Z, so the correction at aZ = 1 is finite
-    (zn, zd), _, (an, ad) = ratios(s)
-    correction = float(abs(_frame(W)[2]).max()) / (an * zd / (ad * zn))
-    return _at_charge(max(correction / (10 * _PARABOLIC_TOL), _PARABOLIC_MIN_AZ), s, "parabolic")
+    s = W.sector  # alpha = 4/(2n+Q+8) at Z = 1, one int division
+    correction = float(abs(_frame(W)[2]).max()) / (4 / (2 * s.n + s.Q + 8))
+    return max(correction / (10 * _PARABOLIC_TOL), PARABOLIC_MIN_AZ)
 
 
 def check_parabolic_limit(
@@ -462,11 +418,9 @@ def check_parabolic_limit(
     W[:,p] + sum_{q = p +- 1} W[:,q] G_qp / (a (alpha/2) (mu_p - mu_q)), G
     being the closed-form tridiagonal coeffs.np_recurrence, with p matched per
     eigenvalue rather than per descending label.  Subtracting the first-order
-    term keeps the check valid as G grows with N.  K(a) depends on a and Z
-    only through aZ, and K/a scales with Z, so the K/a errors are divided by Z
-    and the spectrum's a Z must be at least 1e4: the same aZ and tol then mean
-    the same check at every charge, which parabolic_distance places.  W must
-    belong to the spectrum's sector.  Raises LimitMismatch on failure.
+    term keeps the check valid as G grows with N.  The spectrum's aZ must be
+    at least PARABOLIC_MIN_AZ; parabolic_distance places it.  W must belong to
+    the spectrum's sector.  Raises LimitMismatch on failure.
     """
     import numpy as np
     if spectrum.K.ndim != 1:
@@ -474,21 +428,19 @@ def check_parabolic_limit(
     s, a_large = spectrum.sector, spectrum.a
     if W.sector != s:
         raise ValidationError(f"W of sector {W.sector} given for a spectrum of sector {s}")
-    (zn, zd), _, (an, ad) = ratios(s)
-    zf, alpha = zn / zd, an / ad
-    if not a_large * zf >= _PARABOLIC_MIN_AZ:
-        raise ValidationError(f"a_large Z = {a_large} * {_short(s.Z)} must be at least 1e4")
-    n = s.size
+    if not a_large >= PARABOLIC_MIN_AZ:
+        raise ValidationError(f"aZ = {a_large} must be at least 1e4 for the parabolic limit")
+    n, alpha = s.size, 4 / (2 * s.n + s.Q + 8)  # alpha at Z = 1
     w, g_diag, shift = _frame(W)
     targets = -alpha / 4 * np.array(coeffs.m9_twice_eigenvalues(s)) - g_diag / a_large
     columns = w + shift / (a_large * alpha)
     columns /= np.linalg.norm(columns, axis=0)
     k_over_a = spectrum.K / a_large
-    set_errors = np.abs(np.sort(k_over_a) - np.sort(targets)) / zf
+    set_errors = np.abs(np.sort(k_over_a) - np.sort(targets))
 
     branch_np = np.argmin(np.abs(targets - k_over_a[:, None]), axis=1)  # [branch, target] grid
     column_errors = np.abs(spectrum.T - columns[:, branch_np]).max(axis=0)
-    report = ParabolicLimitReport(a_large, set_errors, branch_np, column_errors)
+    report = ParabolicLimitReport(set_errors, branch_np, column_errors)
     if len(set(branch_np.tolist())) != n:
         counts = np.bincount(branch_np, minlength=n)
         n_p = int(np.argmax(counts))

@@ -9,15 +9,16 @@ with c = cos(theta), and the residuals of the four separated differential
 equations evaluated with analytic derivatives.
 
 Every state is alpha^{9/2} e^{-x/2}, x = alpha r, times a bare factor
-whose closed form is written once, and evaluated per basis as the
-columns below.  Quadrature never exponentiates the nodes: paired
-states carry a total weight exp(-alpha r), which the generalized Laguerre
-rule of order 8 absorbs exactly, and the polynomial remainder has integer
-powers for every parity-valid sector; w_overlap_stable takes the node
-count that makes both tensor rules exact.  The bare factors of a whole
-basis are evaluated once on the tensor grid, as the columns of a matrix
-Phi, and all overlaps of two bases come out as one Gram matrix
-Phi_bra^T diag(w) Phi_ket.
+whose closed form is written once, and evaluated per basis as the columns
+below.  As alpha = 4Z/(2n+Q+8), x is 4 Zr/(2n+Q+8): nothing here reads the
+charge, the quadrature runs in x and the residuals at Z = 1, at points Zr.
+Quadrature never exponentiates the nodes: paired states carry a total
+weight exp(-alpha r), which the generalized Laguerre rule of order 8
+absorbs exactly, and the polynomial remainder has integer powers for every
+parity-valid sector; w_overlap_stable takes the node count that makes both
+tensor rules exact.  The bare factors of a whole basis are evaluated once
+on the tensor grid, as the columns of a matrix Phi, and all overlaps of
+two bases come out as one Gram matrix Phi_bra^T diag(w) Phi_ket.
 
 Each basis is evaluated once per sector: one polynomial ladder per family
 (a single recurrence run returns every degree), norms from integer
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from . import _backend, coeffs  # numpy loads where used: the CLI imports this for every command
 from .errors import ConvergenceFailure, DomainError, ValidationError
 from .exactscalar import sqrt_ratio
-from .sector import Sector, ratios
+from .sector import Sector
 
 
 # ----------------------------------------------------------------------
@@ -325,18 +326,21 @@ def _over_envelope(hpsi, h2dpsi, h, P, P1, P2):
     return P, hpsi * P + hP1, (hpsi * hpsi + h2dpsi) * P + 2.0 * hpsi * hP1 + h * h * P2
 
 
-def _laguerre_rows(s: Sector, names, Zf, E, alpha):
+def _laguerre_rows(s: Sector, names):
     """Rows x/r, c1, cZ, cE, order, degree, nu, c0, cs; a column per state of each named equation.
 
     Divided by its envelope x^nu e^{-x/2}, the radial equation (times r^2,
     scaled by -2) and the parabolic u and v equations (times u or v) read
-    x^2 g'' + c1 x g' + (c0 + cZ r + cE r^2 + cs r) g, g = L_degree^(order)(x), cs r the M9 term.
+    x^2 g'' + c1 x g' + (c0 + cZ r + cE r^2 + cs r) g, g = L_degree^(order)(x), cs r the M9 term,
+    at Z = 1: alpha = 4/(2n+Q+8), E = -2/(2n+Q+8)^2 and the radial cZ = 2Z = 2.
     """
     import numpy as np
+    d = 2 * s.n + s.Q + 8
+    alpha, E = 4 / d, -2 / d**2  # each one correctly rounded int division
     h, n_top, mu2 = (s.L + s.J) / 2, s.size - 1, coeffs.m9_twice_eigenvalues(s)
-    half = (alpha / 2, 4, Zf / 2, E / 2)
+    half = (alpha / 2, 4, 0.5, E / 2)
     table = {  # state k's column; lambda = h + k, and sigma = alpha mu_p / 4 at n_p = k
-        "radial": lambda k: (alpha, 8, 2 * Zf, 2 * E, 2 * (h + k) + 7, n_top - k, h + k,
+        "radial": lambda k: (alpha, 8, 2, 2 * E, 2 * (h + k) + 7, n_top - k, h + k,
                              -(h + k) * (h + k + 7), 0),
         "parabolic_u": lambda k: (*half, s.J + 3, k, s.J / 2, -s.J * (s.J + 6) / 4,
                                   -(alpha / 4 * (mu2[k] / 2))),
@@ -347,10 +351,10 @@ def _laguerre_rows(s: Sector, names, Zf, E, alpha):
     return np.array(columns, dtype=np.float64).T
 
 
-def _laguerre_terms(s: Sector, names, pts, Zf, E, alpha):
+def _laguerre_terms(s: Sector, names, pts):
     """Terms of the named radial and parabolic equations, a row per state of each; see above."""
     import numpy as np
-    xr, c1, cZ, cE, order, degree, nu, c0, cs = _laguerre_rows(s, names, Zf, E, alpha)[..., None]
+    xr, c1, cZ, cE, order, degree, nu, c0, cs = _laguerre_rows(s, names)[..., None]
     x = xr * pts
     # one run over every state's order, read at the state's own degree; the degrees past it may
     # overflow, under ode_residuals' errstate, unread
@@ -381,6 +385,7 @@ def _angular_terms(s: Sector, c):
 def ode_residuals(s: Sector, which: str | tuple[str, ...], points) -> np.ndarray:
     """Max relative residual of separated equations on interior points, per state.
 
+    The points are cos(theta), or Zr, at which the residual is that of Z = 1.
     which: "radial" or "angular" (one entry per lambda, ascending),
     "parabolic_u" or "parabolic_v" (one per n_p), or a tuple of all but
     "angular", entries in its order from one Laguerre run.  Each factor is
@@ -389,14 +394,13 @@ def ode_residuals(s: Sector, which: str | tuple[str, ...], points) -> np.ndarray
     and multiplied by r^2, 1-c^2 or the parabolic point, and evaluated from
     P, P', P'' and E's log-derivative alone.  Each residual is scaled by the
     largest participating term, which a constant factor leaves unchanged.
-    A state whose terms leave the float range (alpha r far out at a large
-    charge) gets an infinite residual: the check fails, with no warning.
+    A state whose terms leave the float range (Zr far out) gets an
+    infinite residual: the check fails, with no warning.
     """
     import numpy as np
     pts = np.asarray(points, dtype=np.float64).ravel()
     if pts.size == 0 or not np.isfinite(pts).all():
         raise DomainError("need one or more evaluation points, all finite")
-    Zf, E, alpha = (num / den for num, den in ratios(s))  # each float(), bit for bit
     names = tuple(which) if isinstance(which, (tuple, list)) else (which,)
     if names == ("angular",):
         if np.any(np.abs(pts) >= 1):
@@ -407,7 +411,7 @@ def ode_residuals(s: Sector, which: str | tuple[str, ...], points) -> np.ndarray
         raise DomainError(f"{which} points must be positive")
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf below
         terms = (_angular_terms(s, pts) if names == ("angular",)
-                 else _laguerre_terms(s, names, pts, Zf, E, alpha))
+                 else _laguerre_terms(s, names, pts))
         scale = np.maximum.reduce([np.abs(t) for t in terms])
         rel = np.abs(sum(terms)) / np.maximum(scale, 1e-300)
     return np.where(np.isfinite(rel), rel, np.inf).max(axis=-1)

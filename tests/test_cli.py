@@ -132,17 +132,18 @@ def test_overflowing_charge_exit_2():
 
 @pytest.mark.parametrize(
     "argv",
-    [  # K(a)'s coupling, 0.1633 Z at (2,0,0,2), is rounded once and so rounds to 0.0 only
-        # below Z = 1.51e-323, half the least subnormal over 0.1633 (at 1e-323 it is 1.6e-324);
-        # verify and limits meet the spherical distance 1e-8/Z, not finite there, first
-        verify_argv(2, 0, 0, 2, "1e-323"),
+    [  # a focal distance a whose aZ underflows to 0.0 is refused where aZ is formed
+        ["kspectrum", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--a", "1"],
+        # K(a)'s coupling per unit aZ at (2,0,0,2) is 0.1633, so at aZ = 1e-323 it rounds
+        # to 0.0; limits meets the spherical distance 1e-8/Z, not finite there, first
         ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float", "--a", "1"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float",
          "--a-small", "1e-3", "--a-large", "1e300"],
         ["kspectrum", *verify_argv(2, 0, 0, 2, "1.5e-323")[1:], "--mode", "float", "--a", "1"],
-        # Z itself rounds to 0.0, so the default limit distances, 1e-8/Z and aZ/Z, are undefined
-        verify_argv(2, 0, 0, 2, "1e-400"),
+        # Z itself rounds to 0.0, so no a has an aZ, and the default limit distances, 1e-8/Z
+        # and aZ/Z, are undefined
+        ["sweep", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--a-min", "1", "--a-max", "2"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--mode", "float"],
         # a subnormal focal distance rounds K(a)'s couplings to 0.0
         ["tcoeffs", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a", "5e-324"],
@@ -151,11 +152,11 @@ def test_overflowing_charge_exit_2():
         # K/a overflows on a subnormal grid
         ["sweep", *SECTOR, "--mode", "float", "--a-min", "1e-320", "--a-max", "1e-319",
          "--points", "3"],
-        # the parabolic distance's gaps are subnormal (1e-320) or 0.0 (5e-324), and 1e-8/Z
-        # overflows: the default distances are not finite, named by the charge with no
-        # RuntimeWarning on the way
-        verify_argv(0, 2, 0, 0, "1e-320"),
-        verify_argv(0, 2, 0, 0, "5e-324"),
+        # 1e-8/Z overflows: the default distances are not finite, named by the charge with no
+        # RuntimeWarning on the way; a given a aZ of which underflows is named with the charge
+        ["tcoeffs", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--a", "1e-10"],
+        ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--a-small", "1e-3",
+         "--a-large", "1e5"],
         ["limits", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--mode", "float"],
         ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--mode", "float"],
     ],
@@ -333,15 +334,74 @@ def test_verify_sweep_to_sixteen(capsys):
     assert not failed
 
 
+@pytest.mark.parametrize("sector", [(3, 0, 0, 0), (2, 0, 0, 2), (0, 2, 0, 0), (5, 2, 2, 2)])
+def test_verify_record_is_the_same_at_every_charge(sector, capsys):
+    # verify's focal distances are aZ and its radial points Zr, and no kernel reads Z: the
+    # record at any charge is the Z = 1 record but for the sector's Z (at 1e-400 and 1e-320
+    # verify once exited 2, and from 1e62 it exited 3)
+    assert main(verify_argv(*sector)) == 0
+    at_one = capsys.readouterr().out.splitlines()
+    for Z in ("1e-400", "1e-320", "1e-300", "2/5", "1e60", "1e150"):
+        assert main(verify_argv(*sector, Z)) == 0, (Z, capsys.readouterr().err)
+        lines = capsys.readouterr().out.splitlines()
+        differ = [(x, y) for x, y in zip(lines, at_one) if x != y]
+        assert len(lines) == len(at_one)
+        assert differ == [(f'    "Z": "{Fraction(Z)}"', '    "Z": "1"')], Z
+
+
+def test_verify_at_extreme_charges_checks_what_it_checks_at_one(capsys):
+    # at Z = 1e-17 aZ was at most 1e-15, where K(a) = -Lambda to the last bit and the
+    # eigenproblem's orthogonality read exactly 0; at Z = 1e62 alpha r left the float range
+    assert main(verify_argv(3, 0, 0, 0, "1e-17")) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
+    assert checks["spheroidal_eigenproblem"]["detail"].endswith(
+        "orthogonality 6.6613381477509392e-16")
+    assert main(verify_argv(3, 0, 0, 0, "1e62")) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("a", [1.5, 37.5])
+@pytest.mark.parametrize("Z", ["2/5", "7/3", "1e-300", "1e150"])
+def test_kspectrum_at_a_charge_is_kspectrum_at_its_az(a, Z, capsys):
+    # the charge enters once, as aZ = a float(Z): the K bits are those of Z = 1 at that aZ
+    flags = ["--n", "4", "--Q", "2", "--L", "1", "--J", "1"]
+    assert main(["kspectrum", *flags, "--Z", Z, "--a", repr(a)]) == 0
+    at_z = json.loads(capsys.readouterr().out)["payload"]
+    assert main(["kspectrum", *flags, "--Z", "1", "--a", repr(a * float(Fraction(Z)))]) == 0
+    at_one = json.loads(capsys.readouterr().out)["payload"]
+    assert at_z["a"] == repr(a) and at_z["K"] == at_one["K"]
+
+
+def test_closed_stdout_exits_141_with_no_traceback():
+    # a reader that stops early, like | head -c 50: one stated code and an empty stderr
+    argv = ["sweep", *SECTOR, "--a-min", "1e-3", "--a-max", "1e6", "--points", "20000", "--log",
+            "--format", "csv"]
+    child = subprocess.Popen([sys.executable, "-m", "micz9.cli", *argv], stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE)
+    assert child.stdout.read(50).startswith(b"a,n_k,K,K_over_a\n")
+    child.stdout.close()
+    assert child.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
 def test_verify_passes_where_the_parabolic_limit_once_failed(capsys):
     # at the old fixed aZ = 1e6 the column error was 1.03e-4 against a tol of 1e-4
     assert main(verify_argv(48, 0, 0, 0)) == 0, capsys.readouterr().err
 
 
-def test_verify_records_a_residual_past_the_float_range(capsys):
-    # at Z = 1e60, alpha r ~ 1e59: one radial state overflows, and verify reports it as a failed
-    # check in its record (exit 3) instead of a warning and "max residual nan"
-    assert main(verify_argv(5, 2, 2, 2, "1e60")) == 3
+def test_verify_records_a_residual_past_the_float_range(monkeypatch, capsys):
+    # at Z = 1e60 alpha r reached 1e59 and one radial state overflowed; verify's points are
+    # Zr now, so it passes there, and points far out stand in: verify reports the overflow as a
+    # failed check in its record (exit 3) instead of a warning and "max residual nan"
+    assert main(verify_argv(5, 2, 2, 2, "1e60")) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    original = wavefield.ode_residuals
+
+    def far_out(s, which, pts):  # radial points 1e60 times farther; cos(theta) as it is
+        return original(s, which, pts * 1e60 if which != "angular" else pts)
+
+    monkeypatch.setattr(wavefield, "ode_residuals", far_out)
+    assert main(verify_argv(5, 2, 2, 2)) == 3
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["payload"]["checks"]}
     assert [name for name, c in checks.items() if not c["ok"]] == ["ode_residuals"]
     assert checks["ode_residuals"]["detail"] == "max relative residual inf"
@@ -452,11 +512,11 @@ def test_sweep_text_matches_per_value_rendering(sector, capsys):
     n, Q, L, J, Z = sector
     flags = [*verify_argv(n, Q, L, J, Z)[1:], "--mode", "float", "--log", "--points", "200",
              "--a-min", "1e-3", "--a-max", "1e6"]
-    grid = np.logspace(-3, 6, 200)
-    sw = spheroidal.sweep_branches(validate_sector(n, Q, L, J, Fraction(Z)), grid)
+    grid = np.logspace(-3, 6, 200)  # a; the kernels take aZ
+    K = spheroidal.sweep_branches(validate_sector(n, Q, L, J), grid * float(Fraction(Z)))[0]
     cell = {  # (point, branch) -> the three printed values, one format call each
-        (i, k): [format(float(x), ".17g") for x in (a, sw.K[i, k], sw.K_over_a[i, k])]
-        for i, a in enumerate(grid) for k in range(sw.K.shape[1])
+        (i, k): [format(float(x), ".17g") for x in (a, K[i, k], K[i, k] / a)]
+        for i, a in enumerate(grid) for k in range(K.shape[1])
     }
     assert main(["sweep", *flags, "--format", "csv"]) == 0
     rows = "".join(f"{a},{k},{K},{r}\n" for (i, k), (a, K, r) in cell.items())
@@ -467,7 +527,7 @@ def test_sweep_text_matches_per_value_rendering(sector, capsys):
         {"n_k": k, "points": [
             dict(zip(("a", "K", "K_over_a"), cell[i, k])) for i in range(grid.size)
         ]}
-        for k in range(sw.K.shape[1])
+        for k in range(K.shape[1])
     ]
 
 
@@ -478,7 +538,7 @@ def test_sweep_never_runs_the_sign_convention(monkeypatch, capsys):
     flags = [*verify_argv(5, 2, 1, 1, "7/3")[1:], "--mode", "float", "--log", "--points", "200",
              "--a-min", "1e-3", "--a-max", "1e6"]
     grid = np.logspace(-3, 6, 200)
-    signed = spheroidal.separation_constants(s, grid)
+    signed = spheroidal.separation_constants(s, grid * (7 / 3))
     rows = "".join(f"{_fmt(a)},{k},{_fmt(K)},{_fmt(K / a)}\n"
                    for a, Ks in zip(grid, signed.K) for k, K in enumerate(Ks))
     T = signed.T
@@ -498,18 +558,18 @@ def test_sweep_never_runs_the_sign_convention(monkeypatch, capsys):
 
 
 def _sweep_record(s, grid):
-    """The sweep record as one whole dict, a _fmt call per printed value."""
-    sw = spheroidal.sweep_branches(s, grid)
+    """The sweep record as one whole dict over a grid of a, a _fmt call per printed value."""
+    Ks, min_overlap = spheroidal.sweep_branches(s, grid * float(s.Z))
     branches = [
         {"n_k": k, "points": [
-            {"a": _fmt(a), "K": _fmt(K), "K_over_a": _fmt(r)}
-            for a, K, r in zip(grid, sw.K[:, k], sw.K_over_a[:, k])
+            {"a": _fmt(a), "K": _fmt(K), "K_over_a": _fmt(K / a)}
+            for a, K in zip(grid, Ks[:, k])
         ]}
         for k in range(s.size)
     ]
     return {"schema_version": cli.SCHEMA_VERSION, "command": "sweep",
             "sector": cli._sector_record(s), "mode": "float",
-            "payload": {"min_branch_overlap": _fmt(sw.min_overlap), "branches": branches}}
+            "payload": {"min_branch_overlap": _fmt(min_overlap), "branches": branches}}
 
 
 @pytest.mark.parametrize("sector, points", [
@@ -526,7 +586,7 @@ def test_sweep_record_streams_the_rendering_of_the_whole_record(sector, points, 
 
 
 def test_float_commands_never_build_the_exact_pencil(monkeypatch, capsys):
-    # the float pencil is rounded from the integers of coeffs.k_pencil_ratios: no Fraction entry,
+    # the float pencil is rounded from the integers of coeffs.k_pencil: no Fraction entry,
     # which only coeffs._k_entries builds
     flags = verify_argv(5, 2, 1, 1, "7/3")[1:]
     argvs = [["verify", *flags], ["kspectrum", *flags, "--a", "2.5"],
@@ -575,12 +635,12 @@ def test_sweep_csv_memory_stays_bounded_on_a_long_grid(tmp_path):
     assert run.returncode == 0, run.stderr
     assert int(run.stderr) < 120 * 1024  # 88 MB measured, numpy 2 on x86-64 Linux
     grid = np.logspace(-3, 6, points)
-    sw = spheroidal.sweep_branches(validate_sector(0, 0, 0, 0), grid)
+    Ks = spheroidal.sweep_branches(validate_sector(0, 0, 0, 0), grid)[0]
     want = hashlib.sha256(b"a,n_k,K,K_over_a\n")
     step = 1 << 16
     for lo in range(0, points, step):  # one format call per value, a slice at a time
-        rows = zip(grid[lo : lo + step], sw.K[lo : lo + step, 0], sw.K_over_a[lo : lo + step, 0])
-        want.update("".join(f"{_fmt(a)},0,{_fmt(K)},{_fmt(r)}\n" for a, K, r in rows).encode())
+        rows = zip(grid[lo : lo + step], Ks[lo : lo + step, 0])
+        want.update("".join(f"{_fmt(a)},0,{_fmt(K)},{_fmt(K / a)}\n" for a, K in rows).encode())
     assert hashlib.sha256(out.read_bytes()).hexdigest() == want.hexdigest()
 
 
@@ -672,13 +732,20 @@ def test_limit_mismatch_names_only_the_worst_branches(flag, capsys):
 
 @pytest.mark.parametrize("Z", ["1/1000", "1000"])
 def test_limits_default_distances_follow_the_charge(Z, capsys):
-    argv = ["limits", "--n", "8", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z, "--mode", "float"]
-    assert main(argv) == 0, capsys.readouterr().err
+    # the kernels take the same aZ at every charge, printed in the user's a, aZ/Z; so the
+    # errors are those of Z = 1, bit for bit
+    argv = ["limits", "--n", "8", "--Q", "0", "--L", "0", "--J", "0", "--mode", "float"]
+    assert main([*argv, "--Z", Z]) == 0, capsys.readouterr().err
     p = json.loads(capsys.readouterr().out)["payload"]
-    assert float(p["spherical"]["a_small"]) == 1e-8 / float(Fraction(Z))
-    # the same aZ at every charge: where the first-order correction is ten times the tol
+    assert main([*argv, "--Z", "1"]) == 0, capsys.readouterr().err
+    at_one = json.loads(capsys.readouterr().out)["payload"]
+    zf = float(Fraction(Z))
+    assert float(p["spherical"]["a_small"]) == spheroidal.SPHERICAL_AZ / zf == 1e-8 / zf
+    # where the first-order correction is ten times the tol
     aZ = spheroidal.parabolic_distance(interbasis.w_matrix(validate_sector(8, 0, 0, 0)))
-    assert math.isclose(float(p["parabolic"]["a_large"]) * float(Fraction(Z)), aZ, rel_tol=1e-12)
+    assert float(p["parabolic"]["a_large"]) == aZ / zf
+    for limit, a in (("spherical", "a_small"), ("parabolic", "a_large")):
+        assert {**p[limit], a: None} == {**at_one[limit], a: None}
 
 
 @pytest.mark.parametrize("flag", ["--a-small", "--a-large"])
@@ -691,10 +758,9 @@ def test_limits_keeps_a_given_focal_distance_even_at_zero(flag, capsys):
 @pytest.mark.parametrize("Z, flags", [("1e-310", ["--a-small", "1e-3", "--a-large", "1e300"]),
                                       ("1e-305", ["--a-large", "1e300"])])
 def test_limits_computes_no_default_for_a_given_distance(Z, flags, monkeypatch, capsys):
-    # the parabolic default is not finite at these charges (the spherical one neither at
-    # 1e-310): a given distance replaces it uncomputed, so the error names what fails at
-    # the distances used, a Z = 1e300 Z below the parabolic check's 1e4, and no
-    # first-order frame is built
+    # the parabolic default, at least 1e4 / Z, is not finite at these charges: a given
+    # distance replaces it uncomputed, so the error names what fails at the distances used,
+    # a Z = 1e300 Z below the parabolic check's 1e4, and no first-order frame is built
     calls = 0
     original = spheroidal._first_order
 

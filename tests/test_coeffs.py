@@ -8,7 +8,7 @@ import pytest
 from micz9.coeffs import (
     k_diag,
     k_offdiag,
-    k_pencil_ratios,
+    k_pencil,
     m9_eigenvalues,
     m9_spherical_matrix,
     m9_tridiagonal,
@@ -107,5 +107,5 @@ def test_k_pencil_matches_entries():
                 assert k_diag(s, lam, aZ) == -lam * (lam + 7) - aZ * g * diag, (s, lam)
                 assert k_offdiag(s, lam, aZ).square() == (aZ * g) ** 2 * b_sq, (s, lam)
     # g = 1/6: slopes (6/5)/6 and (4/5)/6, squared coupling (24/25)/36
-    pencil = [[Fraction(*x) for x in part] for part in k_pencil_ratios(S22)]
+    pencil = [[Fraction(*x) for x in part] for part in k_pencil(S22)]
     assert pencil == [[-8, -18], [Fraction(1, 5), Fraction(2, 15)], [Fraction(2, 75)]]

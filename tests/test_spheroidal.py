@@ -1,6 +1,5 @@
 """Spheroidal eigenproblem, continuant route, branch sweeps, and limits."""
 
-import decimal
 import math
 import re
 import sys
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from micz9 import _backend, coeffs, spheroidal
+from micz9 import _backend, cli, coeffs, spheroidal
 from micz9.errors import (
     BranchMatchAmbiguous,
     DegenerateShift,
@@ -21,7 +20,6 @@ from micz9.errors import (
 )
 from micz9.interbasis import w_matrix
 from micz9.sector import (
-    _short,
     alpha_scale,
     energy,
     enumerate_sectors,
@@ -38,7 +36,6 @@ from micz9.spheroidal import (
     parabolic_distance,
     separation_constants,
     sign_fix_columns,
-    spherical_distance,
     sweep_branches,
     t_by_continuant,
 )
@@ -77,7 +74,7 @@ def test_k_matrix_exact_trace():
     # trace identity: sum of eigenvalues equals sum of diagonal, exactly
     aZ = Fraction(7, 2)
     for s in enumerate_sectors(3, 3, 3):
-        const, slope, _ = coeffs.k_pencil_ratios(s)
+        const, slope, _ = coeffs.k_pencil(s)
         diag = [Fraction(*c) + aZ * Fraction(*x) for c, x in zip(const, slope)]
         spectrum = separation_constants(s, 3.5)
         assert abs(float(sum(diag)) - spectrum.K.sum()) < 1e-11 * max(1.0, abs(float(sum(diag))))
@@ -298,32 +295,31 @@ def test_sign_convention():
 
 def test_sweep_branches_2x2_closed_form():
     grid = np.logspace(-3, 6, 91)
-    sw = sweep_branches(S1, grid)
+    K, min_overlap = sweep_branches(S1, grid)
     expect_low = -4 - np.sqrt(16 + grid**2 / 25)
     expect_high = -4 + np.sqrt(16 + grid**2 / 25)
-    np.testing.assert_allclose(sw.K[:, 0], expect_low, rtol=1e-12)
+    np.testing.assert_allclose(K[:, 0], expect_low, rtol=1e-12)
     # the float oracle itself cancels near a -> 0 where K ~ a^2/200
-    np.testing.assert_allclose(sw.K[:, 1], expect_high, rtol=1e-9, atol=1e-14)
-    assert sw.min_overlap > 0.9
+    np.testing.assert_allclose(K[:, 1], expect_high, rtol=1e-9, atol=1e-14)
+    assert min_overlap > 0.9
     # endpoints: K from ~-8 to ~-a/5 on branch 0, ~0 to +a/5 on branch 1
-    assert abs(sw.K[0, 0] + 8) < 1e-4 and abs(sw.K_over_a[-1, 0] + 0.2) < 1e-4
-    assert abs(sw.K[0, 1]) < 1e-4 and abs(sw.K_over_a[-1, 1] - 0.2) < 1e-4
+    assert abs(K[0, 0] + 8) < 1e-4 and abs(K[-1, 0] / grid[-1] + 0.2) < 1e-4
+    assert abs(K[0, 1]) < 1e-4 and abs(K[-1, 1] / grid[-1] - 0.2) < 1e-4
 
 
 def test_sweep_single_state_flat():
     s = validate_sector(1, 0, 0, 2, 1)  # N = 1, L != J
     grid = np.linspace(0.5, 2.0, 5)
-    sw = sweep_branches(s, grid)
+    K = sweep_branches(s, grid)[0]
     diag0 = [build_k_matrix(s, float(a)).diag[0] for a in grid]
-    np.testing.assert_allclose(sw.K[:, 0], diag0, rtol=1e-15)
+    np.testing.assert_allclose(K[:, 0], diag0, rtol=1e-15)
 
 
 def test_sweep_branches_never_cross():
     for s in enumerate_sectors(3, 3, 3):
         if s.size < 2:
             continue
-        sw = sweep_branches(s, np.logspace(-2, 2, 41))
-        gaps = np.diff(sw.K, axis=1)
+        gaps = np.diff(sweep_branches(s, np.logspace(-2, 2, 41))[0], axis=1)
         assert (gaps > 0).all(), s
 
 
@@ -331,12 +327,12 @@ def test_sweep_matches_pointwise_spectra():
     s = validate_sector(11, 0, 0, 0, Fraction(3, 2))  # N = 12
     grid = np.logspace(-3, 6, 150)
     assert grid.size * s.size**2 > _backend._CHUNK_ELEMENTS  # more than one solver chunk
-    sw = sweep_branches(s, grid)
+    swept = sweep_branches(s, grid)[0]
     # solved without the sign convention, the same stack gives the same K bit for bit
-    assert sw.K.tobytes() == separation_constants(s, grid).K.tobytes()
+    assert swept.tobytes() == separation_constants(s, grid).K.tobytes()
     for ip, a in enumerate(grid):
         K = separation_constants(s, float(a)).K
-        assert np.abs(sw.K[ip] - K).max() <= 1e-13 * build_k_matrix(s, float(a)).norm(), a
+        assert np.abs(swept[ip] - K).max() <= 1e-13 * build_k_matrix(s, float(a)).norm(), a
 
 
 def test_k_matrix_rejects_non_finite_and_overflow():
@@ -345,9 +341,9 @@ def test_k_matrix_rejects_non_finite_and_overflow():
             build_k_matrix(S1, a)
     with pytest.raises(ValidationError):
         sweep_branches(S1, np.array([1.0, 1e300]))
-    s = validate_sector(1, 0, 0, 0, 10**200)  # the squared coupling Z^2 B^2 overflows
-    with pytest.raises(ValidationError, match=r"K\(a\) at Z = .* leaves the float range$"):
-        separation_constants(s, 1.0)
+    # the pencil is per unit aZ, so a charge whose Z^2 B^2 would overflow reads none of it
+    s = validate_sector(1, 0, 0, 0, 10**200)
+    assert separation_constants(s, 1.0).K.tobytes() == separation_constants(S1, 1.0).K.tobytes()
 
 
 def test_sweep_coarse_grid_rejected():
@@ -405,18 +401,18 @@ def test_parabolic_limit_examples():
 def test_parabolic_distance_keeps_the_first_order_terms_load_bearing(nQLJ, Z):
     # at a fixed aZ = 1e8 both first-order terms were below the tol for N < 64, so a check
     # without them passed too; at this distance each is larger than the tol, and the remainder
-    # of the check stays near (10 tol)^2
+    # of the check stays near (10 tol)^2; the distance is an aZ, the same at every charge
     s = validate_sector(*nQLJ, Z)
     W = w_matrix(s)
-    a = parabolic_distance(W)
-    assert a * float(Z) >= 1e4
-    spectrum = separation_constants(s, a)
+    aZ = parabolic_distance(W)
+    assert aZ >= 1e4 and aZ == parabolic_distance(w_matrix(validate_sector(*nQLJ)))
+    spectrum = separation_constants(s, aZ)
     rep = check_parabolic_limit(W, spectrum)
     assert rep.max_set_error <= 1e-5 and rep.max_column_error <= 1e-5
     w = W.to_float()
     mu = [v.fraction for v in coeffs.m9_eigenvalues(s)]
-    lead = [-float(alpha_scale(s) / 2 * m) for m in mu]  # K/a to zeroth order
-    set_zeroth = np.abs(np.sort(spectrum.K / a) - np.sort(lead)).max() / float(Z)
+    lead = [-float(alpha_scale(s) / s.Z / 2 * m) for m in mu]  # K/(aZ) to zeroth order
+    set_zeroth = np.abs(np.sort(spectrum.K / aZ) - np.sort(lead)).max()
     column_zeroth = np.abs(spectrum.T - w[:, rep.branch_np]).max()
     assert set_zeroth > 1e-4 and column_zeroth > 1e-4, (set_zeroth, column_zeroth)
 
@@ -452,24 +448,27 @@ def test_the_first_order_frame_reads_g_from_its_closed_form():
                                   (4, 0, 2, 4)])
 @pytest.mark.parametrize("aZ", [1.0, 37.5])
 def test_k_depends_on_a_and_z_only_through_their_product(nQLJ, aZ):
-    # below Z = 1e-154 the couplings' squares are subnormal or 0.0: each coupling is the
-    # root of a scaled quotient, so K at a fixed aZ does not move with Z
-    K = separation_constants(validate_sector(*nQLJ, 1), aZ).K
-    for Z in ("1e-160", "1e-200", "1e-300"):
+    # the kernels take aZ and never read the charge: K at a given aZ is the Z = 1 K bit for bit
+    one = validate_sector(*nQLJ, 1)
+    K, swept = separation_constants(one, aZ).K, sweep_branches(one, [aZ, 1.01 * aZ])[0]
+    for Z in ("1e-400", "1e-300", "2/5", "1e150"):
         s = validate_sector(*nQLJ, Fraction(Z))
-        at_z = separation_constants(s, aZ / float(s.Z)).K
-        assert np.abs(at_z - K).max() <= 1e-14 * np.abs(K).max(), (Z, at_z, K)
+        assert separation_constants(s, aZ).K.tobytes() == K.tobytes(), Z
+        assert sweep_branches(s, [aZ, 1.01 * aZ])[0].tobytes() == swept.tobytes(), Z
 
 
 @pytest.mark.parametrize("Z", ["1e-400", "1e-320", "5e-324"])
-def test_limit_distances_name_a_charge_at_which_they_are_not_finite(Z):
-    # Z rounds to 0.0, or 1e-8/Z overflows
+def test_limit_distances_name_a_charge_at_which_they_are_not_finite(Z, capsys):
+    # the limit distances are aZ at every charge, but limits prints them in the user's a, aZ/Z:
+    # Z rounds to 0.0, or 1e-8/Z or the parabolic aZ/Z overflows
     W = w_matrix(validate_sector(0, 2, 0, 0, Fraction(Z)))
-    with pytest.raises(ValidationError, match=f"spherical limit distance at Z = {Z}"):
-        spherical_distance(W.sector)
-    with pytest.raises(ValidationError, match=f"parabolic limit distance at Z = {Z}"):
-        parabolic_distance(W)
-    assert spherical_distance(validate_sector(0, 2, 0, 0, 4)) == 1e-8 / 4
+    assert parabolic_distance(W) == parabolic_distance(w_matrix(validate_sector(0, 2, 0, 0)))
+    sector = ["--n", "0", "--Q", "2", "--L", "0", "--J", "0", "--Z", Z]
+    cases = [("spherical", [])] + [("parabolic", ["--a-small", "1e300"])] * (float(W.sector.Z) > 0)
+    for which, flags in cases:  # a given --a-small at Z = 0.0 has no aZ either
+        assert cli.main(["limits", *sector, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ValidationError: the {which} limit distance at Z = {Z} is not finite\n"
 
 
 def test_limit_checks_reject_a_stack():
@@ -498,53 +497,18 @@ def _outcome(f):
 
 
 def _pencil_by_fractions(s):
-    """The float pencil from exact Fraction entries, and each entry's tolerance in ulps.
-
-    Each entry is float() of its Fraction, bit for bit (tolerance 0), but a
-    coupling whose exact square is below the normal float range is the
-    40-digit Decimal root of that square, rounded to a float, and may differ
-    by its ulp.  Raises the ValidationError that _k_pencil raises.
-    """
-    lam_term, slope, coupling_sq = (
-        [Fraction(*x) for x in part] for part in coeffs.k_pencil_ratios(s)
-    )
-    Z = s.Z
-    couplings, tols = [], []
-    try:
-        for sq in (Z * Z * x for x in coupling_sq):
-            if sq < sys.float_info.min:
-                with decimal.localcontext() as ctx:
-                    ctx.prec = 40
-                    root = float((decimal.Decimal(sq.numerator) / sq.denominator).sqrt())
-                couplings.append(root)
-                tols.append(math.ulp(root))
-            else:
-                couplings.append(math.sqrt(float(sq)))
-                tols.append(0.0)
-        pencil = (
-            np.array([float(x) for x in lam_term]),
-            np.array([float(Z * x) for x in slope]),
-            -np.array(couplings),
-        )
-    except OverflowError:
-        raise ValidationError(f"K(a) at Z = {_short(Z)} leaves the float range") from None
-    if not pencil[2].all():
-        raise ValidationError(
-            f"K(a) at Z = {_short(Z)} leaves the float range: a coupling underflows to 0"
-        )
-    return np.concatenate(pencil), np.concatenate([np.zeros(2 * s.size), tols])
+    """The float pencil from exact Fraction entries: float() of each diagonal entry and the
+    root of float() of each squared coupling, a normal float in every sector."""
+    lam_term, slope, coupling_sq = ([Fraction(*x) for x in part] for part in coeffs.k_pencil(s))
+    return np.array([float(x) for x in lam_term + slope]
+                    + [-math.sqrt(float(x)) for x in coupling_sq])
 
 
 def _parabolic_distance_by_fractions(W):
-    """parabolic_distance with alpha/Z and the division by Z done as float() of Fractions."""
+    """parabolic_distance with alpha/Z, the alpha of Z = 1, done as float() of a Fraction."""
     s = W.sector
     correction = float(abs(_first_order(W)[2]).max()) / float(alpha_scale(s) / s.Z)
-    aZ = max(correction / (10 * 1e-4), 1e4)
-    with np.errstate(all="ignore"):
-        a = np.float64(aZ) / float(s.Z)
-    if not np.isfinite(a):
-        raise ValidationError(f"the parabolic limit distance at Z = {_short(s.Z)} is not finite")
-    return float(a)
+    return max(correction / (10 * 1e-4), 1e4)
 
 
 _DESK = [(s.n, s.Q, s.L, s.J) for s in enumerate_sectors()]
@@ -558,33 +522,22 @@ _DESK = [(s.n, s.Q, s.L, s.J) for s in enumerate_sectors()]
        st.integers(1, 10**6), st.integers(0, 994))
 @example((4, 0, 0, 0), 1, 0, 1, 0)
 @example((2, 2, 1, 1), 2, 0, 5, 0)
-@example((1, 2, 0, 2), 2, 155, 1, 0)  # the energy and the pencil overflow, Z does not
-@example((1, 2, 0, 2), 1, 0, 1, 170)  # the squared couplings underflow, Z and they do not
+@example((1, 2, 0, 2), 2, 155, 1, 0)  # the energy overflows, Z does not
+@example((1, 2, 0, 2), 1, 0, 1, 170)  # the energy underflows, Z does not
 @example((3, 1, 1, 0), 17, 308, 1, 0)  # Z itself overflows
 @example((3, 1, 1, 0), 1, 0, 7, 322)  # Z is subnormal
 @example((3, 1, 1, 0), 1, 0, 1, 330)  # Z underflows to 0
 def test_float_constants_are_the_exact_values_rounded_once(nQLJ, m1, e1, m2, e2):
     """Z, E, alpha, the float pencil and alpha/Z: one int division each, float() of a Fraction.
 
-    The couplings are roots: bitwise the root of float() of their square
-    where that square is a normal float, and within 1 ulp of the root below.
+    The couplings are roots, bitwise the root of float() of their square.
+    The pencil and the parabolic distance are per unit aZ: the charge does not enter them.
     """
     s = validate_sector(*nQLJ, Fraction(m1 * 10**e1, m2 * 10**e2))
     for pair, exact in zip(ratios(s), (s.Z, energy(s), alpha_scale(s))):
         assert Fraction(*pair) == exact
         assert _outcome(lambda: pair[0] / pair[1]) == _outcome(lambda: float(exact))
-    got = _outcome(lambda: np.concatenate(spheroidal._k_pencil(s)))
-    try:
-        want, ulps = _pencil_by_fractions(s)
-    except ValidationError as exc:
-        assert got == ("ValidationError", str(exc))
-    else:
-        assert isinstance(got, list), got
-        bitwise = ulps == 0
-        assert [x for x, b in zip(got, bitwise) if b] == [x.hex() for x in want[bitwise]]
-        got = np.array([float.fromhex(x) for x in got])
-        assert (np.abs(got - want) <= ulps)[~bitwise].all()
+    got = np.concatenate(spheroidal._k_pencil(s.n, s.Q, s.L, s.J))  # free of the charge
+    assert got.tobytes() == _pencil_by_fractions(s).tobytes()
     W = w_matrix(s)
-    assert _outcome(lambda: spheroidal.parabolic_distance(W)) == _outcome(
-        lambda: _parabolic_distance_by_fractions(W)
-    )
+    assert spheroidal.parabolic_distance(W) == _parabolic_distance_by_fractions(W)

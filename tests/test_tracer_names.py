@@ -22,7 +22,7 @@ from micz9 import cli, sector
 _PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 # Kept for the trace but no longer on any command's path.  k_diag and
-# k_offdiag read single integer pairs of coeffs.k_pencil_ratios, which the
+# k_offdiag read single integer pairs of coeffs.k_pencil, which the
 # float K(a) is rounded from as a whole.  w_matrix builds W from its row
 # factors, integer core and column radicands, and proves it orthogonal on
 # them; w_coefficient runs the same row kernel on the one row of its entry,

@@ -373,23 +373,25 @@ def test_radial_residual_holds_at_large_n():
 
 
 def _ref_radial_terms(s, pts):
-    """The radial terms from three ladders per state, top rows read, in the shared form (x -2)."""
-    Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
+    """The radial terms from three ladders per state, top rows read, in the shared form (x -2).
+
+    At Z = 1, where the points are rho = Zr: the energy over Z^2 and alpha over Z.
+    """
+    E, alpha = float(energy(s) / s.Z**2), float(alpha_scale(s) / s.Z)
     lam = ((s.L + s.J) / 2 + np.arange(s.size))[:, None]
     x = alpha * pts
     tops = [[rows[-1] for rows in _ladder(s.size - 1 - k, (2 * lk + 7,), x, derivs=True)]
             for k, lk in enumerate(lam[:, 0])]
     P, P1, P2 = np.array(tops).transpose(1, 0, 2)
     g, xg1, x2g2 = _over_envelope(lam - x / 2, -lam, x, P, P1, P2)
-    return (x2g2, 8.0 * xg1, -lam * (lam + 7) * g, (2 * Zf * pts) * g, (2 * E * pts * pts) * g,
+    return (x2g2, 8.0 * xg1, -lam * (lam + 7) * g, (2.0 * pts) * g, (2 * E * pts * pts) * g,
             (0.0 * pts) * g)
 
 
 def test_radial_terms_equal_the_per_state_ladders_bitwise():
     large = [validate_sector(150, 3, 1, 2), validate_sector(299, 2, 0, 2)]
-    for s in [*enumerate_sectors(3, 3, 3), *large]:
-        Zf, E, alpha = float(s.Z), float(energy(s)), float(alpha_scale(s))
-        got = _laguerre_terms(s, ("radial",), RPTS, Zf, E, alpha)
+    for s in [*enumerate_sectors(3, 3, 3, Fraction(2, 5)), *large]:
+        got = _laguerre_terms(s, ("radial",), RPTS)
         for got, want in zip(got, _ref_radial_terms(s, RPTS)):
             assert np.array_equal(got, want), s
 
@@ -453,8 +455,9 @@ def test_radial_residual_at_n_400_warns_of_no_discarded_degree():
 
 
 def test_ode_residuals_past_the_float_range_are_infinite():
-    # alpha r ~ 1e59 overflowed P with a RuntimeWarning, and verify read "max residual nan"
-    worst = ode_residuals(validate_sector(5, 2, 2, 2, 10**60), "radial", RPTS)
+    # alpha r ~ 1e59 overflowed P with a RuntimeWarning, and verify read "max residual nan"; the
+    # points are Zr, so a large charge no longer takes them there, but points far out still do
+    worst = ode_residuals(validate_sector(5, 2, 2, 2), "radial", RPTS * 1e60)
     assert np.isinf(worst[0]) and (worst[1:] <= 1e-8).all()  # the lowest lambda overflows
 
 
