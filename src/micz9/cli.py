@@ -143,16 +143,16 @@ def _require_finite(**flags) -> None:
 
 
 def _to_aZ(a, s: sector.Sector):
-    """a, float or array, as aZ; one not finite and positive passes, for the caller to refuse."""
+    """a, float or array, as aZ, refused if subnormal; an a not finite and positive passes."""
     import numpy as np
     a = np.asarray(a, dtype=np.float64)
     ok = (a > 0) & (a < math.inf)
     with np.errstate(over="ignore"):  # checked just below
         aZ = np.where(ok, a * float(s.Z), a)
-    bad = ok & ~((aZ > 0) & (aZ < math.inf))
+    bad = ok & ~((aZ >= sys.float_info.min) & (aZ < math.inf))
     if bad.any():
         raise ValidationError(f"focal distance a = {a[bad].flat[0]} at Z = {sector._short(s.Z)} "
-                              f"gives aZ = {aZ[bad].flat[0]}, not a finite positive float")
+                              f"gives aZ = {aZ[bad].flat[0]}, not a finite normal positive float")
     return aZ
 
 
@@ -171,11 +171,11 @@ def cmd_states(args, s) -> None:
     show = str if args.mode == "exact" else _fmt
     payload = {
         "N": s.size,
-        "lambda_range": [show(l.fraction) for l in sector.lambda_range(s)],
-        "np_range": sector.np_range(s),
+        "lambda_range": [show(l) for l in sector.lambda_range(s)],
+        "np_range": list(range(s.size)),
         "energy": show(sector.energy(s)),
         "alpha": show(sector.alpha_scale(s)),
-        "m9_eigenvalues": [show(v.fraction) for v in coeffs.m9_eigenvalues(s)],
+        "m9_eigenvalues": [show(Fraction(t, 2)) for t in coeffs.m9_twice_eigenvalues(s)],
     }
     _emit("states", s, args.mode, payload)
 
@@ -200,7 +200,7 @@ def cmd_m9(args, s) -> None:
         "col_index": "lambda_ascending",
         "matrix": _exact_text(mat) if exact else _fmt_array(coeffs.matrix_to_float(mat)).tolist(),
         "trace": show(sum(coeffs.m9_tridiagonal(s)[0], Fraction(0))),
-        "eigenvalues": [show(v.fraction) for v in coeffs.m9_eigenvalues(s)],
+        "eigenvalues": [show(Fraction(t, 2)) for t in coeffs.m9_twice_eigenvalues(s)],
     }
     _emit("m9", s, args.mode, payload)
 

@@ -11,11 +11,12 @@ diag(lambda(lambda+7)) and alpha/2 = 2Z/(2n+Q+8), as integer pairs (num,
 den) per unit aZ, free of the charge.  k_diag and k_offdiag read single
 entries of those pairs, and spheroidal rounds them once per (n, Q, L, J)
 into the float pencil from which it builds K(a), one multiply-add per entry.
-M9's spectrum mu_p = n+Q/2-J-2n_p is m9_eigenvalues.  np_recurrence, the
-Leonard pair's other half, is the one source of G = W^T Lambda W,
-tridiagonal in n_p: W's core and the parabolic limit's float G.  Matrices
-in lambda are indexed by lambda ascending (rows and columns), which is also
-recorded in the CLI output metadata.
+M9's spectrum is m9_twice_eigenvalues, the ints 2 mu_p = 2n+Q-2J-4n_p, read
+by W's proof, the parabolic limit, the ODE oracle and the CLI: every label
+here is doubled.  np_recurrence, the Leonard pair's other half, is the one
+source of G = W^T Lambda W, tridiagonal in n_p: W's core and the parabolic
+limit's float G.  Matrices in lambda are indexed by lambda ascending (rows
+and columns), which is also recorded in the CLI output metadata.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactscalar import RadicalScalar, rational_root, root_to_float
-from .sector import HalfInt, Sector, _rational, _short, lambda_index
+from .sector import Sector, _rational, _short, lambda_index
 
 
 def _m9_offdiag_sq(s: Sector, l2: int) -> Fraction:
@@ -129,13 +130,8 @@ def m9_spherical_matrix(s: Sector) -> tuple[tuple[tuple[int, int, int], ...], ..
 
 
 def m9_twice_eigenvalues(s: Sector) -> range:
-    """2 mu_p = 2n + Q - 2J - 4 n_p as plain ints, n_p ascending: 2(n+Q/2-J) to -2(n+Q/2-L)."""
+    """2 mu_p = 2n+Q-2J-4n_p, n_p ascending: the one source of M9's spectrum, Fraction(t, 2)."""
     return range(2 * s.n + s.Q - 2 * s.J, 2 * s.L - 2 * s.n - s.Q - 4, -4)
-
-
-def m9_eigenvalues(s: Sector) -> list[HalfInt]:
-    """Spectrum mu_p = n + Q/2 - J - 2 n_p of M9, in n_p order (descending values)."""
-    return [HalfInt(t) for t in m9_twice_eigenvalues(s)]
 
 
 def matrix_to_float(rows):

@@ -54,7 +54,7 @@ from fractions import Fraction
 from . import coeffs
 from .errors import OrthogonalityViolation, RadicandMismatch
 from .exactscalar import RadicalScalar, rational_root
-from .sector import Sector, lambda_index, lambda_range, np_index
+from .sector import Sector, lambda_index, np_index
 
 
 def _row(s: Sector, k: int) -> tuple[int, int]:
@@ -361,15 +361,16 @@ def w_via_cg(W: WMatrix) -> list[tuple[int, int]]:
     s = W.sector
     # the CG arguments, doubled: a and b per sector, alpha and beta per n_p
     ljq = (s.L + s.J - s.Q) // 2  # an integer: validate_sector enforces parity
-    a2, b2, g2 = s.n + 3 + s.J - ljq, s.n + 3 + s.L - ljq, s.lam_min.twice + 6
+    a2, b2, g2 = s.n + 3 + s.J - ljq, s.n + 3 + s.L - ljq, s.L + s.J + 6
     columns = [
         _cg_column(a2, 2 * n_p - s.n + ljq + s.J + 3, b2, s.n - ljq - 2 * n_p + s.L + 3, g2)
         for n_p in range(s.size)
     ]
     bad = []  # W's arguments meet every selection rule, so no part is None
-    for i, (lam, row) in enumerate(zip(lambda_range(s), W.printed)):
-        x1, (row_num, row_den) = _cg_row(a2, b2, lam.twice + 6, g2)
-        odd = (s.m.twice - lam.twice) // 2 % 2
+    for i, row in enumerate(W.printed):
+        l2 = s.L + s.J + 2 * i  # twice lambda; twice m is 2n+Q
+        x1, (row_num, row_den) = _cg_row(a2, b2, l2 + 6, g2)
+        odd = (2 * s.n + s.Q - l2) // 2 % 2
         for n_p, ((num, den, f), (ints, column_part)) in enumerate(zip(row, columns)):
             sn, sd = _racah_sum(x1, ints)
             want = sn if (odd + n_p) % 2 == 0 else -sn
@@ -406,7 +407,7 @@ def m9_matrix_bruteforce(W: WMatrix) -> tuple[tuple[tuple[int, int, int], ...], 
     common denominator, which _printed_entries scales by the two row roots.
     """
     n = W.size
-    mu = [v.fraction for v in coeffs.m9_eigenvalues(W.sector)]
+    mu = [Fraction(t, 2) for t in coeffs.m9_twice_eigenvalues(W.sector)]
     weights = [b * m for b, m in zip(W.col_radicands, mu)]
     den = math.lcm(*(w.denominator for w in weights))
     weights = [w.numerator * (den // w.denominator) for w in weights]

@@ -4,13 +4,15 @@ A sector fixes (n, Q, L, J) plus the electric charge Z and carries the
 scalar constants attached to it: the bound-state energy and the
 exponential scale alpha = 2*sqrt(-2E).  The angular label lambda runs from
 (L+J)/2 up to n+Q/2 in unit steps, which forces Q and L+J to share
-parity; incompatible inputs are rejected rather than rounded.
+parity; incompatible inputs are rejected rather than rounded.  A label is
+twice its value, an int, and a Fraction only where returned.  Z takes no
+part in a sector's equality: what is cached per sector serves every charge.
 """
 
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Tuple
 
@@ -23,27 +25,6 @@ from .errors import (
     ParityMismatch,
     ValidationError,
 )
-
-
-@dataclass(frozen=True, order=True)
-class HalfInt:
-    """Integer or half-odd-integer, stored exactly as twice its value."""
-
-    twice: int
-
-    def __post_init__(self):
-        if not isinstance(self.twice, int):
-            raise ValidationError(f"HalfInt stores twice the value as int, got {self.twice!r}")
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.twice, 2)
-
-    def __str__(self):
-        return str(self.fraction)
-
-    def __repr__(self):
-        return f"HalfInt({self.fraction})"
 
 
 def _short(x: Fraction) -> str:
@@ -105,23 +86,13 @@ def _rational(name: str, x) -> Fraction:
 
 @dataclass(frozen=True)
 class Sector:
-    """Validated (n, Q, L, J; Z) block.  Construct through validate_sector."""
+    """Validated (n, Q, L, J; Z) block from validate_sector; Z takes no part in its equality."""
 
     n: int
     Q: int
     L: int
     J: int
-    Z: Fraction = Fraction(1)
-
-    @property
-    def m(self) -> HalfInt:
-        """n + Q/2, the top of the angular ladder."""
-        return HalfInt(2 * self.n + self.Q)
-
-    @property
-    def lam_min(self) -> HalfInt:
-        """(L+J)/2, the bottom of the angular ladder."""
-        return HalfInt(self.L + self.J)
+    Z: Fraction = field(default=Fraction(1), compare=False)
 
     @property
     def size(self) -> int:
@@ -154,15 +125,13 @@ def validate_sector(n: int, Q: int, L: int, J: int, Z=1) -> Sector:
     return s
 
 
-def lambda_range(s: Sector) -> list[HalfInt]:
+def lambda_range(s: Sector) -> list[Fraction]:
     """Ascending angular labels, (L+J)/2 .. n+Q/2 in unit steps (length N)."""
-    return [HalfInt(s.lam_min.twice + 2 * i) for i in range(s.size)]
+    return [Fraction(l2, 2) for l2 in range(s.L + s.J, 2 * s.n + s.Q + 1, 2)]
 
 
 def _twice(label):
-    """Twice a label: an int for HalfInt and int labels, else a Fraction; None if not a number."""
-    if isinstance(label, HalfInt):
-        return label.twice
+    """Twice a label: an int for an int label, else a Fraction; None if not a number."""
     if isinstance(label, int):
         return 2 * label
     try:
@@ -188,11 +157,6 @@ def np_index(s: Sector, n_p) -> int:
     if twice is None or not 0 <= twice < 2 * s.size or twice % 2 != 0:
         raise IndexOutOfRange(f"n_p = {n_p} outside 0..{s.size - 1} for sector {s}")
     return twice // 2
-
-
-def np_range(s: Sector) -> list[int]:
-    """Parabolic labels 0 .. N-1."""
-    return list(range(s.size))
 
 
 def ratios(s: Sector) -> tuple[tuple[int, int], ...]:

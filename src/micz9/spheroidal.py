@@ -93,16 +93,16 @@ class SymTridiagonal:
 
 
 @functools.lru_cache(maxsize=64)
-def _k_pencil(n: int, Q: int, L: int, J: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _k_pencil(s: Sector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Float pencil of K(a) = -Lambda - a (alpha/2) M9 per unit aZ, each entry rounded once.
 
     Returns (-lambda(lambda+7), the diagonal slope, the coupling slope),
     lambda ascending: each diagonal coeffs.k_pencil pair by one correctly
     rounded int division, and each coupling sqrt_ratio of its pair, within
-    1 ulp.  Read-only: the cache hands the same arrays to every call.
+    1 ulp.  Read-only: the cache hands the same arrays to every call, at any Z.
     """
     import numpy as np
-    lam_term, slope, coupling_sq = coeffs.k_pencil(Sector(n, Q, L, J))
+    lam_term, slope, coupling_sq = coeffs.k_pencil(s)
     pencil = (
         np.array([num / den for num, den in lam_term]),
         np.array([num / den for num, den in slope]),
@@ -135,8 +135,8 @@ def build_k_matrix(s: Sector, a) -> SymTridiagonal:
     stack = np.atleast_1d(a)
     for bad, need in ((~np.isfinite(stack), "finite"), (stack < 0, "non-negative")):
         if bad.any():
-            raise ValidationError(f"focal distance a = {stack[bad][0]} must be {need}")
-    lam_term, diag_slope, off_slope = _k_pencil(s.n, s.Q, s.L, s.J)
+            raise ValidationError(f"focal distance aZ = {stack[bad][0]} must be {need}")
+    lam_term, diag_slope, off_slope = _k_pencil(s)
     with np.errstate(over="ignore"):  # checked just below
         diag = lam_term + stack[:, None] * diag_slope
         off = stack[:, None] * off_slope
@@ -147,7 +147,7 @@ def build_k_matrix(s: Sector, a) -> SymTridiagonal:
     )
     if bad.any():
         raise ValidationError(
-            f"K(a) at a = {stack[bad][0]} leaves the float range: entries must be finite and "
+            f"K(a) at aZ = {stack[bad][0]} leaves the float range: entries must be finite and "
             f"couplings nonzero and at most sqrt(float max) = {_COUPLING_LIMIT:.4g} in magnitude"
         )
     return SymTridiagonal(diag, off) if a.ndim else SymTridiagonal(diag[0], off[0])
@@ -193,7 +193,7 @@ def separation_constants(s: Sector, a) -> SpheroidalSpectrum:
     if a.ndim > 1 or a.size == 0:
         raise ValidationError("focal distances must form a non-empty 1-d list")
     if not (stack > 0).all():
-        raise ValidationError(f"focal distance a = {stack[~(stack > 0)][0]} must be positive")
+        raise ValidationError(f"focal distance aZ = {stack[~(stack > 0)][0]} must be positive")
     mat = build_k_matrix(s, a)
     K, T = tridiag_eigh(mat.diag, mat.offdiag)
     return SpheroidalSpectrum(s, a if a.ndim else float(a), K, sign_fix_columns(T), mat)
@@ -292,8 +292,8 @@ def sweep_branches(s: Sector, a_grid) -> tuple[np.ndarray, float]:
     if bad.size:
         ip = int(bad[0])
         raise BranchMatchAmbiguous(
-            f"branch overlap {worst[ip]:.3f} <= 0.9 between a = {a_grid[ip]} "
-            f"and a = {a_grid[ip + 1]} in sector {s}"
+            f"branch overlap {worst[ip]:.3f} <= 0.9 between aZ = {a_grid[ip]} "
+            f"and aZ = {a_grid[ip + 1]} in sector {s}"
         )
     return K, float(worst.min(initial=1.0))
 
@@ -337,12 +337,12 @@ def check_spherical_limit(
     s, mat, a_small = spectrum.sector, spectrum.matrix, spectrum.a
     # branch n_k lands on position N-1-n_k of the ascending ladder; raw gap |K + lambda(lambda+7)|
     value_errors = np.abs(spectrum.K - mat.diag[::-1])
-    raw_gaps = np.abs(spectrum.K - _k_pencil(s.n, s.Q, s.L, s.J)[0][::-1])
+    raw_gaps = np.abs(spectrum.K - _k_pencil(s)[0][::-1])
     vector_errors = np.abs(spectrum.T - np.eye(s.size)[::-1]).max(axis=0)
     report = SphericalLimitReport(value_errors, raw_gaps, vector_errors)
     if report.max_value_error > tol_value or report.max_vector_error > tol_vector:
         raise LimitMismatch(
-            f"spherical limit failed for {s} at a = {a_small}: "
+            f"spherical limit failed for {s} at aZ = {a_small}: "
             f"{_worst('value', value_errors)}, {_worst('vector', vector_errors)}"
         )
     return report
@@ -450,7 +450,7 @@ def check_parabolic_limit(
         )
     if report.max_set_error > tol or report.max_column_error > tol:
         raise LimitMismatch(
-            f"parabolic limit failed for {s} at a = {a_large}: "
+            f"parabolic limit failed for {s} at aZ = {a_large}: "
             f"{_worst('set', set_errors)}, {_worst('column', column_errors)}"
         )
     return report

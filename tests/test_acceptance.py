@@ -55,7 +55,7 @@ def test_criterion_02_m9_equivalence():
         n = s.size
         assert all(closed[i][j] == brute[i][j] for i in range(n) for j in range(n)), s
         got = np.sort(np.linalg.eigvalsh(coeffs.matrix_to_float(closed)))
-        want = np.sort([float(v.fraction) for v in coeffs.m9_eigenvalues(s)])
+        want = np.sort([t / 2 for t in coeffs.m9_twice_eigenvalues(s)])
         worst = max(worst, float(np.abs(got - want).max()))
     report(2, "M9 closed form vs brute force", worst <= 1e-12,
            f"exact equality; float spectrum off by {worst:.2e} <= 1e-12")

@@ -159,6 +159,8 @@ def test_overflowing_charge_exit_2():
          "--a-large", "1e5"],
         ["limits", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--mode", "float"],
         ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--mode", "float"],
+        # aZ = 1.5e-320 is subnormal: with fewer than 53 bits it would put K 1.6e-3 off
+        ["kspectrum", *verify_argv(3, 0, 0, 0, "1e-320")[1:], "--a", "1.5"],
     ],
 )
 def test_underflowing_charge_or_focal_distance_exit_2(argv, capsys):
@@ -228,6 +230,16 @@ def test_sweep_whose_grid_repeats_a_point_names_the_flags(log, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("ValidationError: --points 5 ") and err.count("\n") == 1
     assert "--a-min 1.0" in err and "--a-max 1.0000000000000002" in err and "a_grid" not in err
+
+
+def test_coarse_sweep_at_another_charge_names_the_distances_as_az(capsys):
+    # the kernel sees aZ, not the user's a: the message says which it prints
+    argv = ["sweep", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "2/5",
+            "--a-min", "1e-3", "--a-max", "1e6", "--points", "2"]
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("BranchMatchAmbiguous: ") and err.count("\n") == 1
+    assert "between aZ = 0.0004 and aZ = 400000.0 in sector" in err, err
 
 
 def test_unbuildable_sweep_exit_2():
@@ -307,8 +319,6 @@ def test_verify_does_each_sectors_shared_work_once(monkeypatch, capsys):
 
 
 def test_verify_evaluates_m9_once(monkeypatch, capsys):
-    coeffs.m9_tridiagonal.cache_clear()
-    spheroidal._k_pencil.cache_clear()
     calls = 0
     original = coeffs._m9_offdiag_sq
 
@@ -318,8 +328,12 @@ def test_verify_evaluates_m9_once(monkeypatch, capsys):
         return original(*args)
 
     monkeypatch.setattr(coeffs, "_m9_offdiag_sq", counted)
-    assert main(verify_argv(8, 0, 0, 0)) == 0, capsys.readouterr().err
-    assert calls == 8  # the N - 1 couplings of M9, each once
+    for Z in ("1", "2/5"):  # the exact layers are cached per (n, Q, L, J), whatever the charge
+        coeffs.m9_tridiagonal.cache_clear()
+        spheroidal._k_pencil.cache_clear()
+        calls = 0
+        assert main(verify_argv(8, 0, 0, 0, Z)) == 0, capsys.readouterr().err
+        assert calls == 8, Z  # the N - 1 couplings of M9, each once
 
 
 @pytest.mark.slow
@@ -752,10 +766,10 @@ def test_limits_default_distances_follow_the_charge(Z, capsys):
 def test_limits_keeps_a_given_focal_distance_even_at_zero(flag, capsys):
     # a given flag replaces its default even when it is falsy: 0 is refused, not defaulted
     assert main(["limits", *SECTOR, "--mode", "float", flag, "0"]) == 2
-    assert capsys.readouterr().err == "ValidationError: focal distance a = 0.0 must be positive\n"
+    assert capsys.readouterr().err == "ValidationError: focal distance aZ = 0.0 must be positive\n"
 
 
-@pytest.mark.parametrize("Z, flags", [("1e-310", ["--a-small", "1e-3", "--a-large", "1e300"]),
+@pytest.mark.parametrize("Z, flags", [("1e-310", ["--a-small", "1e3", "--a-large", "1e300"]),
                                       ("1e-305", ["--a-large", "1e300"])])
 def test_limits_computes_no_default_for_a_given_distance(Z, flags, monkeypatch, capsys):
     # the parabolic default, at least 1e4 / Z, is not finite at these charges: a given

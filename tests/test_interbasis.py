@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from micz9 import coeffs
-from micz9.coeffs import m9_eigenvalues, m9_spherical_matrix, matrix_to_float
+from micz9.coeffs import m9_spherical_matrix, m9_twice_eigenvalues, matrix_to_float
 from micz9.errors import (
     IndexOutOfRange,
     InternalConsistencyError,
@@ -165,7 +165,7 @@ def _recurrence_rows_in_fractions(s, row_rad, core):
     """The rows (e, v) of M9 W - W diag(mu), each coupling a Fraction and its root checked."""
     n = len(core)
     m9_diag, coupling_sq = coeffs.m9_tridiagonal(s)
-    mu2 = [v.twice for v in m9_eigenvalues(s)]
+    mu2 = list(m9_twice_eigenvalues(s))
     down = [Fraction(0)] * n
     for i, b_sq in enumerate(coupling_sq, 1):
         q = b_sq * row_rad[i - 1] / row_rad[i]
@@ -309,7 +309,7 @@ def test_exact_w_at_n_201_is_orthogonal_in_float():
     F = w_matrix(s).to_float()
     assert np.abs(F.T @ F - np.eye(s.size)).max() <= 1e-11
     M = matrix_to_float(m9_spherical_matrix(s))
-    mu = np.array([float(v.fraction) for v in m9_eigenvalues(s)])
+    mu = np.array(m9_twice_eigenvalues(s)) / 2
     assert np.abs(M @ F - F * mu).max() <= 1e-11
 
 
@@ -427,7 +427,7 @@ def test_recurrence_residual_of_a_tampered_core_is_m9_w_minus_w_mu():
     core[1][1] *= 2
     w = [[RadicalScalar.sqrt(a) * RadicalScalar.sqrt(b) * c for b, c in zip(W.col_radicands, row)]
          for a, row in zip(W.row_radicands, core)]
-    m9, mu = radicals(m9_spherical_matrix(s)), [v.fraction for v in m9_eigenvalues(s)]
+    m9, mu = radicals(m9_spherical_matrix(s)), [Fraction(t, 2) for t in m9_twice_eigenvalues(s)]
     want = [[sum((m9[i][k] * w[k][p] for k in range(n)), -mu[p] * w[i][p]) for p in range(n)]
             for i in range(n)]
     got = w_recurrence_residual(_with_factors(W, core=core))
@@ -436,7 +436,7 @@ def test_recurrence_residual_of_a_tampered_core_is_m9_w_minus_w_mu():
 
 def test_odd_parity_sector():
     s = validate_sector(1, 1, 0, 1, 1)
-    assert [l.twice for l in lambda_range(s)] == [1, 3]
+    assert lambda_range(s) == [Fraction(1, 2), Fraction(3, 2)]
     W = w_matrix(s)
     assert w_via_cg(W) == []
     assert all(x.is_zero for row in w_recurrence_residual(W) for x in row)
@@ -536,7 +536,7 @@ def test_factor_oracles_catch_a_tampered_row_radicand():
 
 def test_factor_oracles_catch_a_tampered_column_radicand():
     W = w_matrix(S4211)
-    assert W.sector.m.fraction - W.sector.J != 0  # mu_0 != 0, so column 0 enters W diag(mu) W^T
+    assert m9_twice_eigenvalues(W.sector)[0] != 0  # mu_0 != 0, so column 0 enters W diag(mu) W^T
     col = list(W.col_radicands)
     col[0] *= 2
     # M9 W = W diag(mu) holds for every column scaling of W; only the equivalence sees it

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from micz9 import coeffs, interbasis
+from micz9 import cli, coeffs, interbasis
 from micz9.errors import (
     EmptySector,
     IndexOutOfRange,
@@ -17,14 +19,12 @@ from micz9.errors import (
     ValidationError,
 )
 from micz9.sector import (
-    HalfInt,
     alpha_scale,
     energy,
     enumerate_sectors,
     lambda_index,
     lambda_range,
     np_index,
-    np_range,
     validate_sector,
 )
 
@@ -32,9 +32,9 @@ from micz9.sector import (
 def test_validate_examples():
     s = validate_sector(1, 0, 0, 0, 1)
     assert s.size == 2
-    assert [l.fraction for l in lambda_range(s)] == [0, 1]
+    assert lambda_range(s) == [0, 1]
     s = validate_sector(0, 0, 0, 0, 1)
-    assert s.size == 1 and [l.fraction for l in lambda_range(s)] == [0]
+    assert s.size == 1 and lambda_range(s) == [0]
     with pytest.raises(ParityMismatch):
         validate_sector(0, 0, 1, 0, 1)
 
@@ -59,16 +59,18 @@ def test_validate_errors():
 
 
 def test_lambda_range_examples():
-    assert [l.fraction for l in lambda_range(validate_sector(2, 0, 0, 2, 1))] == [1, 2]
-    assert [l.fraction for l in lambda_range(validate_sector(0, 2, 1, 1, 1))] == [1]
+    assert lambda_range(validate_sector(2, 0, 0, 2, 1)) == [1, 2]
+    assert lambda_range(validate_sector(0, 2, 1, 1, 1)) == [1]
     # odd monopole charge: half-odd-integer ladder
     assert [str(l) for l in lambda_range(validate_sector(1, 1, 0, 1, 1))] == ["1/2", "3/2"]
 
 
-def test_np_range_examples():
-    assert np_range(validate_sector(1, 0, 0, 0, 1)) == [0, 1]
-    assert np_range(validate_sector(0, 0, 0, 0, 1)) == [0]
-    assert np_range(validate_sector(3, 0, 1, 1, 1)) == [0, 1, 2]  # N = 3 - 1 + 1
+def test_np_range_examples(capsys):
+    # the parabolic labels 0 .. N-1 that states prints
+    for nQLJ, want in (((1, 0, 0, 0), [0, 1]), ((0, 0, 0, 0), [0]), ((3, 0, 1, 1), [0, 1, 2])):
+        flags = [x for name, v in zip("nQLJ", nQLJ) for x in (f"--{name}", str(v))]
+        assert cli.main(["states", *flags]) == 0
+        assert json.loads(capsys.readouterr().out)["payload"]["np_range"] == want
 
 
 def test_energy_examples():
@@ -85,19 +87,19 @@ def test_alpha_examples():
 
 def test_m9_parabolic_examples():
     s = validate_sector(1, 0, 0, 0, 1)
-    assert [v.fraction for v in coeffs.m9_eigenvalues(s)] == [1, -1]
-    assert coeffs.m9_eigenvalues(validate_sector(2, 0, 0, 2, 1))[0].fraction == 0
+    assert list(coeffs.m9_twice_eigenvalues(s)) == [2, -2]  # mu_p = 1, -1
+    assert coeffs.m9_twice_eigenvalues(validate_sector(2, 0, 0, 2, 1))[0] == 0
 
 
 def test_ranges_same_size():
     for s in enumerate_sectors(3, 3, 3):
-        assert len(lambda_range(s)) == len(np_range(s)) == s.size
+        assert len(lambda_range(s)) == len(coeffs.m9_twice_eigenvalues(s)) == s.size
 
 
 def test_trace_matches_m9_matrix():
     for s in enumerate_sectors(3, 3, 3):
         tr = sum(coeffs.m9_tridiagonal(s)[0], Fraction(0))
-        eig_sum = sum((v.fraction for v in coeffs.m9_eigenvalues(s)), Fraction(0))
+        eig_sum = Fraction(sum(coeffs.m9_twice_eigenvalues(s)), 2)
         assert tr == eig_sum, s
 
 
@@ -116,24 +118,24 @@ def test_alpha_energy_identity():
         assert alpha_scale(s) ** 2 == -8 * energy(s)
 
 
-def test_halfint():
-    assert str(HalfInt(3)) == "3/2" and str(HalfInt(4)) == "2"
-    assert HalfInt(2) < HalfInt(3)
-    with pytest.raises(ValidationError, match="twice the value as int, got 1.5"):
-        HalfInt(1.5)
+def test_a_sectors_charge_takes_no_part_in_its_equality():
+    # every exact layer depends on (n, Q, L, J) alone, so one cache entry serves every charge
+    one, other = validate_sector(2, 1, 1, 0, 1), validate_sector(2, 1, 1, 0, Fraction(2, 5))
+    assert one == other and hash(one) == hash(other) and other.Z == Fraction(2, 5)
+    assert one != validate_sector(2, 1, 0, 1, 1)
 
 
 def test_enumerate_sweep_bounds():
     sectors = list(enumerate_sectors(4, 4, 4))
     assert len(sectors) == len(set(sectors))
     for s in sectors:
-        assert s.m.fraction <= 4 and s.Q <= 4 and s.L <= 4 and s.J <= 4
+        assert 2 * s.n + s.Q <= 8 and s.Q <= 4 and s.L <= 4 and s.J <= 4
         assert 1 <= s.size <= 6
 
 
 def test_lambda_index():
     s = validate_sector(2, 1, 1, 0, 1)  # lambda = 1/2 .. 5/2
-    assert lambda_index(s, HalfInt(5)) == (Fraction(5, 2), 2)
+    assert lambda_index(s, 2.5) == (Fraction(5, 2), 2)
     assert lambda_index(s, Fraction(1, 2)) == (Fraction(1, 2), 0)
     # below, above, off the ladder, not a number
     for bad in (Fraction(-1, 2), Fraction(7, 2), 1, float("nan"), float("inf"), float("-inf")):

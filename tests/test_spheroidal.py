@@ -125,8 +125,8 @@ def test_separation_constants_takes_one_a_or_a_stack():
         separation_constants(s, 5.0)[0]
     for bad, message in (
         ([], "non-empty 1-d list"), ([[1.0, 2.0]], "non-empty 1-d list"),
-        ([1.0, 0.0], "a = 0.0 must be positive"), (-1.0, "a = -1.0 must be positive"),
-        ([1.0, math.nan], "a = nan must be positive"), ([math.inf], "a = inf must be finite"),
+        ([1.0, 0.0], "aZ = 0.0 must be positive"), (-1.0, "aZ = -1.0 must be positive"),
+        ([1.0, math.nan], "aZ = nan must be positive"), ([math.inf], "aZ = inf must be finite"),
     ):
         with pytest.raises(ValidationError, match=message):
             separation_constants(s, bad)
@@ -347,7 +347,7 @@ def test_k_matrix_rejects_non_finite_and_overflow():
 
 
 def test_sweep_coarse_grid_rejected():
-    with pytest.raises(BranchMatchAmbiguous, match="a = 0.001 and a = 1000000.0"):
+    with pytest.raises(BranchMatchAmbiguous, match="aZ = 0.001 and aZ = 1000000.0"):
         sweep_branches(S1, np.array([1e-3, 1e6]))
     with pytest.raises(ValidationError):
         sweep_branches(S1, np.array([2.0, 1.0]))
@@ -410,7 +410,7 @@ def test_parabolic_distance_keeps_the_first_order_terms_load_bearing(nQLJ, Z):
     rep = check_parabolic_limit(W, spectrum)
     assert rep.max_set_error <= 1e-5 and rep.max_column_error <= 1e-5
     w = W.to_float()
-    mu = [v.fraction for v in coeffs.m9_eigenvalues(s)]
+    mu = [Fraction(t, 2) for t in coeffs.m9_twice_eigenvalues(s)]
     lead = [-float(alpha_scale(s) / s.Z / 2 * m) for m in mu]  # K/(aZ) to zeroth order
     set_zeroth = np.abs(np.sort(spectrum.K / aZ) - np.sort(lead)).max()
     column_zeroth = np.abs(spectrum.T - w[:, rep.branch_np]).max()
@@ -425,11 +425,11 @@ def test_the_first_order_frame_reads_g_from_its_closed_form():
     for s in sectors:
         W = w_matrix(s)
         w = W.to_float()
-        lam = np.array([float(x.fraction * (x.fraction + 7)) for x in lambda_range(s)])
+        lam = np.array([float(x * (x + 7)) for x in lambda_range(s)])
         G = w.T @ (lam[:, None] * w)
         tol = 1e-14 * max(1.0, np.abs(G).max())
         lower, diag, upper = coeffs.np_recurrence(s)
-        h = s.lam_min.fraction
+        h = Fraction(s.L + s.J, 2)
         off = [-math.sqrt(x * y) for x, y in zip(lower[1:], upper)]
         closed = np.diag([float(d + h * (h + 7)) for d in diag])
         closed += np.diag(off, 1) + np.diag(off, -1)
@@ -437,7 +437,7 @@ def test_the_first_order_frame_reads_g_from_its_closed_form():
         _, g_diag, shift = _first_order(W)
         assert np.abs(g_diag - np.diag(G)).max() <= tol, s
         alpha = float(alpha_scale(s))
-        lead = -alpha / 2 * np.array([m.twice for m in coeffs.m9_eigenvalues(s)]) / 2
+        lead = -alpha / 2 * np.array(coeffs.m9_twice_eigenvalues(s)) / 2
         gaps = lead[:, None] - lead[None, :]  # a (alpha/2) (mu_p - mu_q) at a = 1
         np.fill_diagonal(gaps, np.inf)
         dense = w + w @ (G / gaps)
@@ -483,9 +483,11 @@ def test_limit_checks_reject_a_stack():
 
 
 def test_parabolic_limit_rejects_w_of_another_sector():
-    other = validate_sector(1, 0, 0, 0, 2)  # S1 at another charge
-    with pytest.raises(ValidationError):
+    other = validate_sector(1, 1, 0, 1, 1)  # another block of the same size
+    with pytest.raises(ValidationError, match="W of sector"):
         check_parabolic_limit(w_matrix(other), separation_constants(S1, 1e6))
+    # W does not depend on the charge: S1's W at another charge is S1's W
+    check_parabolic_limit(w_matrix(validate_sector(1, 0, 0, 0, 2)), separation_constants(S1, 1e6))
 
 
 def _outcome(f):
@@ -537,7 +539,7 @@ def test_float_constants_are_the_exact_values_rounded_once(nQLJ, m1, e1, m2, e2)
     for pair, exact in zip(ratios(s), (s.Z, energy(s), alpha_scale(s))):
         assert Fraction(*pair) == exact
         assert _outcome(lambda: pair[0] / pair[1]) == _outcome(lambda: float(exact))
-    got = np.concatenate(spheroidal._k_pencil(s.n, s.Q, s.L, s.J))  # free of the charge
+    got = np.concatenate(spheroidal._k_pencil(s))  # free of the charge
     assert got.tobytes() == _pencil_by_fractions(s).tobytes()
     W = w_matrix(s)
     assert spheroidal.parabolic_distance(W) == _parabolic_distance_by_fractions(W)

@@ -145,8 +145,8 @@ def _ref_jacobi(k, p, q, x):
 
 
 def _ref_spherical_factor(s, lam, X, C):
-    l, k = lam.fraction, (lam.twice - s.L - s.J) // 2
-    m, h, d = s.m.fraction, s.lam_min.fraction, Fraction(s.J - s.L, 2)
+    l, k = lam, int(lam - Fraction(s.L + s.J, 2))
+    m, h, d = Fraction(2 * s.n + s.Q, 2), Fraction(s.L + s.J, 2), Fraction(s.J - s.L, 2)
     f = lambda v: math.factorial(int(v))  # noqa: E731
     norm = math.sqrt(float(Fraction(
         f(m - l) * (2 * l + 7).numerator * f(l - h) * f(l + h + 6),
