@@ -122,9 +122,12 @@ def _exact_text(rows):
     """An N x N exact matrix, a list of rows of (num, den, radicand), as a renderer for _render.
 
     At a pad it returns the text of the list of {coeff, radicand} records,
-    coeff written like str(Fraction): one template, filled in one %-pass.
+    coeff written like str(Fraction): one template, filled in one %-pass
+    from the coeff cells and the radicand cells in alternate slots.
     """
-    cells = [x for row in rows for n, d, f in row for x in (f"{n}/{d}" if d != 1 else n, f)]
+    cells = [None] * (2 * len(rows) ** 2)
+    cells[0::2] = [f"{n}/{d}" if d != 1 else n for row in rows for n, d, _ in row]
+    cells[1::2] = [f for row in rows for _, _, f in row]
 
     def render(pad: str) -> str:
         i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
@@ -286,10 +289,13 @@ def cmd_sweep(args, s) -> None:
         raise ValidationError("sweep needs --points >= 2")
     if args.points * s.size**2 > SWEEP_MAX_ENTRIES:  # checked before the grid is allocated
         raise ValidationError(f"--points x N^2 must be at most {SWEEP_MAX_ENTRIES} (N = {s.size})")
-    if args.log:
-        grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max), args.points)
-    else:
-        grid = np.linspace(args.a_min, args.a_max, args.points)
+    with np.errstate(over="ignore"):  # checked just below
+        if args.log:
+            grid = np.logspace(np.log10(args.a_min), np.log10(args.a_max), args.points)
+        else:
+            grid = np.linspace(args.a_min, args.a_max, args.points)
+    if not np.isfinite(grid).all():  # 10**log10(a_max) rounds past the largest float
+        raise ValidationError(f"--a-max {args.a_max} gives grid points that overflow a float")
     aZ = _to_aZ(grid, s)
     if not (np.diff(aZ) > 0).all():  # --a-min and --a-max a few ulps apart
         raise ValidationError(
@@ -313,7 +319,7 @@ def cmd_sweep(args, s) -> None:
 
 
 def _limit_distance(s, W, which: str, given):
-    """(a, aZ) of a limit: the given flag's, 0.0 too, or the default aZ at a = aZ/Z, if finite."""
+    """(a, aZ) of a limit: the given flag's, or the default aZ at a = aZ/Z, if finite."""
     if given is not None:
         return given, _to_aZ(given, s)
     aZ = spheroidal.SPHERICAL_AZ if which == "spherical" else spheroidal.parabolic_distance(W)
@@ -325,6 +331,9 @@ def _limit_distance(s, W, which: str, given):
 
 def cmd_limits(args, s) -> None:
     _require_finite(a_small=args.a_small, a_large=args.a_large)
+    for flag, given in (("--a-small", args.a_small), ("--a-large", args.a_large)):
+        if given is not None and not given > 0:  # in the user's a, as kspectrum refuses --a
+            raise ValidationError(f"limits needs {flag} > 0")
     W = interbasis.w_matrix(s)
     a_small, aZ_small = _limit_distance(s, W, "spherical", args.a_small)
     a_large, aZ_large = _limit_distance(s, W, "parabolic", args.a_large)

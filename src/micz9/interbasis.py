@@ -50,6 +50,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import coeffs
 from .errors import OrthogonalityViolation, RadicandMismatch
@@ -93,14 +94,13 @@ def _factor_row(s: Sector, k: int, den: int, recurrence) -> tuple[Fraction, list
     lower, diag, upper = recurrence
     shift = k * (s.L + s.J + k + 7)
     x, after = den, 0  # the numerators at n_p and n_p + 1
-    row = [x]
+    row = [x]  # n_p descending
     for p in range(s.size - 1, 0, -1):
         x, after = ((diag[p] - shift) * x - upper[p] * after) // lower[p], x
         row.append(x)
-    row.reverse()
     g = math.gcd(*row)
     a_num, a_den = _row(s, k)
-    return Fraction(a_num * g * g, a_den), [v // g for v in row]
+    return Fraction(a_num * g * g, a_den), [v // g for v in reversed(row)]
 
 
 def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
@@ -217,12 +217,9 @@ def _recurrence_rows(s: Sector, row_rad, core):
         e = math.lcm(ld, hd, diag.denominator, 2)
         lo, mid, hi = ln * (e // ld), diag.numerator * (e // diag.denominator), hn * (e // hd)
         half = e // 2
-        v = [(mid - m * half) * x for m, x in zip(mu2, core[i])]
-        if i:
-            v = [y + lo * x for y, x in zip(v, core[i - 1])]
-        if i + 1 < n:
-            v = [y + hi * x for y, x in zip(v, core[i + 1])]
-        yield e, v
+        # lo is 0 at row 0 and hi at row n-1, so core[-1] and core[0] stand in there
+        yield e, [(mid - m * half) * x + lo * y + hi * z
+                  for m, x, y, z in zip(mu2, core[i], core[i - 1], core[(i + 1) % n])]
 
 
 def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> tuple:
@@ -239,13 +236,13 @@ def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> tuple:
     except RadicandMismatch as exc:
         raise OrthogonalityViolation(f"residual: {exc}") from exc
     for i, (_, v) in enumerate(rows):
-        p = next((p for p, x in enumerate(v) if x), None)
-        if p is not None:
+        if any(v):
+            p = next(p for p, x in enumerate(v) if x)
             raise OrthogonalityViolation(f"residual (M9 W - W diag mu)[{i},{p}] != 0 for {s}")
     den = math.lcm(*(x.denominator for x in row_rad))
     a = [x.numerator * (den // x.denominator) for x in row_rad]
     for p, (col, b) in enumerate(zip(zip(*core), col_rad)):
-        if sum(x * c * c for x, c in zip(a, col)) * b.numerator != den * b.denominator:
+        if sum(map(mul, a, map(mul, col, col))) * b.numerator != den * b.denominator:
             raise OrthogonalityViolation(f"norm (W^T W)[{p},{p}] != 1 for {s}")
     return rows
 
@@ -258,15 +255,15 @@ def _printed_entries(row_roots, col_roots, ints, dens) -> tuple[tuple[tuple[int,
     lowest terms and the radicand (f_i/g)(f_p/g), g = gcd(f_i, f_p), which
     is already squarefree; a zero x gives (0, 1, 1).
     """
-    out = []
+    gcd, out = math.gcd, []
     for (s_a, q_a, f_a), d, row in zip(row_roots, dens, ints):
         q_a *= d
         entries = []
         for (s_b, q_b, f_b), x in zip(col_roots, row):
             if x:
-                g = math.gcd(f_a, f_b)
+                g = gcd(f_a, f_b)
                 num, den = s_a * s_b * g * x, q_a * q_b
-                h = math.gcd(num, den)
+                h = gcd(num, den)
                 entries.append((num // h, den // h, (f_a // g) * (f_b // g)))
             else:
                 entries.append((0, 1, 1))

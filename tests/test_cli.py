@@ -766,7 +766,31 @@ def test_limits_default_distances_follow_the_charge(Z, capsys):
 def test_limits_keeps_a_given_focal_distance_even_at_zero(flag, capsys):
     # a given flag replaces its default even when it is falsy: 0 is refused, not defaulted
     assert main(["limits", *SECTOR, "--mode", "float", flag, "0"]) == 2
-    assert capsys.readouterr().err == "ValidationError: focal distance aZ = 0.0 must be positive\n"
+    assert capsys.readouterr().err == f"ValidationError: limits needs {flag} > 0\n"
+
+
+@pytest.mark.parametrize("flag, a", [("--a-small", "-1"), ("--a-small", "0"),
+                                     ("--a-large", "-1"), ("--a-large", "0")])
+def test_limits_refuses_a_distance_that_is_not_positive_in_the_users_a(flag, a, monkeypatch,
+                                                                        capsys):
+    # at Z = 2/5 the kernel would see aZ = -0.4 for a = -1: the refusal names the flag, as
+    # kspectrum's names --a, and no aZ that the user did not give; W is not built first
+    monkeypatch.setattr(interbasis, "w_matrix", lambda s: pytest.fail("W built"))
+    argv = ["limits", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "2/5", flag, a]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ValidationError: limits needs {flag} > 0\n"
+
+
+def test_a_log_sweep_to_the_largest_float_is_refused_in_one_line(capsys):
+    # 10**log10(a_max) rounds past the largest float: numpy's overflow warning (an error
+    # under this suite's filterwarnings) and the kernel's "aZ = inf" are not what is printed
+    argv = ["sweep", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--a-min", "1e-3",
+            "--a-max", "1.7976931348623157e308", "--points", "5", "--log"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("ValidationError: --a-max 1.7976931348623157e+308 "), err
 
 
 @pytest.mark.parametrize("Z, flags", [("1e-310", ["--a-small", "1e3", "--a-large", "1e300"]),

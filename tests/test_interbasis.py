@@ -222,10 +222,13 @@ def test_the_proof_rejects_a_build_on_a_perturbed_np_recurrence(monkeypatch, nQL
         w_matrix(s)
 
 
-def test_structural_proof_catches_one_doubled_core_entry():
+@pytest.mark.parametrize("row, first_bad", [(0, "0,1"), (3, "2,1")], ids=["first", "last"])
+def test_structural_proof_catches_one_doubled_core_entry(row, first_bad):
+    # C[row][1] enters residual rows row-1, row and row+1; rows 0 and N-1 = 3 read another
+    # row as their missing neighbour, at coupling 0, so the first failure is named exactly
     A, C, B = _factors(S3110)
-    C[0][1] *= 2  # the first row is strictly positive
-    with pytest.raises(OrthogonalityViolation, match=r"^residual .*\[0,1\] "):
+    C[row][1] *= 2  # no entry of C is zero here
+    with pytest.raises(OrthogonalityViolation, match=rf"^residual .*\[{first_bad}\] "):
         _prove_orthogonal(S3110, A, C, B)
 
 
@@ -244,19 +247,23 @@ def test_structural_proof_catches_a_doubled_column_radicand():
 
 
 def test_structural_proof_catches_a_doubled_core_column():
-    A, C, B = _factors(S3110)
-    for row in C:
-        row[2] *= 2
-    with pytest.raises(OrthogonalityViolation, match=r"^norm .*\[2,2\]"):
-        _prove_orthogonal(S3110, A, C, B)
+    for p in (2, S3110.size - 1):
+        A, C, B = _factors(S3110)
+        for row in C:
+            row[p] *= 2
+        with pytest.raises(OrthogonalityViolation, match=rf"^norm .*\[{p},{p}\]"):
+            _prove_orthogonal(S3110, A, C, B)
 
 
-def test_structural_proof_catches_a_perturbed_m9_diagonal(monkeypatch):
+@pytest.mark.parametrize("i", [0, 4], ids=["first", "last"])
+def test_structural_proof_catches_a_perturbed_m9_diagonal(monkeypatch, i):
+    # M9[i, i] enters residual row i alone, and C[i][0] is not zero at i = 0 or N-1 = 4
     s = S4211
     diag, coupling_sq = coeffs.m9_tridiagonal(s)
-    perturbed = (diag[0] + Fraction(1, 10**30), *diag[1:])
-    monkeypatch.setattr(coeffs, "m9_tridiagonal", lambda _: (perturbed, coupling_sq))
-    with pytest.raises(OrthogonalityViolation, match=r"^residual .*\[0,0\] "):
+    perturbed = list(diag)
+    perturbed[i] += Fraction(1, 10**30)
+    monkeypatch.setattr(coeffs, "m9_tridiagonal", lambda _: (tuple(perturbed), coupling_sq))
+    with pytest.raises(OrthogonalityViolation, match=rf"^residual .*\[{i},0\] "):
         w_matrix(s)
 
 

@@ -42,8 +42,9 @@ _COMMANDS = (
     ["limits"],
     ["verify"],
 )
-_EXTREME_CHARGES = ("1e-400", "1e-320", "1e-17", "1e62", "1e150")
+_EXTREME_CHARGES = ("1e-400", "1e-320", "1e-17", "1e62", "1e150", "0", "1e400", "5e-324")
 _EXTREME_SECTORS = ((3, 0, 0, 0), (2, 0, 0, 2), (0, 2, 0, 0), (5, 2, 2, 2))
+_LARGE_SECTORS = ((60, 0, 0, 0), (100, 2, 1, 1), (150, 0, 0, 0))  # exact W at N = 61..151
 _FLAG_ERRORS = {  # flags after the sector (1,0,0,0) at Z = 1, or in place of it
     "states": [["--mode", "complex"], ["--a", "1"]],
     "kspectrum": [[], *(["--a", x] for x in ("0", "-1", "inf", "nan", "5e-324", "1e300", "x"))],
@@ -56,9 +57,11 @@ _FLAG_ERRORS = {  # flags after the sector (1,0,0,0) at Z = 1, or in place of it
         ["--a-min", "1", "--a-max", "inf"], ["--a-min", "1", "--a-max", "1e300", "--log"],
         ["--a-min", "1e-320", "--a-max", "1e-319", "--points", "3"],
         ["--a-min", "1e-3", "--a-max", "1e6"], ["--a-min", "1", "--a-max", "2", "--format", "xml"],
+        ["--a-min", "1e-3", "--a-max", "1.7976931348623157e308", "--points", "5", "--log"],
     ],
     "limits": [["--a-small", x] for x in ("0", "nan", "0.5", "5e-324", "-1")]
-    + [["--a-large", x] for x in ("0", "inf", "100", "1e300")],
+    + [["--a-large", x] for x in ("0", "inf", "100", "1e300")]
+    + [["--Z", "2/5", "--a-small", "-1"], ["--Z", "2/5", "--a-large", "0"]],  # a later --Z wins
     "verify": [["--mode", "exact"]],
 }
 _SECTOR_ERRORS = (  # the sector flags themselves
@@ -93,6 +96,8 @@ def corpus() -> dict[str, list[list[str]]]:
                         for Z in charges for c in sweeps for form in ([], ["--format", "record"])]
     groups["exact"] = [["wmatrix", "--mode", "exact", *flags(*s)]
                        for s in (*bench.EXACT_SECTORS, bench.ANCHORS["exact"][:4])]
+    groups["wmatrix-large"] = [["wmatrix", "--mode", m, *flags(*s)]
+                               for s in _LARGE_SECTORS for m in ("exact", "float")]
     desk = bench.verify_sectors()  # the sectors of enumerate_sectors(4, 4, 4), in its order
     for Z in ("1", "3/2"):
         groups[f"desk-z{Z}"] = [[c[0], *flags(*s, Z), *c[1:]] for s in desk for c in _COMMANDS]
