@@ -12,19 +12,18 @@ refused if that is not a finite positive float; a is printed as given, and
 K/a is K over it.  verify's distances are aZ and its radial points Zr, so
 its record at any charge is its Z = 1 record but for the sector's Z.
 
-Exit codes: 0 success, 2 validation (bad flags or quantum numbers), 3 numerical
-failure, 4 internal-consistency breach, 141 (128 + SIGPIPE) if stdout closes early.
+Exit codes: 0 success or -h/--help, 2 validation (quantum numbers, or a bad flag as one named
+ValidationError line), 3 numerical failure, 4 internal breach, 141 if stdout closes early.
 """
 
 from __future__ import annotations
 
-import argparse
 import decimal
-import functools
 import json
 import math
 import os
 import sys
+import types
 from fractions import Fraction
 
 from . import coeffs, interbasis, sector, spheroidal, wavefield  # numpy loads where used
@@ -138,13 +137,6 @@ def _exact_text(rows):
     return render
 
 
-def _require_finite(**flags) -> None:
-    """Reject infinite or NaN focal-distance flags (names given with _ for -)."""
-    for name, value in flags.items():
-        if value is not None and not math.isfinite(value):
-            raise ValidationError(f"--{name.replace('_', '-')} = {value} must be finite")
-
-
 def _to_aZ(a, s: sector.Sector):
     """a, float or array, as aZ, refused if subnormal; an a not finite and positive passes."""
     import numpy as np
@@ -210,8 +202,7 @@ def cmd_m9(args, s) -> None:
 
 def _spectrum_at_a(args, s):
     """The spheroidal spectrum at --a for kspectrum and tcoeffs."""
-    _require_finite(a=args.a)
-    if args.a is None or not args.a > 0:
+    if args.a is None:
         raise ValidationError(f"{args.command} needs --a > 0")
     return spheroidal.separation_constants(s, _to_aZ(args.a, s))
 
@@ -280,11 +271,8 @@ def _sweep_points(pads, *columns):
 
 def cmd_sweep(args, s) -> None:
     import numpy as np
-    if args.a_min is None or args.a_max is None:
-        raise ValidationError("sweep needs --a-min and --a-max")
-    _require_finite(a_min=args.a_min, a_max=args.a_max)
-    if not (0 < args.a_min < args.a_max):
-        raise ValidationError("sweep needs 0 < --a-min < --a-max")
+    if not args.a_min < args.a_max:
+        raise ValidationError("sweep needs --a-min < --a-max")
     if args.points < 2:
         raise ValidationError("sweep needs --points >= 2")
     if args.points * s.size**2 > SWEEP_MAX_ENTRIES:  # checked before the grid is allocated
@@ -330,10 +318,6 @@ def _limit_distance(s, W, which: str, given):
 
 
 def cmd_limits(args, s) -> None:
-    _require_finite(a_small=args.a_small, a_large=args.a_large)
-    for flag, given in (("--a-small", args.a_small), ("--a-large", args.a_large)):
-        if given is not None and not given > 0:  # in the user's a, as kspectrum refuses --a
-            raise ValidationError(f"limits needs {flag} > 0")
     W = interbasis.w_matrix(s)
     a_small, aZ_small = _limit_distance(s, W, "spherical", args.a_small)
     a_large, aZ_large = _limit_distance(s, W, "parabolic", args.a_large)
@@ -441,57 +425,91 @@ def cmd_verify(args, s) -> int | None:
     return None
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each command takes only the flags it reads."""
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--n", type=int, required=True, help="principal quantum number")
-    shared.add_argument("--Q", type=int, required=True, help="monopole charge quantum number")
-    shared.add_argument("--L", type=int, required=True, help="first angular eigenvalue label")
-    shared.add_argument("--J", type=int, required=True, help="second angular eigenvalue label")
-    shared.add_argument("--Z", default="1", help="electric charge, rational like 1 or 2/5")
-    two_modes = argparse.ArgumentParser(add_help=False, parents=[shared])
-    two_modes.add_argument("--mode", choices=("exact", "float"), default="exact")
-    # K(a) has a real focal distance, so these commands are float only
-    float_only = argparse.ArgumentParser(add_help=False, parents=[shared])
-    float_only.add_argument("--mode", choices=("float",), default="float")
+_SECTOR = {  # flag: (dest, int, float, str or a tuple of choices, default or ... if required, help)
+    "--n": ("n", int, ..., "principal quantum number"),
+    "--Q": ("Q", int, ..., "monopole charge quantum number"),
+    "--L": ("L", int, ..., "first angular eigenvalue label"),
+    "--J": ("J", int, ..., "second angular eigenvalue label"),
+    "--Z": ("Z", str, "1", "electric charge, rational like 1 or 2/5"),
+}
+_TWO_MODES = {**_SECTOR, "--mode": ("mode", ("exact", "float"), "exact", "")}
+_FLOAT_ONLY = {**_SECTOR, "--mode": ("mode", ("float",), "float", "")}  # K(a) needs a real a
+_AT_A = {**_FLOAT_ONLY, "--a": ("a", float, None, "focal distance (> 0)")}
+COMMANDS = {  # command: (handler run(args, s), help, the flags it reads)
+    "states": (cmd_states, "sector constants and label ranges", _TWO_MODES),
+    "wmatrix": (cmd_wmatrix, "spherical-parabolic transformation matrix", _TWO_MODES),
+    "m9": (cmd_m9, "ninth Runge-Lenz matrix in the spherical basis", _TWO_MODES),
+    "kspectrum": (cmd_kspectrum, "spheroidal separation constants", _AT_A),
+    "tcoeffs": (cmd_tcoeffs, "coefficient columns by continuant", _AT_A),
+    "sweep": (cmd_sweep, "branch sweep over a grid of a values", {
+        **_FLOAT_ONLY, "--a-min": ("a_min", float, ..., ""), "--a-max": ("a_max", float, ..., ""),
+        "--points": ("points", int, 2, f"2 to {SWEEP_MAX_ENTRIES} / N^2"),
+        "--log": ("log", None, False, "logarithmic grid; takes no value"),
+        "--format": ("format", ("record", "csv"), "record", "")}),
+    "limits": (cmd_limits, "spherical and parabolic degenerations", {
+        **_FLOAT_ONLY, "--a-small": ("a_small", float, None, "default: aZ = 1e-8"),
+        "--a-large": ("a_large", float, None, "default: parabolic_distance")}),
+    "verify": (cmd_verify, "full cross-oracle suite for one sector", _SECTOR),
+}
 
-    parser = argparse.ArgumentParser(
-        prog="micz9",
-        description="Interbasis transformations and separation constants of the "
-        "nine-dimensional MICZ-Kepler problem",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, parents, run, text):  # each command carries its handler, run(args, s)
-        p = sub.add_parser(name, parents=[parents], help=text)
-        p.set_defaults(run=run)
-        return p
+def _help(command) -> str:
+    """The command list, or a command's flags with their values, defaults and help texts."""
+    if command not in COMMANDS:
+        return "usage: micz9 COMMAND --n N --Q Q --L L --J J [--FLAG VALUE ...]\n\ncommands:\n" + \
+            "".join(f"  {name:<10} {text}\n" for name, (_, text, _) in COMMANDS.items())
+    lines = [f"usage: micz9 {command} --FLAG VALUE | --FLAG=VALUE ...\n\n{COMMANDS[command][1]}\n"]
+    for flag, (dest, kind, default, text) in COMMANDS[command][2].items():
+        value = dest.upper() if callable(kind) else "{%s}" % ",".join(kind) if kind else ""
+        if default is not None:
+            text += " (required)" if default is ... else f" (default: {default})"
+        lines.append(f"  {flag:<9} {value:<14} {text.strip()}")
+    return "\n".join(lines) + "\n"
 
-    command("states", two_modes, cmd_states, "sector constants and label ranges")
-    command("wmatrix", two_modes, cmd_wmatrix, "spherical-parabolic transformation matrix")
-    command("m9", two_modes, cmd_m9, "ninth Runge-Lenz matrix in the spherical basis")
-    p = command("kspectrum", float_only, cmd_kspectrum, "spheroidal separation constants")
-    p.add_argument("--a", type=float, help="focal distance (> 0)")
-    p = command("tcoeffs", float_only, cmd_tcoeffs, "coefficient columns by continuant")
-    p.add_argument("--a", type=float, help="focal distance (> 0)")
-    p = command("sweep", float_only, cmd_sweep, "branch sweep over a grid of a values")
-    p.add_argument("--a-min", dest="a_min", type=float)
-    p.add_argument("--a-max", dest="a_max", type=float)
-    p.add_argument("--points", type=int, default=2, help=f"2 to {SWEEP_MAX_ENTRIES} / N^2")
-    p.add_argument("--log", action="store_true", help="logarithmic grid")
-    p.add_argument("--format", choices=("record", "csv"), default="record")
-    p = command("limits", float_only, cmd_limits, "spherical and parabolic degenerations")
-    p.add_argument("--a-small", dest="a_small", type=float, help="default: aZ = 1e-8")
-    p.add_argument("--a-large", dest="a_large", type=float, help="default: parabolic_distance")
-    command("verify", shared, cmd_verify, "full cross-oracle suite for one sector")
-    return parser
+
+def _parse(argv: list) -> types.SimpleNamespace:
+    """argv against COMMANDS; a ValidationError names the command and the flag or value."""
+    if not argv or argv[0] not in COMMANDS:
+        given = f"unknown command {sector._clip(repr(argv[0]))}" if argv else "no command"
+        raise ValidationError(f"{given}: give one of {', '.join(COMMANDS)}")
+    command, tokens = argv[0], iter(argv[1:])
+    run, _, flags = COMMANDS[command]
+    args = {dest: default for dest, _, default, _ in flags.values()}
+    for token in tokens:  # --flag value or --flag=value; the last of a repeated flag wins
+        flag, eq, value = token.partition("=")
+        dest, kind, _, _ = flags.get(flag, (None,) * 4)
+        if dest is None or kind is None and eq:  # not read, abbreviated, or --log=...
+            raise ValidationError(f"{command} does not read {sector._clip(repr(token))}")
+        if kind is None:  # --log
+            args[dest] = True
+            continue
+        value = value if eq else next(tokens, None)  # taken as it is, even with a leading -
+        if value is None:
+            raise ValidationError(f"{command} {flag} needs a value")
+        try:  # int, float or str, or one of a tuple of choices
+            args[dest] = kind(value) if callable(kind) else kind[kind.index(value)]
+        except ValueError:
+            wanted = kind.__name__ if callable(kind) else f"one of {', '.join(kind)}"
+            raise ValidationError(
+                f"{command} cannot read {flag} {sector._clip(repr(value))} as {wanted}") from None
+        if kind is float and not 0 < args[dest] < math.inf:  # every float flag is a focal distance
+            raise ValidationError(f"{command} needs {flag} > 0" if math.isfinite(args[dest])
+                                  else f"{command} {flag} = {args[dest]} must be finite")
+    missing = [flag for flag, (dest, *_) in flags.items() if args[dest] is ...]
+    if missing:
+        raise ValidationError(f"{command} needs {' '.join(missing)}")
+    return types.SimpleNamespace(command=command, run=run, **args)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:  # the sector first, then the command's own flags
-        code = args.run(args, _parse_sector(args))  # None, or verify's failed-check code
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        if "-h" in argv or "--help" in argv:  # anywhere, even as a flag's value
+            sys.stdout.write(_help(argv[0]))
+            code = None
+        else:  # the flags, then the sector, then the command's own checks
+            args = _parse(argv)
+            code = args.run(args, _parse_sector(args))  # None, or verify's failed-check code
         sys.stdout.flush()  # a closed stdout shows here, not at exit
     except Micz9Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

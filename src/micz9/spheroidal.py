@@ -161,8 +161,10 @@ def sign_fix_columns(V: np.ndarray) -> np.ndarray:
     import numpy as np
     mag = np.abs(V)
     above = mag > _SIGN_TOL * mag.max(axis=-2, keepdims=True)
-    lead = np.take_along_axis(V, np.argmax(above, axis=-2)[..., None, :], axis=-2)
-    V *= np.where(lead < 0.0, -1.0, 1.0)
+    *batch, N, M = V.shape  # one fancy index into the (B, N, M) stack reads each column's lead
+    B, first = math.prod(batch), np.argmax(above, axis=-2)
+    lead = V.reshape(B, N, M)[np.arange(B)[:, None], first.reshape(B, M), np.arange(M)]
+    V *= np.where(lead < 0.0, -1.0, 1.0).reshape(*batch, 1, M)
     return V
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -22,7 +23,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 import micz9
 from micz9 import _backend, cli, coeffs, exactscalar, interbasis, spheroidal, wavefield
-from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, _render, build_parser, main
+from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, _render, main
 from micz9.exactscalar import RadicalScalar
 from micz9.sector import enumerate_sectors, validate_sector
 
@@ -396,6 +397,15 @@ def test_closed_stdout_exits_141_with_no_traceback():
     assert child.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
     assert child.stderr.read() == b""
     child.stderr.close()
+
+
+def test_help_to_a_closed_stdout_exits_141_with_no_traceback():
+    read, write = os.pipe()
+    os.close(read)  # closed before the child writes a byte
+    child = subprocess.run([sys.executable, "-m", "micz9.cli", "sweep", "--help"], stdout=write,
+                           stderr=subprocess.PIPE, timeout=60)
+    os.close(write)
+    assert child.returncode == 141 and child.stderr == b""
 
 
 def test_verify_passes_where_the_parabolic_limit_once_failed(capsys):
@@ -885,7 +895,82 @@ def test_csv_rejected_outside_sweep():
 def test_a_flag_the_command_does_not_read_exits_2(argv):
     out = run_cli(*argv, *SECTOR)
     assert out.returncode == 2 and out.stdout == ""
-    assert "unrecognized arguments" in out.stderr and "Traceback" not in out.stderr
+    assert out.stderr == f"ValidationError: {argv[0]} does not read '{argv[1]}'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        ([], "no command: give one of states, wmatrix, m9, kspectrum, tcoeffs, sweep, limits, "
+             "verify"),
+        (["energy", *SECTOR], "unknown command 'energy': give one of states, wmatrix, m9, "
+                              "kspectrum, tcoeffs, sweep, limits, verify"),
+        (["sweep", *SECTOR, "--a-min", "1", "--a-max", "2", "--poi", "5"],
+         "sweep does not read '--poi'"),  # an abbreviation, which argparse accepted
+        (["states", *SECTOR, "--mo", "float"], "states does not read '--mo'"),
+        (["states", *SECTOR, "5"], "states does not read '5'"),
+        (["sweep", *SECTOR, "--a-min", "1", "--a-max", "2", "--log=yes"],
+         "sweep does not read '--log=yes'"),
+        (["kspectrum", *SECTOR, "--a"], "kspectrum --a needs a value"),
+        (["states", "--n", "1", "--Q", "0", "--L", "0", "--J"], "states --J needs a value"),
+        (["states", "--n", "one", "--Q", "0", "--L", "0", "--J", "0"],
+         "states cannot read --n 'one' as int"),
+        (["kspectrum", *SECTOR, "--a=x"], "kspectrum cannot read --a 'x' as float"),
+        (["states", *SECTOR, "--mode", "complex"],
+         "states cannot read --mode 'complex' as one of exact, float"),
+        (["tcoeffs", *SECTOR, "--mode", "exact"],
+         "tcoeffs cannot read --mode 'exact' as one of float"),
+        (["states", "--n", "1", "--L", "0"], "states needs --Q --J"),
+        (["sweep", *SECTOR, "--a-max", "2"], "sweep needs --a-min"),
+        (["kspectrum", *SECTOR, "--a", "-inf"], "kspectrum --a = -inf must be finite"),
+        (["sweep", *SECTOR, "--a-min", "-1", "--a-max", "2"], "sweep needs --a-min > 0"),
+        (["states", *SECTOR, "--n=" + "9" * 5000],  # clipped to 80 B
+         "states cannot read --n '" + "9" * 76 + "... as int"),
+        (["states", *SECTOR, "--\udcff"], "states does not read '--\\udcff'"),
+    ],
+    ids=lambda x: " ".join(x[:1] + x[9:])[:40] if isinstance(x, list) else "",
+)
+def test_a_bad_argv_is_one_named_line_naming_the_command_and_flag(argv, err, capsys):
+    assert main(argv) == 2
+    out, printed = capsys.readouterr()
+    assert out == "" and printed == f"ValidationError: {err}\n"
+    assert len(printed.encode(errors="backslashreplace")) <= 200
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n=1", "--Q=0", "--L=0", "--J=0", "--mode=float", "--Z=1"],  # --flag=value
+    ["--n", "7", "--Q", "0", "--L", "0", "--J", "0", "--mode", "float", "--n", "1"],  # last wins
+    ["--mode", "float", "--J", "0", "--L", "0", "--Q", "0", "--n", "1"],  # in any order
+])
+def test_each_spelling_of_the_flags_gives_the_same_record(flags, capsys):
+    assert main(["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--mode", "float"]) == 0
+    want = capsys.readouterr().out
+    assert main(["states", *flags]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_a_value_is_taken_as_it_is_even_with_a_leading_dash(capsys):
+    # argparse refused --Z -2/5 as a missing value; it now reaches the charge's own check
+    assert main(["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "-2/5"]) == 2
+    assert capsys.readouterr().err == "NonpositiveCharge: Z = -0.4 must be positive\n"
+    assert main(["kspectrum", *SECTOR, "--a", "-1"]) == 2
+    assert capsys.readouterr().err == "ValidationError: kspectrum needs --a > 0\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["sweep", "--help"], ["sweep", *SECTOR, "-h"],
+                                  ["limits", "--a-small", "-h"], ["energy", "--help"]],
+                         ids=" ".join)
+def test_help_anywhere_prints_on_stdout_and_exits_0(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.startswith("usage: micz9 ")
+    if argv[0] in cli.COMMANDS:  # each flag the command reads, with its default
+        assert all(f"\n  {flag} " in out for flag in cli.COMMANDS[argv[0]][2])
+    else:  # the command list
+        assert all(f"\n  {command} " in out for command in cli.COMMANDS)
+    if argv[0] == "sweep":
+        assert f"2 to {SWEEP_MAX_ENTRIES} / N^2 (default: 2)" in out
+        assert "{record,csv}" in out and "--a-min   A_MIN          (required)" in out
 
 
 def test_main_entrypoint_inprocess(capsys):
@@ -1027,11 +1112,17 @@ def test_importing_the_cli_loads_every_module_but_no_numpy():
     # perfbench/tracer.py patches only the micz9 modules loaded when it installs, and the
     # benchmark imports micz9.cli alone before that: all of micz9 must be loaded, numpy not
     code = ("import sys, micz9.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('micz9', 'numpy'))))")
+            "print(sorted(m for m in sys.modules if m.startswith(('micz9', 'numpy', 'argparse'))));"
+            "import io, contextlib; "
+            "contextlib.redirect_stdout(io.StringIO()).__enter__(); "
+            "code = micz9.cli.main(['wmatrix', '--mode', 'exact', '--n', '3', '--Q', '0', "
+            "'--L', '0', '--J', '0']); "
+            "print('argparse' in sys.modules, code, file=sys.stderr)")
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     files = pathlib.Path(micz9.__file__).parent.glob("*.py")
     modules = sorted(["micz9"] + [f"micz9.{p.stem}" for p in files if p.stem != "__init__"])
     assert run.returncode == 0 and run.stdout == f"{modules}\n", run.stdout + run.stderr
+    assert run.stderr == "False 0\n"  # the command line is parsed without argparse
 
 
 def test_package_exports_only_the_cli_surface():
@@ -1046,28 +1137,27 @@ def test_package_exports_only_the_cli_surface():
     assert micz9.__version__
 
 
-def test_cached_parser_matches_a_fresh_one(capsys):
+def test_a_bad_argv_between_two_good_calls_leaves_the_second_unchanged(capsys):
     calls = [["wmatrix", *SECTOR], ["m9", *SECTOR, "--mode", "float"]]
     outs = []
-    for argv in calls:  # in a row, on the one cached parser
+    for argv in calls:
         assert main(argv) == 0
         outs.append(capsys.readouterr().out)
-    for argv, out in zip(calls, outs):
-        build_parser.cache_clear()
-        assert main(argv) == 0
-        assert capsys.readouterr().out == out
-    with pytest.raises(SystemExit) as exc:  # a bad argv after a good call still exits 2
-        main(["wmatrix", "--n", "one", "--Q", "0", "--L", "0", "--J", "0"])
-    assert exc.value.code == 2
-    assert main(calls[0]) == 0 and capsys.readouterr().out == outs[0]
+    for bad in (["wmatrix", "--n", "one", "--Q", "0", "--L", "0", "--J", "0"],
+                ["m9", *SECTOR, "--mode", "complex"], ["m9", *SECTOR, "--bogus=1"]):
+        assert main(bad) == 2  # returned, not raised
+        assert capsys.readouterr().out == ""
+        for argv, out in zip(calls, outs):  # the table keeps no value of the bad call
+            assert main(argv) == 0 and capsys.readouterr().out == out
 
 
 # ----------------------------------------------------------------------
 # argv fuzz: every argv ends in exit 0 with a record (CSV for a CSV sweep),
 # or in exit 2, 3 or 4 with a named error on stderr, or, for a verify whose
 # check fails, in exit 3 or 4 with a record naming it and one line on stderr
-# naming the error class and the checks; never in exit 1, a traceback or a
-# warning.  Sizes stay small: n <= 5, at most 8 sweep points.
+# naming the error class and the checks, or, with -h or --help, in exit 0 with
+# help on stdout; main returns and never raises, exits 1, prints a traceback or
+# warns.  Sizes stay small: n <= 5, at most 8 sweep points.
 # ----------------------------------------------------------------------
 
 def _mostly(valid, other):
@@ -1116,9 +1206,22 @@ def _argvs(draw):
     argv += ["--Z", draw(_CHARGE)]
     flags = [flag for flag in _READS.get(command, []) if draw(st.integers(0, 3))]
     flags += draw(_mostly(st.just([]), st.sampled_from(sorted(_FLAG_VALUES)).map(lambda f: [f])))
-    for flag in flags:
-        value = draw(_FLAG_VALUES[flag])
-        argv += [flag] if value is None else [flag, value]
+    flags += draw(_mostly(st.just([]), st.sampled_from(flags or ["--n"]).map(lambda f: [f])))
+    for flag in flags:  # a drawn flag again is a repeat, which the last one wins
+        value = draw(_FLAG_VALUES.get(flag, st.integers(0, 5).map(str)))
+        spelling = draw(st.integers(0, 9))
+        if spelling == 0:  # abbreviated, refused
+            flag = flag[:-1]
+        if value is None:
+            argv += [flag]
+        elif spelling == 1:
+            argv += [f"{flag}={value}"]
+        else:
+            argv += [flag, value]
+    if draw(st.integers(0, 19)) == 0:  # a trailing flag with no value
+        argv += [draw(st.sampled_from(["--Z", "--n", *_READS.get(command, [])]))]
+    if draw(st.integers(0, 19)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(["-h", "--help"])))
     return argv
 
 
@@ -1128,14 +1231,14 @@ def test_every_argv_ends_in_a_record_or_a_named_error(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors
-            code = exc.code
+        code = main(argv)
     out, err = out.getvalue(), err.getvalue()
-    if code == 0:
+    if "-h" in argv or "--help" in argv:
+        assert code == 0 and err == "" and out.startswith("usage: micz9 "), (argv, code, err)
+    elif code == 0:
         assert err == "", (argv, err)
-        if argv[0] == "sweep" and "csv" in argv:
+        if out.startswith("a,n_k,"):  # told by the output: of a repeated --format, the last wins
+            assert argv[0] == "sweep" and ("csv" in argv or "--format=csv" in argv), argv
             header, *rows = out.splitlines()
             assert header == "a,n_k,K,K_over_a" and rows, (argv, out)
             assert all(len([float(x) for x in row.split(",")]) == 4 for row in rows), argv
@@ -1150,5 +1253,7 @@ def test_every_argv_ends_in_a_record_or_a_named_error(argv):
         assert err == line + "\n" and len(line.encode()) <= 200, (argv, err)
     else:
         assert code in (2, 3, 4), (argv, code, err)
-        named = re.match(r"[A-Z]\w+: ", err) or (code == 2 and err.startswith("usage: "))
-        assert named and "Traceback" not in err and out == "", (argv, code, out, err)
+        assert re.fullmatch(r"[A-Z]\w+: [^\n]+\n", err), (argv, code, err)
+        assert "Traceback" not in err and out == "", (argv, code, out, err)
+        if code == 2 and err.startswith("ValidationError: "):
+            assert len(err.encode()) <= 200, (argv, err)

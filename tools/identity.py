@@ -46,8 +46,10 @@ _EXTREME_CHARGES = ("1e-400", "1e-320", "1e-17", "1e62", "1e150", "0", "1e400", 
 _EXTREME_SECTORS = ((3, 0, 0, 0), (2, 0, 0, 2), (0, 2, 0, 0), (5, 2, 2, 2))
 _LARGE_SECTORS = ((60, 0, 0, 0), (100, 2, 1, 1), (150, 0, 0, 0))  # exact W at N = 61..151
 _FLAG_ERRORS = {  # flags after the sector (1,0,0,0) at Z = 1, or in place of it
-    "states": [["--mode", "complex"], ["--a", "1"]],
-    "kspectrum": [[], *(["--a", x] for x in ("0", "-1", "inf", "nan", "5e-324", "1e300", "x"))],
+    "states": [["--mode", "complex"], ["--a", "1"], ["--Z", "-2/5"], ["--n", "2"],  # a later --n wins
+               ["-h"]],
+    "kspectrum": [[], *(["--a", x] for x in ("0", "-1", "inf", "nan", "5e-324", "1e300", "x")),
+                  ["--a"]],
     "tcoeffs": [[], ["--a", "0"], ["--a", "nan"], ["--a", "5e-324"], ["--a", "1e300"]],
     "sweep": [
         [], ["--a-min", "1"], ["--a-min", "2", "--a-max", "1"], ["--a-min", "1", "--a-max", "1"],
@@ -58,6 +60,8 @@ _FLAG_ERRORS = {  # flags after the sector (1,0,0,0) at Z = 1, or in place of it
         ["--a-min", "1e-320", "--a-max", "1e-319", "--points", "3"],
         ["--a-min", "1e-3", "--a-max", "1e6"], ["--a-min", "1", "--a-max", "2", "--format", "xml"],
         ["--a-min", "1e-3", "--a-max", "1.7976931348623157e308", "--points", "5", "--log"],
+        ["--a-min", "1", "--a-max", "2", "--points=5"],
+        ["--a-min", "1", "--a-max", "2", "--poi", "5"],  # an abbreviation
     ],
     "limits": [["--a-small", x] for x in ("0", "nan", "0.5", "5e-324", "-1")]
     + [["--a-large", x] for x in ("0", "inf", "100", "1e300")]
@@ -107,7 +111,8 @@ def corpus() -> dict[str, list[list[str]]]:
     one = flags(1, 0, 0, 0)
     groups["errors"] = [
         *([c, *one, *f] for c, fs in _FLAG_ERRORS.items() for f in fs),
-        *([c[0], *s] for c in _COMMANDS[::2] for s in _SECTOR_ERRORS),
+        # with the command's own flags, so that each call gets as far as the sector check
+        *([c[0], *s, *c[1:]] for c in _COMMANDS[::2] for s in _SECTOR_ERRORS),
         [], ["energy", *one],
     ]
     groups["help"] = [["--help"], *([c, "--help"] for c in dict.fromkeys(c[0] for c in _COMMANDS))]
@@ -122,7 +127,7 @@ def _call_digest(main, argv) -> str:
         warnings.simplefilter("always")  # every call prints its own warnings
         try:
             code = main(argv)
-        except SystemExit as exc:  # argparse's usage errors and --help
+        except SystemExit as exc:  # an older tree's argparse, run under --against
             code = exc.code
         except Exception as exc:  # a traceback is a result too
             code = f"raised {type(exc).__name__}: {exc}"
