@@ -138,13 +138,12 @@ def _exact_text(rows):
 
 
 def _to_aZ(a, s: sector.Sector):
-    """a, float or array, as aZ, refused if subnormal; an a not finite and positive passes."""
+    """a, float or array, finite and positive, as aZ, refused if that is subnormal or overflows."""
     import numpy as np
     a = np.asarray(a, dtype=np.float64)
-    ok = (a > 0) & (a < math.inf)
     with np.errstate(over="ignore"):  # checked just below
-        aZ = np.where(ok, a * float(s.Z), a)
-    bad = ok & ~((aZ >= sys.float_info.min) & (aZ < math.inf))
+        aZ = a * float(s.Z)
+    bad = ~((aZ >= sys.float_info.min) & (aZ < math.inf))
     if bad.any():
         raise ValidationError(f"focal distance a = {a[bad].flat[0]} at Z = {sector._short(s.Z)} "
                               f"gives aZ = {aZ[bad].flat[0]}, not a finite normal positive float")
@@ -200,19 +199,18 @@ def cmd_m9(args, s) -> None:
     _emit("m9", s, args.mode, payload)
 
 
-def _spectrum_at_a(args, s):
-    """The spheroidal spectrum at --a for kspectrum and tcoeffs."""
-    if args.a is None:
-        raise ValidationError(f"{args.command} needs --a > 0")
-    return spheroidal.separation_constants(s, _to_aZ(args.a, s))
+def _eigen_errors(spectrum):
+    """max |K(a) T - T diag(K)| and max |T^T T - 1| of a spectrum, or per matrix of a stack."""
+    import numpy as np
+    T = spectrum.T
+    resid = np.abs(spectrum.matrix.matvec(T) - T * spectrum.K[..., None, :]).max(axis=(-2, -1))
+    ortho = np.abs(np.swapaxes(T, -1, -2) @ T - np.eye(T.shape[-1])).max(axis=(-2, -1))
+    return resid, ortho
 
 
 def cmd_kspectrum(args, s) -> None:
-    import numpy as np
-    spectrum = _spectrum_at_a(args, s)
-    T = spectrum.T
-    resid = float(np.abs(spectrum.matrix.matvec(T) - T * spectrum.K).max())
-    ortho = float(np.abs(T.T @ T - np.eye(s.size)).max())
+    spectrum = spheroidal.separation_constants(s, _to_aZ(args.a, s))
+    resid, ortho = _eigen_errors(spectrum)
     payload = {
         "a": _fmt(args.a),
         "K": _fmt_array(spectrum.K).tolist(),
@@ -224,7 +222,7 @@ def cmd_kspectrum(args, s) -> None:
 
 
 def cmd_tcoeffs(args, s) -> None:
-    spectrum = _spectrum_at_a(args, s)
+    spectrum = spheroidal.separation_constants(s, _to_aZ(args.a, s))
     branches = []
     for n_k, col in enumerate(spheroidal.t_by_continuant(spectrum.matrix, spectrum.K).T):
         branches.append({
@@ -309,7 +307,10 @@ def cmd_sweep(args, s) -> None:
 def _limit_distance(s, W, which: str, given):
     """(a, aZ) of a limit: the given flag's, or the default aZ at a = aZ/Z, if finite."""
     if given is not None:
-        return given, _to_aZ(given, s)
+        aZ = _to_aZ(given, s)
+        if which == "parabolic" and not aZ >= spheroidal.PARABOLIC_MIN_AZ:  # before any solve
+            raise ValidationError(f"a_large Z = {given} * {sector._short(s.Z)} must be at least 1e4")
+        return given, aZ
     aZ = spheroidal.SPHERICAL_AZ if which == "spherical" else spheroidal.parabolic_distance(W)
     if not (float(s.Z) and math.isfinite(aZ / float(s.Z))):
         raise ValidationError(
@@ -323,8 +324,6 @@ def cmd_limits(args, s) -> None:
     a_large, aZ_large = _limit_distance(s, W, "parabolic", args.a_large)
     both = spheroidal.separation_constants(s, [aZ_small, aZ_large])
     sph = spheroidal.check_spherical_limit(both[0])
-    if not aZ_large >= spheroidal.PARABOLIC_MIN_AZ:  # named in the user's a and Z
-        raise ValidationError(f"a_large Z = {a_large} * {sector._short(s.Z)} must be at least 1e4")
     par = spheroidal.check_parabolic_limit(W, both[1])
     payload = {
         "spherical": {
@@ -346,7 +345,6 @@ def cmd_limits(args, s) -> None:
 def _verify_checks(s: sector.Sector):
     """Run the per-sector cross-oracle suite; yields (name, ok, detail)."""
     import numpy as np
-    n = s.size
 
     W = interbasis.w_matrix(s)  # raises OrthogonalityViolation on breach
     yield "w_orthogonality_exact", True, "identity verified exactly"
@@ -378,10 +376,9 @@ def _verify_checks(s: sector.Sector):
           spheroidal.SPHERICAL_AZ, spheroidal.parabolic_distance(W)]
     solved = spheroidal.separation_constants(s, aZ)
     eig = solved[1:5]
-    mat, K, T = eig.matrix, eig.K, eig.T
-    resid = np.abs(mat.matvec(T) - T * K[:, None, :]).max(axis=(1, 2))
-    worst_resid = float((resid / np.maximum(mat.norm(), 1e-300)).max())
-    worst_ortho = float(np.abs(np.swapaxes(T, 1, 2) @ T - np.eye(n)).max())
+    resid, ortho = _eigen_errors(eig)
+    worst_resid = float((resid / np.maximum(eig.matrix.norm(), 1e-300)).max())
+    worst_ortho = float(ortho.max())
     ok = worst_resid <= 1e-12 and worst_ortho <= 1e-12
     yield "spheroidal_eigenproblem", ok, (
         f"relative residual {_fmt(worst_resid)}, orthogonality {_fmt(worst_ortho)}"
@@ -434,7 +431,7 @@ _SECTOR = {  # flag: (dest, int, float, str or a tuple of choices, default or ..
 }
 _TWO_MODES = {**_SECTOR, "--mode": ("mode", ("exact", "float"), "exact", "")}
 _FLOAT_ONLY = {**_SECTOR, "--mode": ("mode", ("float",), "float", "")}  # K(a) needs a real a
-_AT_A = {**_FLOAT_ONLY, "--a": ("a", float, None, "focal distance (> 0)")}
+_AT_A = {**_FLOAT_ONLY, "--a": ("a", float, ..., "focal distance (> 0)")}
 COMMANDS = {  # command: (handler run(args, s), help, the flags it reads)
     "states": (cmd_states, "sector constants and label ranges", _TWO_MODES),
     "wmatrix": (cmd_wmatrix, "spherical-parabolic transformation matrix", _TWO_MODES),

@@ -22,13 +22,14 @@ two bases come out as one Gram matrix Phi_bra^T diag(w) Phi_ket.
 
 Each basis is evaluated once per sector: one polynomial ladder per family
 (a single recurrence run returns every degree), norms from integer
-factorials, and each column multiplied in place in the closed form's
-order, skipping unit envelopes, so the columns are bitwise the one-state
-products.  The separated-equation residuals read the same ladder kernel
-with its two derivatives and never form the envelope: each equation is
-divided by it, so no power of the point underflows at large N, and the
-radial and both parabolic equations then share one form, evaluated for
-every state of all three in one Laguerre pass.
+factorials, and each column one left-to-right product in the closed
+form's order, so the columns are bitwise the one-state products; a zero
+power gives 1.0, and multiplying by it is exact.  The separated-equation
+residuals read the same ladder kernel with its two derivatives and never
+form the envelope: each equation is divided by it, so no power of the
+point underflows at large N, and the radial and both parabolic equations
+then share one form, evaluated for every state of all three in one
+Laguerre pass.
 """
 
 from __future__ import annotations
@@ -189,20 +190,6 @@ def _ladder(k: int, params: tuple, t, derivs: bool = False):
     return rows, d_dt(poly(k - 1, *up1, t), params), second
 
 
-def _product_into(out: np.ndarray, head, factors) -> None:
-    """out = head * f_1 * f_2 * ..., multiplied left to right in place.
-
-    A None factor is a unit envelope (a zero power), skipped because
-    multiplying by 1.0 is exact; the order of the rest is kept, so the
-    result is bitwise the closed form's.
-    """
-    import numpy as np
-    factors = [f for f in factors if f is not None]
-    np.multiply(head, factors[0], out=out)
-    for f in factors[1:]:
-        np.multiply(out, f, out=out)
-
-
 def _spherical_columns(s: Sector, X, C) -> np.ndarray:
     """Bare radial-angular factors at x = alpha r and c = cos(theta), stacked by k.
 
@@ -215,14 +202,12 @@ def _spherical_columns(s: Sector, X, C) -> np.ndarray:
     orders = np.reshape([2 * lamf + 7 for lamf in lamfs], (-1,) + (1,) * np.ndim(X))
     lag = _ladder(n_top, (orders,), X)  # degrees past a state's own may overflow, unread
     env = 2.0 ** (-(s.L + s.J + 7) / 2)
-    left = (1 - C) ** (s.L / 2) if s.L else None
-    right = (1 + C) ** (s.J / 2) if s.J else None
+    left = (1 - C) ** (s.L / 2)
+    right = (1 + C) ** (s.J / 2)
     norms = _spherical_norms(s)
     out = np.empty(np.broadcast_shapes(np.shape(X), np.shape(C)) + (s.size,))
     for k, lamf in enumerate(lamfs):
-        radial = norms[k] * X**lamf if lamf else norms[k]
-        radial = radial * lag[n_top - k, k] * env
-        _product_into(out[..., k], radial, (left, right, jac[k]))
+        out[..., k] = norms[k] * X**lamf * lag[n_top - k, k] * env * left * right * jac[k]
     return out
 
 
@@ -234,13 +219,12 @@ def _parabolic_columns(s: Sector, U, V) -> np.ndarray:
     import numpy as np
     n_top = s.size - 1
     lag_u, lag_v = _ladder(n_top, (s.J + 3,), U), _ladder(n_top, (s.L + 3,), V)
-    u_env = U ** (s.J / 2) if s.J else None
-    v_env = V ** (s.L / 2) if s.L else None
+    u_env = U ** (s.J / 2)
+    v_env = V ** (s.L / 2)
     norms = _parabolic_norms(s)
     out = np.empty(np.broadcast_shapes(np.shape(U), np.shape(V)) + (s.size,))
     for n_p in range(s.size):
-        factors = (u_env, lag_u[n_p], v_env, lag_v[n_top - n_p])
-        _product_into(out[..., n_p], norms[n_p] * 2.0**-3.5, factors)
+        out[..., n_p] = norms[n_p] * 2.0**-3.5 * u_env * lag_u[n_p] * v_env * lag_v[n_top - n_p]
     return out
 
 

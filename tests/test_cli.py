@@ -824,6 +824,24 @@ def test_limits_computes_no_default_for_a_given_distance(Z, flags, monkeypatch, 
     assert calls == 0
 
 
+def test_limits_refuses_a_small_a_large_before_any_solve(monkeypatch, capsys):
+    # at (2,0,0,2) the spherical check fails at a_small = 0.5 (LimitMismatch, exit 3): the
+    # a_large refusal comes first, before K(a) is built at either distance
+    monkeypatch.setattr(spheroidal, "separation_constants", lambda s, a: pytest.fail("solved"))
+    argv = ["limits", "--n", "2", "--Q", "0", "--L", "0", "--J", "2", "--a-small", "0.5",
+            "--a-large", "100"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "ValidationError: a_large Z = 100.0 * 1 must be at least 1e4\n"
+
+
+@pytest.mark.parametrize("command", ["kspectrum", "tcoeffs"])
+def test_a_missing_focal_distance_is_named_before_the_sector_is_read(command, capsys):
+    # --a is a required flag: its absence is a flag error, reported before a bad sector
+    assert main([command, "--n", "-1", "--Q", "0", "--L", "0", "--J", "0"]) == 2
+    assert capsys.readouterr() == ("", f"ValidationError: {command} needs --a\n")
+
+
 def test_verify_trivial_sector():
     out = run_cli("verify", "--n", "0", "--Q", "0", "--L", "0", "--J", "0", "--Z", "1")
     assert out.returncode == 0

@@ -58,4 +58,17 @@ def test_the_corpus_names_a_group_after_a_one_ulp_change(monkeypatch):
     monkeypatch.setattr(spheroidal, "tridiag_eigh", nudged)
     mine = tool.call_digests(groups, ROOT / "src")
     assert mine["states"] == theirs["states"]
-    assert tool.differences(groups, mine, theirs) == {"kspectrum": (0, groups["kspectrum"][0])}
+    # every call that differs is named, each with its exit code in both trees
+    assert tool.differences(groups, mine, theirs) == {
+        "kspectrum": [(0, groups["kspectrum"][0], 0, 0), (1, groups["kspectrum"][1], 0, 0)]
+    }
+
+
+def test_differences_names_every_differing_call_with_both_exit_codes():
+    tool = _tool()
+    groups = {"same": [["states"]], "changed": [["a"], ["b"], ["c"]]}
+    theirs = {"same": [["d0", 0]], "changed": [["d1", 0], ["d2", 3], ["d3", 2]]}
+    mine = {"same": [["d0", 0]], "changed": [["d1", 0], ["e2", 2], ["e3", 2]]}
+    assert tool.differences(groups, mine, theirs) == {
+        "changed": [(1, ["b"], 3, 2), (2, ["c"], 2, 2)]
+    }

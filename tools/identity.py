@@ -9,8 +9,9 @@ one over all groups.  The sector lists come from ``perfbench/run.py``, so
 the corpus follows the benchmark's workloads.
 
 ``--against CHECKOUT`` runs the same corpus on CHECKOUT's ``src`` in a
-child process and names each group whose digest differs, with the first
-call in it that differs; the exit code is then 1 if any group differs.
+child process and names each group whose digest differs, with every call
+in it that differs and that call's exit code in CHECKOUT and in this tree;
+the exit code is then 1 if any group differs.
 Float output depends on the host's numpy and LAPACK, so digests are only
 compared between two trees on one machine, never against a stored value.
 """
@@ -114,13 +115,15 @@ def corpus() -> dict[str, list[list[str]]]:
         # with the command's own flags, so that each call gets as far as the sector check
         *([c[0], *s, *c[1:]] for c in _COMMANDS[::2] for s in _SECTOR_ERRORS),
         [], ["energy", *one],
+        # an --a-large below the parabolic check's range where the spherical check would fail
+        ["limits", *flags(2, 0, 0, 2), "--a-small", "0.5", "--a-large", "100"],
     ]
     groups["help"] = [["--help"], *([c, "--help"] for c in dict.fromkeys(c[0] for c in _COMMANDS))]
     return groups
 
 
-def _call_digest(main, argv) -> str:
-    """sha256 of one call's argv, exit code (or what it raised), stdout and stderr."""
+def _call_digest(main, argv) -> list:
+    """[sha256 of one call's argv, exit code, stdout and stderr; the exit code or what it raised]."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings():
@@ -132,11 +135,11 @@ def _call_digest(main, argv) -> str:
         except Exception as exc:  # a traceback is a result too
             code = f"raised {type(exc).__name__}: {exc}"
     text = json.dumps([argv, code, out.getvalue(), err.getvalue()])
-    return hashlib.sha256(text.encode()).hexdigest()
+    return [hashlib.sha256(text.encode()).hexdigest(), code]  # a list, as JSON gives it back
 
 
-def call_digests(groups: dict, src: Path) -> dict[str, list[str]]:
-    """Each group's per-call digests, with micz9 imported from src."""
+def call_digests(groups: dict, src: Path) -> dict[str, list[list]]:
+    """Each group's per-call [digest, exit code], with micz9 imported from src."""
     sys.path.insert(0, str(src))
     import micz9
     from micz9 import cli
@@ -151,16 +154,16 @@ def _digest(parts) -> str:
     return hashlib.sha256("".join(parts).encode()).hexdigest()
 
 
-def differences(groups: dict, mine: dict, theirs: dict) -> dict[str, tuple[int, list[str]]]:
-    """Group -> (index, argv) of its first call that differs, for each group that differs."""
+def differences(groups: dict, mine: dict, theirs: dict) -> dict[str, list[tuple]]:
+    """Group -> (index, argv, their exit code, mine) of each call that differs, if any does."""
     return {
-        name: next((i, argv) for i, (argv, a, b) in enumerate(zip(calls, mine[name], theirs[name]))
-                   if a != b)
+        name: [(i, argv, b[1], a[1])
+               for i, (argv, a, b) in enumerate(zip(calls, mine[name], theirs[name])) if a != b]
         for name, calls in groups.items() if mine[name] != theirs[name]
     }
 
 
-def run_against(groups: dict, checkout: Path) -> dict[str, list[str]]:
+def run_against(groups: dict, checkout: Path) -> dict[str, list[list]]:
     """call_digests of groups on checkout's src, in a child process."""
     child = subprocess.run(
         [sys.executable, __file__, "--child", str(checkout / "src")],
@@ -188,17 +191,18 @@ def main(argv=None) -> int:
         groups = {name: groups[name] for name in args.groups.split(",")}
     mine = call_digests(groups, ROOT / "src")
     width = max(map(len, groups))
-    for name, digests in mine.items():
-        print(f"{name:<{width}}  {len(digests):5}  {_digest(digests)}")
-    print(f"{'all':<{width}}  {sum(map(len, mine.values())):5}  "
-          f"{_digest(_digest(d) for d in mine.values())}")
+    group_digests = {name: _digest(d for d, _ in calls) for name, calls in mine.items()}
+    for name, calls in mine.items():
+        print(f"{name:<{width}}  {len(calls):5}  {group_digests[name]}")
+    print(f"{'all':<{width}}  {sum(map(len, mine.values())):5}  {_digest(group_digests.values())}")
     if args.against is None:
         return 0
     differ = differences(groups, mine, run_against(groups, args.against))
-    print(f"\nagainst {args.against}:")
-    for name, (i, argv) in differ.items():
-        print(f"{name:<{width}}  differs first at call {i + 1} of {len(groups[name])}: "
-              f"{' '.join(argv)}")
+    print(f"\nagainst {args.against} (exit code there -> here):")
+    for name, calls in differ.items():
+        print(f"{name:<{width}}  {len(calls)} of {len(groups[name])} calls differ")
+        for i, argv, theirs, ours in calls:
+            print(f"  call {i + 1}: exit {theirs} -> {ours}: {' '.join(argv)}")
     print(f"{len(differ)} of {len(groups)} groups differ")
     return 1 if differ else 0
 
