@@ -14,11 +14,15 @@ its record at any charge is its Z = 1 record but for the sector's Z.
 
 Exit codes: 0 success or -h/--help, 2 validation (quantum numbers, or a bad flag as one named
 ValidationError line), 3 numerical failure, 4 internal breach, 141 if stdout closes early.
+A sweep on a grid too coarse to follow the eigenvectors is no failure: its branches are labelled
+by ascending order and it reports its least overlap as min_branch_overlap, where an overlap of
+0.9 or less once exited 3 (3 -> 0 for, e.g., a 200-point 0.01..1000 log sweep of n = 40).
 """
 
 from __future__ import annotations
 
 import decimal
+import functools
 import json
 import math
 import os
@@ -304,14 +308,14 @@ def cmd_sweep(args, s) -> None:
     _emit("sweep", s, "float", payload, fills)
 
 
-def _limit_distance(s, W, which: str, given):
-    """(a, aZ) of a limit: the given flag's, or the default aZ at a = aZ/Z, if finite."""
+def _limit_distance(s, which: str, given, default):
+    """(a, aZ) of a limit: the given flag's, or the default aZ that default() gives, at a = aZ/Z."""
     if given is not None:
         aZ = _to_aZ(given, s)
         if which == "parabolic" and not aZ >= spheroidal.PARABOLIC_MIN_AZ:  # before any solve
             raise ValidationError(f"a_large Z = {given} * {sector._short(s.Z)} must be at least 1e4")
         return given, aZ
-    aZ = spheroidal.SPHERICAL_AZ if which == "spherical" else spheroidal.parabolic_distance(W)
+    aZ = default()
     if not (float(s.Z) and math.isfinite(aZ / float(s.Z))):
         raise ValidationError(
             f"the {which} limit distance at Z = {sector._short(s.Z)} is not finite")
@@ -319,12 +323,14 @@ def _limit_distance(s, W, which: str, given):
 
 
 def cmd_limits(args, s) -> None:
-    W = interbasis.w_matrix(s)
-    a_small, aZ_small = _limit_distance(s, W, "spherical", args.a_small)
-    a_large, aZ_large = _limit_distance(s, W, "parabolic", args.a_large)
+    W = functools.cache(interbasis.w_matrix)  # built at first use: a refused flag builds no W
+    a_small, aZ_small = _limit_distance(s, "spherical", args.a_small,
+                                        lambda: spheroidal.SPHERICAL_AZ)
+    a_large, aZ_large = _limit_distance(s, "parabolic", args.a_large,
+                                        lambda: spheroidal.parabolic_distance(W(s)))
     both = spheroidal.separation_constants(s, [aZ_small, aZ_large])
     sph = spheroidal.check_spherical_limit(both[0])
-    par = spheroidal.check_parabolic_limit(W, both[1])
+    par = spheroidal.check_parabolic_limit(W(s), both[1])
     payload = {
         "spherical": {
             "a_small": _fmt(a_small),

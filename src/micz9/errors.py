@@ -64,10 +64,6 @@ class LimitMismatch(NumericalError):
     """A coordinate-degeneration limit check exceeded its tolerance."""
 
 
-class BranchMatchAmbiguous(NumericalError):
-    """Adjacent-grid eigenvector overlap too small to track a branch."""
-
-
 class DegenerateShift(NumericalError):
     """The continuant recurrence met a zero coupling or gave a non-finite column."""
 

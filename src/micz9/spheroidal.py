@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from . import coeffs  # numpy is imported where used: the CLI loads this module for every command
 from ._backend import _tridiag_product, tridiag_eigh
 from .errors import (
-    BranchMatchAmbiguous,
     DegenerateShift,
     LimitMismatch,
     ValidationError,
@@ -273,13 +272,13 @@ def t_by_continuant(mat: SymTridiagonal, K) -> np.ndarray:
 def sweep_branches(s: Sector, a_grid) -> tuple[np.ndarray, float]:
     """K per (grid point, branch) over an ascending positive grid of a, and the least overlap.
 
-    Ascending-order labeling is continuity-consistent (simple spectra);
-    the adjacent-point eigenvector overlap per branch certifies it and
-    raises BranchMatchAmbiguous at or below 0.9 (grid too coarse), naming
-    the first failing pair of points.  K is separation_constants' K bit for
+    Branch n_k is the k-th smallest K at every point: the spectra are
+    simple, so ascending order is the branch label on any grid.  The least
+    adjacent-point eigenvector overlap |<T_p, T_p+1>| over every branch is
+    only reported; a low one says the grid is coarse near an avoided
+    crossing, not that any K is wrong.  K is separation_constants' K bit for
     bit, but the columns are solved and read here without its sign
-    convention: the only use of them is the magnitude |<T_p, T_p+1>| of each
-    overlap, which no column's sign changes.
+    convention, which no overlap's magnitude reads.
     """
     import numpy as np
     a_grid = np.asarray(a_grid, dtype=np.float64)
@@ -289,15 +288,8 @@ def sweep_branches(s: Sector, a_grid) -> tuple[np.ndarray, float]:
         raise ValidationError("a_grid must be ascending and positive")
     mat = build_k_matrix(s, a_grid)
     K, T = tridiag_eigh(mat.diag, mat.offdiag)
-    worst = np.abs(np.einsum("pij,pij->pj", T[:-1], T[1:])).min(axis=1, initial=1.0)
-    bad = np.flatnonzero(worst <= 0.9)
-    if bad.size:
-        ip = int(bad[0])
-        raise BranchMatchAmbiguous(
-            f"branch overlap {worst[ip]:.3f} <= 0.9 between aZ = {a_grid[ip]} "
-            f"and aZ = {a_grid[ip + 1]} in sector {s}"
-        )
-    return K, float(worst.min(initial=1.0))
+    overlaps = np.abs(np.einsum("pij,pij->pj", T[:-1], T[1:]))
+    return K, float(overlaps.min(initial=1.0))
 
 
 @dataclass(frozen=True)

@@ -233,14 +233,39 @@ def test_sweep_whose_grid_repeats_a_point_names_the_flags(log, capsys):
     assert "--a-min 1.0" in err and "--a-max 1.0000000000000002" in err and "a_grid" not in err
 
 
-def test_coarse_sweep_at_another_charge_names_the_distances_as_az(capsys):
-    # the kernel sees aZ, not the user's a: the message says which it prints
+def test_coarse_sweep_at_another_charge_reports_its_low_overlap(capsys):
+    # the eigenvectors of aZ = 0.0004 and aZ = 400000 nearly swap, so the overlap is low, yet
+    # ascending order labels each branch and every K is the 2 x 2 closed form's
     argv = ["sweep", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "2/5",
             "--a-min", "1e-3", "--a-max", "1e6", "--points", "2"]
-    assert main(argv) == 3
+    assert main(argv) == 0
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("BranchMatchAmbiguous: ") and err.count("\n") == 1
-    assert "between aZ = 0.0004 and aZ = 400000.0 in sector" in err, err
+    payload = json.loads(out)["payload"]
+    assert err == "" and float(payload["min_branch_overlap"]) < 0.9
+    aZ = np.array([0.0004, 400000.0])
+    for sign, branch in zip((-1, 1), payload["branches"]):
+        K = np.array([float(point["K"]) for point in branch["points"]])
+        # atol: the closed form itself cancels at the small aZ, where K ~ aZ^2/200
+        expect = -4 + sign * np.sqrt(16 + aZ**2 / 25)
+        np.testing.assert_allclose(K, expect, rtol=1e-12, atol=1e-14)
+
+
+def test_a_fine_sweep_past_an_avoided_crossing_is_written(capsys):
+    # 200 log points are coarse for (40,0,0,0), whose overlap dips below 0.9: the sweep
+    # reports that and writes its branches, which are the pointwise solve's sorted K
+    s = validate_sector(40, 0, 0, 0)
+    argv = ["sweep", "--n", "40", "--Q", "0", "--L", "0", "--J", "0", "--a-min", "0.01",
+            "--a-max", "1000", "--points", "200", "--log"]
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    payload = json.loads(out)["payload"]
+    assert err == "" and float(payload["min_branch_overlap"]) < 0.9
+    grid = np.logspace(-2, 3, 200)
+    K, min_overlap = spheroidal.sweep_branches(s, grid)
+    assert payload["min_branch_overlap"] == _fmt(min_overlap)
+    assert K.tobytes() == spheroidal.separation_constants(s, grid).K.tobytes()
+    assert [[point["K"] for point in b["points"]] for b in payload["branches"]] == \
+        _fmt_array(K.T).tolist()
 
 
 def test_unbuildable_sweep_exit_2():
@@ -833,6 +858,19 @@ def test_limits_refuses_a_small_a_large_before_any_solve(monkeypatch, capsys):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "ValidationError: a_large Z = 100.0 * 1 must be at least 1e4\n"
+
+
+@pytest.mark.parametrize("flags, err", [
+    (["--a-large", "100"], "a_large Z = 100.0 * 1 must be at least 1e4"),
+    (["--Z", "1e-300", "--a-small", "1e-10", "--a-large", "100"],  # --a-small is named first
+     "focal distance a = 1e-10 at Z = 1e-300 gives aZ = 1e-310, "
+     "not a finite normal positive float"),
+], ids=["a_large", "a_small_first"])
+def test_limits_refuses_a_given_distance_before_w_is_built(flags, err, monkeypatch, capsys):
+    # exact W at N = 61 takes about 0.1 s, which a refused flag does not wait for
+    monkeypatch.setattr(interbasis, "w_matrix", lambda s: pytest.fail("W built"))
+    assert main(["limits", "--n", "60", "--Q", "0", "--L", "0", "--J", "0", *flags]) == 2
+    assert capsys.readouterr() == ("", f"ValidationError: {err}\n")
 
 
 @pytest.mark.parametrize("command", ["kspectrum", "tcoeffs"])

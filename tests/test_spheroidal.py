@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from micz9 import _backend, cli, coeffs, spheroidal
 from micz9.errors import (
-    BranchMatchAmbiguous,
     DegenerateShift,
     LimitMismatch,
     ValidationError,
@@ -346,9 +345,12 @@ def test_k_matrix_rejects_non_finite_and_overflow():
     assert separation_constants(s, 1.0).K.tobytes() == separation_constants(S1, 1.0).K.tobytes()
 
 
-def test_sweep_coarse_grid_rejected():
-    with pytest.raises(BranchMatchAmbiguous, match="aZ = 0.001 and aZ = 1000000.0"):
-        sweep_branches(S1, np.array([1e-3, 1e6]))
+def test_sweep_coarse_grid_reports_its_overlap():
+    # a grid too coarse to follow the eigenvectors still labels each K by ascending order
+    grid = np.array([1e-3, 1e6])
+    K, min_overlap = sweep_branches(S1, grid)
+    assert min_overlap < 0.9
+    assert K.tobytes() == separation_constants(S1, grid).K.tobytes()
     with pytest.raises(ValidationError):
         sweep_branches(S1, np.array([2.0, 1.0]))
     with pytest.raises(ValidationError, match="a_grid must be a 1-d array"):

@@ -43,9 +43,12 @@ _COMMANDS = (
     ["limits"],
     ["verify"],
 )
-_EXTREME_CHARGES = ("1e-400", "1e-320", "1e-17", "1e62", "1e150", "0", "1e400", "5e-324")
+_EXTREME_CHARGES = (
+    "1e-400", "1e-320", "1e-150", "1e-17", "1e62", "1e150", "0", "1e400", "5e-324")
 _EXTREME_SECTORS = ((3, 0, 0, 0), (2, 0, 0, 2), (0, 2, 0, 0), (5, 2, 2, 2))
 _LARGE_SECTORS = ((60, 0, 0, 0), (100, 2, 1, 1), (150, 0, 0, 0))  # exact W at N = 61..151
+# 200 log points from 0.01 to 1000, coarse near the avoided crossings of these sectors
+_FINE_SWEEP = ["--a-min", "0.01", "--a-max", "1000", "--points", "200", "--log"]
 _FLAG_ERRORS = {  # flags after the sector (1,0,0,0) at Z = 1, or in place of it
     "states": [["--mode", "complex"], ["--a", "1"], ["--Z", "-2/5"], ["--n", "2"],  # a later --n wins
                ["-h"]],
@@ -99,6 +102,7 @@ def corpus() -> dict[str, list[list[str]]]:
     for name, charges in (("sweep-z1", ["1"]), ("sweep-z-other", bench.SWEEP_CHARGES)):
         groups[name] = [["sweep", *flags(*c, Z), *bench.SWEEP_FLAGS, *form]
                         for Z in charges for c in sweeps for form in ([], ["--format", "record"])]
+    groups["sweep-fine"] = [["sweep", *flags(n, 0, 0, 0), *_FINE_SWEEP] for n in (40, 60, 100)]
     groups["exact"] = [["wmatrix", "--mode", "exact", *flags(*s)]
                        for s in (*bench.EXACT_SECTORS, bench.ANCHORS["exact"][:4])]
     groups["wmatrix-large"] = [["wmatrix", "--mode", m, *flags(*s)]
