@@ -11,7 +11,15 @@ act on W as a Leonard pair, so C has two three-term recurrences: M9's in
 lambda, and the dual one in n_p through G = W^T Lambda W, the closed-form
 tridiagonal coeffs.np_recurrence.  C is built by the n_p one alone, a row
 in O(N) integer steps by _factor_row: w_matrix runs every row, and
-w_coefficient the one row of its entry.  The build and its proof run on
+w_coefficient the one row of its entry.  At L = J the two spins of W's
+Clebsch-Gordan form below are equal, and their exchange symmetry
+(Varshalovich, Moskalev & Khersonskii 1988, 8.4.3) gives
+W[lambda, n_top - n_p] = (-1)^k W[lambda, n_p], k lambda's ladder
+position, with B(n_top - n_p) = B(n_p): the build computes the columns
+n_p >= floor(N/2) and mirrors the rest (_mirrored_columns).  The proof
+below still reads all N^2 entries of the factors, so a mirror wrong in
+some rows raises; a column of the wrong sign throughout keeps W
+orthogonal, and w_via_cg names it.  The build and its proof run on
 integers and integer (num, den) pairs with exact divisions: a Fraction is
 built only for W's row_radicands and col_radicands fields, one per row and
 one per column.  Every exact matrix here is held in W's printed form, rows
@@ -79,6 +87,17 @@ def _column_radicand(s: Sector, n_p: int) -> Fraction:
     return Fraction(f(n_p + s.J + 3) * f(n_v + s.L + 3), f(n_v) * f(n_p))
 
 
+def _mirrored_columns(s: Sector) -> int:
+    """How many columns of W, n_p = 0 .. lo-1, the build mirrors: floor(N/2) at L = J, else 0.
+
+    At L = J the exchange symmetry C^{c gamma}_{a alpha; b beta} =
+    (-1)^(a+b-c) C^{c gamma}_{b beta; a alpha} of W's Clebsch-Gordan form
+    (Varshalovich, Moskalev & Khersonskii 1988, 8.4.3) gives
+    C[k, n_top - n_p] = (-1)^k C[k, n_p] and B(n_top - n_p) = B(n_p).
+    """
+    return s.size // 2 if s.L == s.J else 0
+
+
 def _factor_row(s: Sector, k: int, den: int, recurrence) -> tuple[Fraction, list[int]]:
     """A'_k and row k of the integer core C, n_p ascending, in O(N) steps.
 
@@ -86,21 +105,30 @@ def _factor_row(s: Sector, k: int, den: int, recurrence) -> tuple[Fraction, list
     (-1)^k.  Row k of Horner numerators of 3F2(-k, n_p-n_top, L+J+k+7;
     L+4, -n_top; 1) over den is run by recurrence, coeffs.np_recurrence(s),
     down from n_p = n_top, where the 3F2 is 1 and the numerator is den;
-    upper[n_top] is 0, and each step divides exactly by lower[p] > 0.  The
-    row is then divided by its content g, the gcd of the row, and A' = A g^2
-    takes it: at N = 201 that leaves core entries of about 200 bits out of
-    3,900.  g has only small primes because it divides den.
+    upper[n_top] is 0, and each step divides exactly by lower[p] > 0.  At
+    L = J it stops at n_p = floor(N/2) and fills the columns below by the
+    Clebsch-Gordan exchange symmetry C[k, n_p] = (-1)^k C[k, n_top - n_p]
+    (_mirrored_columns); _prove_orthogonal still reads every entry.  The
+    row is then divided by its content g, the gcd of the row (of the
+    computed half, which is the same), and A' = A g^2 takes it: at N = 201
+    that leaves core entries of about 200 bits out of 3,900.  g has only
+    small primes because it divides den.
     """
     lower, diag, upper = recurrence
     shift = k * (s.L + s.J + k + 7)
+    lo = _mirrored_columns(s)
     x, after = den, 0  # the numerators at n_p and n_p + 1
     row = [x]  # n_p descending
-    for p in range(s.size - 1, 0, -1):
+    for p in range(s.size - 1, lo, -1):
         x, after = ((diag[p] - shift) * x - upper[p] * after) // lower[p], x
         row.append(x)
     g = math.gcd(*row)
     a_num, a_den = _row(s, k)
-    return Fraction(a_num * g * g, a_den), [v // g for v in reversed(row)]
+    core = [v // g for v in reversed(row)]  # n_p = lo .. n_top
+    if lo:
+        mirror = core[: -lo - 1 : -1]  # at n_p = 0 .. lo-1, the entries at n_top - n_p
+        core = ([-v for v in mirror] if k % 2 else mirror) + core
+    return Fraction(a_num * g * g, a_den), core
 
 
 def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
@@ -109,9 +137,9 @@ def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]
     _factor_row runs each row, on its denominator kept as a running
     product, so one row of unreduced numerators is alive at a time.  Each
     A' and B is one Fraction, the field WMatrix keeps; the proof reads
-    their numerators.  The build never reads M9 or mu, so
-    _prove_orthogonal's lambda recurrence checks it on an identity it was
-    not built from.
+    their numerators; B is mirrored like C.  The build never reads M9 or
+    mu, so _prove_orthogonal's lambda recurrence checks it on an identity
+    it was not built from.
     """
     L, n_top, recurrence = s.L, s.size - 1, coeffs.np_recurrence(s)
     row_rad, core, den = [], [], 1
@@ -120,7 +148,9 @@ def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]
         row_rad.append(a)
         core.append(row)
         den *= (L + 4 + k) * (k - n_top) * (k + 1)
-    return row_rad, core, [_column_radicand(s, n_p) for n_p in range(s.size)]
+    lo = _mirrored_columns(s)
+    col_rad = [_column_radicand(s, n_p) for n_p in range(lo, s.size)]
+    return row_rad, core, col_rad[: -lo - 1 : -1] + col_rad if lo else col_rad
 
 
 def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
@@ -276,12 +306,25 @@ def w_matrix(s: Sector) -> WMatrix:
 
     Each root is reduced once, sqrt(A'_i) = (s_i/q_i) sqrt(f_i) by
     rational_root, and likewise sqrt(B_p); _printed_entries then reduces
-    every entry sqrt(A'_i) C[i, p] sqrt(B_p) in one call.
+    every entry sqrt(A'_i) C[i, p] sqrt(B_p) in one call.  At L = J only
+    the columns n_p >= floor(N/2) are reduced and printed, and row i is
+    mirrored by the Clebsch-Gordan exchange symmetry W[i, n_top - n_p] =
+    (-1)^i W[i, n_p] (_mirrored_columns); the proof has read all N^2
+    entries of the factors.
     """
     row_rad, core, col_rad = _factors(s)
     rows = _prove_orthogonal(s, row_rad, core, col_rad)
-    roots = tuple(rational_root(x.numerator, x.denominator) for x in row_rad + col_rad)
-    printed = _printed_entries(roots[: s.size], roots[s.size :], core, [1] * s.size)
+    n, lo = s.size, _mirrored_columns(s)
+    roots = tuple(rational_root(x.numerator, x.denominator) for x in row_rad + col_rad[lo:])
+    ints = [row[lo:] for row in core] if lo else core
+    printed = _printed_entries(roots[:n], roots[n:], ints, [1] * n)
+    if lo:  # a mirror is the last lo entries of a row over columns lo .. n_top, reversed
+        roots = roots[:n] + roots[: -lo - 1 : -1] + roots[n:]
+        full = []  # tuple() of generators here held ~1 MB more peak RSS over 2,000 builds
+        for i, row in enumerate(printed):
+            mirror = row[: -lo - 1 : -1]
+            full.append((tuple([(-x, d, f) for x, d, f in mirror]) if i % 2 else mirror) + row)
+        printed = tuple(full)
     W = WMatrix(s, printed, tuple(row_rad), tuple(map(tuple, core)), tuple(col_rad))
     W.__dict__.update(_roots=roots, _recurrence=rows)  # the cached views, already built
     return W

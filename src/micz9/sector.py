@@ -84,6 +84,10 @@ def _rational(name: str, x) -> Fraction:
     return q
 
 
+# the largest block accepted: wavefield.MAX_RULE_NODES, the largest Gauss rule, is 1024 nodes
+MAX_BLOCK = 1024
+
+
 @dataclass(frozen=True)
 class Sector:
     """Validated (n, Q, L, J; Z) block from validate_sector; Z takes no part in its equality."""
@@ -107,7 +111,8 @@ def validate_sector(n: int, Q: int, L: int, J: int, Z=1) -> Sector:
     """Validate quantum numbers and return the sector.
 
     Raises NegativeQuantumNumber, ParityMismatch (Q and L+J differ in parity),
-    EmptySector (N < 1), NonpositiveCharge or ValidationError (Z not rational).
+    EmptySector (N < 1), NonpositiveCharge or ValidationError (Z not rational,
+    or N above MAX_BLOCK).
     """
     for name, v in (("n", n), ("Q", Q), ("L", L), ("J", J)):
         if not isinstance(v, int):
@@ -122,6 +127,9 @@ def validate_sector(n: int, Q: int, L: int, J: int, Z=1) -> Sector:
     s = Sector(n, Q, L, J, Z)
     if s.size < 1:
         raise EmptySector(f"sector {s} has dimension {s.size}")
+    if s.size > MAX_BLOCK:  # _short: N may have more digits than str() of an int allows
+        raise ValidationError(
+            f"sector dimension N = {_short(Fraction(s.size))} is above MAX_BLOCK = {MAX_BLOCK}")
     return s
 
 

@@ -340,8 +340,9 @@ def test_verify_does_each_sectors_shared_work_once(monkeypatch, capsys):
     # and the parabolic check share; no float W^T Lambda W
     assert calls["np_recurrence"] == 2
     assert calls["_first_order"] == 1
-    # 9 row and 9 column roots in w_matrix and M9's 8 couplings; the brute force reads W's roots
-    assert calls["squarefree_split"] == 26
+    # 9 row roots and 5 column roots in w_matrix, the other 4 columns mirrors at L = J, and M9's
+    # 8 couplings; the brute force reads W's roots
+    assert calls["squarefree_split"] == 22
 
 
 def test_verify_evaluates_m9_once(monkeypatch, capsys):
@@ -1051,6 +1052,11 @@ GOLDEN = [
      "4b48bad69ebeeca25fa01ba953b4280adda60a9b597b6b92dfebfbad47a9108e"),
     (("wmatrix", "30", "3", "1", "4"),
      "d16f112b576b573f32219a9f9d226fc1510ad69e5571948389093f63821b8636"),
+    # pinned before W was built from half its columns at L = J: L != J, and L = J at even N
+    (("wmatrix", "13", "3", "1", "0"),
+     "450f6be95386698b6f7612e12510ff6a18aff1d04feb5abacad135ef52e352d1"),
+    (("wmatrix", "61", "0", "0", "0"),
+     "2feb0dbced4e2ba9d5889e41ea0647269ba0c456c5f5c6d2c48164ef98f9baf2"),
 ]
 
 

@@ -208,18 +208,48 @@ def test_integer_build_and_proof_equal_their_fraction_reference():
 @pytest.mark.parametrize("nQLJ", [(4, 2, 1, 1), (20, 3, 1, 4), (60, 0, 0, 0)])
 def test_the_proof_rejects_a_build_on_a_perturbed_np_recurrence(monkeypatch, nQLJ, part):
     # W is built by the n_p recurrence and proved by M9's lambda recurrence, which
-    # reads nothing the build reads: one coefficient off by one must not pass
+    # reads nothing the build reads: one coefficient off by one must not pass.  At L = J the
+    # build stops at the mirror point n_p = N // 2, so the perturbed index is one it reads
     s = validate_sector(*nQLJ)
     exact = coeffs.np_recurrence
 
     def perturbed(sector):
         coefficients = [list(c) for c in exact(sector)]  # a copy: the cached tuples stay exact
-        coefficients[part][sector.size // 2] += 1
+        coefficients[part][sector.size - 2] += 1
         return coefficients
 
     monkeypatch.setattr(coeffs, "np_recurrence", perturbed)
     with pytest.raises(OrthogonalityViolation):
         w_matrix(s)
+
+
+@pytest.mark.parametrize("nQLJ", [(4, 2, 1, 1), (8, 0, 0, 0), (61, 0, 0, 0)])
+def test_the_proof_rejects_a_mirror_without_its_row_phase(nQLJ):
+    # at L = J the columns n_p < N // 2 are mirrors, C[k, n_p] = (-1)^k C[k, n_top - n_p]:
+    # dropping the phase (-1)^k negates those columns in the odd rows only, and M9 W = W diag(mu)
+    # fails, so a wrong mirror cannot pass the proof
+    s = validate_sector(*nQLJ)
+    A, C, B = _factors(s)
+    _prove_orthogonal(s, A, C, B)
+    for k in range(1, s.size, 2):
+        C[k][: s.size // 2] = [-v for v in C[k][: s.size // 2]]
+    with pytest.raises(OrthogonalityViolation, match=r"^residual "):
+        _prove_orthogonal(s, A, C, B)
+
+
+def test_the_cg_oracle_rejects_a_mirror_with_the_opposite_phase():
+    # the phase (-1)^(k+1) negates whole columns, a sign choice that M9 W = W diag(mu) and the
+    # norms cannot see; the CG form fixes every column's sign and names each mirrored entry
+    s = validate_sector(8, 0, 0, 0)
+    A, C, B = _factors(s)
+    lo = s.size // 2
+    for row in C:
+        row[:lo] = [-v for v in row[:lo]]
+    _prove_orthogonal(s, A, C, B)
+    W = w_matrix(s)
+    flipped = tuple(tuple((-x, d, f) for x, d, f in row[:lo]) + row[lo:] for row in W.printed)
+    assert w_via_cg(replace(W, printed=flipped)) == [
+        (i, p) for i, row in enumerate(W.printed) for p in range(lo) if row[p][0]]
 
 
 @pytest.mark.parametrize("row, first_bad", [(0, "0,1"), (3, "2,1")], ids=["first", "last"])

@@ -19,6 +19,7 @@ from micz9.errors import (
     ValidationError,
 )
 from micz9.sector import (
+    MAX_BLOCK,
     alpha_scale,
     energy,
     enumerate_sectors,
@@ -56,6 +57,20 @@ def test_validate_errors():
             validate_sector(1, 0, 0, 0, Z)
     with pytest.raises(ValidationError, match="Z = nan"):
         list(enumerate_sectors(Z=float("nan")))
+
+
+def test_a_block_above_max_block_is_refused(capsys):
+    assert validate_sector(MAX_BLOCK - 1, 0, 0, 0).size == MAX_BLOCK == 1024
+    with pytest.raises(ValidationError, match=r"^sector dimension N = 1025 is above MAX_BLOCK = 1024$"):
+        validate_sector(MAX_BLOCK, 0, 0, 0)
+    # N has more digits than str() of an int allows
+    with pytest.raises(ValidationError, match=r"N = 1\.00000e\+5000 "):
+        validate_sector(10**5000, 0, 0, 0)
+    argv = ["states", "--n", "99999999999999999999", "--Q", "0", "--L", "0", "--J", "0"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ValidationError: sector dimension N = 1.00000e+20 is above MAX_BLOCK = 1024\n"
 
 
 def test_lambda_range_examples():
