@@ -48,11 +48,129 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _fmt_array(x):
-    """_fmt of each entry of a float array, in one %-pass: "%.17g" % v is format(v, ".17g")."""
+@functools.cache
+def _fmt_tables():
+    """The constant tables of _fmt_fields, built at its first call."""
     import numpy as np
-    text = "%.17g\n" * x.size % tuple(x.ravel().tolist())
-    return np.array(text.splitlines(), dtype=object).reshape(x.shape)
+    v = np.arange(10000)
+    groups = np.zeros((10000, 8), np.uint8)  # v's 4 digits, each followed by an empty slot
+    groups[:, 0::2] = 48 + v[:, None] // [1000, 100, 10, 1] % 10
+    zeros = (v % 10 == 0) * 1 + (v % 100 == 0) + (v % 1000 == 0) + (v == 0)  # v's trailing 0s
+    head = np.zeros((20, 10, 8), np.uint8)  # word 0 by X = -4 .. 15 and d0 = 0 .. 9
+    head[:, :, 6] = 48 + np.arange(10)
+    for X in range(-4, 0):
+        head[X + 4, :, 1 : 2 - X] = np.frombuffer(b"0.000"[: 1 - X], np.uint8)
+    point = np.array([2] * 4 + [7 + 2 * X for X in range(16)])  # the point's byte by X + 4
+    masks = np.array([[(1 << 8 * min(max(k + 1 - 8 * w, 0), 8)) - 1 for k in range(39)]
+                      for w in range(5)], np.uint64)  # [w, k]: word w's bytes up to byte k
+    pow10 = 10.0 ** np.arange(23)  # exact
+    return pow10, groups.view("<u8").ravel(), zeros, head.view("<u8").ravel(), point, masks
+
+
+def _fmt_product(a, e):
+    """(p, err) with p + err = a 10^e exactly, 0 <= e <= 22: Dekker's product."""
+    c = _fmt_tables()[0].take(e)
+    (a_hi, a_lo), (c_hi, c_lo) = _split(a), _split(c)
+    p = a * c
+    return p, ((a_hi * c_hi - p) + a_hi * c_lo + a_lo * c_hi) + a_lo * c_lo
+
+
+def _split(a):
+    """Veltkamp's split of a into two halves of 26 bits, a = hi + lo."""
+    t = a * 134217729.0  # 2^27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _at_least(p, err, bound: float):
+    """p + err >= bound exactly, for p the rounded sum and a float bound."""
+    return (p > bound) | (p == bound) & (err >= 0)
+
+
+def _fmt_fields(x):
+    """An (n, 40) uint8 block whose row i, NULs dropped, is "%.17g" % x.flat[i]: _fmt's text.
+
+    1e-4 <= |v| < 1e16 is the range %.17g writes in fixed notation, and
+    there the text is built exactly.  X = floor(log10 |v|) is checked, and
+    corrected if one off, by the exact product p + err = |v| 10^(16 - X),
+    which must lie in [1e16, 1e17).  D = p + rint(err) is then the
+    correctly rounded 17-digit integer, ties to even as p is even, and its
+    digits come from a table of 4-digit groups.  The row is 5 little-endian
+    words: the sign, "0.000" for X < 0 (cut to "0." and -X-1 zeros), then
+    d0 .. d16, each with a slot after it, NUL but for the point after d_X.
+    Where d16 is 0, the fraction's trailing zeros, and the point if nothing
+    follows it, are masked to NUL.  Every other value (0, -0, subnormals,
+    inf, nan and |v| outside the range) is written by "%.17g" % v itself.
+    """
+    import numpy as np
+    _, groups, zeros, head, point, masks = _fmt_tables()
+    x = np.asarray(x, dtype=np.float64).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)  # false at nan; the float 1e-4 is above 10^-4
+    a[~fast] = 2.0  # a value whose D is no power of ten
+    X = np.floor(np.log10(a)).astype(np.int64)
+    p, err = _fmt_product(a, 16 - X)
+    D = p.astype(np.int64) + np.rint(err).astype(np.int64)
+    odd = np.flatnonzero((D <= 10**16) | (D >= 10**17))
+    if odd.size:  # X one off, or |v| at a power of ten
+        p, err = p[odd], err[odd]
+        X[odd] += _at_least(p, err, 1e17) * 1 - ~_at_least(p, err, 1e16)  # +1, 0 or -1
+        p, err = _fmt_product(a[odd], 16 - X[odd])
+        D[odd] = p.astype(np.int64) + np.rint(err).astype(np.int64)
+        # in range now, and short of 10^17: no float here rounds up to 10^(X + 1) at 17 digits
+        fast[odd] &= _at_least(p, err, 1e16) & ~_at_least(p, err, 1e17) & (D[odd] < 10**17)
+    slow = np.flatnonzero(~fast)
+    X[slow], D[slow] = 0, 10**16
+    lead, rest = np.divmod(D, 10**16)
+    hi, lo = np.divmod(rest, 10**8)
+    g = np.divmod(hi, 10**4) + np.divmod(lo, 10**4)  # d1 .. d16 in four groups
+    out = np.empty((x.size, 5), np.uint64)
+    head.take(lead + 10 * (X + 4), out=out[:, 0], mode="clip")
+    for w in range(4):
+        groups.take(g[w], out=out[:, w + 1], mode="clip")
+    block = out.view(np.uint8)
+    block[:, 0] = np.signbit(x) * 45
+    block.ravel()[point.take(X + 4) + np.arange(0, block.size, 40)] = 46
+    trim = np.flatnonzero(g[3] % 10 == 0)
+    if trim.size:  # d16 = 0: keep d0 .. d_max(L, X), L the last nonzero digit
+        L = np.zeros(trim.size, np.int64)
+        for w in range(4):
+            gw = g[w][trim]
+            L = np.where(gw != 0, 4 + 4 * w - zeros.take(gw), L)
+        out[trim] &= masks.take(6 + 2 * np.maximum(L, X[trim]), axis=1).T  # NUL after d_max
+    if slow.size:
+        text = [b"%.17g" % v for v in x[slow].tolist()]
+        block[slow] = np.array(text, dtype="S40").view(np.uint8).reshape(-1, 40)
+    return block
+
+
+def _joined(columns) -> str:
+    """Rows of text, the columns side by side with their NULs dropped, in one bytes.translate.
+
+    A str column is the same in every row.  An array column holds bytes
+    on its last axis, and its other axes broadcast to the rows' shape.
+    """
+    import numpy as np
+    columns = [np.frombuffer(c.encode(), np.uint8) if isinstance(c, str) else c for c in columns]
+    shape = np.broadcast_shapes(*(c.shape[:-1] for c in columns))
+    width = sum(c.shape[-1] for c in columns)
+    text = bytearray(math.prod(shape) * width)
+    rows, at = np.frombuffer(text, np.uint8).reshape(*shape, width), 0
+    for c in columns:
+        rows[..., at : at + c.shape[-1]] = c
+        at += c.shape[-1]
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _fmt_array(x):
+    """_fmt of each entry of a float array, an object array of str.
+
+    These are the lines of _fmt_fields, which builds the text of
+    1e-4 <= |v| < 1e16 itself and leaves any other value to "%.17g" % v.
+    """
+    import numpy as np
+    lines = _joined([_fmt_fields(x), "\n"]).splitlines()
+    return np.array(lines, dtype=object).reshape(np.shape(x))
 
 
 def _fmt_root(square: Fraction) -> str:
@@ -243,32 +361,38 @@ def _write_sweep_csv(grid, K, K_over_a) -> None:
     """The sweep's CSV on stdout, formatted and written a chunk of grid points at a time.
 
     A chunk holds at most _CSV_CHUNK_ROWS rows (one, if a single point has
-    more), so the text and its cells stay bounded however long the grid.
-    Each point's N rows are one template with each n_k written in, filled
-    in one %-pass from three interleaved lists: the point's a text, repeated
-    once per branch, K and K/a.
+    more), so the text stays bounded however long the grid.  One
+    _fmt_fields call writes the chunk's a values, then its K and K/a
+    interleaved (1e-4 <= |v| < 1e16 by its own exact digits, any other v
+    by "%.17g" % v), and _joined lays each row out of the a field, ",n_k,",
+    the K field, ",", the K/a field and a newline: 128 bytes before the
+    NULs go.
     """
+    import numpy as np
     n = K.shape[1]
     step = max(1, _CSV_CHUNK_ROWS // n)
-    point = "".join(f"%s,{k},%.17g,%.17g\n" for k in range(n))
+    # n_k < 2896 as points x N^2 <= SWEEP_MAX_ENTRIES with 2 points, so ",n_k," fits 6 bytes
+    labels = np.array([f",{k}," for k in range(n)], dtype="S6").view(np.uint8).reshape(n, 6)
     sys.stdout.write("a,n_k,K,K_over_a\n")
     for lo in range(0, len(grid), step):
-        a_s = _fmt_array(grid[lo : lo + step]).tolist()
-        cells = [None] * (3 * n * len(a_s))
-        cells[0::3] = [a for a in a_s for _ in range(n)]
-        cells[1::3] = K[lo : lo + step].ravel().tolist()
-        cells[2::3] = K_over_a[lo : lo + step].ravel().tolist()
-        sys.stdout.write(point * len(a_s) % tuple(cells))
+        a = grid[lo : lo + step]
+        pairs = np.stack([K[lo : lo + step], K_over_a[lo : lo + step]], axis=-1)
+        fields = _fmt_fields(np.concatenate([a, pairs.ravel()]))
+        K_s, ratio_s = np.moveaxis(fields[a.size :].reshape(a.size, n, 2, 40), 2, 0)
+        sys.stdout.write(_joined([fields[: a.size, None], labels, K_s, ",", ratio_s, "\n"]))
 
 
 def _sweep_points(pads, *columns):
-    """One branch's points as _render writes them at pads[0], with _fmt's "%.17g", in chunks."""
-    point, sep = _render(dict.fromkeys(("a", "K", "K_over_a"), "%.17g"), pads[0]), ",\n" + pads[0]
+    """One branch's points as _render writes them at pads[0], with _fmt's text, in chunks."""
+    import numpy as np
+    sep = ",\n" + pads[0]
+    # the text around a point's three values, sep before it but for the first point
+    pieces = (sep + _render(dict.fromkeys(("a", "K", "K_over_a"), "%s"), pads[0])).split("%s")
     for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-        chunk = [x[lo : lo + _CSV_CHUNK_ROWS].tolist() for x in columns]
-        cells = [None] * (3 * len(chunk[0]))
-        cells[0::3], cells[1::3], cells[2::3] = chunk
-        yield (sep if lo else "") + sep.join([point] * len(chunk[0])) % tuple(cells)
+        fields = _fmt_fields(np.stack([x[lo : lo + _CSV_CHUNK_ROWS] for x in columns], axis=1))
+        a, K, ratio = fields.reshape(-1, 3, 40).swapaxes(0, 1)
+        text = _joined([pieces[0], a, pieces[1], K, pieces[2], ratio, pieces[3]])
+        yield text if lo else text[len(sep) :]
 
 
 def cmd_sweep(args, s) -> None:

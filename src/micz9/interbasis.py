@@ -258,8 +258,11 @@ def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> tuple:
     M9 is symmetric and its eigenvalues mu_p are distinct, so the zero
     residual M9 W = W diag(mu) makes (mu_q - mu_p) (W^T W)_pq = 0: W^T W is
     diagonal.  Its diagonal is B_p sum_k A'_k C[k, p]^2, so the column
-    norms sum_k A'_k C[k, p]^2 = 1/B_p make it I.  The failed identity and
-    its position go into the OrthogonalityViolation.  Returns the residual rows.
+    norms sum_k A'_k C[k, p]^2 = 1/B_p make it I.  Both hold for W D, D any
+    diagonal of signs, so each column's phase is checked apart: row 0 of C
+    is all ones, as the 3F2 at k = 0 is 1 and its denominator is 1.  The
+    failed identity and its position go into the OrthogonalityViolation.
+    Returns the residual rows.
     """
     try:
         rows = tuple(_recurrence_rows(s, row_rad, core))
@@ -274,6 +277,9 @@ def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> tuple:
     for p, (col, b) in enumerate(zip(zip(*core), col_rad)):
         if sum(map(mul, a, map(mul, col, col))) * b.numerator != den * b.denominator:
             raise OrthogonalityViolation(f"norm (W^T W)[{p},{p}] != 1 for {s}")
+    for p, x in enumerate(core[0]):
+        if x != 1:
+            raise OrthogonalityViolation(f"phase C[0,{p}] != 1 for {s}")
     return rows
 
 

@@ -555,19 +555,26 @@ def test_sweep_record_mode():
 
 @pytest.mark.parametrize(
     "sector",
-    # N = 1, 2, 15 and 21, whose 4,200 CSV rows span two of cli._CSV_CHUNK_ROWS
-    [(0, 0, 0, 0, "1"), (2, 0, 0, 2, "7/3"), (14, 0, 0, 0, "1"), (22, 0, 0, 4, "1")],
+    # N = 1, 2, 15 and 21, whose 4,200 CSV rows span two of cli._CSV_CHUNK_ROWS; then N = 3
+    # from a = 1e-16, where K = 7.7e-35 and K/a = -8e16 lie past both ends of the range that
+    # cli._fmt_fields writes itself, 1e-4 <= |v| < 1e16
+    [(0, 0, 0, 0, "1"), (2, 0, 0, 2, "7/3"), (14, 0, 0, 0, "1"), (22, 0, 0, 4, "1"),
+     (2, 0, 0, 0, "1", -16, 3)],
 )
 def test_sweep_text_matches_per_value_rendering(sector, capsys):
-    n, Q, L, J, Z = sector
+    n, Q, L, J, Z, *decades = sector
+    lo, hi = decades or (-3, 6)
     flags = [*verify_argv(n, Q, L, J, Z)[1:], "--mode", "float", "--log", "--points", "200",
-             "--a-min", "1e-3", "--a-max", "1e6"]
-    grid = np.logspace(-3, 6, 200)  # a; the kernels take aZ
+             "--a-min", f"1e{lo}", "--a-max", f"1e{hi}"]
+    grid = np.logspace(lo, hi, 200)  # a; the kernels take aZ
     K = spheroidal.sweep_branches(validate_sector(n, Q, L, J), grid * float(Fraction(Z)))[0]
     cell = {  # (point, branch) -> the three printed values, one format call each
         (i, k): [format(float(x), ".17g") for x in (a, K[i, k], K[i, k] / a)]
         for i, a in enumerate(grid) for k in range(K.shape[1])
     }
+    if decades:
+        values = np.abs([float(v) for cells in cell.values() for v in cells])
+        assert values.min() < 1e-4 and values.max() >= 1e16
     assert main(["sweep", *flags, "--format", "csv"]) == 0
     rows = "".join(f"{a},{k},{K},{r}\n" for (i, k), (a, K, r) in cell.items())
     assert capsys.readouterr().out == "a,n_k,K,K_over_a\n" + rows
@@ -714,10 +721,42 @@ def test_sweep_record_memory_stays_bounded_on_a_long_grid(tmp_path):
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
               elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
 @example(np.array([5e-324, -5e-324, 2.2250738585072009e-308, 0.0, -0.0, np.inf, -np.inf, np.nan]))
+# the ends of _fmt_fields' fixed-notation range, and the floats next to powers of ten
+@example(np.array([1e-4, np.nextafter(1e-4, 0), 9.9999999999999995e-5, 9.99999999999999912e-5,
+                   -1e-4, 1e16, np.nextafter(1e16, 0), 9999999999999998.0, -1e16, 1e17]))
+@example(np.array([[0.1, 0.99999999999999994, 1.0, 9.9999999999999982, 10.0],
+                   [99.999999999999986, 1e15, np.nextafter(1e15, 0), 999999999999999.88, 1.5]]))
 def test_fmt_array_matches_fmt_elementwise(x):
     text = _fmt_array(x)
     assert text.shape == x.shape
     assert text.ravel().tolist() == [_fmt(v) for v in x.ravel()]
+
+
+def _neighbours(x, steps):
+    """x and its nearest `steps` floats on either side."""
+    out, down, up = [x], x, x
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [down, up]
+    return np.concatenate(out)
+
+
+def test_fmt_array_matches_percent_on_a_million_values():
+    # seeded: random mantissas in every decade from 1e-6 to 1e18, both signs, with their
+    # neighbours; every power of ten from 1e-5 to 1e17 with 200 floats on either side;
+    # 17-digit ties; and the values _fmt_fields leaves to "%.17g" itself
+    rng = np.random.default_rng(44)
+    decades = (1 + 9 * rng.random((24, 7000))) * 10.0 ** np.arange(-6, 18)[:, None]
+    powers = 10.0 ** np.arange(-5, 18)
+    x = np.concatenate([
+        _neighbours(np.concatenate([decades.ravel(), -decades.ravel()]), 1),
+        _neighbours(np.concatenate([powers, -powers]), 200),
+        *(int(1.2345678901234567 * 10**X) + (2 * np.arange(-5000, 5000) + 1) / 2 ** (17 - X)
+          for X in (13, 14, 15)),  # ties at the 17th digit, 1234567890123456 + (2i+1)/4 and such
+        [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, np.inf, -np.inf, np.nan],
+    ])
+    assert x.size > 10**6
+    assert _fmt_array(x).tolist() == ("%.17g\n" * x.size % tuple(x.tolist())).splitlines()
 
 
 # quotes, backslashes, control and non-ASCII characters, and any other code point

@@ -239,17 +239,33 @@ def test_the_proof_rejects_a_mirror_without_its_row_phase(nQLJ):
 
 def test_the_cg_oracle_rejects_a_mirror_with_the_opposite_phase():
     # the phase (-1)^(k+1) negates whole columns, a sign choice that M9 W = W diag(mu) and the
-    # norms cannot see; the CG form fixes every column's sign and names each mirrored entry
+    # norms cannot see; the proof's row-0 phase check names the first, and the CG form fixes
+    # every column's sign and names each mirrored entry
     s = validate_sector(8, 0, 0, 0)
     A, C, B = _factors(s)
     lo = s.size // 2
     for row in C:
         row[:lo] = [-v for v in row[:lo]]
-    _prove_orthogonal(s, A, C, B)
+    with pytest.raises(OrthogonalityViolation, match=r"^phase C\[0,0\] "):
+        _prove_orthogonal(s, A, C, B)
     W = w_matrix(s)
     flipped = tuple(tuple((-x, d, f) for x, d, f in row[:lo]) + row[lo:] for row in W.printed)
     assert w_via_cg(replace(W, printed=flipped)) == [
         (i, p) for i, row in enumerate(W.printed) for p in range(lo) if row[p][0]]
+
+
+@pytest.mark.parametrize("nQLJ", [(3, 1, 1, 0), (20, 3, 1, 4)])
+def test_the_proof_rejects_one_flipped_column_where_l_differs_from_j(nQLJ):
+    # W D passes the residual and the norms for every diagonal D of signs; at L != J no column
+    # is a mirror, and row 0 of C, all ones, fixes each column's sign
+    s = validate_sector(*nQLJ)
+    for p in (0, s.size // 2, s.size - 1):
+        A, C, B = _factors(s)
+        assert C[0] == [1] * s.size
+        for row in C:
+            row[p] = -row[p]
+        with pytest.raises(OrthogonalityViolation, match=rf"^phase C\[0,{p}\] "):
+            _prove_orthogonal(s, A, C, B)
 
 
 @pytest.mark.parametrize("row, first_bad", [(0, "0,1"), (3, "2,1")], ids=["first", "last"])
