@@ -345,15 +345,13 @@ def cmd_kspectrum(args, s) -> None:
 
 def cmd_tcoeffs(args, s) -> None:
     spectrum = spheroidal.separation_constants(s, _to_aZ(args.a, s))
-    branches = []
-    for n_k, col in enumerate(spheroidal.t_by_continuant(spectrum.matrix, spectrum.K).T):
-        branches.append({
-            "n_k": n_k,
-            "K": _fmt(spectrum.K[n_k]),
-            "T_continuant": _fmt_array(col).tolist(),
-            # difference from the eigh column; the key is part of the output schema
-            "max_diff_vs_inverse_iteration": _fmt(abs(col - spectrum.T[:, n_k]).max()),
-        })
+    T = spheroidal.t_by_continuant(spectrum.matrix, spectrum.K)
+    # each field of every branch in one _fmt_array call: the K column, the T columns, and
+    # each column's difference from the eigh column (the key is part of the output schema)
+    fields = zip(_fmt_array(spectrum.K).tolist(), _fmt_array(T.T).tolist(),
+                 _fmt_array(abs(T - spectrum.T).max(axis=0)).tolist())
+    branches = [{"n_k": n_k, "K": K, "T_continuant": col, "max_diff_vs_inverse_iteration": diff}
+                for n_k, (K, col, diff) in enumerate(fields)]
     _emit("tcoeffs", s, "float", {"a": _fmt(args.a), "branches": branches})
 
 

@@ -107,7 +107,7 @@ def k_diag(s: Sector, lam, aZ) -> Fraction:
 
 def k_offdiag(s: Sector, lam, aZ) -> RadicalScalar:
     """Magnitude a (alpha/2) B_lambda; the matrix itself carries the negative."""
-    return RadicalScalar.sqrt(_k_entries(s, lam, aZ)[1])
+    return RadicalScalar(1, _k_entries(s, lam, aZ)[1])
 
 
 def m9_spherical_matrix(s: Sector) -> tuple[tuple[tuple[int, int, int], ...], ...]:

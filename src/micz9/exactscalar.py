@@ -20,6 +20,11 @@ and the last product is already squarefree.  rational_root is the one root
 kernel, sqrt(p/r) = (s/q) sqrt(f) in integers, for RadicalScalar and W alike;
 sqrt_ratio is the one float root of an exact ratio, for W, K(a) and the norms,
 and it underflows only where the root itself does.
+
+RadicalScalar has only what its callers read: the constructor (a rational x
+is RadicalScalar(x), sqrt(x) is RadicalScalar(1, x)), products, sums on one
+radicand, equality, square and is_zero.  Its float is root_to_float of its
+integers, coeff.numerator, coeff.denominator and radicand.
 """
 
 from __future__ import annotations
@@ -117,25 +122,9 @@ class RadicalScalar:
     def zero(cls) -> "RadicalScalar":
         return cls._raw(Fraction(0), 1)
 
-    @classmethod
-    def from_rational(cls, x) -> "RadicalScalar":
-        x = Fraction(x)
-        if x == 0:
-            return cls.zero()
-        return cls._raw(x, 1)
-
-    @classmethod
-    def sqrt(cls, x) -> "RadicalScalar":
-        """Exact sqrt of a non-negative rational."""
-        return cls(Fraction(1), Fraction(x))
-
     @property
     def is_zero(self) -> bool:
         return self.coeff == 0
-
-    @property
-    def is_rational(self) -> bool:
-        return self.radicand == 1
 
     def square(self) -> Fraction:
         return self.coeff * self.coeff * self.radicand
@@ -154,13 +143,6 @@ class RadicalScalar:
             return RadicalScalar._raw(self.coeff * other, self.radicand)
         return NotImplemented
 
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        if self.is_zero:
-            return self
-        return RadicalScalar._raw(-self.coeff, self.radicand)
-
     def __add__(self, other):
         """Sum of radicals sharing a reduced radicand (or with either zero).
 
@@ -168,7 +150,7 @@ class RadicalScalar:
         leave the c*sqrt(d) class, and the caller must fall back to floats.
         """
         if isinstance(other, (int, Fraction)):
-            other = RadicalScalar.from_rational(other)
+            other = RadicalScalar(other)
         if not isinstance(other, RadicalScalar):
             return NotImplemented
         if self.is_zero:
@@ -184,27 +166,16 @@ class RadicalScalar:
             return RadicalScalar.zero()
         return RadicalScalar._raw(c, self.radicand)
 
-    __radd__ = __add__
-
     def __eq__(self, other):
         """Equal values, so equal parts: every value is canonical; int and Fraction compare too."""
         if isinstance(other, (int, Fraction)):
-            other = RadicalScalar.from_rational(other)
+            other = RadicalScalar(other)
         if isinstance(other, RadicalScalar):
             return self.coeff == other.coeff and self.radicand == other.radicand
         return NotImplemented
 
     def __hash__(self):
         return hash(self.coeff if self.radicand == 1 else (self.coeff, self.radicand))  # int too
-
-    def to_float(self) -> float:
-        """The value within 1 ulp, as root_to_float computes it."""
-        return root_to_float(self.coeff.numerator, self.coeff.denominator, self.radicand)
-
-    def __str__(self):
-        if self.is_rational:
-            return str(self.coeff)
-        return f"{self.coeff}*sqrt({self.radicand})"
 
     def __repr__(self):
         return f"RadicalScalar({self.coeff}, {self.radicand})"

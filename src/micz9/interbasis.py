@@ -163,7 +163,7 @@ def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     p, L, n_top = np_index(s, n_p), s.L, s.size - 1
     den = math.prod((L + 4 + j) * (j - n_top) * (j + 1) for j in range(k))
     a, row = _factor_row(s, k, den, coeffs.np_recurrence(s))
-    return RadicalScalar.sqrt(a) * RadicalScalar.sqrt(_column_radicand(s, p)) * row[p]
+    return RadicalScalar(1, a) * RadicalScalar(1, _column_radicand(s, p)) * row[p]
 
 
 @dataclass(frozen=True)

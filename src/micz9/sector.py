@@ -65,8 +65,11 @@ def _rational(name: str, x) -> Fraction:
     A decimal text whose leading digit lies beyond 10^(+-_MAX_DECIMAL_EXPONENT)
     is refused before its Fraction is built, and one whose numerator or denominator reaches
     _MAX_DIGITS_BOUND after: no text of it or its energy passes Python's 4,300-digit limit.
+    A text with "_" is refused: Fraction reads 1_0 as 10 from Python 3.11 only.
     """
     if isinstance(x, str):
+        if "_" in x:
+            raise ValidationError(f"cannot parse {name} = {_clip(repr(x))} as a rational")
         exponent = _decimal_exponent(x)
         if exponent is not None and abs(exponent) > _MAX_DECIMAL_EXPONENT:
             raise ValidationError(

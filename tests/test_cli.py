@@ -24,7 +24,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 import micz9
 from micz9 import _backend, cli, coeffs, exactscalar, interbasis, spheroidal, wavefield
 from micz9.cli import SWEEP_MAX_ENTRIES, _fmt, _fmt_array, _render, main
-from micz9.exactscalar import RadicalScalar
+from micz9.exactscalar import RadicalScalar, root_to_float
 from micz9.sector import enumerate_sectors, validate_sector
 
 
@@ -206,7 +206,7 @@ def test_a_charge_beyond_its_decimal_exponent_bound_exits_2_at_once(Z):
 
 
 @pytest.mark.parametrize("Z", ["5e-324", "1e-1000", "1000e-1003", "0.000001e160", "1.7e154",
-                               "1E-5", "2.5e+1", "1_0e-1_0"])
+                               "1E-5", "2.5e+1"])
 def test_a_decimal_charge_inside_the_exponent_bound_is_read(Z, capsys):
     argv = ["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z]
     assert main(argv) == 0
@@ -958,7 +958,8 @@ def test_float_exact_agreement():
     for i in range(2):
         for j in range(2):
             rec = exw[i][j]
-            want = RadicalScalar(Fraction(rec["coeff"]), Fraction(rec["radicand"])).to_float()
+            x = RadicalScalar(Fraction(rec["coeff"]), Fraction(rec["radicand"]))
+            want = root_to_float(x.coeff.numerator, x.coeff.denominator, x.radicand)
             got = float(flw[i][j])
             assert abs(got - want) <= 2 * math.ulp(max(abs(want), 1e-300))
 

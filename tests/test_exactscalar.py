@@ -29,6 +29,20 @@ def _sign(x: RadicalScalar) -> int:
     return (x.coeff > 0) - (x.coeff < 0)
 
 
+def _float(x: RadicalScalar) -> float:
+    """x within 1 ulp, as root_to_float computes it from the integers of x."""
+    return root_to_float(x.coeff.numerator, x.coeff.denominator, x.radicand)
+
+
+def test_members_are_the_ones_the_package_reads():
+    # a rational x is RadicalScalar(x), sqrt(x) is RadicalScalar(1, x), and a value's float
+    # is root_to_float of its integers: no alias or float view rides on the class
+    assert set(RadicalScalar.__dict__) - {"__doc__", "__module__", "__slots__"} == {
+        "__init__", "__setattr__", "_raw", "zero", "is_zero", "square",
+        "__mul__", "__add__", "__eq__", "__hash__", "__repr__", "coeff", "radicand",
+    }
+
+
 def test_mul_examples():
     assert R("1/2", 2) * R("1/2", 2) == Fraction(1, 2)
     assert R(3, "1/9") * R(1) == 1
@@ -45,25 +59,25 @@ def test_add_examples():
 def test_cmp_examples():
     # 2*sqrt(6)/5 against its 53-bit float witness, via cross-squaring
     x = R("2/5", 6)
-    w = x.to_float()
+    w = _float(x)
     assert abs(w - 0.9797958971132712) < 1e-15
     assert x.square() == Fraction(24, 25)
     assert R("1/2", 8) == R(1, 2)  # sqrt(8)/2 == sqrt(2)
 
 
 def test_to_float_examples():
-    assert R(1, 2).to_float() == 1.4142135623730951
-    assert R("1/2", 2).to_float() == 0.7071067811865476
-    assert R(0).to_float() == 0.0
-    assert R(-1, 2).to_float() == -1.4142135623730951
+    assert _float(R(1, 2)) == 1.4142135623730951
+    assert _float(R("1/2", 2)) == 0.7071067811865476
+    assert _float(R(0)) == 0.0
+    assert _float(R(-1, 2)) == -1.4142135623730951
 
 
 def test_canonical_forms():
     assert R(5, 0).coeff == 0 and R(5, 0).radicand == 1  # zero is (0, 1)
     assert R(1, 18) == R(3, 2)
     assert R(1, 18).radicand == 2
-    assert R(7, 1).is_rational
-    assert not R(1, 2).is_rational
+    assert R(7, 1).radicand == 1  # radicand 1 iff rational
+    assert R(1, 2).radicand != 1
     with pytest.raises(ValueError):
         RadicalScalar(1, -2)
 
@@ -90,7 +104,7 @@ def test_rational_root():
 def test_root_to_float_is_the_value_of_the_printed_integers():
     assert root_to_float(-1, 2, 2) == -0.7071067811865476
     assert root_to_float(0, 1, 1) == 0.0
-    assert root_to_float(3, 5, 10) == R(1, "18/5").to_float()
+    assert root_to_float(3, 5, 10) == _float(R(1, "18/5"))
 
 
 def test_root_to_float_keeps_a_value_whose_square_underflows():
@@ -196,8 +210,8 @@ def test_add_associative_commutative(a, b, c, d):
 @given(c=rationals, d=small_nonneg)
 def test_square_to_float_within_2ulp(c, d):
     x = RadicalScalar(c, d)
-    lhs = (x * x).to_float()
-    f = x.to_float()
+    lhs = _float(x * x)
+    f = _float(x)
     rhs = f * f
     assert abs(lhs - rhs) <= 2 * math.ulp(max(abs(lhs), abs(rhs), 1e-300))
 
@@ -206,7 +220,7 @@ def test_square_to_float_within_2ulp(c, d):
 @given(c1=rationals, d1=small_nonneg, c2=rationals, d2=small_nonneg)
 def test_eq_matches_floats(c1, d1, c2, d2):
     x, y = RadicalScalar(c1, d1), RadicalScalar(c2, d2)
-    fx, fy = x.to_float(), y.to_float()
+    fx, fy = _float(x), _float(y)
     if abs(fx - fy) > 1e-12 * (1 + abs(fx) + abs(fy)):
         assert x != y
     if x == y:  # the same sign and square: the same correctly rounded float
@@ -215,7 +229,7 @@ def test_eq_matches_floats(c1, d1, c2, d2):
 
 def _old_eq(x, y) -> bool:
     """The rule == used before it compared canonical parts: the same sign and the same square."""
-    y = y if isinstance(y, RadicalScalar) else RadicalScalar.from_rational(y)
+    y = y if isinstance(y, RadicalScalar) else RadicalScalar(y)
     return _sign(x) == _sign(y) and x.square() == y.square()
 
 

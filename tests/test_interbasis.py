@@ -16,7 +16,7 @@ from micz9.errors import (
     OrthogonalityViolation,
     RadicandMismatch,
 )
-from micz9.exactscalar import RadicalScalar
+from micz9.exactscalar import RadicalScalar, root_to_float
 from micz9.interbasis import (
     _cg_column,
     _cg_row,
@@ -40,6 +40,7 @@ S22 = validate_sector(2, 0, 0, 2, 1)
 S4211 = validate_sector(4, 2, 1, 1, 1)  # N = 5, with exact zeros in its core
 
 SQRT2_HALF = RadicalScalar(Fraction(1, 2), 2)
+MINUS_SQRT2_HALF = RadicalScalar(Fraction(-1, 2), 2)
 
 
 def radicals(rows) -> list[list[RadicalScalar]]:
@@ -63,7 +64,7 @@ def test_w_coefficient_hand_values():
     assert w_coefficient(S1, 0, 0) == SQRT2_HALF
     assert w_coefficient(S1, 0, 1) == SQRT2_HALF
     assert w_coefficient(S1, 1, 0) == SQRT2_HALF
-    assert w_coefficient(S1, 1, 1) == -SQRT2_HALF
+    assert w_coefficient(S1, 1, 1) == MINUS_SQRT2_HALF
     with pytest.raises(IndexOutOfRange):
         w_coefficient(S1, 2, 0)
     with pytest.raises(IndexOutOfRange):
@@ -74,7 +75,7 @@ def test_w_matrix_examples():
     assert w_matrix(S0).printed == (((1, 1, 1),),)
     W = w_matrix(S1)
     assert W.printed == (((1, 2, 2), (1, 2, 2)), ((1, 2, 2), (-1, 2, 2)))
-    assert entries(W)[0][0] == SQRT2_HALF and entries(W)[1][1] == -SQRT2_HALF
+    assert entries(W)[0][0] == SQRT2_HALF and entries(W)[1][1] == MINUS_SQRT2_HALF
     # any 1x1 sector is +-1; the leading entry is always positive
     for s in (validate_sector(0, 2, 1, 1, 1), validate_sector(1, 0, 0, 2, 1)):
         assert abs(w_matrix(s).to_float()[0, 0]) == 1.0
@@ -334,7 +335,7 @@ def test_errors_on_a_tampered_n_101_w_stay_short():
     with pytest.raises(RadicandMismatch) as err:
         w_recurrence_residual(_with_factors(W, row=row))
     assert len(str(err.value).encode()) <= 200 and "row 50" in str(err.value)
-    big = RadicalScalar.sqrt(math.factorial(1000))
+    big = RadicalScalar(1, math.factorial(1000))
     assert len(str(big.radicand)) > 200  # printed in full, this alone would pass the bound
     with pytest.raises(RadicandMismatch) as err:
         big + entries(W)[94][80]
@@ -348,7 +349,7 @@ def test_to_float_is_bitwise_the_correctly_rounded_square_root():
         for x in (*(x for row in entries(W) for x in row),
                   *(x for row in radicals(M9) for x in row)):
             mag = math.sqrt(float(x.square()))
-            assert x.to_float().hex() == (-mag if x.coeff < 0 else mag).hex(), (s, x)
+            assert root_to_float(x.coeff.numerator, x.coeff.denominator, x.radicand).hex() == (-mag if x.coeff < 0 else mag).hex(), (s, x)
         for rows, F in ((W.printed, W.to_float()), (M9, matrix_to_float(M9))):
             for (n, d, f), y in zip((x for row in rows for x in row), F.ravel()):
                 mag = math.sqrt(float(Fraction(n * n * f, d * d)))
@@ -412,7 +413,7 @@ def clebsch_gordan(a, alpha, b, beta, c, gamma) -> RadicalScalar:
 
 def test_clebsch_gordan_values():
     assert clebsch_gordan("1/2", "1/2", "1/2", "-1/2", 0, 0) == SQRT2_HALF
-    assert clebsch_gordan("1/2", "-1/2", "1/2", "1/2", 0, 0) == -SQRT2_HALF
+    assert clebsch_gordan("1/2", "-1/2", "1/2", "1/2", 0, 0) == MINUS_SQRT2_HALF
     assert clebsch_gordan(1, 1, "1/2", "1/2", "1/2", "1/2").is_zero
     assert clebsch_gordan("1/2", "1/2", "1/2", "1/2", 1, 1) == 1
     # selection rule: gamma != alpha + beta
@@ -430,7 +431,7 @@ def test_w_via_cg_examples():
     # W of S1 by hand is [[1, 1], [1, -1]] / sqrt 2, and W of S0 is [[1]]
     assert w_via_cg(w_matrix(S0)) == []
     W = w_matrix(S1)
-    by_hand = ((SQRT2_HALF, SQRT2_HALF), (SQRT2_HALF, -SQRT2_HALF))
+    by_hand = ((SQRT2_HALF, SQRT2_HALF), (SQRT2_HALF, MINUS_SQRT2_HALF))
     assert w_via_cg(replace(W, printed=printed(by_hand))) == []
     flipped = ((SQRT2_HALF, SQRT2_HALF), (SQRT2_HALF, SQRT2_HALF))
     assert w_via_cg(replace(W, printed=printed(flipped))) == [(1, 1)]
@@ -478,10 +479,10 @@ def test_recurrence_residual_of_a_tampered_core_is_m9_w_minus_w_mu():
     W = w_matrix(s)
     core = [list(row) for row in W.core]
     core[1][1] *= 2
-    w = [[RadicalScalar.sqrt(a) * RadicalScalar.sqrt(b) * c for b, c in zip(W.col_radicands, row)]
+    w = [[RadicalScalar(1, a) * RadicalScalar(1, b) * c for b, c in zip(W.col_radicands, row)]
          for a, row in zip(W.row_radicands, core)]
     m9, mu = radicals(m9_spherical_matrix(s)), [Fraction(t, 2) for t in m9_twice_eigenvalues(s)]
-    want = [[sum((m9[i][k] * w[k][p] for k in range(n)), -mu[p] * w[i][p]) for p in range(n)]
+    want = [[sum((m9[i][k] * w[k][p] for k in range(n)), w[i][p] * -mu[p]) for p in range(n)]
             for i in range(n)]
     got = w_recurrence_residual(_with_factors(W, core=core))
     assert got == want and sum(not x.is_zero for row in got for x in row) > 1
@@ -507,7 +508,7 @@ def test_w_float_is_built_once_and_read_only():
     F = W.to_float()
     assert W.to_float() is F and not F.flags.writeable
     # each entry within 1 ulp, as before
-    assert np.array_equal(F, np.array([[x.to_float() for x in row] for row in entries(W)]))
+    assert np.array_equal(F, np.array([[root_to_float(*x) for x in row] for row in W.printed]))
 
 
 def _with_factors(W, *, row=None, core=None, col=None):
@@ -521,8 +522,8 @@ def _with_factors(W, *, row=None, core=None, col=None):
 
 
 def roots(radicands) -> tuple:
-    """(s, q, f) of each sqrt(x) = (s/q) sqrt(f), as RadicalScalar.sqrt reduces it."""
-    return printed([map(RadicalScalar.sqrt, radicands)])[0]
+    """(s, q, f) of each sqrt(x) = (s/q) sqrt(f), as RadicalScalar(1, x) reduces it."""
+    return printed([[RadicalScalar(1, x) for x in radicands]])[0]
 
 
 def test_w_roots_follow_the_radicands():

@@ -59,6 +59,16 @@ def test_validate_errors():
         list(enumerate_sectors(Z=float("nan")))
 
 
+@pytest.mark.parametrize("Z", ["1_0", "1_000/3", "1.5_0", "1_0e-1_0", "_1"])
+def test_a_charge_with_an_underscore_is_refused_on_every_python(Z, capsys):
+    # Fraction reads "1_0" as 10 from Python 3.11 only; the 3.10 grammar refuses it
+    with pytest.raises(ValidationError, match=rf"^cannot parse Z = {Z!r} as a rational$"):
+        validate_sector(1, 0, 0, 0, Z)
+    assert cli.main(["states", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"ValidationError: cannot parse Z = {Z!r} as a rational\n"
+
+
 def test_a_block_above_max_block_is_refused(capsys):
     assert validate_sector(MAX_BLOCK - 1, 0, 0, 0).size == MAX_BLOCK == 1024
     with pytest.raises(ValidationError, match=r"^sector dimension N = 1025 is above MAX_BLOCK = 1024$"):

@@ -119,6 +119,8 @@ def corpus() -> dict[str, list[list[str]]]:
         # with the command's own flags, so that each call gets as far as the sector check
         *([c[0], *s, *c[1:]] for c in _COMMANDS[::2] for s in _SECTOR_ERRORS),
         [], ["energy", *one],
+        # Fraction reads 1_0 as 10 from Python 3.11 only: refused on every Python
+        ["states", *flags(1, 0, 0, 0, "1_0")],
         # an --a-large below the parabolic check's range where the spherical check would fail
         ["limits", *flags(2, 0, 0, 2), "--a-small", "0.5", "--a-large", "100"],
     ]
