@@ -31,15 +31,16 @@ import types
 from fractions import Fraction
 
 from . import coeffs, interbasis, sector, spheroidal, wavefield  # numpy loads where used
-from .errors import InternalConsistencyError, Micz9Error, NumericalError, ValidationError
+from .errors import (InternalConsistencyError, Micz9Error, NumericalError, ResourceExhausted,
+                     ValidationError)
 
 SCHEMA_VERSION = "1"
 
 # points x N^2 eigenvector entries in one sweep's solve: 2^24 is 128 MB of float64.  This
 # bounds the solve; the CSV text is bounded apart from it, by _CSV_CHUNK_ROWS.
 SWEEP_MAX_ENTRIES = 1 << 24
-# (point, branch) rows of sweep CSV text formatted at a time: about 250 KB of text, and
-# more than any 200-point sweep up to N = 20 has in all
+# sweep rows formatted at a time, (point, branch) rows of CSV or one branch's points in a record:
+# about 250 KB of CSV, and more than any 200-point sweep up to N = 20 has in all
 _CSV_CHUNK_ROWS = 1 << 12
 EXIT_CLOSED_STDOUT = 141  # 128 + SIGPIPE, the code of a shell command killed by a closed pipe
 
@@ -188,12 +189,12 @@ def _sector_record(s: sector.Sector) -> dict:
 _encode_str = json.encoder.encode_basestring_ascii  # json.dumps' default string encoder
 
 
-def _render(x, pad: str = "") -> str:
+def _render(x, pad: str = "", streams: list | None = None) -> str:
     """json.dumps(x, indent=2), byte for byte, for dicts with str keys, lists and scalars.
 
     With an indent, json.dumps runs its pure-Python encoder; this does the
-    same layout in one recursive pass.  pad is the indent x is nested at,
-    and a callable value, like _exact_text's, renders itself at its pad.
+    same layout in one recursive pass, pad the indent x is nested at.  A callable
+    value is a stream: it renders as a NUL, and x(pad), its text chunks, joins streams.
     """
     if isinstance(x, str):
         return _encode_str(x)
@@ -201,13 +202,13 @@ def _render(x, pad: str = "") -> str:
         if not x:
             return "{}"
         inner = pad + "  "
-        items = [_encode_str(k) + ": " + _render(v, inner) for k, v in x.items()]
+        items = [_encode_str(k) + ": " + _render(v, inner, streams) for k, v in x.items()]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
     if isinstance(x, list):
         if not x:
             return "[]"
         inner = pad + "  "
-        items = [_render(v, inner) for v in x]
+        items = [_render(v, inner, streams) for v in x]
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
     if x is None:
         return "null"
@@ -218,12 +219,13 @@ def _render(x, pad: str = "") -> str:
     if isinstance(x, int):
         return int.__repr__(x)
     if callable(x):
-        return x(pad)
+        streams.append(x(pad))
+        return "\0"
     raise TypeError(f"a record holds no {type(x).__name__}")
 
 
-def _emit(command: str, s: sector.Sector, mode: str, payload: dict, fills=()) -> None:
-    """Write the record; each NUL that a callable value renders is filled by fills' next chunks."""
+def _emit(command: str, s: sector.Sector, mode: str, payload: dict) -> None:
+    """Write the record: the text up to each stream's NUL, then the stream's chunks."""
     record = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -231,30 +233,29 @@ def _emit(command: str, s: sector.Sector, mode: str, payload: dict, fills=()) ->
         "mode": mode,
         "payload": payload,
     }
-    head, *tails = _render(record).split("\0", len(fills))  # no scan of a record with none
+    streams = []
+    head, *tails = _render(record, "", streams).split("\0", len(streams))  # no streams: no scan
     sys.stdout.write(head)
-    for chunks, tail in zip(fills, tails):
+    for chunks, tail in zip(streams, tails):
         sys.stdout.writelines(chunks)
         sys.stdout.write(tail)
     sys.stdout.write("\n")
 
 
 def _exact_text(rows):
-    """An N x N exact matrix, a list of rows of (num, den, radicand), as a renderer for _render.
+    """An N x N exact matrix, rows of (num, den, radicand), as a stream of one text per row.
 
-    At a pad it returns the text of the list of {coeff, radicand} records,
-    coeff written like str(Fraction): one template, filled in one %-pass
-    from the coeff cells and the radicand cells in alternate slots.
+    An entry is a {coeff, radicand} record, coeff written like str(Fraction).
     """
-    cells = [None] * (2 * len(rows) ** 2)
-    cells[0::2] = [f"{n}/{d}" if d != 1 else n for row in rows for n, d, _ in row]
-    cells[1::2] = [f for row in rows for _, _, f in row]
-
-    def render(pad: str) -> str:
+    def render(pad: str):
         i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
-        entry = f'{{\n{i3}"coeff": "%s",\n{i3}"radicand": "%s"\n{i2}}}'
-        row = "[\n" + i2 + (",\n" + i2).join([entry] * len(rows)) + "\n" + i1 + "]"
-        return ("[\n" + i1 + (",\n" + i1).join([row] * len(rows)) + "\n" + pad + "]") % tuple(cells)
+        whole = f'{{\n{i3}"coeff": "%s",\n{i3}"radicand": "%s"\n{i2}}}'
+        frac = whole.replace("%s", "%s/%s", 1)
+        sep = ",\n" + i2
+        for i, row in enumerate(rows):
+            entries = [whole % (n, f) if d == 1 else frac % (n, d, f) for n, d, f in row]
+            yield (",\n" if i else "[\n") + i1 + "[\n" + i2 + sep.join(entries) + "\n" + i1 + "]"
+        yield "\n" + pad + "]"
 
     return render
 
@@ -380,12 +381,12 @@ def _write_sweep_csv(grid, K, K_over_a) -> None:
         sys.stdout.write(_joined([fields[: a.size, None], labels, K_s, ",", ratio_s, "\n"]))
 
 
-def _sweep_points(pads, *columns):
-    """One branch's points as _render writes them at pads[0], with _fmt's text, in chunks."""
+def _sweep_points(columns, pad: str):
+    """One branch's points as _render writes them at pad, with _fmt's text, in chunks."""
     import numpy as np
-    sep = ",\n" + pads[0]
+    sep = ",\n" + pad
     # the text around a point's three values, sep before it but for the first point
-    pieces = (sep + _render(dict.fromkeys(("a", "K", "K_over_a"), "%s"), pads[0])).split("%s")
+    pieces = (sep + _render(dict.fromkeys(("a", "K", "K_over_a"), "%s"), pad)).split("%s")
     for lo in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
         fields = _fmt_fields(np.stack([x[lo : lo + _CSV_CHUNK_ROWS] for x in columns], axis=1))
         a, K, ratio = fields.reshape(-1, 3, 40).swapaxes(0, 1)
@@ -423,11 +424,9 @@ def cmd_sweep(args, s) -> None:
     if args.format == "csv":
         _write_sweep_csv(grid, K, K_over_a)
         return
-    pads = []  # each branch's points are rendered at pads[0]
-    branches = [{"n_k": k, "points": [lambda pad: pads.append(pad) or "\0"]} for k in range(s.size)]
-    payload = {"min_branch_overlap": _fmt(min_overlap), "branches": branches}
-    fills = [_sweep_points(pads, grid, K[:, k], K_over_a[:, k]) for k in range(s.size)]
-    _emit("sweep", s, "float", payload, fills)
+    branches = [{"n_k": k, "points": [functools.partial(_sweep_points, (grid, K[:, k], ratio))]}
+                for k, ratio in enumerate(K_over_a.T)]
+    _emit("sweep", s, "float", {"min_branch_overlap": _fmt(min_overlap), "branches": branches})
 
 
 def _limit_distance(s, which: str, given, default):
@@ -639,6 +638,9 @@ def main(argv=None) -> int:
     except Micz9Error as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError:  # in a stream too, and then stdout holds part of the record
+        print(f"{ResourceExhausted.__name__}: the command ran out of memory", file=sys.stderr)
+        return ResourceExhausted.exit_code
     except BrokenPipeError:  # Python's SIGPIPE recipe: what is left goes to devnull at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CLOSED_STDOUT

@@ -60,6 +60,10 @@ class ConvergenceFailure(NumericalError):
     pass
 
 
+class ResourceExhausted(NumericalError):
+    """The process could not get the memory a computation needs (a MemoryError)."""
+
+
 class LimitMismatch(NumericalError):
     """A coordinate-degeneration limit check exceeded its tolerance."""
 

@@ -412,13 +412,21 @@ def test_kspectrum_at_a_charge_is_kspectrum_at_its_az(a, Z, capsys):
     assert at_z["a"] == repr(a) and at_z["K"] == at_one["K"]
 
 
-def test_closed_stdout_exits_141_with_no_traceback():
+_LONG_SWEEP = ["sweep", *SECTOR, "--a-min", "1e-3", "--a-max", "1e6", "--points", "20000", "--log"]
+
+
+@pytest.mark.parametrize("argv, start", [
+    ([*_LONG_SWEEP, "--format", "csv"], b"a,n_k,K,K_over_a\n"),
+    # the pipe closes in the middle of a stream: a branch's points, or the rows of exact W
+    (_LONG_SWEEP, b'{\n  "schema_version": "1",\n'),
+    (["wmatrix", "--mode", "exact", "--n", "120", "--Q", "0", "--L", "0", "--J", "0"],
+     b'{\n  "schema_version": "1",\n'),
+], ids=["sweep-csv", "sweep-record", "wmatrix-exact"])
+def test_closed_stdout_exits_141_with_no_traceback(argv, start):
     # a reader that stops early, like | head -c 50: one stated code and an empty stderr
-    argv = ["sweep", *SECTOR, "--a-min", "1e-3", "--a-max", "1e6", "--points", "20000", "--log",
-            "--format", "csv"]
     child = subprocess.Popen([sys.executable, "-m", "micz9.cli", *argv], stdout=subprocess.PIPE,
                              stderr=subprocess.PIPE)
-    assert child.stdout.read(50).startswith(b"a,n_k,K,K_over_a\n")
+    assert child.stdout.read(50).startswith(start)
     child.stdout.close()
     assert child.wait(timeout=60) == cli.EXIT_CLOSED_STDOUT == 141
     assert child.stderr.read() == b""
@@ -432,6 +440,17 @@ def test_help_to_a_closed_stdout_exits_141_with_no_traceback():
                            stderr=subprocess.PIPE, timeout=60)
     os.close(write)
     assert child.returncode == 141 and child.stderr == b""
+
+
+def test_exhausted_memory_exits_3_with_one_named_line(monkeypatch, capsys):
+    def out_of_memory(s):
+        raise MemoryError
+
+    monkeypatch.setattr(interbasis, "w_matrix", out_of_memory)
+    assert main(["wmatrix", "--mode", "exact", *SECTOR]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("ResourceExhausted: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_verify_passes_where_the_parabolic_limit_once_failed(capsys):
@@ -715,6 +734,22 @@ def test_sweep_record_memory_stays_bounded_on_a_long_grid(tmp_path):
     assert int(run.stderr) < 100 * 1024
     record = _sweep_record(validate_sector(0, 0, 0, 0), np.logspace(-3, 6, points))
     assert out.read_text() == _render(record) + "\n"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", ["wmatrix", "m9"])
+def test_exact_matrix_memory_stays_bounded(command, tmp_path):
+    """Opt-in (pytest -m slow): exact text at N = 301 streams by rows, in under 100 MB of RSS."""
+    argv = [command, "--mode", "exact", "--n", "300", "--Q", "0", "--L", "0", "--J", "0"]
+    out = tmp_path / "matrix.json"
+    with out.open("w") as f:
+        run = subprocess.run([sys.executable, "-c", _PEAK_HWM, *argv], stdout=f,
+                             stderr=subprocess.PIPE, text=True)
+    assert run.returncode == 0, run.stderr
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    # 38 MB (wmatrix) and 17 MB (m9) measured; wmatrix took 180 MB when its text was one string
+    assert int(run.stderr) < 100 * 1024
 
 
 @settings(max_examples=100, deadline=None)

@@ -85,7 +85,7 @@ def test_canonical_forms():
 def test_serialization_roundtrip():
     # the CLI's exact matrix writer prints each entry as a {coeff, radicand} record
     x = R("-3/7", "18/5")
-    text = _exact_text([[(x.coeff.numerator, x.coeff.denominator, x.radicand)]])("")
+    text = "".join(_exact_text([[(x.coeff.numerator, x.coeff.denominator, x.radicand)]])(""))
     ((rec,),) = json.loads(text)
     assert set(rec) == {"coeff", "radicand"}
     assert RadicalScalar(Fraction(rec["coeff"]), Fraction(rec["radicand"])) == x
