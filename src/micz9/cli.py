@@ -245,15 +245,17 @@ def _emit(command: str, s: sector.Sector, mode: str, payload: dict) -> None:
 def _exact_text(rows):
     """An N x N exact matrix, rows of (num, den, radicand), as a stream of one text per row.
 
-    An entry is a {coeff, radicand} record, coeff written like str(Fraction).
+    An entry is a {coeff, radicand} record, coeff written like str(Fraction):
+    one f-string of its integers between a head, a middle and a tail
+    computed once per matrix.
     """
     def render(pad: str):
         i1, i2, i3 = pad + "  ", pad + "    ", pad + "      "
-        whole = f'{{\n{i3}"coeff": "%s",\n{i3}"radicand": "%s"\n{i2}}}'
-        frac = whole.replace("%s", "%s/%s", 1)
+        head, mid, tail = f'{{\n{i3}"coeff": "', f'",\n{i3}"radicand": "', f'"\n{i2}}}'
         sep = ",\n" + i2
         for i, row in enumerate(rows):
-            entries = [whole % (n, f) if d == 1 else frac % (n, d, f) for n, d, f in row]
+            entries = [f"{head}{n}{mid}{f}{tail}" if d == 1 else f"{head}{n}/{d}{mid}{f}{tail}"
+                       for n, d, f in row]
             yield (",\n" if i else "[\n") + i1 + "[\n" + i2 + sep.join(entries) + "\n" + i1 + "]"
         yield "\n" + pad + "]"
 

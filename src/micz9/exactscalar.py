@@ -9,8 +9,9 @@ explicit therefore permits bit-exact orthogonality and recurrence checks
 with no floating-point tolerance at all.
 
 Radicands are reduced to canonical squarefree integers, exactly and with
-no bound: squarefree_split trial-divides by 2 and the odd numbers, dividing
-each factor out completely, and stops once the divisor squared exceeds
+no bound: squarefree_split reads the power of two from the low bits, then
+trial-divides by the odd numbers, stripping each divisor's square with one
+division until none is left, and stops once the divisor squared exceeds
 what is left.  That takes about max(p2, sqrt(p1)) divisions, p1 >= p2 the
 two largest prime factors of the radicand; every radicand this package
 builds is a product or quotient of factorials and small integers, so its
@@ -39,24 +40,29 @@ from .sector import _short
 def squarefree_split(n: int) -> tuple[int, int]:
     """Split n >= 1 exactly as s*s*f with f squarefree.
 
-    Each divisor is divided out completely, so no composite divisor ever
-    divides what is left; once d*d exceeds the remainder, that remainder is
-    1 or a prime.
+    The power of two is read from the low bits.  Each odd divisor d of what
+    is left has its square stripped with one division (divmod by d*d) until
+    d*d no longer divides, and an odd power's last d goes to f; so d is
+    divided out completely, no composite divisor ever divides what is left,
+    and once d*d exceeds the remainder, that remainder is 1 or a prime.
     """
     if n <= 0:
         raise ValueError("squarefree_split needs a positive integer")
-    s = f = 1
-    d = 2
+    e = (n & -n).bit_length() - 1
+    n >>= e
+    s, f = 1 << e // 2, 1 << e % 2
+    d = 3
     while d * d <= n:
         if n % d == 0:
-            e = 0
-            while n % d == 0:
+            dd = d * d
+            q, r = divmod(n, dd)
+            while not r:
+                n, s = q, s * d
+                q, r = divmod(n, dd)
+            if n % d == 0:
                 n //= d
-                e += 1
-            s *= d ** (e // 2)
-            if e % 2:
                 f *= d
-        d += 1 if d == 2 else 2
+        d += 2
     return s, f * n
 
 

@@ -2,17 +2,21 @@
 
 The parabolic basis is the eigenbasis of the ninth Runge-Lenz component M9,
 and W carries the spherical basis onto it.  Its closed form factors as W =
-diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C holds the
-Horner numerators of a terminating 3F2 at unit argument, whose denominator
-depends on k alone.  A'(lambda) is the lambda-only factorial ratio of the
-radicand with that denominator, n_top!/(L+3)! and the row's content folded
-in; B(n_p) is the n_p-only ratio.  M9 and Lambda = diag(lambda(lambda+7))
-act on W as a Leonard pair, so C has two three-term recurrences: M9's in
-lambda, and the dual one in n_p through G = W^T Lambda W, the closed-form
-tridiagonal coeffs.np_recurrence.  C is built by the n_p one alone, a row
-in O(N) integer steps by _factor_row: w_matrix runs every row, and
-w_coefficient the one row of its entry.  At L = J the two spins of W's
-Clebsch-Gordan form below are equal, and their exchange symmetry
+diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C is a
+terminating 3F2 at unit argument over n_p, at its least scale (the lcm of
+its reduced denominators, so the row is primitive) and with the sign
+(-1)^k of its Horner denominator den, which depends on k alone.
+A'(lambda) is the lambda-only factorial ratio of the radicand with |den|,
+n_top!/(L+3)! and g = |den| / scale folded in; B(n_p) is the n_p-only
+ratio.  M9 and Lambda = diag(lambda(lambda+7)) act on W as a Leonard
+pair, so C has two three-term recurrences: M9's in lambda, and the dual
+one in n_p through G = W^T Lambda W, the closed-form tridiagonal
+coeffs.np_recurrence.  C is built by the n_p one alone, a row in O(N)
+integer steps by _factor_row, which finds the least scale as it runs, so
+every step is on integers of a core entry's size and no content is
+divided out: w_matrix runs every row, and w_coefficient the one row of
+its entry.  At L = J the two spins of W's Clebsch-Gordan form below are
+equal, and their exchange symmetry
 (Varshalovich, Moskalev & Khersonskii 1988, 8.4.3) gives
 W[lambda, n_top - n_p] = (-1)^k W[lambda, n_p], k lambda's ladder
 position, with B(n_top - n_p) = B(n_p): the build computes the columns
@@ -99,47 +103,65 @@ def _mirrored_columns(s: Sector) -> int:
 
 
 def _factor_row(s: Sector, k: int, den: int, recurrence) -> tuple[Fraction, list[int]]:
-    """A'_k and row k of the integer core C, n_p ascending, in O(N) steps.
+    """A'_k and row k of the integer core C, n_p ascending, in O(N) steps on core-sized integers.
 
-    den is the row's denominator (L+4)_k (-n_top)_k k!, which has the sign
-    (-1)^k.  Row k of Horner numerators of 3F2(-k, n_p-n_top, L+J+k+7;
-    L+4, -n_top; 1) over den is run by recurrence, coeffs.np_recurrence(s),
-    down from n_p = n_top, where the 3F2 is 1 and the numerator is den;
-    upper[n_top] is 0, and each step divides exactly by lower[p] > 0.  At
-    L = J it stops at n_p = floor(N/2) and fills the columns below by the
-    Clebsch-Gordan exchange symmetry C[k, n_p] = (-1)^k C[k, n_top - n_p]
-    (_mirrored_columns); _prove_orthogonal still reads every entry.  The
-    row is then divided by its content g, the gcd of the row (of the
-    computed half, which is the same), and A' = A g^2 takes it: at N = 201
-    that leaves core entries of about 200 bits out of 3,900.  g has only
-    small primes because it divides den.
+    Row k of C is the 3F2(-k, n_p-n_top, L+J+k+7; L+4, -n_top; 1) over
+    n_p, run by recurrence, coeffs.np_recurrence(s), down from n_p = n_top,
+    where the 3F2 is 1; upper[n_top] is 0.  The row starts at (-1)^k, the
+    sign of its denominator den = (L+4)_k (-n_top)_k k!, with scale 1.
+    Where the step's division by lower[p] > 0 would leave a remainder, x
+    and the entry after it take the least factor m = lower[p] / gcd(num,
+    lower[p]) that makes it whole, the scale takes m, and the entries
+    already written take the product of their later factors in one pass at
+    the end.  The final scale is the lcm of the row's reduced 3F2
+    denominators, so the row is primitive, and its content against the
+    Horner numerators over den is g = |den| / scale: A' = A g^2 takes it.
+    A scale that does not divide den raises OrthogonalityViolation.  At
+    L = J the recurrence stops at n_p = floor(N/2) and the columns below
+    are filled by the Clebsch-Gordan exchange symmetry C[k, n_p] = (-1)^k
+    C[k, n_top - n_p] (_mirrored_columns); _prove_orthogonal still reads
+    every entry.
     """
     lower, diag, upper = recurrence
     shift = k * (s.L + s.J + k + 7)
     lo = _mirrored_columns(s)
-    x, after = den, 0  # the numerators at n_p and n_p + 1
-    row = [x]  # n_p descending
+    x, after, scale = -1 if k % 2 else 1, 0, 1  # the numerators at n_p and n_p + 1
+    row, marks = [x], [(0, 1)]  # n_p descending; marks: (entries written, m) at each rescale
     for p in range(s.size - 1, lo, -1):
-        x, after = ((diag[p] - shift) * x - upper[p] * after) // lower[p], x
+        num = (diag[p] - shift) * x - upper[p] * after
+        q, r = divmod(num, lower[p])
+        if r:  # num m / lower[p] = num / h is whole for the least m = lower[p] / h
+            h = math.gcd(r, lower[p])
+            m = lower[p] // h
+            q, x, scale = num // h, x * m, scale * m
+            marks.append((len(row), m))
+        x, after = q, x
         row.append(x)
-    g = math.gcd(*row)
+    g, r = divmod(abs(den), scale)
+    if r:
+        raise OrthogonalityViolation(f"scale of C[{k}] does not divide its denominator for {s}")
+    end, f = len(row), 1
+    for j, m in reversed(marks):  # row[j:end] was written before the rescales in f
+        if f != 1:
+            row[j:end] = [v * f for v in row[j:end]]
+        end, f = j, f * m
+    row.reverse()  # n_p = lo .. n_top
     a_num, a_den = _row(s, k)
-    core = [v // g for v in reversed(row)]  # n_p = lo .. n_top
     if lo:
-        mirror = core[: -lo - 1 : -1]  # at n_p = 0 .. lo-1, the entries at n_top - n_p
-        core = ([-v for v in mirror] if k % 2 else mirror) + core
-    return Fraction(a_num * g * g, a_den), core
+        mirror = row[: -lo - 1 : -1]  # at n_p = 0 .. lo-1, the entries at n_top - n_p
+        row = ([-v for v in mirror] if k % 2 else mirror) + row
+    return Fraction(a_num * g * g, a_den), row
 
 
 def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
     """Row factors A', integer core C and column radicands B of the whole W, in O(N^2) steps.
 
-    _factor_row runs each row, on its denominator kept as a running
-    product, so one row of unreduced numerators is alive at a time.  Each
-    A' and B is one Fraction, the field WMatrix keeps; the proof reads
-    their numerators; B is mirrored like C.  The build never reads M9 or
-    mu, so _prove_orthogonal's lambda recurrence checks it on an identity
-    it was not built from.
+    _factor_row runs each row at its least scale, and takes the row's
+    denominator, kept here as a running product, only for g = |den| /
+    scale in A'.  Each A' and B is one Fraction, the field WMatrix keeps;
+    the proof reads their numerators; B is mirrored like C.  The build
+    never reads M9 or mu, so _prove_orthogonal's lambda recurrence checks
+    it on an identity it was not built from.
     """
     L, n_top, recurrence = s.L, s.size - 1, coeffs.np_recurrence(s)
     row_rad, core, den = [], [], 1
@@ -157,7 +179,8 @@ def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact but unproved.
 
     sqrt(A') sqrt(B) C[k, p], the integer kept out of the root, from the one
-    row _factor_row runs in O(N) steps on its denominator, formed as a product.
+    row _factor_row runs in O(N) steps at its least scale; the row's
+    denominator, formed as a product, gives only g = |den| / scale in A'.
     """
     k = lambda_index(s, lam)[1]
     p, L, n_top = np_index(s, n_p), s.L, s.size - 1

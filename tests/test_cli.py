@@ -1198,13 +1198,16 @@ def test_exact_w_is_printed_without_a_radical_scalar(monkeypatch, capsys):
 GOLDEN_LARGE = [
     (("200", "0", "0", "0"), "de3a7aa96398eaa1c9e8f792b6212a98e886dddbe723646a55ae0319efdf16ea"),
     (("120", "3", "1", "4"), "5c3a5cdd8bb47005e07b89696f64664adb3a218fb95109d545b11609439e217b"),
+    (("300", "1", "0", "1"), "b3e237cd913a0a8ef346dd995f26e8233fb83233442868d84178a2a694be408a"),
+    (("600", "0", "0", "0"), "6bbf49a9c88f5f2a626c036628d369e478e031f59fb08fdae099a2a91a84aea3"),
 ]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("sector, digest", GOLDEN_LARGE)
 def test_exact_output_at_large_n_is_pinned(sector, digest, capsys):
-    """Opt-in (pytest -m slow): exact W at N = 201 and N = 121, byte for byte."""
+    """Opt-in (pytest -m slow): exact W, byte for byte, at L = J (built from half its columns)
+    at N = 201 and 601, and at L != J (every column built) at N = 120 and 301."""
     n, Q, L, J = sector
     assert main(["wmatrix", "--mode", "exact", "--n", n, "--Q", Q, "--L", L, "--J", J]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

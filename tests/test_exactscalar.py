@@ -179,6 +179,38 @@ def test_squarefree_split_of_factorial_by_legendre():
     assert squarefree_split(math.factorial(n)) == (s, f)
 
 
+_PRIMES_TO_97 = [p for p in range(2, 98) if all(p % q for q in range(2, p))]
+
+
+def _split_by_parity(exponents: dict[int, int]) -> tuple[int, int]:
+    """(s, f) of prod p^e: s = prod p^(e // 2), f = prod p^(e % 2)."""
+    return (math.prod(p ** (e // 2) for p, e in exponents.items()),
+            math.prod(p ** (e % 2) for p, e in exponents.items()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 300), min_size=len(_PRIMES_TO_97), max_size=len(_PRIMES_TO_97)))
+def test_squarefree_split_of_large_exponents_by_parity(exponents):
+    # every prime <= 97 to a power up to 300: each square of a divisor is stripped in turn
+    exponents = dict(zip(_PRIMES_TO_97, exponents))
+    assert squarefree_split(math.prod(p**e for p, e in exponents.items())) == (
+        _split_by_parity(exponents))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1000, 6000),
+       st.lists(st.integers(0, 9), min_size=len(_PRIMES_TO_97) - 1,
+                max_size=len(_PRIMES_TO_97) - 1),
+       st.sampled_from([(1, 1), (1, 1000003), (1000003, 1)]))
+def test_squarefree_split_of_a_large_power_of_two_by_parity(e, odd_exponents, big):
+    # 2^e read from the low bits, e in the thousands, times an odd part of known factors and
+    # big = (s, f), a prime past 97 left last in f or stripped as a square
+    exponents = {2: e, **dict(zip(_PRIMES_TO_97[1:], odd_exponents))}
+    s, f = _split_by_parity(exponents)
+    n = math.prod(p**x for p, x in exponents.items()) * big[0] ** 2 * big[1]
+    assert squarefree_split(n) == (s * big[0], f * big[1])
+
+
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
 )

@@ -23,7 +23,7 @@ def _tool():
 def test_the_corpus_reads_its_sectors_from_the_benchmark():
     groups = _tool().corpus()
     assert len(groups["verify"]) == 181 and len(groups["exact"]) == 10
-    assert len(groups["wmatrix-large"]) == 6
+    assert len(groups["wmatrix-large"]) == 8
     assert len(groups["desk-z1"]) == len(groups["desk-z3/2"]) == 169 * 12
     names = {"sweep-z1", "sweep-z-other", "charge-1e-400", "charge-1e150", "errors", "help",
              "wmatrix-large", "charge-0", "charge-1e400", "charge-5e-324"}

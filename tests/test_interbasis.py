@@ -21,6 +21,7 @@ from micz9.interbasis import (
     _cg_column,
     _cg_row,
     _column_radicand,
+    _factor_row,
     _factors,
     _prove_orthogonal,
     _racah_sum,
@@ -222,6 +223,18 @@ def test_the_proof_rejects_a_build_on_a_perturbed_np_recurrence(monkeypatch, nQL
     monkeypatch.setattr(coeffs, "np_recurrence", perturbed)
     with pytest.raises(OrthogonalityViolation):
         w_matrix(s)
+
+
+def test_a_row_scale_that_does_not_divide_its_denominator_is_refused():
+    # each row runs at its least scale, which divides the row's Horner denominator den on
+    # the exact recurrence; row 0 has den = 1, so any rescale there is refused by name
+    s = validate_sector(60, 0, 0, 0)
+    lower, diag, upper = coeffs.np_recurrence(s)
+    lower = list(lower)
+    lower[s.size - 2] += 1
+    with pytest.raises(OrthogonalityViolation, match=r"^scale of C\[0\] ") as info:
+        _factor_row(s, 0, 1, (lower, diag, upper))
+    assert len(str(info.value)) < 200
 
 
 @pytest.mark.parametrize("nQLJ", [(4, 2, 1, 1), (8, 0, 0, 0), (61, 0, 0, 0)])

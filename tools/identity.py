@@ -46,7 +46,8 @@ _COMMANDS = (
 _EXTREME_CHARGES = (
     "1e-400", "1e-320", "1e-150", "1e-17", "1e62", "1e150", "0", "1e400", "5e-324")
 _EXTREME_SECTORS = ((3, 0, 0, 0), (2, 0, 0, 2), (0, 2, 0, 0), (5, 2, 2, 2))
-_LARGE_SECTORS = ((60, 0, 0, 0), (100, 2, 1, 1), (150, 0, 0, 0))  # exact W at N = 61..151
+# exact W at N = 61..151: three at L = J, built from half their columns, and one at L != J
+_LARGE_SECTORS = ((60, 0, 0, 0), (100, 2, 1, 1), (150, 0, 0, 0), (120, 3, 1, 4))
 # 200 log points from 0.01 to 1000, coarse near the avoided crossings of these sectors
 _FINE_SWEEP = ["--a-min", "0.01", "--a-max", "1000", "--points", "200", "--log"]
 _FLAG_ERRORS = {  # flags after the sector (1,0,0,0) at Z = 1, or in place of it
