@@ -15,8 +15,7 @@ its record at any charge is its Z = 1 record but for the sector's Z.
 Exit codes: 0 success or -h/--help, 2 validation (quantum numbers, or a bad flag as one named
 ValidationError line), 3 numerical failure, 4 internal breach, 141 if stdout closes early.
 A sweep on a grid too coarse to follow the eigenvectors is no failure: its branches are labelled
-by ascending order and it reports its least overlap as min_branch_overlap, where an overlap of
-0.9 or less once exited 3 (3 -> 0 for, e.g., a 200-point 0.01..1000 log sweep of n = 40).
+by ascending order and it reports its least overlap as min_branch_overlap.
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ The parabolic basis is the eigenbasis of the ninth Runge-Lenz component M9,
 and W carries the spherical basis onto it.  Its closed form factors as W =
 diag(sqrt A') C diag(sqrt B) with C an integer matrix: row k of C is a
 terminating 3F2 at unit argument over n_p, at its least scale (the lcm of
-its reduced denominators, so the row is primitive) and with the sign
-(-1)^k of its Horner denominator den, which depends on k alone.
-A'(lambda) is the lambda-only factorial ratio of the radicand with |den|,
-n_top!/(L+3)! and g = |den| / scale folded in; B(n_p) is the n_p-only
+its reduced denominators, so the row is primitive) and with W's phase
+(-1)^k.  A'(lambda) = A(lambda) (n_top!/(L+3)!)^2 / scale^2, A the
+lambda-only factorial ratio of the radicand; B(n_p) is the n_p-only
 ratio.  M9 and Lambda = diag(lambda(lambda+7)) act on W as a Leonard
 pair, so C has two three-term recurrences: M9's in lambda, and the dual
 one in n_p through G = W^T Lambda W, the closed-form tridiagonal
@@ -71,17 +70,16 @@ from .sector import Sector, lambda_index, np_index
 
 
 def _row(s: Sector, k: int) -> tuple[int, int]:
-    """A(lambda) rho_k^2 at ladder position k, lambda = (L+J)/2 + k, as integers (num, den).
+    """A(lambda) (n_top!/(L+3)!)^2 at ladder position k, lambda = (L+J)/2 + k, as integers (num, den).
 
-    A is the lambda-only factorial ratio of W's radicand, and
-    rho_k = (n_top-k)! / ((L+k+3)! k!) is n_top!/(L+3)! over the magnitude
-    of row k's denominator (L+4)_k (-n_top)_k k!.  num/den is not reduced;
-    its one reduction is the Fraction that _factor_row builds.
+    A is the lambda-only factorial ratio of W's radicand; over the square
+    of row k's scale it is A', which _factor_row forms.  num/den is not
+    reduced; its one reduction is that Fraction.
     """
     L, J, n_top = s.L, s.J, s.size - 1
     f = math.factorial
-    return (f(L + J + k + 6) * (L + J + 2 * k + 7) * f(n_top - k),
-            f(k) ** 3 * f(n_top + L + J + k + 7) * f(J + k + 3) * f(L + k + 3))
+    return (f(L + J + k + 6) * (L + J + 2 * k + 7) * f(L + k + 3) * f(n_top) ** 2,
+            f(L + 3) ** 2 * f(k) * f(n_top - k) * f(n_top + L + J + k + 7) * f(J + k + 3))
 
 
 def _column_radicand(s: Sector, n_p: int) -> Fraction:
@@ -102,25 +100,23 @@ def _mirrored_columns(s: Sector) -> int:
     return s.size // 2 if s.L == s.J else 0
 
 
-def _factor_row(s: Sector, k: int, den: int, recurrence) -> tuple[Fraction, list[int]]:
+def _factor_row(s: Sector, k: int, recurrence) -> tuple[Fraction, list[int]]:
     """A'_k and row k of the integer core C, n_p ascending, in O(N) steps on core-sized integers.
 
     Row k of C is the 3F2(-k, n_p-n_top, L+J+k+7; L+4, -n_top; 1) over
     n_p, run by recurrence, coeffs.np_recurrence(s), down from n_p = n_top,
-    where the 3F2 is 1; upper[n_top] is 0.  The row starts at (-1)^k, the
-    sign of its denominator den = (L+4)_k (-n_top)_k k!, with scale 1.
-    Where the step's division by lower[p] > 0 would leave a remainder, x
-    and the entry after it take the least factor m = lower[p] / gcd(num,
-    lower[p]) that makes it whole, the scale takes m, and the entries
-    already written take the product of their later factors in one pass at
-    the end.  The final scale is the lcm of the row's reduced 3F2
-    denominators, so the row is primitive, and its content against the
-    Horner numerators over den is g = |den| / scale: A' = A g^2 takes it.
-    A scale that does not divide den raises OrthogonalityViolation.  At
-    L = J the recurrence stops at n_p = floor(N/2) and the columns below
-    are filled by the Clebsch-Gordan exchange symmetry C[k, n_p] = (-1)^k
-    C[k, n_top - n_p] (_mirrored_columns); _prove_orthogonal still reads
-    every entry.
+    where the 3F2 is 1; upper[n_top] is 0.  The row starts at (-1)^k, W's
+    phase convention, with scale 1.  Where the step's division by
+    lower[p] > 0 would leave a remainder, x and the entry after it take the
+    least factor m = lower[p] / gcd(num, lower[p]) that makes it whole, the
+    scale takes m, and the entries already written take the product of
+    their later factors in one pass at the end.  The final scale is the lcm
+    of the row's reduced 3F2 denominators, so the row is primitive,
+    C[k] = (-1)^k scale 3F2, and A' = A (n_top!/(L+3)!)^2 / scale^2 from
+    _row's closed form.  At L = J the recurrence stops at n_p = floor(N/2)
+    and the columns below are filled by the Clebsch-Gordan exchange
+    symmetry C[k, n_p] = (-1)^k C[k, n_top - n_p] (_mirrored_columns);
+    _prove_orthogonal still reads every entry.
     """
     lower, diag, upper = recurrence
     shift = k * (s.L + s.J + k + 7)
@@ -137,39 +133,34 @@ def _factor_row(s: Sector, k: int, den: int, recurrence) -> tuple[Fraction, list
             marks.append((len(row), m))
         x, after = q, x
         row.append(x)
-    g, r = divmod(abs(den), scale)
-    if r:
-        raise OrthogonalityViolation(f"scale of C[{k}] does not divide its denominator for {s}")
     end, f = len(row), 1
     for j, m in reversed(marks):  # row[j:end] was written before the rescales in f
         if f != 1:
             row[j:end] = [v * f for v in row[j:end]]
         end, f = j, f * m
     row.reverse()  # n_p = lo .. n_top
-    a_num, a_den = _row(s, k)
     if lo:
         mirror = row[: -lo - 1 : -1]  # at n_p = 0 .. lo-1, the entries at n_top - n_p
         row = ([-v for v in mirror] if k % 2 else mirror) + row
-    return Fraction(a_num * g * g, a_den), row
+    a_num, a_den = _row(s, k)
+    return Fraction(a_num, a_den * scale * scale), row
 
 
 def _factors(s: Sector) -> tuple[list[Fraction], list[list[int]], list[Fraction]]:
     """Row factors A', integer core C and column radicands B of the whole W, in O(N^2) steps.
 
-    _factor_row runs each row at its least scale, and takes the row's
-    denominator, kept here as a running product, only for g = |den| /
-    scale in A'.  Each A' and B is one Fraction, the field WMatrix keeps;
+    _factor_row runs each row at its least scale and forms its A' from
+    that scale alone.  Each A' and B is one Fraction, the field WMatrix keeps;
     the proof reads their numerators; B is mirrored like C.  The build
     never reads M9 or mu, so _prove_orthogonal's lambda recurrence checks
     it on an identity it was not built from.
     """
-    L, n_top, recurrence = s.L, s.size - 1, coeffs.np_recurrence(s)
-    row_rad, core, den = [], [], 1
+    recurrence = coeffs.np_recurrence(s)
+    row_rad, core = [], []
     for k in range(s.size):
-        a, row = _factor_row(s, k, den, recurrence)
+        a, row = _factor_row(s, k, recurrence)
         row_rad.append(a)
         core.append(row)
-        den *= (L + 4 + k) * (k - n_top) * (k + 1)
     lo = _mirrored_columns(s)
     col_rad = [_column_radicand(s, n_p) for n_p in range(lo, s.size)]
     return row_rad, core, col_rad[: -lo - 1 : -1] + col_rad if lo else col_rad
@@ -179,13 +170,11 @@ def w_coefficient(s: Sector, lam, n_p: int) -> RadicalScalar:
     """Entry W[lambda, n_p] of the spherical-parabolic transformation, exact but unproved.
 
     sqrt(A') sqrt(B) C[k, p], the integer kept out of the root, from the one
-    row _factor_row runs in O(N) steps at its least scale; the row's
-    denominator, formed as a product, gives only g = |den| / scale in A'.
+    row _factor_row runs in O(N) steps at its least scale, which also
+    gives A'.
     """
-    k = lambda_index(s, lam)[1]
-    p, L, n_top = np_index(s, n_p), s.L, s.size - 1
-    den = math.prod((L + 4 + j) * (j - n_top) * (j + 1) for j in range(k))
-    a, row = _factor_row(s, k, den, coeffs.np_recurrence(s))
+    k, p = lambda_index(s, lam)[1], np_index(s, n_p)
+    a, row = _factor_row(s, k, coeffs.np_recurrence(s))
     return RadicalScalar(1, a) * RadicalScalar(1, _column_radicand(s, p)) * row[p]
 
 
@@ -283,9 +272,9 @@ def _prove_orthogonal(s: Sector, row_rad, core, col_rad) -> tuple:
     diagonal.  Its diagonal is B_p sum_k A'_k C[k, p]^2, so the column
     norms sum_k A'_k C[k, p]^2 = 1/B_p make it I.  Both hold for W D, D any
     diagonal of signs, so each column's phase is checked apart: row 0 of C
-    is all ones, as the 3F2 at k = 0 is 1 and its denominator is 1.  The
-    failed identity and its position go into the OrthogonalityViolation.
-    Returns the residual rows.
+    is all ones, as the 3F2 at k = 0 is 1 and row 0's phase and scale are
+    1.  The failed identity and its position go into the
+    OrthogonalityViolation.  Returns the residual rows.
     """
     try:
         rows = tuple(_recurrence_rows(s, row_rad, core))

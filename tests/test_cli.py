@@ -1143,19 +1143,24 @@ def test_exact_output_is_pinned(argv, digest, capsys):
 
 
 # sha256 of the concatenated stdout of exact states, wmatrix and m9, sector by
-# sector over enumerate_sectors(5, 4, 4), pinned before the polynomial kernels
-# and the package exports were cut down
-SWEEP_EXACT_DIGEST = "23e8907f5902502b9d51592192f2a3ffb0845bb4fdc9c2dde293a47e1181547b"
+# sector over enumerate_sectors(5, 4, 4), by charge: Z = 1 pinned before the
+# polynomial kernels and the package exports were cut down, Z = 2/5 before
+# the row factor A' was taken from one closed form
+SWEEP_EXACT_DIGESTS = {
+    "1": "23e8907f5902502b9d51592192f2a3ffb0845bb4fdc9c2dde293a47e1181547b",
+    "2/5": "28c855bae57ae09fc61816725bd6866ff70914e42486082126e0008efc30fab8",
+}
 
 
-def test_exact_sweep_output_is_pinned(capsys):
+@pytest.mark.parametrize("Z", list(SWEEP_EXACT_DIGESTS), ids=lambda z: f"Z={z}")
+def test_exact_sweep_output_is_pinned(Z, capsys):
     digest = hashlib.sha256()
     for s in enumerate_sectors(5, 4, 4):
-        flags = ["--n", str(s.n), "--Q", str(s.Q), "--L", str(s.L), "--J", str(s.J)]
+        flags = ["--n", str(s.n), "--Q", str(s.Q), "--L", str(s.L), "--J", str(s.J), "--Z", Z]
         for cmd in ("states", "wmatrix", "m9"):
             assert main([cmd, "--mode", "exact", *flags]) == 0
             digest.update(capsys.readouterr().out.encode())
-    assert digest.hexdigest() == SWEEP_EXACT_DIGEST
+    assert digest.hexdigest() == SWEEP_EXACT_DIGESTS[Z]
 
 
 def _records(rows) -> list:
