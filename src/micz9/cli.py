@@ -430,14 +430,8 @@ def cmd_sweep(args, s) -> None:
     _emit("sweep", s, "float", {"min_branch_overlap": _fmt(min_overlap), "branches": branches})
 
 
-def _limit_distance(s, which: str, given, default):
-    """(a, aZ) of a limit: the given flag's, or the default aZ that default() gives, at a = aZ/Z."""
-    if given is not None:
-        aZ = _to_aZ(given, s)
-        if which == "parabolic" and not aZ >= spheroidal.PARABOLIC_MIN_AZ:  # before any solve
-            raise ValidationError(f"a_large Z = {given} * {sector._short(s.Z)} must be at least 1e4")
-        return given, aZ
-    aZ = default()
+def _limit_distance(s, which: str, aZ: float):
+    """(a, aZ) of a limit taken at aZ, a = aZ/Z, refused where a is not a finite float."""
     if not (float(s.Z) and math.isfinite(aZ / float(s.Z))):
         raise ValidationError(
             f"the {which} limit distance at Z = {sector._short(s.Z)} is not finite")
@@ -445,14 +439,12 @@ def _limit_distance(s, which: str, given, default):
 
 
 def cmd_limits(args, s) -> None:
-    W = functools.cache(interbasis.w_matrix)  # built at first use: a refused flag builds no W
-    a_small, aZ_small = _limit_distance(s, "spherical", args.a_small,
-                                        lambda: spheroidal.SPHERICAL_AZ)
-    a_large, aZ_large = _limit_distance(s, "parabolic", args.a_large,
-                                        lambda: spheroidal.parabolic_distance(W(s)))
+    a_small, aZ_small = _limit_distance(s, "spherical", spheroidal.SPHERICAL_AZ)
+    W = interbasis.w_matrix(s)
+    a_large, aZ_large = _limit_distance(s, "parabolic", spheroidal.parabolic_distance(W))
     both = spheroidal.separation_constants(s, [aZ_small, aZ_large])
     sph = spheroidal.check_spherical_limit(both[0])
-    par = spheroidal.check_parabolic_limit(W(s), both[1])
+    par = spheroidal.check_parabolic_limit(W, both[1])
     payload = {
         "spherical": {
             "a_small": _fmt(a_small),
@@ -571,9 +563,7 @@ COMMANDS = {  # command: (handler run(args, s), help, the flags it reads)
         "--points": ("points", int, 2, f"2 to {SWEEP_MAX_ENTRIES} / N^2"),
         "--log": ("log", None, False, "logarithmic grid; takes no value"),
         "--format": ("format", ("record", "csv"), "record", "")}),
-    "limits": (cmd_limits, "spherical and parabolic degenerations", {
-        **_FLOAT_ONLY, "--a-small": ("a_small", float, None, "default: aZ = 1e-8"),
-        "--a-large": ("a_large", float, None, "default: parabolic_distance")}),
+    "limits": (cmd_limits, "spherical and parabolic degenerations", _FLOAT_ONLY),
     "verify": (cmd_verify, "full cross-oracle suite for one sector", _SECTOR),
 }
 

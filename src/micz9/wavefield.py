@@ -283,11 +283,13 @@ def w_overlap_stable(s: Sector) -> np.ndarray:
     polynomial of degree 2m in x, and of degree 2m+6 in c once (1-c^2)^3
     is folded into the Legendre weights.  An n-node Gauss rule is exact to
     degree 2n-1, so floor(m)+4 nodes make both tensor rules exact.  Raises
-    ConvergenceFailure if the matrix is not finite (its factors overflow
-    at large N).
+    ConvergenceFailure if n_q passes MAX_RULE_NODES, before any rule is
+    built, or if the matrix is not finite (its factors overflow at large N).
     """
     import numpy as np
     n_q = (2 * s.n + s.Q + 8) // 2
+    if n_q > MAX_RULE_NODES:  # the quadrature's own node count, not a bad input
+        raise ConvergenceFailure(f"overlap quadrature needs n_q = {n_q} > {MAX_RULE_NODES} at {s}")
     val = w_overlap_quadrature(s, n_q)
     if not np.isfinite(val).all():
         raise ConvergenceFailure(f"overlap matrix is not finite at n_q = {n_q} for {s}")

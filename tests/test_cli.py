@@ -107,8 +107,6 @@ def test_non_finite_or_overflowing_focal_distance_exit_2():
         ("tcoeffs", "--a", "nan"),
         ("sweep", "--a-min", "1", "--a-max", "inf", "--points", "3"),
         ("sweep", "--a-min", "1", "--a-max", "1e300", "--points", "3", "--log"),
-        ("limits", "--a-small", "nan"),
-        ("limits", "--a-large", "inf"),
     ):
         out = run_cli(*argv[:1], *SECTOR, "--mode", "float", *argv[1:])
         assert out.returncode == 2, argv
@@ -139,25 +137,20 @@ def test_overflowing_charge_exit_2():
         # to 0.0; limits meets the spherical distance 1e-8/Z, not finite there, first
         ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float", "--a", "1"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float"],
-        ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float",
-         "--a-small", "1e-3", "--a-large", "1e300"],
         ["kspectrum", *verify_argv(2, 0, 0, 2, "1.5e-323")[1:], "--mode", "float", "--a", "1"],
-        # Z itself rounds to 0.0, so no a has an aZ, and the default limit distances, 1e-8/Z
-        # and aZ/Z, are undefined
+        # Z itself rounds to 0.0, so no a has an aZ, and the limit distances, 1e-8/Z and
+        # aZ/Z, are undefined
         ["sweep", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--a-min", "1", "--a-max", "2"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-400")[1:], "--mode", "float"],
         # a subnormal focal distance rounds K(a)'s couplings to 0.0
         ["tcoeffs", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a", "5e-324"],
         ["kspectrum", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a", "5e-324"],
-        ["limits", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a-small", "5e-324"],
         # K/a overflows on a subnormal grid
         ["sweep", *SECTOR, "--mode", "float", "--a-min", "1e-320", "--a-max", "1e-319",
          "--points", "3"],
-        # 1e-8/Z overflows: the default distances are not finite, named by the charge with no
-        # RuntimeWarning on the way; a given a aZ of which underflows is named with the charge
+        # an a whose aZ underflows is named with the charge; 1e-8/Z overflows: the limit
+        # distances are not finite, named by the charge with no RuntimeWarning on the way
         ["tcoeffs", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--a", "1e-10"],
-        ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--a-small", "1e-3",
-         "--a-large", "1e5"],
         ["limits", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--mode", "float"],
         ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--mode", "float"],
         # aZ = 1.5e-320 is subnormal: with fewer than 53 bits it would put K 1.6e-3 off
@@ -752,6 +745,30 @@ def test_exact_matrix_memory_stays_bounded(command, tmp_path):
     assert int(run.stderr) < 100 * 1024
 
 
+
+# One CLI call in a fresh interpreter whose address space, and only its own, is capped at 4 GiB
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+from micz9.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("command", [
+    ["states"], ["m9", "--mode", "exact"], ["kspectrum", "--a", "1"], ["tcoeffs", "--a", "1"],
+    ["sweep", "--a-min", "0.01", "--a-max", "100", "--points", "16", "--log"],
+], ids=" ".join)
+def test_a_command_at_max_block_ends_in_a_contract_exit(command):
+    """Opt-in (pytest -m slow): N = MAX_BLOCK under a 4 GiB cap, exit 0, 2 or 3 in one line."""
+    assert validate_sector(1023, 0, 0, 0).size == micz9.sector.MAX_BLOCK
+    argv = [command[0], "--n", "1023", "--Q", "0", "--L", "0", "--J", "0", *command[1:]]
+    run = subprocess.run([sys.executable, "-c", _CAPPED, *argv], stdout=subprocess.DEVNULL,
+                         stderr=subprocess.PIPE, text=True)
+    assert run.returncode in (0, 2, 3), run.stderr
+    assert len(run.stderr.splitlines()) <= 1 and "Traceback" not in run.stderr, run.stderr
+
 @settings(max_examples=100, deadline=None)
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
               elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)))
@@ -844,10 +861,12 @@ def test_limits():
     assert p["parabolic"]["branch_np"] == [0, 1]
 
 
-@pytest.mark.parametrize("flag", [["--a-small", "0.5"], ["--a-large", "1e4"]])
-def test_limit_mismatch_names_only_the_worst_branches(flag, capsys):
-    # N = 21: the whole per-branch error arrays used to go to stderr
-    argv = ["limits", "--n", "20", "--Q", "0", "--L", "0", "--J", "0", "--mode", "float", *flag]
+@pytest.mark.parametrize("flag", [("SPHERICAL_AZ", 0.5), ("parabolic_distance", lambda W: 1e4)])
+def test_limit_mismatch_names_only_the_worst_branches(flag, monkeypatch, capsys):
+    # N = 21: the whole per-branch error arrays used to go to stderr.  Each limit is moved to a
+    # distance where its first-order check fails, aZ = 0.5 and 1e4, by patching where it is set
+    monkeypatch.setattr(spheroidal, *flag)
+    argv = ["limits", "--n", "20", "--Q", "0", "--L", "0", "--J", "0", "--mode", "float"]
     assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("LimitMismatch: ") and "at n_k = " in err, err
@@ -872,24 +891,11 @@ def test_limits_default_distances_follow_the_charge(Z, capsys):
         assert {**p[limit], a: None} == {**at_one[limit], a: None}
 
 
-@pytest.mark.parametrize("flag", ["--a-small", "--a-large"])
-def test_limits_keeps_a_given_focal_distance_even_at_zero(flag, capsys):
-    # a given flag replaces its default even when it is falsy: 0 is refused, not defaulted
-    assert main(["limits", *SECTOR, "--mode", "float", flag, "0"]) == 2
-    assert capsys.readouterr().err == f"ValidationError: limits needs {flag} > 0\n"
-
-
-@pytest.mark.parametrize("flag, a", [("--a-small", "-1"), ("--a-small", "0"),
-                                     ("--a-large", "-1"), ("--a-large", "0")])
-def test_limits_refuses_a_distance_that_is_not_positive_in_the_users_a(flag, a, monkeypatch,
-                                                                        capsys):
-    # at Z = 2/5 the kernel would see aZ = -0.4 for a = -1: the refusal names the flag, as
-    # kspectrum's names --a, and no aZ that the user did not give; W is not built first
-    monkeypatch.setattr(interbasis, "w_matrix", lambda s: pytest.fail("W built"))
-    argv = ["limits", "--n", "1", "--Q", "0", "--L", "0", "--J", "0", "--Z", "2/5", flag, a]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"ValidationError: limits needs {flag} > 0\n"
+@pytest.mark.parametrize("flag", [["--a-small", "1"], ["--a-large", "1e5"]], ids=" ".join)
+def test_limits_reads_no_focal_distance(flag, capsys):
+    # each limit is checked only at the distance its tolerance is calibrated for
+    assert main(["limits", *SECTOR, *flag]) == 2
+    assert capsys.readouterr() == ("", f"ValidationError: limits does not read '{flag[0]}'\n")
 
 
 def test_a_log_sweep_to_the_largest_float_is_refused_in_one_line(capsys):
@@ -903,56 +909,19 @@ def test_a_log_sweep_to_the_largest_float_is_refused_in_one_line(capsys):
     assert err.startswith("ValidationError: --a-max 1.7976931348623157e+308 "), err
 
 
-@pytest.mark.parametrize("Z, flags", [("1e-310", ["--a-small", "1e3", "--a-large", "1e300"]),
-                                      ("1e-305", ["--a-large", "1e300"])])
-def test_limits_computes_no_default_for_a_given_distance(Z, flags, monkeypatch, capsys):
-    # the parabolic default, at least 1e4 / Z, is not finite at these charges: a given
-    # distance replaces it uncomputed, so the error names what fails at the distances used,
-    # a Z = 1e300 Z below the parabolic check's 1e4, and no first-order frame is built
-    calls = 0
-    original = spheroidal._first_order
-
-    def counted(W):
-        nonlocal calls
-        calls += 1
-        return original(W)
-
-    monkeypatch.setattr(spheroidal, "_first_order", counted)
-    assert main(["limits", "--n", "3", "--Q", "0", "--L", "0", "--J", "0", "--Z", Z, *flags]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == f"ValidationError: a_large Z = 1e+300 * {Z} must be at least 1e4\n"
-    assert calls == 0
-
-
-def test_limits_refuses_a_small_a_large_before_any_solve(monkeypatch, capsys):
-    # at (2,0,0,2) the spherical check fails at a_small = 0.5 (LimitMismatch, exit 3): the
-    # a_large refusal comes first, before K(a) is built at either distance
-    monkeypatch.setattr(spheroidal, "separation_constants", lambda s, a: pytest.fail("solved"))
-    argv = ["limits", "--n", "2", "--Q", "0", "--L", "0", "--J", "2", "--a-small", "0.5",
-            "--a-large", "100"]
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err == "ValidationError: a_large Z = 100.0 * 1 must be at least 1e4\n"
-
-
-@pytest.mark.parametrize("flags, err", [
-    (["--a-large", "100"], "a_large Z = 100.0 * 1 must be at least 1e4"),
-    (["--Z", "1e-300", "--a-small", "1e-10", "--a-large", "100"],  # --a-small is named first
-     "focal distance a = 1e-10 at Z = 1e-300 gives aZ = 1e-310, "
-     "not a finite normal positive float"),
-], ids=["a_large", "a_small_first"])
-def test_limits_refuses_a_given_distance_before_w_is_built(flags, err, monkeypatch, capsys):
-    # exact W at N = 61 takes about 0.1 s, which a refused flag does not wait for
-    monkeypatch.setattr(interbasis, "w_matrix", lambda s: pytest.fail("W built"))
-    assert main(["limits", "--n", "60", "--Q", "0", "--L", "0", "--J", "0", *flags]) == 2
-    assert capsys.readouterr() == ("", f"ValidationError: {err}\n")
-
-
 @pytest.mark.parametrize("command", ["kspectrum", "tcoeffs"])
 def test_a_missing_focal_distance_is_named_before_the_sector_is_read(command, capsys):
     # --a is a required flag: its absence is a flag error, reported before a bad sector
     assert main([command, "--n", "-1", "--Q", "0", "--L", "0", "--J", "0"]) == 2
     assert capsys.readouterr() == ("", f"ValidationError: {command} needs --a\n")
+
+
+def test_verify_past_the_largest_gauss_rule_is_a_numerical_failure(capsys):
+    # N = 1, but the overlap quadrature's exact-degree rule needs n_q = 2004 > 1024 nodes
+    assert main(["verify", "--n", "2000", "--Q", "0", "--L", "2000", "--J", "2000"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1, err
+    assert err.startswith("ConvergenceFailure: overlap quadrature needs n_q = 2004 > 1024 "), err
 
 
 def test_verify_trivial_sector():
@@ -1331,7 +1300,7 @@ _READS = {  # the flags each command reads besides the sector
     "states": ["--mode"], "wmatrix": ["--mode"], "m9": ["--mode"],
     "kspectrum": ["--mode", "--a"], "tcoeffs": ["--mode", "--a"],
     "sweep": ["--mode", "--a-min", "--a-max", "--points", "--log", "--format"],
-    "limits": ["--mode", "--a-small", "--a-large"], "verify": [],
+    "limits": ["--mode"], "verify": [],
 }
 _CHARGE = _mostly(
     st.sampled_from(["1", "2/5", "3/2", "1000", "1/1000"]),

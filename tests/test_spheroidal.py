@@ -459,18 +459,17 @@ def test_k_depends_on_a_and_z_only_through_their_product(nQLJ, aZ):
         assert sweep_branches(s, [aZ, 1.01 * aZ])[0].tobytes() == swept.tobytes(), Z
 
 
-@pytest.mark.parametrize("Z", ["1e-400", "1e-320", "5e-324"])
+@pytest.mark.parametrize("Z", ["1e-400", "1e-320", "5e-324", "1e-310"])
 def test_limit_distances_name_a_charge_at_which_they_are_not_finite(Z, capsys):
     # the limit distances are aZ at every charge, but limits prints them in the user's a, aZ/Z:
-    # Z rounds to 0.0, or 1e-8/Z or the parabolic aZ/Z overflows
+    # Z rounds to 0.0 or 1e-8/Z overflows, and the spherical distance, checked first, is named;
+    # at 1e-310 1e-8/Z is finite, and only the parabolic aZ/Z, at least 1e4/Z, overflows
     W = w_matrix(validate_sector(0, 2, 0, 0, Fraction(Z)))
     assert parabolic_distance(W) == parabolic_distance(w_matrix(validate_sector(0, 2, 0, 0)))
-    sector = ["--n", "0", "--Q", "2", "--L", "0", "--J", "0", "--Z", Z]
-    cases = [("spherical", [])] + [("parabolic", ["--a-small", "1e300"])] * (float(W.sector.Z) > 0)
-    for which, flags in cases:  # a given --a-small at Z = 0.0 has no aZ either
-        assert cli.main(["limits", *sector, *flags]) == 2
-        err = capsys.readouterr().err
-        assert err == f"ValidationError: the {which} limit distance at Z = {Z} is not finite\n"
+    which = "parabolic" if Z == "1e-310" else "spherical"
+    assert cli.main(["limits", "--n", "0", "--Q", "2", "--L", "0", "--J", "0", "--Z", Z]) == 2
+    err = capsys.readouterr().err
+    assert err == f"ValidationError: the {which} limit distance at Z = {Z} is not finite\n"
 
 
 def test_limit_checks_reject_a_stack():

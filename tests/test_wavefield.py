@@ -330,6 +330,14 @@ def test_w_overlap_stable_names_an_overlap_that_is_not_finite():
     assert len(f"{type(exc.value).__name__}: {exc.value}\n".encode()) <= 200
 
 
+def test_w_overlap_stable_refuses_a_rule_past_the_largest_before_any_work(monkeypatch):
+    # (1023,0,0,0) is a valid sector whose exact-degree rule needs n_q = 1027 nodes: a
+    # numerical limit of the quadrature, not a bad input, so no gauss_rule ValidationError
+    monkeypatch.setattr(wavefield, "gauss_rule", lambda *a, **k: pytest.fail("rule built"))
+    with pytest.raises(ConvergenceFailure, match=rf"n_q = 1027 > {wavefield.MAX_RULE_NODES} "):
+        w_overlap_stable(validate_sector(1023, 0, 0, 0, 1))
+
+
 RPTS = np.array([0.5, 1.0, 2.0, 5.0])
 CPTS = np.array([-0.9, 0.0, 0.9])
 
