@@ -137,6 +137,7 @@ def test_overflowing_charge_exit_2():
         # to 0.0; limits meets the spherical distance 1e-8/Z, not finite there, first
         ["tcoeffs", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float", "--a", "1"],
         ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:], "--mode", "float"],
+        ["limits", *verify_argv(2, 0, 0, 2, "1e-323")[1:]],
         ["kspectrum", *verify_argv(2, 0, 0, 2, "1.5e-323")[1:], "--mode", "float", "--a", "1"],
         # Z itself rounds to 0.0, so no a has an aZ, and the limit distances, 1e-8/Z and
         # aZ/Z, are undefined
@@ -145,12 +146,15 @@ def test_overflowing_charge_exit_2():
         # a subnormal focal distance rounds K(a)'s couplings to 0.0
         ["tcoeffs", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a", "5e-324"],
         ["kspectrum", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a", "5e-324"],
+        ["sweep", *verify_argv(2, 0, 0, 2)[1:], "--mode", "float", "--a-min", "5e-324",
+         "--a-max", "1e-323"],
         # K/a overflows on a subnormal grid
         ["sweep", *SECTOR, "--mode", "float", "--a-min", "1e-320", "--a-max", "1e-319",
          "--points", "3"],
         # an a whose aZ underflows is named with the charge; 1e-8/Z overflows: the limit
         # distances are not finite, named by the charge with no RuntimeWarning on the way
         ["tcoeffs", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--a", "1e-10"],
+        ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:]],
         ["limits", *verify_argv(0, 2, 0, 0, "1e-320")[1:], "--mode", "float"],
         ["limits", *verify_argv(0, 2, 0, 0, "5e-324")[1:], "--mode", "float"],
         # aZ = 1.5e-320 is subnormal: with fewer than 53 bits it would put K 1.6e-3 off
